@@ -1,0 +1,184 @@
+package core
+
+import (
+	"testing"
+
+	"jkernel/internal/raceflag"
+	"jkernel/internal/vmkit"
+)
+
+// Allocation ceilings for the crossing paths, pinned at what the typed
+// stubs, the frame arena and the recycled segment switch reach. A
+// regression here shows up in tier-1 without running the benchmark.
+
+const allocSvcIface = `
+.class Svc interface implements jk/kernel/Remote
+.method nop ()V
+.end
+.method add3 (III)I
+.end
+`
+
+const allocSvcImpl = `
+.class SvcImpl implements Svc
+.method nop ()V stack 1 locals 0
+  ret
+.end
+.method add3 (III)I stack 2 locals 0
+  load 1
+  load 2
+  iadd
+  load 3
+  iadd
+  retv
+.end
+`
+
+// AllocBench.null(n) and .add(n) make n LRMIs through the generated stub.
+const allocClient = `
+.class AllocBench
+.field static svc LSvc;
+.method static setup ()V stack 2 locals 0
+  sconst "svc"
+  invokestatic jk/kernel/Repository.lookup:(Ljk/lang/String;)Ljk/kernel/Capability;
+  cast Svc
+  putstatic AllocBench.svc:LSvc;
+  ret
+.end
+.method static null (I)V stack 2 locals 0
+loop:
+  load 0
+  ifz done
+  getstatic AllocBench.svc:LSvc;
+  invokeinterface Svc.nop:()V
+  load 0
+  iconst 1
+  isub
+  store 0
+  jmp loop
+done:
+  ret
+.end
+.method static add (I)I stack 4 locals 1
+  iconst 0
+  store 1
+loop:
+  load 0
+  ifz done
+  getstatic AllocBench.svc:LSvc;
+  iconst 1000
+  iconst 2000
+  load 0
+  invokeinterface Svc.add3:(III)I
+  store 1
+  load 0
+  iconst 1
+  isub
+  store 0
+  jmp loop
+done:
+  load 1
+  retv
+.end
+`
+
+type allocFixture struct {
+	k      *Kernel
+	server *Domain
+	client *Domain
+	task   *Task
+}
+
+func newAllocFixture(t *testing.T) *allocFixture {
+	t.Helper()
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	k := MustNew(Options{})
+	server, err := k.NewDomain(DomainConfig{Name: "server", Classes: map[string][]byte{
+		"Svc": mustAsm(t, allocSvcIface), "SvcImpl": mustAsm(t, allocSvcImpl),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := k.ShareClasses(server, "Svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := k.NewDomain(DomainConfig{Name: "client", Shared: []*SharedClass{sc},
+		Classes: map[string][]byte{"AllocBench": mustAsm(t, allocClient)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, err := server.NewInstance("SvcImpl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cap, err := k.CreateVMCapability(server, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Repository().Bind("svc", cap); err != nil {
+		t.Fatal(err)
+	}
+	f := &allocFixture{k: k, server: server, client: client, task: k.NewDetachedTask(client, "alloc")}
+	t.Cleanup(f.task.Close)
+	if _, err := f.task.CallStatic("AllocBench.setup:()V"); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// perCall reports allocations per LRMI of AllocBench.<method>, which
+// makes n of them per run.
+func (f *allocFixture) perCall(t *testing.T, method, desc string) float64 {
+	t.Helper()
+	cls, err := f.client.NS.Resolve("AllocBench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := cls.MethodBySig(method, desc)
+	const n = 200
+	args := []vmkit.Value{vmkit.IntVal(n)}
+	return testing.AllocsPerRun(20, func() {
+		if _, err := f.k.VM.Call(f.task.Thread, m, args); err != nil {
+			t.Fatal(err)
+		}
+	}) / n
+}
+
+func TestAllocsVMNullLRMI(t *testing.T) {
+	f := newAllocFixture(t)
+	if got := f.perCall(t, "null", "(I)V"); got > 0 {
+		t.Errorf("VM null LRMI through a generated stub: %.2f allocs/call, want 0", got)
+	}
+}
+
+func TestAllocsVM3IntLRMI(t *testing.T) {
+	f := newAllocFixture(t)
+	if got := f.perCall(t, "add", "(I)I"); got > 0 {
+		t.Errorf("VM 3-int LRMI through a generated stub: %.2f allocs/call, want 0", got)
+	}
+}
+
+type allocNop struct{}
+
+func (allocNop) Nop() error { return nil }
+
+func TestAllocsNativeNullLRMI(t *testing.T) {
+	f := newAllocFixture(t)
+	cap, err := f.k.CreateNativeCapability(f.server, allocNop{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(200, func() {
+		if _, err := cap.InvokeFrom(f.task, "Nop"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The one left is reflect's: calling the target's method value
+	// (reflect.methodReceiver). The crossing itself allocates nothing.
+	if got > 1 {
+		t.Errorf("native null LRMI via InvokeFrom: %.2f allocs/call, want at most 1", got)
+	}
+}

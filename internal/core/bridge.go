@@ -14,14 +14,9 @@ import (
 
 // CapabilityFromStub wraps a VM stub object in a Go handle.
 func (k *Kernel) CapabilityFromStub(stub *vmkit.Object) (*Capability, error) {
-	capClass := k.VM.SystemClass(vmkit.ClassCapability)
-	if stub == nil || !stub.Class.AssignableTo(capClass) {
-		return nil, fmt.Errorf("jkernel: not a capability stub")
-	}
-	f := capClass.FieldByName("gate")
-	g := k.gateByID(stub.Fields[f.Slot].I)
-	if g == nil {
-		return nil, fmt.Errorf("jkernel: stub's gate is gone")
+	g, th := k.gateOfStub(stub)
+	if th != nil {
+		return nil, fmt.Errorf("jkernel: %s", vmkit.ThrowableMessage(th))
 	}
 	return &Capability{g: g, Stub: stub}, nil
 }
@@ -35,14 +30,13 @@ func (c *Capability) IsVM() bool { return c.Stub != nil }
 // values in the caller's domain; the result converts back.
 func (c *Capability) InvokeVM(task *Task, method string, args ...any) (any, error) {
 	g := c.g
-	k := g.k
 	if g.vmTarget.Load() == nil && !g.Revoked() {
 		return nil, fmt.Errorf("jkernel: InvokeVM on a native capability (use Invoke)")
 	}
 
 	idx := -1
-	for i, m := range g.methods {
-		if m.Name == method {
+	for i := range g.plans {
+		if g.plans[i].m.Name == method {
 			if idx >= 0 {
 				return nil, fmt.Errorf("jkernel: method %s is overloaded; use full signatures via VM code", method)
 			}
@@ -52,116 +46,84 @@ func (c *Capability) InvokeVM(task *Task, method string, args ...any) (any, erro
 	if idx < 0 {
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchMethod, method)
 	}
-	m := g.methods[idx]
-	params, _, err := vmkit.ParseMethodDesc(m.Desc)
-	if err != nil {
-		return nil, err
-	}
-	if len(params) != len(args) {
-		return nil, fmt.Errorf("jkernel: %s wants %d args, got %d", method, len(params), len(args))
+	plan := &g.plans[idx]
+	if len(plan.params) != len(args) {
+		return nil, fmt.Errorf("jkernel: %s wants %d args, got %d", method, len(plan.params), len(args))
 	}
 
-	caller := task.Domain
-	boxed, err := caller.NS.NewArray("[Ljk/lang/Object;", len(args))
-	if err != nil {
-		return nil, err
-	}
+	var buf [8]vmkit.Value
+	vals := buf[:0]
 	for i, a := range args {
-		o, err := goToVMBoxed(k, caller, a)
+		v, err := goToVM(task.Domain, a, plan.params[i].kind)
 		if err != nil {
 			return nil, fmt.Errorf("jkernel: argument %d of %s: %w", i, method, err)
 		}
-		boxed.Refs[i] = o
+		vals = append(vals, v)
 	}
 
-	env := &vmkit.Env{VM: k.VM, NS: caller.NS, Thread: task.Thread}
-	ret, thrown := g.callVM(env, int64(idx), boxed)
+	ret, thrown := g.callVM(task.Thread, plan.entry, int64(idx), vals)
 	if thrown != nil {
 		return nil, &ThrownVMError{Throwable: thrown}
 	}
-	return vmToGo(k, ret, m.RetDesc())
+	return vmToGo(g.k, ret)
 }
 
-// goToVMBoxed converts a Go value into the boxed *Object form invoke0
-// expects, allocated in the caller's domain.
-func goToVMBoxed(k *Kernel, caller *Domain, a any) (*vmkit.Object, error) {
-	switch v := a.(type) {
-	case nil:
-		return nil, nil
-	case *Capability:
-		if v.Stub == nil {
-			return nil, fmt.Errorf("native capability cannot enter the VM")
+// goToVM converts a Go argument into the VM value a parameter of the
+// given kind takes; references are allocated in the caller's domain.
+func goToVM(caller *Domain, a any, kind vmkit.Kind) (vmkit.Value, error) {
+	switch kind {
+	case vmkit.KInt:
+		switch v := a.(type) {
+		case int:
+			return vmkit.IntVal(int64(v)), nil
+		case int64:
+			return vmkit.IntVal(v), nil
+		case byte:
+			return vmkit.IntVal(int64(v)), nil
+		case bool:
+			if v {
+				return vmkit.IntVal(1), nil
+			}
+			return vmkit.IntVal(0), nil
 		}
-		return v.Stub, nil
-	case *vmkit.Object:
-		return v, nil
-	case int:
-		return boxVMInt(caller, int64(v))
-	case int64:
-		return boxVMInt(caller, v)
-	case byte:
-		return boxVMInt(caller, int64(v))
-	case bool:
-		if v {
-			return boxVMInt(caller, 1)
+	case vmkit.KFloat:
+		if v, ok := a.(float64); ok {
+			return vmkit.FloatVal(v), nil
 		}
-		return boxVMInt(caller, 0)
-	case float64:
-		bc, err := caller.NS.Resolve(vmkit.ClassBoxFloat)
-		if err != nil {
-			return nil, err
+	case vmkit.KRef:
+		switch v := a.(type) {
+		case nil:
+			return vmkit.Null(), nil
+		case *Capability:
+			if v.Stub == nil {
+				return vmkit.Value{}, fmt.Errorf("native capability cannot enter the VM")
+			}
+			return vmkit.RefVal(v.Stub), nil
+		case *vmkit.Object:
+			return vmkit.RefVal(v), nil
+		case string:
+			s, err := caller.NS.NewString(v)
+			return vmkit.RefVal(s), err
+		case []byte:
+			arr, err := caller.NS.NewArray("[B", len(v))
+			if err != nil {
+				return vmkit.Value{}, err
+			}
+			copy(arr.Bytes, v)
+			return vmkit.RefVal(arr), nil
 		}
-		o, ierr := vmkit.NewInstance(bc)
-		if ierr != nil {
-			return nil, ierr
-		}
-		o.Fields[bc.FieldByName("v").Slot] = vmkit.FloatVal(v)
-		return o, nil
-	case string:
-		return caller.NS.NewString(v)
-	case []byte:
-		arr, err := caller.NS.NewArray("[B", len(v))
-		if err != nil {
-			return nil, err
-		}
-		copy(arr.Bytes, v)
-		return arr, nil
-	default:
-		return nil, fmt.Errorf("unsupported Go type %T at the VM boundary", a)
 	}
-}
-
-func boxVMInt(caller *Domain, v int64) (*vmkit.Object, error) {
-	bc, err := caller.NS.Resolve(vmkit.ClassBoxInt)
-	if err != nil {
-		return nil, err
-	}
-	o, ierr := vmkit.NewInstance(bc)
-	if ierr != nil {
-		return nil, ierr
-	}
-	o.Fields[bc.FieldByName("v").Slot] = vmkit.IntVal(v)
-	return o, nil
+	return vmkit.Value{}, fmt.Errorf("unsupported Go type %T for this parameter at the VM boundary", a)
 }
 
 // vmToGo converts a VM return value (already copied into the caller's
 // domain by callVM) to a Go value.
-func vmToGo(k *Kernel, v vmkit.Value, desc string) (any, error) {
-	if desc == "" {
-		return nil, nil
-	}
-	switch desc[0] {
-	case 'I', 'Z', 'B', 'C':
-		// callVM boxed it for the generic invoke0 return.
-		if v.R == nil {
-			return nil, fmt.Errorf("jkernel: null boxed result")
-		}
-		return v.R.Fields[v.R.Class.FieldByName("v").Slot].I, nil
-	case 'D':
-		if v.R == nil {
-			return nil, fmt.Errorf("jkernel: null boxed result")
-		}
-		return v.R.Fields[v.R.Class.FieldByName("v").Slot].F, nil
+func vmToGo(k *Kernel, v vmkit.Value) (any, error) {
+	switch v.K {
+	case vmkit.KInt:
+		return v.I, nil
+	case vmkit.KFloat:
+		return v.F, nil
 	}
 	if v.R == nil {
 		return nil, nil
@@ -174,7 +136,7 @@ func vmToGo(k *Kernel, v vmkit.Value, desc string) (any, error) {
 		out := make([]byte, len(o.Bytes))
 		copy(out, o.Bytes)
 		return out, nil
-	case o.Class.AssignableTo(k.VM.SystemClass(vmkit.ClassCapability)):
+	case o.Class.AssignableTo(k.capClass):
 		return k.CapabilityFromStub(o)
 	default:
 		// Opaque VM object: hand back the reference for VM-side use.

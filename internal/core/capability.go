@@ -42,10 +42,10 @@ type Gate struct {
 	// async hot path pays no closure or map allocation per call.
 	futHead *Future
 
-	// VM dispatch table: remote methods in stable order; sig -> index.
-	methods []*vmkit.Method
-	bySig   map[string]int
-	ifaces  []*vmkit.Class
+	// VM dispatch table: one plan per remote method, in stable (signature)
+	// order — the index a stub passes to its gate entry.
+	plans  []vmMethodPlan
+	ifaces []*vmkit.Class
 }
 
 // ID returns the gate id (the value stored in VM stubs' gate field).
@@ -269,33 +269,36 @@ func (k *Kernel) CreateVMCapability(d *Domain, target *vmkit.Object) (*Capabilit
 	// Collect remote methods in stable order; the target must implement
 	// every one of them concretely.
 	var methods []*vmkit.Method
-	bySig := map[string]int{}
+	seen := map[string]bool{}
 	for _, ifc := range ifaces {
 		for _, im := range ifc.Methods() {
 			if im.Owner.Name == vmkit.ClassObject || im.IsStatic() {
 				continue
 			}
 			sig := im.Sig()
-			if _, dup := bySig[sig]; dup {
+			if seen[sig] {
 				continue
 			}
 			impl := target.Class.MethodBySig(im.Name, im.Desc)
 			if impl == nil || impl.Flags&vmkit.MAbstract != 0 {
 				return nil, fmt.Errorf("jkernel: target %s does not implement %s", target.Class.Name, sig)
 			}
-			bySig[sig] = len(methods)
+			seen[sig] = true
 			methods = append(methods, impl)
 		}
-	}
-	sort.SliceStable(methods, func(i, j int) bool { return methods[i].Sig() < methods[j].Sig() })
-	for i, m := range methods {
-		bySig[m.Sig()] = i
 	}
 	if len(methods) == 0 {
 		return nil, ErrNotRemote
 	}
+	sort.SliceStable(methods, func(i, j int) bool { return methods[i].Sig() < methods[j].Sig() })
 
-	g := &Gate{k: k, id: k.nextGate.Add(1), owner: d, methods: methods, bySig: bySig, ifaces: ifaces}
+	g := &Gate{k: k, id: k.nextGate.Add(1), owner: d, plans: make([]vmMethodPlan, len(methods)), ifaces: ifaces}
+	for i, m := range methods {
+		var err error
+		if g.plans[i], err = k.planVMMethod(m); err != nil {
+			return nil, fmt.Errorf("jkernel: gate method %s: %w", m.Sig(), err)
+		}
+	}
 	g.vmTarget.Store(target)
 
 	stubDef := genStubClass(k, g, target.Class)
@@ -308,8 +311,7 @@ func (k *Kernel) CreateVMCapability(d *Domain, target *vmkit.Object) (*Capabilit
 	if ierr != nil {
 		return nil, ierr
 	}
-	gateField := stubClass.FieldByName("gate")
-	stub.Fields[gateField.Slot] = vmkit.IntVal(g.id)
+	stub.Fields[k.gateSlot] = vmkit.IntVal(g.id)
 
 	k.gates.Store(g.id, g)
 	d.addGate(g)
@@ -322,17 +324,15 @@ type capOps Kernel
 
 func (c *capOps) kernel() *Kernel { return (*Kernel)(c) }
 
-func (c *capOps) gateOf(env *vmkit.Env, stub *vmkit.Object) (*Gate, *vmkit.Object) {
-	k := c.kernel()
-	capClass := k.VM.SystemClass(vmkit.ClassCapability)
-	if stub == nil || !stub.Class.AssignableTo(capClass) {
-		return nil, env.VM.Throwf(vmkit.ClassIllegalStateEx, "not a capability")
+// gateOfStub resolves a stub object to its gate.
+func (k *Kernel) gateOfStub(stub *vmkit.Object) (*Gate, *vmkit.Object) {
+	if stub == nil || !stub.Class.AssignableTo(k.capClass) {
+		return nil, k.VM.Throwf(vmkit.ClassIllegalStateEx, "not a capability")
 	}
-	f := capClass.FieldByName("gate")
-	id := stub.Fields[f.Slot].I
+	id := stub.Fields[k.gateSlot].I
 	g := k.gateByID(id)
 	if g == nil {
-		return nil, env.VM.Throwf(vmkit.ClassIllegalStateEx, "gate %d is gone", id)
+		return nil, k.VM.Throwf(vmkit.ClassIllegalStateEx, "gate %d is gone", id)
 	}
 	return g, nil
 }
@@ -342,7 +342,7 @@ func (c *capOps) gateOf(env *vmkit.Env, stub *vmkit.Object) (*Gate, *vmkit.Objec
 // created it").
 func (c *capOps) Revoke(env *vmkit.Env, stub *vmkit.Object) *vmkit.Object {
 	k := c.kernel()
-	g, th := c.gateOf(env, stub)
+	g, th := k.gateOfStub(stub)
 	if th != nil {
 		return th
 	}
@@ -357,7 +357,7 @@ func (c *capOps) Revoke(env *vmkit.Env, stub *vmkit.Object) *vmkit.Object {
 }
 
 func (c *capOps) IsRevoked(env *vmkit.Env, stub *vmkit.Object) (int64, *vmkit.Object) {
-	g, th := c.gateOf(env, stub)
+	g, th := c.kernel().gateOfStub(stub)
 	if th != nil {
 		return 0, th
 	}

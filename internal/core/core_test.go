@@ -771,10 +771,12 @@ func TestSuspendedCallerSegmentParksOnReturn(t *testing.T) {
 	defer task.Close()
 
 	done := make(chan error, 1)
+	// Handles are minted on the carrier, which is this goroutine until
+	// the call below starts.
+	base := task.Chain.Current().Handle()
 	go func() {
 		// Suspend our own base segment, then call: the callee runs, and on
 		// return the carrier parks until resumed.
-		base := task.Chain.Current()
 		base.Suspend()
 		_, err := k.VM.CallStatic(task.Thread, d2.NS, "Client.run:()I")
 		done <- err
@@ -784,7 +786,7 @@ func TestSuspendedCallerSegmentParksOnReturn(t *testing.T) {
 		t.Fatalf("call returned while caller segment suspended: %v", err)
 	case <-time.After(50 * time.Millisecond):
 	}
-	task.Chain.Current().Resume()
+	base.Resume()
 	select {
 	case err := <-done:
 		if err != nil {

@@ -129,9 +129,11 @@ func (d *Domain) Terminate(reason string) {
 	}
 	d.mu.Lock()
 	gates := append([]*Gate(nil), d.created...)
-	segs := make([]*threads.Seg, 0, len(d.segs))
+	// Stopped under d.mu: a Seg leaves d.segs (removeSeg) before it is
+	// popped and recycled, so while the lock is held every Seg in the map
+	// is still the activation that entered this domain.
 	for _, s := range d.segs {
-		segs = append(segs, s)
+		s.Stop(terminationStopMsg + ": " + reason)
 	}
 	d.mu.Unlock()
 
@@ -139,9 +141,6 @@ func (d *Domain) Terminate(reason string) {
 		g.revoke()
 	}
 	d.K.Meter.RevokeCount(d.ID, int64(len(gates)))
-	for _, s := range segs {
-		s.Stop(terminationStopMsg + ": " + reason)
-	}
 	d.K.Meter.Freeze(d.ID)
 }
 
@@ -254,24 +253,35 @@ type domainThreadOps struct {
 	d *Domain
 }
 
-func (ops *domainThreadOps) segOf(env *vmkit.Env, threadObj *vmkit.Object) (*threads.Seg, *vmkit.Object) {
+// handleOf resolves a Thread object to the segment activation it names.
+func (ops *domainThreadOps) handleOf(env *vmkit.Env, threadObj *vmkit.Object) (threads.Handle, *vmkit.Object) {
 	f := threadObj.Class.FieldByName("id")
 	if f == nil {
-		return nil, env.VM.Throwf(vmkit.ClassIllegalStateEx, "not a thread object")
+		return threads.Handle{}, env.VM.Throwf(vmkit.ClassIllegalStateEx, "not a thread object")
 	}
 	id := threadObj.Fields[f.Slot].I
 	v, ok := ops.k.segs.Load(id)
 	if !ok {
-		return nil, env.VM.Throwf(vmkit.ClassIllegalStateEx, "segment %d is gone", id)
+		return threads.Handle{}, segmentGone(env, id)
 	}
-	seg := v.(*threads.Seg)
-	if seg.Domain != ops.d.ID {
+	h := v.(threads.Handle)
+	if h.Domain != ops.d.ID {
 		// Unreachable if the copy rules hold; defense in depth.
-		return nil, env.VM.Throwf(vmkit.ClassIllegalStateEx, "segment belongs to another domain")
+		return threads.Handle{}, env.VM.Throwf(vmkit.ClassIllegalStateEx, "segment belongs to another domain")
 	}
-	return seg, nil
+	return h, nil
 }
 
+// segmentGone is what a Thread object gets once its segment has returned:
+// the registry entry is dropped at the pop, and a handle that raced the
+// pop reports the same from the segment itself.
+func segmentGone(env *vmkit.Env, id int64) *vmkit.Object {
+	return env.VM.Throwf(vmkit.ClassIllegalStateEx, "segment %d is gone", id)
+}
+
+// Current mints the Thread object for the running segment. This is the
+// one place a segment enters the kernel-wide handle registry: a crossing
+// whose callee never asks for its Thread pays nothing for it.
 func (ops *domainThreadOps) Current(env *vmkit.Env) (*vmkit.Object, *vmkit.Object) {
 	chain, _ := env.Thread.Data.(*threads.Chain)
 	if chain == nil {
@@ -286,50 +296,43 @@ func (ops *domainThreadOps) Current(env *vmkit.Env) (*vmkit.Object, *vmkit.Objec
 	if ierr != nil {
 		return nil, env.VM.Throwf(vmkit.ClassError, "%v", ierr)
 	}
+	if !seg.Minted() {
+		h := seg.Handle()
+		ops.k.segs.Store(h.ID(), h)
+	}
 	o.Fields[tc.FieldByName("id").Slot] = vmkit.IntVal(seg.ID)
 	return o, nil
 }
 
-func (ops *domainThreadOps) Stop(env *vmkit.Env, threadObj *vmkit.Object) *vmkit.Object {
-	seg, th := ops.segOf(env, threadObj)
-	if th != nil {
-		return th
+// apply runs op on the activation threadObj names.
+func (ops *domainThreadOps) apply(env *vmkit.Env, threadObj *vmkit.Object, op func(threads.Handle) bool) *vmkit.Object {
+	h, th := ops.handleOf(env, threadObj)
+	if th == nil && !op(h) {
+		th = segmentGone(env, h.ID())
 	}
-	seg.Stop("Thread.stop")
-	return nil
+	return th
+}
+
+func (ops *domainThreadOps) Stop(env *vmkit.Env, threadObj *vmkit.Object) *vmkit.Object {
+	return ops.apply(env, threadObj, func(h threads.Handle) bool { return h.Stop("Thread.stop") })
 }
 
 func (ops *domainThreadOps) Suspend(env *vmkit.Env, threadObj *vmkit.Object) *vmkit.Object {
-	seg, th := ops.segOf(env, threadObj)
-	if th != nil {
-		return th
-	}
-	seg.Suspend()
-	return nil
+	return ops.apply(env, threadObj, threads.Handle.Suspend)
 }
 
 func (ops *domainThreadOps) Resume(env *vmkit.Env, threadObj *vmkit.Object) *vmkit.Object {
-	seg, th := ops.segOf(env, threadObj)
-	if th != nil {
-		return th
-	}
-	seg.Resume()
-	return nil
+	return ops.apply(env, threadObj, threads.Handle.Resume)
 }
 
 func (ops *domainThreadOps) SetPriority(env *vmkit.Env, threadObj *vmkit.Object, p int64) *vmkit.Object {
-	seg, th := ops.segOf(env, threadObj)
-	if th != nil {
-		return th
-	}
-	seg.SetPriority(p)
-	return nil
+	return ops.apply(env, threadObj, func(h threads.Handle) bool { return h.SetPriority(p) })
 }
 
-func (ops *domainThreadOps) GetPriority(env *vmkit.Env, threadObj *vmkit.Object) (int64, *vmkit.Object) {
-	seg, th := ops.segOf(env, threadObj)
-	if th != nil {
-		return 0, th
-	}
-	return seg.Priority(), nil
+func (ops *domainThreadOps) GetPriority(env *vmkit.Env, threadObj *vmkit.Object) (p int64, th *vmkit.Object) {
+	th = ops.apply(env, threadObj, func(h threads.Handle) (ok bool) {
+		p, ok = h.Priority()
+		return ok
+	})
+	return p, th
 }

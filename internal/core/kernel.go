@@ -65,7 +65,7 @@ type Kernel struct {
 	nextDom   atomic.Int64
 	gates     sync.Map // int64 -> *Gate
 	nextGate  atomic.Int64
-	segs      sync.Map // int64 (seg id) -> *threads.Seg
+	segs      sync.Map // int64 (seg id) -> threads.Handle: only segments a jk/lang/Thread object names
 	tasks     sync.Map // *threads.Chain -> *Task
 	nextStub  atomic.Int64
 	repo      *Repository
@@ -74,6 +74,13 @@ type Kernel struct {
 	copier    *fastcopy.Copier
 	graphCop  *fastcopy.Copier
 	exports   sync.Map // string -> *Capability: names served to remote kernels
+
+	// capClass and gateSlot locate the gate id in a stub object.
+	capClass *vmkit.Class
+	gateSlot int
+	// entries are the typed gate entries generated so far, by shape.
+	entryMu sync.Mutex
+	entries map[string]*gateEntry
 }
 
 // New creates a kernel, boots its VM, installs the kernel's native classes
@@ -345,10 +352,16 @@ func (k *Kernel) newTask(d *Domain, name string, chain *threads.Chain) *Task {
 	// 1 in 64 calls in aggregate instead of never reaching its 64th tick.
 	task := &Task{K: k, Domain: d, Thread: th, Chain: chain, stripe: stripe, sampleTick: stripe}
 	k.tasks.Store(chain, task)
-	base := chain.Current()
-	k.segs.Store(base.ID, base)
-	d.addSeg(base)
+	d.addSeg(chain.Current())
 	return task
+}
+
+// dropHandle unregisters the handle minted on seg's current activation,
+// if any. Carrier-only.
+func (k *Kernel) dropHandle(seg *threads.Seg) {
+	if seg.Minted() {
+		k.segs.Delete(seg.ID)
+	}
 }
 
 // Close detaches the task from the kernel and its goroutine.
@@ -358,7 +371,7 @@ func (t *Task) Close() {
 	}
 	base := t.Chain.Current()
 	t.Domain.removeSeg(base)
-	t.K.segs.Delete(base.ID)
+	t.K.dropHandle(base)
 	t.K.tasks.Delete(t.Chain)
 	if t.registered {
 		threads.Unregister()

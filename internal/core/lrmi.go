@@ -3,28 +3,88 @@ package core
 import (
 	"errors"
 
+	"jkernel/internal/threads"
 	"jkernel/internal/vmkit"
 )
 
-// This file implements the VM-path LRMI: the code run by
-// Capability.invoke0 on behalf of generated stubs. The sequence matches
-// the paper's stub description: check revocation, look up the current
-// thread, switch to the creating domain's thread segment (two lock
-// acquire/release pairs: segment push and pop), copy every non-capability
-// argument into the callee domain, invoke the target method, copy the
-// result back, and restore the caller's segment.
+// This file implements the VM-path LRMI: the code run by the typed gate
+// entries on behalf of generated stubs (and by InvokeVM for Go callers).
+// The sequence matches the paper's stub description: check revocation,
+// look up the current thread, switch to the creating domain's thread
+// segment (two lock acquire/release pairs: segment push and pop), copy
+// every non-capability argument into the callee domain, invoke the target
+// method, copy the result back, and restore the caller's segment.
 
-// Invoke0 implements vmkit.CapabilityOps.
-func (c *capOps) Invoke0(env *vmkit.Env, stub *vmkit.Object, idx int64, argsArr *vmkit.Object) (vmkit.Value, *vmkit.Object) {
-	g, th := c.gateOf(env, stub)
-	if th != nil {
-		return vmkit.Value{}, th
-	}
-	return g.callVM(env, idx, argsArr)
+// enter switches the task's carrier into domain d for one cross-domain
+// call (lock pair #1): push a segment and enrol it with d, so that
+// terminating d stops it. Every crossing — VM, native, proxy — goes
+// through enter and leave. The kernel-wide handle registry is not touched
+// here: only a segment that a jk/lang/Thread object names is registered,
+// by domainThreadOps.Current.
+func (t *Task) enter(d *Domain) *threads.Seg {
+	seg := t.Chain.Push(d.ID)
+	d.addSeg(seg)
+	return seg
 }
 
-// callVM performs one cross-domain call on a VM-target gate.
-func (g *Gate) callVM(env *vmkit.Env, idx int64, argsArr *vmkit.Object) (vmkit.Value, *vmkit.Object) {
+// leave returns from the segment enter pushed (lock pair #2). A handle
+// minted on it dies here: the Seg is about to be recycled, and a stale
+// Thread object must find "segment gone", never the next call.
+func (t *Task) leave(d *Domain, seg *threads.Seg) {
+	d.removeSeg(seg)
+	t.K.dropHandle(seg)
+	t.Chain.Pop()
+}
+
+// vmParam is one parameter of a gate method as the gate checks it.
+type vmParam struct {
+	kind vmkit.Kind
+	// class is what a reference argument must be assignable to, resolved
+	// in the callee's namespace (nil for primitives).
+	class *vmkit.Class
+}
+
+// vmMethodPlan is what callVM needs to know about one gate method,
+// computed once at CreateVMCapability so the call path parses no
+// descriptor and resolves no class.
+type vmMethodPlan struct {
+	m      *vmkit.Method
+	params []vmParam
+	// entry is the typed entry this method's stub goes through; a call
+	// arriving through any other entry has the wrong shape.
+	entry *gateEntry
+}
+
+// planVMMethod builds the plan for gate method m.
+func (k *Kernel) planVMMethod(m *vmkit.Method) (vmMethodPlan, error) {
+	params, ret, err := vmkit.ParseMethodDesc(m.Desc)
+	if err != nil {
+		return vmMethodPlan{}, err
+	}
+	p := vmMethodPlan{m: m, params: make([]vmParam, len(params))}
+	for i, desc := range params {
+		p.params[i].kind = vmkit.DescKind(desc)
+		if p.params[i].kind != vmkit.KRef {
+			continue
+		}
+		// The verifier resolved every parameter type when it admitted m's
+		// class: an error here means the namespace has since lost one.
+		if p.params[i].class, err = m.Owner.NS.Resolve(vmkit.RefName(desc)); err != nil {
+			return vmMethodPlan{}, err
+		}
+	}
+	if p.entry, err = k.entryFor(params, ret); err != nil {
+		return vmMethodPlan{}, err
+	}
+	return p, nil
+}
+
+// callVM performs one cross-domain call on a VM-target gate: method idx
+// with the caller's raw argument values. via is the typed entry the call
+// came through (InvokeVM, which converts to the plan directly, names the
+// plan's own); an entry's shape makes len(args) the method's arity. args
+// is only read — it may be a window into the thread's frame arena.
+func (g *Gate) callVM(t *vmkit.Thread, via *gateEntry, idx int64, args []vmkit.Value) (vmkit.Value, *vmkit.Object) {
 	k := g.k
 	vm := k.VM
 
@@ -32,24 +92,24 @@ func (g *Gate) callVM(env *vmkit.Env, idx int64, argsArr *vmkit.Object) (vmkit.V
 	// the revocation check alone propagates server death to clients.
 	target := g.vmTarget.Load()
 	if target == nil {
-		if reason := g.failureReason(); reason != nil {
-			if errors.Is(reason, ErrDomainTerminated) {
-				return vmkit.Value{}, vm.Throwf(vmkit.ClassTerminatedEx, "%v", reason)
-			}
-			return vmkit.Value{}, vm.Throwf(vmkit.ClassRevokedEx, "%v", reason)
+		fault, class := g.revocationFault(), vmkit.ClassRevokedEx
+		if errors.Is(fault, ErrDomainTerminated) {
+			class = vmkit.ClassTerminatedEx
 		}
-		if g.owner.Terminated() {
-			return vmkit.Value{}, vm.Throwf(vmkit.ClassTerminatedEx, "domain %s terminated", g.owner.Name)
-		}
-		return vmkit.Value{}, vm.Throwf(vmkit.ClassRevokedEx, "capability %d revoked", g.id)
+		return vmkit.Value{}, vm.Throwf(class, "%v (capability %d of domain %s)", fault, g.id, g.owner.Name)
 	}
-	if idx < 0 || int(idx) >= len(g.methods) {
+	if idx < 0 || int(idx) >= len(g.plans) {
 		return vmkit.Value{}, vm.Throwf(vmkit.ClassIllegalStateEx, "bad method index %d", idx)
 	}
-	m := g.methods[idx]
+	plan := &g.plans[idx]
+	m := plan.m
+	if via != plan.entry {
+		return vmkit.Value{}, vm.Throwf(vmkit.ClassIllegalStateEx,
+			"method %s does not have the shape of entry %s", m.Sig(), via.class)
+	}
 
 	// Thread info lookup (Table 1 row 3).
-	task := k.taskForThread(env.Thread)
+	task := k.taskForThread(t)
 	if task == nil {
 		return vmkit.Value{}, vm.Throwf(vmkit.ClassIllegalStateEx, "thread not managed by the kernel")
 	}
@@ -61,32 +121,28 @@ func (g *Gate) callVM(env *vmkit.Env, idx int64, argsArr *vmkit.Object) (vmkit.V
 		return vmkit.Value{}, vm.Throwf(vmkit.ClassTerminatedEx, "calling domain %s terminated", callerDomain.Name)
 	}
 
-	// Unbox and copy arguments under the calling convention.
-	params, _, err := vmkit.ParseMethodDesc(m.Desc)
-	if err != nil {
-		return vmkit.Value{}, vm.Throwf(vmkit.ClassError, "%v", err)
-	}
-	var raw []*vmkit.Object
-	if argsArr != nil {
-		raw = argsArr.Refs
-	}
-	if len(raw) != len(params) {
-		return vmkit.Value{}, vm.Throwf(vmkit.ClassIllegalStateEx,
-			"method %s wants %d args, got %d", m.Sig(), len(params), len(raw))
-	}
-	ctx := &vmCopyCtx{k: k, dest: g.owner}
-	callArgs := make([]vmkit.Value, 1+len(params))
-	callArgs[0] = vmkit.RefVal(target)
-	for i, p := range params {
-		v, thr := unboxArg(vm, raw[i], p)
-		if thr != nil {
-			return vmkit.Value{}, thr
+	// Copy and check arguments under the calling convention. The entries
+	// are reachable from user bytecode, so the gate cannot trust the stub
+	// discipline: the entry's shape fixed arity and kinds, and a reference
+	// must still be of the parameter's class as the callee sees it. The
+	// copy goes first and keeps the class: an object of a class the callee
+	// does not share fails there (RemoteException), not here as a cast.
+	ctx := vmCopyCtx{k: k, dest: g.owner}
+	var buf [9]vmkit.Value
+	callArgs := append(buf[:0], vmkit.RefVal(target))
+	for i, p := range plan.params {
+		v := args[i]
+		if v.K != p.kind {
+			return vmkit.Value{}, vm.Throwf(vmkit.ClassCastEx, "argument %d of %s has the wrong kind", i, m.Sig())
 		}
 		cv, thr := ctx.copyValue(v)
 		if thr != nil {
 			return vmkit.Value{}, thr
 		}
-		callArgs[1+i] = cv
+		if cv.R != nil && !cv.R.Class.AssignableTo(p.class) {
+			return vmkit.Value{}, vm.Throwf(vmkit.ClassCastEx, "%s is not argument %d of %s", cv.R.Class.Name, i, m.Sig())
+		}
+		callArgs = append(callArgs, cv)
 	}
 
 	tm := k.tm
@@ -96,114 +152,45 @@ func (g *Gate) callVM(env *vmkit.Env, idx int64, argsArr *vmkit.Object) (vmkit.V
 	// step charges flush at each switch so work lands on the right domain.
 	// Under the heavy-lock profile each pair pays the Sun-VM-style
 	// synchronization bookkeeping.
-	env.Thread.FlushAccounting()
+	t.FlushAccounting()
 	vm.RecordHeavyLock(nil)
-	seg := task.Chain.Push(g.owner.ID)
-	k.segs.Store(seg.ID, seg)
-	g.owner.addSeg(seg)
-	prevDomain := env.Thread.DomainID
-	env.Thread.DomainID = g.owner.ID
+	seg := task.enter(g.owner)
+	prevDomain := t.DomainID
+	t.DomainID = g.owner.ID
 
-	ret, thrown := vm.Invoke(env.Thread, m, callArgs)
+	ret, thrown := vm.Invoke(t, m, callArgs)
 
 	// Segment restore (lock pair #2).
-	env.Thread.FlushAccounting()
+	t.FlushAccounting()
 	vm.RecordHeavyLock(nil)
-	env.Thread.DomainID = prevDomain
-	g.owner.removeSeg(seg)
-	k.segs.Delete(seg.ID)
-	task.Chain.Pop()
+	t.DomainID = prevDomain
+	task.leave(g.owner, seg)
 
-	// Account the call: bytes copied in both directions so far.
-	defer func() {
-		k.Meter.CrossCall(callerDomain.ID, g.owner.ID, ctx.bytes)
-		if tm != nil {
-			var callErr error
-			if thrown != nil {
-				callErr = errors.New("vm exception")
-			}
-			tm.vm(task, task.effectiveTrace(), callerDomain, g.owner, m.Name, tmStart, callErr)
-		}
-	}()
-
+	// Copy the outcome back into the caller's domain.
 	if thrown != nil {
-		return vmkit.Value{}, k.copyThrowable(callerDomain, thrown)
+		thrown = k.copyThrowable(callerDomain, thrown)
+	} else if ret.K == vmkit.KRef {
+		retCtx := vmCopyCtx{k: k, dest: callerDomain}
+		ret, thrown = retCtx.copyValue(ret)
+		ctx.bytes += retCtx.bytes
 	}
 
-	// Copy the result back into the caller's domain and box primitives for
-	// the generic invoke0 signature (the stub unboxes).
-	retCtx := &vmCopyCtx{k: k, dest: callerDomain}
-	out, thr := boxResult(k, callerDomain, retCtx, ret, m.RetDesc())
-	ctx.bytes += retCtx.bytes
-	if thr != nil {
-		return vmkit.Value{}, thr
+	// Account the call: bytes copied in both directions.
+	k.Meter.CrossCall(callerDomain.ID, g.owner.ID, ctx.bytes)
+	if tm != nil {
+		var callErr error
+		if thrown != nil {
+			callErr = errVMException
+		}
+		tm.vm(task, task.effectiveTrace(), callerDomain, g.owner, m.Name, tmStart, callErr)
 	}
-	return out, nil
+	if thrown != nil {
+		return vmkit.Value{}, thrown
+	}
+	return ret, nil
 }
 
-// unboxArg converts a boxed invoke0 argument into the value expected by
-// the parameter descriptor, validating types (user code can call invoke0
-// directly, so the gate cannot trust the stub discipline).
-func unboxArg(vm *vmkit.VM, o *vmkit.Object, desc string) (vmkit.Value, *vmkit.Object) {
-	switch desc[0] {
-	case 'I', 'Z', 'B', 'C':
-		if o == nil || o.Class.Name != vmkit.ClassBoxInt {
-			return vmkit.Value{}, vm.Throwf(vmkit.ClassCastEx, "expected boxed int for %s", desc)
-		}
-		return o.Fields[o.Class.FieldByName("v").Slot], nil
-	case 'D':
-		if o == nil || o.Class.Name != vmkit.ClassBoxFloat {
-			return vmkit.Value{}, vm.Throwf(vmkit.ClassCastEx, "expected boxed float for %s", desc)
-		}
-		return o.Fields[o.Class.FieldByName("v").Slot], nil
-	default:
-		if o == nil {
-			return vmkit.Null(), nil
-		}
-		// Reference argument: the runtime class must satisfy the declared
-		// parameter type in the callee's namespace.
-		var want *vmkit.Class
-		var err error
-		if desc[0] == '[' {
-			want, err = o.Class.NS.Resolve(desc)
-		} else {
-			want, err = o.Class.NS.Resolve(desc[1 : len(desc)-1])
-		}
-		if err == nil && want != nil && !o.Class.AssignableTo(want) {
-			return vmkit.Value{}, vm.Throwf(vmkit.ClassCastEx, "%s is not a %s", o.Class.Name, desc)
-		}
-		return vmkit.RefVal(o), nil
-	}
-}
-
-// boxResult copies a return value to the caller domain and boxes
-// primitives for the generic Object-typed invoke0 return.
-func boxResult(k *Kernel, caller *Domain, ctx *vmCopyCtx, v vmkit.Value, desc string) (vmkit.Value, *vmkit.Object) {
-	if desc == "" {
-		return vmkit.Null(), nil
-	}
-	switch desc[0] {
-	case 'I', 'Z', 'B', 'C':
-		return boxPrim(k, caller, vmkit.ClassBoxInt, v)
-	case 'D':
-		return boxPrim(k, caller, vmkit.ClassBoxFloat, v)
-	default:
-		return ctx.copyValue(v)
-	}
-}
-
-func boxPrim(k *Kernel, caller *Domain, boxClassName string, v vmkit.Value) (vmkit.Value, *vmkit.Object) {
-	bc, err := caller.NS.Resolve(boxClassName)
-	if err != nil {
-		return vmkit.Value{}, k.VM.Throwf(vmkit.ClassError, "%v", err)
-	}
-	o, ierr := vmkit.NewInstance(bc)
-	if ierr != nil {
-		return vmkit.Value{}, k.VM.Throwf(vmkit.ClassError, "%v", ierr)
-	}
-	o.Fields[bc.FieldByName("v").Slot] = v
-	return vmkit.RefVal(o), nil
-}
+var errVMException = errors.New("vm exception")
 
 // copyThrowable transfers a callee exception to the caller. Bootstrap
 // (system) throwables cross as fresh instances of the same shared class

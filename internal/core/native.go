@@ -282,9 +282,7 @@ func (c *Capability) invokeFrom(task *Task, name string, args []any) ([]any, err
 	}
 
 	// Segment switch (lock pair #1 on push, #2 on pop).
-	seg := task.Chain.Push(g.owner.ID)
-	k.segs.Store(seg.ID, seg)
-	g.owner.addSeg(seg)
+	seg := task.enter(g.owner)
 
 	var out []reflect.Value
 	var touts []any
@@ -314,9 +312,7 @@ func (c *Capability) invokeFrom(task *Task, name string, args []any) ([]any, err
 		out, callErr = safeCall(fn, in)
 	}
 
-	g.owner.removeSeg(seg)
-	k.segs.Delete(seg.ID)
-	task.Chain.Pop()
+	task.leave(g.owner, seg)
 
 	// The caller's segment may have been stopped or suspended while the
 	// callee ran; honor it at the boundary (the native safepoint).

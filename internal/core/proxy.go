@@ -119,9 +119,7 @@ func (c *Capability) invokeProxy(task *Task, caller *Domain, pt ProxyTarget, nam
 	g := c.g
 	k := g.k
 
-	seg := task.Chain.Push(g.owner.ID)
-	k.segs.Store(seg.ID, seg)
-	g.owner.addSeg(seg)
+	seg := task.enter(g.owner)
 
 	var results []any
 	var copied int64
@@ -142,9 +140,7 @@ func (c *Capability) invokeProxy(task *Task, caller *Domain, pt ProxyTarget, nam
 		results, copied, err = pt.InvokeProxy(name, args)
 	}
 
-	g.owner.removeSeg(seg)
-	k.segs.Delete(seg.ID)
-	task.Chain.Pop()
+	task.leave(g.owner, seg)
 
 	if perr := task.Chain.Poll(); perr != nil {
 		return nil, perr

@@ -98,8 +98,7 @@ func (k *Kernel) defineKernelClasses() error {
 			if stub == nil {
 				return vmkit.Value{}, vm.Throwf(vmkit.ClassNullPointerEx, "bind(null)")
 			}
-			ops := (*capOps)(k)
-			g, th := ops.gateOf(env, stub)
+			g, th := k.gateOfStub(stub)
 			if th != nil {
 				return vmkit.Value{}, th
 			}
@@ -165,5 +164,7 @@ func (k *Kernel) defineKernelClasses() error {
 			return fmt.Errorf("jkernel: defining %s: %w", def.Name, err)
 		}
 	}
+	k.capClass = vm.SystemClass(vmkit.ClassCapability)
+	k.gateSlot = k.capClass.FieldByName("gate").Slot
 	return nil
 }

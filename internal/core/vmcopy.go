@@ -64,8 +64,7 @@ func (ctx *vmCopyCtx) copyObject(o *vmkit.Object) (*vmkit.Object, *vmkit.Object)
 	cls := o.Class
 
 	// Capabilities pass by reference — the only objects that may.
-	capClass := k.VM.SystemClass(vmkit.ClassCapability)
-	if cls.AssignableTo(capClass) {
+	if cls.AssignableTo(k.capClass) {
 		ctx.bytes += 8
 		return o, nil
 	}
@@ -290,8 +289,7 @@ func (e *vmEncoder) encodeObject(o *vmkit.Object) *vmkit.Object {
 	k := e.k
 	cls := o.Class
 
-	capClass := k.VM.SystemClass(vmkit.ClassCapability)
-	if cls.AssignableTo(capClass) {
+	if cls.AssignableTo(k.capClass) {
 		e.tag(vtagCap)
 		e.u(uint64(len(e.caps)))
 		e.caps = append(e.caps, o)

@@ -36,6 +36,7 @@ type Conn struct {
 	wmu  sync.Mutex  // serializes frame writes
 	whdr [4]byte     // frame length header scratch (guarded by wmu)
 	wvec net.Buffers // vectored-write scratch (guarded by wmu)
+	wout net.Buffers // the header WriteTo consumes, aliasing wvec (guarded by wmu)
 
 	mu            sync.Mutex
 	nextReq       uint64
@@ -362,11 +363,14 @@ func (c *Conn) sendSegments(segs ...[]byte) error {
 		}
 	}
 	// WriteTo consumes its receiver, so hand it a copy of the scratch's
-	// slice header; the scratch itself is cleared after the write so it
-	// does not pin payload buffers between frames.
-	vec := c.wvec
+	// slice header — in a Conn field, not a local: the receiver's address
+	// escapes through the writer interface, and a local would cost one
+	// heap allocation per frame. The scratch itself is cleared after the
+	// write so it does not pin payload buffers between frames.
+	c.wout = c.wvec
 	//jk:allow(lockhold) wmu is the frame-write serializer: it exists to be held across this one vectored write so frames never interleave, and nothing else ever blocks under it
-	_, err := vec.WriteTo(c.nc)
+	_, err := c.wout.WriteTo(c.nc)
+	c.wout = nil
 	clear(c.wvec)
 	c.wvec = c.wvec[:0]
 	return err
@@ -1071,7 +1075,9 @@ func (p *proxyTarget) invoke(method string, args []any, tc telemetry.TraceContex
 	}
 	reqID, ch, err := c.newPending()
 	if err != nil {
-		return finish(nil, 0, err)
+		// The connection is already down (and about to fault this proxy):
+		// the same capability fault the async path reports.
+		return finish(nil, 0, fmt.Errorf("%w: %v", core.ErrRevoked, err))
 	}
 	// The whole frame — header and argument stream — builds in one pooled
 	// buffer, released the moment it is on the wire.

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -386,6 +387,34 @@ func TestRemoteConnectionLossFaultsProxies(t *testing.T) {
 	_, err = proxy.InvokeFrom(p.task, "Null")
 	if !errors.Is(err, core.ErrRevoked) {
 		t.Fatalf("invoke after connection loss: %v", err)
+	}
+}
+
+// shutdown marks the connection closed before it faults the imported
+// proxies. A sync call landing in that window fails at newPending, and must
+// report the capability fault every other outcome of a lost connection
+// reports — the bridge turns ErrRevoked into 503 and anything else into 502.
+func TestSyncInvokeOnClosedConnIsACapabilityFault(t *testing.T) {
+	p := newPair(t)
+	p.export(t, "echo", echoSvc{})
+	proxy, err := p.conn.Import("echo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Hold the connection in the window: closed, proxy not yet revoked.
+	p.conn.mu.Lock()
+	p.conn.closed, p.conn.cause = true, io.EOF
+	p.conn.mu.Unlock()
+	_, err = proxy.InvokeFrom(p.task, "Null")
+	p.conn.mu.Lock()
+	p.conn.closed, p.conn.cause = false, nil
+	p.conn.mu.Unlock()
+
+	if proxy.Revoked() {
+		t.Fatal("the proxy was revoked: the call did not land in the window")
+	}
+	if !errors.Is(err, core.ErrRevoked) {
+		t.Fatalf("sync invoke on a closed connection: %v; want ErrRevoked", err)
 	}
 }
 

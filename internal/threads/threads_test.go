@@ -77,7 +77,7 @@ func TestStopCalleeFiresImmediately(t *testing.T) {
 
 func TestSuspendParksAndResumeReleases(t *testing.T) {
 	c := NewChain(1)
-	seg := c.Current()
+	seg := c.Current().Handle()
 	seg.Suspend()
 
 	released := make(chan error, 1)
@@ -101,7 +101,7 @@ func TestSuspendParksAndResumeReleases(t *testing.T) {
 
 func TestStopWakesSuspendedSegment(t *testing.T) {
 	c := NewChain(1)
-	seg := c.Current()
+	seg := c.Current().Handle()
 	seg.Suspend()
 	released := make(chan error, 1)
 	go func() { released <- c.Poll() }()
@@ -119,7 +119,7 @@ func TestStopWakesSuspendedSegment(t *testing.T) {
 
 func TestSuspendOfCallerDoesNotBlockCallee(t *testing.T) {
 	c := NewChain(1)
-	caller := c.Current()
+	caller := c.Current().Handle()
 	c.Push(2)
 	caller.Suspend()
 	done := make(chan error, 1)
@@ -136,15 +136,15 @@ func TestSuspendOfCallerDoesNotBlockCallee(t *testing.T) {
 
 func TestPriorityClampedPerSegment(t *testing.T) {
 	c := NewChain(1)
-	a := c.Current()
-	b := c.Push(2)
+	a := c.Current().Handle()
+	b := c.Push(2).Handle()
 	a.SetPriority(99)
 	b.SetPriority(-5)
-	if a.Priority() != 10 {
-		t.Errorf("a priority = %d, want 10 (clamped)", a.Priority())
+	if p, _ := a.Priority(); p != 10 {
+		t.Errorf("a priority = %d, want 10 (clamped)", p)
 	}
-	if b.Priority() != 1 {
-		t.Errorf("b priority = %d, want 1 (clamped)", b.Priority())
+	if p, _ := b.Priority(); p != 1 {
+		t.Errorf("b priority = %d, want 1 (clamped)", p)
 	}
 }
 
@@ -178,4 +178,68 @@ func TestRegistryLookup(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// pollSoon polls c and fails the test if the carrier parks: a segment that
+// should be running is suspended.
+func pollSoon(t *testing.T, c *Chain) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- c.Poll() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(time.Second):
+		t.Fatal("poll parked: the segment in control is suspended")
+		return nil
+	}
+}
+
+func TestRecycledSegIsANewActivation(t *testing.T) {
+	c := NewChain(1)
+	first := c.Push(2)
+	id := first.ID
+	h := first.Handle()
+	h.Stop("left behind")
+	h.Suspend()
+	h.SetPriority(9)
+	c.Pop()
+
+	second := c.Push(3)
+	if second != first {
+		t.Fatal("chain did not reuse the popped Seg")
+	}
+	if second.ID == id || second.Domain != 3 {
+		t.Errorf("recycled seg: id %d (was %d), domain %d", second.ID, id, second.Domain)
+	}
+	if second.Minted() {
+		t.Error("recycled seg kept its minted mark")
+	}
+	if err := pollSoon(t, c); err != nil {
+		t.Errorf("recycled seg starts stopped: %v", err)
+	}
+	// The old activation's handle is dead; none of its operations land.
+	if h.Stop("late") || h.Suspend() || h.Resume() || h.SetPriority(1) {
+		t.Error("stale handle operation reported success")
+	}
+	if _, ok := h.Priority(); ok {
+		t.Error("stale handle read a priority")
+	}
+	if err := pollSoon(t, c); err != nil {
+		t.Errorf("stale handle reached the new activation: poll=%v", err)
+	}
+	// A live handle does.
+	h2 := second.Handle()
+	if h2.ID() != second.ID || h2.Domain != 3 || !second.Minted() {
+		t.Error("handle does not name the current activation")
+	}
+	if p, ok := h2.Priority(); !ok || p != 5 {
+		t.Errorf("recycled seg priority = %d, %v; want the default 5", p, ok)
+	}
+	if !h2.Stop("now") {
+		t.Fatal("live handle refused")
+	}
+	if err := c.Poll(); !errors.Is(err, ErrSegmentStopped) {
+		t.Errorf("poll = %v, want the stop", err)
+	}
 }

@@ -1,0 +1,320 @@
+package vmkit
+
+import (
+	"strings"
+	"testing"
+
+	"jkernel/internal/raceflag"
+)
+
+// assertArenaIdle checks what every return and unwind must restore: no
+// live window, depth zero, and no slot still holding a value (a stale
+// reference would pin a VM object for the thread's lifetime).
+func assertArenaIdle(t *testing.T, th *Thread) {
+	t.Helper()
+	if th.top != 0 || th.callDepth != 0 {
+		t.Errorf("arena not idle: top=%d callDepth=%d", th.top, th.callDepth)
+	}
+	for i, v := range th.arena {
+		if v != (Value{}) {
+			t.Fatalf("arena slot %d still holds %v", i, v)
+		}
+	}
+}
+
+const callsSrc = `
+.class Tgt implements Ifc
+.method nop ()V stack 1 locals 0
+  ret
+.end
+.method inop ()V stack 1 locals 0
+  ret
+.end
+.method static regular (LTgt;I)V stack 2 locals 0
+loop:
+  load 1
+  ifz done
+  load 0
+  invokevirtual Tgt.nop:()V
+  load 1
+  iconst 1
+  isub
+  store 1
+  jmp loop
+done:
+  ret
+.end
+.method static iface (LIfc;I)V stack 2 locals 0
+loop:
+  load 1
+  ifz done
+  load 0
+  invokeinterface Ifc.inop:()V
+  load 1
+  iconst 1
+  isub
+  store 1
+  jmp loop
+done:
+  ret
+.end
+`
+
+// TestAllocsBytecodeCalls pins a regular and an interface bytecode call at
+// zero allocations under both profiles (profile A's interface row keeps
+// its lock, key build and scan — none of them allocates).
+func TestAllocsBytecodeCalls(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, p := range []Profile{ProfileA, ProfileB} {
+		vm := MustNew(p)
+		classes := map[string][]byte{}
+		for _, src := range []string{".class Ifc interface\n.method inop ()V\n.end\n", callsSrc} {
+			b, err := AssembleBytes(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			def, _ := DecodeClass(b)
+			classes[def.Name] = b
+		}
+		ns := vm.NewNamespace("test", MapResolver(classes, vm.BootResolver()))
+		cls, err := ns.Resolve("Tgt")
+		if err != nil {
+			t.Fatal(err)
+		}
+		obj, _ := NewInstance(cls)
+		th := vm.NewThread("t")
+		const n = 200
+		args := []Value{RefVal(obj), IntVal(n)}
+		for _, name := range []string{"regular:(LTgt;I)V", "iface:(LIfc;I)V"} {
+			mname, desc, _ := strings.Cut(name, ":")
+			m := cls.MethodBySig(mname, desc)
+			got := testing.AllocsPerRun(20, func() {
+				if _, err := vm.Call(th, m, args); err != nil {
+					t.Fatal(err)
+				}
+			}) / n
+			if got > 0 {
+				t.Errorf("%s %s: %.2f allocs/call, want 0", p.Name, mname, got)
+			}
+		}
+		assertArenaIdle(t, th)
+		vm.Detach(th)
+	}
+}
+
+func TestArenaOverflowThenReuse(t *testing.T) {
+	vm, ns := newTestNS(t, `
+.class Deep
+.method static down (I)I stack 2 locals 0
+  load 0
+  iconst 1
+  iadd
+  invokestatic Deep.down:(I)I
+  retv
+.end
+.method static ok (I)I stack 2 locals 0
+  load 0
+  iconst 1
+  iadd
+  retv
+.end
+`)
+	th := vm.NewThread("deep")
+	defer vm.Detach(th)
+	_, err := vm.CallStatic(th, ns, "Deep.down:(I)I", IntVal(0))
+	if err == nil || !strings.Contains(err.Error(), "call stack overflow") {
+		t.Fatalf("runaway recursion: got %v, want the overflow error", err)
+	}
+	assertArenaIdle(t, th)
+	// Each frame is 3 slots: the depth bound, not the recursion, sized it.
+	if max := (maxCallDepth + 1) * 3; len(th.arena) > 2*max+256 {
+		t.Errorf("arena grew to %d slots for %d frames of 3", len(th.arena), maxCallDepth)
+	}
+	v, err := vm.CallStatic(th, ns, "Deep.ok:(I)I", IntVal(41))
+	if err != nil || v.I != 42 {
+		t.Fatalf("call after overflow = %v, %v; want 42", v, err)
+	}
+	assertArenaIdle(t, th)
+}
+
+func TestArenaUnwindThreeFrames(t *testing.T) {
+	vm, ns := newTestNS(t, `
+.class Unw
+.method static c (Ljk/lang/Object;I)I stack 4 locals 2
+  load 0
+  store 2
+  new jk/lang/RuntimeException
+  throw
+.end
+.method static b (Ljk/lang/Object;I)I stack 6 locals 1
+  load 0
+  store 2
+  iconst 7
+  load 0
+  load 1
+  invokestatic Unw.c:(Ljk/lang/Object;I)I
+  iadd
+  retv
+.end
+.method static a (Ljk/lang/Object;I)I stack 6 locals 0
+  iconst 9
+  load 0
+  load 1
+  invokestatic Unw.b:(Ljk/lang/Object;I)I
+  iadd
+  retv
+.end
+.method static caught (Ljk/lang/Object;I)I stack 6 locals 1
+  iconst 5
+  store 2
+try:
+  load 0
+  load 1
+  invokestatic Unw.a:(Ljk/lang/Object;I)I
+  retv
+end:
+handler:
+  pop
+  ; the catching frame's own locals survived the unwind below it
+  load 2
+  load 1
+  iadd
+  retv
+  .catch jk/lang/RuntimeException from try to end using handler
+.end
+`)
+	cls, err := ns.Resolve("Unw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, _ := NewInstance(cls)
+	th := vm.NewThread("unw")
+	defer vm.Detach(th)
+
+	_, err = vm.CallStatic(th, ns, "Unw.a:(Ljk/lang/Object;I)I", RefVal(obj), IntVal(1))
+	if te, ok := err.(*ThrownError); !ok || te.Throwable.Class.Name != ClassRuntimeEx {
+		t.Fatalf("uncaught unwind: got %v, want RuntimeException", err)
+	}
+	assertArenaIdle(t, th)
+
+	v, err := vm.CallStatic(th, ns, "Unw.caught:(Ljk/lang/Object;I)I", RefVal(obj), IntVal(30))
+	if err != nil || v.I != 35 {
+		t.Fatalf("caught = %v, %v; want 35", v, err)
+	}
+	assertArenaIdle(t, th)
+}
+
+// TestArenaNativeReentry nests native → VM → native → VM on one carrier,
+// with frames big enough that the arena grows (and moves) while the outer
+// natives still hold their argument windows.
+func TestArenaNativeReentry(t *testing.T) {
+	src := `
+.class Re
+.method static native hop (Ljk/lang/Object;I)I
+.end
+.method static down (Ljk/lang/Object;I)I stack 4 locals 300
+  load 1
+  ifz bottom
+  load 0
+  load 1
+  iconst 1
+  isub
+  invokestatic Re.hop:(Ljk/lang/Object;I)I
+  iconst 1
+  iadd
+  retv
+bottom:
+  ; a native of another namespace runs (and leaves) under the hops
+  load 0
+  invokevirtual jk/lang/Object.hashCode:()I
+  pop
+  iconst 100
+  retv
+.end
+`
+	vm := MustNew(ProfileA)
+	var down *Method
+	var hopNS *Namespace
+	vm.RegisterNative("Re.hop:(Ljk/lang/Object;I)I", func(env *Env, _ *Object, args []Value) (Value, *Object) {
+		if env.NS != hopNS {
+			t.Errorf("hop entered with env.NS = %v", env.NS)
+		}
+		obj, n := args[0].R, args[1].I
+		v, th := env.VM.Invoke(env.Thread, down, []Value{args[0], args[1]})
+		// Whatever happened to the arena underneath, this window still
+		// reads what it was called with, and env is this native's again.
+		if args[0].R != obj || args[1].I != n {
+			t.Errorf("hop(%d): args window changed across re-entry", n)
+		}
+		if env.NS != hopNS {
+			t.Errorf("hop(%d): env.NS not restored after re-entry", n)
+		}
+		return v, th
+	})
+	b, err := AssembleBytes(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns := vm.NewNamespace("test", MapResolver(map[string][]byte{"Re": b}, vm.BootResolver()))
+	hopNS = ns
+	cls, err := ns.Resolve("Re")
+	if err != nil {
+		t.Fatal(err)
+	}
+	down = cls.MethodBySig("down", "(Ljk/lang/Object;I)I")
+	obj, _ := NewInstance(cls)
+	th := vm.NewThread("re")
+	defer vm.Detach(th)
+	v, err := vm.CallStatic(th, ns, "Re.down:(Ljk/lang/Object;I)I", RefVal(obj), IntVal(6))
+	if err != nil || v.I != 106 {
+		t.Fatalf("down(6) = %v, %v; want 106", v, err)
+	}
+	if len(th.arena) < 6*300 {
+		t.Errorf("arena is %d slots: the nesting did not grow it", len(th.arena))
+	}
+	assertArenaIdle(t, th)
+}
+
+func TestArenaSynchronizedCallee(t *testing.T) {
+	vm, ns := newTestNS(t, `
+.class Sync
+.method synchronized held ()I stack 2 locals 0
+  iconst 3
+  retv
+.end
+.method synchronized boom ()I stack 2 locals 0
+  new jk/lang/RuntimeException
+  throw
+.end
+.method static run (LSync;)I stack 4 locals 0
+try:
+  load 0
+  invokevirtual Sync.boom:()I
+  retv
+end:
+handler:
+  pop
+  load 0
+  invokevirtual Sync.held:()I
+  retv
+  .catch jk/lang/RuntimeException from try to end using handler
+.end
+`)
+	cls, err := ns.Resolve("Sync")
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, _ := NewInstance(cls)
+	th := vm.NewThread("sync")
+	defer vm.Detach(th)
+	v, err := vm.CallStatic(th, ns, "Sync.run:(LSync;)I", RefVal(obj))
+	if err != nil || v.I != 3 {
+		t.Fatalf("run = %v, %v; want 3", v, err)
+	}
+	if obj.MonitorOwner() != nil {
+		t.Error("monitor still held after a synchronized callee threw and another returned")
+	}
+	assertArenaIdle(t, th)
+}

@@ -93,38 +93,6 @@ yes:
 	".class jk/io/FastCopy interface\n",
 	".class jk/io/FastCopyGraph interface\n",
 
-	// ---- boxes (used by generated stubs to pack arguments) ----
-	`.class jk/lang/Int implements jk/io/FastCopy
-.field v I
-.method static valueOf (I)Ljk/lang/Int; stack 4 locals 0
-  new jk/lang/Int
-  dup
-  load 0
-  putfield jk/lang/Int.v:I
-  retv
-.end
-.method intValue ()I stack 2 locals 0
-  load 0
-  getfield jk/lang/Int.v:I
-  retv
-.end
-`,
-	`.class jk/lang/Float implements jk/io/FastCopy
-.field v D
-.method static valueOf (D)Ljk/lang/Float; stack 4 locals 0
-  new jk/lang/Float
-  dup
-  load 0
-  putfield jk/lang/Float.v:D
-  retv
-.end
-.method floatValue ()D stack 2 locals 0
-  load 0
-  getfield jk/lang/Float.v:D
-  retv
-.end
-`,
-
 	// ---- capability root ----
 	// Generated stub classes extend Capability. The gate field indexes the
 	// kernel's gate table; it is private so verified user bytecode cannot
@@ -134,8 +102,6 @@ yes:
 .method native revoke ()V
 .end
 .method native isRevoked ()I
-.end
-.method native invoke0 (I[Ljk/lang/Object;)Ljk/lang/Object;
 .end
 `,
 

@@ -22,9 +22,6 @@ const (
 	ClassIllegalStateEx = "jk/lang/IllegalStateException"
 	ClassThreadDeath    = "jk/lang/ThreadDeath"
 
-	ClassBoxInt   = "jk/lang/Int"
-	ClassBoxFloat = "jk/lang/Float"
-
 	ClassSystem = "jk/lang/System"
 	ClassThread = "jk/lang/Thread"
 
@@ -39,6 +36,15 @@ const (
 	ClassRevokedEx    = "jk/kernel/RevokedException"
 	ClassRemoteEx     = "jk/kernel/RemoteException"
 	ClassTerminatedEx = "jk/kernel/DomainTerminatedException"
+
+	// GateEntryPrefix starts the names of the typed gate entries, system
+	// classes the kernel generates into the bootstrap namespace at run
+	// time. Generated stubs reach the gate through them by name, so the
+	// names are reserved: every other namespace binds the bootstrap's class
+	// for a name under the prefix and accepts no definition of one (see
+	// Namespace.load), so a domain cannot put a class of its own where a
+	// stub expects the gate.
+	GateEntryPrefix = "jk/kernel/Enter$"
 )
 
 // ClassFlags carries class-level modifiers.
@@ -131,6 +137,9 @@ type Method struct {
 	nargs int
 	// ret is the return descriptor ("" for V).
 	ret string
+	// frame is the method's arena window in slots: arguments, extra locals
+	// and operand stack (just the arguments for native methods).
+	frame int
 	// linked caches resolved symbolic references, parallel to Code.
 	linked []linkedRef
 	// excClasses caches resolved exception-table types, parallel to Excs.
@@ -268,8 +277,8 @@ func (c *Class) AssignableTo(t *Class) bool {
 		}
 		// Covariant reference arrays only.
 		if strings.HasPrefix(ce, "L") && strings.HasPrefix(te, "L") {
-			cc := c.NS.Lookup(refName(ce))
-			tc := t.NS.Lookup(refName(te))
+			cc := c.NS.Lookup(RefName(ce))
+			tc := t.NS.Lookup(RefName(te))
 			return cc != nil && tc != nil && cc.AssignableTo(tc)
 		}
 		return false
@@ -285,8 +294,9 @@ func (c *Class) AssignableTo(t *Class) bool {
 
 func (c *Class) String() string { return c.Name }
 
-// refName extracts the class name from an "L<name>;" descriptor.
-func refName(desc string) string {
+// RefName extracts the class name from an "L<name>;" descriptor; an array
+// descriptor names its own class and comes back unchanged.
+func RefName(desc string) string {
 	if len(desc) >= 2 && desc[0] == 'L' && desc[len(desc)-1] == ';' {
 		return desc[1 : len(desc)-1]
 	}

@@ -10,6 +10,27 @@ const maxCallDepth = 512
 // reported to the accounting hook.
 const stepsFlushEvery = 4096
 
+// The frame arena. Each Thread owns one growable []Value, and every live
+// frame is a window into it: arguments, then the method's extra locals,
+// then its operand stack (Method.frame slots, fixed at link time). A
+// bytecode invoke does not copy arguments: the callee's window starts at
+// the slots the caller pushed them into, so the callee's locals *are* the
+// caller's pushed arguments and the rest of its frame overlays the caller's
+// dead stack space above them. A native's args are the same kind of window.
+//
+// Two rules follow. Natives must not retain args (or env) past their
+// return: the slots are cleared and reused by the next call. And because
+// growing the arena moves it, nothing holds a slice of it across a call:
+// run re-derives its windows after every invoke, and a native that
+// re-enters the VM keeps reading a consistent (old) copy of its args.
+// Every window is cleared when its call returns or unwinds, so the arena
+// never pins objects a finished frame referenced.
+
+// arenaKeepSlots is the arena size a thread keeps between top-level calls;
+// a deep recursion's arena is released rather than held for the thread's
+// lifetime.
+const arenaKeepSlots = 1 << 14
+
 // Call executes method m on thread t with the given arguments and returns
 // the result. A thrown VM exception surfaces as *ThrownError; VM-level
 // faults (wrong arity, abstract target) are plain errors.
@@ -17,7 +38,7 @@ func (vm *VM) Call(t *Thread, m *Method, args []Value) (Value, error) {
 	if len(args) != m.nargs {
 		return Value{}, fmt.Errorf("vmkit: %s.%s wants %d args, got %d", m.Owner.Name, m.Name, m.nargs, len(args))
 	}
-	v, thrown := vm.exec(t, m, args)
+	v, thrown := vm.enter(t, m, args)
 	t.flushSteps()
 	if thrown != nil {
 		return Value{}, &ThrownError{Throwable: thrown}
@@ -42,47 +63,120 @@ func (vm *VM) CallStatic(t *Thread, ns *Namespace, ref string, args ...Value) (V
 	return vm.Call(t, m, args)
 }
 
-// exec runs one frame. The second result is a thrown throwable (nil on
-// normal return).
-func (vm *VM) exec(t *Thread, m *Method, args []Value) (Value, *Object) {
-	if m.Flags&MAbstract != 0 {
-		return Value{}, vm.Throwf(ClassError, "abstract method %s.%s", m.Owner.Name, m.Name)
+// Invoke runs m with args on t, returning the result value or a thrown
+// throwable. It is the re-entry point for native methods (LRMI gates) that
+// need to execute bytecode. args is copied into the arena, not retained.
+func (vm *VM) Invoke(t *Thread, m *Method, args []Value) (Value, *Object) {
+	if len(args) != m.nargs {
+		return Value{}, vm.Throwf(ClassError, "%s.%s wants %d args, got %d", m.Owner.Name, m.Name, m.nargs, len(args))
 	}
-	if th := t.safepoint(); th != nil {
-		return Value{}, th
+	return vm.enter(t, m, args)
+}
+
+// enter places args in a fresh window above everything live and runs m.
+func (vm *VM) enter(t *Thread, m *Method, args []Value) (Value, *Object) {
+	base := t.top
+	t.reserve(base + len(args))
+	copy(t.arena[base:], args)
+	v, thrown := vm.invoke(t, m, base)
+	if base == 0 && len(t.arena) > arenaKeepSlots {
+		t.arena = nil
 	}
-	if m.Flags&MNative != 0 {
-		var recv *Object
-		rest := args
-		if !m.IsStatic() {
-			if len(args) == 0 || args[0].R == nil {
-				return Value{}, vm.Throwf(ClassNullPointerEx, "null receiver for %s.%s", m.Owner.Name, m.Name)
-			}
-			recv, rest = args[0].R, args[1:]
+	return v, thrown
+}
+
+// reserve grows the arena to at least n slots.
+func (t *Thread) reserve(n int) {
+	if n <= len(t.arena) {
+		return
+	}
+	grown := make([]Value, max(n, 2*len(t.arena), 256))
+	copy(grown, t.arena)
+	t.arena = grown
+}
+
+// invoke runs m on the window whose first m.nargs slots, from base, hold
+// the arguments. It owns the window: on every path out (return, throw,
+// overflow) the window is cleared and t.top restored.
+func (vm *VM) invoke(t *Thread, m *Method, base int) (v Value, thrown *Object) {
+	top := t.top
+	end := base + m.nargs
+	t.callDepth++
+	switch {
+	case t.callDepth > maxCallDepth:
+		thrown = vm.Throwf(ClassError, "call stack overflow")
+	case m.Flags&MAbstract != 0:
+		thrown = vm.Throwf(ClassError, "abstract method %s.%s", m.Owner.Name, m.Name)
+	default:
+		if thrown = t.safepoint(); thrown != nil {
+			break
 		}
-		env := &Env{VM: vm, NS: m.Owner.NS, Thread: t}
-		return m.Native(env, recv, rest)
+		if m.Flags&MNative != 0 {
+			t.top = end
+			v, thrown = vm.callNative(t, m, base)
+			break
+		}
+		end = base + m.frame
+		t.reserve(end)
+		t.top = end
+		if m.Flags&MSynchronized != 0 && !m.IsStatic() && t.arena[base].R != nil {
+			v, thrown = vm.runLocked(t, m, base)
+		} else {
+			v, thrown = vm.run(t, m, base)
+		}
 	}
+	t.callDepth--
+	t.top = top
+	clear(t.arena[base:end])
+	return v, thrown
+}
 
-	// Synchronized methods hold the receiver's monitor (static: skipped —
-	// the VM has no per-class lock object; shared classes forbid statics).
-	var monObj *Object
-	if m.Flags&MSynchronized != 0 && !m.IsStatic() && args[0].R != nil {
-		monObj = args[0].R
-		monObj.monEnter(t)
-		defer monObj.monExit(t)
+// callNative hands a native method its receiver and a window on its
+// arguments, with the thread's one Env pointed at the declaring namespace
+// for the duration (restored after, so a native that re-entered the VM
+// still sees its own namespace).
+func (vm *VM) callNative(t *Thread, m *Method, base int) (Value, *Object) {
+	args := t.arena[base : base+m.nargs : base+m.nargs]
+	var recv *Object
+	if !m.IsStatic() {
+		if recv = args[0].R; recv == nil {
+			return Value{}, vm.Throwf(ClassNullPointerEx, "null receiver for %s.%s", m.Owner.Name, m.Name)
+		}
+		args = args[1:]
 	}
+	env := &t.env
+	ns := env.NS
+	env.NS = m.Owner.NS
+	v, thrown := m.Native(env, recv, args)
+	env.NS = ns
+	return v, thrown
+}
 
-	locals := make([]Value, m.nargs+int(m.NumLoc))
-	copy(locals, args)
-	stack := make([]Value, m.MaxStack)
-	sp := 0
+// runLocked runs a synchronized instance method under the receiver's
+// monitor (static: skipped — the VM has no per-class lock object; shared
+// classes forbid statics).
+func (vm *VM) runLocked(t *Thread, m *Method, base int) (Value, *Object) {
+	mon := t.arena[base].R
+	mon.monEnter(t)
+	defer mon.monExit(t)
+	return vm.run(t, m, base)
+}
+
+// run interprets one bytecode frame on the window at base. The second
+// result is a thrown throwable (nil on normal return).
+func (vm *VM) run(t *Thread, m *Method, base int) (Value, *Object) {
+	// frame is the whole window: locals are frame[:nlocals], and sp
+	// indexes the operand stack above them, so an empty stack is
+	// sp == nlocals.
+	frame := t.arena[base : base+m.frame]
+	nlocals := m.nargs + int(m.NumLoc)
+	sp := nlocals
 	pc := 0
 	code := m.Code
 	linked := m.linked
 
-	push := func(v Value) { stack[sp] = v; sp++ }
-	pop := func() Value { sp--; return stack[sp] }
+	push := func(v Value) { frame[sp] = v; sp++ }
+	pop := func() Value { sp--; return frame[sp] }
 
 	throwName := func(class, format string, a ...any) *Object {
 		return vm.Throwf(class, format, a...)
@@ -106,7 +200,7 @@ func (vm *VM) exec(t *Thread, m *Method, args []Value) (Value, *Object) {
 				t.steps += steps
 				return Value{}, thrown
 			}
-			sp = 0
+			sp = nlocals
 			push(RefVal(thrown))
 			pc = handler
 			thrown = nil
@@ -133,24 +227,24 @@ func (vm *VM) exec(t *Thread, m *Method, args []Value) (Value, *Object) {
 			push(Null())
 
 		case OpLoad:
-			push(locals[in.I])
+			push(frame[in.I])
 		case OpStore:
-			locals[in.I] = pop()
+			frame[in.I] = pop()
 
 		case OpPop:
 			sp--
 		case OpDup:
-			stack[sp] = stack[sp-1]
+			frame[sp] = frame[sp-1]
 			sp++
 		case OpDupX1:
-			a := stack[sp-1]
-			b := stack[sp-2]
-			stack[sp-2] = a
-			stack[sp-1] = b
-			stack[sp] = a
+			a := frame[sp-1]
+			b := frame[sp-2]
+			frame[sp-2] = a
+			frame[sp-1] = b
+			frame[sp] = a
 			sp++
 		case OpSwap:
-			stack[sp-1], stack[sp-2] = stack[sp-2], stack[sp-1]
+			frame[sp-1], frame[sp-2] = frame[sp-2], frame[sp-1]
 
 		case OpIAdd:
 			b, a := pop().I, pop().I
@@ -319,11 +413,8 @@ func (vm *VM) exec(t *Thread, m *Method, args []Value) (Value, *Object) {
 
 		case OpInvokeV, OpInvokeI:
 			ref := linked[pc]
-			nargs := ref.method.nargs
-			callArgs := make([]Value, nargs)
-			copy(callArgs, stack[sp-nargs:sp])
-			sp -= nargs
-			recv := callArgs[0].R
+			sp -= ref.method.nargs
+			recv := frame[sp].R
 			if recv == nil {
 				thrown = throwName(ClassNullPointerEx, "invoke on null (%s)", ref.sig)
 				continue
@@ -341,7 +432,10 @@ func (vm *VM) exec(t *Thread, m *Method, args []Value) (Value, *Object) {
 				thrown = throwName(ClassError, "no implementation of %s in %s", ref.sig, recv.Class.Name)
 				continue
 			}
-			v, th := vm.invokeNested(t, target, callArgs)
+			// The arguments start at frame[sp]: that slot is the callee's
+			// window. A growing arena may move, so re-derive ours after.
+			v, th := vm.invoke(t, target, base+sp)
+			frame = t.arena[base : base+m.frame]
 			if th != nil {
 				thrown = th
 				continue
@@ -352,11 +446,9 @@ func (vm *VM) exec(t *Thread, m *Method, args []Value) (Value, *Object) {
 
 		case OpInvokeS:
 			ref := linked[pc]
-			nargs := ref.method.nargs
-			callArgs := make([]Value, nargs)
-			copy(callArgs, stack[sp-nargs:sp])
-			sp -= nargs
-			v, th := vm.invokeNested(t, ref.method, callArgs)
+			sp -= ref.method.nargs
+			v, th := vm.invoke(t, ref.method, base+sp)
+			frame = t.arena[base : base+m.frame]
 			if th != nil {
 				thrown = th
 				continue
@@ -366,7 +458,7 @@ func (vm *VM) exec(t *Thread, m *Method, args []Value) (Value, *Object) {
 			}
 
 		case OpCast:
-			r := stack[sp-1].R
+			r := frame[sp-1].R
 			if r != nil && !r.Class.AssignableTo(linked[pc].class) {
 				thrown = throwName(ClassCastEx, "%s is not a %s", r.Class.Name, in.S)
 				continue
@@ -492,28 +584,6 @@ func (vm *VM) exec(t *Thread, m *Method, args []Value) (Value, *Object) {
 	}
 }
 
-// Invoke runs m with args on t, returning the result value or a thrown
-// throwable. It is the re-entry point for native methods (LRMI gates) that
-// need to execute bytecode.
-func (vm *VM) Invoke(t *Thread, m *Method, args []Value) (Value, *Object) {
-	if len(args) != m.nargs {
-		return Value{}, vm.Throwf(ClassError, "%s.%s wants %d args, got %d", m.Owner.Name, m.Name, m.nargs, len(args))
-	}
-	return vm.invokeNested(t, m, args)
-}
-
-// invokeNested runs a callee frame with depth tracking.
-func (vm *VM) invokeNested(t *Thread, m *Method, args []Value) (Value, *Object) {
-	t.callDepth++
-	if t.callDepth > maxCallDepth {
-		t.callDepth--
-		return Value{}, vm.Throwf(ClassError, "call stack overflow")
-	}
-	v, th := vm.exec(t, m, args)
-	t.callDepth--
-	return v, th
-}
-
 // elemClass returns the linked element class of a reference array class,
 // nil for primitive arrays.
 func (c *Class) elemClass() *Class {
@@ -524,7 +594,7 @@ func (c *Class) elemClass() *Class {
 		}
 		return nil
 	}
-	return c.NS.Lookup(refName(c.elem))
+	return c.NS.Lookup(RefName(c.elem))
 }
 
 // newArrayOfClass allocates an array whose class is already resolved.

@@ -3,6 +3,7 @@ package vmkit
 import (
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 )
 
@@ -208,6 +209,25 @@ func (ns *Namespace) load(name string, def *ClassDef) (*Class, error) {
 	resolver := ns.resolver
 	ns.mu.Unlock()
 
+	// A gate entry name (see GateEntryPrefix) is the bootstrap namespace's
+	// alone: here it binds the class the kernel generated, or nothing — no
+	// definition is accepted and no resolver is asked.
+	if ns != ns.VM.boot && strings.HasPrefix(name, GateEntryPrefix) {
+		c := ns.VM.boot.Lookup(name)
+		if def != nil {
+			return nil, &LinkError{Class: name, Op: "resolve",
+				Err: fmt.Errorf("name is reserved for the kernel's gate entries")}
+		}
+		if c == nil {
+			return nil, &LinkError{Class: name, Op: "resolve",
+				Err: fmt.Errorf("the kernel has generated no such gate entry")}
+		}
+		if err := ns.Bind(c); err != nil {
+			return nil, &LinkError{Class: name, Op: "resolve", Err: err}
+		}
+		return c, nil
+	}
+
 	if def == nil {
 		if resolver == nil {
 			return nil, &LinkError{Class: name, Op: "resolve",
@@ -380,6 +400,10 @@ func linkFieldsAndMethods(c *Class) error {
 		if md.Flags&MStatic == 0 {
 			m.nargs++
 		}
+		m.frame = m.nargs
+		if md.Flags&(MNative|MAbstract) == 0 {
+			m.frame += int(md.NumLoc) + int(md.MaxStack)
+		}
 		if md.Flags&MNative != 0 {
 			key := c.Name + "." + md.Name + ":" + md.Desc
 			fn := c.NS.VM.nativeFor(key)
@@ -424,7 +448,7 @@ func (ns *Namespace) arrayClass(desc string) (*Class, error) {
 	}
 	switch elem[0] {
 	case 'L':
-		if _, err := ns.Resolve(refName(elem)); err != nil {
+		if _, err := ns.Resolve(RefName(elem)); err != nil {
 			return nil, err
 		}
 	case '[':

@@ -8,14 +8,12 @@ import (
 )
 
 // CapabilityOps is implemented by the J-Kernel layer: the bootstrap
-// jk/kernel/Capability natives delegate revocation and the generic gate
-// call to the kernel's gate table.
+// jk/kernel/Capability natives delegate revocation to the kernel's gate
+// table. (The cross-domain call itself enters through the kernel's typed
+// gate entries, which it defines and binds itself.)
 type CapabilityOps interface {
 	Revoke(env *Env, stub *Object) *Object
 	IsRevoked(env *Env, stub *Object) (int64, *Object)
-	// Invoke0 performs a cross-domain call: method index idx on the stub's
-	// gate with boxed arguments. It returns the boxed result.
-	Invoke0(env *Env, stub *Object, idx int64, args *Object) (Value, *Object)
 }
 
 var hashCounter atomic.Int64
@@ -283,13 +281,6 @@ func registerBuiltinNatives(vm *VM) {
 		}
 		return IntVal(v), nil
 	})
-	reg("jk/kernel/Capability.invoke0:(I[Ljk/lang/Object;)Ljk/lang/Object;", func(env *Env, recv *Object, args []Value) (Value, *Object) {
-		if env.VM.CapOps == nil {
-			return Value{}, env.VM.Throwf(ClassIllegalStateEx, "no kernel loaded")
-		}
-		return env.VM.CapOps.Invoke0(env, recv, args[0].I, args[1].R)
-	})
-
 	// ---- jk/lang/StringBuilder ----
 	sbFields := func(recv *Object) (bufF, lenF *Field) {
 		return recv.Class.FieldByName("buf"), recv.Class.FieldByName("len")

@@ -34,6 +34,15 @@ type Thread struct {
 	// callDepth tracks interpreter recursion against maxCallDepth.
 	callDepth int
 
+	// arena is the thread's frame arena: every frame's locals and operand
+	// stack, and every native's argument window, is a window into this one
+	// slice (see interp.go). top is the first slot above the innermost
+	// live window, where a call entering from Go places its arguments.
+	arena []Value
+	top   int
+	// env is the Env every native on this thread receives.
+	env Env
+
 	// DomainID is the id of the domain currently executing (for charge
 	// attribution); maintained by the segment layer across LRMI.
 	DomainID int64
@@ -54,6 +63,7 @@ func (vm *VM) NewThread(name string) *Thread {
 		VM:   vm,
 		Name: name,
 	}
+	t.env = Env{VM: vm, Thread: t}
 	t.priority.Store(5)
 	t.suspendCV = sync.NewCond(&t.suspendMu)
 	vm.threadsMu.Lock()

@@ -128,8 +128,9 @@ func (o *Object) String() string {
 	return fmt.Sprintf("<%s>", o.Class.Name)
 }
 
-// descKind maps a field/param descriptor to the Kind of the value stored.
-func descKind(desc string) Kind {
+// DescKind maps a field/param descriptor to the Kind of the value stored
+// (KInvalid for "", the void return).
+func DescKind(desc string) Kind {
 	if desc == "" {
 		return KInvalid
 	}
@@ -147,7 +148,7 @@ func descKind(desc string) Kind {
 
 // zeroValue returns the zero value for a field of the given descriptor.
 func zeroValue(desc string) Value {
-	switch descKind(desc) {
+	switch DescKind(desc) {
 	case KInt:
 		return IntVal(0)
 	case KFloat:

@@ -149,6 +149,9 @@ func verifyMethod(c *Class, m *Method) error {
 	if m.MaxStack < 0 || m.MaxStack > 1<<16 {
 		return fmt.Errorf("bad max stack %d", m.MaxStack)
 	}
+	if m.NumLoc < 0 || m.NumLoc > 1<<16 {
+		return fmt.Errorf("bad local count %d", m.NumLoc)
+	}
 	params, ret, err := ParseMethodDesc(m.Desc)
 	if err != nil {
 		return err
@@ -686,7 +689,7 @@ func (v *verifier) checkRefAssignable(t vtype, target *Class) error {
 
 // checkAssignableDesc checks a vtype against a descriptor.
 func (v *verifier) checkAssignableDesc(t vtype, desc string) error {
-	switch descKind(desc) {
+	switch DescKind(desc) {
 	case KInt:
 		if t.k != vtInt {
 			return fmt.Errorf("expected int (%s), got %v", desc, t)
@@ -709,7 +712,7 @@ func (v *verifier) checkAssignableDesc(t vtype, desc string) error {
 		if desc[0] == '[' {
 			target, err = v.c.NS.arrayClass(desc)
 		} else {
-			target, err = v.c.NS.Resolve(refName(desc))
+			target, err = v.c.NS.Resolve(RefName(desc))
 		}
 		if err != nil {
 			return err
@@ -725,7 +728,7 @@ func (v *verifier) checkAssignableDesc(t vtype, desc string) error {
 
 // descToVtype converts a descriptor to its verification type.
 func descToVtype(ns *Namespace, desc string) (vtype, error) {
-	switch descKind(desc) {
+	switch DescKind(desc) {
 	case KInt:
 		return vtype{k: vtInt}, nil
 	case KFloat:
@@ -736,7 +739,7 @@ func descToVtype(ns *Namespace, desc string) (vtype, error) {
 		if desc[0] == '[' {
 			c, err = ns.arrayClass(desc)
 		} else {
-			c, err = ns.Resolve(refName(desc))
+			c, err = ns.Resolve(RefName(desc))
 		}
 		if err != nil {
 			return vtype{}, err

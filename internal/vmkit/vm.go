@@ -87,15 +87,25 @@ type VM struct {
 	// on MS-VM, where interface calls went through a shared, synchronized
 	// interface-method table instead of per-class itables.
 	ifaceRegMu sync.Mutex
-	ifaceSink  string
+	// ifaceKey is the scratch buffer the dispatch key is built into.
+	ifaceKey []byte
 }
 
-// ifaceDispatchSlow resolves an interface method the ProfileA way.
+// ifaceDispatchSlow resolves an interface method the ProfileA way. Three
+// parts of it are modelled cost — together they are Table 1's interface
+// row — and must not be "optimised" away: the VM-global lock, the
+// composite key built on every call, and the full scan of the receiver's
+// method list with no cache and no early exit. Only where the key's bytes
+// live is an implementation detail: a scratch buffer held under the lock,
+// not a fresh string per call.
 func (vm *VM) ifaceDispatchSlow(recv *Class, name, desc string) *Method {
-	key := recv.Name + "|" + name + ":" + desc
 	vm.ifaceRegMu.Lock()
 	defer vm.ifaceRegMu.Unlock()
-	vm.ifaceSink = key // the key build is part of the measured cost
+	key := append(vm.ifaceKey[:0], recv.Name...)
+	key = append(key, '|')
+	key = append(key, name...)
+	key = append(key, ':')
+	vm.ifaceKey = append(key, desc...)
 	var found *Method
 	for _, cand := range recv.methods {
 		if cand.Name == name && cand.Desc == desc {
