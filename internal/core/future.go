@@ -3,8 +3,6 @@ package core
 import (
 	"sync"
 	"sync/atomic"
-
-	"jkernel/internal/telemetry"
 )
 
 // Asynchronous invocation: InvokeAsync starts a cross-domain call and
@@ -12,10 +10,10 @@ import (
 // every worker shard and join — the remote follow-on to the paper's
 // Table 4 lesson that many small calls cost far more than one large one.
 // Futures are gate-flavor agnostic: local native gates run the ordinary
-// LRMI on a detached task, while transports that implement
-// AsyncProxyTarget (internal/remote) start a genuinely non-blocking wire
-// invocation, which is what lets the connection coalesce many pending
-// calls into one multi-invoke frame.
+// LRMI on a detached task, while a proxy gate's transport
+// (internal/remote) starts a genuinely non-blocking wire invocation,
+// which is what lets the connection coalesce many pending calls into one
+// multi-invoke frame.
 //
 // Future semantics, proven equivalent for local and remote gates by the
 // conformance table in future_conformance_test.go:
@@ -41,8 +39,12 @@ type Future struct {
 	resolved  bool
 	results   []any
 	err       error
-	onCancel  AsyncCanceler // transport hook: releases the pending wire slot
-	onResolve func()        // telemetry hook: runs exactly once, on resolution
+	onResolve func() // telemetry hook: runs exactly once, on resolution
+
+	// The transport's pending slot for this call (ProxyTarget.CancelProxy
+	// releases it); cancelVia is nil when there is nothing to release.
+	cancelVia ProxyTarget
+	cancelTok uint64
 
 	// Wire completion context (CompleteWire): set before the transport
 	// dispatch on the starting goroutine, read on the transport's reader.
@@ -90,7 +92,7 @@ func (f *Future) resolve(results []any, err error) {
 	f.resolved = true
 	f.results = results
 	f.err = err
-	f.onCancel = nil
+	f.cancelVia = nil
 	hook := f.onResolve
 	f.onResolve = nil
 	done := f.done
@@ -160,25 +162,25 @@ func (f *Future) Cancel() {
 		f.mu.Unlock()
 		return
 	}
-	cancel := f.onCancel
+	via, tok := f.cancelVia, f.cancelTok
 	f.mu.Unlock()
-	if cancel != nil {
-		cancel.CancelAsync()
+	if via != nil {
+		via.CancelProxy(tok)
 	}
 	f.resolve(nil, ErrCancelled)
 }
 
-// setCancel installs the transport cancel hook unless the future already
-// resolved (in which case the transport slot is released immediately).
-func (f *Future) setCancel(cancel AsyncCanceler) {
+// setCancel records the transport slot to release on Cancel, unless the
+// future already resolved (in which case the slot is released now).
+func (f *Future) setCancel(via ProxyTarget, tok uint64) {
 	f.mu.Lock()
 	if !f.resolved {
-		f.onCancel = cancel
+		f.cancelVia, f.cancelTok = via, tok
 		f.mu.Unlock()
 		return
 	}
 	f.mu.Unlock()
-	cancel.CancelAsync()
+	via.CancelProxy(tok)
 }
 
 // CompleteWire implements AsyncCompleter: the transport resolves the
@@ -260,36 +262,28 @@ func (c *Capability) invokeAsync(task *Task, caller *Domain, name string, args [
 		return f
 	}
 
-	// Transports that can start a call without blocking take the wire
-	// path: the completion callback runs on the transport's reader, and
-	// pending calls may be coalesced into batched frames.
+	// Proxy gates take the wire path: the transport starts the call
+	// without blocking, the completion runs on its reader, and pending
+	// calls may be coalesced into batched frames. The future is its own
+	// completion callback (CompleteWire), so no per-call closure crosses
+	// into the transport.
 	if pb := g.proxy.Load(); pb != nil {
-		if apt, ok := pb.t.(AsyncProxyTarget); ok {
-			// The future is its own completion callback (CompleteWire):
-			// no per-call closure crosses into the transport.
-			f.wk, f.wCaller, f.wCallee = k, caller.ID, g.owner.ID
-			var cancel AsyncCanceler
-			// Traced transports receive the active context so it crosses
-			// the wire inside the (possibly batched) invoke frame.
-			tc := telemetry.TraceContext{}
-			if k.tm != nil {
-				tc = task.effectiveTrace()
-			}
-			if tapt, ok := apt.(TracedAsyncProxyTarget); ok && tc.Active() {
-				cancel = tapt.InvokeProxyAsyncTraced(name, args, tc, f)
-			} else {
-				cancel = apt.InvokeProxyAsync(name, args, f)
-			}
-			k.tm.edgeInc(task, caller, g.owner)
-			f.setCancel(cancel)
-			return f
+		f.wk, f.wCaller, f.wCallee = k, caller.ID, g.owner.ID
+		call := ProxyCall{Method: name, Args: args, Done: f}
+		if k.tm != nil {
+			call.Trace = task.effectiveTrace()
 		}
+		_, _, tok, _ := pb.t.InvokeProxy(call)
+		k.tm.edgeInc(task, caller, g.owner)
+		if tok != 0 {
+			f.setCancel(pb.t, tok)
+		}
+		return f
 	}
 
-	// Local gates (and transports without an async path) run the ordinary
-	// synchronous invoke on a detached task in the caller's domain, so the
-	// full LRMI semantics — segment switch, accounting, termination
-	// unwinding — hold unchanged.
+	// Local gates run the ordinary synchronous invoke on a detached task
+	// in the caller's domain, so the full LRMI semantics — segment switch,
+	// accounting, termination unwinding — hold unchanged.
 	dt := k.NewDetachedTask(caller, "async:"+name)
 	if k.tm != nil {
 		dt.trace = task.effectiveTrace()

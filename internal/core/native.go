@@ -32,6 +32,7 @@ type nativeTarget struct {
 // the compiled shape, in which case the invoke re-dispatches through
 // reflect with identical semantics.
 type nativeMethod struct {
+	name  string
 	fn    reflect.Value
 	thunk func(in []any) (out []any, err error)
 }
@@ -140,7 +141,7 @@ func (k *Kernel) CreateNativeCapability(d *Domain, target any) (*Capability, err
 			continue
 		}
 		mv := rv.Method(i)
-		nt.methods[m.Name] = &nativeMethod{fn: mv, thunk: compileThunk(mv)}
+		nt.methods[m.Name] = &nativeMethod{name: m.Name, fn: mv, thunk: compileThunk(mv)}
 	}
 	if len(nt.methods) == 0 {
 		return nil, ErrNotRemote
@@ -172,6 +173,21 @@ func (c *Capability) Methods() []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// InternMethod returns the capability's own spelling of the method name in
+// b — the string its method table is keyed by — so a transport holding the
+// name as bytes of an inbound frame can invoke without allocating a string
+// per call. Names are interned against this one capability's method set,
+// which no peer can grow. ok is false when c has no native method of that
+// name (proxy and VM capabilities, revoked gates, unknown names).
+func (c *Capability) InternMethod(b []byte) (name string, ok bool) {
+	if nt := c.g.natTarget.Load(); nt != nil {
+		if m := nt.methods[string(b)]; m != nil {
+			return m.name, true
+		}
+	}
+	return "", false
 }
 
 // Invoke performs a cross-domain call on a native capability from the

@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"jkernel/internal/telemetry"
+)
 
 // Proxy targets: the third kind of gate target, behind which a transport
 // (internal/remote) forwards invocations to a capability living in another
@@ -10,13 +14,36 @@ import "fmt"
 // RevokedException and TerminatedException onto ErrRevoked and
 // ErrDomainTerminated).
 
+// ProxyCall is one invocation handed to a transport, by value: the call
+// itself, the caller's trace context (zero when no trace is active) so it
+// can cross the wire inside the invoke frame, and who to tell when it is
+// over. Done == nil means the caller blocks for the outcome.
+type ProxyCall struct {
+	Method string
+	Args   []any
+	Trace  telemetry.TraceContext
+	Done   AsyncCompleter
+}
+
 // ProxyTarget is the transport half of a proxy gate. InvokeProxy performs
 // one remote invocation; arguments and results follow the LRMI calling
 // convention (the transport's serialization is the copy, and capabilities
-// travel by reference). copied reports the bytes that crossed the wire,
-// for the caller domain's account.
+// travel by reference).
+//
+// With call.Done == nil InvokeProxy blocks and returns the outcome;
+// copied reports the bytes that crossed the wire, for the caller domain's
+// account. With a completer it starts the call and returns at once — so
+// the kernel's InvokeAsync neither blocks nor burns a goroutine per call,
+// which is what lets the wire layer coalesce pending invokes into batched
+// frames — and the outcome goes to call.Done.CompleteWire exactly once,
+// possibly before InvokeProxy returns; token then names the pending call
+// for CancelProxy (0: it completed without taking a transport slot).
 type ProxyTarget interface {
-	InvokeProxy(method string, args []any) (results []any, copied int64, err error)
+	InvokeProxy(call ProxyCall) (results []any, copied int64, token uint64, err error)
+	// CancelProxy releases the transport slot of the asynchronous call
+	// InvokeProxy named token; the reply, if it still arrives, is dropped.
+	// A token whose call already completed is ignored.
+	CancelProxy(token uint64)
 	// ProxyMethods lists the remote method names. A transport whose
 	// import arrived without a manifest may fetch one on first call
 	// (internal/remote does, with a single cached round trip), so callers
@@ -26,32 +53,12 @@ type ProxyTarget interface {
 
 // AsyncCompleter receives the outcome of one asynchronous wire
 // invocation: CompleteWire must be called exactly once, from any
-// goroutine, with the same results/copied/err contract as InvokeProxy.
-// *Future implements it directly, so starting a wire call passes the
-// future itself to the transport instead of allocating a completion
-// closure per call.
+// goroutine, with the same results/copied/err contract as a blocking
+// InvokeProxy. *Future implements it directly, so starting a wire call
+// passes the future itself to the transport instead of allocating a
+// completion closure per call.
 type AsyncCompleter interface {
 	CompleteWire(results []any, copied int64, err error)
-}
-
-// AsyncCanceler releases a transport's pending slot when the caller
-// abandons an in-flight asynchronous call (the reply, if it still
-// arrives, is dropped). It is an interface rather than a func so
-// transports can hand back their per-call state object without
-// allocating a closure.
-type AsyncCanceler interface {
-	CancelAsync()
-}
-
-// AsyncProxyTarget is the optional non-blocking half of a transport
-// proxy. InvokeProxyAsync starts one remote invocation and returns
-// without waiting; done.CompleteWire fires exactly once. Transports
-// implement it so the kernel's InvokeAsync neither blocks nor burns a
-// goroutine per call — which is what allows the wire layer to coalesce
-// pending invokes into batched frames.
-type AsyncProxyTarget interface {
-	ProxyTarget
-	InvokeProxyAsync(method string, args []any, done AsyncCompleter) AsyncCanceler
 }
 
 // proxyBox wraps the interface so the gate can hold it atomically.
@@ -121,24 +128,11 @@ func (c *Capability) invokeProxy(task *Task, caller *Domain, pt ProxyTarget, nam
 
 	seg := task.enter(g.owner)
 
-	var results []any
-	var copied int64
-	var err error
-	// Traced transports receive the active context so it crosses the wire;
-	// the type assertion is paid only when a trace is actually running.
-	if tm := k.tm; tm != nil {
-		if tc := task.effectiveTrace(); tc.Active() {
-			if tpt, ok := pt.(TracedProxyTarget); ok {
-				results, copied, err = tpt.InvokeProxyTraced(name, args, tc)
-			} else {
-				results, copied, err = pt.InvokeProxy(name, args)
-			}
-		} else {
-			results, copied, err = pt.InvokeProxy(name, args)
-		}
-	} else {
-		results, copied, err = pt.InvokeProxy(name, args)
+	call := ProxyCall{Method: name, Args: args}
+	if k.tm != nil {
+		call.Trace = task.effectiveTrace()
 	}
+	results, copied, _, err := pt.InvokeProxy(call)
 
 	task.leave(g.owner, seg)
 

@@ -257,17 +257,3 @@ func (t *Task) effectiveTrace() telemetry.TraceContext {
 	}
 	return telemetry.GoroutineContext()
 }
-
-// TracedProxyTarget is the optional traced variant of ProxyTarget: a
-// transport that implements it receives the caller's trace context and
-// propagates it to the serving kernel inside the invoke frame.
-type TracedProxyTarget interface {
-	ProxyTarget
-	InvokeProxyTraced(method string, args []any, tc telemetry.TraceContext) (results []any, copied int64, err error)
-}
-
-// TracedAsyncProxyTarget is the traced variant of AsyncProxyTarget.
-type TracedAsyncProxyTarget interface {
-	AsyncProxyTarget
-	InvokeProxyAsyncTraced(method string, args []any, tc telemetry.TraceContext, done AsyncCompleter) AsyncCanceler
-}

@@ -2,13 +2,16 @@ package remote
 
 import "sync"
 
-// Wire-level batching: asynchronous invokes enqueue here instead of
-// writing their own frame, and a per-connection flusher goroutine drains
-// the queue into msgBatchInvoke frames. Flushing is "smart batching"
-// rather than timer-driven: whenever the flusher is idle it sends
-// whatever has queued immediately, so a lone call on an idle connection
-// pays no added latency, while calls arriving during a frame write pile
-// up and leave as one frame. The flush policy is therefore:
+// Wire-level batching: every invoke enqueues here instead of writing its
+// own frame, and the queue drains into msgInvoke/msgBatchInvoke frames —
+// on a per-connection flusher goroutine for asynchronous invokes, on the
+// caller's own goroutine for blocking ones (flushCall: the caller is about
+// to park anyway, so it does the write itself and saves the wake-up).
+// Flushing is "smart batching" rather than timer-driven: whenever the
+// flusher is idle it sends whatever has queued immediately, so a lone call
+// on an idle connection pays no added latency, while calls arriving during
+// a frame write pile up and leave as one frame. The flush policy is
+// therefore:
 //
 //   - occupancy: at most maxBatchCalls calls per frame;
 //   - size: at most maxBatchBytes of encoded calls per frame;
@@ -27,7 +30,9 @@ const (
 	maxReleaseEntries = 4096
 )
 
-// batchedCall is one encoded, pending invocation awaiting a frame.
+// batchedCall is one encoded, pending invocation awaiting a frame — a copy
+// of what goes on the wire, not the call's record (which may be completed,
+// cancelled and recycled while this waits in the queue).
 type batchedCall struct {
 	reqID    uint64
 	exportID uint64
@@ -49,8 +54,8 @@ func (b batchedCall) wireSize() int {
 	return len(b.args) + len(b.method) + 64
 }
 
-// batcher coalesces pending asynchronous invokes — and capability
-// releases — for one connection.
+// batcher coalesces pending invokes — and capability releases — for one
+// connection.
 type batcher struct {
 	c *Conn
 
@@ -78,12 +83,16 @@ func newBatcher(c *Conn) *batcher {
 	return b
 }
 
-// enqueue adds one call and nudges the flusher.
-func (b *batcher) enqueue(call batchedCall) {
+// enqueue adds one call and, when kick is set, nudges the flusher. A
+// caller that passes false must see the call onto the wire itself
+// (flushCall).
+func (b *batcher) enqueue(call batchedCall, kick bool) {
 	b.mu.Lock()
 	b.q = append(b.q, call)
 	b.mu.Unlock()
-	b.nudge()
+	if kick {
+		b.nudge()
+	}
 }
 
 // enqueueRelease queues one import release. Releases churned in a burst (a
@@ -117,17 +126,44 @@ func (b *batcher) run() {
 	}
 }
 
+// sendCalls writes one frame's worth of queued calls. It reports how many
+// it sent and whether the call with request id reqID was among them.
+func (b *batcher) sendCalls(reqID uint64) (n int, mine bool) {
+	calls := b.take()
+	for i := range calls {
+		mine = mine || calls[i].reqID == reqID
+	}
+	if n = len(calls); n != 0 {
+		b.c.sendBatch(calls)
+		b.recycleCalls(calls)
+	}
+	return n, mine
+}
+
+// flushCall is a blocking caller's turn as the flusher: it writes queued
+// call frames on the calling goroutine until the frame carrying its own
+// call (enqueued without a kick) has left, so calls queued ahead of it
+// ride along and nothing queued behind it delays its wait. An empty queue
+// means a concurrent drain took the call and is writing it.
+//
+//jk:blocking
+func (b *batcher) flushCall(reqID uint64) {
+	for {
+		if n, mine := b.sendCalls(reqID); n == 0 || mine {
+			return
+		}
+	}
+}
+
 // drain sends frames until both queues are empty. Safe to call
-// concurrently (Conn.Flush races the flusher): take/takeReleases are
-// atomic, so each queued call and release is sent exactly once. Invokes
-// drain before releases, so a call enqueued before its proxy was released
-// reaches the exporter while the export entry is still live.
+// concurrently (Conn.Flush and blocking callers race the flusher):
+// take/takeReleases are atomic, so each queued call and release is sent
+// exactly once. Invokes drain before releases, so a call enqueued before
+// its proxy was released reaches the exporter while the export entry is
+// still live.
 func (b *batcher) drain() {
 	for {
-		if calls := b.take(); len(calls) != 0 {
-			b.c.sendBatch(calls)
-			b.recycleCalls(calls)
-			b.sent()
+		if n, _ := b.sendCalls(0); n != 0 {
 			continue
 		}
 		rels := b.takeReleases()
@@ -136,7 +172,6 @@ func (b *batcher) drain() {
 		}
 		b.c.sendReleases(rels)
 		b.recycleReleases(rels)
-		b.sent()
 	}
 }
 
@@ -160,14 +195,12 @@ func (b *batcher) flush() {
 	b.mu.Unlock()
 }
 
-// sent retires one in-flight batch.
-func (b *batcher) sent() {
-	b.mu.Lock()
+// sentLocked retires one in-flight batch. Caller holds b.mu.
+func (b *batcher) sentLocked() {
 	b.inflight--
 	if b.inflight == 0 {
 		b.idle.Broadcast()
 	}
-	b.mu.Unlock()
 }
 
 // take pops up to one frame's worth of queued calls (occupancy and size
@@ -199,15 +232,16 @@ func (b *batcher) take() []batchedCall {
 	return out
 }
 
-// recycleCalls returns a sent batch's backing array to the spare slot
-// (cleared, so it pins no argument buffers). Concurrent drains race for
-// the slot; the loser's array goes to the GC.
+// recycleCalls retires a sent batch and returns its backing array to the
+// spare slot (cleared, so it pins no argument buffers). Concurrent drains
+// race for the slot; the loser's array goes to the GC.
 func (b *batcher) recycleCalls(calls []batchedCall) {
 	clear(calls)
 	b.mu.Lock()
 	if b.qSpare == nil {
 		b.qSpare = calls[:0]
 	}
+	b.sentLocked()
 	b.mu.Unlock()
 }
 
@@ -218,6 +252,7 @@ func (b *batcher) recycleReleases(rels []releaseEntry) {
 	if b.rqSpare == nil {
 		b.rqSpare = rels[:0]
 	}
+	b.sentLocked()
 	b.mu.Unlock()
 }
 

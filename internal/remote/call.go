@@ -1,0 +1,392 @@
+package remote
+
+import (
+	"fmt"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"jkernel/internal/core"
+	"jkernel/internal/telemetry"
+)
+
+// The call path. Every request that awaits a reply — a capability invoke,
+// blocking or asynchronous, and each control round trip (ping, lookup,
+// manifest fetch, handoff redeem) — is one pooled callRecord in
+// Conn.pending under its request id. There is one invoke path: a blocking
+// invoke is an asynchronous one whose caller writes the queued frames
+// itself instead of waking the flusher (the write stays on the calling
+// goroutine, and calls queued by others ride along), then parks on its
+// record.
+//
+// Record ownership, the companion of the frameBuf rule in bufpool.go:
+// whoever removes a record from Conn.pending (takePending: the reader on a
+// reply, shutdown's sweep, a cancel, a timed-out waiter) owns its one
+// completion, and the record is recycled after exactly that. Nothing else
+// keeps a *callRecord: the batcher queues a copy of what goes on the wire,
+// and a request id — never reused on a connection, looked up under Conn.mu
+// — is all a reply or a cancel carries. So a late reply, a stale cancel or
+// a timed-out probe finds no slot and is inert, whatever its old record is
+// doing now.
+
+// callKind says what a pending record is waiting for. Only invokes are
+// load: a placement policy must not read a health ping as queue depth.
+type callKind uint8
+
+const (
+	callControl callKind = iota // ping, lookup, manifest fetch, redeem
+	callInvoke                  // a capability invocation, counted by PendingCalls
+)
+
+// callRecord is the per-call state of one request awaiting its reply.
+type callRecord struct {
+	kind callKind
+
+	// Invoke state: the route and the call (for the stale-route reissue
+	// and the completer), and the client span's books.
+	p      *proxyTarget
+	call   core.ProxyCall
+	spanID uint64
+	start  time.Time
+	argLen int64
+
+	// ch parks a blocking caller (call.Done == nil). Made once per record,
+	// it holds one result, so the completer never blocks.
+	ch chan wireResult
+}
+
+var recordPool = sync.Pool{New: func() any { return &callRecord{ch: make(chan wireResult, 1)} }}
+
+func getRecord(kind callKind) *callRecord {
+	rec := recordPool.Get().(*callRecord)
+	rec.kind = kind
+	return rec
+}
+
+func putRecord(rec *callRecord) {
+	*rec = callRecord{ch: rec.ch}
+	recordPool.Put(rec)
+}
+
+// register files rec under a fresh request id. The id is returned rather
+// than read back from the record: once registered, an asynchronous record
+// may complete and be recycled at any moment.
+func (c *Conn) register(rec *callRecord) (uint64, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return 0, c.causeLocked()
+	}
+	c.nextReq++
+	c.pending[c.nextReq] = rec
+	if rec.kind == callInvoke {
+		c.invokes++
+	}
+	return c.nextReq, nil
+}
+
+// takePending removes and returns the record pending under id — nil for an
+// unknown id: already completed, cancelled, or swept by shutdown.
+func (c *Conn) takePending(id uint64) *callRecord {
+	c.mu.Lock()
+	rec := c.pending[id]
+	if rec != nil {
+		delete(c.pending, id)
+		if rec.kind == callInvoke {
+			c.invokes--
+		}
+	}
+	c.mu.Unlock()
+	return rec
+}
+
+// complete resolves one pending request.
+func (c *Conn) complete(id uint64, res wireResult) {
+	if rec := c.takePending(id); rec != nil {
+		rec.completeWire(res)
+	}
+}
+
+// completeWire delivers rec's one completion: to the parked caller, or —
+// for an asynchronous invoke — straight to its completer.
+func (rec *callRecord) completeWire(res wireResult) {
+	if rec.call.Done != nil {
+		rec.finish(res)
+		return
+	}
+	rec.ch <- res
+}
+
+// roundTrip performs one control request/reply: register a record, write
+// the frame build makes for its request id, and park until the reply,
+// connection loss (shutdown completes every pending record, so there is no
+// separate arm for it), or — when timeout is positive — the deadline.
+//
+//jk:blocking
+func (c *Conn) roundTrip(what string, timeout time.Duration, build func(w *wbuf, reqID uint64)) wireResult {
+	rec := getRecord(callControl)
+	id, err := c.register(rec)
+	if err != nil {
+		putRecord(rec)
+		return wireResult{err: err}
+	}
+	var w wbuf
+	build(&w, id)
+	if err := c.send(w.b); err != nil {
+		return c.abandon(rec, id, err)
+	}
+	var deadline <-chan time.Time
+	if timeout > 0 {
+		timer := time.NewTimer(timeout)
+		defer timer.Stop()
+		deadline = timer.C
+	}
+	select {
+	case res := <-rec.ch:
+		putRecord(rec)
+		return res
+	case <-deadline:
+		return c.abandon(rec, id, fmt.Errorf("remote: %s timed out after %v", what, timeout))
+	}
+}
+
+// abandon gives up on a parked record. If its slot is still pending nobody
+// else will ever complete it, and err is the outcome; otherwise a
+// completion is already on its way to rec.ch, and it wins — the record
+// cannot be recycled under a completer about to send on it.
+func (c *Conn) abandon(rec *callRecord, id uint64, err error) wireResult {
+	res := wireResult{err: err}
+	if c.takePending(id) == nil {
+		res = <-rec.ch
+	}
+	putRecord(rec)
+	return res
+}
+
+// proxyOf returns cap's proxy target when cap is a wire proxy.
+func proxyOf(cap *core.Capability) *proxyTarget {
+	pt, _ := core.ProxyTargetOf(cap).(*proxyTarget)
+	return pt
+}
+
+// staleRouteErr matches the one failure a superseded relay route
+// produces: the middleman answered "unknown export" because the
+// shortened route already released our reference there. The call was
+// rejected before dispatch, so reissuing it cannot double-execute.
+func staleRouteErr(err error) bool {
+	return err != nil && strings.Contains(err.Error(), "unknown export")
+}
+
+// proxyTarget is the core.ProxyTarget for one imported capability.
+type proxyTarget struct {
+	conn     *Conn
+	exportID uint64 // the PEER's export id
+	redeemed bool   // true when this route came from a redeemed handoff ticket
+
+	// next forwards a superseded relay route to its shortened replacement.
+	// A redeemed handoff retargets the proxy and releases the middleman's
+	// export; an invoke that snapshotted the old route concurrently can
+	// reach the middleman after that release and come back "unknown
+	// export" — a call that never executed, so it retries on next.
+	next atomic.Pointer[proxyTarget]
+
+	// The method manifest. Lookup-imported proxies are born with it;
+	// proxies imported inline (as arguments or results) fetch it lazily on
+	// the first ProxyMethods call — one msgManifest round trip, cached.
+	mmu     sync.Mutex
+	methods []string
+	fetched bool
+}
+
+// ProxyMethods reports the remote method names, fetching the manifest
+// from the exporting kernel on first use for inline imports. A fetch that
+// fails (connection lost, export already dropped) reports no methods and
+// leaves the cache empty, so a transient failure does not poison a
+// later call.
+func (p *proxyTarget) ProxyMethods() []string {
+	p.mmu.Lock()
+	defer p.mmu.Unlock()
+	if p.fetched {
+		return p.methods
+	}
+	ms, err := p.conn.fetchManifest(p.exportID)
+	if err != nil {
+		return nil
+	}
+	p.methods = ms
+	p.fetched = true
+	return ms
+}
+
+// fetchManifest performs one manifest round trip for the peer's export.
+func (c *Conn) fetchManifest(exportID uint64) ([]string, error) {
+	res := c.roundTrip("manifest fetch", 0, func(w *wbuf, reqID uint64) {
+		w.u8(msgManifest)
+		w.uvarint(reqID)
+		w.uvarint(exportID)
+	})
+	if res.err != nil {
+		return nil, res.err
+	}
+	// results[0] carries the manifest smuggled through the reply path.
+	ms, _ := res.results[0].([]string)
+	return ms, nil
+}
+
+// InvokeProxy implements core.ProxyTarget: marshal args (capabilities by
+// reference), queue the call on the connection's batcher, and either
+// return (call.Done set: the completion fires on the reader goroutine when
+// the possibly batched reply arrives, or on the shutdown path when the
+// connection dies first — exactly once, unless CancelProxy takes the slot
+// before that) or write the queue out and wait for the reply.
+//
+//jk:blocking
+func (p *proxyTarget) InvokeProxy(call core.ProxyCall) ([]any, int64, uint64, error) {
+	rec, bc, err := p.prepare(call)
+	if err != nil {
+		if call.Done == nil {
+			return nil, 0, 0, err
+		}
+		call.Done.CompleteWire(nil, 0, err)
+		return nil, 0, 0, nil
+	}
+	// Only an asynchronous call wakes the flusher; a blocking caller is
+	// about to park anyway, so it does the flusher's job itself.
+	b := p.conn.batch
+	b.enqueue(bc, call.Done != nil)
+	if call.Done != nil {
+		return nil, 0, bc.reqID, nil
+	}
+	b.flushCall(bc.reqID)
+	return rec.finish(<-rec.ch)
+}
+
+// CancelProxy implements core.ProxyTarget: drop the pending slot so a late
+// reply is ignored.
+func (p *proxyTarget) CancelProxy(token uint64) {
+	if rec := p.conn.takePending(token); rec != nil {
+		putRecord(rec)
+	}
+}
+
+// prepare encodes call's arguments and registers a record for it; nothing
+// is queued yet. An error is the call's outcome — a copy failure on a
+// healthy connection, or the capability fault of one already down — with
+// its client span recorded.
+func (p *proxyTarget) prepare(call core.ProxyCall) (*callRecord, batchedCall, error) {
+	c := p.conn
+	m := c.metrics
+	method, tc := call.Method, call.Trace
+	start := m.sampleStart(tc.Active())
+	var spanID uint64
+	if m != nil && tc.Active() {
+		spanID = telemetry.NewID() // this hop's span, the wire parent of the callee's
+	}
+	fail := func(err error) (*callRecord, batchedCall, error) {
+		m.clientSpan(tc, spanID, method, start, err)
+		return nil, batchedCall{}, err
+	}
+	// Queued calls keep their encoded args until a frame is written, so
+	// each call's stream lives in its own pooled buffer that sendBatch
+	// releases after the vectored write. Zero-arg calls — the bulk of small
+	// traffic — take no buffer at all.
+	var argsBuf *frameBuf
+	var argBytes []byte
+	rollback := func() {}
+	if len(call.Args) > 0 {
+		argsBuf = getFrame(64)
+		var err error
+		rollback, err = c.marshalVectorInto(argsBuf, call.Args)
+		// Oversized arguments are a copy failure on a healthy connection,
+		// not a revocation; reject before the frame writer does.
+		if n := len(argsBuf.b); err == nil && n+len(method)+64 > maxFrame {
+			rollback()
+			err = fmt.Errorf("%d bytes exceeds the %d-byte frame limit", n, maxFrame)
+		}
+		if err != nil {
+			argsBuf.release()
+			return fail(&core.CopyError{What: "remote arguments of " + method, Err: err})
+		}
+		argBytes = argsBuf.b
+	}
+	rec := getRecord(callInvoke)
+	rec.p, rec.call, rec.spanID, rec.start, rec.argLen = p, call, spanID, start, int64(len(argBytes))
+	reqID, err := c.register(rec)
+	if err != nil {
+		// The connection is already down (and about to fault this proxy).
+		putRecord(rec)
+		rollback()
+		if argsBuf != nil {
+			argsBuf.release()
+		}
+		return fail(fmt.Errorf("%w: %v", core.ErrRevoked, err))
+	}
+	return rec, batchedCall{reqID: reqID, exportID: p.exportID, method: method, traceID: tc.TraceID, parentSpan: spanID, args: argBytes, argsBuf: argsBuf}, nil
+}
+
+// finish closes the books on an invoke record's one completion and
+// recycles it; the outcome goes to the completer, or back to the blocking
+// caller as InvokeProxy's results.
+func (rec *callRecord) finish(res wireResult) ([]any, int64, uint64, error) {
+	p, call, spanID, start, copied := rec.p, rec.call, rec.spanID, rec.start, rec.argLen+res.copied
+	putRecord(rec)
+	if n := p.next.Load(); n != nil && staleRouteErr(res.err) {
+		// Superseded relay route: the middleman dropped our export before
+		// this call reached it, so it never ran. Reissue it on the shortened
+		// route, which does its own span accounting and completes exactly
+		// once.
+		return n.InvokeProxy(call)
+	}
+	p.conn.metrics.clientSpan(call.Trace, spanID, call.Method, start, res.err)
+	if call.Done == nil {
+		return res.results, copied, 0, res.err
+	}
+	call.Done.CompleteWire(res.results, copied, res.err)
+	return nil, 0, 0, nil
+}
+
+// sendBatch writes queued calls as one frame: a lone call travels as an
+// ordinary msgInvoke (no batch envelope), several as msgBatchInvoke. A
+// failed write fails every call in the frame with the connection fault.
+func (c *Conn) sendBatch(calls []batchedCall) {
+	if m := c.metrics; m != nil {
+		m.batchOccupancy.Observe(int64(len(calls)))
+	}
+	// Call headers build in one pooled buffer; each call's argument bytes
+	// stay in the buffer prepare encoded them into, and the vectored writer
+	// stitches header and payload segments into one syscall — nothing is
+	// memmoved into a contiguous frame.
+	var err error
+	if len(calls) == 1 {
+		call := &calls[0]
+		hb := getFrame(len(call.method) + 64)
+		w := wbuf{b: hb.b}
+		w.u8(msgInvoke)
+		w.uvarint(call.reqID)
+		w.uvarint(call.exportID)
+		w.str(call.method)
+		appendTrace(&w, call.traceID, call.parentSpan)
+		hb.b = w.b
+		err = c.sendSegments(hb.b, call.args)
+		hb.release()
+	} else {
+		err = c.sendBatched(msgBatchInvoke, len(calls), func(w *wbuf, i int) []byte {
+			call := &calls[i]
+			appendBatchCallHeader(w, call.reqID, call.exportID, call.method, call.traceID, call.parentSpan, len(call.args))
+			return call.args
+		})
+	}
+	for i := range calls {
+		if calls[i].argsBuf != nil {
+			calls[i].argsBuf.release()
+			calls[i].argsBuf = nil
+		}
+	}
+	if err != nil {
+		fault := fmt.Errorf("%w: remote send: %v", core.ErrRevoked, err)
+		for _, call := range calls {
+			c.complete(call.reqID, wireResult{err: fault})
+		}
+	}
+}

@@ -1,0 +1,421 @@
+package remote
+
+import (
+	"errors"
+	"net"
+	"path/filepath"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"jkernel/internal/core"
+)
+
+// scriptedPeer is the far end of a connection played by the test: a raw
+// socket on which the test reads the frames a real Conn sends and answers
+// them when, and in the order, it chooses — the only way to make a reply
+// late or a route stale on purpose.
+type scriptedPeer struct {
+	t    *testing.T
+	nc   net.Conn
+	conn *Conn // the real end
+	k    *core.Kernel
+	dom  *core.Domain
+	task *core.Task
+}
+
+func newScriptedPeer(t *testing.T) *scriptedPeer {
+	t.Helper()
+	k := core.MustNew(core.Options{})
+	d, err := k.NewDomain(core.DomainConfig{Name: "app"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("unix", filepath.Join(t.TempDir(), "peer.sock"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	dialed, err := net.Dial("unix", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := NewConn(k, dialed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := &scriptedPeer{t: t, nc: nc, conn: conn, k: k, dom: d, task: k.NewDetachedTask(d, "test")}
+	t.Cleanup(func() {
+		conn.Close()
+		nc.Close()
+	})
+	// NewConn probes the peer's features with one ping; leave it unanswered
+	// (a pre-handoff peer) but consume it.
+	if f := sp.next(); f.t != msgPing {
+		t.Fatalf("first frame is type %d, want the feature probe", f.t)
+	}
+	return sp
+}
+
+// next reads and decodes the next frame the real end sent.
+func (sp *scriptedPeer) next() inFrame {
+	sp.t.Helper()
+	sp.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	raw, err := readFrame(sp.nc)
+	if err != nil {
+		sp.t.Fatalf("scripted peer read: %v", err)
+	}
+	var f inFrame
+	if err := decodeFrame(raw, &f); err != nil {
+		sp.t.Fatalf("scripted peer decode: %v", err)
+	}
+	return f
+}
+
+// nextInvoke reads frames until a lone invoke arrives and returns it.
+func (sp *scriptedPeer) nextInvoke() invokeFrame {
+	sp.t.Helper()
+	for {
+		if f := sp.next(); f.t == msgInvoke {
+			return f.invoke
+		}
+	}
+}
+
+func (sp *scriptedPeer) write(w *wbuf) {
+	sp.t.Helper()
+	if err := writeFrame(sp.nc, w.b); err != nil {
+		sp.t.Fatalf("scripted peer write: %v", err)
+	}
+}
+
+func (sp *scriptedPeer) replyOK(reqID uint64) {
+	w := &wbuf{}
+	w.u8(msgReply)
+	w.uvarint(reqID)
+	w.u8(statusOK)
+	sp.write(w)
+}
+
+func (sp *scriptedPeer) replyErr(reqID uint64, kind byte, msg string) {
+	w := &wbuf{}
+	w.u8(msgReply)
+	w.uvarint(reqID)
+	appendReplyBody(w, replyFrame{status: statusErr, kind: kind, msg: msg}, false)
+	sp.write(w)
+}
+
+func (sp *scriptedPeer) pong(reqID uint64) {
+	w := &wbuf{}
+	w.u8(msgPong)
+	w.uvarint(reqID)
+	sp.write(w)
+}
+
+// proxy mints a proxy for the scripted peer's (imaginary) export id.
+func (sp *scriptedPeer) proxy(id uint64) *core.Capability {
+	sp.t.Helper()
+	sp.conn.mu.Lock()
+	cap, _, _, err := sp.conn.importLocked(id, []string{"Null"})
+	sp.conn.mu.Unlock()
+	if err != nil {
+		sp.t.Fatal(err)
+	}
+	return cap
+}
+
+// recordOf returns the record pending under reqID on the real end.
+func (sp *scriptedPeer) recordOf(reqID uint64) *callRecord {
+	sp.conn.mu.Lock()
+	defer sp.conn.mu.Unlock()
+	return sp.conn.pending[reqID]
+}
+
+// settled waits until the real end's reader has consumed everything the
+// script wrote so far, by bouncing a ping off it: the reader answers pings
+// inline and in order. No invoke may be in flight toward the script.
+func (sp *scriptedPeer) settled() {
+	sp.t.Helper()
+	w := &wbuf{}
+	w.u8(msgPing)
+	w.uvarint(1 << 40)
+	sp.write(w)
+	for {
+		switch f := sp.next(); {
+		case f.t == msgPong && f.ping.reqID == 1<<40:
+			return
+		case f.t == msgInvoke || f.t == msgBatchInvoke:
+			sp.t.Fatalf("an invoke frame nobody expected: %+v", f)
+		}
+	}
+}
+
+// A record is recycled the moment its one completion (or its drop) is
+// done, and the next call may get the same struct. Whatever still names
+// the old call — a pong that arrives after its Ping timed out, a reply to
+// a cancelled invoke, a second cancel with the old token — must find
+// nothing and leave the record's new call alone.
+func TestStaleCompletionsAreInertAgainstARecycledRecord(t *testing.T) {
+	// One P, so the pool hands the next Get what the last Put returned.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	sp := newScriptedPeer(t)
+	proxy := sp.proxy(7)
+
+	// reuse ends a call early (stale: a timeout or a cancel; it returns
+	// the call's request id and record) and starts a victim call, until the
+	// victim is running on the stale call's recycled record — the pool
+	// promises nothing, and drops Puts at random under the race detector.
+	reuse := func(stale func() (uint64, *callRecord)) (staleID uint64, victim *core.Future, inv invokeFrame) {
+		t.Helper()
+		for try := 0; try < 200; try++ {
+			id, rec := stale()
+			if rec == nil {
+				t.Fatal("the stale call never had a pending record")
+			}
+			fut := proxy.InvokeAsyncFrom(sp.task, "Null")
+			inv := sp.nextInvoke()
+			if sp.recordOf(inv.reqID) == rec {
+				return id, fut, inv
+			}
+			sp.replyOK(inv.reqID)
+			if _, err := fut.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		t.Fatal("the pool never handed a recycled record to the next call")
+		return 0, nil, invokeFrame{}
+	}
+	// untouched checks, once the reader has consumed what the script sent,
+	// that the victim is still pending on its own record.
+	untouched := func(what string, victim *core.Future, inv invokeFrame) {
+		t.Helper()
+		rec := sp.recordOf(inv.reqID)
+		sp.settled()
+		if victim.Resolved() {
+			_, err := victim.Wait()
+			t.Fatalf("%s completed the call that reused its record (err %v)", what, err)
+		}
+		if rec == nil || sp.recordOf(inv.reqID) != rec {
+			t.Fatalf("%s took the pending slot of the call that reused its record", what)
+		}
+	}
+	finish := func(victim *core.Future, inv invokeFrame) {
+		t.Helper()
+		sp.replyOK(inv.reqID)
+		if _, err := victim.Wait(); err != nil {
+			t.Fatalf("victim call: %v", err)
+		}
+	}
+
+	// A Ping times out; its pong arrives after the record moved on.
+	pingID, victim, inv := reuse(func() (uint64, *callRecord) {
+		pinged := make(chan error, 1)
+		go func() { pinged <- sp.conn.Ping(20 * time.Millisecond) }()
+		ping := sp.next()
+		if ping.t != msgPing {
+			t.Fatalf("frame type %d, want ping", ping.t)
+		}
+		rec := sp.recordOf(ping.ping.reqID)
+		if err := <-pinged; err == nil {
+			t.Fatal("unanswered ping did not time out")
+		}
+		return ping.ping.reqID, rec
+	})
+	sp.pong(pingID)
+	untouched("a late pong", victim, inv)
+	finish(victim, inv)
+
+	// An invoke is cancelled; its reply arrives after the record moved on,
+	// and then a second cancel with the old token.
+	cancelledID, victim, inv := reuse(func() (uint64, *callRecord) {
+		doomed := proxy.InvokeAsyncFrom(sp.task, "Null")
+		dinv := sp.nextInvoke()
+		rec := sp.recordOf(dinv.reqID)
+		doomed.Cancel()
+		if _, err := doomed.Wait(); !errors.Is(err, core.ErrCancelled) {
+			t.Fatalf("cancelled future: %v", err)
+		}
+		return dinv.reqID, rec
+	})
+	sp.replyErr(cancelledID, errKindRemote, "late reply to a cancelled call")
+	untouched("a late reply", victim, inv)
+	proxyOf(proxy).CancelProxy(cancelledID)
+	untouched("a stale cancel", victim, inv)
+	finish(victim, inv)
+
+	if n := sp.conn.TableSizes().Pending; n != 1 { // the unanswered feature probe
+		t.Fatalf("%d records still pending, want the feature probe's one", n)
+	}
+}
+
+// A parked control round trip is not load: PendingCalls counts invokes
+// only, while TableSizes still sees every record.
+func TestPendingCallsCountsInvokesOnly(t *testing.T) {
+	sp := newScriptedPeer(t)
+	proxy := sp.proxy(7)
+	base := sp.conn.TableSizes().Pending
+
+	pinged := make(chan error, 1)
+	go func() { pinged <- sp.conn.Ping(5 * time.Second) }()
+	ping := sp.next()
+	if got := sp.conn.PendingCalls(); got != 0 {
+		t.Fatalf("PendingCalls = %d with only a ping parked, want 0", got)
+	}
+	if got := sp.conn.TableSizes().Pending; got != base+1 {
+		t.Fatalf("TableSizes.Pending = %d with a ping parked, want %d", got, base+1)
+	}
+
+	fut := proxy.InvokeAsyncFrom(sp.task, "Null")
+	inv := sp.nextInvoke()
+	synced := make(chan error, 1)
+	go func() {
+		task := sp.k.NewDetachedTask(sp.dom, "sync")
+		_, err := proxy.InvokeFrom(task, "Null")
+		synced <- err
+	}()
+	inv2 := sp.nextInvoke()
+	if got := sp.conn.PendingCalls(); got != 2 {
+		t.Fatalf("PendingCalls = %d with an async and a sync invoke in flight, want 2", got)
+	}
+
+	sp.pong(ping.ping.reqID)
+	if err := <-pinged; err != nil {
+		t.Fatal(err)
+	}
+	sp.replyOK(inv.reqID)
+	sp.replyOK(inv2.reqID)
+	if _, err := fut.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-synced; err != nil {
+		t.Fatal(err)
+	}
+	if got := sp.conn.PendingCalls(); got != 0 {
+		t.Fatalf("PendingCalls = %d after every reply, want 0", got)
+	}
+}
+
+// A blocking call whose relay route is released under it (the handoff was
+// redeemed mid-call, so the middleman answers "unknown export") never ran:
+// it is reissued on the shortened route, exactly once, and its caller sees
+// only the second answer.
+func TestSyncCallOnReleasedRelayRouteIsReissuedOnce(t *testing.T) {
+	relay, direct := newScriptedPeer(t), newScriptedPeer(t)
+	proxy := relay.proxy(7)
+	proxyOf(proxy).next.Store(&proxyTarget{conn: direct.conn, exportID: 9, fetched: true, redeemed: true})
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := proxy.InvokeFrom(relay.task, "Null")
+		done <- err
+	}()
+	first := relay.nextInvoke()
+	if first.exportID != 7 {
+		t.Fatalf("relay saw export %d, want 7", first.exportID)
+	}
+	relay.replyErr(first.reqID, errKindRevoked, "unknown export 7")
+	second := direct.nextInvoke()
+	if second.exportID != 9 || string(second.method) != "Null" {
+		t.Fatalf("shortened route saw %q on export %d, want Null on 9", second.method, second.exportID)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("call returned before the shortened route answered: %v", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	direct.replyOK(second.reqID)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("reissued call: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("call still parked after the shortened route answered: was it reissued more than once?")
+	}
+	// Exactly once: nothing else was written to either peer.
+	relay.settled()
+	direct.settled()
+	for _, sp := range []*scriptedPeer{relay, direct} {
+		if n := sp.conn.PendingCalls(); n != 0 {
+			t.Fatalf("%d invokes still pending", n)
+		}
+	}
+}
+
+// Connection loss in the middle of a blocking call is the capability
+// fault, delivered by shutdown's sweep of the pending records — the wait
+// has no arm of its own for it.
+func TestSyncCallInterruptedByConnectionLoss(t *testing.T) {
+	sp := newScriptedPeer(t)
+	proxy := sp.proxy(7)
+	done := make(chan error, 1)
+	go func() {
+		_, err := proxy.InvokeFrom(sp.task, "Null")
+		done <- err
+	}()
+	sp.nextInvoke()
+	sp.nc.Close()
+	select {
+	case err := <-done:
+		if !errors.Is(err, core.ErrRevoked) {
+			t.Fatalf("interrupted call: %v; want ErrRevoked", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("blocking call still parked after its connection died")
+	}
+}
+
+// Many goroutines calling synchronously through one connection all return,
+// and coalescing can only save frames: never more invoke frames than
+// calls.
+func TestConcurrentSyncCallsShareFrames(t *testing.T) {
+	p := newPair(t)
+	p.export(t, "echo", echoSvc{})
+	proxy, err := p.conn.Import("echo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	framesOut := func() int64 {
+		snap := p.client.Telemetry().Snapshot()
+		return snap.Counters["remote.frames_out.invoke"] + snap.Counters["remote.frames_out.batch_invoke"]
+	}
+	before := framesOut()
+	const workers, per = 16, 200
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			task := p.client.NewDetachedTask(p.clientDom, "sync")
+			for j := 0; j < per; j++ {
+				if _, err := proxy.InvokeFrom(task, "Null"); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+	select {
+	case <-finished:
+	case <-time.After(30 * time.Second):
+		t.Fatal("synchronous callers still parked: a queued call was never written")
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if frames := framesOut() - before; frames > workers*per || frames == 0 {
+		t.Fatalf("%d invoke frames for %d calls", frames, workers*per)
+	}
+	if n := p.conn.PendingCalls(); n != 0 {
+		t.Fatalf("%d invokes still pending", n)
+	}
+}

@@ -32,17 +32,21 @@ type Conn struct {
 	k      *core.Kernel
 	domain *core.Domain
 
-	nc   net.Conn
-	wmu  sync.Mutex  // serializes frame writes
-	whdr [4]byte     // frame length header scratch (guarded by wmu)
-	wvec net.Buffers // vectored-write scratch (guarded by wmu)
-	wout net.Buffers // the header WriteTo consumes, aliasing wvec (guarded by wmu)
+	nc    net.Conn
+	wmu   sync.Mutex  // serializes frame writes
+	whdr  [4]byte     // frame length header scratch (guarded by wmu)
+	wvec  net.Buffers // vectored-write scratch (guarded by wmu)
+	wout  net.Buffers // the header WriteTo consumes, aliasing wvec (guarded by wmu)
+	whead wbuf        // sendBatched: the item headers' builder (guarded by wmu)
+	wcuts []int       // sendBatched: where each item's header ends (guarded by wmu)
+	wsegs [][]byte    // sendBatched: the frame's segments (guarded by wmu)
 
 	mu            sync.Mutex
 	nextReq       uint64
-	pending       map[uint64]wireCompleter // reqID -> completion (sync chan send or future resolve)
-	exports       map[uint64]*exportEntry  // export id -> refcounted local capability
-	exportIDs     map[*core.Gate]uint64    // dedup: gate -> export id
+	pending       map[uint64]*callRecord  // reqID -> the one record awaiting that reply (see call.go)
+	invokes       int                     // pending records that are invokes: the load PendingCalls reports
+	exports       map[uint64]*exportEntry // export id -> refcounted local capability
+	exportIDs     map[*core.Gate]uint64   // dedup: gate -> export id
 	nextExport    uint64
 	imports       map[uint64]*importEntry // peer export id -> local proxy + receipt count
 	nextImportGen uint64                  // generation stamped on fresh imports (release dedup)
@@ -106,7 +110,7 @@ func NewConn(k *core.Kernel, nc net.Conn) (*Conn, error) {
 		k:               k,
 		domain:          d,
 		nc:              nc,
-		pending:         make(map[uint64]wireCompleter),
+		pending:         make(map[uint64]*callRecord),
 		exports:         make(map[uint64]*exportEntry),
 		exportIDs:       make(map[*core.Gate]uint64),
 		imports:         make(map[uint64]*importEntry),
@@ -131,15 +135,11 @@ func NewConn(k *core.Kernel, nc net.Conn) (*Conn, error) {
 	return c, nil
 }
 
-// execJob is one inbound-call job. Batch invokes submit pointers into a
-// per-batch job array (one allocation per frame, not per call); one-off
-// jobs wrap a closure in funcJob.
+// execJob is one inbound-call job. Every flavor is a pointer to a pooled
+// struct — a lone invoke's invokeJob, a batch frame's batchRun, a batched
+// call's slot in that run — so handing work to the executor allocates
+// nothing.
 type execJob interface{ run() }
-
-// funcJob adapts a plain closure to execJob.
-type funcJob func()
-
-func (j funcJob) run() { j() }
 
 // executor runs inbound-call jobs on a bounded pool of persistent
 // goroutines. Jobs never queue behind a blocked worker: submit hands the
@@ -285,16 +285,18 @@ func (c *Conn) TableSizes() TableSizes {
 	return t
 }
 
-// PendingCalls reports how many requests are on the wire awaiting replies
-// — the per-worker queue-depth signal a placement policy or autoscaler
-// reads. Cheaper than TableSizes: one lock, no pruning.
+// PendingCalls reports how many invocations are on the wire awaiting
+// replies — the per-worker queue-depth signal a placement policy or
+// autoscaler reads. Control round trips (pings, lookups, manifest fetches,
+// redeems) are not load and are not counted; TableSizes().Pending counts
+// every record. Cheaper than TableSizes: one lock, no pruning.
 func (c *Conn) PendingCalls() int {
 	if c == nil {
 		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.pending)
+	return c.invokes
 }
 
 // Done is closed when the connection shuts down.
@@ -343,6 +345,16 @@ func (c *Conn) sendOrFault(payload []byte) {
 //
 //jk:blocking
 func (c *Conn) sendSegments(segs ...[]byte) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	//jk:allow(lockhold) wmu is the frame-write serializer: it exists to be held across this one vectored write so frames never interleave, and nothing else ever blocks under it
+	return c.writeLocked(segs)
+}
+
+// writeLocked is sendSegments' body. Caller holds wmu.
+//
+//jk:blocking
+func (c *Conn) writeLocked(segs [][]byte) error {
 	total := 0
 	for _, s := range segs {
 		total += len(s)
@@ -353,8 +365,6 @@ func (c *Conn) sendSegments(segs ...[]byte) error {
 	if len(segs) > 0 && len(segs[0]) > 0 {
 		c.metrics.frameOut(segs[0][0])
 	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
 	binary.LittleEndian.PutUint32(c.whdr[:], uint32(total))
 	c.wvec = append(c.wvec[:0], c.whdr[:])
 	for _, s := range segs {
@@ -368,11 +378,48 @@ func (c *Conn) sendSegments(segs ...[]byte) error {
 	// heap allocation per frame. The scratch itself is cleared after the
 	// write so it does not pin payload buffers between frames.
 	c.wout = c.wvec
-	//jk:allow(lockhold) wmu is the frame-write serializer: it exists to be held across this one vectored write so frames never interleave, and nothing else ever blocks under it
 	_, err := c.wout.WriteTo(c.nc)
 	c.wout = nil
 	clear(c.wvec)
 	c.wvec = c.wvec[:0]
+	return err
+}
+
+// sendBatched frames and writes one batch message of n items (a
+// msgBatchInvoke or a msgBatchReply chunk) as a single vectored write.
+// item(w, i) appends item i's header to w and returns the payload that
+// follows it on the wire (nil for none): headers build in one pooled
+// buffer, payloads stay where they were encoded. Two passes, because
+// appends may move the header buffer — segments are cut once it is final.
+// Both run under wmu, in scratch the connection keeps (the builder
+// included: item is an indirect call, so a local's address would escape
+// through it), and a batch frame allocates nothing; item must not block.
+//
+//jk:blocking
+func (c *Conn) sendBatched(t byte, n int, item func(w *wbuf, i int) []byte) error {
+	hb := getFrame(64 * n)
+	c.wmu.Lock()
+	w := &c.whead
+	w.b = append(hb.b, t)
+	w.uvarint(uint64(n))
+	cuts, segs := c.wcuts[:0], c.wsegs[:0]
+	for i := 0; i < n; i++ {
+		segs = append(segs, nil, item(w, i))
+		cuts = append(cuts, len(w.b))
+	}
+	hb.b, w.b = w.b, nil
+	prev := 0
+	for i, end := range cuts {
+		//jk:allow(bufown) segs is the connection's wmu-guarded scratch: it is cleared below, before hb is released, so the slices never outlive the buffer
+		segs[2*i] = hb.b[prev:end]
+		prev = end
+	}
+	//jk:allow(lockhold) as in sendSegments: wmu is held across the one write by design; the passes above only append bytes
+	err := c.writeLocked(segs)
+	clear(segs)
+	c.wcuts, c.wsegs = cuts, segs
+	c.wmu.Unlock()
+	hb.release()
 	return err
 }
 
@@ -383,114 +430,31 @@ func (c *Conn) sendSegments(segs ...[]byte) error {
 //
 //jk:blocking
 func (c *Conn) Ping(timeout time.Duration) error {
-	reqID, ch, err := c.newPending()
-	if err != nil {
-		return err
-	}
 	network, addr := advertised(c.k)
-	var w wbuf
-	appendPing(&w, msgPing, reqID, network, addr)
-	if err := c.send(w.b); err != nil {
-		c.dropPending(reqID)
-		return err
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case res := <-ch:
-		// A genuine pong carries no error; a shutdown racing the probe
-		// delivers the connection fault here, and both this case and
-		// <-c.done may be ready — the fault must win either way.
-		return res.err
-	case <-c.done:
-		return c.closedErr()
-	case <-timer.C:
-		c.dropPending(reqID)
-		return fmt.Errorf("remote: ping timeout after %v", timeout)
-	}
+	// A genuine pong carries no error; a shutdown racing the probe
+	// delivers the connection fault instead.
+	return c.roundTrip("ping", timeout, func(w *wbuf, reqID uint64) {
+		appendPing(w, msgPing, reqID, network, addr)
+	}).err
 }
 
 // Import asks the peer for the capability it exports under name and
 // returns a local proxy for it.
 func (c *Conn) Import(name string) (*core.Capability, error) {
-	reqID, ch, err := c.newPending()
-	if err != nil {
-		return nil, err
+	res := c.roundTrip("lookup", 0, func(w *wbuf, reqID uint64) {
+		w.u8(msgLookup)
+		w.uvarint(reqID)
+		w.str(name)
+	})
+	if res.err != nil {
+		return nil, res.err
 	}
-	var w wbuf
-	w.u8(msgLookup)
-	w.uvarint(reqID)
-	w.str(name)
-	if err := c.send(w.b); err != nil {
-		c.dropPending(reqID)
-		return nil, err
+	// results[0] carries the proxy smuggled through the lookup path.
+	cap, _ := res.results[0].(*core.Capability)
+	if cap == nil {
+		return nil, fmt.Errorf("remote: lookup %q returned no capability", name)
 	}
-	select {
-	case res := <-ch:
-		if res.err != nil {
-			return nil, res.err
-		}
-		// results[0] carries the proxy smuggled through the lookup path.
-		cap, _ := res.results[0].(*core.Capability)
-		if cap == nil {
-			return nil, fmt.Errorf("remote: lookup %q returned no capability", name)
-		}
-		return cap, nil
-	case <-c.done:
-		return nil, c.closedErr()
-	}
-}
-
-// wireCompleter is a pending slot's completion callback. It runs at most
-// once — on the reader goroutine when the reply arrives, or on the
-// shutdown path — unless dropPending removes the slot first. It is an
-// interface (not a func) so the async hot path can register its pooled
-// per-call state without allocating a closure.
-type wireCompleter interface {
-	completeWire(res wireResult)
-}
-
-// chanCompleter adapts the synchronous wait-on-channel flavor.
-type chanCompleter chan wireResult
-
-func (ch chanCompleter) completeWire(res wireResult) { ch <- res }
-
-// newPending registers a pending slot whose reply arrives on a channel.
-func (c *Conn) newPending() (uint64, chan wireResult, error) {
-	ch := make(chan wireResult, 1)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return 0, nil, c.causeLocked()
-	}
-	c.nextReq++
-	id := c.nextReq
-	c.pending[id] = chanCompleter(ch)
-	return id, ch, nil
-}
-
-func (c *Conn) dropPending(id uint64) {
-	c.mu.Lock()
-	delete(c.pending, id)
-	c.mu.Unlock()
-}
-
-// complete resolves one pending request; unknown ids (dropped by
-// cancellation, or raced by shutdown) are ignored.
-func (c *Conn) complete(id uint64, res wireResult) {
-	c.mu.Lock()
-	pc := c.pending[id]
-	delete(c.pending, id)
-	c.mu.Unlock()
-	if pc != nil {
-		pc.completeWire(res)
-	}
-}
-
-func (c *Conn) closedErr() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.causeLocked()
+	return cap, nil
 }
 
 func (c *Conn) causeLocked() error {
@@ -910,113 +874,15 @@ func (e *connExternal) releaseCreated() {
 	e.created = nil
 }
 
-// proxyOf returns cap's proxy target when cap is a wire proxy.
-func proxyOf(cap *core.Capability) *proxyTarget {
-	pt, _ := core.ProxyTargetOf(cap).(*proxyTarget)
-	return pt
-}
-
-// staleRouteErr matches the one failure a superseded relay route
-// produces: the middleman answered "unknown export" because the
-// shortened route already released our reference there. The call was
-// rejected before dispatch, so reissuing it cannot double-execute.
-func staleRouteErr(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "unknown export")
-}
-
-// --- outbound invocation (proxy side) --------------------------------------
-
-// proxyTarget is the core.ProxyTarget for one imported capability.
-type proxyTarget struct {
-	conn     *Conn
-	exportID uint64 // the PEER's export id
-	redeemed bool   // true when this route came from a redeemed handoff ticket
-
-	// next forwards a superseded relay route to its shortened replacement.
-	// A redeemed handoff retargets the proxy and releases the middleman's
-	// export; an invoke that snapshotted the old route concurrently can
-	// reach the middleman after that release and come back "unknown
-	// export" — a call that never executed, so it retries on next.
-	next atomic.Pointer[proxyTarget]
-
-	// The method manifest. Lookup-imported proxies are born with it;
-	// proxies imported inline (as arguments or results) fetch it lazily on
-	// the first ProxyMethods call — one msgManifest round trip, cached.
-	mmu     sync.Mutex
-	methods []string
-	fetched bool
-}
-
-// ProxyMethods reports the remote method names, fetching the manifest
-// from the exporting kernel on first use for inline imports. A fetch that
-// fails (connection lost, export already dropped) reports no methods and
-// leaves the cache empty, so a transient failure does not poison a
-// later call.
-func (p *proxyTarget) ProxyMethods() []string {
-	p.mmu.Lock()
-	defer p.mmu.Unlock()
-	if p.fetched {
-		return p.methods
-	}
-	ms, err := p.conn.fetchManifest(p.exportID)
-	if err != nil {
-		return nil
-	}
-	p.methods = ms
-	p.fetched = true
-	return ms
-}
-
-// fetchManifest performs one manifest round trip for the peer's export.
-func (c *Conn) fetchManifest(exportID uint64) ([]string, error) {
-	reqID, ch, err := c.newPending()
-	if err != nil {
-		return nil, err
-	}
-	var w wbuf
-	w.u8(msgManifest)
-	w.uvarint(reqID)
-	w.uvarint(exportID)
-	if err := c.send(w.b); err != nil {
-		c.dropPending(reqID)
-		return nil, err
-	}
-	select {
-	case res := <-ch:
-		if res.err != nil {
-			return nil, res.err
-		}
-		// results[0] carries the manifest smuggled through the reply path.
-		ms, _ := res.results[0].([]string)
-		return ms, nil
-	case <-c.done:
-		return nil, c.closedErr()
-	}
-}
-
-// marshalVector encodes an argument/result vector. The empty vector is
-// the empty payload: zero-arg calls and void results — the bulk of small
+// marshalVectorInto encodes an argument/result vector directly into fb —
+// after whatever frame header the caller already wrote — so the encoded
+// payload never exists as a separate allocation. The empty vector is the
+// empty payload: zero-arg calls and void results — the bulk of small
 // batched traffic — skip the serializer entirely on both ends. rollback
 // returns the wire references the encode counted; callers must run it
 // when the payload is abandoned before reaching the wire (it is a no-op
-// after a successful send, because the handles really did ship).
-func (c *Conn) marshalVector(vals []any) (data []byte, rollback func(), err error) {
-	if len(vals) == 0 {
-		return nil, func() {}, nil
-	}
-	ext := &connExternal{c: c}
-	data, err = seri.MarshalExt(c.k.SeriRegistry(), vals, ext)
-	if err != nil {
-		ext.rollback()
-		return nil, nil, err
-	}
-	return data, ext.rollback, nil
-}
-
-// marshalVectorInto encodes an argument/result vector directly into fb —
-// after whatever frame header the caller already wrote — so the encoded
-// payload never exists as a separate allocation. Same rollback contract as
-// marshalVector; on error fb is untouched.
+// after a successful send, because the handles really did ship). On error
+// fb is untouched.
 func (c *Conn) marshalVectorInto(fb *frameBuf, vals []any) (rollback func(), err error) {
 	if len(vals) == 0 {
 		return func() {}, nil
@@ -1031,7 +897,7 @@ func (c *Conn) marshalVectorInto(fb *frameBuf, vals []any) (rollback func(), err
 	return ext.rollback, nil
 }
 
-// unmarshalVector decodes what marshalVector produced. A vector that
+// unmarshalVector decodes what marshalVectorInto produced. A vector that
 // fails mid-decode releases the proxies it already minted — the decode
 // side of the encode rollback, keeping both ends' tables honest when a
 // call's arguments or results turn out undecodable.
@@ -1047,278 +913,6 @@ func (c *Conn) unmarshalVector(data []byte) ([]any, error) {
 	}
 	vals, _ := decoded.([]any)
 	return vals, nil
-}
-
-// InvokeProxy performs one remote invocation: marshal args (capabilities
-// by reference), one request/reply round trip, unmarshal results.
-func (p *proxyTarget) InvokeProxy(method string, args []any) ([]any, int64, error) {
-	return p.invoke(method, args, telemetry.TraceContext{})
-}
-
-// InvokeProxyTraced implements core.TracedProxyTarget: the caller's trace
-// context crosses the wire inside the invoke frame.
-func (p *proxyTarget) InvokeProxyTraced(method string, args []any, tc telemetry.TraceContext) ([]any, int64, error) {
-	return p.invoke(method, args, tc)
-}
-
-func (p *proxyTarget) invoke(method string, args []any, tc telemetry.TraceContext) ([]any, int64, error) {
-	c := p.conn
-	m := c.metrics
-	start := m.sampleStart(tc.Active())
-	var spanID uint64
-	if m != nil && tc.Active() {
-		spanID = telemetry.NewID() // this hop's span, the wire parent of the callee's
-	}
-	finish := func(results []any, copied int64, err error) ([]any, int64, error) {
-		m.clientSpan(tc, spanID, method, start, err)
-		return results, copied, err
-	}
-	reqID, ch, err := c.newPending()
-	if err != nil {
-		// The connection is already down (and about to fault this proxy):
-		// the same capability fault the async path reports.
-		return finish(nil, 0, fmt.Errorf("%w: %v", core.ErrRevoked, err))
-	}
-	// The whole frame — header and argument stream — builds in one pooled
-	// buffer, released the moment it is on the wire.
-	fb := getFrame(len(method) + 64)
-	w := wbuf{b: fb.b}
-	w.u8(msgInvoke)
-	w.uvarint(reqID)
-	w.uvarint(p.exportID)
-	w.str(method)
-	appendTrace(&w, tc.TraceID, spanID)
-	fb.b = w.b
-	argStart := len(fb.b)
-	rollback, err := c.marshalVectorInto(fb, args)
-	if err != nil {
-		c.dropPending(reqID)
-		fb.release()
-		return finish(nil, 0, &core.CopyError{What: "remote arguments of " + method, Err: err})
-	}
-	argLen := int64(len(fb.b) - argStart)
-	// Oversized arguments are a copy failure on a healthy connection, not
-	// a revocation; reject before the frame writer does.
-	if len(fb.b) > maxFrame {
-		rollback()
-		c.dropPending(reqID)
-		fb.release()
-		return finish(nil, 0, &core.CopyError{
-			What: "remote arguments of " + method,
-			Err:  fmt.Errorf("%d bytes exceeds the %d-byte frame limit", argLen, maxFrame),
-		})
-	}
-	err = c.send(fb.b)
-	fb.release()
-	if err != nil {
-		c.dropPending(reqID)
-		// A failed write means the peer is gone: same capability fault as
-		// any other connection loss.
-		return finish(nil, 0, fmt.Errorf("%w: remote send %s: %v", core.ErrRevoked, method, err))
-	}
-	select {
-	case res := <-ch:
-		if n := p.next.Load(); n != nil && staleRouteErr(res.err) {
-			// The shortened route released this one mid-call; the call
-			// never ran. Reissue it on the direct route (which does its
-			// own span accounting).
-			return n.invoke(method, args, tc)
-		}
-		return finish(res.results, argLen+res.copied, res.err)
-	case <-c.done:
-		// A call interrupted by connection loss is a capability fault, the
-		// same as revocation, so callers need only one failure model.
-		return finish(nil, argLen, fmt.Errorf("%w: %v", core.ErrRevoked, c.closedErr()))
-	}
-}
-
-// pendingAsync is the per-call state of one batched asynchronous invoke.
-// It is both the connection's pending-slot completion (completeWire, fired
-// on the reader goroutine) and the caller's cancel handle
-// (core.AsyncCanceler), so starting a call allocates this one struct where
-// it used to allocate a completion closure plus a cancel closure.
-type pendingAsync struct {
-	p      *proxyTarget
-	method string
-	args   []any
-	tc     telemetry.TraceContext
-	done   core.AsyncCompleter
-	spanID uint64
-	start  time.Time
-	argLen int64
-	reqID  uint64
-}
-
-func (pa *pendingAsync) completeWire(res wireResult) {
-	p := pa.p
-	if n := p.next.Load(); n != nil && staleRouteErr(res.err) {
-		// Superseded relay route: the middleman dropped our export before
-		// this call reached it, so it never ran. Reissue on the shortened
-		// route; its completion fires exactly once.
-		n.invokeAsync(pa.method, pa.args, pa.tc, pa.done)
-		return
-	}
-	p.conn.metrics.clientSpan(pa.tc, pa.spanID, pa.method, pa.start, res.err)
-	pa.done.CompleteWire(res.results, pa.argLen+res.copied, res.err)
-}
-
-// CancelAsync implements core.AsyncCanceler: drop the pending slot so a
-// late reply is ignored.
-func (pa *pendingAsync) CancelAsync() { pa.p.conn.dropPending(pa.reqID) }
-
-// noopCanceler is handed back for calls that failed before taking a
-// pending slot; there is nothing to cancel.
-type noopCanceler struct{}
-
-func (noopCanceler) CancelAsync() {}
-
-// InvokeProxyAsync implements core.AsyncProxyTarget: marshal, enqueue on
-// the connection's batcher, and return. The completion fires on the
-// reader goroutine when the (possibly batched) reply arrives, or on the
-// shutdown path when the connection dies first — either way exactly once,
-// unless cancel removes the pending slot before that.
-func (p *proxyTarget) InvokeProxyAsync(method string, args []any, done core.AsyncCompleter) core.AsyncCanceler {
-	return p.invokeAsync(method, args, telemetry.TraceContext{}, done)
-}
-
-// InvokeProxyAsyncTraced implements core.TracedAsyncProxyTarget: the
-// caller's trace context crosses inside the (possibly batched) frame.
-func (p *proxyTarget) InvokeProxyAsyncTraced(method string, args []any, tc telemetry.TraceContext, done core.AsyncCompleter) core.AsyncCanceler {
-	return p.invokeAsync(method, args, tc, done)
-}
-
-func (p *proxyTarget) invokeAsync(method string, args []any, tc telemetry.TraceContext, done core.AsyncCompleter) core.AsyncCanceler {
-	c := p.conn
-	m := c.metrics
-	start := m.sampleStart(tc.Active())
-	var spanID uint64
-	if m != nil && tc.Active() {
-		spanID = telemetry.NewID() // this hop's span, the wire parent of the callee's
-	}
-	fail := func(err error) core.AsyncCanceler {
-		m.clientSpan(tc, spanID, method, start, err)
-		done.CompleteWire(nil, 0, err)
-		return noopCanceler{}
-	}
-	// Batched calls queue their encoded args until the flusher writes the
-	// frame, so each call's stream lives in its own pooled buffer that
-	// sendBatch releases after the vectored write. Zero-arg calls — the
-	// bulk of small batched traffic — take no buffer at all.
-	var argsBuf *frameBuf
-	var argBytes []byte
-	rollback := func() {}
-	if len(args) > 0 {
-		argsBuf = getFrame(64)
-		var err error
-		rollback, err = c.marshalVectorInto(argsBuf, args)
-		if err != nil {
-			argsBuf.release()
-			return fail(&core.CopyError{What: "remote arguments of " + method, Err: err})
-		}
-		argBytes = argsBuf.b
-		if len(argBytes)+len(method)+64 > maxFrame {
-			rollback()
-			// Read the length out before release: argBytes aliases the
-			// buffer, and released bytes are the pool's (poisoned under
-			// test).
-			n := len(argBytes)
-			argsBuf.release()
-			return fail(&core.CopyError{
-				What: "remote arguments of " + method,
-				Err:  fmt.Errorf("%d bytes exceeds the %d-byte frame limit", n, maxFrame),
-			})
-		}
-	}
-	pa := &pendingAsync{
-		p:      p,
-		method: method,
-		args:   args,
-		tc:     tc,
-		done:   done,
-		spanID: spanID,
-		start:  start,
-		argLen: int64(len(argBytes)),
-	}
-	c.mu.Lock()
-	if c.closed {
-		// The connection is already down: same capability fault the sync
-		// path reports.
-		err := c.causeLocked()
-		c.mu.Unlock()
-		rollback()
-		if argsBuf != nil {
-			argsBuf.release()
-		}
-		return fail(fmt.Errorf("%w: %v", core.ErrRevoked, err))
-	}
-	c.nextReq++
-	pa.reqID = c.nextReq
-	c.pending[pa.reqID] = pa
-	c.mu.Unlock()
-	c.batch.enqueue(batchedCall{reqID: pa.reqID, exportID: p.exportID, method: method, traceID: tc.TraceID, parentSpan: spanID, args: argBytes, argsBuf: argsBuf})
-	return pa
-}
-
-// sendBatch writes queued calls as one frame: a lone call travels as an
-// ordinary msgInvoke (no batch envelope), several as msgBatchInvoke. A
-// failed write fails every call in the frame with the connection fault.
-func (c *Conn) sendBatch(calls []batchedCall) {
-	if m := c.metrics; m != nil {
-		m.batchOccupancy.Observe(int64(len(calls)))
-	}
-	// Call headers build in one pooled buffer; each call's argument bytes
-	// stay in the buffer invokeAsync encoded them into, and the vectored
-	// writer stitches header and payload segments into one syscall —
-	// nothing is memmoved into a contiguous frame.
-	hb := getFrame(64 * len(calls))
-	var err error
-	if len(calls) == 1 {
-		call := &calls[0]
-		w := wbuf{b: hb.b}
-		w.u8(msgInvoke)
-		w.uvarint(call.reqID)
-		w.uvarint(call.exportID)
-		w.str(call.method)
-		appendTrace(&w, call.traceID, call.parentSpan)
-		hb.b = w.b
-		err = c.sendSegments(hb.b, call.args)
-	} else {
-		w := wbuf{b: hb.b}
-		w.u8(msgBatchInvoke)
-		w.uvarint(uint64(len(calls)))
-		// Two passes: headers first (appends may move hb's backing array,
-		// so segment slices are only cut once the buffer is final).
-		cuts := make([]int, len(calls))
-		for i := range calls {
-			call := &calls[i]
-			appendBatchCallHeader(&w, call.reqID, call.exportID, call.method, call.traceID, call.parentSpan, len(call.args))
-			cuts[i] = len(w.b)
-		}
-		hb.b = w.b
-		segs := make([][]byte, 0, 2*len(calls))
-		prev := 0
-		for i := range calls {
-			segs = append(segs, hb.b[prev:cuts[i]])
-			if len(calls[i].args) > 0 {
-				segs = append(segs, calls[i].args)
-			}
-			prev = cuts[i]
-		}
-		err = c.sendSegments(segs...)
-	}
-	hb.release()
-	for i := range calls {
-		if calls[i].argsBuf != nil {
-			calls[i].argsBuf.release()
-			calls[i].argsBuf = nil
-		}
-	}
-	if err != nil {
-		fault := fmt.Errorf("%w: remote send: %v", core.ErrRevoked, err)
-		for _, call := range calls {
-			c.complete(call.reqID, wireResult{err: fault})
-		}
-	}
 }
 
 // sendReleases writes queued import releases as one msgRelease frame. A
@@ -1345,6 +939,7 @@ func (c *Conn) sendReleases(entries []releaseEntry) {
 
 func (c *Conn) readLoop() {
 	br := bufio.NewReader(c.nc)
+	var f inFrame // the reader's one decode target, refilled per frame
 	for {
 		fb, err := readFrameInto(br)
 		if err != nil {
@@ -1352,9 +947,9 @@ func (c *Conn) readLoop() {
 			return
 		}
 		// The reader's reference spans dispatch; handlers that outlive
-		// dispatch (invoke frames, whose args alias the buffer) retain
-		// their own and drop it once the argument stream is decoded.
-		err = c.dispatch(fb)
+		// dispatch (invoke frames, whose method and args alias the buffer)
+		// retain their own and drop it once the argument stream is decoded.
+		err = c.dispatch(fb, &f)
 		fb.release()
 		if err != nil {
 			c.shutdown(err)
@@ -1363,83 +958,72 @@ func (c *Conn) readLoop() {
 	}
 }
 
-// dispatch decodes one frame (decodeFrame — the fuzzed surface) and acts
-// on the typed result. A decode error faults the whole connection: frame
-// structure is trusted-transport territory, unlike per-call argument
-// streams, which fail per call.
-func (c *Conn) dispatch(fb *frameBuf) error {
-	t, v, err := decodeFrame(fb.b)
+// dispatch decodes one frame into f (decodeFrame — the fuzzed surface)
+// and acts on the typed result. Anything that outlives dispatch is copied
+// out of f first: the next frame overwrites it. A decode error faults the
+// whole connection: frame structure is trusted-transport territory, unlike
+// per-call argument streams, which fail per call.
+func (c *Conn) dispatch(fb *frameBuf, f *inFrame) error {
+	err := decodeFrame(fb.b, f)
 	if m := c.metrics; m != nil {
-		m.frameIn(t)
+		m.frameIn(f.t)
 		if err != nil {
 			m.badFrames.Inc()
-			m.reg.Eventf("conn %s: malformed %s frame faulted the connection: %v", m.peer, msgName(t), err)
+			m.reg.Eventf("conn %s: malformed %s frame faulted the connection: %v", m.peer, msgName(f.t), err)
 		}
 	}
 	if err != nil {
 		return err
 	}
-	switch t {
+	switch f.t {
 	case msgInvoke:
 		// Handlers run off the reader so it keeps draining replies — a
 		// worker servicing a call can call back into us mid-request. The
-		// frame buffer rides along (f.args aliases it) until the handler
-		// has decoded the argument stream.
-		f := v.(invokeFrame)
+		// frame buffer rides along in the job until the handler has
+		// decoded the argument stream.
 		fb.retain()
-		c.exec.submit(funcJob(func() { c.handleInvoke(f, fb.release) }))
+		j := invokeJobs.Get().(*invokeJob)
+		j.c, j.f, j.fb = c, f.invoke, fb
+		c.exec.submit(j)
 	case msgBatchInvoke:
-		calls := v.([]invokeFrame)
-		fb.retain()
-		var undecoded atomic.Int32
-		undecoded.Store(int32(len(calls)))
-		argsDone := func() {
-			if undecoded.Add(-1) == 0 {
-				fb.release()
-			}
-		}
-		go c.handleBatchInvoke(calls, argsDone)
+		c.exec.submit(newBatchRun(c, f.batch, fb))
 	case msgReply:
-		c.complete(v.(replyFrame).reqID, c.wireResultOf(v.(replyFrame)))
+		c.complete(f.reply.reqID, c.wireResultOf(f.reply))
 	case msgBatchReply:
-		for _, rep := range v.([]replyFrame) {
+		for _, rep := range f.replies {
 			c.complete(rep.reqID, c.wireResultOf(rep))
 		}
 	case msgRevoke:
-		f := v.(revokeFrame)
-		return c.handleRevoke(f.exportID, f.reason)
+		return c.handleRevoke(f.revoke.exportID, f.revoke.reason)
 	case msgRelease:
-		return c.handleRelease(v.([]releaseEntry))
+		return c.handleRelease(f.releases)
 	case msgManifest:
 		// Off the reader: a manifest of a re-exported proxy may itself
 		// need a wire round trip on another connection.
-		go c.handleManifest(v.(manifestFrame))
+		go c.handleManifest(f.manifest)
 	case msgManifestReply:
-		c.handleManifestReply(v.(manifestReplyFrame))
+		c.handleManifestReply(f.manifestReply)
 	case msgLookup:
-		f := v.(lookupFrame)
-		go c.handleLookup(f.reqID, f.name)
+		go c.handleLookup(f.lookup.reqID, f.lookup.name)
 	case msgLookupReply:
-		c.handleLookupReply(v.(lookupReplyFrame))
+		c.handleLookupReply(f.lookupReply)
 	case msgPing:
-		f := v.(pingFrame)
-		c.recordPeer(f)
+		c.recordPeer(f.ping)
 		network, addr := advertised(c.k)
 		var w wbuf
-		appendPing(&w, msgPong, f.reqID, network, addr)
+		appendPing(&w, msgPong, f.ping.reqID, network, addr)
 		return c.send(w.b)
 	case msgPong:
-		f := v.(pingFrame)
-		c.recordPeer(f)
-		c.complete(f.reqID, wireResult{})
+		c.recordPeer(f.ping)
+		c.complete(f.ping.reqID, wireResult{})
 	case msgHandoff:
-		return c.handleHandoff(v.(handoffFrame))
+		return c.handleHandoff(f.handoff)
 	case msgRedeem:
 		// Off the reader: redemption mints an export (and possibly a
 		// recursive offer on a third connection) and sends the reply.
-		go c.handleRedeem(v.(redeemFrame))
+		go c.handleRedeem(f.redeem)
 	case msgRedeemReply:
-		c.handleRedeemReply(v.(redeemReplyFrame))
+		c.handleRedeemReply(f.redeemReply)
 	}
 	return nil
 }
@@ -1467,11 +1051,11 @@ func (c *Conn) wireResultOf(rep replyFrame) wireResult {
 // unencodable results — lands in the reply's own status, which is what
 // gives batched calls per-call error isolation for free.
 //
-// argsDone releases the caller's hold on the inbound frame buffer that
-// f.args aliases; serveInvoke calls it exactly once, the moment the
-// argument stream is decoded (or the call fails before needing it) — the
-// buffer must never stay pinned for the duration of the callee.
-func (c *Conn) serveInvoke(f invokeFrame, argsDone func()) replyFrame {
+// fb is the inbound frame buffer f.method and f.args alias, with one
+// reference held for this call; serveInvoke drops it exactly once, the
+// moment the argument stream is decoded (or the call fails before needing
+// it) — the buffer must never stay pinned for the duration of the callee.
+func (c *Conn) serveInvoke(f invokeFrame, fb *frameBuf) replyFrame {
 	errRep := func(kind byte, class, msg string) replyFrame {
 		return replyFrame{reqID: f.reqID, status: statusErr, kind: kind, class: class, msg: msg}
 	}
@@ -1482,16 +1066,23 @@ func (c *Conn) serveInvoke(f invokeFrame, argsDone func()) replyFrame {
 	}
 	c.mu.Unlock()
 	if cap == nil {
-		argsDone()
+		fb.release()
 		return errRep(errKindRevoked, "", fmt.Sprintf("unknown export %d", f.exportID))
 	}
 	if cap.Stub != nil {
-		argsDone()
+		fb.release()
 		return errRep(errKindRemote, "UnsupportedOperation",
 			"remote invocation of VM capabilities is not supported yet")
 	}
+	// Interned against the export's own method set: no string per call,
+	// and no table a peer can grow. A name the export lacks (or a relayed
+	// proxy's, whose set lives upstream) is copied for the callee to judge.
+	method, ok := cap.InternMethod(f.method)
+	if !ok {
+		method = string(f.method)
+	}
 	args, err := c.unmarshalVector(f.args)
-	argsDone() // decode copies everything out; the frame is free to recycle
+	fb.release() // decode copies everything out; the frame is free to recycle
 	if err != nil {
 		return errRep(errKindProtocol, "", err.Error())
 	}
@@ -1515,7 +1106,7 @@ func (c *Conn) serveInvoke(f invokeFrame, argsDone func()) replyFrame {
 		task.SetTraceContext(tc)
 		unbind = telemetry.BindGoroutine(tc)
 	}
-	results, callErr := cap.InvokeFrom(task, f.method, args...)
+	results, callErr := cap.InvokeFrom(task, method, args...)
 	if unbind != nil {
 		// Clear before the task returns to the pool: the next Get may be
 		// on another goroutine serving an unrelated, untraced call.
@@ -1525,7 +1116,7 @@ func (c *Conn) serveInvoke(f invokeFrame, argsDone func()) replyFrame {
 	c.taskPool.Put(task)
 
 	if m != nil {
-		m.serverSpan(f, serverSpan, cap.Owner().Name, start, callErr)
+		m.serverSpan(f, method, serverSpan, cap.Owner().Name, start, callErr)
 	}
 
 	if callErr != nil {
@@ -1554,10 +1145,27 @@ func (c *Conn) serveInvoke(f invokeFrame, argsDone func()) replyFrame {
 	return replyFrame{reqID: f.reqID, status: statusOK, body: resFb.b, bodyBuf: resFb}
 }
 
-// handleInvoke services one single-invoke frame. argsDone is the frame
-// buffer hold passed through to serveInvoke.
-func (c *Conn) handleInvoke(f invokeFrame, argsDone func()) {
-	rep := c.serveInvoke(f, argsDone)
+// invokeJob is one lone msgInvoke on its way to the executor: the decoded
+// frame and the reference on the buffer it aliases, in a pooled struct.
+type invokeJob struct {
+	c  *Conn
+	f  invokeFrame
+	fb *frameBuf
+}
+
+var invokeJobs = sync.Pool{New: func() any { return new(invokeJob) }}
+
+func (j *invokeJob) run() {
+	c, f, fb := j.c, j.f, j.fb
+	*j = invokeJob{}
+	invokeJobs.Put(j)
+	c.handleInvoke(f, fb)
+}
+
+// handleInvoke services one single-invoke frame; fb is the frame buffer
+// reference serveInvoke drops.
+func (c *Conn) handleInvoke(f invokeFrame, fb *frameBuf) {
+	rep := c.serveInvoke(f, fb)
 	hb := getFrame(32)
 	w := wbuf{b: hb.b}
 	w.u8(msgReply)
@@ -1585,106 +1193,100 @@ func (c *Conn) handleInvoke(f invokeFrame, argsDone func()) {
 	}
 }
 
-// batchRun is the shared state of one in-flight batch invoke, and
-// batchCallJob one call's slot in it.
+// batchRun is the shared state of one in-flight batch invoke: the frame
+// buffer its calls alias and a slot per call — the call's own copy of its
+// decoded frame (the reader's is overwritten by the next frame), its
+// executor job, and where its reply lands. Runs are pooled with their slot
+// arrays: a batch costs no more allocations than its calls would alone.
 type batchRun struct {
-	c        *Conn
-	calls    []invokeFrame
-	replies  []replyFrame
-	jobs     []batchCallJob
-	argsDone func()
-	wg       sync.WaitGroup
+	c     *Conn
+	fb    *frameBuf
+	slots []batchSlot
+	wg    sync.WaitGroup
 }
 
-type batchCallJob struct {
-	b *batchRun
-	i int
+type batchSlot struct {
+	b     *batchRun
+	call  invokeFrame
+	reply replyFrame
 }
 
-func (j *batchCallJob) run() {
-	defer j.b.wg.Done()
-	j.b.replies[j.i] = j.b.c.serveInvoke(j.b.calls[j.i], j.b.argsDone)
+var batchRuns = sync.Pool{New: func() any { return new(batchRun) }}
+
+// newBatchRun copies the reader's decoded calls into a pooled run and takes
+// one reference on fb per call (each serveInvoke drops its own).
+func newBatchRun(c *Conn, calls []invokeFrame, fb *frameBuf) *batchRun {
+	b := batchRuns.Get().(*batchRun)
+	b.c, b.fb = c, fb
+	b.slots = b.slots[:0]
+	for _, call := range calls {
+		fb.retain()
+		b.slots = append(b.slots, batchSlot{b: b, call: call})
+	}
+	return b
 }
 
-// handleBatchInvoke services one multi-invoke frame: the calls run
-// concurrently (each is an independent invocation, exactly as if it had
-// arrived in its own frame) and the replies leave as one batch frame with
-// per-call status — one faulting call never poisons its batch.
-func (c *Conn) handleBatchInvoke(calls []invokeFrame, argsDone func()) {
-	// One batchRun and one job array per frame: submitting &b.jobs[i]
-	// converts a pointer to the execJob interface, so the per-call path
-	// allocates nothing (the old per-call closures were an allocation
-	// each, visible on the batched hot path).
-	b := &batchRun{c: c, calls: calls, replies: make([]replyFrame, len(calls)), argsDone: argsDone}
-	b.wg.Add(len(calls))
-	b.jobs = make([]batchCallJob, len(calls))
-	for i := range calls {
-		b.jobs[i] = batchCallJob{b: b, i: i}
-		c.exec.submit(&b.jobs[i])
+func (s *batchSlot) run() {
+	defer s.b.wg.Done()
+	s.reply = s.b.c.serveInvoke(s.call, s.b.fb)
+}
+
+// run services one multi-invoke frame: the calls run concurrently (each
+// is an independent invocation, exactly as if it had arrived in its own
+// frame) and the replies leave as one batch frame with per-call status —
+// one faulting call never poisons its batch. The run is an executor job
+// itself, waiting on a warm stack; the executor never queues a job behind
+// a busy worker, so its calls cannot be stuck behind it.
+func (b *batchRun) run() {
+	c, slots := b.c, b.slots
+	b.wg.Add(len(slots))
+	for i := range slots {
+		c.exec.submit(&slots[i])
 	}
 	b.wg.Wait()
-	replies := b.replies
-
-	// Every pooled result buffer is released once its chunk is written
-	// (or abandoned on a dead connection).
-	defer func() {
-		for i := range replies {
-			if replies[i].bodyBuf != nil {
-				replies[i].bodyBuf.release()
-			}
-		}
-	}()
 
 	// Chunk the batch reply by size so large result sets cannot overflow
-	// one frame; each chunk is a valid msgBatchReply. Reply headers build
-	// in a pooled buffer and result streams ride as their own segments of
-	// the vectored write.
-	for start := 0; start < len(replies); {
+	// one frame; each chunk is a valid msgBatchReply, and once a write has
+	// failed the connection is going down — pending completions fail
+	// through shutdown, so the rest are abandoned.
+	var err error
+	for start := 0; start < len(slots) && err == nil; {
 		end, size := start, 0
-		for end < len(replies) {
-			s := len(replies[end].body) + len(replies[end].class) + len(replies[end].msg) + 32
+		for end < len(slots) {
+			rep := &slots[end].reply
+			s := len(rep.body) + len(rep.class) + len(rep.msg) + 32
 			if end > start && size+s > maxBatchBytes {
 				break
 			}
 			size += s
 			end++
 		}
-		hb := getFrame(32 * (end - start))
-		w := wbuf{b: hb.b}
-		w.u8(msgBatchReply)
-		w.uvarint(uint64(end - start))
-		cuts := make([]int, end-start)
-		for i, rep := range replies[start:end] {
+		chunk := slots[start:end]
+		err = c.sendBatched(msgBatchReply, len(chunk), func(w *wbuf, i int) []byte {
+			rep := &chunk[i].reply
 			w.uvarint(rep.reqID)
 			w.u8(rep.status)
 			if rep.status == statusOK {
 				w.uvarint(uint64(len(rep.body)))
-			} else {
-				w.u8(rep.kind)
-				w.str(rep.class)
-				w.str(rep.msg)
+				return rep.body
 			}
-			cuts[i] = len(w.b)
-		}
-		hb.b = w.b
-		segs := make([][]byte, 0, 2*(end-start))
-		prev := 0
-		for i, rep := range replies[start:end] {
-			segs = append(segs, hb.b[prev:cuts[i]])
-			if rep.status == statusOK && len(rep.body) > 0 {
-				segs = append(segs, rep.body)
-			}
-			prev = cuts[i]
-		}
-		err := c.sendSegments(segs...)
-		hb.release()
-		if err != nil {
-			// The connection is going down; pending completions fail
-			// through shutdown, so there is nobody left to answer.
-			return
-		}
+			w.u8(rep.kind)
+			w.str(rep.class)
+			w.str(rep.msg)
+			return nil
+		})
 		start = end
 	}
+	// Result buffers are released once written (or abandoned on a dead
+	// connection), and the run goes back to its pool holding nothing.
+	for i := range slots {
+		if bb := slots[i].reply.bodyBuf; bb != nil {
+			bb.release()
+		}
+	}
+	clear(slots)
+	b.c, b.fb = nil, nil
+	batchRuns.Put(b)
 }
 
 func (c *Conn) replyErr(reqID uint64, kind byte, class, msg string) {
@@ -1818,12 +1420,8 @@ func (c *Conn) handleManifest(f manifestFrame) {
 		w.str("")
 		w.str(fmt.Sprintf("unknown export %d", f.exportID))
 	} else {
-		methods := cap.Methods()
 		w.u8(statusOK)
-		w.uvarint(uint64(len(methods)))
-		for _, m := range methods {
-			w.str(m)
-		}
+		w.strs(cap.Methods())
 	}
 	c.sendOrFault(w.b)
 }
@@ -1852,11 +1450,7 @@ func (c *Conn) handleLookup(reqID uint64, name string) {
 	w.uvarint(reqID)
 	w.u8(statusOK)
 	w.uvarint(handle)
-	methods := cap.Methods()
-	w.uvarint(uint64(len(methods)))
-	for _, m := range methods {
-		w.str(m)
-	}
+	w.strs(cap.Methods())
 	c.sendOrFault(w.b)
 }
 
@@ -1966,7 +1560,8 @@ func (c *Conn) shutdown(cause error) {
 	c.closed = true
 	c.cause = cause
 	pending := c.pending
-	c.pending = make(map[uint64]wireCompleter)
+	c.pending = make(map[uint64]*callRecord)
+	c.invokes = 0
 	imports := make([]*core.Capability, 0, len(c.imports))
 	for _, e := range c.imports {
 		imports = append(imports, e.cap)
@@ -2013,8 +1608,8 @@ func (c *Conn) shutdown(cause error) {
 	for _, cap := range imports {
 		cap.RevokeWithReason(fault)
 	}
-	for _, pc := range pending {
-		pc.completeWire(wireResult{err: fmt.Errorf("%w: connection lost mid-call: %v", core.ErrRevoked, cause)})
+	for _, rec := range pending {
+		rec.completeWire(wireResult{err: fmt.Errorf("%w: connection lost mid-call: %v", core.ErrRevoked, cause)})
 	}
 	c.domain.Terminate("remote connection closed")
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -228,31 +229,84 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{msgHandoff, handoffOffer, 3, 9, 5, 4, 'u', 'n', 'i', 'x', 0})
 	f.Add([]byte{msgRedeem, 12, 0xff})
 	reg := seri.NewRegistry()
+	// used plays the read loop's one inFrame: it carries whatever the
+	// previous input (and the seed below) left in it into every decode.
+	var used inFrame
+	_ = decodeFrame(seedFrames()[2], &used)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		typ, v, err := decodeFrame(data)
+		var fresh inFrame
+		err := decodeFrame(data, &fresh)
+		// The reuse property: decoding into a struct that last held another
+		// frame equals decoding into a zero one — no field of the old frame
+		// leaks, whether or not this one is well formed.
+		prev := used.t
+		uerr := decodeFrame(data, &used)
+		if (err == nil) != (uerr == nil) || !reflect.DeepEqual(normalized(fresh), normalized(used)) {
+			t.Fatalf("decode into a used frame (last type %d) differs from decode into a fresh one:\nfresh %+v (%v)\nused  %+v (%v)",
+				prev, fresh, err, used, uerr)
+		}
 		if err != nil {
 			return
 		}
 		// Follow the dispatch path into the embedded seri streams.
-		switch typ {
+		switch fresh.t {
 		case msgInvoke:
-			_, _ = seri.UnmarshalExt(reg, v.(invokeFrame).args, fuzzWireExt{})
+			_, _ = seri.UnmarshalExt(reg, fresh.invoke.args, fuzzWireExt{})
 		case msgBatchInvoke:
-			for _, call := range v.([]invokeFrame) {
+			for _, call := range fresh.batch {
 				_, _ = seri.UnmarshalExt(reg, call.args, fuzzWireExt{})
 			}
 		case msgReply:
-			if rep := v.(replyFrame); rep.status == statusOK {
+			if rep := fresh.reply; rep.status == statusOK {
 				_, _ = seri.UnmarshalExt(reg, rep.body, fuzzWireExt{})
 			}
 		case msgBatchReply:
-			for _, rep := range v.([]replyFrame) {
+			for _, rep := range fresh.replies {
 				if rep.status == statusOK {
 					_, _ = seri.UnmarshalExt(reg, rep.body, fuzzWireExt{})
 				}
 			}
 		}
 	})
+}
+
+// normalized maps f's empty reused slices to nil: a kept backing array of
+// length zero and no array at all are the same decoded frame.
+func normalized(f inFrame) inFrame {
+	if len(f.batch) == 0 {
+		f.batch = nil
+	}
+	if len(f.replies) == 0 {
+		f.replies = nil
+	}
+	if len(f.releases) == 0 {
+		f.releases = nil
+	}
+	return f
+}
+
+// Every seed frame decoded into an inFrame that last held every other seed
+// frame: the reuse property on real traffic, in the ordinary test run (the
+// fuzz target extends it to arbitrary bytes).
+func TestDecodeFrameReuse(t *testing.T) {
+	frames := seedFrames()
+	for i, a := range frames {
+		for j, b := range frames {
+			var used, fresh inFrame
+			if err := decodeFrame(a, &used); err != nil {
+				t.Fatalf("seed %d: %v", i, err)
+			}
+			if err := decodeFrame(b, &used); err != nil {
+				t.Fatalf("seed %d after %d: %v", j, i, err)
+			}
+			if err := decodeFrame(b, &fresh); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(normalized(fresh), normalized(used)) {
+				t.Fatalf("seed %d decoded after seed %d keeps part of it:\nfresh %+v\nused  %+v", j, i, fresh, used)
+			}
+		}
+	}
 }
 
 // A malformed frame over a live connection faults that connection — and

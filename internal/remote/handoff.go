@@ -426,10 +426,7 @@ func (c *Conn) handleRedeem(f redeemFrame) {
 	w.uvarint(f.reqID)
 	w.u8(statusOK)
 	w.uvarint(id)
-	w.uvarint(uint64(len(methods)))
-	for _, m := range methods {
-		w.str(m)
-	}
+	w.strs(methods)
 	c.sendOrFault(w.b)
 }
 
@@ -482,34 +479,17 @@ type redeemGrant struct {
 
 // sendRedeem performs one redeem round trip on the origin connection.
 func (c *Conn) sendRedeem(nonce, exportID uint64) (redeemGrant, error) {
-	reqID, ch, err := c.newPending()
-	if err != nil {
-		return redeemGrant{}, err
+	res := c.roundTrip("handoff redeem", redeemReplyTimeout, func(w *wbuf, reqID uint64) {
+		w.u8(msgRedeem)
+		w.uvarint(reqID)
+		w.uvarint(nonce)
+		w.uvarint(exportID)
+	})
+	if res.err != nil {
+		return redeemGrant{}, res.err
 	}
-	var w wbuf
-	w.u8(msgRedeem)
-	w.uvarint(reqID)
-	w.uvarint(nonce)
-	w.uvarint(exportID)
-	if err := c.send(w.b); err != nil {
-		c.dropPending(reqID)
-		return redeemGrant{}, err
-	}
-	timer := time.NewTimer(redeemReplyTimeout)
-	defer timer.Stop()
-	select {
-	case res := <-ch:
-		if res.err != nil {
-			return redeemGrant{}, res.err
-		}
-		g, _ := res.results[0].(redeemGrant)
-		return g, nil
-	case <-c.done:
-		return redeemGrant{}, c.closedErr()
-	case <-timer.C:
-		c.dropPending(reqID)
-		return redeemGrant{}, fmt.Errorf("remote: handoff redeem timed out after %v", redeemReplyTimeout)
-	}
+	g, _ := res.results[0].(redeemGrant)
+	return g, nil
 }
 
 func (c *Conn) handleRedeemReply(f redeemReplyFrame) {

@@ -245,7 +245,10 @@ func TestInlineImportLazyManifest(t *testing.T) {
 	}
 
 	// A manifest fetch for a dropped export reports cleanly (no methods),
-	// and does not fault the connection.
+	// and does not fault the connection. The release travels batched, on
+	// the flusher; wait until the exporter has applied it, or the fetch —
+	// written by this goroutine — can overtake it and find the export.
+	waitTables(t, "server", serverConn(t, p.ln), TableSizes{Exports: 1, ExportIDs: 1, Unhook: 1}) // maker remains
 	if ms, err := p.conn.fetchManifest(pt.exportID); err == nil {
 		t.Fatalf("manifest fetch for dropped export %d returned %v", pt.exportID, ms)
 	}

@@ -391,7 +391,7 @@ func TestRemoteConnectionLossFaultsProxies(t *testing.T) {
 }
 
 // shutdown marks the connection closed before it faults the imported
-// proxies. A sync call landing in that window fails at newPending, and must
+// proxies. A sync call landing in that window fails at register, and must
 // report the capability fault every other outcome of a lost connection
 // reports — the bridge turns ErrRevoked into 503 and anything else into 502.
 func TestSyncInvokeOnClosedConnIsACapabilityFault(t *testing.T) {

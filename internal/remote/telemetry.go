@@ -215,9 +215,10 @@ func (m *connMetrics) clientSpan(tc telemetry.TraceContext, spanID uint64, metho
 
 // serverSpan records the serving side of one inbound invoke. A zero
 // start means the frame fell outside the untraced sample: skip the
-// latency histogram and span. spanID is zero for untraced frames (a
-// fresh id is minted for the local span).
-func (m *connMetrics) serverSpan(f invokeFrame, spanID uint64, callee string, start time.Time, err error) {
+// latency histogram and span. method is the callee's name for what
+// f.method spelled (the frame's bytes are gone by now); spanID is zero for
+// untraced frames (a fresh id is minted for the local span).
+func (m *connMetrics) serverSpan(f invokeFrame, method string, spanID uint64, callee string, start time.Time, err error) {
 	if m == nil || start.IsZero() {
 		return
 	}
@@ -238,7 +239,7 @@ func (m *connMetrics) serverSpan(f invokeFrame, spanID uint64, callee string, st
 		Kind:    "server",
 		Caller:  m.peer,
 		Callee:  callee,
-		Method:  f.method,
+		Method:  method,
 		Start:   start,
 		Dur:     dur,
 	}

@@ -3,6 +3,7 @@ package remote
 import (
 	"path/filepath"
 	"testing"
+	"time"
 
 	"jkernel/internal/core"
 	"jkernel/internal/telemetry"
@@ -156,5 +157,50 @@ func TestTracePropagatesAcrossKernelChain(t *testing.T) {
 	}
 	if n := len(app.Tracer().TraceSpans(tc.TraceID)); n != len(appSpans) {
 		t.Fatalf("untraced call extended the trace: %d -> %d spans", len(appSpans), n)
+	}
+}
+
+// One invoke path means one set of books: the client span of a blocking
+// call and of an asynchronous one differ only in their ids and clocks —
+// same trace, same parent, same callee and method, the same error text —
+// for a call that succeeds and for one that fails.
+func TestSyncAndAsyncClientSpansMatch(t *testing.T) {
+	p := newPair(t)
+	p.export(t, "echo", echoSvc{})
+	proxy, err := p.conn.Import("echo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := p.task.BeginTrace()
+	defer p.task.EndTrace()
+
+	for _, method := range []string{"Null", "NoSuchMethod"} {
+		before := len(p.client.Tracer().TraceSpans(tc.TraceID))
+		_, syncErr := proxy.InvokeFrom(p.task, method)
+		_, asyncErr := proxy.InvokeAsyncFrom(p.task, method).Wait()
+		if (syncErr == nil) != (asyncErr == nil) || (method == "Null") != (syncErr == nil) {
+			t.Fatalf("%s: sync %v, async %v", method, syncErr, asyncErr)
+		}
+		var client []telemetry.Span
+		for _, s := range p.client.Tracer().TraceSpans(tc.TraceID)[before:] {
+			if s.Kind == "client" {
+				client = append(client, s)
+			}
+		}
+		if len(client) != 2 {
+			t.Fatalf("%s: %d client spans for one sync and one async call, want 2", method, len(client))
+		}
+		a, b := client[0], client[1]
+		if a.SpanID == b.SpanID || a.SpanID == 0 || b.SpanID == 0 {
+			t.Fatalf("%s: span ids %d and %d", method, a.SpanID, b.SpanID)
+		}
+		a.SpanID, a.Start, a.Dur = 0, time.Time{}, 0
+		b.SpanID, b.Start, b.Dur = 0, time.Time{}, 0
+		if a != b {
+			t.Fatalf("%s: sync and async client spans differ:\nsync  %+v\nasync %+v", method, a, b)
+		}
+		if a.TraceID != tc.TraceID || a.Parent != tc.SpanID || a.Method != method || (a.Err == "") != (method == "Null") {
+			t.Fatalf("%s: client span %+v does not describe the call (trace %d, parent %d)", method, a, tc.TraceID, tc.SpanID)
+		}
 	}
 }

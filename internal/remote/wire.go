@@ -25,6 +25,7 @@
 package remote
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -160,19 +161,24 @@ func readFrame(r io.Reader) ([]byte, error) {
 
 // readFrameInto reads one length-prefixed frame into a pooled frame
 // buffer. The caller (the read loop) owns the returned reference and
-// releases it when dispatch is done with the frame.
-func readFrameInto(r io.Reader) (*frameBuf, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// releases it when dispatch is done with the frame. The length header is
+// read in place in the reader's own buffer, so a frame costs no allocation
+// beyond its pooled buffer.
+func readFrameInto(br *bufio.Reader) (*frameBuf, error) {
+	hdr, err := br.Peek(4)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
 	if n > maxFrame {
 		return nil, fmt.Errorf("remote: frame of %d bytes exceeds limit", n)
 	}
+	if _, err := br.Discard(4); err != nil {
+		return nil, err
+	}
 	fb := getFrame(int(n))
 	fb.b = fb.b[:n]
-	if _, err := io.ReadFull(r, fb.b); err != nil {
+	if _, err := io.ReadFull(br, fb.b); err != nil {
 		fb.release()
 		return nil, err
 	}
@@ -189,6 +195,12 @@ func (w *wbuf) str(s string) {
 	w.b = append(w.b, s...)
 }
 func (w *wbuf) raw(p []byte) { w.b = append(w.b, p...) }
+func (w *wbuf) strs(ss []string) {
+	w.uvarint(uint64(len(ss)))
+	for _, s := range ss {
+		w.str(s)
+	}
+}
 
 // rbuf walks a frame payload.
 type rbuf struct {
@@ -229,6 +241,36 @@ func (r *rbuf) str() (string, error) {
 	s := string(r.b[r.pos : r.pos+int(n)])
 	r.pos += int(n)
 	return s, nil
+}
+
+// strs reads a counted list of strings (a method manifest).
+func (r *rbuf) strs() ([]string, error) {
+	n, err := r.count(1)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]string, 0, n)
+	for i := 0; i < n; i++ {
+		s, err := r.str()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, s)
+	}
+	return out, nil
+}
+
+// wireErr reads the statusErr tail every reply flavor shares: the error
+// kind, the callee's error class and its message.
+func (r *rbuf) wireErr() (kind byte, class, msg string, err error) {
+	if kind, err = r.u8(); err != nil {
+		return
+	}
+	if class, err = r.str(); err != nil {
+		return
+	}
+	msg, err = r.str()
+	return
 }
 
 // count reads a collection count and rejects values that cannot fit in the
@@ -273,6 +315,29 @@ func (r *rbuf) rest() []byte { return r.b[r.pos:] }
 // which is what FuzzDecodeFrame exercises: malformed input must return an
 // error (faulting the connection), never panic.
 
+// inFrame is the decoded form of one inbound frame: t is the message type
+// and says which one member is meaningful. The read loop owns a single
+// inFrame and decodeFrame refills it for every frame — nothing is boxed,
+// and the batch slices keep their backing arrays from frame to frame — so
+// whatever must outlive dispatch is copied out of it.
+type inFrame struct {
+	t             byte
+	invoke        invokeFrame
+	batch         []invokeFrame // msgBatchInvoke
+	reply         replyFrame
+	replies       []replyFrame // msgBatchReply
+	revoke        revokeFrame
+	releases      []releaseEntry // msgRelease
+	lookup        lookupFrame
+	lookupReply   lookupReplyFrame
+	ping          pingFrame // msgPing and msgPong
+	manifest      manifestFrame
+	manifestReply manifestReplyFrame
+	handoff       handoffFrame
+	redeem        redeemFrame
+	redeemReply   redeemReplyFrame
+}
+
 // Trace block flags. Every invoke (single or batched call entry) carries
 // a one-byte flags field after the method name; traceFlagContext adds the
 // caller's trace id and parent span id, so a traced call chain stitches
@@ -284,7 +349,7 @@ const traceFlagContext byte = 1
 type invokeFrame struct {
 	reqID    uint64
 	exportID uint64
-	method   string
+	method   []byte // aliases the frame buffer, like args
 	// traceID/parentSpan carry the caller's trace context when the frame's
 	// trace flags include traceFlagContext (traceID is nonzero then).
 	traceID    uint64
@@ -435,29 +500,32 @@ func appendTrace(w *wbuf, traceID, parentSpan uint64) {
 	w.uvarint(parentSpan)
 }
 
-func parseInvoke(r *rbuf) (invokeFrame, error) {
-	var f invokeFrame
-	var err error
+// parseCall decodes what a lone and a batched invoke share: everything
+// up to the argument bytes.
+func parseCall(r *rbuf) (f invokeFrame, err error) {
 	if f.reqID, err = r.uvarint(); err != nil {
 		return f, err
 	}
 	if f.exportID, err = r.uvarint(); err != nil {
 		return f, err
 	}
-	if f.method, err = r.str(); err != nil {
+	if f.method, err = r.bytes(); err != nil {
 		return f, err
 	}
-	if err = parseTrace(r, &f); err != nil {
-		return f, err
-	}
-	f.args = r.rest()
-	return f, nil
+	return f, parseTrace(r, &f)
 }
 
-// parseBatchInvoke decodes a multi-invoke frame. Per-call argument bytes
-// are length-prefixed (unlike the single-invoke frame, whose args run to
-// the end of the frame).
-func parseBatchInvoke(r *rbuf) ([]invokeFrame, error) {
+func parseInvoke(r *rbuf) (invokeFrame, error) {
+	f, err := parseCall(r)
+	f.args = r.rest()
+	return f, err
+}
+
+// parseBatchInvoke decodes a multi-invoke frame, appending to calls (the
+// reader's reused backing array). Per-call argument bytes are
+// length-prefixed (unlike the single-invoke frame, whose args run to the
+// end of the frame).
+func parseBatchInvoke(r *rbuf, calls []invokeFrame) ([]invokeFrame, error) {
 	n, err := r.count(5) // reqID + exportID + method len + trace flags + arg len, 1 byte each minimum
 	if err != nil {
 		return nil, err
@@ -465,22 +533,12 @@ func parseBatchInvoke(r *rbuf) ([]invokeFrame, error) {
 	if n == 0 {
 		return nil, r.fail("empty batch")
 	}
-	calls := make([]invokeFrame, 0, n)
 	for i := 0; i < n; i++ {
-		var f invokeFrame
-		if f.reqID, err = r.uvarint(); err != nil {
-			return nil, err
+		f, err := parseCall(r)
+		if err == nil {
+			f.args, err = r.bytes()
 		}
-		if f.exportID, err = r.uvarint(); err != nil {
-			return nil, err
-		}
-		if f.method, err = r.str(); err != nil {
-			return nil, err
-		}
-		if err = parseTrace(r, &f); err != nil {
-			return nil, err
-		}
-		if f.args, err = r.bytes(); err != nil {
+		if err != nil {
 			return nil, err
 		}
 		calls = append(calls, f)
@@ -489,19 +547,6 @@ func parseBatchInvoke(r *rbuf) ([]invokeFrame, error) {
 		return nil, r.fail("trailing bytes after batch")
 	}
 	return calls, nil
-}
-
-// parseReplyError decodes the statusErr tail shared by reply flavors.
-func parseReplyError(r *rbuf, f *replyFrame) error {
-	var err error
-	if f.kind, err = r.u8(); err != nil {
-		return err
-	}
-	if f.class, err = r.str(); err != nil {
-		return err
-	}
-	f.msg, err = r.str()
-	return err
 }
 
 func parseReply(r *rbuf) (replyFrame, error) {
@@ -517,11 +562,13 @@ func parseReply(r *rbuf) (replyFrame, error) {
 		f.body = r.rest()
 		return f, nil
 	}
-	return f, parseReplyError(r, &f)
+	f.kind, f.class, f.msg, err = r.wireErr()
+	return f, err
 }
 
-// parseBatchReply decodes a multi-reply frame (per-call status).
-func parseBatchReply(r *rbuf) ([]replyFrame, error) {
+// parseBatchReply decodes a multi-reply frame (per-call status), appending
+// to replies.
+func parseBatchReply(r *rbuf, replies []replyFrame) ([]replyFrame, error) {
 	n, err := r.count(3) // reqID + status + 1 byte of payload minimum
 	if err != nil {
 		return nil, err
@@ -529,7 +576,6 @@ func parseBatchReply(r *rbuf) ([]replyFrame, error) {
 	if n == 0 {
 		return nil, r.fail("empty batch reply")
 	}
-	replies := make([]replyFrame, 0, n)
 	for i := 0; i < n; i++ {
 		var f replyFrame
 		if f.reqID, err = r.uvarint(); err != nil {
@@ -539,10 +585,11 @@ func parseBatchReply(r *rbuf) ([]replyFrame, error) {
 			return nil, err
 		}
 		if f.status == statusOK {
-			if f.body, err = r.bytes(); err != nil {
-				return nil, err
-			}
-		} else if err = parseReplyError(r, &f); err != nil {
+			f.body, err = r.bytes()
+		} else {
+			f.kind, f.class, f.msg, err = r.wireErr()
+		}
+		if err != nil {
 			return nil, err
 		}
 		replies = append(replies, f)
@@ -583,31 +630,14 @@ func parseLookupReply(r *rbuf) (lookupReplyFrame, error) {
 		return f, err
 	}
 	if f.status != statusOK {
-		if f.kind, err = r.u8(); err != nil {
-			return f, err
-		}
-		if f.class, err = r.str(); err != nil {
-			return f, err
-		}
-		f.msg, err = r.str()
+		f.kind, f.class, f.msg, err = r.wireErr()
 		return f, err
 	}
 	if f.handle, err = r.uvarint(); err != nil {
 		return f, err
 	}
-	n, err := r.count(1)
-	if err != nil {
-		return f, err
-	}
-	f.methods = make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		m, merr := r.str()
-		if merr != nil {
-			return f, merr
-		}
-		f.methods = append(f.methods, m)
-	}
-	return f, nil
+	f.methods, err = r.strs()
+	return f, err
 }
 
 func parsePing(r *rbuf) (pingFrame, error) {
@@ -693,34 +723,17 @@ func parseRedeemReply(r *rbuf) (redeemReplyFrame, error) {
 		return f, err
 	}
 	if f.status != statusOK {
-		if f.kind, err = r.u8(); err != nil {
-			return f, err
-		}
-		if f.class, err = r.str(); err != nil {
-			return f, err
-		}
-		f.msg, err = r.str()
+		f.kind, f.class, f.msg, err = r.wireErr()
 		return f, err
 	}
 	if f.exportID, err = r.uvarint(); err != nil {
 		return f, err
 	}
-	n, err := r.count(1)
-	if err != nil {
-		return f, err
-	}
-	f.methods = make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		m, merr := r.str()
-		if merr != nil {
-			return f, merr
-		}
-		f.methods = append(f.methods, m)
-	}
-	return f, nil
+	f.methods, err = r.strs()
+	return f, err
 }
 
-func parseRelease(r *rbuf) ([]releaseEntry, error) {
+func parseRelease(r *rbuf, entries []releaseEntry) ([]releaseEntry, error) {
 	n, err := r.count(3) // exportID + count + gen, 1 byte each minimum
 	if err != nil {
 		return nil, err
@@ -728,7 +741,6 @@ func parseRelease(r *rbuf) ([]releaseEntry, error) {
 	if n == 0 {
 		return nil, r.fail("empty release")
 	}
-	entries := make([]releaseEntry, 0, n)
 	for i := 0; i < n; i++ {
 		var e releaseEntry
 		if e.exportID, err = r.uvarint(); err != nil {
@@ -768,76 +780,61 @@ func parseManifestReply(r *rbuf) (manifestReplyFrame, error) {
 		return f, err
 	}
 	if f.status != statusOK {
-		if f.kind, err = r.u8(); err != nil {
-			return f, err
-		}
-		if f.class, err = r.str(); err != nil {
-			return f, err
-		}
-		f.msg, err = r.str()
+		f.kind, f.class, f.msg, err = r.wireErr()
 		return f, err
 	}
-	n, err := r.count(1)
-	if err != nil {
-		return f, err
-	}
-	f.methods = make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		m, merr := r.str()
-		if merr != nil {
-			return f, merr
-		}
-		f.methods = append(f.methods, m)
-	}
-	return f, nil
+	f.methods, err = r.strs()
+	return f, err
 }
 
-// decodeFrame decodes one frame into its typed form: (msgType, frame,
-// nil) on success, an error on malformed input. It is the single decode
-// entry point for conn.dispatch and for the fuzz targets.
-func decodeFrame(frame []byte) (byte, any, error) {
+// decodeFrame decodes one frame into f, which it first resets — keeping
+// only the batch slices' backing arrays — so nothing of the frame f held
+// before shows through: decoding into a used inFrame and into a fresh one
+// give the same result. f.t is set even when the frame is malformed (the
+// error faults the connection). It is the single decode entry point for
+// conn.dispatch and for the fuzz targets.
+func decodeFrame(frame []byte, f *inFrame) error {
+	clear(f.batch)
+	clear(f.replies)
+	*f = inFrame{batch: f.batch[:0], replies: f.replies[:0], releases: f.releases[:0]}
 	r := &rbuf{b: frame}
-	t, err := r.u8()
-	if err != nil {
-		return 0, nil, err
+	var err error
+	if f.t, err = r.u8(); err != nil {
+		return err
 	}
-	var v any
-	switch t {
+	switch f.t {
 	case msgInvoke:
-		v, err = parseInvoke(r)
+		f.invoke, err = parseInvoke(r)
 	case msgBatchInvoke:
-		v, err = parseBatchInvoke(r)
+		f.batch, err = parseBatchInvoke(r, f.batch)
 	case msgReply:
-		v, err = parseReply(r)
+		f.reply, err = parseReply(r)
 	case msgBatchReply:
-		v, err = parseBatchReply(r)
+		f.replies, err = parseBatchReply(r, f.replies)
 	case msgRevoke:
-		v, err = parseRevoke(r)
+		f.revoke, err = parseRevoke(r)
 	case msgLookup:
-		v, err = parseLookup(r)
+		f.lookup, err = parseLookup(r)
 	case msgLookupReply:
-		v, err = parseLookupReply(r)
+		f.lookupReply, err = parseLookupReply(r)
 	case msgPing, msgPong:
-		v, err = parsePing(r)
+		f.ping, err = parsePing(r)
 	case msgRelease:
-		v, err = parseRelease(r)
+		f.releases, err = parseRelease(r, f.releases)
 	case msgManifest:
-		v, err = parseManifest(r)
+		f.manifest, err = parseManifest(r)
 	case msgManifestReply:
-		v, err = parseManifestReply(r)
+		f.manifestReply, err = parseManifestReply(r)
 	case msgHandoff:
-		v, err = parseHandoff(r)
+		f.handoff, err = parseHandoff(r)
 	case msgRedeem:
-		v, err = parseRedeem(r)
+		f.redeem, err = parseRedeem(r)
 	case msgRedeemReply:
-		v, err = parseRedeemReply(r)
+		f.redeemReply, err = parseRedeemReply(r)
 	default:
-		return t, nil, fmt.Errorf("remote: unknown message type %d", t)
+		err = fmt.Errorf("remote: unknown message type %d", f.t)
 	}
-	if err != nil {
-		return t, nil, err
-	}
-	return t, v, nil
+	return err
 }
 
 // --- frame encoders ---------------------------------------------------------
