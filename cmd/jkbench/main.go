@@ -11,8 +11,8 @@
 // through the middleman relay vs over the shortened (redeemed) path vs a
 // directly-dialed baseline, and table 12 measures the wire hot path
 // itself — µs/call AND allocs/call for sync, async-batched, and
-// 1 KiB-payload invokes, with the generated marshaler toggled against the
-// reflect walker. Table 13 is the cluster load harness: thousands of
+// 1 KiB-payload invokes, and for the serializer passes on their own.
+// Table 13 is the cluster load harness: thousands of
 // concurrent HTTP clients against fixed-capacity servlet shards, served
 // by a scheduled 4-worker pool vs a single worker — throughput and
 // p50/p99, with the speedup gated by -cluster-gate. See EXPERIMENTS.md
@@ -1200,11 +1200,10 @@ func table11() {
 	fmt.Println()
 }
 
-// --- table 12: the wire hot path (pooled frames, generated marshalers) -----
+// --- table 12: the wire hot path (pooled frames, compiled codecs) ----------
 
-// benchPayload is the registered payload message for the 1 KiB rows. Its
-// marshaler plan compiles at RegisterWireType time, so these rows ride the
-// generated fast path unless the registry's fastpath is toggled off.
+// benchPayload is the registered payload message for the 1 KiB rows; its
+// codec compiles at RegisterWireType time.
 type benchPayload struct {
 	Seq  int64
 	Data []byte
@@ -1220,12 +1219,10 @@ func (benchPayloadSvc) Echo(p benchPayload) (benchPayload, error) { return p, ni
 // for the three shapes the zero-copy work targets — the sync null call
 // (per-frame overhead), the async-batched null call (where pooled frames
 // and recycled batch slices should leave almost nothing per call), and a
-// 1 KiB-payload echo. The generated-vs-reflect contrast is measured on
-// the serializer passes themselves (marshal+unmarshal of the same 1 KiB
-// message, fastpath on vs off): per wire call the four seri passes are a
-// few percent of the total, so only the direct measurement resolves the
-// difference above scheduler noise — and it is the per-type-marshaler
-// claim being gated, not the syscalls around it.
+// 1 KiB-payload echo. The serializer passes are also measured on their
+// own (marshal+unmarshal of the same 1 KiB message): per wire call the
+// four seri passes are a few percent of the total, so only the direct
+// measurement resolves a codec change above scheduler noise.
 func table12() {
 	fmt.Println("Table 12. Remote kernels: wire hot path, time and allocations (beyond the paper)")
 	fmt.Printf("  %-52s %10s %12s\n", "Configuration", "µs/call", "allocs/call")
@@ -1295,8 +1292,7 @@ func table12() {
 
 	// 1 KiB rows ride the async-batched path too: with the per-frame
 	// syscall amortized away, what remains per call is dominated by the
-	// four serializer passes (args and reply, encode and decode), which is
-	// exactly the generated-vs-reflect contrast being measured.
+	// four serializer passes (args and reply, encode and decode).
 	msg := benchPayload{Seq: 1, Data: make([]byte, 1024)}
 	for i := range msg.Data {
 		msg.Data[i] = byte(i)
@@ -1325,36 +1321,22 @@ func table12() {
 	row("1 KiB payload echo, batched (TCP loopback)", echoUs, echoAllocs)
 
 	// The serializer passes in isolation: one marshal+unmarshal of the
-	// same message through the kernel's registry, generated plans on vs
-	// bypassed (every encode/decode falls back to the reflect walker).
-	// Interleaved best-of rounds, as in table 10.
+	// same message through the kernel's registry. Best of three rounds, as
+	// in table 10.
 	reg := kl.SeriRegistry()
-	seriLoop := func(n int) {
-		for i := 0; i < n; i++ {
-			data, err := seri.Marshal(reg, msg)
-			check(err)
-			_, err = seri.Unmarshal(reg, data)
-			check(err)
-		}
+	seriUs, seriAllocs := math.Inf(1), math.Inf(1)
+	for round := 0; round < 3; round++ {
+		us, allocs := measureAllocs(iters(500000), func(n int) {
+			for i := 0; i < n; i++ {
+				data, err := seri.Marshal(reg, msg)
+				check(err)
+				_, err = seri.Unmarshal(reg, data)
+				check(err)
+			}
+		})
+		seriUs, seriAllocs = math.Min(seriUs, us), math.Min(seriAllocs, allocs)
 	}
-	seriBench := func(fast bool) (float64, float64) {
-		reg.SetFastpath(fast)
-		defer reg.SetFastpath(true)
-		return measureAllocs(iters(500000), seriLoop)
-	}
-	fastUs, fastAllocs := math.Inf(1), math.Inf(1)
-	reflUs, reflAllocs := math.Inf(1), math.Inf(1)
-	for i := 0; i < 3; i++ {
-		fu, fa := seriBench(true)
-		ru, ra := seriBench(false)
-		fastUs, fastAllocs = math.Min(fastUs, fu), math.Min(fastAllocs, fa)
-		reflUs, reflAllocs = math.Min(reflUs, ru), math.Min(reflAllocs, ra)
-	}
-	row("1 KiB payload marshal+unmarshal (generated)", fastUs, fastAllocs)
-	row("1 KiB payload marshal+unmarshal (reflect walker)", reflUs, reflAllocs)
-
-	fmt.Printf("  %-52s %9.2fx\n", "generated-marshaler speedup (reflect / generated)", reflUs/fastUs)
-	recordRatio(12, "generated-marshaler speedup (reflect / generated)", reflUs/fastUs)
+	row("1 KiB payload marshal+unmarshal", seriUs, seriAllocs)
 	fmt.Println()
 }
 

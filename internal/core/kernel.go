@@ -151,21 +151,14 @@ func (k *Kernel) SeriRegistry() *seri.Registry { return k.seriReg }
 
 // RegisterWireType registers a Go type under name for wire transfer only:
 // remote invocations can copy it, while local LRMI keeps the type's
-// registered copy mode (fast-copy by default). For struct types the
-// registry compiles a generated marshaler at this point — the serializer
-// analogue of genStubClass's run-time stub generation (see stubgen_seri.go)
-// — and the returned PlanInfo reports what was generated.
+// registered copy mode (fast-copy by default). The registry compiles the
+// type's codec at this point — the serializer analogue of genStubClass's
+// run-time stub generation: both generators run once at registration and
+// pay no layout walk on the hot path.
 //
 //jk:wire-register 1
-func (k *Kernel) RegisterWireType(name string, sample any) seri.PlanInfo {
+func (k *Kernel) RegisterWireType(name string, sample any) {
 	k.seriReg.Register(name, sample)
-	return k.seriReg.PlanOf(sample)
-}
-
-// WirePlan reports the generated-marshaler plan (if any) for sample's
-// type, without registering anything.
-func (k *Kernel) WirePlan(sample any) seri.PlanInfo {
-	return k.seriReg.PlanOf(sample)
 }
 
 // Export publishes c under name for remote kernels: connections serving

@@ -1,9 +1,6 @@
 package seri
 
-import (
-	"encoding/binary"
-	"testing"
-)
+import "testing"
 
 // permissiveExt resolves any capability handle, so fuzzed streams can
 // reach past the reference tags the way a live connection's tables would.
@@ -27,46 +24,62 @@ type hiddenField struct {
 	hidden  int64 //nolint:unused // decode hardening target
 }
 
-// TestDecodeHardeningRegressions pins two crafted streams that panicked
-// the pre-hardened decoder (found by review of the fuzz surface): a
-// dynamic nil in a concrete-typed slot, and a struct stream naming an
-// unexported field. Both must come back as decode errors.
+// arrays bears the kinds reflect converts to with a panic: a dynamic
+// "bytes" aimed at an array, or at a pointer to one.
+type arrays struct {
+	N int8
+	S string
+	P *[4]byte
+}
+
+type arrayValue struct {
+	A [4]byte
+}
+
+// TestDecodeHardeningRegressions pins crafted streams that panicked the
+// decoder, or decoded to something no sender wrote (found by review of
+// the fuzz surface): a dynamic nil in a concrete-typed slot; a struct
+// stream naming an unexported field; a dynamic byte slice aimed at an
+// array and at a pointer to one (reflect.Value.Convert panics on the
+// length); a dynamic int aimed at a string (Convert makes it a rune). All
+// must come back as decode errors.
 func TestDecodeHardeningRegressions(t *testing.T) {
 	r := reg()
 	r.Register("Hidden", hiddenField{})
-	str := func(b []byte, s string) []byte {
-		b = binary.AppendUvarint(b, uint64(len(s)))
-		return append(b, s...)
+	r.Register("arrays", arrays{})
+	r.Register("arrayValue", arrayValue{})
+	str := appendStr
+	// field starts a one-field struct stream of the named type.
+	field := func(typ, name string) []byte {
+		b := str([]byte{tagIface}, typ)
+		b = append(b, tagStruct, 1)
+		return str(b, name)
 	}
+	dynBytes := append(str([]byte{tagIface}, "bytes"), tagBytes, 1, 0xAA)
 
 	// []string whose element claims dynamic type "any" holding nil:
 	// reflect.ValueOf(nil).Type() panicked in the tagIface slot branch.
-	var nilIface []byte
-	nilIface = append(nilIface, tagIface)
-	nilIface = str(nilIface, "[]string")
-	nilIface = append(nilIface, tagSlice)
-	nilIface = binary.AppendUvarint(nilIface, 1)
-	nilIface = append(nilIface, tagIface)
-	nilIface = str(nilIface, "any")
-	nilIface = append(nilIface, tagNil)
+	nilIface := str([]byte{tagIface}, "[]string")
+	nilIface = append(nilIface, tagSlice, 1)
+	nilIface = append(str(append(nilIface, tagIface), "any"), tagNil)
 
 	// A struct stream naming the unexported field: FieldByName returns a
 	// valid but non-settable value, and SetInt panicked.
-	var unexported []byte
-	unexported = append(unexported, tagIface)
-	unexported = str(unexported, "Hidden")
-	unexported = append(unexported, tagStruct)
-	unexported = binary.AppendUvarint(unexported, 1)
-	unexported = str(unexported, "hidden")
-	unexported = append(unexported, tagInt)
-	unexported = binary.AppendVarint(unexported, 7)
+	unexported := append(field("Hidden", "hidden"), tagInt, 14)
+
+	// A dynamic "int" 65 in a string slot: decoded as "A".
+	intAsString := append(str(append(field("arrays", "S"), tagIface), "int"), tagInt, 130, 1)
 
 	for name, stream := range map[string][]byte{
-		"nil dynamic value in concrete slot": nilIface,
-		"unexported struct field":            unexported,
+		"nil dynamic value in concrete slot":   nilIface,
+		"unexported struct field":              unexported,
+		"dynamic bytes into pointer-to-array":  append(field("arrays", "P"), dynBytes...),
+		"dynamic bytes into array":             append(field("arrayValue", "A"), dynBytes...),
+		"dynamic int into string":              intAsString,
+		"tagNil into array (cannot re-encode)": append(field("arrayValue", "A"), tagNil),
 	} {
-		if _, err := Unmarshal(r, stream); err == nil {
-			t.Errorf("%s: forged stream decoded without error", name)
+		if out, err := Unmarshal(r, stream); err == nil {
+			t.Errorf("%s: forged stream decoded without error: %#v", name, out)
 		}
 	}
 }
@@ -78,6 +91,7 @@ func TestDecodeHardeningRegressions(t *testing.T) {
 // must never be poison.
 func FuzzSeriRoundtrip(f *testing.F) {
 	r := reg()
+	r.Register("arrays", arrays{})
 	ext := permissiveExt{}
 	doc := Doc{
 		Title: "seed",
@@ -94,6 +108,7 @@ func FuzzSeriRoundtrip(f *testing.F) {
 		[]byte("bytes"),
 		doc,
 		cycle,
+		arrays{N: -3, S: "s"},
 		[]any{int64(1), "two", 3.5, nil, &fakeCap{id: 9}},
 		map[string]any{"k": []int64{1, 2, 3}},
 	} {

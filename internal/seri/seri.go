@@ -1,10 +1,15 @@
 // Package seri is the J-Kernel's default argument copier for native (Go)
-// targets: a general, reflection-driven object-graph serializer in the
-// role of Java serialization. Marshalling writes a self-describing byte
-// stream (the "intermediate byte array" whose cost Table 4 measures);
-// unmarshalling rebuilds an isomorphic graph that shares no mutable memory
-// with the source. Cycles and aliasing are preserved through reference
-// tags, exactly like Java serialization's handle table.
+// targets: a general object-graph serializer in the role of Java
+// serialization. Marshalling writes a self-describing byte stream (the
+// "intermediate byte array" whose cost Table 4 measures); unmarshalling
+// rebuilds an isomorphic graph that shares no mutable memory with the
+// source. Cycles and aliasing are preserved through reference tags, exactly
+// like Java serialization's handle table.
+//
+// There is one codec: every Go type that crosses the stream is compiled,
+// once, into a node (codec.go: its wire name, an encoder and a decoder over
+// the precomputed layout), and Marshal, Unmarshal and Copy run nothing
+// else. The recorded streams in testdata/wire_v1.txt pin the format.
 //
 // Types containing struct values must be registered by name so the decoder
 // can rebuild them; this mirrors serialVersionUID-style class descriptors
@@ -14,8 +19,9 @@ package seri
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
+	"maps"
 	"reflect"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -38,134 +44,200 @@ const (
 	tagCap   // capability reference: passes by handle, never by copy
 )
 
-// Registry maps type names to concrete types for decoding. A nil *Registry
-// is valid and knows only primitive shapes.
+// Registry maps type names to concrete types for decoding, and caches the
+// codec node of every type it has met. A nil *Registry is valid and knows
+// only primitive shapes.
 //
-// Registering a struct type also compiles a generated marshaler for it (see
-// fastpath.go): a per-type plan of closures over the precomputed field
-// layout that the encoder and decoder consult before falling back to the
-// generic reflect walker. Registration is rare and lookups are the hot
-// path, so the registry keeps its tables in an immutable snapshot swapped
-// atomically on Register — readers never lock.
+// Registration is rare and lookups are the hot path, so the registry keeps
+// its tables in an immutable snapshot swapped atomically by writers —
+// readers never lock.
 type Registry struct {
-	mu    sync.Mutex // serializes Register/SetFastpath (writers only)
+	mu    sync.Mutex // serializes Register; codecFor publishes by compare-and-swap
 	state atomic.Pointer[regState]
 }
 
 // regState is one immutable registry snapshot.
 type regState struct {
-	fast        bool // generated marshalers enabled (default true)
-	byName      map[string]reflect.Type
-	byType      map[reflect.Type]string
-	plans       map[reflect.Type]*typePlan
-	plansByName map[string]*typePlan
+	byName map[string]reflect.Type
+	byType map[reflect.Type]string
+	codecs map[reflect.Type]*codec
+	named  map[string]*codec // wire name -> node of the type that name decodes to
 }
+
+// maxCodecs bounds the codec cache. Beyond what Register compiles, the
+// dynamic types of encoded values are cached on first use up to this bound,
+// so a peer that has ever-new structural types echoed back cannot grow the
+// table without limit. Past it a node lives for that one call — as does,
+// always, the node of a type the decoder synthesizes from a name the peer
+// chose (decoder.local, under the same bound per stream).
+const maxCodecs = 1024
+
+// noRegistry stands in for a nil *Registry.
+var noRegistry = NewRegistry()
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
 	r := &Registry{}
-	r.state.Store(&regState{
-		fast:        true,
-		byName:      make(map[string]reflect.Type),
-		byType:      make(map[reflect.Type]string),
-		plans:       make(map[reflect.Type]*typePlan),
-		plansByName: make(map[string]*typePlan),
-	})
+	r.state.Store(newState(map[string]reflect.Type{}, map[reflect.Type]string{}))
 	return r
 }
 
-// clone copies s for a write; the maps are duplicated so the previous
-// snapshot stays valid for concurrent readers.
-func (s *regState) clone() *regState {
-	n := &regState{
-		fast:        s.fast,
-		byName:      make(map[string]reflect.Type, len(s.byName)+1),
-		byType:      make(map[reflect.Type]string, len(s.byType)+1),
-		plans:       make(map[reflect.Type]*typePlan, len(s.plans)+1),
-		plansByName: make(map[string]*typePlan, len(s.plansByName)+1),
+func (r *Registry) orNone() *Registry {
+	if r == nil {
+		return noRegistry
 	}
-	for k, v := range s.byName {
-		n.byName[k] = v
+	return r
+}
+
+// newState compiles a snapshot from scratch: a new name can change the
+// wire name of any node that reaches the named type, so nothing compiled
+// under the old names is carried over.
+func newState(byName map[string]reflect.Type, byType map[reflect.Type]string) *regState {
+	s := &regState{byName: byName, byType: byType, codecs: make(map[reflect.Type]*codec), named: make(map[string]*codec)}
+	// The structural types in the containers argument vectors carry ([]any,
+	// map[string]any, []string, map[string]int64, ...: a kernel that only
+	// ever receives these finds them compiled), then the registered types.
+	for _, t := range structuralTypes {
+		s.compile(s.codecs, reflect.SliceOf(t), false)
+		s.compile(s.codecs, reflect.MapOf(structuralTypes["string"], t), false)
 	}
-	for k, v := range s.byType {
-		n.byType[k] = v
+	for _, t := range byName {
+		s.compile(s.codecs, reflect.PointerTo(t), false)
 	}
-	for k, v := range s.plans {
-		n.plans[k] = v
+	s.add(s.codecs)
+	return s
+}
+
+// compile returns t's node, compiling into out what neither s nor out holds
+// of t and of every type it reaches. Nothing is published.
+func (s *regState) compile(out map[reflect.Type]*codec, t reflect.Type, unnamed bool) *codec {
+	cp := compiler{names: s.byType, base: s.codecs, out: out, unnamed: unnamed}
+	return cp.codec(t)
+}
+
+// add enters compiled nodes into s (not published yet). named takes the
+// nodes whose wire name decodes back to their own type: "[]int" names
+// []int64, not the []int8 it also encodes.
+func (s *regState) add(out map[reflect.Type]*codec) {
+	for t, c := range out {
+		s.codecs[t] = c
+		if c.nameErr != nil {
+			continue
+		}
+		if nt, err := s.typeFor(c.name); err == nil && nt == t {
+			s.named[c.name] = c
+		}
 	}
-	for k, v := range s.plansByName {
-		n.plansByName[k] = v
-	}
-	return n
 }
 
 // Register binds name to the dynamic type of sample (a value, not a
-// pointer, for struct types; pointer types register their element too).
-// Struct types get a generated marshaler compiled here, at register time,
-// so no call ever pays the layout walk.
+// pointer, for struct types). The type's codec, the codec of everything
+// its fields reach and of a pointer to it are compiled here, so no call
+// ever pays the layout walk.
 //
 //jk:wire-register 1
 func (r *Registry) Register(name string, sample any) {
 	t := reflect.TypeOf(sample)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := r.state.Load().clone()
-	s.byName[name] = t
-	s.byType[t] = name
-	if t.Kind() == reflect.Struct {
-		p := compilePlan(name, t)
-		s.plans[t] = p
-		s.plansByName[name] = p
-	}
-	r.state.Store(s)
-}
-
-// SetFastpath toggles the generated marshalers (on by default). With the
-// fast path off, every encode and decode goes through the generic reflect
-// walker — the two must produce byte-identical streams, which is what the
-// differential fuzz target holds them to.
-func (r *Registry) SetFastpath(on bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.state.Load().clone()
-	s.fast = on
-	r.state.Store(s)
-}
-
-func (r *Registry) nameOf(t reflect.Type) (string, bool) {
-	if r == nil {
-		return "", false
-	}
 	s := r.state.Load()
-	n, ok := s.byType[t]
-	return n, ok
+	byName, byType := maps.Clone(s.byName), maps.Clone(s.byType)
+	byName[name] = t
+	byType[t] = name
+	r.state.Store(newState(byName, byType))
 }
 
-func (r *Registry) typeOf(name string) (reflect.Type, bool) {
-	if r == nil {
-		return nil, false
-	}
+// codecFor is the encoder's lookup: it compiles the node of a type first
+// met as the dynamic type of an encoded value, and publishes it while the
+// cache has room and no writer got in between. Otherwise the nodes serve
+// this call only; no lock is taken, and past the bound no table copied.
+func (r *Registry) codecFor(t reflect.Type) *codec {
 	s := r.state.Load()
-	t, ok := s.byName[name]
-	return t, ok
+	if c := s.codecs[t]; c != nil {
+		return c
+	}
+	out := make(map[reflect.Type]*codec)
+	c := s.compile(out, t, false)
+	if len(s.codecs)+len(out) <= maxCodecs {
+		n := &regState{byName: s.byName, byType: s.byType, codecs: maps.Clone(s.codecs), named: maps.Clone(s.named)}
+		n.add(out)
+		r.state.CompareAndSwap(s, n)
+	}
+	return c
 }
 
-// planFor returns the generated marshaler plan for t, or nil when t is
-// unregistered or the fast path is disabled.
-func (r *Registry) planFor(t reflect.Type) *typePlan {
-	if r == nil {
-		return nil
+// PlanInfo describes the codec compiled for a registered type.
+type PlanInfo struct {
+	Name      string // registered wire name
+	Generated bool   // a compiled codec node exists (every registered type)
+}
+
+// Plans reports every registered type, sorted by wire name.
+func (r *Registry) Plans() []PlanInfo {
+	s := r.orNone().state.Load()
+	out := make([]PlanInfo, 0, len(s.byName))
+	for name, t := range s.byName {
+		out = append(out, PlanInfo{Name: name, Generated: s.codecs[t] != nil})
 	}
-	s := r.state.Load()
-	if !s.fast {
-		return nil
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
+// typeFor resolves a structural or registered type name.
+func (s *regState) typeFor(name string) (reflect.Type, error) {
+	if t, ok := structuralTypes[name]; ok {
+		return t, nil
 	}
-	return s.plans[t]
+	if len(name) > 2 && name[:2] == "[]" {
+		et, err := s.typeFor(name[2:])
+		if err != nil {
+			return nil, err
+		}
+		return reflect.SliceOf(et), nil
+	}
+	if len(name) > 1 && name[0] == '*' {
+		et, err := s.typeFor(name[1:])
+		if err != nil {
+			return nil, err
+		}
+		return reflect.PointerTo(et), nil
+	}
+	if len(name) > 4 && name[:4] == "map[" {
+		depth, i := 1, 4 // i stops one past the key's closing bracket
+		for ; i < len(name) && depth > 0; i++ {
+			switch name[i] {
+			case '[':
+				depth++
+			case ']':
+				depth--
+			}
+		}
+		if depth != 0 {
+			return nil, fmt.Errorf("seri: bad map type %q", name)
+		}
+		kt, err := s.typeFor(name[4 : i-1])
+		if err != nil {
+			return nil, err
+		}
+		vt, err := s.typeFor(name[i:])
+		if err != nil {
+			return nil, err
+		}
+		// reflect.MapOf panics on invalid key types (e.g. "map[bytes]...").
+		if kt.Kind() != reflect.Interface && !kt.Comparable() {
+			return nil, fmt.Errorf("seri: invalid map key type in %q", name)
+		}
+		return reflect.MapOf(kt, vt), nil
+	}
+	if t, ok := s.byName[name]; ok {
+		return t, nil
+	}
+	return nil, fmt.Errorf("seri: unknown type %q", name)
 }
 
 // External resolves values that cross the stream by reference rather than
-// by copy — the J-Kernel's capabilities. The encoder offers every pointer
-// and interface value to EncodeExternal; a (handle, true) answer writes a
+// by copy — the J-Kernel's capabilities. The encoder offers every non-nil
+// pointer to EncodeExternal, once; a (handle, true) answer writes a
 // capability-reference tag instead of a deep copy, and the decoder hands
 // the handle back to DecodeExternal to produce the local stand-in (the
 // original capability, or a proxy for a remote one).
@@ -191,7 +263,7 @@ func MarshalExt(r *Registry, v any, ext External) ([]byte, error) {
 // the per-encode state is reset on put, and the seen map keeps its buckets
 // warm, so steady-state marshalling allocates only the output it grows.
 var encPool = sync.Pool{
-	New: func() any { return &encoder{seen: make(map[unsafePtr]uint64)} },
+	New: func() any { return &encoder{seen: make(map[heapCell]uint64)} },
 }
 
 // AppendMarshalExt encodes v like MarshalExt but appends the stream to dst
@@ -201,8 +273,8 @@ var encPool = sync.Pool{
 // byte array per payload.
 func AppendMarshalExt(dst []byte, r *Registry, v any, ext External) ([]byte, error) {
 	e := encPool.Get().(*encoder)
-	e.reg, e.ext, e.buf = r, ext, dst
-	err := e.encodeIface(reflect.ValueOf(v))
+	e.reg, e.ext, e.buf = r.orNone(), ext, dst
+	err := e.dynamic(reflect.ValueOf(v))
 	buf := e.buf
 	e.reg, e.ext, e.buf = nil, nil, nil
 	if e.next != 0 {
@@ -233,12 +305,16 @@ var decPool = sync.Pool{
 // without one.
 func UnmarshalExt(r *Registry, data []byte, ext External) (any, error) {
 	d := decPool.Get().(*decoder)
-	d.reg, d.ext, d.buf, d.pos, d.depth = r, ext, data, 0, 0
-	v, err := d.decodeIface()
+	d.st, d.ext, d.buf, d.pos, d.depth = r.orNone().state.Load(), ext, data, 0, 0
+	var v any
+	tag, err := d.byte()
+	if err == nil {
+		v, err = d.dynamic(tag)
+	}
 	if err == nil && d.pos != len(d.buf) {
 		err = fmt.Errorf("seri: %d trailing bytes", len(d.buf)-d.pos)
 	}
-	d.reg, d.ext, d.buf = nil, nil, nil
+	d.st, d.ext, d.buf, d.local = nil, nil, nil, nil
 	if cap(d.objs) > 1024 {
 		d.objs = nil
 	} else {
@@ -261,261 +337,86 @@ func Copy(r *Registry, v any) (any, error) {
 	return Unmarshal(r, data)
 }
 
-// unsafePtr identifies heap cells for alias/cycle detection without unsafe:
+// heapCell identifies heap cells for alias/cycle detection without unsafe:
 // pointers, maps, and slices hash by their reflect pointer. Slices include
 // their length so overlapping slices of one array are not conflated.
-type unsafePtr struct {
+type heapCell struct {
 	p uintptr
 	t reflect.Type
 	n int
 }
 
 type encoder struct {
-	reg  *Registry
+	reg  *Registry // never nil
 	ext  External
 	buf  []byte
 	next uint64
-	seen map[unsafePtr]uint64
+	seen map[heapCell]uint64
 }
 
-// encodeExternal writes a capability reference when the External hook
-// claims v. Only pointer and interface kinds can be capabilities, so the
-// hook is not consulted for primitives and containers.
-func (e *encoder) encodeExternal(v reflect.Value) (bool, error) {
-	if e.ext == nil || v.Kind() != reflect.Ptr || v.IsNil() || !v.CanInterface() {
-		return false, nil
+// offer writes a capability reference when the External hook claims the
+// pointer v. Each pointer is offered exactly once: by the pointer node for
+// a statically typed slot, by dynamic for a pointer inside an interface.
+func (e *encoder) offer(v reflect.Value) bool {
+	if e.ext == nil || v.IsNil() || !v.CanInterface() {
+		return false
 	}
 	h, ok := e.ext.EncodeExternal(v.Interface())
 	if !ok {
-		return false, nil
+		return false
 	}
-	e.byte(tagCap)
-	e.uvarint(h)
-	return true, nil
+	e.buf = append(e.buf, tagCap)
+	e.buf = binary.AppendUvarint(e.buf, h)
+	return true
 }
 
-func (e *encoder) byte(b byte)      { e.buf = append(e.buf, b) }
-func (e *encoder) uvarint(u uint64) { e.buf = binary.AppendUvarint(e.buf, u) }
-func (e *encoder) varint(i int64)   { e.buf = binary.AppendVarint(e.buf, i) }
-func (e *encoder) str(s string) {
-	e.uvarint(uint64(len(s)))
-	e.buf = append(e.buf, s...)
+// null writes tagNil for a nil slice, map or pointer.
+func (e *encoder) null(v reflect.Value) bool {
+	if !v.IsNil() {
+		return false
+	}
+	e.buf = append(e.buf, tagNil)
+	return true
 }
 
-// encodeIface writes a dynamically typed value: tagIface + type name +
-// payload for registered/primitive types.
-func (e *encoder) encodeIface(v reflect.Value) error {
-	if !v.IsValid() {
-		e.byte(tagNil)
-		return nil
+// alias writes a back-reference when the heap cell was already encoded in
+// this stream; otherwise it gives the cell the next id.
+func (e *encoder) alias(cell heapCell) bool {
+	if id, ok := e.seen[cell]; ok {
+		e.buf = append(e.buf, tagRef)
+		e.buf = binary.AppendUvarint(e.buf, id)
+		return true
 	}
-	// Unwrap interface values.
+	e.seen[cell] = e.next
+	e.next++
+	return false
+}
+
+// dynamic writes a dynamically typed value — the top-level value and every
+// interface slot: tagNil, a capability reference, or tagIface + the wire
+// name of the value's type + the value through that type's node.
+func (e *encoder) dynamic(v reflect.Value) error {
 	for v.Kind() == reflect.Interface && !v.IsNil() {
 		v = v.Elem()
 	}
-	if v.Kind() == reflect.Interface {
-		e.byte(tagNil)
+	if !v.IsValid() || v.Kind() == reflect.Interface {
+		e.buf = append(e.buf, tagNil)
 		return nil
 	}
-	if done, err := e.encodeExternal(v); done || err != nil {
-		return err
+	// Before the node is looked up: a capability's own type need not be
+	// encodable.
+	if v.Kind() == reflect.Ptr && e.offer(v) {
+		return nil
 	}
-	// Registered structs take the generated marshaler: one plan lookup
-	// yields both the wire name and the compiled field appenders.
-	if v.Kind() == reflect.Struct {
-		if p := e.reg.planFor(v.Type()); p != nil {
-			e.byte(tagIface)
-			e.str(p.name)
-			return p.appendTo(e, v)
-		}
+	c := e.reg.codecFor(v.Type())
+	if c.nameErr != nil {
+		return c.nameErr
 	}
-	e.byte(tagIface)
-	name, err := e.typeName(v.Type())
-	if err != nil {
-		return err
+	e.buf = append(e.buf, c.header...)
+	if c.unoffered != nil {
+		return c.unoffered(e, v)
 	}
-	e.str(name)
-	return e.encode(v)
-}
-
-// typeName renders a structural name for primitives and container shapes,
-// and the registered name for named struct types.
-func (e *encoder) typeName(t reflect.Type) (string, error) {
-	switch t.Kind() {
-	case reflect.Bool:
-		return "bool", nil
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return "int", nil
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		return "uint", nil
-	case reflect.Float32, reflect.Float64:
-		return "float", nil
-	case reflect.String:
-		return "string", nil
-	case reflect.Slice:
-		if t.Elem().Kind() == reflect.Uint8 {
-			return "bytes", nil
-		}
-		en, err := e.typeName(t.Elem())
-		if err != nil {
-			return "", err
-		}
-		return "[]" + en, nil
-	case reflect.Map:
-		kn, err := e.typeName(t.Key())
-		if err != nil {
-			return "", err
-		}
-		vn, err := e.typeName(t.Elem())
-		if err != nil {
-			return "", err
-		}
-		return "map[" + kn + "]" + vn, nil
-	case reflect.Ptr:
-		en, err := e.typeName(t.Elem())
-		if err != nil {
-			return "", err
-		}
-		return "*" + en, nil
-	case reflect.Struct:
-		if n, ok := e.reg.nameOf(t); ok {
-			return n, nil
-		}
-		return "", fmt.Errorf("seri: unregistered struct type %v", t)
-	case reflect.Interface:
-		return "any", nil
-	default:
-		return "", fmt.Errorf("seri: unsupported type %v", t)
-	}
-}
-
-func (e *encoder) encode(v reflect.Value) error {
-	switch v.Kind() {
-	case reflect.Bool:
-		e.byte(tagBool)
-		if v.Bool() {
-			e.byte(1)
-		} else {
-			e.byte(0)
-		}
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		e.byte(tagInt)
-		e.varint(v.Int())
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		e.byte(tagUint)
-		e.uvarint(v.Uint())
-	case reflect.Float32, reflect.Float64:
-		e.byte(tagFloat)
-		e.uvarint(math.Float64bits(v.Float()))
-	case reflect.String:
-		e.byte(tagString)
-		e.str(v.String())
-	case reflect.Slice:
-		if v.IsNil() {
-			e.byte(tagNil)
-			return nil
-		}
-		key := unsafePtr{p: v.Pointer(), t: v.Type(), n: v.Len()}
-		if id, ok := e.seen[key]; ok {
-			e.byte(tagRef)
-			e.uvarint(id)
-			return nil
-		}
-		e.seen[key] = e.next
-		e.next++
-		if v.Type().Elem().Kind() == reflect.Uint8 {
-			e.byte(tagBytes)
-			e.uvarint(uint64(v.Len()))
-			e.buf = append(e.buf, v.Bytes()...)
-			return nil
-		}
-		e.byte(tagSlice)
-		e.uvarint(uint64(v.Len()))
-		for i := 0; i < v.Len(); i++ {
-			if err := e.encodeElem(v.Index(i)); err != nil {
-				return err
-			}
-		}
-	case reflect.Map:
-		if v.IsNil() {
-			e.byte(tagNil)
-			return nil
-		}
-		key := unsafePtr{p: v.Pointer(), t: v.Type()}
-		if id, ok := e.seen[key]; ok {
-			e.byte(tagRef)
-			e.uvarint(id)
-			return nil
-		}
-		e.seen[key] = e.next
-		e.next++
-		e.byte(tagMap)
-		e.uvarint(uint64(v.Len()))
-		iter := v.MapRange()
-		for iter.Next() {
-			if err := e.encodeElem(iter.Key()); err != nil {
-				return err
-			}
-			if err := e.encodeElem(iter.Value()); err != nil {
-				return err
-			}
-		}
-	case reflect.Ptr:
-		if v.IsNil() {
-			e.byte(tagNil)
-			return nil
-		}
-		if done, err := e.encodeExternal(v); done || err != nil {
-			return err
-		}
-		key := unsafePtr{p: v.Pointer(), t: v.Type()}
-		if id, ok := e.seen[key]; ok {
-			e.byte(tagRef)
-			e.uvarint(id)
-			return nil
-		}
-		e.seen[key] = e.next
-		e.next++
-		e.byte(tagPtr)
-		return e.encode(v.Elem())
-	case reflect.Struct:
-		if p := e.reg.planFor(v.Type()); p != nil {
-			return p.appendTo(e, v)
-		}
-		e.byte(tagStruct)
-		t := v.Type()
-		n := 0
-		for i := 0; i < t.NumField(); i++ {
-			if t.Field(i).IsExported() {
-				n++
-			}
-		}
-		e.uvarint(uint64(n))
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if !f.IsExported() {
-				continue
-			}
-			e.str(f.Name)
-			if err := e.encodeElem(v.Field(i)); err != nil {
-				return fmt.Errorf("field %s: %w", f.Name, err)
-			}
-		}
-	case reflect.Interface:
-		return e.encodeIface(v)
-	default:
-		return fmt.Errorf("seri: cannot encode %v", v.Kind())
-	}
-	return nil
-}
-
-// encodeElem encodes a statically typed element; interfaces dispatch
-// dynamically.
-func (e *encoder) encodeElem(v reflect.Value) error {
-	if v.Kind() == reflect.Interface {
-		return e.encodeIface(v)
-	}
-	return e.encode(v)
+	return c.enc(e, v)
 }
 
 // Decode hardening limits. Streams arriving over the wire are adversarial
@@ -537,28 +438,13 @@ const (
 )
 
 type decoder struct {
-	reg   *Registry
+	st    *regState
 	ext   External
 	buf   []byte
 	pos   int
 	depth int
-	objs  []reflect.Value // id -> decoded heap object
-}
-
-// decodeExternal resolves a capability reference read from the stream.
-func (d *decoder) decodeExternal() (any, error) {
-	h, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if d.ext == nil {
-		return nil, d.fail("capability reference %d with no external decoder", h)
-	}
-	v, err := d.ext.DecodeExternal(h)
-	if err != nil {
-		return nil, fmt.Errorf("seri: capability reference %d: %w", h, err)
-	}
-	return v, nil
+	objs  []reflect.Value         // id -> decoded heap object
+	local map[reflect.Type]*codec // nodes compiled for this decode only
 }
 
 func (d *decoder) fail(format string, args ...any) error {
@@ -592,342 +478,121 @@ func (d *decoder) varint() (int64, error) {
 	return v, nil
 }
 
-func (d *decoder) str() (string, error) {
+// count reads an element count and checks it against the bytes left, each
+// element needing at least min of them.
+func (d *decoder) count(what string, min int) (int, error) {
 	n, err := d.uvarint()
 	if err != nil {
-		return "", err
+		return 0, err
 	}
-	if n > uint64(len(d.buf)-d.pos) {
-		return "", d.fail("string of %d bytes overruns buffer", n)
+	if n > uint64((len(d.buf)-d.pos)/min) {
+		return 0, d.fail("%s of %d overruns buffer", what, n)
 	}
-	s := string(d.buf[d.pos : d.pos+int(n)])
-	d.pos += int(n)
-	return s, nil
+	return int(n), nil
 }
 
 // strBytes reads a length-prefixed string as a transient byte slice
 // aliasing the input buffer — valid only until the caller advances or
-// returns. The generated decoders use it for field-name dispatch so a map
-// hit costs no allocation (a map[string]T lookup keyed by string(bytes)
-// does not materialize the string).
+// returns. Name dispatch uses it so a map hit costs no allocation (a
+// map[string]T lookup keyed by string(bytes) does not materialize the
+// string).
 func (d *decoder) strBytes() ([]byte, error) {
-	n, err := d.uvarint()
+	n, err := d.count("string", 1)
 	if err != nil {
 		return nil, err
 	}
-	if n > uint64(len(d.buf)-d.pos) {
-		return nil, d.fail("string of %d bytes overruns buffer", n)
-	}
-	b := d.buf[d.pos : d.pos+int(n)]
-	d.pos += int(n)
+	b := d.buf[d.pos : d.pos+n]
+	d.pos += n
 	return b, nil
 }
 
-// decodeIface reads a dynamically typed value.
-func (d *decoder) decodeIface() (any, error) {
-	tag, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	if tag == tagNil {
+// dynamic reads a dynamically typed value whose tag is already consumed.
+func (d *decoder) dynamic(tag byte) (any, error) {
+	switch tag {
+	case tagNil:
 		return nil, nil
+	case tagIface:
+		return d.named()
+	case tagCap:
+		h, err := d.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if d.ext == nil {
+			return nil, d.fail("capability reference %d with no external decoder", h)
+		}
+		v, err := d.ext.DecodeExternal(h)
+		if err != nil {
+			return nil, fmt.Errorf("seri: capability reference %d: %w", h, err)
+		}
+		return v, nil
 	}
-	if tag == tagCap {
-		return d.decodeExternal()
-	}
-	if tag != tagIface {
-		return nil, d.fail("expected iface tag, got %d", tag)
-	}
-	name, err := d.str()
+	return nil, d.fail("expected iface tag, got %d", tag)
+}
+
+// named reads a type name and a value of that type.
+func (d *decoder) named() (any, error) {
+	name, err := d.strBytes()
 	if err != nil {
 		return nil, err
 	}
 	if len(name) > maxTypeName {
 		return nil, d.fail("type name of %d bytes", len(name))
 	}
-	t, err := d.typeFor(name)
-	if err != nil {
-		return nil, err
+	c := d.st.named[string(name)]
+	if c == nil {
+		t, err := d.st.typeFor(string(name))
+		if err != nil {
+			return nil, err
+		}
+		if d.local == nil {
+			d.local = make(map[reflect.Type]*codec)
+		} else if len(d.local) >= maxCodecs {
+			return nil, d.fail("more than %d structural types unknown here", maxCodecs)
+		}
+		c = d.st.compile(d.local, t, true)
 	}
-	v := reflect.New(t).Elem()
-	if err := d.decodeInto(v); err != nil {
+	v := reflect.New(c.t).Elem()
+	if err := d.into(c, v); err != nil {
 		return nil, err
 	}
 	return v.Interface(), nil
 }
 
-// typeFor resolves a structural or registered type name.
-func (d *decoder) typeFor(name string) (reflect.Type, error) {
-	switch name {
-	case "bool":
-		return reflect.TypeOf(false), nil
-	case "int":
-		return reflect.TypeOf(int64(0)), nil
-	case "uint":
-		return reflect.TypeOf(uint64(0)), nil
-	case "float":
-		return reflect.TypeOf(float64(0)), nil
-	case "string":
-		return reflect.TypeOf(""), nil
-	case "bytes":
-		return reflect.TypeOf([]byte(nil)), nil
-	case "any":
-		return reflect.TypeOf((*any)(nil)).Elem(), nil
-	}
-	if len(name) > 2 && name[:2] == "[]" {
-		et, err := d.typeFor(name[2:])
-		if err != nil {
-			return nil, err
-		}
-		return reflect.SliceOf(et), nil
-	}
-	if len(name) > 1 && name[0] == '*' {
-		et, err := d.typeFor(name[1:])
-		if err != nil {
-			return nil, err
-		}
-		return reflect.PointerTo(et), nil
-	}
-	if len(name) > 4 && name[:4] == "map[" {
-		depth := 1
-		i := 4
-		for ; i < len(name); i++ {
-			if name[i] == '[' {
-				depth++
-			}
-			if name[i] == ']' {
-				depth--
-				if depth == 0 {
-					break
-				}
-			}
-		}
-		if depth != 0 {
-			return nil, d.fail("bad map type %q", name)
-		}
-		kt, err := d.typeFor(name[4:i])
-		if err != nil {
-			return nil, err
-		}
-		vt, err := d.typeFor(name[i+1:])
-		if err != nil {
-			return nil, err
-		}
-		// reflect.MapOf panics on invalid key types (e.g. "map[bytes]...").
-		if kt.Kind() != reflect.Interface && !kt.Comparable() {
-			return nil, d.fail("invalid map key type in %q", name)
-		}
-		return reflect.MapOf(kt, vt), nil
-	}
-	if t, ok := d.reg.typeOf(name); ok {
-		return t, nil
-	}
-	return nil, d.fail("unknown type %q", name)
-}
-
-// decodeInto fills v (addressable) from the stream, guarding recursion
-// depth: every nesting level of the encoding costs at least one stream
-// byte, so a depth bound rejects only pathological input.
-func (d *decoder) decodeInto(v reflect.Value) error {
+// into fills the slot v (addressable, of c's type) from the stream: the one
+// place a slot's tag is read (the node's own goes to the node, any other to
+// foreign) and recursion depth guarded — every nesting level costs at least
+// one stream byte, so the bound rejects only pathological input.
+func (d *decoder) into(c *codec, v reflect.Value) error {
 	if d.depth >= maxDecodeDepth {
 		return d.fail("nesting deeper than %d", maxDecodeDepth)
 	}
-	d.depth++
-	err := d.decodeInto0(v)
-	d.depth--
-	return err
-}
-
-func (d *decoder) decodeInto0(v reflect.Value) error {
-	if v.Kind() == reflect.Interface {
-		x, err := d.decodeIface()
-		if err != nil {
-			return err
-		}
-		if x == nil {
-			v.Set(reflect.Zero(v.Type()))
-			return nil
-		}
-		xv := reflect.ValueOf(x)
-		if !xv.Type().AssignableTo(v.Type()) {
-			// Widen decoded int64/uint64/float64 where needed.
-			if xv.Type().ConvertibleTo(v.Type()) {
-				xv = xv.Convert(v.Type())
-			} else {
-				return d.fail("cannot assign %v to %v", xv.Type(), v.Type())
-			}
-		}
-		v.Set(xv)
-		return nil
+	if c.dec == nil {
+		return d.fail("cannot decode into %v", c.t)
 	}
-
 	tag, err := d.byte()
 	if err != nil {
 		return err
 	}
-	// A tag that does not match the slot's kind is a malformed stream
-	// (reflect's setters panic on kind mismatch, so check first).
-	wrongTag := func() error { return d.fail("tag %d cannot fill %v slot", tag, v.Type()) }
+	d.depth++
+	if tag == c.tag {
+		err = c.dec(d, v)
+	} else {
+		err = d.foreign(tag, v)
+	}
+	d.depth--
+	return err
+}
+
+// foreign handles the tags every slot tolerates besides its node's own:
+// nil, a back-reference, and a dynamically typed value or capability
+// reference in a statically typed slot. Any other tag is a malformed
+// stream.
+func (d *decoder) foreign(tag byte, v reflect.Value) error {
 	switch tag {
 	case tagNil:
-		v.Set(reflect.Zero(v.Type()))
-	case tagBool:
-		b, err := d.byte()
-		if err != nil {
-			return err
-		}
-		if v.Kind() != reflect.Bool {
-			return wrongTag()
-		}
-		v.SetBool(b != 0)
-	case tagInt:
-		i, err := d.varint()
-		if err != nil {
-			return err
-		}
-		switch v.Kind() {
-		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		default:
-			return wrongTag()
-		}
-		v.SetInt(i)
-	case tagUint:
-		u, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		switch v.Kind() {
-		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		default:
-			return wrongTag()
-		}
-		v.SetUint(u)
-	case tagFloat:
-		u, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		if v.Kind() != reflect.Float32 && v.Kind() != reflect.Float64 {
-			return wrongTag()
-		}
-		v.SetFloat(math.Float64frombits(u))
-	case tagString:
-		s, err := d.str()
-		if err != nil {
-			return err
-		}
-		if v.Kind() != reflect.String {
-			return wrongTag()
-		}
-		v.SetString(s)
-	case tagBytes:
-		n, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		if n > uint64(len(d.buf)-d.pos) {
-			return d.fail("bytes of %d overruns buffer", n)
-		}
-		if v.Kind() != reflect.Slice || v.Type().Elem().Kind() != reflect.Uint8 {
-			return wrongTag()
-		}
-		b := make([]byte, n)
-		copy(b, d.buf[d.pos:])
-		d.pos += int(n)
-		v.SetBytes(b)
-		d.objs = append(d.objs, v)
-	case tagSlice:
-		n, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		if n > uint64(len(d.buf)-d.pos) {
-			return d.fail("slice of %d overruns buffer", n)
-		}
-		if v.Kind() != reflect.Slice {
-			return wrongTag()
-		}
-		if n*uint64(v.Type().Elem().Size()) > maxPrealloc {
-			return d.fail("slice of %d×%d-byte elements exceeds the preallocation bound", n, v.Type().Elem().Size())
-		}
-		s := reflect.MakeSlice(v.Type(), int(n), int(n))
-		v.Set(s)
-		d.objs = append(d.objs, v)
-		for i := 0; i < int(n); i++ {
-			if err := d.decodeInto(s.Index(i)); err != nil {
-				return err
-			}
-		}
-	case tagMap:
-		n, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		// Each entry needs at least two stream bytes (key + value tag).
-		if n > uint64(len(d.buf)-d.pos)/2 {
-			return d.fail("map of %d overruns buffer", n)
-		}
-		if v.Kind() != reflect.Map {
-			return wrongTag()
-		}
-		if entry := uint64(v.Type().Key().Size()+v.Type().Elem().Size()) + 16; n*entry > maxPrealloc {
-			return d.fail("map of %d×%d-byte entries exceeds the preallocation bound", n, entry)
-		}
-		mv := reflect.MakeMapWithSize(v.Type(), int(n))
-		v.Set(mv)
-		d.objs = append(d.objs, v)
-		kt, vt := v.Type().Key(), v.Type().Elem()
-		for i := uint64(0); i < n; i++ {
-			kv := reflect.New(kt).Elem()
-			if err := d.decodeInto(kv); err != nil {
-				return err
-			}
-			// A dynamically typed key may decode to an unhashable value
-			// (SetMapIndex would panic — "hash of unhashable type").
-			if !kv.Comparable() {
-				return d.fail("unhashable map key of type %v", kv.Type())
-			}
-			vv := reflect.New(vt).Elem()
-			if err := d.decodeInto(vv); err != nil {
-				return err
-			}
-			mv.SetMapIndex(kv, vv)
-		}
-	case tagPtr:
-		if v.Kind() != reflect.Ptr {
-			return wrongTag()
-		}
-		p := reflect.New(v.Type().Elem())
-		v.Set(p)
-		d.objs = append(d.objs, v)
-		return d.decodeInto(p.Elem())
-	case tagStruct:
-		if v.Kind() != reflect.Struct {
-			return d.fail("struct tag for %v", v.Kind())
-		}
-		if p := d.reg.planFor(v.Type()); p != nil {
-			return p.decodeInto(d, v)
-		}
-		n, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		for i := uint64(0); i < n; i++ {
-			fname, err := d.str()
-			if err != nil {
-				return err
-			}
-			f := v.FieldByName(fname)
-			// Unexported fields resolve to valid but non-settable values
-			// (the setters would panic); the encoder never writes them, so
-			// a stream naming one is malformed.
-			if !f.IsValid() || !f.CanSet() {
-				return d.fail("no field %q in %v", fname, v.Type())
-			}
-			if err := d.decodeInto(f); err != nil {
-				return fmt.Errorf("field %s: %w", fname, err)
-			}
-		}
+		v.SetZero()
+		return nil
 	case tagRef:
 		id, err := d.uvarint()
 		if err != nil {
@@ -941,38 +606,49 @@ func (d *decoder) decodeInto0(v reflect.Value) error {
 			return d.fail("ref type %v not assignable to %v", src.Type(), v.Type())
 		}
 		v.Set(src)
-	case tagIface:
-		// A dynamically typed value in a statically typed slot: rewind the
-		// tag and decode as interface payload.
-		d.pos--
-		x, err := d.decodeIface()
+		return nil
+	case tagIface, tagCap:
+		x, err := d.dynamic(tag)
 		if err != nil {
 			return err
 		}
-		// The encoder writes tagNil directly for nil values, so a dynamic
-		// nil here ("any" payload holding nothing) is malformed — and
-		// reflect.ValueOf(nil) has no Type to consult.
-		if x == nil {
-			return d.fail("nil dynamic value for %v slot", v.Type())
-		}
-		xv := reflect.ValueOf(x)
-		if xv.Type().ConvertibleTo(v.Type()) {
-			v.Set(xv.Convert(v.Type()))
+		return d.place(x, v)
+	}
+	return d.fail("tag %d cannot fill %v slot", tag, v.Type())
+}
+
+// place stores a dynamically typed value into v: assignable types as they
+// are, numbers into a slot of the same family when they fit. Nothing else
+// converts (reflect would turn an int into a one-rune string, and panic on
+// a short slice aimed at an array pointer).
+func (d *decoder) place(x any, v reflect.Value) error {
+	// The encoder writes tagNil directly for nil values, so a dynamic nil
+	// here ("any" payload holding nothing) is malformed — and
+	// reflect.ValueOf(nil) has no Type to consult.
+	if x == nil {
+		return d.fail("nil dynamic value for %v slot", v.Type())
+	}
+	xv := reflect.ValueOf(x)
+	if xv.Type().AssignableTo(v.Type()) {
+		v.Set(xv)
+		return nil
+	}
+	switch x := x.(type) {
+	case int64:
+		if v.CanInt() && !v.OverflowInt(x) {
+			v.SetInt(x)
 			return nil
 		}
-		return d.fail("cannot place %v into %v", xv.Type(), v.Type())
-	case tagCap:
-		x, err := d.decodeExternal()
-		if err != nil {
-			return err
+	case uint64:
+		if v.CanUint() && !v.OverflowUint(x) {
+			v.SetUint(x)
+			return nil
 		}
-		xv := reflect.ValueOf(x)
-		if !xv.IsValid() || !xv.Type().AssignableTo(v.Type()) {
-			return d.fail("capability reference is not assignable to %v", v.Type())
+	case float64:
+		if v.CanFloat() && !v.OverflowFloat(x) {
+			v.SetFloat(x)
+			return nil
 		}
-		v.Set(xv)
-	default:
-		return d.fail("unknown tag %d", tag)
 	}
-	return nil
+	return d.fail("cannot place %v into %v", xv.Type(), v.Type())
 }

@@ -175,3 +175,43 @@ func TestExternalDeclines(t *testing.T) {
 		t.Fatalf("bad copy: %#v", h)
 	}
 }
+
+// countingExt declines every pointer and counts the offers.
+type countingExt struct{ offers map[any]int }
+
+func (c countingExt) EncodeExternal(v any) (uint64, bool) {
+	c.offers[v]++
+	return 0, false
+}
+
+func (countingExt) DecodeExternal(uint64) (any, error) { return nil, errors.New("no handles") }
+
+// TestExternalOfferedOncePerPointer: the hook sees each pointer once,
+// wherever it sits — at the top level, in an []any vector, in a pointer
+// field, in an interface field.
+func TestExternalOfferedOncePerPointer(t *testing.T) {
+	r := reg()
+	r.Register("capHolder", capHolder{})
+	top, inVec, inField, inIface := &Point{X: 1}, &Point{X: 2}, &fakeCap{id: 3}, &Point{X: 4}
+	for name, c := range map[string]struct {
+		v    any
+		ptrs []any
+	}{
+		"top level": {top, []any{top}},
+		"in []any":  {[]any{inVec, int64(1)}, []any{inVec}},
+		"in fields": {capHolder{Cap: inField, Any: inIface}, []any{inField, inIface}},
+	} {
+		ext := countingExt{offers: map[any]int{}}
+		if _, err := MarshalExt(r, c.v, ext); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(ext.offers) != len(c.ptrs) {
+			t.Errorf("%s: %d distinct values offered, want %d", name, len(ext.offers), len(c.ptrs))
+		}
+		for _, p := range c.ptrs {
+			if n := ext.offers[p]; n != 1 {
+				t.Errorf("%s: %#v offered %d times, want 1", name, p, n)
+			}
+		}
+	}
+}
