@@ -21,6 +21,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -70,7 +71,7 @@ type Kernel struct {
 	nextStub  atomic.Int64
 	repo      *Repository
 	seriReg   *seri.Registry
-	seriTypes sync.Map // reflect.Type -> bool (serializable? else fastcopy)
+	copyModes sync.Map // reflect.Type -> copyMode, for types registered away from the default
 	copier    *fastcopy.Copier
 	graphCop  *fastcopy.Copier
 	exports   sync.Map // string -> *Capability: names served to remote kernels
@@ -208,7 +209,7 @@ func (k *Kernel) ExportedNames() []string {
 // native LRMI copies it field-by-field without the byte-array intermediate.
 // graph enables the cycle-tracking hash table, as in the paper.
 func (k *Kernel) RegisterFastCopy(sample any, graph bool) {
-	k.seriTypes.Store(typeKey(sample), copyModeFast(graph))
+	k.copyModes.Store(reflect.TypeOf(sample), copyModeFast(graph))
 }
 
 // RegisterSerializable marks a Go type as serializable under name: native
@@ -217,7 +218,7 @@ func (k *Kernel) RegisterFastCopy(sample any, graph bool) {
 //jk:wire-register 1
 func (k *Kernel) RegisterSerializable(name string, sample any) {
 	k.seriReg.Register(name, sample)
-	k.seriTypes.Store(typeKey(sample), copyModeSeri)
+	k.copyModes.Store(reflect.TypeOf(sample), copyModeSeri)
 }
 
 // domainByID returns the domain or nil.
@@ -409,10 +410,6 @@ func (k *Kernel) taskForThread(t *vmkit.Thread) *Task {
 	return v.(*Task)
 }
 
-func typeKey(sample any) string {
-	return fmt.Sprintf("%T", sample)
-}
-
 // accountStats re-exports the account snapshot type for Domain.Stats.
 type accountStats = account.Stats
 
@@ -432,11 +429,11 @@ func copyModeFast(graph bool) copyMode {
 	return copyModeFastTree
 }
 
+// copyModeFor returns the mode registered for v's exact type: the type
+// itself is the key, so two types that merely print alike (a/msg.Req and
+// b/msg.Req, two function-local T) keep their own modes.
 func (k *Kernel) copyModeFor(v any) copyMode {
-	if v == nil {
-		return copyModeDefault
-	}
-	if m, ok := k.seriTypes.Load(typeKey(v)); ok {
+	if m, ok := k.copyModes.Load(reflect.TypeOf(v)); ok {
 		return m.(copyMode)
 	}
 	return copyModeDefault

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"time"
 
 	"jkernel/internal/threads"
 	"jkernel/internal/vmkit"
@@ -92,11 +93,7 @@ func (g *Gate) callVM(t *vmkit.Thread, via *gateEntry, idx int64, args []vmkit.V
 	// the revocation check alone propagates server death to clients.
 	target := g.vmTarget.Load()
 	if target == nil {
-		fault, class := g.revocationFault(), vmkit.ClassRevokedEx
-		if errors.Is(fault, ErrDomainTerminated) {
-			class = vmkit.ClassTerminatedEx
-		}
-		return vmkit.Value{}, vm.Throwf(class, "%v (capability %d of domain %s)", fault, g.id, g.owner.Name)
+		return vmkit.Value{}, g.revokedThrowable()
 	}
 	if idx < 0 || int(idx) >= len(g.plans) {
 		return vmkit.Value{}, vm.Throwf(vmkit.ClassIllegalStateEx, "bad method index %d", idx)
@@ -145,8 +142,37 @@ func (g *Gate) callVM(t *vmkit.Thread, via *gateEntry, idx int64, args []vmkit.V
 		callArgs = append(callArgs, cv)
 	}
 
-	tm := k.tm
-	tmStart := tm.callStart(task)
+	tmStart := k.tm.callStart(task)
+
+	ret, thrown := g.cross(task, t, callerDomain, m, callArgs)
+	if thrown == nil && ret.K == vmkit.KRef {
+		retCtx := vmCopyCtx{k: k, dest: callerDomain}
+		ret, thrown = retCtx.copyValue(ret)
+		ctx.bytes += retCtx.bytes
+	}
+	g.account(task, callerDomain, m, tmStart, ctx.bytes, thrown != nil)
+	if thrown != nil {
+		return vmkit.Value{}, thrown
+	}
+	return ret, nil
+}
+
+// revokedThrowable is what a call through a gate without a target throws:
+// termination revokes all of a domain's gates, so the fault tells which.
+func (g *Gate) revokedThrowable() *vmkit.Object {
+	fault, class := g.revocationFault(), vmkit.ClassRevokedEx
+	if errors.Is(fault, ErrDomainTerminated) {
+		class = vmkit.ClassTerminatedEx
+	}
+	return g.k.VM.Throwf(class, "%v (capability %d of domain %s)", fault, g.id, g.owner.Name)
+}
+
+// cross is the gate crossing every VM LRMI makes, whoever the caller: switch
+// to the callee's segment, run m on callArgs (already in the callee's
+// domain), switch back. The result is still the callee's; an exception is
+// already the caller's copy.
+func (g *Gate) cross(task *Task, t *vmkit.Thread, callerDomain *Domain, m *vmkit.Method, callArgs []vmkit.Value) (vmkit.Value, *vmkit.Object) {
+	vm := g.k.VM
 
 	// Segment switch: push the callee segment (lock pair #1). Buffered
 	// step charges flush at each switch so work lands on the right domain.
@@ -166,28 +192,23 @@ func (g *Gate) callVM(t *vmkit.Thread, via *gateEntry, idx int64, args []vmkit.V
 	t.DomainID = prevDomain
 	task.leave(g.owner, seg)
 
-	// Copy the outcome back into the caller's domain.
 	if thrown != nil {
-		thrown = k.copyThrowable(callerDomain, thrown)
-	} else if ret.K == vmkit.KRef {
-		retCtx := vmCopyCtx{k: k, dest: callerDomain}
-		ret, thrown = retCtx.copyValue(ret)
-		ctx.bytes += retCtx.bytes
+		thrown = g.k.copyThrowable(callerDomain, thrown)
 	}
+	return ret, thrown
+}
 
-	// Account the call: bytes copied in both directions.
-	k.Meter.CrossCall(callerDomain.ID, g.owner.ID, ctx.bytes)
-	if tm != nil {
+// account books a finished crossing: the bytes copied in both directions,
+// and the call's span.
+func (g *Gate) account(task *Task, callerDomain *Domain, m *vmkit.Method, tmStart time.Time, bytes int64, failed bool) {
+	g.k.Meter.CrossCall(callerDomain.ID, g.owner.ID, bytes)
+	if tm := g.k.tm; tm != nil {
 		var callErr error
-		if thrown != nil {
+		if failed {
 			callErr = errVMException
 		}
 		tm.vm(task, task.effectiveTrace(), callerDomain, g.owner, m.Name, tmStart, callErr)
 	}
-	if thrown != nil {
-		return vmkit.Value{}, thrown
-	}
-	return ret, nil
 }
 
 var errVMException = errors.New("vm exception")

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sort"
 
-	"jkernel/internal/fastcopy"
 	"jkernel/internal/seri"
 	"jkernel/internal/threads"
 )
@@ -261,7 +260,10 @@ func (c *Capability) invokeFrom(task *Task, name string, args []any) ([]any, err
 		return nil, fmt.Errorf("jkernel: %s wants %d args, got %d", name, ft.NumIn(), len(args))
 	}
 	useThunk := m.thunk != nil
-	var in []reflect.Value
+	// Argument frames of up to four values — nearly every method — stay on
+	// the stack: reflect's Call reads the slice and keeps nothing of it.
+	var inBuf [4]reflect.Value
+	in := inBuf[:0]
 	var cargs []any
 	if useThunk {
 		if len(args) > 0 {
@@ -276,7 +278,6 @@ func (c *Capability) invokeFrom(task *Task, name string, args []any) ([]any, err
 			cargs[i] = ca
 		}
 	} else {
-		in = make([]reflect.Value, len(args))
 		for i, a := range args {
 			ca, n, err := k.copyNative(a)
 			if err != nil {
@@ -293,7 +294,7 @@ func (c *Capability) invokeFrom(task *Task, name string, args []any) ([]any, err
 			if err != nil {
 				return nil, fmt.Errorf("jkernel: %s argument %d: %w", name, i, err)
 			}
-			in[i] = rv
+			in = append(in, rv)
 		}
 	}
 
@@ -311,14 +312,13 @@ func (c *Capability) invokeFrom(task *Task, name string, args []any) ([]any, err
 			// and dispatch through reflect, exactly as a thunk-less method
 			// would. Thunk shapes are never variadic.
 			useThunk, callErr = false, nil
-			in = make([]reflect.Value, len(cargs))
 			for i, ca := range cargs {
 				rv, err := conform(ca, ft.In(i))
 				if err != nil {
 					callErr = fmt.Errorf("jkernel: %s argument %d: %w", name, i, err)
 					break
 				}
-				in[i] = rv
+				in = append(in, rv)
 			}
 			if callErr == nil {
 				out, callErr = safeCall(fn, in)
@@ -429,7 +429,10 @@ func copyErrorOut(err error) error {
 }
 
 // copyNative applies the calling convention to a Go value: capabilities by
-// reference, everything else deep-copied by the type's registered mode.
+// reference, everything else deep-copied by the type's registered mode. The
+// transfer size comes out of the copy itself: the fast-copy plan adds it up
+// as it goes, and a serialized value is charged its intermediate byte
+// array, as on the VM path.
 func (k *Kernel) copyNative(v any) (any, int64, error) {
 	if v == nil {
 		return nil, 0, nil
@@ -437,17 +440,18 @@ func (k *Kernel) copyNative(v any) (any, int64, error) {
 	if c, ok := v.(*Capability); ok {
 		return c, 8, nil
 	}
-	n := fastcopy.Sizeof(v)
 	switch k.copyModeFor(v) {
 	case copyModeSeri:
-		out, err := seri.Copy(k.seriReg, v)
-		return out, n, err
+		data, err := seri.Marshal(k.seriReg, v)
+		if err != nil {
+			return nil, 0, err
+		}
+		out, err := seri.Unmarshal(k.seriReg, data)
+		return out, int64(len(data)), err
 	case copyModeFastGraph:
-		out, err := k.graphCop.Copy(v)
-		return out, n, err
+		return k.graphCop.CopySize(v)
 	default:
-		out, err := k.copier.Copy(v)
-		return out, n, err
+		return k.copier.CopySize(v)
 	}
 }
 

@@ -4,6 +4,13 @@
 // fields directly. The paper reports this is more than an order of
 // magnitude faster for large arguments (Table 4).
 //
+// The copy code is compiled per type, as the paper generates copy code per
+// fast-copy class: the first copy of a reflect.Type builds a plan (plan.go)
+// — which fields cross, which are plain data that assignment copies, what
+// each reference leads to — and every later copy runs the plan, allocating
+// only what the copy itself is made of and adding up the transfer size as
+// it goes.
+//
 // As in the paper, cycle/alias tracking via a hash table is opt-in
 // (WithCycleTable): tracking costs time, so by default graphs are assumed
 // to be trees and a depth limit converts runaway recursion (a cycle) into
@@ -15,12 +22,15 @@
 package fastcopy
 
 import (
-	"fmt"
+	"errors"
 	"reflect"
+	"sync"
 )
 
 // maxDepth bounds recursion when no cycle table is in use.
 const maxDepth = 256
+
+var errDepth = errors.New("fastcopy: depth limit exceeded (cyclic data without WithCycleTable?)")
 
 // Option configures a Copier.
 type Option func(*Copier)
@@ -37,10 +47,13 @@ func WithCapabilityFunc(pred func(v any) bool) Option {
 	return func(c *Copier) { c.isCap = pred }
 }
 
-// Copier deep-copies Go values.
+// Copier deep-copies Go values. It is safe for concurrent use.
 type Copier struct {
 	useTable bool
 	isCap    func(v any) bool
+
+	plans sync.Map   // reflect.Type -> *plan, complete when published
+	mu    sync.Mutex // serializes compilation
 }
 
 // New creates a Copier.
@@ -52,13 +65,19 @@ func New(opts ...Option) *Copier {
 	return c
 }
 
-type copyCtx struct {
+// state is one copy in progress.
+type state struct {
 	c     *Copier
 	depth int
-	seen  map[seenKey]reflect.Value
+	size  int64
+	// seen maps source cells to their copies in table mode, made when the
+	// first aliasable reference is met: plain data never pays for it.
+	seen map[cell]reflect.Value
 }
 
-type seenKey struct {
+// cell identifies a heap cell. Slices include their length so overlapping
+// slices of one array are not conflated.
+type cell struct {
 	p uintptr
 	t reflect.Type
 	n int
@@ -67,228 +86,64 @@ type seenKey struct {
 // Copy returns a deep copy of v. The result shares no mutable memory with
 // v except for values the capability predicate claims.
 func (c *Copier) Copy(v any) (any, error) {
-	if v == nil {
-		return nil, nil
-	}
-	ctx := &copyCtx{c: c}
-	if c.useTable {
-		ctx.seen = make(map[seenKey]reflect.Value)
-	}
-	out, err := ctx.copyValue(reflect.ValueOf(v))
-	if err != nil {
-		return nil, err
-	}
-	return out.Interface(), nil
+	out, _, err := c.CopySize(v)
+	return out, err
 }
 
-func (ctx *copyCtx) copyValue(v reflect.Value) (reflect.Value, error) {
-	ctx.depth++
-	defer func() { ctx.depth-- }()
-	if ctx.depth > maxDepth {
-		return reflect.Value{}, fmt.Errorf("fastcopy: depth limit exceeded (cyclic data without WithCycleTable?)")
+// CopySize is Copy that also reports the transfer size in bytes, for
+// accounting charges at LRMI boundaries: scalars by width, strings and
+// byte slices by length, 8 per reference followed. Both come from the one
+// pass over v.
+func (c *Copier) CopySize(v any) (out any, size int64, err error) {
+	switch b := v.(type) {
+	case nil:
+		return nil, 0, nil
+	case []byte:
+		// The commonest argument needs no plan: one make, one copy.
+		if b == nil {
+			return v, 0, nil
+		}
+		dup := make([]byte, len(b))
+		copy(dup, b)
+		return dup, int64(len(b)), nil
 	}
-
-	// Capability pass-by-reference check applies to interface-shaped
-	// values: pointers, maps, and channels of registered capability types.
-	if ctx.c.isCap != nil && v.CanInterface() {
-		switch v.Kind() {
-		case reflect.Ptr, reflect.Interface:
-			if !v.IsNil() && ctx.c.isCap(v.Interface()) {
-				return v, nil
-			}
-		}
+	src := reflect.ValueOf(v)
+	p := c.plan(src.Type())
+	if p.plain() {
+		// Nothing in v can be written through: the boxed value itself is
+		// the copy.
+		return v, p.plainSize(src), nil
 	}
-
-	switch v.Kind() {
-	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
-		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128, reflect.String:
-		return v, nil
-
-	case reflect.Slice:
-		if v.IsNil() {
-			return v, nil
+	st := state{c: c}
+	if p.kind == reflect.Pointer {
+		// A pointer needs no slot of its own: its copy is the new pointee.
+		if src.IsNil() {
+			return v, 0, nil
 		}
-		key := seenKey{p: v.Pointer(), t: v.Type(), n: v.Len()}
-		if ctx.seen != nil {
-			if prev, ok := ctx.seen[key]; ok {
-				return prev, nil
-			}
+		if c.isCap != nil && c.isCap(v) {
+			return v, 8, nil
 		}
-		out := reflect.MakeSlice(v.Type(), v.Len(), v.Len())
-		if ctx.seen != nil {
-			ctx.seen[key] = out
-		}
-		if v.Type().Elem().Kind() == reflect.Uint8 {
-			reflect.Copy(out, v)
-			return out, nil
-		}
-		for i := 0; i < v.Len(); i++ {
-			ev, err := ctx.copyValue(v.Index(i))
-			if err != nil {
-				return reflect.Value{}, err
-			}
-			out.Index(i).Set(ev)
-		}
-		return out, nil
-
-	case reflect.Array:
-		out := reflect.New(v.Type()).Elem()
-		for i := 0; i < v.Len(); i++ {
-			ev, err := ctx.copyValue(v.Index(i))
-			if err != nil {
-				return reflect.Value{}, err
-			}
-			out.Index(i).Set(ev)
-		}
-		return out, nil
-
-	case reflect.Map:
-		if v.IsNil() {
-			return v, nil
-		}
-		key := seenKey{p: v.Pointer(), t: v.Type()}
-		if ctx.seen != nil {
-			if prev, ok := ctx.seen[key]; ok {
-				return prev, nil
-			}
-		}
-		out := reflect.MakeMapWithSize(v.Type(), v.Len())
-		if ctx.seen != nil {
-			ctx.seen[key] = out
-		}
-		iter := v.MapRange()
-		for iter.Next() {
-			kv, err := ctx.copyValue(iter.Key())
-			if err != nil {
-				return reflect.Value{}, err
-			}
-			vv, err := ctx.copyValue(iter.Value())
-			if err != nil {
-				return reflect.Value{}, err
-			}
-			out.SetMapIndex(kv, vv)
-		}
-		return out, nil
-
-	case reflect.Ptr:
-		if v.IsNil() {
-			return v, nil
-		}
-		key := seenKey{p: v.Pointer(), t: v.Type()}
-		if ctx.seen != nil {
-			if prev, ok := ctx.seen[key]; ok {
-				return prev, nil
-			}
-		}
-		out := reflect.New(v.Type().Elem())
-		if ctx.seen != nil {
-			ctx.seen[key] = out
-		}
-		ev, err := ctx.copyValue(v.Elem())
+		dup, err := p.newPointee(&st, src)
 		if err != nil {
-			return reflect.Value{}, err
+			return nil, 0, err
 		}
-		out.Elem().Set(ev)
-		return out, nil
-
-	case reflect.Struct:
-		out := reflect.New(v.Type()).Elem()
-		t := v.Type()
-		for i := 0; i < t.NumField(); i++ {
-			if !t.Field(i).IsExported() {
-				// Unexported fields cannot be copied via reflection; a
-				// struct with unexported state must be a capability or
-				// implement its own transfer. Zero value is deliberate: no
-				// hidden channel crosses the domain boundary.
-				continue
-			}
-			fv, err := ctx.copyValue(v.Field(i))
-			if err != nil {
-				return reflect.Value{}, fmt.Errorf("field %s: %w", t.Field(i).Name, err)
-			}
-			out.Field(i).Set(fv)
-		}
-		return out, nil
-
-	case reflect.Interface:
-		if v.IsNil() {
-			return v, nil
-		}
-		ev, err := ctx.copyValue(v.Elem())
-		if err != nil {
-			return reflect.Value{}, err
-		}
-		out := reflect.New(v.Type()).Elem()
-		out.Set(ev)
-		return out, nil
-
-	case reflect.Func, reflect.Chan, reflect.UnsafePointer:
-		return reflect.Value{}, fmt.Errorf("fastcopy: %v cannot cross a domain boundary (not a capability)", v.Kind())
-
-	default:
-		return reflect.Value{}, fmt.Errorf("fastcopy: unsupported kind %v", v.Kind())
+		return dup.Interface(), st.size, nil
 	}
+	slot := reflect.New(p.t).Elem()
+	if err := p.copy(&st, slot, src); err != nil {
+		return nil, 0, err
+	}
+	return slot.Interface(), st.size, nil
 }
 
-// Sizeof estimates the transfer size of v in bytes, used for accounting
-// charges at LRMI boundaries. It traverses like Copy (bounded by the same
-// depth limit) but never allocates.
-func Sizeof(v any) int64 {
-	var walk func(reflect.Value, int) int64
-	walk = func(v reflect.Value, depth int) int64 {
-		if depth > maxDepth {
-			return 0
-		}
-		switch v.Kind() {
-		case reflect.Bool, reflect.Int8, reflect.Uint8:
-			return 1
-		case reflect.Int16, reflect.Uint16:
-			return 2
-		case reflect.Int32, reflect.Uint32, reflect.Float32:
-			return 4
-		case reflect.Int, reflect.Int64, reflect.Uint, reflect.Uint64, reflect.Float64, reflect.Uintptr:
-			return 8
-		case reflect.String:
-			return int64(v.Len())
-		case reflect.Slice, reflect.Array:
-			if v.Kind() == reflect.Slice && v.IsNil() {
-				return 0
-			}
-			if v.Kind() == reflect.Slice && v.Type().Elem().Kind() == reflect.Uint8 {
-				return int64(v.Len())
-			}
-			var n int64
-			for i := 0; i < v.Len(); i++ {
-				n += walk(v.Index(i), depth+1)
-			}
-			return n
-		case reflect.Map:
-			var n int64
-			iter := v.MapRange()
-			for iter.Next() {
-				n += walk(iter.Key(), depth+1) + walk(iter.Value(), depth+1)
-			}
-			return n
-		case reflect.Ptr, reflect.Interface:
-			if v.IsNil() {
-				return 0
-			}
-			return 8 + walk(v.Elem(), depth+1)
-		case reflect.Struct:
-			var n int64
-			for i := 0; i < v.NumField(); i++ {
-				if v.Type().Field(i).IsExported() {
-					n += walk(v.Field(i), depth+1)
-				}
-			}
-			return n
-		default:
-			return 0
-		}
+// remember enters a cell's copy into the table before its contents are
+// copied, so cycles terminate. dup must not be a slot a later step rewrites.
+func (st *state) remember(key cell, dup reflect.Value) {
+	if !st.c.useTable {
+		return
 	}
-	if v == nil {
-		return 0
+	if st.seen == nil {
+		st.seen = make(map[cell]reflect.Value)
 	}
-	return walk(reflect.ValueOf(v), 0)
+	st.seen[key] = dup
 }

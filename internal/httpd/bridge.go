@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"jkernel/internal/core"
+	"jkernel/internal/telemetry"
 )
 
 // servletIfaceSrc is the shared VM servlet interface — the contract every
@@ -78,7 +79,7 @@ func NewBridge(k *core.Kernel) (*Bridge, error) {
 	}
 	b := &Bridge{
 		K:      k,
-		Router: &Router{},
+		Router: &Router{reg: k.Telemetry()},
 		system: system,
 		host:   host,
 	}
@@ -194,30 +195,26 @@ func (b *Bridge) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-
-	// Per-servlet telemetry: latency and status counters under the kernel
-	// registry (free when telemetry is disabled), plus the control plane's
-	// load/latency observer when one is installed.
-	ctl := b.controlPlane()
 	start := time.Now()
-	status := http.StatusOK
-	var reqErr error
-	if b.K.Telemetry() != nil || ctl != nil {
-		defer func() {
-			if b.K.Telemetry() != nil {
-				b.observe(rt.name, status, start)
-			}
-			if ctl != nil {
-				ctl.ObserveRequest(rt.name, status, reqErr, time.Since(start))
-			}
-		}()
-	}
+	status, err := b.dispatch(w, r, rt)
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<22))
+	// Per-servlet telemetry through the handles the route resolved when it
+	// was mounted (inert when telemetry is disabled), plus the control
+	// plane's load/latency observer when one is installed.
+	rt.tm.observe(status, start)
+	if ctl := b.controlPlane(); ctl != nil {
+		ctl.ObserveRequest(rt.name, status, err, time.Since(start))
+	}
+}
+
+// dispatch forwards one routed request through LRMI to rt's servlet and
+// writes the reply. It returns the status written and the servlet's
+// failure, if that is what the status reports.
+func (b *Bridge) dispatch(w http.ResponseWriter, r *http.Request, rt *route) (status int, err error) {
+	body, status, err := readBody(r)
 	if err != nil {
-		status = http.StatusBadRequest
 		http.Error(w, "read body: "+err.Error(), status)
-		return
+		return status, nil
 	}
 
 	// Enter the bridge domain for the duration of the request: the Java
@@ -226,17 +223,19 @@ func (b *Bridge) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	defer b.taskPool.Put(task)
 
 	if rt.isVM {
-		out, err := rt.cap.InvokeVM(task, "service", r.Method, r.URL.RequestURI(), body)
+		// The request target as the client sent it; a request built by hand
+		// (no server parsed it) or in absolute form has it derived.
+		uri := r.RequestURI
+		if uri == "" || uri[0] != '/' {
+			uri = r.URL.RequestURI()
+		}
+		out, err := rt.cap.InvokeVM(task, "service", r.Method, uri, body)
 		if err != nil {
-			reqErr = err
-			status = servletError(w, err)
-			return
+			return servletError(w, err), err
 		}
 		data, _ := out.([]byte)
-		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-		w.WriteHeader(http.StatusOK)
-		w.Write(data)
-		return
+		writeReply(w, http.StatusOK, data)
+		return http.StatusOK, nil
 	}
 
 	req := &Request{
@@ -248,16 +247,13 @@ func (b *Bridge) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	results, err := rt.cap.InvokeFrom(task, "Service", req)
 	if err != nil {
-		reqErr = err
 		b.maybeUnmountFaulted(rt, err)
-		status = servletError(w, err)
-		return
+		return servletError(w, err), err
 	}
 	resp, _ := results[0].(*Response)
 	if resp == nil {
-		status = http.StatusBadGateway
-		http.Error(w, "servlet returned no response", status)
-		return
+		http.Error(w, "servlet returned no response", http.StatusBadGateway)
+		return http.StatusBadGateway, nil
 	}
 	for k, v := range resp.Headers {
 		w.Header().Set(k, v)
@@ -266,9 +262,58 @@ func (b *Bridge) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if status == 0 {
 		status = http.StatusOK
 	}
-	w.Header().Set("Content-Length", strconv.Itoa(len(resp.Body)))
+	writeReply(w, status, resp.Body)
+	return status, nil
+}
+
+func writeReply(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	w.Write(resp.Body)
+	w.Write(body)
+}
+
+// maxBody bounds the request body the bridge hands to a servlet or decodes
+// as an upload bundle.
+const maxBody = 1 << 22
+
+// bodyChunk is the most readBody allocates ahead of the bytes it has read.
+const bodyChunk = 64 << 10
+
+var errBodyTooLarge = fmt.Errorf("body exceeds %d bytes", maxBody)
+
+// readBody returns r's body, nil without reading when the request has
+// none. A body over maxBody — declared or, for a body of undeclared
+// length, met while reading — is 413 rather than a truncated prefix the
+// servlet would take for the whole; a body that ends early is 400. The
+// status is meaningful only with an error.
+func readBody(r *http.Request) (body []byte, status int, err error) {
+	switch {
+	case r.ContentLength == 0 || r.Body == nil || r.Body == http.NoBody:
+		return nil, 0, nil
+	case r.ContentLength > maxBody:
+		return nil, http.StatusRequestEntityTooLarge, errBodyTooLarge
+	case r.ContentLength > 0:
+		// What has arrived pays for what is allocated: a client that
+		// declares a large body and stalls pins one chunk, not the claim.
+		n := int(r.ContentLength)
+		body = make([]byte, min(n, bodyChunk))
+		_, err = io.ReadFull(r.Body, body)
+		for err == nil && len(body) < n {
+			have := len(body)
+			body = append(body, make([]byte, min(n-have, have))...)
+			_, err = io.ReadFull(r.Body, body[have:])
+		}
+	default:
+		// One byte past the limit tells a body at the limit from one over it.
+		body, err = io.ReadAll(io.LimitReader(r.Body, maxBody+1))
+		if err == nil && len(body) > maxBody {
+			return nil, http.StatusRequestEntityTooLarge, errBodyTooLarge
+		}
+	}
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	return body, 0, nil
 }
 
 // maybeUnmountFaulted observes a capability fault on a remote mount. A
@@ -311,16 +356,41 @@ func servletError(w http.ResponseWriter, err error) int {
 	}
 }
 
-// observe records one routed request: total count, per-servlet latency,
-// and a per-servlet, per-status counter.
-func (b *Bridge) observe(name string, status int, start time.Time) {
-	reg := b.K.Telemetry()
+// routeMetrics are one route's telemetry handles, resolved when the route
+// is mounted so that a request that succeeds looks nothing up by name. The
+// zero value (telemetry disabled) is inert.
+type routeMetrics struct {
+	reg      *telemetry.Registry
+	prefix   string             // "httpd.req.<name>.status_"
+	requests *telemetry.Counter // httpd.requests, shared by every route
+	latency  *telemetry.Histogram
+	ok       *telemetry.Counter // status_200; any other status is found by name
+}
+
+func (m *routeMetrics) init(reg *telemetry.Registry, name string) {
 	if reg == nil {
 		return
 	}
-	reg.Counter("httpd.requests").Inc()
-	reg.Histogram("httpd.req." + name + ".latency_ns").ObserveSince(start)
-	reg.Counter("httpd.req." + name + ".status_" + strconv.Itoa(status)).Inc()
+	m.reg = reg
+	m.prefix = "httpd.req." + name + ".status_"
+	m.requests = reg.Counter("httpd.requests")
+	m.latency = reg.Histogram("httpd.req." + name + ".latency_ns")
+	m.ok = reg.Counter(m.prefix + "200")
+}
+
+// observe records one routed request: total count, per-servlet latency,
+// and a per-servlet, per-status counter.
+func (m *routeMetrics) observe(status int, start time.Time) {
+	if m.reg == nil {
+		return
+	}
+	m.requests.Inc()
+	m.latency.ObserveSince(start)
+	if status == http.StatusOK {
+		m.ok.Inc()
+		return
+	}
+	m.reg.Counter(m.prefix + strconv.Itoa(status)).Inc()
 }
 
 // serveAdmin handles upload and termination.
@@ -337,9 +407,9 @@ func (b *Bridge) serveAdmin(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "need name, prefix, main", http.StatusBadRequest)
 			return
 		}
-		raw, err := io.ReadAll(io.LimitReader(r.Body, 1<<22))
+		raw, status, err := readBody(r)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			http.Error(w, "read body: "+err.Error(), status)
 			return
 		}
 		bundle, err := DecodeBundle(raw)
@@ -376,7 +446,12 @@ func (b *Bridge) serveAdmin(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// flattenHeader keeps the first value of each header; nil when there is
+// none (net/http has moved Host out of the map already).
 func flattenHeader(h http.Header) map[string]string {
+	if len(h) == 0 {
+		return nil
+	}
 	out := make(map[string]string, len(h))
 	for k, vs := range h {
 		if len(vs) > 0 {

@@ -247,3 +247,137 @@ func TestStaticHandler(t *testing.T) {
 		t.Errorf("got %d %q", res.StatusCode, body)
 	}
 }
+
+// echoLenServlet answers with the length of the body it was handed.
+type echoLenServlet struct{}
+
+func (echoLenServlet) Service(req *Request) (*Response, error) {
+	return &Response{Status: 200, Body: []byte(fmt.Sprint(len(req.Body)))}, nil
+}
+
+// A body over the limit is refused with 413 — whether its length was
+// declared or is only met while reading — on the servlet path and on the
+// admin upload path. It used to reach the servlet cut to the limit, with a
+// 200, and an upload reported "truncated class data".
+func TestOversizeBodyIs413(t *testing.T) {
+	k, b := newBridge(t)
+	if _, err := b.MountNative("len", "/len", echoLenServlet{}); err != nil {
+		t.Fatal(err)
+	}
+	post := func(path string, body io.Reader) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		b.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))
+		return rec
+	}
+	// struct{io.Reader} hides the length: ContentLength is -1, as for a
+	// chunked upload.
+	big := func() io.Reader { return bytes.NewReader(make([]byte, maxBody+1)) }
+	const upload = "/admin/upload?name=u&prefix=/u&main=U"
+	for name, rec := range map[string]*httptest.ResponseRecorder{
+		"servlet, declared":   post("/len", big()),
+		"servlet, undeclared": post("/len", struct{ io.Reader }{big()}),
+		"upload, declared":    post(upload, big()),
+		"upload, undeclared":  post(upload, struct{ io.Reader }{big()}),
+	} {
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d (%s), want 413", name, rec.Code, strings.TrimSpace(rec.Body.String()))
+		}
+	}
+	// At the limit the body arrives whole, either way.
+	for name, body := range map[string]io.Reader{
+		"declared":   bytes.NewReader(make([]byte, maxBody)),
+		"undeclared": struct{ io.Reader }{bytes.NewReader(make([]byte, maxBody))},
+	} {
+		if rec := post("/len", body); rec.Code != 200 || rec.Body.String() != fmt.Sprint(maxBody) {
+			t.Errorf("body at the limit, %s: %d %q", name, rec.Code, rec.Body.String())
+		}
+	}
+	// A body that ends before its declared length is the client's error.
+	short := httptest.NewRequest(http.MethodPost, "/len", strings.NewReader("abc"))
+	short.ContentLength = 10
+	rec := httptest.NewRecorder()
+	b.ServeHTTP(rec, short)
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("short body: status %d, want 400", rec.Code)
+	}
+	// Every routed request above was counted, once, under its status.
+	reg := k.Telemetry()
+	if got := reg.Counter("httpd.requests").Value(); got != 5 {
+		t.Errorf("httpd.requests = %d, want 5 (admin requests are not routed)", got)
+	}
+	for status, want := range map[string]int64{"status_413": 2, "status_200": 2, "status_400": 1} {
+		if got := reg.Counter("httpd.req.len." + status).Value(); got != want {
+			t.Errorf("httpd.req.len.%s = %d, want %d", status, got, want)
+		}
+	}
+}
+
+// echoServlet answers with the body it was handed.
+type echoServlet struct{}
+
+func (echoServlet) Service(req *Request) (*Response, error) {
+	return &Response{Status: 200, Body: req.Body}, nil
+}
+
+// A declared body is read in chunks that grow with what has arrived, not
+// allocated whole on the client's word: it still arrives intact across
+// chunk boundaries, and one that stops short in a later chunk is a 400.
+func TestDeclaredBodyReadInChunks(t *testing.T) {
+	_, b := newBridge(t)
+	if _, err := b.MountNative("echo", "/echo", echoServlet{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, bodyChunk - 1, bodyChunk, bodyChunk + 1, 3*bodyChunk + 7} {
+		body := make([]byte, n)
+		for i := range body {
+			body[i] = byte(i * 31)
+		}
+		rec := httptest.NewRecorder()
+		b.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/echo", bytes.NewReader(body)))
+		if rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), body) {
+			t.Errorf("%d-byte body: status %d, %d bytes back, intact=%v", n, rec.Code, rec.Body.Len(), bytes.Equal(rec.Body.Bytes(), body))
+		}
+	}
+	short := httptest.NewRequest(http.MethodPost, "/echo", bytes.NewReader(make([]byte, bodyChunk+10)))
+	short.ContentLength = 3 * bodyChunk
+	rec := httptest.NewRecorder()
+	b.ServeHTTP(rec, short)
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("body cut short in its second chunk: status %d, want 400", rec.Code)
+	}
+}
+
+// A status other than 200 gets its counter by name; headers of the
+// request reach the servlet, and a request without any hands it a nil map.
+type teapotServlet struct{ sawHeaders chan map[string]string }
+
+func (s teapotServlet) Service(req *Request) (*Response, error) {
+	s.sawHeaders <- req.Headers
+	return &Response{Status: http.StatusTeapot}, nil
+}
+
+func TestServletChosenStatusAndHeaders(t *testing.T) {
+	k, b := newBridge(t)
+	s := teapotServlet{sawHeaders: make(chan map[string]string, 2)}
+	if _, err := b.MountNative("tea", "/tea", s); err != nil {
+		t.Fatal(err)
+	}
+	if res, _ := get(t, b, "/tea"); res.StatusCode != http.StatusTeapot {
+		t.Errorf("status %d, want 418", res.StatusCode)
+	}
+	if h := <-s.sawHeaders; h != nil {
+		t.Errorf("header-less request handed the servlet %v, want nil", h)
+	}
+	req := httptest.NewRequest(http.MethodGet, "/tea", nil)
+	req.Header.Set("X-Trace", "t1")
+	b.ServeHTTP(httptest.NewRecorder(), req)
+	if h := <-s.sawHeaders; h["X-Trace"] != "t1" {
+		t.Errorf("headers = %v", h)
+	}
+	if got := k.Telemetry().Counter("httpd.req.tea.status_418").Value(); got != 2 {
+		t.Errorf("status_418 = %d, want 2", got)
+	}
+	if got := k.Telemetry().Histogram("httpd.req.tea.latency_ns").Count(); got != 2 {
+		t.Errorf("latency observations = %d, want 2", got)
+	}
+}

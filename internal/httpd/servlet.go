@@ -19,6 +19,7 @@ import (
 	"sync"
 
 	"jkernel/internal/core"
+	"jkernel/internal/telemetry"
 )
 
 // Request is the servlet-visible request. It crosses domains by copy.
@@ -53,13 +54,14 @@ func (a *nativeServletAdapter) Service(req *Request) (*Response, error) {
 }
 
 // RegisterTypes registers the servlet API types with a kernel for
-// fast-copy transfer (maps make the graphs non-tree, so use the table),
-// and for wire transfer so servlet requests can also cross process
-// boundaries through internal/remote. Call it in worker kernels that host
-// remote servlets, too.
+// fast-copy transfer — as trees: strings, a string map and a byte slice
+// alias nothing, so the cycle table would only cost — and for wire
+// transfer so servlet requests can also cross process boundaries through
+// internal/remote. Call it in worker kernels that host remote servlets,
+// too.
 func RegisterTypes(k *core.Kernel) {
-	k.RegisterFastCopy(&Request{}, true)
-	k.RegisterFastCopy(&Response{}, true)
+	k.RegisterFastCopy(&Request{}, false)
+	k.RegisterFastCopy(&Response{}, false)
 	k.RegisterWireType("jk.httpd.Request", Request{})
 	k.RegisterWireType("jk.httpd.Response", Response{})
 }
@@ -71,12 +73,21 @@ type route struct {
 	cap    *core.Capability
 	domain *core.Domain
 	isVM   bool
+	tm     routeMetrics
+}
+
+func (r *Router) newRoute(name, prefix string, cap *core.Capability, d *core.Domain, isVM bool) *route {
+	rt := &route{name: name, prefix: prefix, cap: cap, domain: d, isVM: isVM}
+	rt.tm.init(r.reg, name)
+	return rt
 }
 
 // Router maps URL prefixes to servlet capabilities, longest prefix first.
 type Router struct {
 	mu     sync.RWMutex
 	routes []*route
+	// reg is where routes resolve their telemetry handles (nil: none).
+	reg *telemetry.Registry
 }
 
 // Mount binds a servlet capability to a URL prefix.
@@ -91,7 +102,7 @@ func (r *Router) Mount(name, prefix string, cap *core.Capability, d *core.Domain
 			return fmt.Errorf("httpd: servlet %q already mounted", name)
 		}
 	}
-	r.routes = append(r.routes, &route{name: name, prefix: prefix, cap: cap, domain: d, isVM: isVM})
+	r.routes = append(r.routes, r.newRoute(name, prefix, cap, d, isVM))
 	sort.SliceStable(r.routes, func(i, j int) bool {
 		return len(r.routes[i].prefix) > len(r.routes[j].prefix)
 	})
@@ -120,7 +131,7 @@ func (r *Router) Remount(name, prefix string, cap *core.Capability) error {
 	if !strings.HasPrefix(prefix, "/") {
 		return fmt.Errorf("httpd: prefix must start with /: %q", prefix)
 	}
-	nrt := &route{name: name, prefix: prefix, cap: cap}
+	nrt := r.newRoute(name, prefix, cap, nil, false)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for i, rt := range r.routes {
