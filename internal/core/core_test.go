@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -575,6 +576,64 @@ func TestNativeArgumentsCopied(t *testing.T) {
 	res2, _ := cap.Invoke("Scramble", mine)
 	if res2[0].([]byte)[0] == 7 {
 		t.Error("result aliases callee memory")
+	}
+}
+
+// wireSink is a transport's result encoder: it sees the results as the
+// callee returned them and reports a stream length.
+type wireSink struct {
+	got []any
+	n   int64
+}
+
+func (w *wireSink) EncodeResults(results []any) int64 {
+	w.got = results
+	return w.n
+}
+
+// ServeWire is the transport's entry, InvokeFrom without the copies: the
+// callee gets the very arguments the transport decoded, the encoder the
+// very results the callee returned, and the crossing is charged the two
+// stream lengths. Errors are copied out as ever, and encode nothing.
+func TestServeWireHandsOverWithoutCopying(t *testing.T) {
+	k, d1, d2, cap, _ := newNativePair(t)
+	task := k.NewDetachedTask(d2, "transport")
+	before := d2.Stats()
+
+	decoded := []byte{1, 2, 3}
+	sink := &wireSink{n: 40}
+	if err := cap.ServeWire(task, "Scramble", []any{decoded}, 100, sink); err != nil {
+		t.Fatal(err)
+	}
+	if decoded[0] != 0xfe {
+		t.Error("the callee worked on a copy of the decoded argument")
+	}
+	if out, _ := sink.got[0].([]byte); len(out) != 3 || &out[0] != &decoded[0] {
+		t.Errorf("the encoder was handed %v, not the callee's own result", sink.got)
+	}
+	after := d2.Stats()
+	if after.CrossCalls-before.CrossCalls != 1 || after.CopyBytes-before.CopyBytes != 140 {
+		t.Errorf("charged %d crossings and %d bytes, want 1 and 100+40",
+			after.CrossCalls-before.CrossCalls, after.CopyBytes-before.CopyBytes)
+	}
+
+	// Reflect-dispatched methods (no thunk shape) take the same path.
+	other, err := k.CreateNativeCapability(d1, &calcService{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink = &wireSink{}
+	if err := cap.ServeWire(task, "Echo", []any{other}, 8, sink); err != nil || sink.got[0] != any(other) {
+		t.Errorf("Echo through ServeWire: %v, %v", sink.got, err)
+	}
+
+	sink = &wireSink{}
+	err = cap.ServeWire(task, "Boom", nil, 0, sink)
+	if re, ok := err.(*RemoteError); !ok || !strings.Contains(re.Msg, "kaboom") || sink.got != nil {
+		t.Errorf("a panicking callee: err %v, encoded %v", err, sink.got)
+	}
+	if err := cap.ServeWire(task, "NoSuch", nil, 0, sink); !errors.Is(err, ErrNoSuchMethod) {
+		t.Errorf("unknown method: %v", err)
 	}
 }
 

@@ -216,165 +216,179 @@ func (c *Capability) InvokeFrom(task *Task, name string, args ...any) ([]any, er
 func (c *Capability) invokeFrom(task *Task, name string, args []any) ([]any, error) {
 	g := c.g
 	k := g.k
+	caller, m, pt, err := c.nativeCallee(task, name)
+	if err != nil {
+		return nil, err
+	}
+	if pt != nil {
+		return c.invokeProxy(task, caller, pt, name, args)
+	}
+	start := k.tm.callStart(task)
 
-	callerDomain := k.domainByID(task.Chain.Current().Domain)
-	if callerDomain == nil {
-		return nil, ErrNotEntered
-	}
-	if callerDomain.Terminated() {
-		return nil, ErrDomainTerminated
-	}
-	nt := g.natTarget.Load()
-	if nt == nil {
-		// Proxy gates forward over their transport instead of dispatching
-		// locally; the callee kernel performs the method lookup.
-		if pb := g.proxy.Load(); pb != nil {
-			return c.invokeProxy(task, callerDomain, pb.t, name, args)
-		}
-		if reason := g.failureReason(); reason != nil {
-			return nil, reason
-		}
-		if g.owner.Terminated() {
-			return nil, ErrDomainTerminated
-		}
-		if g.vmTarget.Load() != nil {
-			return nil, fmt.Errorf("jkernel: %w: VM capability requires InvokeVM", ErrNoSuchMethod)
-		}
-		return nil, ErrRevoked
-	}
-	m, ok := nt.methods[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchMethod, name)
-	}
-	fn := m.fn
-
-	tm := k.tm
-	start := tm.callStart(task)
-
-	// Copy arguments in (capabilities by reference). The thunk path keeps
-	// the copies as plain values; the reflect path conforms them to the
-	// parameter types as it goes.
-	var copied int64
-	ft := fn.Type()
-	if ft.NumIn() != len(args) && !ft.IsVariadic() {
-		return nil, fmt.Errorf("jkernel: %s wants %d args, got %d", name, ft.NumIn(), len(args))
-	}
-	useThunk := m.thunk != nil
-	// Argument frames of up to four values — nearly every method — stay on
-	// the stack: reflect's Call reads the slice and keeps nothing of it.
+	// Copy arguments in (capabilities by reference).
 	var inBuf [4]reflect.Value
-	in := inBuf[:0]
-	var cargs []any
-	if useThunk {
-		if len(args) > 0 {
-			cargs = make([]any, len(args))
-		}
-		for i, a := range args {
-			ca, n, err := k.copyNative(a)
-			if err != nil {
-				return nil, &CopyError{What: fmt.Sprintf("argument %d of %s", i, name), Err: err}
-			}
-			copied += n
-			cargs[i] = ca
-		}
-	} else {
-		for i, a := range args {
-			ca, n, err := k.copyNative(a)
-			if err != nil {
-				return nil, &CopyError{What: fmt.Sprintf("argument %d of %s", i, name), Err: err}
-			}
-			copied += n
-			var want reflect.Type
-			if ft.IsVariadic() && i >= ft.NumIn()-1 {
-				want = ft.In(ft.NumIn() - 1).Elem()
-			} else {
-				want = ft.In(i)
-			}
-			rv, err := conform(ca, want)
-			if err != nil {
-				return nil, fmt.Errorf("jkernel: %s argument %d: %w", name, i, err)
-			}
-			in = append(in, rv)
-		}
+	in, cargs, copied, err := k.nativeArgs(m, args, inBuf[:0], true)
+	if err != nil {
+		return nil, err
 	}
-
-	// Segment switch (lock pair #1 on push, #2 on pop).
-	seg := task.enter(g.owner)
-
-	var out []reflect.Value
-	var touts []any
-	var merr, callErr error
-	if useThunk {
-		touts, merr, callErr = safeThunk(m.thunk, cargs)
-		if callErr == errThunkFallback {
-			// An argument's dynamic type missed the compiled shape (a
-			// numeric width the copy normalized, say): conform the copies
-			// and dispatch through reflect, exactly as a thunk-less method
-			// would. Thunk shapes are never variadic.
-			useThunk, callErr = false, nil
-			for i, ca := range cargs {
-				rv, err := conform(ca, ft.In(i))
-				if err != nil {
-					callErr = fmt.Errorf("jkernel: %s argument %d: %w", name, i, err)
-					break
-				}
-				in = append(in, rv)
-			}
-			if callErr == nil {
-				out, callErr = safeCall(fn, in)
-			}
-		}
-	} else {
-		out, callErr = safeCall(fn, in)
-	}
-
-	task.leave(g.owner, seg)
+	results, merr, callErr := g.crossNative(task, m, in, cargs)
 
 	// The caller's segment may have been stopped or suspended while the
 	// callee ran; honor it at the boundary (the native safepoint).
 	if perr := task.Chain.Poll(); perr != nil {
 		return nil, perr
 	}
-
-	k.Meter.CrossCall(callerDomain.ID, g.owner.ID, copied)
-	if tm != nil {
-		tm.lrmi(task, task.effectiveTrace(), callerDomain, g.owner, name, start, callErr)
+	k.Meter.CrossCall(caller.ID, g.owner.ID, copied)
+	if k.tm != nil {
+		k.tm.lrmi(task, task.effectiveTrace(), caller, g.owner, name, start, callErr)
 	}
-
 	if callErr != nil {
 		return nil, callErr
 	}
 
-	// Copy results out. The last result is the error (already split off on
-	// the thunk path).
-	if useThunk {
-		results := make([]any, 0, len(touts))
-		for i, tv := range touts {
-			cv, _, err := k.copyNative(tv)
-			if err != nil {
-				return nil, &CopyError{What: fmt.Sprintf("result %d of %s", i, name), Err: err}
-			}
-			results = append(results, cv)
-		}
-		if merr != nil {
-			return results, copyErrorOut(merr)
-		}
-		return results, nil
-	}
-	results := make([]any, 0, len(out)-1)
-	for i := 0; i < len(out)-1; i++ {
-		cv, n, err := k.copyNative(out[i].Interface())
-		if err != nil {
+	// Copy results out, in place: the vector is this call's own.
+	for i, r := range results {
+		if results[i], _, err = k.copyNative(r); err != nil {
 			return nil, &CopyError{What: fmt.Sprintf("result %d of %s", i, name), Err: err}
 		}
-		_ = n
-		results = append(results, cv)
 	}
-	errOut := out[len(out)-1]
-	if !errOut.IsNil() {
-		return results, copyErrorOut(errOut.Interface().(error))
+	if merr != nil {
+		return results, copyErrorOut(merr)
 	}
 	return results, nil
+}
+
+// nativeCallee is the front half of every native invoke: the calling domain
+// of task and the method name names on c's gate. A proxy gate has no method
+// table — the callee kernel performs the lookup — so it answers with its
+// transport instead (m nil, pt set).
+func (c *Capability) nativeCallee(task *Task, name string) (caller *Domain, m *nativeMethod, pt ProxyTarget, err error) {
+	g := c.g
+	caller = g.k.domainByID(task.Chain.Current().Domain)
+	if caller == nil {
+		return nil, nil, nil, ErrNotEntered
+	}
+	if caller.Terminated() {
+		return nil, nil, nil, ErrDomainTerminated
+	}
+	nt := g.natTarget.Load()
+	if nt == nil {
+		if pb := g.proxy.Load(); pb != nil {
+			return caller, nil, pb.t, nil
+		}
+		if reason := g.failureReason(); reason != nil {
+			return nil, nil, nil, reason
+		}
+		if g.owner.Terminated() {
+			return nil, nil, nil, ErrDomainTerminated
+		}
+		if g.vmTarget.Load() != nil {
+			return nil, nil, nil, fmt.Errorf("jkernel: %w: VM capability requires InvokeVM", ErrNoSuchMethod)
+		}
+		return nil, nil, nil, ErrRevoked
+	}
+	m, ok := nt.methods[name]
+	if !ok {
+		return nil, nil, nil, fmt.Errorf("%w: %s", ErrNoSuchMethod, name)
+	}
+	return caller, m, nil, nil
+}
+
+// nativeArgs makes args the callee's and shapes them for m's dispatch: the
+// plain values a thunk takes (cargs), or reflect values conformed to the
+// parameter types, appended to in — the caller's stack buffer: argument
+// frames of up to four values, nearly every method, never reach the heap
+// (reflect's Call reads the slice and keeps nothing of it). With copyIn
+// each argument is copied by the calling convention and copied reports the
+// bytes; without, args are already the callee's own (ServeWire) and a
+// thunk takes the vector as it is.
+func (k *Kernel) nativeArgs(m *nativeMethod, args []any, in []reflect.Value, copyIn bool) (_ []reflect.Value, cargs []any, copied int64, err error) {
+	ft := m.fn.Type()
+	if ft.NumIn() != len(args) && !ft.IsVariadic() {
+		return nil, nil, 0, fmt.Errorf("jkernel: %s wants %d args, got %d", m.name, ft.NumIn(), len(args))
+	}
+	if m.thunk != nil {
+		if cargs = args; copyIn && len(args) > 0 {
+			cargs = make([]any, len(args))
+		}
+	}
+	for i, a := range args {
+		if copyIn {
+			var n int64
+			if a, n, err = k.copyNative(a); err != nil {
+				return nil, nil, 0, &CopyError{What: fmt.Sprintf("argument %d of %s", i, m.name), Err: err}
+			}
+			copied += n
+		}
+		if m.thunk != nil {
+			cargs[i] = a
+			continue
+		}
+		var want reflect.Type
+		if ft.IsVariadic() && i >= ft.NumIn()-1 {
+			want = ft.In(ft.NumIn() - 1).Elem()
+		} else {
+			want = ft.In(i)
+		}
+		rv, err := conform(a, want)
+		if err != nil {
+			return nil, nil, 0, fmt.Errorf("jkernel: %s argument %d: %w", m.name, i, err)
+		}
+		in = append(in, rv)
+	}
+	return in, cargs, copied, nil
+}
+
+// crossNative is the gate crossing every native LRMI makes, whoever the
+// caller: switch to the callee's segment, run m on arguments that are
+// already the callee's (nativeArgs) — through its thunk when it has one,
+// through reflect otherwise or when an argument misses the thunk's shape —
+// and switch back. The results are still the callee's; merr is the
+// method's own error, callErr a call that did not run to its end.
+func (g *Gate) crossNative(task *Task, m *nativeMethod, in []reflect.Value, cargs []any) (results []any, merr, callErr error) {
+	// Segment switch (lock pair #1 on push, #2 on pop).
+	seg := task.enter(g.owner)
+
+	var out []reflect.Value
+	viaReflect := m.thunk == nil
+	if !viaReflect {
+		results, merr, callErr = safeThunk(m.thunk, cargs)
+		if callErr == errThunkFallback {
+			// An argument's dynamic type missed the compiled shape (a
+			// numeric width the copy normalized, say): conform the values
+			// and dispatch through reflect, exactly as a thunk-less method
+			// would. Thunk shapes are never variadic.
+			viaReflect, callErr = true, nil
+			ft := m.fn.Type()
+			for i, ca := range cargs {
+				rv, err := conform(ca, ft.In(i))
+				if err != nil {
+					callErr = fmt.Errorf("jkernel: %s argument %d: %w", m.name, i, err)
+					break
+				}
+				in = append(in, rv)
+			}
+		}
+	}
+	if viaReflect && callErr == nil {
+		out, callErr = safeCall(m.fn, in)
+	}
+
+	task.leave(g.owner, seg)
+
+	if !viaReflect || callErr != nil {
+		return results, merr, callErr
+	}
+	// The last result is the error.
+	last := len(out) - 1
+	results = make([]any, last)
+	for i := range results {
+		results[i] = out[i].Interface()
+	}
+	if !out[last].IsNil() {
+		merr = out[last].Interface().(error)
+	}
+	return results, merr, nil
 }
 
 // safeThunk invokes a compiled method thunk, converting a callee panic

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 
 	"jkernel/internal/telemetry"
 )
@@ -144,4 +145,75 @@ func (c *Capability) invokeProxy(task *Task, caller *Domain, pt ProxyTarget, nam
 	// reply timing); the kernel only keeps the call-graph edge.
 	k.tm.edge(caller, g.owner).Inc()
 	return results, err
+}
+
+// WireEncoder is the transport half of an inbound call, AsyncCompleter's
+// counterpart on the callee side: EncodeResults serializes one result
+// vector into the reply and reports the stream's length. A vector it cannot
+// encode is the transport's to report (its reply carries the failure); it
+// then answers 0.
+type WireEncoder interface {
+	EncodeResults(results []any) (streamLen int64)
+}
+
+// ServeWire performs one invocation a transport received for c — the
+// mirror image of ProxyTarget.InvokeProxy, where the transport's
+// serialization is the copy: one copy per direction, made by the codec and
+// by nobody else.
+//
+// Ownership. args must be private to this call: the transport's decode
+// made them, nothing else refers to them, and the callee may keep or change
+// them as it may any argument (capabilities in them travel by reference, as
+// always). They are not copied again. The results stay the callee's
+// objects — they may be, or point into, its live state — and never leave
+// ServeWire: out.EncodeResults runs on this goroutine, after the callee's
+// segment is left and before ServeWire returns, and must retain neither the
+// vector nor anything reachable from it. What the caller finally holds is
+// what its own kernel decodes from that stream. The callee's error is
+// copied out exactly as InvokeFrom copies it, and a failed call encodes
+// nothing. task names the calling domain (the connection's), argBytes the
+// length of the stream args were decoded from; the crossing is charged that
+// plus the result stream's length.
+//
+//jk:blocking
+func (c *Capability) ServeWire(task *Task, name string, args []any, argBytes int64, out WireEncoder) error {
+	g := c.g
+	k := g.k
+	caller, m, pt, err := c.nativeCallee(task, name)
+	if err != nil {
+		return err
+	}
+	if pt != nil {
+		// A relayed proxy: the next hop's decode made these results, and
+		// its transport has charged the crossing.
+		results, err := c.invokeProxy(task, caller, pt, name, args)
+		if err == nil {
+			out.EncodeResults(results)
+		}
+		return err
+	}
+	start := k.tm.callStart(task)
+	var inBuf [4]reflect.Value
+	in, cargs, _, err := k.nativeArgs(m, args, inBuf[:0], false)
+	if err != nil {
+		return err
+	}
+	results, merr, callErr := g.crossNative(task, m, in, cargs)
+	if perr := task.Chain.Poll(); perr != nil {
+		return perr
+	}
+	if k.tm != nil {
+		k.tm.lrmi(task, task.effectiveTrace(), caller, g.owner, name, start, callErr)
+	}
+	if callErr == nil && merr == nil {
+		argBytes += out.EncodeResults(results)
+	}
+	k.Meter.CrossCall(caller.ID, g.owner.ID, argBytes)
+	if callErr != nil {
+		return callErr
+	}
+	if merr != nil {
+		return copyErrorOut(merr)
+	}
+	return nil
 }

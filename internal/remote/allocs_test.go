@@ -1,7 +1,10 @@
 package remote
 
 import (
+	"math/rand/v2"
 	"net"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"jkernel/internal/core"
@@ -118,3 +121,99 @@ func TestAllocsBatchOfTwo(t *testing.T) {
 		t.Errorf("a batch of two: %.2f allocs, two lone frames: %.2f", two, 2*lone)
 	}
 }
+
+// echoMsg is the async echo pins' payload, registered as a wire type on
+// both kernels so it crosses by its compiled seri plan.
+type echoMsg struct {
+	Seq  int64
+	Data []byte
+}
+
+type msgSvc struct{}
+
+func (msgSvc) EchoMsg(m echoMsg) (echoMsg, error) { return m, nil }
+
+// echoWindows runs windows of 128 async EchoMsg calls over a real socket
+// pair, payload sizes drawn from sizes in a fixed shuffle, and returns the
+// heap allocations and bytes per call, process-wide (both kernels), and the
+// mean payload size.
+func echoWindows(t *testing.T, sizes []int) (allocs, bytes, meanPayload float64) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	p := newPair(t)
+	p.server.RegisterWireType("echoMsg", echoMsg{})
+	p.client.RegisterWireType("echoMsg", echoMsg{})
+	p.export(t, "msg", msgSvc{})
+	proxy, err := p.conn.Import("msg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const window, windows = 128, 40
+	rng := rand.New(rand.NewPCG(1, 2))
+	argv := make([][]any, 10*window)
+	var total int
+	for i := range argv {
+		n := sizes[rng.IntN(len(sizes))]
+		total += n
+		argv[i] = []any{echoMsg{Seq: int64(i), Data: make([]byte, n)}}
+	}
+	futs := make([]*core.Future, window)
+	next := 0
+	run := func() {
+		for j := range futs {
+			futs[j] = proxy.InvokeAsyncFrom(p.task, "EchoMsg", argv[next+j]...)
+		}
+		p.conn.Flush()
+		for j, f := range futs {
+			res, err := f.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m := res[0].(echoMsg); m.Seq != int64(next+j) || len(m.Data) != len(argv[next+j][0].(echoMsg).Data) {
+				t.Fatalf("call %d: echoed seq %d with %d bytes", next+j, m.Seq, len(m.Data))
+			}
+		}
+		next = (next + window) % len(argv)
+	}
+	for i := 0; i < 2*len(argv)/window; i++ {
+		run() // every message once through every pool, twice
+	}
+	// The collector stays off while counting: sync.Pool sheds buffers at
+	// every cycle, and the pin is on what the code allocates, not on when
+	// a collection happens to fall (TestFramePoolHoming logs those misses).
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < windows; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&m1)
+	calls := float64(windows * window)
+	return float64(m1.Mallocs-m0.Mallocs) / calls, float64(m1.TotalAlloc-m0.TotalAlloc) / calls, float64(total) / float64(len(argv))
+}
+
+// echoMix is the benchmark's payload mix: 64 B / 1 KiB / 16 KiB at 50/40/10.
+var echoMix = []int{64, 64, 64, 64, 64, 1024, 1024, 1024, 1024, 16384}
+
+// checkEcho holds one async echo call, both kernels, to 20 allocations and
+// to twice its payload (one allocation per direction: the callee's decode
+// and the caller's) plus 1.5 KB.
+func checkEcho(t *testing.T, sizes []int) {
+	allocs, bytes, mean := echoWindows(t, sizes)
+	t.Logf("%.1f allocs, %.0f B per call (mean payload %.0f B)", allocs, bytes, mean)
+	if allocs > 20 {
+		t.Errorf("async echo: %.1f allocs per call, want <= 20", allocs)
+	}
+	if limit := 2*mean + 1536; bytes > limit {
+		t.Errorf("async echo: %.0f B per call, want <= %.0f (2 x mean payload + 1.5 KB)", bytes, limit)
+	}
+}
+
+// TestAllocsAsyncEcho1K and TestAllocsAsyncEchoMixed pin what a payload
+// costs the wire: one allocation of its size per direction. The parent
+// measured 37.5 allocs and 15.6 KB per call on the mix (mean payload
+// 2.08 KB): the callee copied its decoded arguments and its results again,
+// and every encode outgrew a 64-byte frame buffer.
+func TestAllocsAsyncEcho1K(t *testing.T)    { checkEcho(t, []int{1024}) }
+func TestAllocsAsyncEchoMixed(t *testing.T) { checkEcho(t, echoMix) }

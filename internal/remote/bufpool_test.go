@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"jkernel/internal/core"
+	"jkernel/internal/telemetry"
 )
 
 func TestBufClass(t *testing.T) {
@@ -165,5 +167,71 @@ func TestBufferLifetimeChurn(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestFramePoolHoming: a frame buffer ends in the size class it is
+// returned to. Windows of echo calls whose payloads outgrow the 512-byte
+// buffer every encode starts in (1 KiB, 16 KiB) beside ones that fit
+// (64 B) grow through the pool, so no buffer is given back to a class
+// other than the one it was drawn from — the instruments read zero
+// rehomes — and once the window is joined every buffer is home again.
+func TestFramePoolHoming(t *testing.T) {
+	p := newPair(t)
+	p.export(t, "blob", blobSvc{})
+	proxy, err := p.conn.Import("blob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads := [][]byte{make([]byte, 64), make([]byte, 1024), make([]byte, 16384)}
+	futs := make([]*core.Future, 128)
+	window := func() {
+		for i := range futs {
+			futs[i] = proxy.InvokeAsyncFrom(p.task, "EchoBlob", payloads[i%len(payloads)])
+		}
+		p.conn.Flush()
+		if err := core.WaitAll(futs...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snapshot := func() (rehomes, misses, outstanding int64) {
+		for c := range poolStats {
+			st := &poolStats[c]
+			rehomes += st.rehomes.Load()
+			misses += st.misses.Load()
+			outstanding += st.outstanding()
+		}
+		return
+	}
+	window() // fill the pools
+	// The server releases a reply's buffers after writing it, which the
+	// client can see before that: let the last ones land.
+	settle := func() int64 {
+		var out int64
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if _, _, out = snapshot(); out == 0 {
+				break
+			}
+		}
+		return out
+	}
+	if out := settle(); out != 0 {
+		t.Fatalf("%d buffers outstanding on an idle connection", out)
+	}
+	rehomes0, misses0, _ := snapshot()
+	for i := 0; i < 20; i++ {
+		window()
+	}
+	rehomes, misses, _ := snapshot()
+	t.Logf("20 windows of 128: %d rehomes, %d pool misses", rehomes-rehomes0, misses-misses0)
+	if rehomes != rehomes0 {
+		t.Errorf("%d buffers were returned to a class they were not drawn from", rehomes-rehomes0)
+	}
+	if out := settle(); out != 0 {
+		t.Errorf("%d buffers outstanding after the windows were joined", out)
+	}
+	// The instruments are in the process-wide registry, /debug/jk's first.
+	if _, ok := telemetry.Default().Snapshot().Gauges["remote.bufpool.512.hits"]; !ok {
+		t.Error("remote.bufpool.512.hits is not in the default registry's snapshot")
 	}
 }

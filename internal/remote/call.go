@@ -30,26 +30,22 @@ import (
 // a timed-out probe finds no slot and is inert, whatever its old record is
 // doing now.
 
-// callKind says what a pending record is waiting for. Only invokes are
-// load: a placement policy must not read a health ping as queue depth.
-type callKind uint8
-
-const (
-	callControl callKind = iota // ping, lookup, manifest fetch, redeem
-	callInvoke                  // a capability invocation, counted by PendingCalls
-)
-
 // callRecord is the per-call state of one request awaiting its reply.
 type callRecord struct {
-	kind callKind
-
 	// Invoke state: the route and the call (for the stale-route reissue
-	// and the completer), and the client span's books.
+	// and the completer), and the client span's books. p is nil for a
+	// control round trip — only invokes are load: a placement policy must
+	// not read a health ping as queue depth.
 	p      *proxyTarget
 	call   core.ProxyCall
 	spanID uint64
 	start  time.Time
 	argLen int64
+
+	// ext is the external of the call's two seri passes: prepare encodes
+	// the arguments through it, and whoever takes the record for its reply
+	// decodes the results through it.
+	ext connExternal
 
 	// ch parks a blocking caller (call.Done == nil). Made once per record,
 	// it holds one result, so the completer never blocks.
@@ -58,14 +54,11 @@ type callRecord struct {
 
 var recordPool = sync.Pool{New: func() any { return &callRecord{ch: make(chan wireResult, 1)} }}
 
-func getRecord(kind callKind) *callRecord {
-	rec := recordPool.Get().(*callRecord)
-	rec.kind = kind
-	return rec
-}
+func getRecord() *callRecord { return recordPool.Get().(*callRecord) }
 
 func putRecord(rec *callRecord) {
-	*rec = callRecord{ch: rec.ch}
+	rec.ext.reset()
+	*rec = callRecord{ch: rec.ch, ext: rec.ext}
 	recordPool.Put(rec)
 }
 
@@ -80,7 +73,7 @@ func (c *Conn) register(rec *callRecord) (uint64, error) {
 	}
 	c.nextReq++
 	c.pending[c.nextReq] = rec
-	if rec.kind == callInvoke {
+	if rec.p != nil {
 		c.invokes++
 	}
 	return c.nextReq, nil
@@ -93,7 +86,7 @@ func (c *Conn) takePending(id uint64) *callRecord {
 	rec := c.pending[id]
 	if rec != nil {
 		delete(c.pending, id)
-		if rec.kind == callInvoke {
+		if rec.p != nil {
 			c.invokes--
 		}
 	}
@@ -125,7 +118,7 @@ func (rec *callRecord) completeWire(res wireResult) {
 //
 //jk:blocking
 func (c *Conn) roundTrip(what string, timeout time.Duration, build func(w *wbuf, reqID uint64)) wireResult {
-	rec := getRecord(callControl)
+	rec := getRecord()
 	id, err := c.register(rec)
 	if err != nil {
 		putRecord(rec)
@@ -287,36 +280,36 @@ func (p *proxyTarget) prepare(call core.ProxyCall) (*callRecord, batchedCall, er
 		m.clientSpan(tc, spanID, method, start, err)
 		return nil, batchedCall{}, err
 	}
+	rec := getRecord()
+	rec.p, rec.call, rec.spanID, rec.start = p, call, spanID, start
 	// Queued calls keep their encoded args until a frame is written, so
 	// each call's stream lives in its own pooled buffer that sendBatch
 	// releases after the vectored write. Zero-arg calls — the bulk of small
-	// traffic — take no buffer at all.
+	// traffic — take no buffer, no external and no serializer.
 	var argsBuf *frameBuf
 	var argBytes []byte
-	rollback := func() {}
 	if len(call.Args) > 0 {
 		argsBuf = getFrame(64)
-		var err error
-		rollback, err = c.marshalVectorInto(argsBuf, call.Args)
+		err := c.marshalVectorInto(argsBuf, call.Args, &rec.ext)
 		// Oversized arguments are a copy failure on a healthy connection,
 		// not a revocation; reject before the frame writer does.
 		if n := len(argsBuf.b); err == nil && n+len(method)+64 > maxFrame {
-			rollback()
+			rec.ext.rollback()
 			err = fmt.Errorf("%d bytes exceeds the %d-byte frame limit", n, maxFrame)
 		}
 		if err != nil {
 			argsBuf.release()
+			putRecord(rec)
 			return fail(&core.CopyError{What: "remote arguments of " + method, Err: err})
 		}
 		argBytes = argsBuf.b
+		rec.argLen = int64(len(argBytes))
 	}
-	rec := getRecord(callInvoke)
-	rec.p, rec.call, rec.spanID, rec.start, rec.argLen = p, call, spanID, start, int64(len(argBytes))
 	reqID, err := c.register(rec)
 	if err != nil {
 		// The connection is already down (and about to fault this proxy).
+		rec.ext.rollback()
 		putRecord(rec)
-		rollback()
 		if argsBuf != nil {
 			argsBuf.release()
 		}

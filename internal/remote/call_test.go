@@ -106,7 +106,7 @@ func (sp *scriptedPeer) replyErr(reqID uint64, kind byte, msg string) {
 	w := &wbuf{}
 	w.u8(msgReply)
 	w.uvarint(reqID)
-	appendReplyBody(w, replyFrame{status: statusErr, kind: kind, msg: msg}, false)
+	appendReplyBody(w, replyFrame{status: statusErr, kind: kind, msg: msg})
 	sp.write(w)
 }
 

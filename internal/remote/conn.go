@@ -772,16 +772,25 @@ func revokeFault(reason byte) error {
 // --- seri External bridge --------------------------------------------------
 
 // connExternal implements seri.External over the connection's tables:
-// capabilities cross the stream as handles, everything else by copy. One
-// instance lives per marshal/unmarshal so an encode that counted wire
-// references and then failed (a later unencodable value, an oversized
+// capabilities cross the stream as handles, everything else by copy. It
+// keeps the books of one marshal or unmarshal, so an encode that counted
+// wire references and then failed (a later unencodable value, an oversized
 // frame) can return them — otherwise the peer would owe releases for
 // handles it never received — and so a decode that fails mid-vector can
-// release the proxies it minted that nothing else will ever own.
+// release the proxies it minted that nothing else will ever own. Nothing
+// allocates one per pass: it lives in the call's pooled state (the
+// caller's callRecord, the callee's inbound) and is reset with it.
 type connExternal struct {
 	c       *Conn
 	sent    []uint64           // export ids refcounted by this encode, for rollback
 	created []*core.Capability // proxies minted by this decode, for rollback
+}
+
+// reset empties e for its next call, keeping the slices' arrays.
+func (e *connExternal) reset() {
+	e.c, e.sent = nil, e.sent[:0]
+	clear(e.created)
+	e.created = e.created[:0]
 }
 
 func (e *connExternal) EncodeExternal(v any) (uint64, bool) {
@@ -821,7 +830,7 @@ func (e *connExternal) rollback() {
 		}
 	}
 	c.mu.Unlock()
-	e.sent = nil
+	e.sent = e.sent[:0]
 	for _, unhook := range unhooks {
 		unhook()
 	}
@@ -871,47 +880,48 @@ func (e *connExternal) releaseCreated() {
 	for _, cap := range e.created {
 		cap.RevokeWithReason(fmt.Errorf("%w: argument vector never delivered", core.ErrRevoked))
 	}
-	e.created = nil
+	clear(e.created)
+	e.created = e.created[:0]
 }
 
 // marshalVectorInto encodes an argument/result vector directly into fb —
 // after whatever frame header the caller already wrote — so the encoded
-// payload never exists as a separate allocation. The empty vector is the
-// empty payload: zero-arg calls and void results — the bulk of small
-// batched traffic — skip the serializer entirely on both ends. rollback
-// returns the wire references the encode counted; callers must run it
-// when the payload is abandoned before reaching the wire (it is a no-op
-// after a successful send, because the handles really did ship). On error
-// fb is untouched.
-func (c *Conn) marshalVectorInto(fb *frameBuf, vals []any) (rollback func(), err error) {
+// payload never exists as a separate allocation; a payload that outgrows fb
+// moves it to a buffer of the class that fits (frameBuf.Grow). The empty
+// vector is the empty payload: zero-arg calls and void results — the bulk
+// of small batched traffic — skip the serializer entirely on both ends.
+// ext keeps the wire references the encode counted: callers must run its
+// rollback when the payload is abandoned before reaching the wire (after a
+// send there is nothing to return — the handles really did ship). On error
+// the references are already returned and fb holds what it held.
+func (c *Conn) marshalVectorInto(fb *frameBuf, vals []any, ext *connExternal) error {
 	if len(vals) == 0 {
-		return func() {}, nil
+		return nil
 	}
-	ext := &connExternal{c: c}
-	out, err := seri.AppendMarshalExt(fb.b, c.k.SeriRegistry(), vals, ext)
+	ext.c = c
+	out, err := seri.AppendVector(fb.b, c.k.SeriRegistry(), vals, ext, fb)
 	if err != nil {
 		ext.rollback()
-		return nil, err
+		return err
 	}
 	fb.b = out
-	return ext.rollback, nil
+	return nil
 }
 
-// unmarshalVector decodes what marshalVectorInto produced. A vector that
-// fails mid-decode releases the proxies it already minted — the decode
-// side of the encode rollback, keeping both ends' tables honest when a
-// call's arguments or results turn out undecodable.
-func (c *Conn) unmarshalVector(data []byte) ([]any, error) {
+// unmarshalVector decodes what marshalVectorInto produced, through ext. A
+// vector that fails mid-decode releases the proxies it already minted — the
+// decode side of the encode rollback, keeping both ends' tables honest when
+// a call's arguments or results turn out undecodable.
+func (c *Conn) unmarshalVector(data []byte, ext *connExternal) ([]any, error) {
 	if len(data) == 0 {
 		return nil, nil
 	}
-	ext := &connExternal{c: c}
-	decoded, err := seri.UnmarshalExt(c.k.SeriRegistry(), data, ext)
+	ext.c = c
+	vals, err := seri.UnmarshalVector(c.k.SeriRegistry(), data, ext)
 	if err != nil {
 		ext.releaseCreated()
 		return nil, err
 	}
-	vals, _ := decoded.([]any)
 	return vals, nil
 }
 
@@ -983,15 +993,15 @@ func (c *Conn) dispatch(fb *frameBuf, f *inFrame) error {
 		// decoded the argument stream.
 		fb.retain()
 		j := invokeJobs.Get().(*invokeJob)
-		j.c, j.f, j.fb = c, f.invoke, fb
+		j.c, j.call, j.fb = c, f.invoke, fb
 		c.exec.submit(j)
 	case msgBatchInvoke:
 		c.exec.submit(newBatchRun(c, f.batch, fb))
 	case msgReply:
-		c.complete(f.reply.reqID, c.wireResultOf(f.reply))
+		c.completeReply(&f.reply)
 	case msgBatchReply:
-		for _, rep := range f.replies {
-			c.complete(rep.reqID, c.wireResultOf(rep))
+		for i := range f.replies {
+			c.completeReply(&f.replies[i])
 		}
 	case msgRevoke:
 		return c.handleRevoke(f.revoke.exportID, f.revoke.reason)
@@ -1028,37 +1038,70 @@ func (c *Conn) dispatch(fb *frameBuf, f *inFrame) error {
 	return nil
 }
 
-// wireResultOf turns one decoded reply into a caller-facing result,
-// decoding the seri stream of successful replies.
-func (c *Conn) wireResultOf(rep replyFrame) wireResult {
-	res := wireResult{}
-	if rep.status == statusOK {
-		results, derr := c.unmarshalVector(rep.body)
-		if derr != nil {
-			res.err = fmt.Errorf("remote: decode results: %w", derr)
-		} else {
-			res.results = results
-			res.copied = int64(len(rep.body))
+// completeReply resolves the invoke rep answers. The record is taken
+// first, and the results are decoded for its waiter, through its external.
+// A reply nobody waits for any more — the call was cancelled or timed out —
+// is decoded only for the capability handles it carries: the peer counted a
+// wire reference for each, so the proxies they mint here are released at
+// once, which returns the references.
+func (c *Conn) completeReply(rep *replyFrame) {
+	rec := c.takePending(rep.reqID)
+	if rec == nil {
+		if rep.status == statusOK {
+			var ext connExternal
+			if _, err := c.unmarshalVector(rep.body, &ext); err == nil {
+				ext.releaseCreated()
+			}
 		}
-		return res
+		return
 	}
-	res.err = decodeWireErr(rep.kind, rep.class, rep.msg)
-	return res
+	rec.completeWire(c.wireResultOf(rep, &rec.ext))
 }
 
-// serveInvoke runs one inbound call on a local export and builds its
-// reply. Every failure — unknown export, argument decode, callee error,
-// unencodable results — lands in the reply's own status, which is what
-// gives batched calls per-call error isolation for free.
+// wireResultOf turns one decoded reply into a caller-facing result,
+// decoding the seri stream of successful replies.
+func (c *Conn) wireResultOf(rep *replyFrame, ext *connExternal) wireResult {
+	if rep.status != statusOK {
+		return wireResult{err: decodeWireErr(rep.kind, rep.class, rep.msg)}
+	}
+	results, err := c.unmarshalVector(rep.body, ext)
+	if err != nil {
+		return wireResult{err: fmt.Errorf("remote: decode results: %w", err)}
+	}
+	return wireResult{results: results, copied: int64(len(rep.body))}
+}
+
+// inbound is one inbound call while it is served: the frame that asked for
+// it, the reply under construction, and the external of its two seri
+// passes. It lives in the call's pooled job (invokeJob, batchSlot), so
+// serving a call allocates none of it.
+type inbound struct {
+	c     *Conn
+	call  invokeFrame
+	reply replyFrame
+	ext   connExternal
+}
+
+// fail makes the reply the call's failure. Every failure — unknown export,
+// argument decode, callee error, unencodable results — lands in the reply's
+// own status, which is what gives batched calls per-call error isolation
+// for free.
+func (in *inbound) fail(kind byte, class, msg string) {
+	in.reply = replyFrame{reqID: in.call.reqID, status: statusErr, kind: kind, class: class, msg: msg}
+}
+
+// serveInvoke runs the call on a local export and builds its reply. The
+// callee owns the decoded arguments and the reply carries the encoding of
+// its results themselves (core.Capability.ServeWire): each direction is
+// copied once, by the codec.
 //
-// fb is the inbound frame buffer f.method and f.args alias, with one
+// fb is the inbound frame buffer call.method and call.args alias, with one
 // reference held for this call; serveInvoke drops it exactly once, the
 // moment the argument stream is decoded (or the call fails before needing
 // it) — the buffer must never stay pinned for the duration of the callee.
-func (c *Conn) serveInvoke(f invokeFrame, fb *frameBuf) replyFrame {
-	errRep := func(kind byte, class, msg string) replyFrame {
-		return replyFrame{reqID: f.reqID, status: statusErr, kind: kind, class: class, msg: msg}
-	}
+func (in *inbound) serveInvoke(fb *frameBuf) {
+	c, f := in.c, &in.call
+	in.reply = replyFrame{reqID: f.reqID, status: statusOK}
 	c.mu.Lock()
 	var cap *core.Capability
 	if e := c.exports[f.exportID]; e != nil {
@@ -1067,12 +1110,14 @@ func (c *Conn) serveInvoke(f invokeFrame, fb *frameBuf) replyFrame {
 	c.mu.Unlock()
 	if cap == nil {
 		fb.release()
-		return errRep(errKindRevoked, "", fmt.Sprintf("unknown export %d", f.exportID))
+		in.fail(errKindRevoked, "", fmt.Sprintf("unknown export %d", f.exportID))
+		return
 	}
 	if cap.Stub != nil {
 		fb.release()
-		return errRep(errKindRemote, "UnsupportedOperation",
+		in.fail(errKindRemote, "UnsupportedOperation",
 			"remote invocation of VM capabilities is not supported yet")
+		return
 	}
 	// Interned against the export's own method set: no string per call,
 	// and no table a peer can grow. A name the export lacks (or a relayed
@@ -1081,10 +1126,12 @@ func (c *Conn) serveInvoke(f invokeFrame, fb *frameBuf) replyFrame {
 	if !ok {
 		method = string(f.method)
 	}
-	args, err := c.unmarshalVector(f.args)
+	args, err := c.unmarshalVector(f.args, &in.ext)
+	argBytes := int64(len(f.args))
 	fb.release() // decode copies everything out; the frame is free to recycle
 	if err != nil {
-		return errRep(errKindProtocol, "", err.Error())
+		in.fail(errKindProtocol, "", err.Error())
+		return
 	}
 
 	m := c.metrics
@@ -1106,7 +1153,7 @@ func (c *Conn) serveInvoke(f invokeFrame, fb *frameBuf) replyFrame {
 		task.SetTraceContext(tc)
 		unbind = telemetry.BindGoroutine(tc)
 	}
-	results, callErr := cap.InvokeFrom(task, method, args...)
+	callErr := cap.ServeWire(task, method, args, argBytes, in)
 	if unbind != nil {
 		// Clear before the task returns to the pool: the next Get may be
 		// on another goroutine serving an unrelated, untraced call.
@@ -1116,56 +1163,51 @@ func (c *Conn) serveInvoke(f invokeFrame, fb *frameBuf) replyFrame {
 	c.taskPool.Put(task)
 
 	if m != nil {
-		m.serverSpan(f, method, serverSpan, cap.Owner().Name, start, callErr)
+		m.serverSpan(*f, method, serverSpan, cap.Owner().Name, start, callErr)
 	}
-
 	if callErr != nil {
-		kind, class, msg := encodeWireErr(callErr)
-		return errRep(kind, class, msg)
+		in.fail(encodeWireErr(callErr))
 	}
-	if len(results) == 0 {
-		// Void results — the bulk of small traffic — take no buffer.
-		return replyFrame{reqID: f.reqID, status: statusOK}
-	}
-	resFb := getFrame(64)
-	rollback, err := c.marshalVectorInto(resFb, results)
-	if err != nil {
-		resFb.release()
-		return errRep(errKindProtocol, "", "encode results: "+err.Error())
-	}
-	if len(resFb.b)+32 > maxFrame {
-		rollback()
-		// Read the length out before release: released bytes are the
-		// pool's (poisoned under test).
-		n := len(resFb.b)
-		resFb.release()
-		return errRep(errKindProtocol, "",
-			fmt.Sprintf("results of %d bytes exceed the frame limit", n))
-	}
-	return replyFrame{reqID: f.reqID, status: statusOK, body: resFb.b, bodyBuf: resFb}
 }
 
-// invokeJob is one lone msgInvoke on its way to the executor: the decoded
-// frame and the reference on the buffer it aliases, in a pooled struct.
+// EncodeResults implements core.WireEncoder: the callee's results go into
+// a pooled buffer the reply owns until it is written. Void results — the
+// bulk of small traffic — take no buffer.
+func (in *inbound) EncodeResults(results []any) int64 {
+	if len(results) == 0 {
+		return 0
+	}
+	fb := getFrame(64)
+	if err := in.c.marshalVectorInto(fb, results, &in.ext); err != nil {
+		fb.release()
+		in.fail(errKindProtocol, "", "encode results: "+err.Error())
+		return 0
+	}
+	n := len(fb.b)
+	if n+32 > maxFrame {
+		in.ext.rollback()
+		fb.release()
+		in.fail(errKindProtocol, "", fmt.Sprintf("results of %d bytes exceed the frame limit", n))
+		return 0
+	}
+	in.reply = replyFrame{reqID: in.call.reqID, status: statusOK, body: fb.b, bodyBuf: fb}
+	return int64(n)
+}
+
+// invokeJob is one lone msgInvoke on its way through the executor: the
+// call and the reference on the buffer its frame aliases, in a pooled
+// struct.
 type invokeJob struct {
-	c  *Conn
-	f  invokeFrame
+	inbound
 	fb *frameBuf
 }
 
 var invokeJobs = sync.Pool{New: func() any { return new(invokeJob) }}
 
+// run serves the call and writes its reply frame.
 func (j *invokeJob) run() {
-	c, f, fb := j.c, j.f, j.fb
-	*j = invokeJob{}
-	invokeJobs.Put(j)
-	c.handleInvoke(f, fb)
-}
-
-// handleInvoke services one single-invoke frame; fb is the frame buffer
-// reference serveInvoke drops.
-func (c *Conn) handleInvoke(f invokeFrame, fb *frameBuf) {
-	rep := c.serveInvoke(f, fb)
+	j.serveInvoke(j.fb)
+	c, rep := j.c, &j.reply
 	hb := getFrame(32)
 	w := wbuf{b: hb.b}
 	w.u8(msgReply)
@@ -1179,7 +1221,7 @@ func (c *Conn) handleInvoke(f invokeFrame, fb *frameBuf) {
 		hb.b = w.b
 		err = c.sendSegments(hb.b, rep.body)
 	} else {
-		appendReplyBody(&w, rep, false)
+		appendReplyBody(&w, *rep)
 		hb.b = w.b
 		err = c.send(hb.b)
 	}
@@ -1191,6 +1233,9 @@ func (c *Conn) handleInvoke(f invokeFrame, fb *frameBuf) {
 		// An unsendable success must still answer, or the caller hangs.
 		c.replyErr(rep.reqID, errKindProtocol, "", "send results: "+err.Error())
 	}
+	j.ext.reset()
+	*j = invokeJob{inbound: inbound{ext: j.ext}}
+	invokeJobs.Put(j)
 }
 
 // batchRun is the shared state of one in-flight batch invoke: the frame
@@ -1206,9 +1251,8 @@ type batchRun struct {
 }
 
 type batchSlot struct {
-	b     *batchRun
-	call  invokeFrame
-	reply replyFrame
+	inbound
+	b *batchRun
 }
 
 var batchRuns = sync.Pool{New: func() any { return new(batchRun) }}
@@ -1221,14 +1265,14 @@ func newBatchRun(c *Conn, calls []invokeFrame, fb *frameBuf) *batchRun {
 	b.slots = b.slots[:0]
 	for _, call := range calls {
 		fb.retain()
-		b.slots = append(b.slots, batchSlot{b: b, call: call})
+		b.slots = append(b.slots, batchSlot{inbound: inbound{c: c, call: call}, b: b})
 	}
 	return b
 }
 
 func (s *batchSlot) run() {
 	defer s.b.wg.Done()
-	s.reply = s.b.c.serveInvoke(s.call, s.b.fb)
+	s.serveInvoke(s.b.fb)
 }
 
 // run services one multi-invoke frame: the calls run concurrently (each

@@ -29,6 +29,13 @@ func (fuzzWireExt) DecodeExternal(h uint64) (any, error) {
 	return &fuzzRef{H: h}, nil
 }
 
+// appendBatchCall appends one complete call to a msgBatchInvoke body (the
+// live sender writes the header and hands the args to writev).
+func appendBatchCall(w *wbuf, reqID, exportID uint64, method string, traceID, parentSpan uint64, args []byte) {
+	appendBatchCallHeader(w, reqID, exportID, method, traceID, parentSpan, len(args))
+	w.raw(args)
+}
+
 // seedFrames builds one of every protocol frame with the same encoders
 // the live connection uses — a captured-traffic corpus without the
 // capture: these are byte-for-byte the frames a real exchange produces.
@@ -79,12 +86,12 @@ func seedFrames() [][]byte {
 	w = &wbuf{}
 	w.u8(msgReply)
 	w.uvarint(1)
-	appendReplyBody(w, replyFrame{reqID: 1, status: statusOK, body: results}, false)
+	appendReplyBody(w, replyFrame{reqID: 1, status: statusOK, body: results})
 	add(w)
 	w = &wbuf{}
 	w.u8(msgReply)
 	w.uvarint(2)
-	appendReplyBody(w, replyFrame{reqID: 2, status: statusErr, kind: errKindRevoked, msg: "gone"}, false)
+	appendReplyBody(w, replyFrame{reqID: 2, status: statusErr, kind: errKindRevoked, msg: "gone"})
 	add(w)
 
 	// Batched reply with mixed per-call status.
@@ -92,9 +99,11 @@ func seedFrames() [][]byte {
 	w.u8(msgBatchReply)
 	w.uvarint(2)
 	w.uvarint(3)
-	appendReplyBody(w, replyFrame{status: statusOK, body: results}, true)
+	w.u8(statusOK)
+	w.uvarint(uint64(len(results))) // a batched body is length-prefixed
+	w.raw(results)
 	w.uvarint(4)
-	appendReplyBody(w, replyFrame{status: statusErr, kind: errKindRemote, class: "panic", msg: "boom"}, true)
+	appendReplyBody(w, replyFrame{status: statusErr, kind: errKindRemote, class: "panic", msg: "boom"})
 	add(w)
 
 	// Revocation push.

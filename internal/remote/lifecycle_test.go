@@ -536,3 +536,64 @@ func TestChurnAsyncReleaseSweep(t *testing.T) {
 	waitTables(t, "server post-sweep", sc, serverBase)
 	waitTables(t, "client post-sweep", p.conn, TableSizes{Imports: 1})
 }
+
+// slowMaker mints a capability, but only once the test lets it return.
+type slowMaker struct {
+	k       *core.Kernel
+	d       *core.Domain
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (s *slowMaker) Make() (*core.Capability, error) {
+	s.entered <- struct{}{}
+	<-s.release
+	return s.k.CreateNativeCapability(s.d, &counterSvc{})
+}
+
+// A reply that arrives after its call was cancelled has no record to
+// complete, but the capability handle in it is real: the exporter counted
+// a wire reference for it. The reader must release what the reply would
+// have minted, or the import entry here and the export entry there outlive
+// the call until the connection closes.
+func TestLateReplyReleasesImports(t *testing.T) {
+	p := newPair(t)
+	svc := &slowMaker{k: p.server, d: p.serverDom, entered: make(chan struct{}), release: make(chan struct{})}
+	p.export(t, "maker", svc)
+	p.export(t, "echo", echoSvc{})
+	sc := serverConn(t, p.ln)
+	maker, err := p.conn.Import("maker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	echo, err := p.conn.Import("echo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serverBase := TableSizes{Exports: 2, ExportIDs: 2, Unhook: 2}
+	clientBase := TableSizes{Imports: 2}
+	waitTables(t, "server baseline", sc, serverBase)
+	replies := func() int64 { return p.server.Telemetry().Snapshot().Counters["remote.frames_out.reply"] }
+	sent := replies()
+
+	fut := maker.InvokeAsyncFrom(p.task, "Make")
+	p.conn.Flush()
+	<-svc.entered
+	fut.Cancel()
+	if _, err := fut.Wait(); !errors.Is(err, core.ErrCancelled) {
+		t.Fatalf("cancelled future: %v", err)
+	}
+	close(svc.release)
+	// Once the server has started writing the late reply, a round trip is
+	// answered after it: when Null returns, the reader has dispatched it.
+	for deadline := time.Now().Add(5 * time.Second); replies() == sent; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the cancelled call's reply never left the server")
+		}
+	}
+	if _, err := echo.InvokeFrom(p.task, "Null"); err != nil {
+		t.Fatal(err)
+	}
+	waitTables(t, "client after the late reply", p.conn, clientBase)
+	waitTables(t, "server after the late reply", sc, serverBase)
+}

@@ -358,9 +358,10 @@ type invokeFrame struct {
 }
 
 // replyFrame is one decoded invocation reply (single or batched). It
-// doubles as the outbound reply representation: serveInvoke encodes
-// result streams into a pooled buffer recorded in bodyBuf (nil on parsed
-// inbound frames), which the reply sender releases after the write.
+// doubles as the outbound reply representation: serveInvoke's encoder
+// (inbound.EncodeResults) puts the result stream in a pooled buffer
+// recorded in bodyBuf (nil on parsed inbound frames), which the reply
+// sender releases after the write.
 type replyFrame struct {
 	reqID   uint64
 	status  byte
@@ -851,12 +852,6 @@ func appendBatchCallHeader(w *wbuf, reqID, exportID uint64, method string, trace
 	w.uvarint(uint64(argLen))
 }
 
-// appendBatchCall appends one complete call to a msgBatchInvoke body.
-func appendBatchCall(w *wbuf, reqID, exportID uint64, method string, traceID, parentSpan uint64, args []byte) {
-	appendBatchCallHeader(w, reqID, exportID, method, traceID, parentSpan, len(args))
-	w.raw(args)
-}
-
 // appendReleaseEntry appends one entry to a msgRelease body.
 func appendReleaseEntry(w *wbuf, e releaseEntry) {
 	w.uvarint(e.exportID)
@@ -865,13 +860,10 @@ func appendReleaseEntry(w *wbuf, e releaseEntry) {
 }
 
 // appendReplyBody appends the status tail of f (everything after reqID)
-// to a reply frame; batched reply bodies length-prefix their payload.
-func appendReplyBody(w *wbuf, f replyFrame, batched bool) {
+// to a msgReply frame.
+func appendReplyBody(w *wbuf, f replyFrame) {
 	w.u8(f.status)
 	if f.status == statusOK {
-		if batched {
-			w.uvarint(uint64(len(f.body)))
-		}
 		w.raw(f.body)
 		return
 	}

@@ -219,8 +219,10 @@ func decFloat(d *decoder, v reflect.Value) error {
 }
 
 func encString(e *encoder, v reflect.Value) error {
+	s := v.String()
+	e.room(len(s))
 	e.buf = append(e.buf, tagString)
-	e.buf = appendStr(e.buf, v.String())
+	e.buf = appendStr(e.buf, s)
 	return nil
 }
 
@@ -243,6 +245,7 @@ func (cp *compiler) bytes(c *codec) {
 		if e.null(v) || e.alias(heapCell{v.Pointer(), t, v.Len()}) {
 			return nil
 		}
+		e.room(v.Len())
 		e.buf = append(e.buf, tagBytes)
 		e.buf = binary.AppendUvarint(e.buf, uint64(v.Len()))
 		e.buf = append(e.buf, v.Bytes()...)

@@ -1,6 +1,7 @@
 package seri
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"reflect"
@@ -180,9 +181,10 @@ type echoMsg struct {
 	Data []byte
 }
 
-// TestAllocsSeriRoundtrip holds marshal+unmarshal of a 1 KiB message,
-// alone and inside the []any vector the wire puts it in, to the counts
-// measured on the commit before the single codec (two encoders then).
+// TestAllocsSeriRoundtrip holds marshal+unmarshal of a 1 KiB message to
+// its count: alone (the local LRMI copy), and inside the []any vector the
+// wire puts it in, through the transports' entries — the vector is one
+// allocation there, not four, and is not boxed to be encoded.
 func TestAllocsSeriRoundtrip(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -190,22 +192,88 @@ func TestAllocsSeriRoundtrip(t *testing.T) {
 	r := NewRegistry()
 	r.Register("echoMsg", echoMsg{})
 	m := echoMsg{Seq: 7, Data: make([]byte, 1024)}
+	var boxed any = m
+	vec := []any{m}
+	buf := make([]byte, 0, 2048)
 	for _, c := range []struct {
 		name    string
-		v       any
+		run     func() error
 		ceiling float64
 	}{
-		{"alone", m, 8},
-		{"in []any", []any{m}, 14},
+		{"alone", func() error { _, err := Copy(r, boxed); return err }, 8},
+		{"in []any", func() error {
+			data, err := AppendVector(buf, r, vec, nil, nil)
+			if err == nil {
+				_, err = UnmarshalVector(r, data, nil)
+			}
+			return err
+		}, 4},
 	} {
 		got := testing.AllocsPerRun(1000, func() {
-			if _, err := Copy(r, c.v); err != nil {
+			if err := c.run(); err != nil {
 				t.Fatal(err)
 			}
 		})
 		t.Logf("%s: %.0f allocs per marshal+unmarshal", c.name, got)
 		if got > c.ceiling {
 			t.Errorf("%s: %.0f allocs per marshal+unmarshal, ceiling %.0f", c.name, got, c.ceiling)
+		}
+	}
+}
+
+// countingGrower counts how often it was asked; like a transport's, it
+// leaves slack for the tags and names that follow a payload.
+type countingGrower struct{ asked int }
+
+func (g *countingGrower) Grow(b []byte, n int) []byte {
+	g.asked++
+	return append(make([]byte, 0, len(b)+n+64), b...)
+}
+
+// TestVectorEntries: the transports' entries agree with Marshal and
+// Unmarshal where the golden vectors do not reach — a vector that contains
+// itself (heap object 0 of its stream), a Grower asked once per payload that
+// does not fit and never for what does, and a stream that is not a vector.
+func TestVectorEntries(t *testing.T) {
+	r := NewRegistry()
+	self := make([]any, 2)
+	self[0], self[1] = self, "x"
+	want, err := Marshal(r, self)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := AppendVector(nil, r, self, nil, nil)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("self-containing vector: %v\ngot:  %x\nwant: %x", err, got, want)
+	}
+	out, err := UnmarshalVector(r, want, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inner, ok := out[0].([]any); !ok || len(inner) != 2 || &inner[0] != &out[0] || out[1] != any("x") {
+		t.Errorf("self-containing vector decoded to %#v", out)
+	}
+
+	g := &countingGrower{}
+	big, small := make([]byte, 4096), []byte("fits")
+	data, err := AppendVector(make([]byte, 0, 512), r, []any{small, big, "a string that fits"}, nil, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.asked != 1 {
+		t.Errorf("Grower asked %d times, want once (for the 4 KiB payload)", g.asked)
+	}
+	if ref, _ := Marshal(r, []any{small, big, "a string that fits"}); !bytes.Equal(data, ref) {
+		t.Error("a grown stream differs from Marshal's")
+	}
+
+	for _, v := range []any{"a string", int64(1), map[string]any{}, []string{"a"}} {
+		data, err := Marshal(r, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out, err := UnmarshalVector(r, data, nil); err == nil {
+			t.Errorf("stream of %T decoded as the vector %#v", v, out)
 		}
 	}
 }

@@ -17,6 +17,7 @@
 package seri
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"maps"
@@ -256,7 +257,27 @@ func Marshal(r *Registry, v any) ([]byte, error) {
 
 // MarshalExt is Marshal with an External hook for capability references.
 func MarshalExt(r *Registry, v any, ext External) ([]byte, error) {
-	return AppendMarshalExt(nil, r, v, ext)
+	e := getEncoder(nil, r, ext, nil)
+	return e.finish(e.dynamic(reflect.ValueOf(v)))
+}
+
+// Grower is an output buffer that makes its own room: a transport encoding
+// straight into a pooled frame buffer moves the stream to a larger pooled
+// buffer rather than letting append allocate one. Grow returns b, contents
+// unchanged, with capacity for at least n more bytes.
+type Grower interface {
+	Grow(b []byte, n int) []byte
+}
+
+// AppendVector appends the stream of the argument or result vector vals to
+// dst and returns the extended slice — byte for byte what Marshal writes
+// for the same []any, without boxing it. It is the transports' encode entry
+// point: the stream goes straight into a framed output buffer, and where a
+// payload (a []byte, a string) would outgrow the buffer, g — when not nil —
+// is asked for room first.
+func AppendVector(dst []byte, r *Registry, vals []any, ext External, g Grower) ([]byte, error) {
+	e := getEncoder(dst, r, ext, g)
+	return e.finish(e.vector(vals))
 }
 
 // encPool recycles encoders (and their alias-tracking maps) across calls;
@@ -266,17 +287,16 @@ var encPool = sync.Pool{
 	New: func() any { return &encoder{seen: make(map[heapCell]uint64)} },
 }
 
-// AppendMarshalExt encodes v like MarshalExt but appends the stream to dst
-// and returns the extended slice (which may have been reallocated, exactly
-// like append). It is the zero-copy entry point for transports that encode
-// directly into a framed output buffer instead of paying an intermediate
-// byte array per payload.
-func AppendMarshalExt(dst []byte, r *Registry, v any, ext External) ([]byte, error) {
+func getEncoder(dst []byte, r *Registry, ext External, g Grower) *encoder {
 	e := encPool.Get().(*encoder)
-	e.reg, e.ext, e.buf = r.orNone(), ext, dst
-	err := e.dynamic(reflect.ValueOf(v))
+	e.reg, e.ext, e.buf, e.grow = r.orNone(), ext, dst, g
+	return e
+}
+
+// finish takes the stream out of e, which goes back to its pool.
+func (e *encoder) finish(err error) ([]byte, error) {
 	buf := e.buf
-	e.reg, e.ext, e.buf = nil, nil, nil
+	e.reg, e.ext, e.buf, e.grow = nil, nil, nil, nil
 	if e.next != 0 {
 		clear(e.seen)
 		e.next = 0
@@ -300,21 +320,19 @@ var decPool = sync.Pool{
 	New: func() any { return &decoder{} },
 }
 
-// UnmarshalExt is Unmarshal with an External hook for capability
-// references. A stream containing capability references fails to decode
-// without one.
-func UnmarshalExt(r *Registry, data []byte, ext External) (any, error) {
+func getDecoder(r *Registry, data []byte, ext External) *decoder {
 	d := decPool.Get().(*decoder)
 	d.st, d.ext, d.buf, d.pos, d.depth = r.orNone().state.Load(), ext, data, 0, 0
-	var v any
-	tag, err := d.byte()
-	if err == nil {
-		v, err = d.dynamic(tag)
-	}
+	return d
+}
+
+// finish checks that the stream was read to its end; d goes back to its
+// pool.
+func (d *decoder) finish(err error) error {
 	if err == nil && d.pos != len(d.buf) {
 		err = fmt.Errorf("seri: %d trailing bytes", len(d.buf)-d.pos)
 	}
-	d.st, d.ext, d.buf, d.local = nil, nil, nil, nil
+	d.st, d.ext, d.buf, d.local, d.vec = nil, nil, nil, nil, nil
 	if cap(d.objs) > 1024 {
 		d.objs = nil
 	} else {
@@ -322,10 +340,35 @@ func UnmarshalExt(r *Registry, data []byte, ext External) (any, error) {
 		d.objs = d.objs[:0]
 	}
 	decPool.Put(d)
-	if err != nil {
+	return err
+}
+
+// UnmarshalExt is Unmarshal with an External hook for capability
+// references. A stream containing capability references fails to decode
+// without one.
+func UnmarshalExt(r *Registry, data []byte, ext External) (any, error) {
+	d := getDecoder(r, data, ext)
+	var v any
+	tag, err := d.byte()
+	if err == nil {
+		v, err = d.dynamic(tag)
+	}
+	if err = d.finish(err); err != nil {
 		return nil, err
 	}
 	return v, nil
+}
+
+// UnmarshalVector decodes a stream AppendVector produced — the stream of a
+// []any — straight into the vector: one allocation for it, none for a
+// boxed copy of its header. Any other stream is an error.
+func UnmarshalVector(r *Registry, data []byte, ext External) ([]any, error) {
+	d := getDecoder(r, data, ext)
+	vals, err := d.vector()
+	if err = d.finish(err); err != nil {
+		return nil, err
+	}
+	return vals, nil
 }
 
 // Copy deep-copies v through the serialized form — the LRMI default path.
@@ -352,6 +395,16 @@ type encoder struct {
 	buf  []byte
 	next uint64
 	seen map[heapCell]uint64
+	grow Grower // nil: append grows buf
+}
+
+// room makes sure a payload of n bytes, its tag and its length prefix fit
+// in buf, asking the Grower where there is one; everything smaller is
+// appended without asking.
+func (e *encoder) room(n int) {
+	if n += 1 + binary.MaxVarintLen64; e.grow != nil && cap(e.buf)-len(e.buf) < n {
+		e.buf = e.grow.Grow(e.buf, n)
+	}
 }
 
 // offer writes a capability reference when the External hook claims the
@@ -419,6 +472,28 @@ func (e *encoder) dynamic(v reflect.Value) error {
 	return c.enc(e, v)
 }
 
+// anySlice is the type of an argument vector.
+var anySlice = reflect.TypeOf([]any(nil))
+
+// vector writes vals exactly as dynamic writes a []any: the type's header,
+// the slice as the stream's first heap cell, every element as a dynamic
+// value.
+func (e *encoder) vector(vals []any) error {
+	if len(vals) == 0 {
+		return e.dynamic(reflect.ValueOf(vals)) // nil or empty: nothing to save
+	}
+	e.buf = append(e.buf, e.reg.codecFor(anySlice).header...)
+	e.alias(heapCell{reflect.ValueOf(&vals[0]).Pointer(), anySlice, len(vals)})
+	e.buf = append(e.buf, tagSlice)
+	e.buf = binary.AppendUvarint(e.buf, uint64(len(vals)))
+	for _, x := range vals {
+		if err := e.dynamic(reflect.ValueOf(x)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Decode hardening limits. Streams arriving over the wire are adversarial
 // (internal/remote feeds peer bytes straight in), so the decoder bounds
 // everything that could otherwise turn malformed input into a crash: the
@@ -445,6 +520,9 @@ type decoder struct {
 	depth int
 	objs  []reflect.Value         // id -> decoded heap object
 	local map[reflect.Type]*codec // nodes compiled for this decode only
+	// vec is the vector UnmarshalVector fills. It is heap object 0 of its
+	// stream, so objs needs an addressable home for it that costs nothing.
+	vec []any
 }
 
 func (d *decoder) fail(format string, args ...any) error {
@@ -528,6 +606,40 @@ func (d *decoder) dynamic(tag byte) (any, error) {
 		return v, nil
 	}
 	return nil, d.fail("expected iface tag, got %d", tag)
+}
+
+// vector reads the stream of a []any into a fresh vector: the type's
+// header, then nil or the slice.
+func (d *decoder) vector() ([]any, error) {
+	c := d.st.codecs[anySlice]
+	if !bytes.HasPrefix(d.buf, c.header) {
+		return nil, d.fail("not an argument vector")
+	}
+	d.pos = len(c.header)
+	tag, err := d.byte()
+	if err != nil || tag == tagNil {
+		return nil, err
+	}
+	if tag != tagSlice {
+		return nil, d.fail("not an argument vector")
+	}
+	n, err := d.count("slice", 1)
+	if err != nil {
+		return nil, err
+	}
+	if uint64(n)*uint64(anySlice.Elem().Size()) > maxPrealloc {
+		return nil, d.fail("slice of %d elements exceeds the preallocation bound", n)
+	}
+	d.vec = make([]any, n)
+	d.objs = append(d.objs, reflect.ValueOf(&d.vec).Elem())
+	d.depth++ // the elements nest in the vector
+	elem := d.st.codecs[anySlice.Elem()]
+	for i := range d.vec {
+		if err := d.into(elem, reflect.ValueOf(&d.vec[i]).Elem()); err != nil {
+			return nil, err
+		}
+	}
+	return d.vec, nil
 }
 
 // named reads a type name and a value of that type.

@@ -189,5 +189,17 @@ func TestWireFormatGolden(t *testing.T) {
 		if !reflect.DeepEqual(out, exp) {
 			t.Errorf("%s: decoded %#v, want %#v", c.name, out, exp)
 		}
+		// A vector also crosses by the transports' own entries: the same
+		// bytes out, the same value back.
+		vec, ok := c.in.([]any)
+		if !ok {
+			continue
+		}
+		if got, err := AppendVector(nil, r, vec, ext, nil); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: AppendVector: %v\ngot:  %x\nwant: %x", c.name, err, got, want)
+		}
+		if out, err := UnmarshalVector(r, want, ext); err != nil || !reflect.DeepEqual(any(out), exp) {
+			t.Errorf("%s: UnmarshalVector decoded %#v (%v), want %#v", c.name, out, err, exp)
+		}
 	}
 }
