@@ -3,7 +3,8 @@
 // and every other argument or result crosses by deep copy. A method on
 // a gate/native-target type that traffics in raw pointers, slices,
 // maps, channels, or funcs hands the caller shared mutable state — the
-// exact breach internal/shareany exists to demonstrate.
+// breach the fixture's bad type (testdata/src/fixture) spells out method
+// by method.
 //
 // Facts are gathered from directives, so the pass tracks what the
 // kernel actually does rather than a hard-coded type list:
@@ -23,8 +24,8 @@
 // []byte (the serializer's byte-copy tag), or a seri-registered named
 // struct (by value or single pointer). Findings anchor at the
 // gate-target call site — that is where the type escapes its domain —
-// so internal/shareany's deliberate breach is suppressed there with one
-// //jk:allow(capleak) justification.
+// so a deliberate breach is suppressed there with one //jk:allow(capleak)
+// justification, as the fixture's allowedCounterExample does.
 package capleak
 
 import (

@@ -61,6 +61,6 @@ func leakyTarget() {
 }
 
 func allowedCounterExample() {
-	//jk:allow(capleak) fixture: the shareany-style deliberate breach — direct sharing is the demonstration
+	//jk:allow(capleak) fixture: a deliberate breach — direct sharing is the demonstration
 	create(&bad{})
 }

@@ -131,9 +131,12 @@ func (d *Domain) Terminate(reason string) {
 	gates := append([]*Gate(nil), d.created...)
 	// Stopped under d.mu: a Seg leaves d.segs (removeSeg) before it is
 	// popped and recycled, so while the lock is held every Seg in the map
-	// is still the activation that entered this domain.
+	// is still the activation that entered this domain. Base segments are
+	// enrolled too (newTask), and a terminated segment stays raised for as
+	// long as it lives: this loop and addSeg are all that tell a carrier
+	// its domain is gone — no safepoint looks the domain up.
 	for _, s := range d.segs {
-		s.Stop(terminationStopMsg + ": " + reason)
+		s.Terminate(fmt.Errorf("%w: %s", ErrDomainTerminated, reason))
 	}
 	d.mu.Unlock()
 
@@ -167,7 +170,7 @@ func (d *Domain) addSeg(s *threads.Seg) {
 	d.mu.Unlock()
 	// A segment entering a dead domain dies immediately.
 	if d.Terminated() {
-		s.Stop(terminationStopMsg)
+		s.Terminate(ErrDomainTerminated)
 	}
 }
 

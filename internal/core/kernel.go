@@ -19,11 +19,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"reflect"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -258,30 +258,24 @@ func (k *Kernel) Domains() []*Domain {
 	return out
 }
 
-// safepointHook is installed on every kernel-managed VM thread. It
-// implements segment stops/suspensions and domain-termination unwinding.
+// safepointHook is installed on every kernel-managed VM thread. The
+// interpreter runs it only with the thread's attention word raised; it
+// turns what the segment in control is owed into a throwable. A segment of
+// a terminated domain is owed its end at every poll (Seg.Terminate), so
+// there is no domain to look up here.
 func (k *Kernel) safepointHook(t *vmkit.Thread) *vmkit.Object {
 	chain, _ := t.Data.(*threads.Chain)
 	if chain == nil {
 		return nil
 	}
-	if err := chain.Poll(); err != nil {
-		if isTerminationStop(err) {
-			return k.VM.Throwf(vmkit.ClassTerminatedEx, "%v", err)
-		}
-		return k.VM.Throwf(vmkit.ClassThreadDeath, "%v", err)
+	err := chain.Poll()
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, ErrDomainTerminated):
+		return k.VM.Throwf(vmkit.ClassTerminatedEx, "%v", err)
 	}
-	seg := chain.Current()
-	if d := k.domainByID(seg.Domain); d != nil && d.Terminated() {
-		return k.VM.Throwf(vmkit.ClassTerminatedEx, "domain %s terminated", d.Name)
-	}
-	return nil
-}
-
-const terminationStopMsg = "domain terminated"
-
-func isTerminationStop(err error) bool {
-	return err != nil && strings.Contains(err.Error(), terminationStopMsg)
+	return k.VM.Throwf(vmkit.ClassThreadDeath, "%v", err)
 }
 
 // Task binds one goroutine to one domain: it carries the VM thread and the
@@ -340,6 +334,8 @@ func (k *Kernel) newTask(d *Domain, name string, chain *threads.Chain) *Task {
 	th.DomainID = d.ID
 	th.Data = chain
 	th.SafepointHook = k.safepointHook
+	// One word for the interpreter's safepoint and the chain's Poll.
+	chain.SetAttention(th.Attention())
 	stripe := taskStripe.Add(1)
 	// sampleTick starts at the stripe, not zero: tasks then sample in
 	// staggered phases, so a workload of short-lived tasks still profiles

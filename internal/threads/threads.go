@@ -14,6 +14,11 @@
 // recorded on the segment and take effect when that segment is (or becomes)
 // the one in control: the VM interpreter polls via a safepoint hook, and
 // the native LRMI path polls at call boundaries.
+//
+// A poll that finds nothing pending is one load of the chain's attention
+// word. A requester records its request on the segment and raises the word
+// after; the carrier lowers it before it re-reads the segments, and raises
+// it again while any live segment still has a request it has not taken.
 package threads
 
 import (
@@ -26,6 +31,11 @@ import (
 // ErrSegmentStopped is returned (or converted to a VM ThreadDeath) when a
 // stopped segment regains control.
 var ErrSegmentStopped = errors.New("threads: segment stopped")
+
+// attnSeg is the chain's bit of the attention word. Bit 0 is left to the
+// owner of a shared word (SetAttention): the carrier's VM thread keeps its
+// own requests there, so each side lowers only what it is about to re-read.
+const attnSeg uint32 = 1 << 1
 
 var segIDs atomic.Int64
 
@@ -45,16 +55,27 @@ type Seg struct {
 	// read and written only by the goroutine running the chain.
 	minted bool
 
-	mu        sync.Mutex
-	stopped   bool
-	stopMsg   string
+	mu sync.Mutex
+	// stop is what Poll reports once the segment is in control: nil, a
+	// one-shot stop that the poll takes, or — sticky set — the end of the
+	// segment's domain, which every poll reports for as long as the
+	// activation lives.
+	stop      error
+	sticky    bool
 	suspended bool
 	priority  int64
 }
 
 // Chain is the segment stack of one carrier thread.
 type Chain struct {
-	mu  sync.Mutex
+	// attn is the attention word: the chain's own, or the carrier's VM
+	// thread's (SetAttention).
+	attn *atomic.Uint32
+
+	mu sync.Mutex
+	// top is the carrier's: Push and Pop, which only the carrier calls,
+	// write it under mu, and Current and Poll read it on the carrier
+	// without. Anyone else (Depth) takes mu.
 	top *Seg
 	// free holds popped Segs for reuse, linked through prev.
 	free *Seg
@@ -64,18 +85,20 @@ type Chain struct {
 
 // NewChain creates a chain whose base segment belongs to domain.
 func NewChain(domain int64) *Chain {
-	c := &Chain{}
+	c := &Chain{attn: new(atomic.Uint32)}
 	c.cv = sync.NewCond(&c.mu)
 	c.Push(domain)
 	return c
 }
 
-// Current returns the segment in control.
-func (c *Chain) Current() *Seg {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.top
-}
+// SetAttention makes word the chain's attention word, so that the safepoint
+// of the VM thread that owns it and the chain's Poll read one and the same.
+// It is for the code that builds the carrier, before anything else can
+// reach the chain.
+func (c *Chain) SetAttention(word *atomic.Uint32) { c.attn = word }
+
+// Current returns the segment in control. Carrier-only; it takes no lock.
+func (c *Chain) Current() *Seg { return c.top }
 
 // Push enters a new segment for domain (cross-domain call entry). The Seg
 // comes from the chain's free list when one is available; either way it
@@ -94,7 +117,7 @@ func (c *Chain) Push(domain int64) *Seg {
 	s.mu.Lock()
 	s.ID = segIDs.Add(1)
 	s.Domain = domain
-	s.stopped, s.stopMsg, s.suspended, s.priority = false, "", false, 5
+	s.stop, s.sticky, s.suspended, s.priority = nil, false, false, 5
 	s.mu.Unlock()
 	s.minted = false
 	s.prev = c.top
@@ -131,28 +154,57 @@ func (c *Chain) Depth() int {
 
 // Poll is the safepoint check: it parks the carrier while the controlling
 // segment is suspended and reports ErrSegmentStopped (with the stop
-// message) when it has been stopped. The VM layer converts the error into
-// a ThreadDeath throwable.
+// message, or wrapping the cause given to Terminate) when it has been
+// stopped. The VM layer converts the error into a throwable. With nothing
+// asked of the carrier it is one load.
 func (c *Chain) Poll() error {
+	if c.attn.Load() == 0 {
+		return nil
+	}
+	return c.attend()
+}
+
+// attend is Poll with the word raised.
+func (c *Chain) attend() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
+		// Down before the segments are read: a request recorded after the
+		// read raises the word again, one recorded before it is seen below.
+		c.attn.And(^attnSeg)
 		s := c.top
 		s.mu.Lock()
-		if s.stopped {
-			s.stopped = false
-			msg := s.stopMsg
-			s.mu.Unlock()
-			return fmt.Errorf("%w: %s", ErrSegmentStopped, msg)
-		}
-		if !s.suspended {
-			s.mu.Unlock()
-			return nil
+		err, suspended := s.stop, s.suspended
+		if !s.sticky {
+			s.stop = nil
 		}
 		s.mu.Unlock()
+		if err != nil || !suspended {
+			// Back up for what is still owed: the end of this segment's
+			// domain, a park behind the stop just taken, or a request aimed
+			// at a caller, which lands when control returns to it.
+			if c.pendingLocked() {
+				c.attn.Or(attnSeg)
+			}
+			return err
+		}
 		// Parked until some segment state changes.
 		c.cv.Wait()
 	}
+}
+
+// pendingLocked reports whether any live segment has a request recorded.
+// The caller holds c.mu.
+func (c *Chain) pendingLocked() bool {
+	for s := c.top; s != nil; s = s.prev {
+		s.mu.Lock()
+		pending := s.stop != nil || s.suspended
+		s.mu.Unlock()
+		if pending {
+			return true
+		}
+	}
+	return false
 }
 
 // Stop marks the segment stopped. If the segment is currently in control
@@ -161,18 +213,34 @@ func (c *Chain) Poll() error {
 // Crucially, stopping a segment never disturbs *other* segments of the
 // same carrier: the callee cannot be killed by its caller and vice versa.
 //
-// Stop lands on whichever activation the Seg is running, so it is for
-// callers that know the activation is live: the carrier itself, and domain
-// termination, which holds the lock a segment must take before it can be
-// popped. Everything else goes through a Handle.
+// Stop lands on whichever activation the Seg is running, so it is for a
+// caller that knows the activation is live: the carrier itself. Everything
+// else goes through a Handle.
 func (s *Seg) Stop(msg string) {
 	s.mu.Lock()
 	s.stopLocked(msg)
 }
 
-// stopLocked records the stop, releases s.mu and wakes a parked carrier.
+// Terminate stops the segment for good because its domain has ended: from
+// now until the activation is popped every Poll with it in control reports
+// an error wrapping both ErrSegmentStopped and cause, so code that catches
+// the stop and carries on is stopped again at its next safepoint. Like
+// Stop it lands on whichever activation the Seg is running: domain
+// termination calls it holding the lock a segment must take before it can
+// be popped.
+func (s *Seg) Terminate(cause error) {
+	s.mu.Lock()
+	s.stop, s.sticky = fmt.Errorf("%w: %w", ErrSegmentStopped, cause), true
+	s.mu.Unlock()
+	s.chain.kick()
+}
+
+// stopLocked records a one-shot stop, releases s.mu and wakes a parked
+// carrier. A segment whose domain has ended stays that.
 func (s *Seg) stopLocked(msg string) {
-	s.stopped, s.stopMsg = true, msg
+	if !s.sticky {
+		s.stop = fmt.Errorf("%w: %s", ErrSegmentStopped, msg)
+	}
 	s.mu.Unlock()
 	s.chain.kick()
 }
@@ -261,8 +329,10 @@ func (h Handle) Priority() (int64, bool) {
 	return h.seg.priority, true
 }
 
-// kick wakes a carrier parked in Poll.
+// kick raises the attention word and wakes a carrier parked in Poll. Every
+// writer of segment state calls it after releasing the segment.
 func (c *Chain) kick() {
+	c.attn.Or(attnSeg)
 	c.mu.Lock()
 	c.cv.Broadcast()
 	c.mu.Unlock()

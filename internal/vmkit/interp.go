@@ -108,6 +108,9 @@ func (vm *VM) invoke(t *Thread, m *Method, base int) (v Value, thrown *Object) {
 	case m.Flags&MAbstract != 0:
 		thrown = vm.Throwf(ClassError, "abstract method %s.%s", m.Owner.Name, m.Name)
 	default:
+		// Method entry polls as the backward branches do: it keeps a call
+		// tree with no loop in it (2^n calls, never deeper than n) stoppable,
+		// and idle it is one load.
 		if thrown = t.safepoint(); thrown != nil {
 			break
 		}

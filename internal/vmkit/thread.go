@@ -18,6 +18,10 @@ type Thread struct {
 
 	priority atomic.Int64
 
+	// attn is the attention word: zero while nothing is asked of the
+	// carrier, which is all a safepoint reads. See safepoint.
+	attn atomic.Uint32
+
 	// stop holds a throwable to be thrown at the next safepoint (the
 	// Thread.stop mechanism). The segment layer decides whether a stop
 	// applies to the current segment.
@@ -50,10 +54,22 @@ type Thread struct {
 	// Data is reserved for the J-Kernel layer (segment chain).
 	Data any
 
-	// SafepointHook, when non-nil, runs at interpreter safepoints and may
-	// return a throwable to inject (used for domain termination).
+	// SafepointHook, when non-nil, runs at a safepoint that found the
+	// attention word raised and may return a throwable to inject (segment
+	// stops and domain termination). Its owner raises a bit of Attention
+	// other than bit 0 when it wants the hook run.
 	SafepointHook func(t *Thread) *Object
 }
+
+// attnThread, bit 0 of the attention word, is the Thread's own: Stop and
+// Suspend raise it. The other bits are the embedder's: the segment layer
+// raises one for requests aimed at the carrier's segments and lowers it in
+// its SafepointHook.
+const attnThread uint32 = 1
+
+// Attention returns the thread's attention word, for the layer that
+// divides the thread into segments to share.
+func (t *Thread) Attention() *atomic.Uint32 { return &t.attn }
 
 // NewThread registers a new VM thread. The caller's goroutine becomes the
 // carrier; Detach must be called when done so lookup tables do not grow.
@@ -116,6 +132,7 @@ func (t *Thread) SetPriority(p int64) {
 // safepoint (the Java Thread.stop model).
 func (t *Thread) Stop(throwable *Object) {
 	t.stop.Store(throwable)
+	t.attn.Or(attnThread)
 	// A suspended thread must wake to observe the stop.
 	t.suspendMu.Lock()
 	t.suspendCV.Broadcast()
@@ -127,6 +144,7 @@ func (t *Thread) Suspend() {
 	t.suspendMu.Lock()
 	t.suspended = true
 	t.suspendMu.Unlock()
+	t.attn.Or(attnThread)
 }
 
 // Resume releases a suspended thread.
@@ -137,32 +155,40 @@ func (t *Thread) Resume() {
 	t.suspendMu.Unlock()
 }
 
-// Suspended reports whether the thread is marked suspended.
-func (t *Thread) Suspended() bool {
-	t.suspendMu.Lock()
-	defer t.suspendMu.Unlock()
-	return t.suspended
+// safepoint is called by the interpreter at method entry and backward
+// branches. It returns a throwable to raise, or nil. Nothing pending is one
+// load: whoever asks something of the carrier publishes the request first
+// and raises the attention word after; attend lowers before it re-reads.
+func (t *Thread) safepoint() *Object {
+	if t.attn.Load() == 0 {
+		return nil
+	}
+	return t.attend()
 }
 
-// safepoint is called by the interpreter at method entry and backward
-// branches. It returns a throwable to raise, or nil.
-func (t *Thread) safepoint() *Object {
-	if th := t.stop.Swap(nil); th != nil {
-		return th
-	}
+// attend is the safepoint's slow path. The thread's own bit goes down
+// before stop and suspended are read, so a request published after the
+// read raises it again and one published before is seen here; it goes back
+// up when the thread leaves with a park still owed.
+func (t *Thread) attend() *Object {
+	t.attn.And(^attnThread)
 	t.suspendMu.Lock()
-	for t.suspended {
+	for {
 		if th := t.stop.Swap(nil); th != nil {
+			if t.suspended {
+				t.attn.Or(attnThread)
+			}
 			t.suspendMu.Unlock()
 			return th
+		}
+		if !t.suspended {
+			break
 		}
 		t.suspendCV.Wait()
 	}
 	t.suspendMu.Unlock()
 	if t.SafepointHook != nil {
-		if th := t.SafepointHook(t); th != nil {
-			return th
-		}
+		return t.SafepointHook(t)
 	}
 	return nil
 }
