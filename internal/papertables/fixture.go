@@ -1,29 +1,16 @@
-package jkernel
+package papertables
 
 import (
-	"fmt"
-	"net/http"
-	"os"
 	"testing"
 
 	"jkernel/internal/core"
-	"jkernel/internal/httpd"
-	"jkernel/internal/oskit"
-	"jkernel/internal/threads"
 	"jkernel/internal/vmkit"
 )
 
-// TestMain lets the oskit cross-process RPC servers re-execute this test
-// binary as their child.
-func TestMain(m *testing.M) {
-	oskit.MaybeRunChild()
-	os.Exit(m.Run())
-}
+// The VM fixture of Tables 1, 4 and 6: a server domain exporting Svc, and
+// a client domain holding the capability and the bytecode benchmark loops.
 
-// --- Table 1 / 4 / 6 fixture: a server domain exporting Svc, a client
-// domain with bytecode benchmark loops. --------------------------------
-
-const benchSvcIface = `
+const svcIface = `
 .class Svc interface implements jk/kernel/Remote
 .method nop ()V
 .end
@@ -35,22 +22,15 @@ const benchSvcIface = `
 .end
 `
 
-// MsgS crosses by serialization; MsgF by fast copy. Both are chains of
-// nodes carrying a payload array, so "N objects of M bytes" shapes build
+// MsgS crosses by serialization, MsgF by fast copy. Both are chains of
+// nodes carrying a payload array, so "N objects of M bytes" builds
 // naturally.
-const benchMsgS = `
-.class MsgS implements jk/io/Serializable
-.field payload [B
-.field next LMsgS;
-`
+const (
+	msgS = ".class MsgS implements jk/io/Serializable\n.field payload [B\n.field next LMsgS;\n"
+	msgF = ".class MsgF implements jk/io/FastCopy\n.field payload [B\n.field next LMsgF;\n"
+)
 
-const benchMsgF = `
-.class MsgF implements jk/io/FastCopy
-.field payload [B
-.field next LMsgF;
-`
-
-const benchSvcImpl = `
+const svcImpl = `
 .class SvcImpl implements Svc
 .method nop ()V stack 2 locals 0
   ret
@@ -73,13 +53,9 @@ const benchSvcImpl = `
 .end
 `
 
-const benchClient = `
-.class LocalIface interface
-.method inop ()V
-.end
-`
+const localIface = ".class LocalIface interface\n.method inop ()V\n.end\n"
 
-const benchClient2 = `
+const localTarget = `
 .class LocalTarget implements LocalIface
 .method nop ()V stack 2 locals 0
   ret
@@ -89,7 +65,9 @@ const benchClient2 = `
 .end
 `
 
-const benchClient3 = `
+// Every loop has the same shape — counter test, body, decrement — so
+// baseline is the loop overhead the other rows carry.
+const benchLoops = `
 .class Bench
 .field static cap LSvc;
 .field static target LLocalTarget;
@@ -192,34 +170,34 @@ done:
 .end
 `
 
-// vmBench is the assembled two-domain fixture.
-type vmBench struct {
+func assemble(tb testing.TB, src string) []byte {
+	tb.Helper()
+	b, err := vmkit.AssembleBytes(src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// vmFixture is the assembled two-domain fixture. Its task is detached: a
+// benchmark body runs on whichever goroutine the testing package gives it.
+type vmFixture struct {
 	k      *core.Kernel
-	server *core.Domain
 	client *core.Domain
 	task   *core.Task
 	cap    *core.Capability
 }
 
-func mustBytes(src string) []byte {
-	b, err := vmkit.AssembleBytes(src)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
-// newVMBench builds the fixture under a profile. Callers must closeVMBench.
-func newVMBench(tb testing.TB, profile vmkit.Profile) *vmBench {
+func newVMFixture(tb testing.TB, profile vmkit.Profile) *vmFixture {
 	tb.Helper()
 	k := core.MustNew(core.Options{Profile: profile})
 	server, err := k.NewDomain(core.DomainConfig{
 		Name: "bench-server",
 		Classes: map[string][]byte{
-			"Svc":     mustBytes(benchSvcIface),
-			"SvcImpl": mustBytes(benchSvcImpl),
-			"MsgS":    mustBytes(benchMsgS),
-			"MsgF":    mustBytes(benchMsgF),
+			"Svc":     assemble(tb, svcIface),
+			"SvcImpl": assemble(tb, svcImpl),
+			"MsgS":    assemble(tb, msgS),
+			"MsgF":    assemble(tb, msgF),
 		},
 	})
 	if err != nil {
@@ -232,9 +210,9 @@ func newVMBench(tb testing.TB, profile vmkit.Profile) *vmBench {
 	client, err := k.NewDomain(core.DomainConfig{
 		Name: "bench-client",
 		Classes: map[string][]byte{
-			"LocalIface":  mustBytes(benchClient),
-			"LocalTarget": mustBytes(benchClient2),
-			"Bench":       mustBytes(benchClient3),
+			"LocalIface":  assemble(tb, localIface),
+			"LocalTarget": assemble(tb, localTarget),
+			"Bench":       assemble(tb, benchLoops),
 		},
 		Shared: []*core.SharedClass{sc},
 	})
@@ -242,7 +220,6 @@ func newVMBench(tb testing.TB, profile vmkit.Profile) *vmBench {
 		tb.Fatal(err)
 	}
 
-	setup := k.NewTask(server, "setup")
 	target, err := server.NewInstance("SvcImpl")
 	if err != nil {
 		tb.Fatal(err)
@@ -254,28 +231,27 @@ func newVMBench(tb testing.TB, profile vmkit.Profile) *vmBench {
 	if err := k.Repository().Bind("svc", cap); err != nil {
 		tb.Fatal(err)
 	}
-	setup.Close()
 
-	task := k.NewTask(client, "bench")
+	task := k.NewDetachedTask(client, "bench")
 	if _, err := task.CallStatic("Bench.setup:()V"); err != nil {
 		tb.Fatal(err)
 	}
-	return &vmBench{k: k, server: server, client: client, task: task, cap: cap}
+	return &vmFixture{k: k, client: client, task: task, cap: cap}
 }
 
-func (f *vmBench) close() { f.task.Close() }
+func (f *vmFixture) close() { f.task.Close() }
 
 // run executes one of the Bench loops for n iterations.
-func (f *vmBench) run(tb testing.TB, method string, n int) {
+func (f *vmFixture) run(tb testing.TB, method string, n int) {
 	tb.Helper()
 	if _, err := f.task.CallStatic("Bench."+method+":(I)V", vmkit.IntVal(int64(n))); err != nil {
 		tb.Fatal(err)
 	}
 }
 
-// buildChain constructs a chain of count MsgS/MsgF nodes with size-byte
-// payloads in the client domain (the caller side).
-func (f *vmBench) buildChain(tb testing.TB, class string, count, size int) *vmkit.Object {
+// chain builds count nodes of class MsgS or MsgF with size-byte payloads
+// in the client domain (the caller's side of the copy).
+func (f *vmFixture) chain(tb testing.TB, class string, count, size int) *vmkit.Object {
 	tb.Helper()
 	var head *vmkit.Object
 	for i := 0; i < count; i++ {
@@ -295,53 +271,3 @@ func (f *vmBench) buildChain(tb testing.TB, class string, count, size int) *vmki
 	}
 	return head
 }
-
-// --- Table 5 fixture ------------------------------------------------------
-
-type table5Fixture struct {
-	k      *core.Kernel
-	bridge *httpd.Bridge
-	jws    *httpd.JWS
-	doc    []byte
-}
-
-func newTable5(tb testing.TB, docSize int) *table5Fixture {
-	tb.Helper()
-	doc := make([]byte, docSize)
-	for i := range doc {
-		doc[i] = byte('a' + i%26)
-	}
-	k := core.MustNew(core.Options{})
-	bridge, err := httpd.NewBridge(k)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if _, err := bridge.MountDocServlet("doc", "/", doc); err != nil {
-		tb.Fatal(err)
-	}
-	jws, err := httpd.NewJWS(k, doc)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return &table5Fixture{k: k, bridge: bridge, jws: jws, doc: doc}
-}
-
-func httpStaticHandler(f *table5Fixture, size int) http.Handler {
-	return httpd.StaticHandler(f.doc)
-}
-
-func sizeName(size int) string { return fmt.Sprintf("%dB", size) }
-
-// reportPagesPerSec converts the measured ns/op into the paper's
-// pages/second metric.
-func reportPagesPerSec(b *testing.B) {
-	b.StopTimer()
-	if e := b.Elapsed(); e > 0 && b.N > 0 {
-		b.ReportMetric(float64(b.N)/e.Seconds(), "pages/s")
-	}
-	b.StartTimer()
-}
-
-// goroutineIDProbe re-exports the threads registry gid parse for the
-// ablation bench.
-func goroutineIDProbe() int64 { return threads.GoroutineID() }

@@ -58,9 +58,11 @@ type redeemSlot struct {
 // endpoint, the origin-side ticket table, and the receiver-side pool of
 // connections to origin kernels.
 type kernelState struct {
-	mu       sync.Mutex
-	network  string
-	addr     string
+	mu      sync.Mutex
+	network string
+	addr    string
+	// disabled makes the kernel behave as a peer without featHandoff. Only
+	// tests set it; the shipped kernel always offers and redeems.
 	disabled bool
 	tickets  map[uint64]ticket
 	slots    map[string]*redeemSlot
@@ -96,17 +98,6 @@ func advertised(k *core.Kernel) (network, addr string) {
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
 	return ks.network, ks.addr
-}
-
-// SetHandoff enables or disables three-party handoff for kernel k (it is
-// on by default). Disabled, the kernel mints no tickets and ignores
-// offers, pinning every re-export to the relay path — the switch the
-// benchmarks and fallback tests use to measure the two routes.
-func SetHandoff(k *core.Kernel, enabled bool) {
-	ks := stateOf(k)
-	ks.mu.Lock()
-	ks.disabled = !enabled
-	ks.mu.Unlock()
 }
 
 func handoffEnabled(k *core.Kernel) bool {

@@ -108,9 +108,19 @@ func newTriple(t testing.TB) *triple {
 	return tr
 }
 
+// disableHandoff turns three-party handoff off for kernel k: it mints no
+// tickets and ignores offers, pinning every re-export through it to the
+// relay path — the model of a peer without featHandoff.
+func disableHandoff(k *core.Kernel) {
+	ks := stateOf(k)
+	ks.mu.Lock()
+	ks.disabled = true
+	ks.mu.Unlock()
+}
+
 // waitEligible blocks until every listed connection has completed its
 // feature handshake (offers are only minted toward announced peers).
-// Deliberately independent of SetHandoff, so disabled-path tests can
+// Deliberately independent of disableHandoff, so disabled-path tests can
 // still synchronize on the handshake.
 func waitEligible(t testing.TB, conns ...*Conn) {
 	t.Helper()
@@ -282,7 +292,7 @@ func TestHandoffFallbackWhenOriginUnreachable(t *testing.T) {
 // no offers, no tickets, and the capability still works.
 func TestHandoffDisabledPinsRelay(t *testing.T) {
 	tr := newTriple(t)
-	SetHandoff(tr.b, false)
+	disableHandoff(tr.b)
 	svc, err := tr.a.CreateNativeCapability(tr.aDom, echoSvc{})
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +332,7 @@ func TestHandoffRevocationAcrossShortenedPath(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			tr := newTriple(t)
 			if relayOnly {
-				SetHandoff(tr.b, false)
+				disableHandoff(tr.b)
 			}
 			block := &blockSvc{gate: make(chan struct{})}
 			svc, err := tr.a.CreateNativeCapability(tr.aDom, block)
@@ -501,11 +511,11 @@ func TestHandoffStressMintRedeemRevoke(t *testing.T) {
 func TestHandoffDepthTwoRelayManifest(t *testing.T) {
 	tr := newTriple(t)
 	// Disable shortening everywhere: this test wants the pure relay chain.
-	SetHandoff(tr.a, false)
-	SetHandoff(tr.b, false)
-	SetHandoff(tr.c, false)
+	disableHandoff(tr.a)
+	disableHandoff(tr.b)
+	disableHandoff(tr.c)
 	d := core.MustNew(core.Options{})
-	SetHandoff(d, false)
+	disableHandoff(d)
 	dDom, err := d.NewDomain(core.DomainConfig{Name: "deep"})
 	if err != nil {
 		t.Fatal(err)

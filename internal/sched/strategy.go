@@ -29,7 +29,7 @@ type Strategy interface {
 }
 
 // ByName resolves a strategy from its Name() string — the flag surface
-// of cmd/jkhttpd and cmd/jkbench.
+// of cmd/jkhttpd.
 func ByName(name string) (Strategy, error) {
 	switch name {
 	case "", "least-loaded":

@@ -192,8 +192,8 @@ func ReleaseProxy(cap *Capability) bool {
 // re-exported to kernel C, the middleman mints a redeemable ticket and C
 // silently shortens the route to a direct A–C import (falling back to the
 // two-hop relay when A is unreachable or predates the handoff frames).
-// Shortening is on by default and fully transparent; these helpers exist
-// for deployments that need to steer or observe it.
+// Shortening is fully transparent; these helpers exist for deployments
+// that need to steer or observe it.
 
 // Advertise records k's dialable listen endpoint, announced to peers so
 // re-exports of k's capabilities can be shortened back to it. Listen and
@@ -201,13 +201,6 @@ func ReleaseProxy(cap *Capability) bool {
 // listeners (NewListener over an existing net.Listener).
 func Advertise(k *Kernel, network, addr string) {
 	remote.Advertise(k, network, addr)
-}
-
-// SetHandoff enables or disables three-party handoff for kernel k (on by
-// default). Disabled, k mints no tickets and ignores offers, pinning
-// every re-export through it to the relay path.
-func SetHandoff(k *Kernel, enabled bool) {
-	remote.SetHandoff(k, enabled)
 }
 
 // HandoffDone reports whether cap is an imported capability whose route
@@ -276,7 +269,7 @@ var (
 )
 
 // StrategyByName resolves a PlacementStrategy from its name — the flag
-// surface of cmd/jkhttpd and cmd/jkbench.
+// surface of cmd/jkhttpd.
 func StrategyByName(name string) (PlacementStrategy, error) {
 	return sched.ByName(name)
 }
