@@ -17,6 +17,7 @@ import (
 	"jkernel/internal/raceflag"
 	"jkernel/internal/seri"
 	"jkernel/internal/threads"
+	"jkernel/internal/vmkit"
 )
 
 // TestMain lets the oskit cross-process RPC servers (Table 2) re-execute
@@ -241,6 +242,82 @@ func BenchmarkAblation_NativeLRMI_ExplicitTask(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// The servlet-pool shape of internal/httpd and remote's executor: one
+// detached task per goroutine, every one calling into the same server
+// domain. Run with -cpu 1,2,…: what the carriers share on a crossing — the
+// callee's account, nothing else — is what stops the ns/op from falling as
+// the CPUs are added.
+func BenchmarkAblation_NativeLRMI_Parallel(b *testing.B) {
+	k := core.MustNew(core.Options{})
+	server, _ := k.NewDomain(core.DomainConfig{Name: "s"})
+	client, _ := k.NewDomain(core.DomainConfig{Name: "c"})
+	cap, err := k.CreateNativeCapability(server, nullSvc{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.RunParallel(func(pb *testing.PB) {
+		task := k.NewDetachedTask(client, "b")
+		defer task.Close()
+		for pb.Next() {
+			if _, err := cap.InvokeFrom(task, "Null"); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}
+
+const parallelVMServer = `
+.class Pinged interface implements jk/kernel/Remote
+.method ping ()I
+.end
+`
+
+const parallelVMServerImpl = `
+.class PingedImpl implements Pinged
+.method ping ()I stack 2 locals 0
+  iconst 1
+  retv
+.end
+`
+
+// The same through a VM-target gate: the full Gate.cross (segment switch,
+// step flushes, accounting) around an interpreted null method.
+func BenchmarkAblation_VMLRMI_Parallel(b *testing.B) {
+	k := core.MustNew(core.Options{})
+	classes := map[string][]byte{}
+	for name, src := range map[string]string{"Pinged": parallelVMServer, "PingedImpl": parallelVMServerImpl} {
+		data, err := vmkit.AssembleBytes(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		classes[name] = data
+	}
+	server, err := k.NewDomain(core.DomainConfig{Name: "s", Classes: classes})
+	if err != nil {
+		b.Fatal(err)
+	}
+	client, _ := k.NewDomain(core.DomainConfig{Name: "c"})
+	target, err := server.NewInstance("PingedImpl")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cap, err := k.CreateVMCapability(server, target)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.RunParallel(func(pb *testing.PB) {
+		task := k.NewDetachedTask(client, "b")
+		defer task.Close()
+		for pb.Next() {
+			if _, err := cap.InvokeVM(task, "ping"); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 // Fast-copy cycle table on vs off (the paper: the hash table "slows down

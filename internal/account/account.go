@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // CopyPolicy selects who pays for LRMI argument copying.
@@ -55,129 +56,155 @@ type Stats struct {
 // Total returns the byte-denominated charges (steps and calls excluded).
 func (s Stats) Total() int64 { return s.AllocBytes + s.CopyBytes + s.ClassBytes }
 
-// Meter aggregates charges per domain id. The zero Meter is ready to use
-// with the default policy (ChargeCaller).
+// Account is one domain's charges: a set of counters each charge adds to
+// atomically, so charging takes no lock and carriers charging different
+// domains share nothing. The zero Account is ready to use.
+type Account struct {
+	alloc, steps, copied, class, calls, revoked atomic.Int64
+	frozen                                      atomic.Bool
+}
+
+// charge adds n to c unless the account is frozen.
+func (a *Account) charge(c *atomic.Int64, n int64) {
+	if n != 0 && !a.frozen.Load() {
+		c.Add(n)
+	}
+}
+
+// Alloc charges bytes of heap allocation.
+func (a *Account) Alloc(bytes int64) { a.charge(&a.alloc, bytes) }
+
+// Steps charges interpreter work.
+func (a *Account) Steps(n int64) { a.charge(&a.steps, n) }
+
+// Class charges class metadata.
+func (a *Account) Class(bytes int64) { a.charge(&a.class, bytes) }
+
+// RevokeCount records n capability revocations.
+func (a *Account) RevokeCount(n int64) { a.revoked.Add(n) }
+
+// Freeze stops further charges (used at domain termination: a dead domain
+// cannot accrue new costs, reproducing "clean semantics of domain
+// termination" for the accounting dimension). A charge racing the freeze
+// lands or not; one started after it does not.
+func (a *Account) Freeze() { a.frozen.Store(true) }
+
+// Snapshot reads the counters one by one: every finished charge is in it,
+// but it is not a consistent cut across fields while charges are in flight.
+func (a *Account) Snapshot() Stats {
+	return Stats{
+		AllocBytes: a.alloc.Load(),
+		Steps:      a.steps.Load(),
+		CopyBytes:  a.copied.Load(),
+		ClassBytes: a.class.Load(),
+		CrossCalls: a.calls.Load(),
+		Revoked:    a.revoked.Load(),
+	}
+}
+
+// Meter holds the accounts by domain id and the copy policy. The zero
+// Meter is ready to use with the default policy (ChargeCaller).
 type Meter struct {
-	mu      sync.Mutex
-	domains map[int64]*Stats
-	policy  CopyPolicy
-	frozen  map[int64]bool
+	policy atomic.Uint32
+	// accounts is copy-on-write: Account reads it without a lock, and mu
+	// serializes the inserts that replace it.
+	accounts atomic.Pointer[map[int64]*Account]
+	mu       sync.Mutex
 }
 
 // NewMeter creates a Meter with the given copy policy.
 func NewMeter(policy CopyPolicy) *Meter {
-	return &Meter{policy: policy}
+	m := &Meter{}
+	m.SetPolicy(policy)
+	return m
 }
 
 // Policy returns the meter's copy policy.
-func (m *Meter) Policy() CopyPolicy {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.policy
-}
+func (m *Meter) Policy() CopyPolicy { return CopyPolicy(m.policy.Load()) }
 
 // SetPolicy changes the copy policy for subsequent charges.
-func (m *Meter) SetPolicy(p CopyPolicy) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.policy = p
+func (m *Meter) SetPolicy(p CopyPolicy) { m.policy.Store(uint32(p)) }
+
+// table returns the current accounts, to read only.
+func (m *Meter) table() map[int64]*Account {
+	if t := m.accounts.Load(); t != nil {
+		return *t
+	}
+	return nil
 }
 
-func (m *Meter) stats(domain int64) *Stats {
-	if m.domains == nil {
-		m.domains = make(map[int64]*Stats)
+// Account resolves domain's account, creating it on first use. Whoever
+// charges one domain repeatedly resolves once and keeps the pointer.
+func (m *Meter) Account(domain int64) *Account {
+	if a := m.table()[domain]; a != nil {
+		return a
 	}
-	s, ok := m.domains[domain]
-	if !ok {
-		s = &Stats{}
-		m.domains[domain] = s
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	old := m.table()
+	if a := old[domain]; a != nil {
+		return a
 	}
-	return s
+	next := make(map[int64]*Account, len(old)+1)
+	for id, a := range old {
+		next[id] = a
+	}
+	a := &Account{}
+	next[domain] = a
+	m.accounts.Store(&next)
+	return a
 }
 
 // Alloc charges domain for bytes of heap allocation.
-func (m *Meter) Alloc(domain, bytes int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.frozen[domain] {
-		return
-	}
-	m.stats(domain).AllocBytes += bytes
-}
+func (m *Meter) Alloc(domain, bytes int64) { m.Account(domain).Alloc(bytes) }
 
 // Steps charges domain for interpreter work.
-func (m *Meter) Steps(domain, n int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.frozen[domain] {
-		return
-	}
-	m.stats(domain).Steps += n
-}
+func (m *Meter) Steps(domain, n int64) { m.Account(domain).Steps(n) }
 
 // Class charges domain for class metadata.
-func (m *Meter) Class(domain, bytes int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.frozen[domain] {
-		return
+func (m *Meter) Class(domain, bytes int64) { m.Account(domain).Class(bytes) }
+
+// CrossCall is Cross by domain id. The callee's account is resolved only
+// under a policy that bills it.
+func (m *Meter) CrossCall(caller, callee, bytes int64) {
+	a := m.Account(caller)
+	b := a
+	if m.Policy() != ChargeCaller {
+		b = m.Account(callee)
 	}
-	m.stats(domain).ClassBytes += bytes
+	m.Cross(a, b, bytes)
 }
 
-// CrossCall records an LRMI initiated by caller and applies the copy
-// charge for bytes according to the policy.
-func (m *Meter) CrossCall(caller, callee, bytes int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.stats(caller).CrossCalls++
-	switch m.policy {
+// Cross records an LRMI initiated by caller and applies the copy charge for
+// bytes according to the policy. A frozen side takes nothing: its share of
+// the bytes is dropped, and a frozen caller counts no call.
+func (m *Meter) Cross(caller, callee *Account, bytes int64) {
+	caller.charge(&caller.calls, 1)
+	switch m.Policy() {
 	case ChargeCaller:
-		m.stats(caller).CopyBytes += bytes
+		caller.charge(&caller.copied, bytes)
 	case ChargeCallee:
-		m.stats(callee).CopyBytes += bytes
+		callee.charge(&callee.copied, bytes)
 	case ChargeSplit:
 		half := bytes / 2
-		m.stats(caller).CopyBytes += bytes - half
-		m.stats(callee).CopyBytes += half
+		caller.charge(&caller.copied, bytes-half)
+		callee.charge(&callee.copied, half)
 	}
 }
 
-// RevokeCount records n capability revocations attributed to domain.
-func (m *Meter) RevokeCount(domain, n int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.stats(domain).Revoked += n
-}
-
-// Freeze stops further charges to domain (used at domain termination: a
-// dead domain cannot accrue new costs, reproducing "clean semantics of
-// domain termination" for the accounting dimension).
-func (m *Meter) Freeze(domain int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.frozen == nil {
-		m.frozen = make(map[int64]bool)
-	}
-	m.frozen[domain] = true
-}
-
-// Snapshot returns a copy of domain's stats.
+// Snapshot returns a copy of domain's stats (see Account.Snapshot); zero
+// for a domain with no account.
 func (m *Meter) Snapshot(domain int64) Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if s, ok := m.domains[domain]; ok {
-		return *s
+	if a := m.table()[domain]; a != nil {
+		return a.Snapshot()
 	}
 	return Stats{}
 }
 
-// Domains returns the ids with recorded charges, sorted.
+// Domains returns the ids that have an account, sorted.
 func (m *Meter) Domains() []int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ids := make([]int64, 0, len(m.domains))
-	for id := range m.domains {
+	var ids []int64
+	for id := range m.table() {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
@@ -185,14 +212,12 @@ func (m *Meter) Domains() []int64 {
 }
 
 // GrandTotal sums a field across all domains; used by conservation tests:
-// however the copy policy splits a charge, the sum over domains equals the
-// bytes charged.
+// however the copy policy splits a charge, the sum over unfrozen domains
+// equals the bytes charged, once the charges have finished.
 func (m *Meter) GrandTotal(f func(Stats) int64) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	var total int64
-	for _, s := range m.domains {
-		total += f(*s)
+	for _, a := range m.table() {
+		total += f(a.Snapshot())
 	}
 	return total
 }

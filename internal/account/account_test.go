@@ -3,8 +3,10 @@ package account
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestBasicCharges(t *testing.T) {
@@ -75,13 +77,99 @@ func TestCopyConservationProperty(t *testing.T) {
 func TestFreezeStopsCharges(t *testing.T) {
 	m := NewMeter(ChargeCaller)
 	m.Alloc(1, 10)
-	m.Freeze(1)
+	m.Account(1).Freeze()
 	m.Alloc(1, 10)
 	m.Steps(1, 10)
 	m.Class(1, 10)
 	s := m.Snapshot(1)
 	if s.AllocBytes != 10 || s.Steps != 0 || s.ClassBytes != 0 {
 		t.Errorf("frozen domain accrued charges: %+v", s)
+	}
+
+	// A call in flight when its caller (or callee) was terminated bills the
+	// dead account nothing on return; the live side still pays its share.
+	for _, tc := range []struct {
+		policy     CopyPolicy
+		frozen     int64
+		wantCaller int64
+		wantCallee int64
+	}{
+		{ChargeCaller, 1, 0, 0},
+		{ChargeCaller, 2, 101, 0},
+		{ChargeCallee, 1, 0, 101},
+		{ChargeCallee, 2, 0, 0},
+		{ChargeSplit, 1, 0, 50},
+		{ChargeSplit, 2, 51, 0},
+	} {
+		m := NewMeter(tc.policy)
+		m.Account(tc.frozen).Freeze()
+		m.CrossCall(1, 2, 101)
+		caller, callee := m.Snapshot(1), m.Snapshot(2)
+		if caller.CopyBytes != tc.wantCaller || callee.CopyBytes != tc.wantCallee {
+			t.Errorf("%v, domain %d frozen: copy bytes caller %d callee %d, want %d and %d",
+				tc.policy, tc.frozen, caller.CopyBytes, callee.CopyBytes, tc.wantCaller, tc.wantCallee)
+		}
+		if wantCalls := tc.frozen - 1; caller.CrossCalls != wantCalls { // a frozen caller counts no call either
+			t.Errorf("%v, domain %d frozen: caller cross calls = %d, want %d", tc.policy, tc.frozen, caller.CrossCalls, wantCalls)
+		}
+	}
+}
+
+// TestChargeTakesNoLock pins the charge path: once an account exists,
+// charging it — by pointer or by id — never waits for the meter's mutex.
+func TestChargeTakesNoLock(t *testing.T) {
+	m := NewMeter(ChargeSplit)
+	a, b := m.Account(1), m.Account(2)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 1000; i++ {
+			m.Steps(1, 1)
+			m.Alloc(1, 1)
+			m.Class(2, 1)
+			m.CrossCall(1, 2, 2)
+			m.Cross(a, b, 2)
+			m.Snapshot(1)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("charges did not finish with the meter's mutex held: a charge takes the lock")
+	}
+}
+
+// TestConcurrentChargesConserve: eight goroutines charge crossings between
+// overlapping domains, some of them first seen mid-run, under every policy;
+// once they are done the copy bytes on the books are the bytes charged. Run
+// it under -race.
+func TestConcurrentChargesConserve(t *testing.T) {
+	for _, policy := range []CopyPolicy{ChargeCaller, ChargeCallee, ChargeSplit} {
+		t.Run(policy.String(), func(t *testing.T) {
+			m := NewMeter(policy)
+			var want atomic.Int64
+			var wg sync.WaitGroup
+			for g := int64(0); g < 8; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := int64(0); i < 2000; i++ {
+						bytes := i%7 + g
+						m.CrossCall(g%3+1, i/500+10, bytes)
+						want.Add(bytes)
+					}
+				}()
+			}
+			wg.Wait()
+			if got := m.GrandTotal(func(s Stats) int64 { return s.CopyBytes }); got != want.Load() {
+				t.Errorf("copy bytes on the books = %d, charged %d", got, want.Load())
+			}
+			if got := m.GrandTotal(func(s Stats) int64 { return s.CrossCalls }); got != 8*2000 {
+				t.Errorf("cross calls = %d, want %d", got, 8*2000)
+			}
+		})
 	}
 }
 

@@ -77,7 +77,7 @@ func (g *Gate) callVMFromGo(task *Task, plan *vmMethodPlan, args []any) (any, er
 	if target == nil {
 		return nil, thrownError(g.revokedThrowable())
 	}
-	callerDomain := k.domainByID(task.Chain.Current().Domain)
+	callerDomain := task.current()
 	if callerDomain == nil {
 		return nil, ErrNotEntered
 	}

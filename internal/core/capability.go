@@ -200,7 +200,7 @@ func (c *Capability) Gate() *Gate { return c.g }
 // ErrRevoked / jk.kernel.RevokedException.
 func (c *Capability) Revoke() {
 	c.g.revoke()
-	c.g.k.Meter.RevokeCount(c.g.owner.ID, 1)
+	c.g.owner.acct.RevokeCount(1)
 }
 
 // RevokeWithReason severs the capability, recording reason as the error
@@ -352,7 +352,7 @@ func (c *capOps) Revoke(env *vmkit.Env, stub *vmkit.Object) *vmkit.Object {
 			"only the creating domain may revoke (caller=%v owner=%v)", cur, g.owner)
 	}
 	g.revoke()
-	k.Meter.RevokeCount(g.owner.ID, 1)
+	g.owner.acct.RevokeCount(1)
 	return nil
 }
 
@@ -374,5 +374,5 @@ func (k *Kernel) currentDomainOfThread(t *vmkit.Thread) *Domain {
 	if task == nil {
 		return nil
 	}
-	return k.domainByID(task.Chain.Current().Domain)
+	return task.current()
 }

@@ -1,0 +1,307 @@
+package core
+
+import (
+	"errors"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"jkernel/internal/threads"
+	"jkernel/internal/vmkit"
+)
+
+// The crossing's contract: it takes no lock and looks nothing up, a domain
+// that ends while carriers are crossing into it is seen by every one of
+// them, and a handle dies with its activation.
+
+// pinger is a native callee that does nothing.
+type pinger struct{}
+
+func (pinger) Ping() (int64, error) { return 1, nil }
+
+// TestCrossingTakesNoLock pins the segment switch and its accounting: with
+// both domains' mutexes held elsewhere, enter, leave and Gate.account still
+// return. (The chain's and the Seg's mutexes are held by the test of the
+// same name in internal/threads, the meter's by TestChargeTakesNoLock in
+// internal/account: each package holds what it owns.)
+func TestCrossingTakesNoLock(t *testing.T) {
+	f := newSPFixture(t)
+	task := f.k.NewDetachedTask(f.client, "client")
+	defer task.Close()
+	g := f.k.Repository().Lookup("work").Gate()
+	m := g.plans[0].m
+	if seg := task.enter(f.server); seg != nil { // a free Seg for the loop to reuse
+		task.leave(seg)
+	}
+
+	f.server.mu.Lock()
+	f.client.mu.Lock()
+	defer f.client.mu.Unlock()
+	defer f.server.mu.Unlock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 1000; i++ {
+			seg := task.enter(f.server)
+			if task.current() != f.server {
+				t.Error("the segment in control does not name the callee's domain")
+				return
+			}
+			task.leave(seg)
+			g.account(task, f.client, m, time.Time{}, 8, false)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("1000 crossings under held domain locks did not finish: a crossing takes a lock")
+	}
+	if task.current() != f.client {
+		t.Error("the base segment does not name the task's domain")
+	}
+}
+
+// TestStaleHandleGoneAtPop, through the interposed Thread class: a callee
+// stashes its Thread object and returns; before the carrier crosses again,
+// every operation on the object finds the segment gone, the registry entry
+// is dropped and nothing raised the word.
+func TestStaleHandleGoneAtPop(t *testing.T) {
+	f := newSemFixture(t, nil)
+	task := f.k.NewTask(f.client, "client")
+	defer task.Close()
+	if out, err := f.cap.InvokeVM(task, "grab"); err != nil || out.(int64) != 1 {
+		t.Fatalf("grab = %v, %v", out, err)
+	}
+	if n := f.handles(); n != 0 {
+		t.Errorf("%d segment handles registered after the minted segment returned", n)
+	}
+	impl, err := f.server.NS.Resolve("SemImpl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := impl.Statics[impl.FieldByName("saved").Slot].R
+	if saved == nil {
+		t.Fatal("grab did not stash its Thread object")
+	}
+	ops, env := f.server.NS.ThreadOps, &vmkit.Env{VM: f.k.VM, NS: f.server.NS, Thread: task.Thread}
+	_, thPriority := ops.GetPriority(env, saved)
+	for name, th := range map[string]*vmkit.Object{
+		"stop":        ops.Stop(env, saved),
+		"suspend":     ops.Suspend(env, saved),
+		"resume":      ops.Resume(env, saved),
+		"setPriority": ops.SetPriority(env, saved, 9),
+		"getPriority": thPriority,
+	} {
+		if th == nil {
+			t.Errorf("%s through a stale Thread object succeeded", name)
+			continue
+		}
+		if msg := vmkit.ThrowableMessage(th); th.Class.Name != vmkit.ClassIllegalStateEx ||
+			!strings.HasPrefix(msg, "segment ") || !strings.HasSuffix(msg, " is gone") {
+			t.Errorf("%s = %s %q, want %s \"segment … is gone\"", name, th.Class.Name, msg, vmkit.ClassIllegalStateEx)
+		}
+	}
+	if w := task.Thread.Attention().Load(); w != 0 {
+		t.Errorf("attention word = %#x: a stale handle raised it", w)
+	}
+}
+
+// ended reports whether err is what a client of a terminated domain sees.
+func ended(err error) bool {
+	return errors.Is(err, ErrDomainTerminated) || thrownClass(err) == vmkit.ClassTerminatedEx ||
+		(err != nil && strings.Contains(err.Error(), vmkit.ClassTerminatedEx))
+}
+
+// TestTerminateDuringCrossings: eight carriers loop VM and native calls
+// into one server domain and the domain is terminated under them. Run it
+// under -race.
+func TestTerminateDuringCrossings(t *testing.T) {
+	const carriers = 8
+	f := newSPFixture(t)
+	vmCap := f.k.Repository().Lookup("work")
+	natCap, err := f.k.CreateNativeCapability(f.server, pinger{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// One carrier runs the catch-everything loop in the server's own base
+	// segment. Nothing else charges the server yet: once its account moves,
+	// the loop is running.
+	deadline := time.Now().Add(20 * time.Second)
+	hostile := f.k.NewDetachedTask(f.server, "hostile")
+	defer hostile.Close()
+	hostileDone := make(chan callResult, 1)
+	go func() {
+		v, err := f.k.VM.CallStatic(hostile.Thread, f.server.NS, "SP.hostile:()I")
+		hostileDone <- callResult{v, err}
+	}()
+	for f.server.Stats().Steps == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("hostile loop never started")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+
+	// over is set once Terminate has returned: a call started after that
+	// must fail.
+	var over atomic.Bool
+	var calls atomic.Int64
+	tasks := make([]*Task, carriers)
+	var wg sync.WaitGroup
+	for i := range tasks {
+		tasks[i] = f.k.NewDetachedTask(f.client, "carrier")
+		defer tasks[i].Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				late := over.Load()
+				var err error
+				if i%2 == 0 {
+					_, err = vmCap.InvokeVM(tasks[i], "count", int64(200))
+				} else {
+					_, err = natCap.InvokeFrom(tasks[i], "Ping")
+				}
+				calls.Add(1)
+				switch {
+				case err == nil && late:
+					t.Errorf("carrier %d completed a call started after Terminate returned", i)
+					return
+				case err == nil:
+				case ended(err):
+					return
+				default:
+					t.Errorf("carrier %d: %v, want the domain's end", i, err)
+					return
+				}
+			}
+		}()
+	}
+
+	// Another is parked on a suspended segment of the server.
+	parked := f.k.NewDetachedTask(f.client, "parked")
+	defer parked.Close()
+	var parkedGID atomic.Int64
+	parkedDone := make(chan error, 1)
+	go func() {
+		parkedGID.Store(threads.GoroutineID())
+		_, err := vmCap.InvokeVM(parked, "mintSpin", int64(1<<40))
+		parkedDone <- err
+	}()
+	var h threads.Handle
+	for ok := false; !ok; h, ok = f.handleIn(f.server) {
+		if time.Now().After(deadline) {
+			t.Fatal("mintSpin never registered its segment")
+		}
+		runtime.Gosched()
+	}
+	if !h.Suspend() {
+		t.Fatal("live handle refused")
+	}
+	for stacks := make([]byte, 1<<18); !goroutineParked(stacks, parkedGID.Load()); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("carrier never parked on its suspended segment")
+		}
+	}
+
+	for calls.Load() < 4*carriers {
+		if time.Now().After(deadline) {
+			t.Fatal("the carriers never got going")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+
+	f.server.Terminate("under load")
+	over.Store(true)
+
+	wg.Wait()
+	select {
+	case err := <-parkedDone:
+		if !ended(err) {
+			t.Errorf("parked carrier woke with %v, want the domain's end", err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("the carrier parked in the dead domain never woke")
+	}
+	select {
+	case r := <-hostileDone:
+		if r.err != nil || r.v.I != 0 {
+			t.Errorf("hostile = %d, %v: iterations completed after the first DomainTerminatedException", r.v.I, r.err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("hostile loop neither stopped nor gave up")
+	}
+
+	// A task born in the dead domain is stopped at its first poll.
+	late := f.k.NewDetachedTask(f.server, "late")
+	defer late.Close()
+	if err := late.Chain.Poll(); !errors.Is(err, ErrDomainTerminated) || !errors.Is(err, threads.ErrSegmentStopped) {
+		t.Errorf("first poll of a task created in the dead domain = %v", err)
+	}
+	if _, err := late.CallStatic("SP.forever:()I"); thrownClass(err) != vmkit.ClassTerminatedEx {
+		t.Errorf("bytecode on a task created in the dead domain = %v, want %s", err, vmkit.ClassTerminatedEx)
+	}
+
+	// The chains have unwound: at most one slow poll clears a kick, and the
+	// clients' words are down again.
+	for i, task := range append(tasks, parked) {
+		if d := task.Chain.Depth(); d != 1 {
+			t.Errorf("carrier %d: chain depth %d after the last return", i, d)
+		}
+		if err := task.Chain.Poll(); err != nil {
+			t.Errorf("carrier %d: base segment poll = %v", i, err)
+		}
+		if w := task.Thread.Attention().Load(); w != 0 {
+			t.Errorf("carrier %d: attention word = %#x with nothing pending", i, w)
+		}
+	}
+	registered := 0
+	f.k.segs.Range(func(_, _ any) bool { registered++; return true })
+	if registered != 0 {
+		t.Errorf("%d segment handles still registered", registered)
+	}
+}
+
+// TestDomainGaugesFollowTheAccount: which domain is paying is in the
+// kernel's snapshot, and stays there after the domain is terminated.
+func TestDomainGaugesFollowTheAccount(t *testing.T) {
+	f := newSPFixture(t)
+	task := f.k.NewDetachedTask(f.client, "client")
+	defer task.Close()
+	natCap, err := f.k.CreateNativeCapability(f.server, pinger{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := f.k.Repository().Lookup("work").InvokeVM(task, "count", int64(10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := natCap.InvokeFrom(task, "Ping"); err != nil {
+		t.Fatal(err)
+	}
+	f.server.Terminate("post-mortem")
+
+	gauges := f.k.Telemetry().Snapshot().Gauges
+	for _, d := range []*Domain{f.client, f.server} {
+		s := d.Stats()
+		for name, want := range map[string]int64{
+			"alloc_bytes": s.AllocBytes, "steps": s.Steps, "copy_bytes": s.CopyBytes,
+			"class_bytes": s.ClassBytes, "cross_calls": s.CrossCalls, "revoked": s.Revoked,
+		} {
+			got, ok := gauges["domain."+d.Name+"."+name]
+			if !ok || got != want {
+				t.Errorf("gauge domain.%s.%s = %d (present %v), Stats says %d", d.Name, name, got, ok, want)
+			}
+		}
+	}
+	if c := f.client.Stats(); c.CrossCalls != 4 || c.CopyBytes == 0 {
+		t.Errorf("client account after 3 VM + 1 native calls: %+v", c)
+	}
+	if s := f.server.Stats(); s.Steps == 0 || s.Revoked == 0 {
+		t.Errorf("server account: %+v; want its steps and its revoked gates", s)
+	}
+}

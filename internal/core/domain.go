@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"jkernel/internal/account"
 	"jkernel/internal/threads"
 	"jkernel/internal/vmkit"
 )
@@ -28,19 +29,24 @@ type DomainConfig struct {
 	Output io.Writer
 }
 
-// Domain is one protection domain: a namespace, a set of thread segments,
-// an account, and the capabilities it created.
+// Domain is one protection domain: a namespace, an account, and the
+// capabilities it created. The thread segments running in it name it
+// (threads.Owner); it keeps no list of them.
 type Domain struct {
 	K    *Kernel
 	ID   int64
 	Name string
 	NS   *vmkit.Namespace
+	// acct is the domain's account in K.Meter, resolved once: the gate
+	// charges it directly.
+	acct *account.Account
 
-	terminated atomic.Bool
+	// end is the domain's end: nil while it lives, set once by Terminate to
+	// the cause every segment still running in it is stopped with.
+	end atomic.Pointer[error]
 
 	mu      sync.Mutex
 	created []*Gate
-	segs    map[int64]*threads.Seg
 }
 
 // NewDomain creates a protection domain. Its namespace sees: the
@@ -58,8 +64,8 @@ func (k *Kernel) NewDomain(cfg DomainConfig) (*Domain, error) {
 		K:    k,
 		ID:   k.nextDom.Add(1),
 		Name: cfg.Name,
-		segs: make(map[int64]*threads.Seg),
 	}
+	d.acct = k.Meter.Account(d.ID)
 
 	shared := map[string]*vmkit.Class{}
 	for _, sc := range cfg.Shared {
@@ -112,11 +118,20 @@ func (k *Kernel) NewDomain(cfg DomainConfig) (*Domain, error) {
 
 	k.domains.Store(d.ID, d)
 	k.byName.Store(cfg.Name, d)
+	k.tm.domainGauges(d)
 	return d, nil
 }
 
 // Terminated reports whether the domain has been terminated.
-func (d *Domain) Terminated() bool { return d.terminated.Load() }
+func (d *Domain) Terminated() bool { return d.end.Load() != nil }
+
+// Ended implements threads.Owner.
+func (d *Domain) Ended() error {
+	if end := d.end.Load(); end != nil {
+		return *end
+	}
+	return nil
+}
 
 // Terminate ends the domain: every capability it created is revoked (so
 // its memory may be freed and failures propagate to clients as
@@ -124,27 +139,26 @@ func (d *Domain) Terminated() bool { return d.terminated.Load() }
 // is refused, and its account freezes. This is the paper's "clean
 // semantics of domain termination".
 func (d *Domain) Terminate(reason string) {
-	if !d.terminated.CompareAndSwap(false, true) {
+	cause := fmt.Errorf("%w: %s", ErrDomainTerminated, reason)
+	if !d.end.CompareAndSwap(nil, &cause) {
 		return
 	}
+	// Published; now every carrier is told to look, since segments name
+	// their domain and not the other way round. A carrier that enters once
+	// this loop has passed its chain loads the end itself (Task.enter).
+	d.K.tasks.Range(func(chain, _ any) bool {
+		chain.(*threads.Chain).Kick()
+		return true
+	})
+
 	d.mu.Lock()
 	gates := append([]*Gate(nil), d.created...)
-	// Stopped under d.mu: a Seg leaves d.segs (removeSeg) before it is
-	// popped and recycled, so while the lock is held every Seg in the map
-	// is still the activation that entered this domain. Base segments are
-	// enrolled too (newTask), and a terminated segment stays raised for as
-	// long as it lives: this loop and addSeg are all that tell a carrier
-	// its domain is gone — no safepoint looks the domain up.
-	for _, s := range d.segs {
-		s.Terminate(fmt.Errorf("%w: %s", ErrDomainTerminated, reason))
-	}
 	d.mu.Unlock()
-
 	for _, g := range gates {
 		g.revoke()
 	}
-	d.K.Meter.RevokeCount(d.ID, int64(len(gates)))
-	d.K.Meter.Freeze(d.ID)
+	d.acct.RevokeCount(int64(len(gates)))
+	d.acct.Freeze()
 }
 
 // addGate records a gate created by this domain (revoked on termination).
@@ -159,25 +173,6 @@ func (d *Domain) CreatedCapabilities() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return len(d.created)
-}
-
-func (d *Domain) addSeg(s *threads.Seg) {
-	d.mu.Lock()
-	if d.segs == nil {
-		d.segs = make(map[int64]*threads.Seg)
-	}
-	d.segs[s.ID] = s
-	d.mu.Unlock()
-	// A segment entering a dead domain dies immediately.
-	if d.Terminated() {
-		s.Terminate(ErrDomainTerminated)
-	}
-}
-
-func (d *Domain) removeSeg(s *threads.Seg) {
-	d.mu.Lock()
-	delete(d.segs, s.ID)
-	d.mu.Unlock()
 }
 
 // DefineClass loads bytecode into the domain's namespace directly (the
@@ -243,7 +238,7 @@ func (d *Domain) SetStringField(obj *vmkit.Object, field string, s string) error
 }
 
 // Stats returns the domain's resource account snapshot.
-func (d *Domain) Stats() accountStats { return d.K.Meter.Snapshot(d.ID) }
+func (d *Domain) Stats() accountStats { return d.acct.Snapshot() }
 
 func (d *Domain) String() string { return fmt.Sprintf("domain[%d %s]", d.ID, d.Name) }
 
@@ -286,11 +281,11 @@ func segmentGone(env *vmkit.Env, id int64) *vmkit.Object {
 // one place a segment enters the kernel-wide handle registry: a crossing
 // whose callee never asks for its Thread pays nothing for it.
 func (ops *domainThreadOps) Current(env *vmkit.Env) (*vmkit.Object, *vmkit.Object) {
-	chain, _ := env.Thread.Data.(*threads.Chain)
-	if chain == nil {
+	task, _ := env.Thread.Data.(*Task)
+	if task == nil {
 		return nil, env.VM.Throwf(vmkit.ClassIllegalStateEx, "thread has no segment chain")
 	}
-	seg := chain.Current()
+	seg := task.Chain.Current()
 	tc, err := ops.d.NS.Resolve(vmkit.ClassThread)
 	if err != nil {
 		return nil, env.VM.Throwf(vmkit.ClassError, "%v", err)

@@ -3,6 +3,8 @@ package core
 import (
 	"sync"
 	"sync/atomic"
+
+	"jkernel/internal/account"
 )
 
 // Asynchronous invocation: InvokeAsync starts a cross-domain call and
@@ -51,7 +53,7 @@ type Future struct {
 	// The transport's own synchronization (its enqueue lock) orders the
 	// writes before any CompleteWire call.
 	wk               *Kernel
-	wCaller, wCallee int64
+	wCaller, wCallee *account.Account
 
 	// done is created on demand (Done, or a Wait that actually blocks):
 	// on the batched hot path most futures resolve before anyone waits,
@@ -187,7 +189,7 @@ func (f *Future) setCancel(via ProxyTarget, tok uint64) {
 // future directly, charging the caller's account for the bytes copied
 // across the wire on the way.
 func (f *Future) CompleteWire(results []any, copied int64, err error) {
-	f.wk.Meter.CrossCall(f.wCaller, f.wCallee, copied)
+	f.wk.Meter.Cross(f.wCaller, f.wCallee, copied)
 	f.resolve(results, err)
 }
 
@@ -228,7 +230,7 @@ func (c *Capability) InvokeAsync(name string, args ...any) *Future {
 	if task == nil {
 		return resolvedFuture(name, nil, ErrNotEntered)
 	}
-	return c.invokeAsync(task, k.domainByID(task.Chain.Current().Domain), name, args)
+	return c.invokeAsync(task, task.current(), name, args)
 }
 
 // InvokeAsyncFrom is InvokeAsync with an explicit task naming the calling
@@ -236,7 +238,7 @@ func (c *Capability) InvokeAsync(name string, args ...any) *Future {
 // invocation runs detached, so one task can fan out any number of
 // concurrent futures and keep making synchronous calls meanwhile.
 func (c *Capability) InvokeAsyncFrom(task *Task, name string, args ...any) *Future {
-	return c.invokeAsync(task, task.K.domainByID(task.Chain.Current().Domain), name, args)
+	return c.invokeAsync(task, task.current(), name, args)
 }
 
 // invokeAsync starts the call on behalf of caller, from task (which stays
@@ -268,7 +270,7 @@ func (c *Capability) invokeAsync(task *Task, caller *Domain, name string, args [
 	// completion callback (CompleteWire), so no per-call closure crosses
 	// into the transport.
 	if pb := g.proxy.Load(); pb != nil {
-		f.wk, f.wCaller, f.wCallee = k, caller.ID, g.owner.ID
+		f.wk, f.wCaller, f.wCallee = k, caller.acct, g.owner.acct
 		call := ProxyCall{Method: name, Args: args, Done: f}
 		if k.tm != nil {
 			call.Trace = task.effectiveTrace()

@@ -67,7 +67,7 @@ type Kernel struct {
 	gates     sync.Map // int64 -> *Gate
 	nextGate  atomic.Int64
 	segs      sync.Map // int64 (seg id) -> threads.Handle: only segments a jk/lang/Thread object names
-	tasks     sync.Map // *threads.Chain -> *Task
+	tasks     sync.Map // *threads.Chain -> *Task: currentTask's lookup, and the chains Terminate kicks
 	nextStub  atomic.Int64
 	repo      *Repository
 	seriReg   *seri.Registry
@@ -221,15 +221,6 @@ func (k *Kernel) RegisterSerializable(name string, sample any) {
 	k.copyModes.Store(reflect.TypeOf(sample), copyModeSeri)
 }
 
-// domainByID returns the domain or nil.
-func (k *Kernel) domainByID(id int64) *Domain {
-	v, ok := k.domains.Load(id)
-	if !ok {
-		return nil
-	}
-	return v.(*Domain)
-}
-
 // DomainByName returns the domain with that name, or nil.
 func (k *Kernel) DomainByName(name string) *Domain {
 	v, ok := k.byName.Load(name)
@@ -261,14 +252,14 @@ func (k *Kernel) Domains() []*Domain {
 // safepointHook is installed on every kernel-managed VM thread. The
 // interpreter runs it only with the thread's attention word raised; it
 // turns what the segment in control is owed into a throwable. A segment of
-// a terminated domain is owed its end at every poll (Seg.Terminate), so
-// there is no domain to look up here.
+// a terminated domain is owed its end at every poll, and the chain asks
+// the domain the segment names: there is no domain to look up here.
 func (k *Kernel) safepointHook(t *vmkit.Thread) *vmkit.Object {
-	chain, _ := t.Data.(*threads.Chain)
-	if chain == nil {
+	task, _ := t.Data.(*Task)
+	if task == nil {
 		return nil
 	}
-	err := chain.Poll()
+	err := task.Chain.Poll()
 	switch {
 	case err == nil:
 		return nil
@@ -332,7 +323,6 @@ func (k *Kernel) NewDetachedTask(d *Domain, name string) *Task {
 func (k *Kernel) newTask(d *Domain, name string, chain *threads.Chain) *Task {
 	th := k.VM.NewThread(name)
 	th.DomainID = d.ID
-	th.Data = chain
 	th.SafepointHook = k.safepointHook
 	// One word for the interpreter's safepoint and the chain's Poll.
 	chain.SetAttention(th.Attention())
@@ -341,9 +331,19 @@ func (k *Kernel) newTask(d *Domain, name string, chain *threads.Chain) *Task {
 	// staggered phases, so a workload of short-lived tasks still profiles
 	// 1 in 64 calls in aggregate instead of never reaching its 64th tick.
 	task := &Task{K: k, Domain: d, Thread: th, Chain: chain, stripe: stripe, sampleTick: stripe}
+	th.Data = task
+	// Registered before the base segment names d: Terminate either finds
+	// the chain in its range or has published the end SetOwner loads.
 	k.tasks.Store(chain, task)
-	d.addSeg(chain.Current())
+	chain.Current().SetOwner(d)
 	return task
+}
+
+// current returns the domain of the segment in control: the caller of
+// whatever crossing comes next. Carrier-only.
+func (t *Task) current() *Domain {
+	d, _ := t.Chain.Current().Owner().(*Domain)
+	return d
 }
 
 // dropHandle unregisters the handle minted on seg's current activation,
@@ -359,9 +359,7 @@ func (t *Task) Close() {
 	if !t.closed.CompareAndSwap(false, true) {
 		return
 	}
-	base := t.Chain.Current()
-	t.Domain.removeSeg(base)
-	t.K.dropHandle(base)
+	t.K.dropHandle(t.Chain.Current())
 	t.K.tasks.Delete(t.Chain)
 	if t.registered {
 		threads.Unregister()
@@ -391,19 +389,12 @@ func (k *Kernel) currentTask() *Task {
 // taskForThread resolves the Task for a VM thread (the VM-path lookup).
 func (k *Kernel) taskForThread(t *vmkit.Thread) *Task {
 	// Reproduce the JVM's current-thread lookup cost: consult the VM's
-	// thread registry, then our chain table.
+	// thread registry. The thread itself carries its task.
 	if k.VM.LookupThread(t.ID) == nil {
 		return nil
 	}
-	chain, _ := t.Data.(*threads.Chain)
-	if chain == nil {
-		return nil
-	}
-	v, ok := k.tasks.Load(chain)
-	if !ok {
-		return nil
-	}
-	return v.(*Task)
+	task, _ := t.Data.(*Task)
+	return task
 }
 
 // accountStats re-exports the account snapshot type for Domain.Stats.

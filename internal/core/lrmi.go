@@ -17,22 +17,21 @@ import (
 // method, copy the result back, and restore the caller's segment.
 
 // enter switches the task's carrier into domain d for one cross-domain
-// call (lock pair #1): push a segment and enrol it with d, so that
-// terminating d stops it. Every crossing — VM, native, proxy — goes
-// through enter and leave. The kernel-wide handle registry is not touched
-// here: only a segment that a jk/lang/Thread object names is registered,
-// by domainThreadOps.Current.
+// call (the paper's lock pair #1; here no lock, and only the carrier's own
+// chain is written): push a segment and have it name d, so that the slow
+// poll finds d's end. Every crossing — VM, native, proxy — goes through
+// enter and leave. Only a segment that a jk/lang/Thread object names is
+// registered kernel-wide, by domainThreadOps.Current.
 func (t *Task) enter(d *Domain) *threads.Seg {
 	seg := t.Chain.Push(d.ID)
-	d.addSeg(seg)
+	seg.SetOwner(d)
 	return seg
 }
 
 // leave returns from the segment enter pushed (lock pair #2). A handle
-// minted on it dies here: the Seg is about to be recycled, and a stale
-// Thread object must find "segment gone", never the next call.
-func (t *Task) leave(d *Domain, seg *threads.Seg) {
-	d.removeSeg(seg)
+// minted on it dies here: the registry entry goes and the pop retires the
+// id, so a stale Thread object finds "segment gone", never the next call.
+func (t *Task) leave(seg *threads.Seg) {
 	t.K.dropHandle(seg)
 	t.Chain.Pop()
 }
@@ -110,7 +109,7 @@ func (g *Gate) callVM(t *vmkit.Thread, via *gateEntry, idx int64, args []vmkit.V
 	if task == nil {
 		return vmkit.Value{}, vm.Throwf(vmkit.ClassIllegalStateEx, "thread not managed by the kernel")
 	}
-	callerDomain := k.domainByID(task.Chain.Current().Domain)
+	callerDomain := task.current()
 	if callerDomain == nil {
 		return vmkit.Value{}, vm.Throwf(vmkit.ClassIllegalStateEx, "caller domain is gone")
 	}
@@ -190,7 +189,7 @@ func (g *Gate) cross(task *Task, t *vmkit.Thread, callerDomain *Domain, m *vmkit
 	t.FlushAccounting()
 	vm.RecordHeavyLock(nil)
 	t.DomainID = prevDomain
-	task.leave(g.owner, seg)
+	task.leave(seg)
 
 	if thrown != nil {
 		thrown = g.k.copyThrowable(callerDomain, thrown)
@@ -201,7 +200,7 @@ func (g *Gate) cross(task *Task, t *vmkit.Thread, callerDomain *Domain, m *vmkit
 // account books a finished crossing: the bytes copied in both directions,
 // and the call's span.
 func (g *Gate) account(task *Task, callerDomain *Domain, m *vmkit.Method, tmStart time.Time, bytes int64, failed bool) {
-	g.k.Meter.CrossCall(callerDomain.ID, g.owner.ID, bytes)
+	g.k.Meter.Cross(callerDomain.acct, g.owner.acct, bytes)
 	if tm := g.k.tm; tm != nil {
 		var callErr error
 		if failed {

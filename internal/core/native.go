@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"jkernel/internal/seri"
-	"jkernel/internal/threads"
 )
 
 // Native targets: Go objects exposed through the same capability model as
@@ -238,7 +237,7 @@ func (c *Capability) invokeFrom(task *Task, name string, args []any) ([]any, err
 	if perr := task.Chain.Poll(); perr != nil {
 		return nil, perr
 	}
-	k.Meter.CrossCall(caller.ID, g.owner.ID, copied)
+	k.Meter.Cross(caller.acct, g.owner.acct, copied)
 	if k.tm != nil {
 		k.tm.lrmi(task, task.effectiveTrace(), caller, g.owner, name, start, callErr)
 	}
@@ -264,7 +263,7 @@ func (c *Capability) invokeFrom(task *Task, name string, args []any) ([]any, err
 // transport instead (m nil, pt set).
 func (c *Capability) nativeCallee(task *Task, name string) (caller *Domain, m *nativeMethod, pt ProxyTarget, err error) {
 	g := c.g
-	caller = g.k.domainByID(task.Chain.Current().Domain)
+	caller = task.current()
 	if caller == nil {
 		return nil, nil, nil, ErrNotEntered
 	}
@@ -374,7 +373,7 @@ func (g *Gate) crossNative(task *Task, m *nativeMethod, in []reflect.Value, carg
 		out, callErr = safeCall(m.fn, in)
 	}
 
-	task.leave(g.owner, seg)
+	task.leave(seg)
 
 	if !viaReflect || callErr != nil {
 		return results, merr, callErr
@@ -564,14 +563,4 @@ func (c *Capability) Bind(stubStruct any) error {
 func (k *Kernel) EnterBaseDomain(d *Domain, name string) (task *Task, cleanup func()) {
 	t := k.NewTask(d, name)
 	return t, t.Close
-}
-
-// currentChainDomain reports the calling goroutine's current domain id, or
-// -1 when unregistered (diagnostics).
-func (k *Kernel) currentChainDomain() int64 {
-	ch := threads.CurrentChain()
-	if ch == nil {
-		return -1
-	}
-	return ch.Current().Domain
 }

@@ -135,12 +135,12 @@ func (c *Capability) invokeProxy(task *Task, caller *Domain, pt ProxyTarget, nam
 	}
 	results, copied, _, err := pt.InvokeProxy(call)
 
-	task.leave(g.owner, seg)
+	task.leave(seg)
 
 	if perr := task.Chain.Poll(); perr != nil {
 		return nil, perr
 	}
-	k.Meter.CrossCall(caller.ID, g.owner.ID, copied)
+	k.Meter.Cross(caller.acct, g.owner.acct, copied)
 	// The transport records the wire client span (it sees the peer and the
 	// reply timing); the kernel only keeps the call-graph edge.
 	k.tm.edge(caller, g.owner).Inc()
@@ -208,7 +208,7 @@ func (c *Capability) ServeWire(task *Task, name string, args []any, argBytes int
 	if callErr == nil && merr == nil {
 		argBytes += out.EncodeResults(results)
 	}
-	k.Meter.CrossCall(caller.ID, g.owner.ID, argBytes)
+	k.Meter.Cross(caller.acct, g.owner.acct, argBytes)
 	if callErr != nil {
 		return callErr
 	}

@@ -82,6 +82,25 @@ func (k *Kernel) Tracer() *telemetry.Tracer {
 	return k.tm.tracer
 }
 
+// domainGauges publishes d's account as domain.<name>.* gauges, read at
+// snapshot time only and kept after Terminate: the frozen account is the
+// post-mortem.
+func (m *kernelMetrics) domainGauges(d *Domain) {
+	if m == nil {
+		return
+	}
+	for name, field := range map[string]func(accountStats) int64{
+		"alloc_bytes": func(s accountStats) int64 { return s.AllocBytes },
+		"steps":       func(s accountStats) int64 { return s.Steps },
+		"copy_bytes":  func(s accountStats) int64 { return s.CopyBytes },
+		"class_bytes": func(s accountStats) int64 { return s.ClassBytes },
+		"cross_calls": func(s accountStats) int64 { return s.CrossCalls },
+		"revoked":     func(s accountStats) int64 { return s.Revoked },
+	} {
+		m.reg.GaugeFunc("domain."+d.Name+"."+name, func() int64 { return field(d.Stats()) })
+	}
+}
+
 // edgeInc counts one call on the caller→callee edge. The task's one-entry
 // cache covers the overwhelming case — a task calling along the edge it
 // just used — so most calls never touch the shared edge map at all.

@@ -1,8 +1,10 @@
 package remote
 
 import (
+	"encoding/json"
 	"errors"
 	"io"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"jkernel/internal/core"
+	"jkernel/internal/telemetry"
 )
 
 // TestMain lets pool tests re-exec this binary as a worker process.
@@ -637,5 +640,38 @@ func TestRemoteAccounting(t *testing.T) {
 	stats := p.clientDom.Stats()
 	if stats.CopyBytes < 4096 || stats.CrossCalls < 1 {
 		t.Fatalf("wire bytes not metered: %+v", stats)
+	}
+}
+
+// Attribution: the same account, live at /debug/jk as the domain's gauges.
+func TestDebugMuxShowsDomainAccounts(t *testing.T) {
+	p := newPair(t)
+	p.export(t, "echo", echoSvc{})
+	proxy, err := p.conn.Import("echo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := proxy.InvokeFrom(p.task, "Blob", make([]byte, 1024)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec := httptest.NewRecorder()
+	DebugMux(p.client).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/jk", nil))
+	var page telemetry.DebugPage
+	if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil {
+		t.Fatal(err)
+	}
+	stats, found := p.clientDom.Stats(), false
+	for _, snap := range page.Snapshots {
+		if calls, ok := snap.Gauges["domain.app.cross_calls"]; ok {
+			found = true
+			if calls != 3 || snap.Gauges["domain.app.copy_bytes"] != stats.CopyBytes || stats.CopyBytes < 3*1024 {
+				t.Errorf("/debug/jk: domain.app cross_calls %d copy_bytes %d; Stats %+v", calls, snap.Gauges["domain.app.copy_bytes"], stats)
+			}
+		}
+	}
+	if !found {
+		t.Error("/debug/jk has no domain.app.* gauges")
 	}
 }

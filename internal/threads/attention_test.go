@@ -139,6 +139,24 @@ func TestAttentionStaysUpForCallerSegment(t *testing.T) {
 	}
 }
 
+// testOwner is an Owner whose end the test publishes.
+type testOwner struct{ end atomic.Pointer[error] }
+
+func (o *testOwner) Ended() error {
+	if e := o.end.Load(); e != nil {
+		return *e
+	}
+	return nil
+}
+
+// finish ends the owner the way a domain does: publish, then kick.
+func (o *testOwner) finish(cause error, chains ...*Chain) {
+	o.end.Store(&cause)
+	for _, c := range chains {
+		c.Kick()
+	}
+}
+
 // TestTerminateIsSticky: the end of a segment's domain is reported by every
 // poll, keeps the word raised, outranks a later Thread.stop, and goes away
 // only with the activation.
@@ -146,7 +164,12 @@ func TestTerminateIsSticky(t *testing.T) {
 	cause := errors.New("the domain is gone")
 	c := NewChain(1)
 	s := c.Push(2)
-	s.Terminate(cause)
+	dom := new(testOwner)
+	s.SetOwner(dom)
+	if c.attn.Load() != 0 {
+		t.Fatal("a live owner raised the word")
+	}
+	dom.finish(cause, c)
 	s.Handle().Stop("an ordinary stop")
 	for i := 0; i < 3; i++ {
 		err := c.Poll()
@@ -167,6 +190,98 @@ func TestTerminateIsSticky(t *testing.T) {
 	}
 	if err := c.Poll(); err != nil {
 		t.Errorf("recycled seg starts terminated: %v", err)
+	}
+	// Entering a domain that has already ended needs no kick: the segment
+	// raises its own carrier's word.
+	c.Pop()
+	c.Push(2).SetOwner(dom)
+	if err := c.Poll(); !errors.Is(err, cause) {
+		t.Errorf("poll after entering a dead domain = %v, want its end", err)
+	}
+	// A caller's dead domain waits for the return, with the word up.
+	c.Push(4).SetOwner(new(testOwner))
+	if err := c.Poll(); err != nil || c.attn.Load() == 0 {
+		t.Errorf("callee of a dead caller: poll = %v, word = %#x; want nil with the word up", err, c.attn.Load())
+	}
+}
+
+// TestCrossingTakesNoLock pins the segment switch: with the chain's mutex
+// and the mutex of the Seg about to be reused both held elsewhere, Push,
+// SetOwner and the Pop of an unminted activation still return.
+func TestCrossingTakesNoLock(t *testing.T) {
+	c := NewChain(1)
+	free := c.Push(2)
+	c.Pop()
+	dom := new(testOwner)
+	c.mu.Lock()
+	free.mu.Lock()
+	defer free.mu.Unlock()
+	defer c.mu.Unlock()
+	within(t, 2*time.Second, "1000 crossings under held locks", func() {
+		for i := 0; i < 1000; i++ {
+			s := c.Push(2)
+			s.SetOwner(dom)
+			if s != free || c.Current() != s || c.Depth() != 2 {
+				t.Error("push did not reuse the free Seg as the top")
+				return
+			}
+			c.Pop()
+		}
+	})
+}
+
+// TestStaleHandleGoneAtPop: a handle dies with its activation, not when the
+// Seg is next pushed. Between the pop and the next push nothing it does
+// lands or raises the word.
+func TestStaleHandleGoneAtPop(t *testing.T) {
+	c := NewChain(1)
+	h := c.Push(2).Handle()
+	if !h.SetPriority(7) {
+		t.Fatal("live handle refused")
+	}
+	c.Pop()
+	if h.Stop("late") || h.Suspend() || h.Resume() || h.SetPriority(1) {
+		t.Error("stale handle operation reported success before the next push")
+	}
+	if _, ok := h.Priority(); ok {
+		t.Error("stale handle read a priority")
+	}
+	if w := c.attn.Load(); w != 0 {
+		t.Errorf("word = %#x: a stale handle raised it", w)
+	}
+	// Nor does it come back to life when the Seg does.
+	c.Push(3).Handle()
+	if h.Stop("later") {
+		t.Error("stale handle reached the Seg's next activation")
+	}
+}
+
+// TestSegIDsUniqueAcrossChains: ids come from per-chain blocks, and two
+// chains never hand out the same one.
+func TestSegIDsUniqueAcrossChains(t *testing.T) {
+	const chains, pushes = 4, 3 * idBlock / 2
+	ids := make([][]int64, chains)
+	var wg sync.WaitGroup
+	for i := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := NewChain(1)
+			for n := 0; n < pushes; n++ {
+				ids[i] = append(ids[i], c.Push(2).ID)
+				c.Pop()
+			}
+		}()
+	}
+	wg.Wait()
+	seen := make(map[int64]bool)
+	for _, chain := range ids {
+		for _, id := range chain {
+			if id <= 0 || seen[id] {
+				t.Fatalf("segment id %d handed out twice (or not positive)", id)
+			}
+			seen[id] = true
+		}
 	}
 }
 

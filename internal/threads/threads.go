@@ -19,6 +19,10 @@
 // word. A requester records its request on the segment and raises the word
 // after; the carrier lowers it before it re-reads the segments, and raises
 // it again while any live segment still has a request it has not taken.
+//
+// A crossing writes only the carrier's own memory: Push and Pop take no
+// lock. Another goroutine reaches a chain through a Handle operation,
+// Depth or Kick, and nothing else.
 package threads
 
 import (
@@ -37,7 +41,18 @@ var ErrSegmentStopped = errors.New("threads: segment stopped")
 // own requests there, so each side lowers only what it is about to re-read.
 const attnSeg uint32 = 1 << 1
 
+// segIDs hands out activation ids, idBlock at a time to each chain: unique
+// across chains with no shared write on the crossing.
 var segIDs atomic.Int64
+
+const idBlock = 1 << 10
+
+// Owner is the domain a segment runs in, as its chain knows it.
+type Owner interface {
+	// Ended returns nil while the owner lives and the cause of its end from
+	// then on. The end is published before any chain is kicked about it.
+	Ended() error
+}
 
 // Seg is one side of a cross-domain call: the unit the interposed Thread
 // class operates on. A chain recycles its Seg structs: every Push is a new
@@ -46,22 +61,25 @@ var segIDs atomic.Int64
 // Anything that outlives the activation (a jk/lang/Thread object) must
 // hold a Handle instead.
 type Seg struct {
+	// Carrier-owned: read and written only by the goroutine running the
+	// chain.
 	ID     int64
 	Domain int64 // owning domain id
+	owner  Owner // the domain itself, once SetOwner named it
 	chain  *Chain
 	prev   *Seg // caller segment; next free Seg while on the free list
 
-	// minted records that a Handle names this activation. Carrier-owned:
-	// read and written only by the goroutine running the chain.
-	minted bool
-
+	// mu orders Handle operations against the carrier, which takes it in
+	// the slow poll and to write live. Push resets the rest without it: no
+	// Handle names an activation before Handle mints it or after its pop.
 	mu sync.Mutex
-	// stop is what Poll reports once the segment is in control: nil, a
-	// one-shot stop that the poll takes, or — sticky set — the end of the
-	// segment's domain, which every poll reports for as long as the
-	// activation lives.
+	// live is the id Handles are checked against: the activation's ID from
+	// the time a Handle is minted until the pop, 0 otherwise. Only the
+	// carrier writes it, so the carrier reads it without mu.
+	live int64
+	// stop is a one-shot stop that Poll reports, and takes, once the
+	// segment is in control.
 	stop      error
-	sticky    bool
 	suspended bool
 	priority  int64
 }
@@ -72,13 +90,18 @@ type Chain struct {
 	// thread's (SetAttention).
 	attn *atomic.Uint32
 
-	mu sync.Mutex
-	// top is the carrier's: Push and Pop, which only the carrier calls,
-	// write it under mu, and Current and Poll read it on the carrier
-	// without. Anyone else (Depth) takes mu.
+	// top, free and the id block are the carrier's alone.
 	top *Seg
 	// free holds popped Segs for reuse, linked through prev.
 	free *Seg
+	// nextID..idEnd is what is left of the block drawn from segIDs.
+	nextID, idEnd int64
+	// depth is the number of live segments: the carrier stores it, anyone
+	// may load it.
+	depth atomic.Int32
+
+	// mu is the slow poll's, and Kick's to wake a carrier parked on cv.
+	mu sync.Mutex
 	// cv wakes a carrier parked on a suspended segment.
 	cv *sync.Cond
 }
@@ -102,61 +125,82 @@ func (c *Chain) Current() *Seg { return c.top }
 
 // Push enters a new segment for domain (cross-domain call entry). The Seg
 // comes from the chain's free list when one is available; either way it
-// starts a new activation — fresh ID, not stopped, not suspended, default
-// priority — so nothing aimed at an earlier activation can reach it.
+// starts a new activation — fresh ID, no owner named, not stopped, not
+// suspended, default priority — so nothing aimed at an earlier activation
+// can reach it. Carrier-only; it takes no lock.
 func (c *Chain) Push(domain int64) *Seg {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	s := c.free
 	if s != nil {
 		c.free = s.prev
 	} else {
 		s = &Seg{chain: c}
 	}
-	// Handles compare their ID under s.mu, so the ID changes under it too.
-	s.mu.Lock()
-	s.ID = segIDs.Add(1)
-	s.Domain = domain
-	s.stop, s.sticky, s.suspended, s.priority = nil, false, false, 5
-	s.mu.Unlock()
-	s.minted = false
+	if c.nextID == c.idEnd {
+		c.idEnd = segIDs.Add(idBlock)
+		c.nextID = c.idEnd - idBlock
+	}
+	c.nextID++
+	s.ID, s.Domain, s.owner = c.nextID, domain, nil
+	s.stop, s.suspended, s.priority = nil, false, 5
 	s.prev = c.top
 	c.top = s
+	c.depth.Add(1)
 	return s
+}
+
+// SetOwner names the domain the activation runs in, straight after the
+// Push. An owner that has ended by now raises the carrier's own word, one
+// that ends later kicks the chain after publishing its end: push then load
+// here, publish then kick there, so one side always sees the other.
+// Carrier-only.
+func (s *Seg) SetOwner(o Owner) {
+	s.owner = o
+	if o.Ended() != nil {
+		s.chain.attn.Or(attnSeg)
+	}
+}
+
+// Owner returns what SetOwner named for the current activation, or nil.
+func (s *Seg) Owner() Owner { return s.owner }
+
+// ended returns the end of the segment's owner, if it has one.
+func (s *Seg) ended() error {
+	if s.owner == nil {
+		return nil
+	}
+	return s.owner.Ended()
 }
 
 // Pop leaves the top segment (cross-domain call return) and recycles it.
 // It returns the segment that regains control. Popping the base segment
-// is a programming error and panics.
+// is a programming error and panics. Carrier-only; it takes a lock only to
+// retire an activation a Handle names: a Handle operation either finished
+// before the pop or finds the segment gone.
 func (c *Chain) Pop() *Seg {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	s := c.top
 	if s == nil || s.prev == nil {
 		panic("threads: pop of base segment")
 	}
+	if s.live != 0 {
+		s.mu.Lock()
+		s.live = 0
+		s.mu.Unlock()
+	}
 	c.top = s.prev
 	s.prev = c.free
 	c.free = s
+	c.depth.Add(-1)
 	return c.top
 }
 
-// Depth returns the number of segments (≥1).
-func (c *Chain) Depth() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for s := c.top; s != nil; s = s.prev {
-		n++
-	}
-	return n
-}
+// Depth returns the number of segments (≥1). Any goroutine may call it.
+func (c *Chain) Depth() int { return int(c.depth.Load()) }
 
 // Poll is the safepoint check: it parks the carrier while the controlling
-// segment is suspended and reports ErrSegmentStopped (with the stop
-// message, or wrapping the cause given to Terminate) when it has been
-// stopped. The VM layer converts the error into a throwable. With nothing
-// asked of the carrier it is one load.
+// segment is suspended and reports ErrSegmentStopped when it has been
+// stopped (with the stop message) or its owner has ended (wrapping the
+// owner's cause as well). The VM layer converts the error into a throwable.
+// With nothing asked of the carrier it is one load.
 func (c *Chain) Poll() error {
 	if c.attn.Load() == 0 {
 		return nil
@@ -173,16 +217,20 @@ func (c *Chain) attend() error {
 		// read raises the word again, one recorded before it is seen below.
 		c.attn.And(^attnSeg)
 		s := c.top
+		if end := s.ended(); end != nil {
+			// Outranks anything asked of the segment, and is never taken:
+			// code that catches it is stopped again at its next poll.
+			c.attn.Or(attnSeg)
+			return fmt.Errorf("%w: %w", ErrSegmentStopped, end)
+		}
 		s.mu.Lock()
 		err, suspended := s.stop, s.suspended
-		if !s.sticky {
-			s.stop = nil
-		}
+		s.stop = nil
 		s.mu.Unlock()
 		if err != nil || !suspended {
-			// Back up for what is still owed: the end of this segment's
-			// domain, a park behind the stop just taken, or a request aimed
-			// at a caller, which lands when control returns to it.
+			// Back up for what is still owed: a park behind the stop just
+			// taken, or a request aimed at a caller or the end of a caller's
+			// domain, which land when control returns to it.
 			if c.pendingLocked() {
 				c.attn.Or(attnSeg)
 			}
@@ -193,14 +241,14 @@ func (c *Chain) attend() error {
 	}
 }
 
-// pendingLocked reports whether any live segment has a request recorded.
-// The caller holds c.mu.
+// pendingLocked reports whether any live segment has a request recorded or
+// an owner that has ended. The caller is the carrier and holds c.mu.
 func (c *Chain) pendingLocked() bool {
 	for s := c.top; s != nil; s = s.prev {
 		s.mu.Lock()
 		pending := s.stop != nil || s.suspended
 		s.mu.Unlock()
-		if pending {
+		if pending || s.ended() != nil {
 			return true
 		}
 	}
@@ -213,36 +261,20 @@ func (c *Chain) pendingLocked() bool {
 // Crucially, stopping a segment never disturbs *other* segments of the
 // same carrier: the callee cannot be killed by its caller and vice versa.
 //
-// Stop lands on whichever activation the Seg is running, so it is for a
-// caller that knows the activation is live: the carrier itself. Everything
-// else goes through a Handle.
+// Stop lands on whichever activation the Seg is running, so it is for the
+// carrier itself, which knows the activation is live. Everything else goes
+// through a Handle.
 func (s *Seg) Stop(msg string) {
 	s.mu.Lock()
 	s.stopLocked(msg)
 }
 
-// Terminate stops the segment for good because its domain has ended: from
-// now until the activation is popped every Poll with it in control reports
-// an error wrapping both ErrSegmentStopped and cause, so code that catches
-// the stop and carries on is stopped again at its next safepoint. Like
-// Stop it lands on whichever activation the Seg is running: domain
-// termination calls it holding the lock a segment must take before it can
-// be popped.
-func (s *Seg) Terminate(cause error) {
-	s.mu.Lock()
-	s.stop, s.sticky = fmt.Errorf("%w: %w", ErrSegmentStopped, cause), true
-	s.mu.Unlock()
-	s.chain.kick()
-}
-
 // stopLocked records a one-shot stop, releases s.mu and wakes a parked
-// carrier. A segment whose domain has ended stays that.
+// carrier.
 func (s *Seg) stopLocked(msg string) {
-	if !s.sticky {
-		s.stop = fmt.Errorf("%w: %s", ErrSegmentStopped, msg)
-	}
+	s.stop = fmt.Errorf("%w: %s", ErrSegmentStopped, msg)
 	s.mu.Unlock()
-	s.chain.kick()
+	s.chain.Kick()
 }
 
 // Handle names one activation of a Seg: the segment operations of the
@@ -260,23 +292,27 @@ type Handle struct {
 // Handle returns a handle on the segment's current activation and marks
 // the activation minted. Carrier-only, like Minted.
 func (s *Seg) Handle() Handle {
-	s.minted = true
+	if s.live == 0 {
+		s.mu.Lock() // stale handles read live under it
+		s.live = s.ID
+		s.mu.Unlock()
+	}
 	return Handle{seg: s, id: s.ID, Domain: s.Domain}
 }
 
 // Minted reports whether Handle was called for the current activation, so
 // the kernel unregisters a handle only for the rare segment that has one.
-func (s *Seg) Minted() bool { return s.minted }
+func (s *Seg) Minted() bool { return s.live != 0 }
 
 // ID returns the activation's segment id.
 func (h Handle) ID() int64 { return h.id }
 
 // lock takes the Seg's mutex if the handle's activation is still the
-// current one. It reports false, with the lock released, when the Seg has
-// moved on.
+// current one. It reports false, with the lock released, once the
+// activation has been popped.
 func (h Handle) lock() bool {
 	h.seg.mu.Lock()
-	if h.seg.ID != h.id {
+	if h.seg.live != h.id {
 		h.seg.mu.Unlock()
 		return false
 	}
@@ -306,7 +342,7 @@ func (h Handle) setSuspended(v bool) bool {
 	}
 	h.seg.suspended = v
 	h.seg.mu.Unlock()
-	h.seg.chain.kick()
+	h.seg.chain.Kick()
 	return true
 }
 
@@ -329,9 +365,11 @@ func (h Handle) Priority() (int64, bool) {
 	return h.seg.priority, true
 }
 
-// kick raises the attention word and wakes a carrier parked in Poll. Every
-// writer of segment state calls it after releasing the segment.
-func (c *Chain) kick() {
+// Kick raises the attention word and wakes a carrier parked in Poll. Every
+// writer of segment state calls it after releasing the segment, and an
+// Owner, after publishing its end, on every chain that may be running in
+// it; a kick with nothing behind it costs the carrier one slow poll.
+func (c *Chain) Kick() {
 	c.attn.Or(attnSeg)
 	c.mu.Lock()
 	c.cv.Broadcast()

@@ -51,7 +51,7 @@ type Thread struct {
 	// attribution); maintained by the segment layer across LRMI.
 	DomainID int64
 
-	// Data is reserved for the J-Kernel layer (segment chain).
+	// Data is reserved for the J-Kernel layer (the thread's task).
 	Data any
 
 	// SafepointHook, when non-nil, runs at a safepoint that found the
