@@ -205,7 +205,7 @@ func (ctx *vmCopyCtx) toGo(v vmkit.Value) (any, error) {
 		copy(out, o.Bytes)
 		ctx.bytes += int64(len(out))
 		return out, nil
-	case o.Class.AssignableTo(ctx.k.capClass):
+	case gateOf(o) != nil:
 		ctx.bytes += 8
 		return ctx.k.CapabilityFromStub(o)
 	default:

@@ -48,9 +48,6 @@ type Gate struct {
 	ifaces []*vmkit.Class
 }
 
-// ID returns the gate id (the value stored in VM stubs' gate field).
-func (g *Gate) ID() int64 { return g.id }
-
 // Owner returns the creating domain.
 func (g *Gate) Owner() *Domain { return g.owner }
 
@@ -59,8 +56,11 @@ func (g *Gate) Revoked() bool {
 	return g.vmTarget.Load() == nil && g.natTarget.Load() == nil && g.proxy.Load() == nil
 }
 
-// revoke severs the target pointers and fires the revocation observers
-// (exactly once, no matter how many paths revoke the gate).
+// revoke severs the target pointers, then — exactly once, no matter how
+// many paths revoke the gate — counts the revocation to its owner, drops
+// the gate from the owner's created set and fires the revocation
+// observers. From here the owner no longer names the gate: it lives as
+// long as a stub, a Capability or a transport table still does.
 func (g *Gate) revoke() {
 	g.vmTarget.Store(nil)
 	g.natTarget.Store(nil)
@@ -82,6 +82,8 @@ func (g *Gate) revoke() {
 		f.gw.Store(nil)
 	}
 	g.hookMu.Unlock()
+	g.owner.acct.RevokeCount(1)
+	g.owner.dropGate(g)
 	for _, h := range hooks {
 		h()
 	}
@@ -193,15 +195,13 @@ type Capability struct {
 	Stub *vmkit.Object
 }
 
-// Gate exposes the underlying gate (read-only uses: id, owner).
+// Gate exposes the underlying gate (read-only uses: owner, identity,
+// revocation hooks).
 func (c *Capability) Gate() *Gate { return c.g }
 
 // Revoke severs the capability. All subsequent uses fail with
 // ErrRevoked / jk.kernel.RevokedException.
-func (c *Capability) Revoke() {
-	c.g.revoke()
-	c.g.owner.acct.RevokeCount(1)
-}
+func (c *Capability) Revoke() { c.g.revoke() }
 
 // RevokeWithReason severs the capability, recording reason as the error
 // subsequent invokers receive. Wrap a kernel sentinel (ErrRevoked,
@@ -301,9 +301,11 @@ func (k *Kernel) CreateVMCapability(d *Domain, target *vmkit.Object) (*Capabilit
 	}
 	g.vmTarget.Store(target)
 
+	// The stub class is born carrying its gate: every object of it is a
+	// stub of g, and nothing else is.
 	stubDef := genStubClass(k, g, target.Class)
 	stubBytes := vmkit.EncodeClass(stubDef)
-	stubClass, err := d.NS.DefineClass(stubBytes)
+	stubClass, err := d.NS.DefineGateClass(stubBytes, g)
 	if err != nil {
 		return nil, fmt.Errorf("jkernel: stub generation for %s: %w", target.Class.Name, err)
 	}
@@ -311,30 +313,37 @@ func (k *Kernel) CreateVMCapability(d *Domain, target *vmkit.Object) (*Capabilit
 	if ierr != nil {
 		return nil, ierr
 	}
-	stub.Fields[k.gateSlot] = vmkit.IntVal(g.id)
-
-	k.gates.Store(g.id, g)
-	d.addGate(g)
+	if err := d.addGate(g); err != nil {
+		g.vmTarget.Store(nil) // its class stays in d's namespace; the target need not
+		return nil, err
+	}
 	return &Capability{g: g, Stub: stub}, nil
 }
 
-// capOps backs the jk/kernel/Capability natives with the kernel gate
-// table. Declared as a type alias target so vmkit needs no core import.
+// capOps backs the jk/kernel/Capability natives with the gate a stub's
+// class carries. Declared as a type alias target so vmkit needs no core
+// import.
 type capOps Kernel
 
 func (c *capOps) kernel() *Kernel { return (*Kernel)(c) }
 
+// gateOf returns the gate o is a stub of, or nil. An object is a
+// capability exactly when its own class is a stub class the kernel
+// generated: a user class extending jk/kernel/Capability, or extending a
+// stub class, carries no gate and is an ordinary object.
+func gateOf(o *vmkit.Object) *Gate {
+	g, _ := o.Class.Gate.(*Gate)
+	return g
+}
+
 // gateOfStub resolves a stub object to its gate.
 func (k *Kernel) gateOfStub(stub *vmkit.Object) (*Gate, *vmkit.Object) {
-	if stub == nil || !stub.Class.AssignableTo(k.capClass) {
-		return nil, k.VM.Throwf(vmkit.ClassIllegalStateEx, "not a capability")
+	if stub != nil {
+		if g := gateOf(stub); g != nil {
+			return g, nil
+		}
 	}
-	id := stub.Fields[k.gateSlot].I
-	g := k.gateByID(id)
-	if g == nil {
-		return nil, k.VM.Throwf(vmkit.ClassIllegalStateEx, "gate %d is gone", id)
-	}
-	return g, nil
+	return nil, k.VM.Throwf(vmkit.ClassIllegalStateEx, "not a capability")
 }
 
 // Revoke implements the VM-visible revoke(). Only code running in the
@@ -352,7 +361,6 @@ func (c *capOps) Revoke(env *vmkit.Env, stub *vmkit.Object) *vmkit.Object {
 			"only the creating domain may revoke (caller=%v owner=%v)", cur, g.owner)
 	}
 	g.revoke()
-	g.owner.acct.RevokeCount(1)
 	return nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -266,7 +267,8 @@ func TestTerminateDuringCrossings(t *testing.T) {
 }
 
 // TestDomainGaugesFollowTheAccount: which domain is paying is in the
-// kernel's snapshot, and stays there after the domain is terminated.
+// kernel's snapshot while the domain lives; once it is terminated its
+// gauges are gone and its frozen account is one line of the event log.
 func TestDomainGaugesFollowTheAccount(t *testing.T) {
 	f := newSPFixture(t)
 	task := f.k.NewDetachedTask(f.client, "client")
@@ -283,25 +285,40 @@ func TestDomainGaugesFollowTheAccount(t *testing.T) {
 	if _, err := natCap.InvokeFrom(task, "Ping"); err != nil {
 		t.Fatal(err)
 	}
-	f.server.Terminate("post-mortem")
-
-	gauges := f.k.Telemetry().Snapshot().Gauges
-	for _, d := range []*Domain{f.client, f.server} {
+	checkGauges := func(when string, d *Domain, present bool) {
+		t.Helper()
+		gauges := f.k.Telemetry().Snapshot().Gauges
 		s := d.Stats()
 		for name, want := range map[string]int64{
 			"alloc_bytes": s.AllocBytes, "steps": s.Steps, "copy_bytes": s.CopyBytes,
 			"class_bytes": s.ClassBytes, "cross_calls": s.CrossCalls, "revoked": s.Revoked,
 		} {
 			got, ok := gauges["domain."+d.Name+"."+name]
-			if !ok || got != want {
-				t.Errorf("gauge domain.%s.%s = %d (present %v), Stats says %d", d.Name, name, got, ok, want)
+			if ok != present || present && got != want {
+				t.Errorf("%s: gauge domain.%s.%s = %d (present %v), Stats says %d", when, d.Name, name, got, ok, want)
 			}
 		}
 	}
+	checkGauges("live", f.server, true)
+	f.server.Terminate("post-mortem")
+	checkGauges("live", f.client, true)
+	checkGauges("terminated", f.server, false)
+
 	if c := f.client.Stats(); c.CrossCalls != 4 || c.CopyBytes == 0 {
 		t.Errorf("client account after 3 VM + 1 native calls: %+v", c)
 	}
-	if s := f.server.Stats(); s.Steps == 0 || s.Revoked == 0 {
-		t.Errorf("server account: %+v; want its steps and its revoked gates", s)
+	s := f.server.Stats()
+	if s.Steps == 0 || s.Revoked != 2 {
+		t.Errorf("server account: %+v; want its steps and its 2 revoked gates", s)
+	}
+	var postMortem []string
+	for _, e := range f.k.Telemetry().Events() {
+		if strings.HasPrefix(e.Msg, "domain server ended") {
+			postMortem = append(postMortem, e.Msg)
+		}
+	}
+	want := fmt.Sprintf("steps=%d", s.Steps)
+	if len(postMortem) != 1 || !strings.Contains(postMortem[0], "post-mortem") || !strings.Contains(postMortem[0], want) {
+		t.Errorf("event log post-mortem %q; want one line with the reason and %s", postMortem, want)
 	}
 }

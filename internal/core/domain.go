@@ -13,7 +13,8 @@ import (
 
 // DomainConfig describes a new protection domain.
 type DomainConfig struct {
-	// Name must be unique within the kernel.
+	// Name must be unique among the kernel's domains that have not
+	// terminated.
 	Name string
 	// Classes maps class names to binary class files loadable on demand:
 	// the domain's local classes.
@@ -29,9 +30,10 @@ type DomainConfig struct {
 	Output io.Writer
 }
 
-// Domain is one protection domain: a namespace, an account, and the
-// capabilities it created. The thread segments running in it name it
-// (threads.Owner); it keeps no list of them.
+// Domain is one protection domain: a namespace, an account, the
+// capabilities it created and not yet revoked, and its idle tasks. The
+// thread segments running in it name it (threads.Owner); it keeps no list
+// of them.
 type Domain struct {
 	K    *Kernel
 	ID   int64
@@ -45,21 +47,44 @@ type Domain struct {
 	// the cause every segment still running in it is stopped with.
 	end atomic.Pointer[error]
 
-	mu      sync.Mutex
-	created []*Gate
+	mu sync.Mutex
+	// created holds the live gates the domain created: a gate leaves at its
+	// revocation, and Terminate revokes what is left.
+	created map[*Gate]struct{}
+	// idle is the free list of detached tasks (GetTask / PutTask), linked
+	// through Task.nextIdle. It grows to the most tasks in use at once.
+	idle *Task
 }
 
 // NewDomain creates a protection domain. Its namespace sees: the
 // interposed per-domain System and Thread classes, its local classes, the
 // shared classes it was granted, the safe system classes, and finally any
-// custom resolver.
+// custom resolver. The name must not belong to a domain that has not
+// terminated.
 func (k *Kernel) NewDomain(cfg DomainConfig) (*Domain, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("jkernel: domain needs a name")
 	}
-	if _, exists := k.byName.Load(cfg.Name); exists {
+	// Claim the name before anything else: of two concurrent NewDomain calls
+	// for one name exactly one gets past here, and DomainByName sees nothing
+	// until the domain is complete.
+	if _, taken := k.byName.LoadOrStore(cfg.Name, (*Domain)(nil)); taken {
 		return nil, fmt.Errorf("jkernel: domain %q already exists", cfg.Name)
 	}
+	d, err := k.newDomain(cfg)
+	if err != nil {
+		k.byName.CompareAndDelete(cfg.Name, (*Domain)(nil))
+		return nil, err
+	}
+	// Gauges before the name is published: a Terminate, which drops them,
+	// can only follow.
+	k.tm.domainGauges(d)
+	k.byName.Store(cfg.Name, d)
+	return d, nil
+}
+
+// newDomain sets up a domain whose name NewDomain has claimed.
+func (k *Kernel) newDomain(cfg DomainConfig) (*Domain, error) {
 	d := &Domain{
 		K:    k,
 		ID:   k.nextDom.Add(1),
@@ -116,9 +141,6 @@ func (k *Kernel) NewDomain(cfg DomainConfig) (*Domain, error) {
 		}
 	}
 
-	k.domains.Store(d.ID, d)
-	k.byName.Store(cfg.Name, d)
-	k.tm.domainGauges(d)
 	return d, nil
 }
 
@@ -137,7 +159,9 @@ func (d *Domain) Ended() error {
 // its memory may be freed and failures propagate to clients as
 // RevokedException), its running segments are stopped, new LRMI in or out
 // is refused, and its account freezes. This is the paper's "clean
-// semantics of domain termination".
+// semantics of domain termination". Then the kernel lets go of it: its
+// idle tasks close, its gauges give way to one post-mortem line in the
+// event log, and its name is free for a new domain.
 func (d *Domain) Terminate(reason string) {
 	cause := fmt.Errorf("%w: %s", ErrDomainTerminated, reason)
 	if !d.end.CompareAndSwap(nil, &cause) {
@@ -151,28 +175,78 @@ func (d *Domain) Terminate(reason string) {
 		return true
 	})
 
+	// Past the end, addGate and PutTask add nothing: what is here now is
+	// all there will be.
 	d.mu.Lock()
-	gates := append([]*Gate(nil), d.created...)
+	gates, idle := d.created, d.idle
+	d.created, d.idle = nil, nil
 	d.mu.Unlock()
-	for _, g := range gates {
+	for g := range gates {
 		g.revoke()
 	}
-	d.acct.RevokeCount(int64(len(gates)))
 	d.acct.Freeze()
+	for t := idle; t != nil; t = t.nextIdle {
+		t.Close()
+	}
+	// The frozen account goes to the event log as the post-mortem with the
+	// gauges dropped, and only then is the name free: a NewDomain that takes
+	// it registers its gauges after these are gone.
+	d.K.tm.domainEnd(d, cause)
+	d.K.byName.CompareAndDelete(d.Name, d)
 }
 
-// addGate records a gate created by this domain (revoked on termination).
-func (d *Domain) addGate(g *Gate) {
+// addGate records a gate created by this domain, to be revoked at its
+// termination. A domain that has terminated takes no new gate.
+func (d *Domain) addGate(g *Gate) error {
 	d.mu.Lock()
-	d.created = append(d.created, g)
+	defer d.mu.Unlock()
+	if d.Terminated() {
+		return ErrDomainTerminated
+	}
+	if d.created == nil {
+		d.created = make(map[*Gate]struct{})
+	}
+	d.created[g] = struct{}{}
+	return nil
+}
+
+// dropGate forgets a revoked gate.
+func (d *Domain) dropGate(g *Gate) {
+	d.mu.Lock()
+	delete(d.created, g)
 	d.mu.Unlock()
 }
 
-// CreatedCapabilities returns how many capabilities the domain created.
-func (d *Domain) CreatedCapabilities() int {
+// GetTask returns a detached task of d's (see Kernel.NewDetachedTask): an
+// idle one if d has one, a new one otherwise. Hand it back with PutTask.
+// Getting and returning a task allocates nothing once d has as many as it
+// runs at once.
+func (d *Domain) GetTask() *Task {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.created)
+	t := d.idle
+	if t != nil {
+		d.idle, t.nextIdle = t.nextIdle, nil
+	}
+	d.mu.Unlock()
+	if t == nil {
+		t = d.K.NewDetachedTask(d, d.Name)
+	}
+	return t
+}
+
+// PutTask returns a task GetTask handed out, to run d's next call. The
+// task must be back at its base segment with no trace context of its own.
+// A task returned after d terminated is closed instead.
+func (d *Domain) PutTask(t *Task) {
+	d.mu.Lock()
+	if !d.Terminated() {
+		t.nextIdle, d.idle = d.idle, t
+		t = nil
+	}
+	d.mu.Unlock()
+	if t != nil {
+		t.Close()
+	}
 }
 
 // DefineClass loads bytecode into the domain's namespace directly (the

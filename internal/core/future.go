@@ -284,15 +284,16 @@ func (c *Capability) invokeAsync(task *Task, caller *Domain, name string, args [
 	}
 
 	// Local gates run the ordinary synchronous invoke on a detached task
-	// in the caller's domain, so the full LRMI semantics — segment switch,
+	// of the caller's domain, so the full LRMI semantics — segment switch,
 	// accounting, termination unwinding — hold unchanged.
-	dt := k.NewDetachedTask(caller, "async:"+name)
+	dt := caller.GetTask()
 	if k.tm != nil {
 		dt.trace = task.effectiveTrace()
 	}
 	go func() {
-		defer dt.Close()
 		results, err := c.invokeFrom(dt, name, args)
+		dt.EndTrace()
+		caller.PutTask(dt)
 		f.resolve(results, err)
 	}()
 	return f

@@ -11,8 +11,8 @@
 //     can be revoked at any time by the creating domain, and revocation
 //     makes the target collectable no matter who still holds the stub.
 //   - Protection domains (Domain) own a class namespace governed by a
-//     resolver, a set of thread segments, an account, and every capability
-//     they created. Termination revokes all of them.
+//     resolver, an account, and every capability they created and have not
+//     revoked. Termination revokes all of them and frees the domain's name.
 //   - Cross-domain calls copy non-capability arguments (serialization by
 //     default, fast-copy for classes that opt in) and pass capabilities by
 //     reference, switching thread segments rather than threads.
@@ -61,13 +61,15 @@ type Kernel struct {
 	// nil-safe, so the disabled fast path is one pointer test).
 	tm *kernelMetrics
 
-	domains   sync.Map // int64 -> *Domain
-	byName    sync.Map // string -> *Domain
+	// The kernel's own tables. Each entry ends with what it indexes: a
+	// domain's name at Terminate, a task at Close, a segment handle at the
+	// pop, an export at Unexport. Gates are in no table: a stub's class
+	// carries its gate, and a gate lives as long as something names it.
+	byName    sync.Map // string -> *Domain; (*Domain)(nil) while NewDomain sets the domain up
 	nextDom   atomic.Int64
-	gates     sync.Map // int64 -> *Gate
-	nextGate  atomic.Int64
-	segs      sync.Map // int64 (seg id) -> threads.Handle: only segments a jk/lang/Thread object names
-	tasks     sync.Map // *threads.Chain -> *Task: currentTask's lookup, and the chains Terminate kicks
+	nextGate  atomic.Int64 // gate numbers, for fault messages
+	segs      sync.Map     // int64 (seg id) -> threads.Handle: only segments a jk/lang/Thread object names
+	tasks     sync.Map     // *threads.Chain -> *Task: currentTask's lookup, and the chains Terminate kicks
 	nextStub  atomic.Int64
 	repo      *Repository
 	seriReg   *seri.Registry
@@ -76,9 +78,6 @@ type Kernel struct {
 	graphCop  *fastcopy.Copier
 	exports   sync.Map // string -> *Capability: names served to remote kernels
 
-	// capClass and gateSlot locate the gate id in a stub object.
-	capClass *vmkit.Class
-	gateSlot int
 	// entries are the typed gate entries generated so far, by shape.
 	entryMu sync.Mutex
 	entries map[string]*gateEntry
@@ -221,32 +220,36 @@ func (k *Kernel) RegisterSerializable(name string, sample any) {
 	k.copyModes.Store(reflect.TypeOf(sample), copyModeSeri)
 }
 
-// DomainByName returns the domain with that name, or nil.
+// DomainByName returns the live domain with that name, or nil. A name is
+// free again once its domain has terminated.
 func (k *Kernel) DomainByName(name string) *Domain {
-	v, ok := k.byName.Load(name)
-	if !ok {
-		return nil
-	}
-	return v.(*Domain)
+	v, _ := k.byName.Load(name)
+	d, _ := v.(*Domain)
+	return d
 }
 
-// gateByID returns the gate or nil.
-func (k *Kernel) gateByID(id int64) *Gate {
-	v, ok := k.gates.Load(id)
-	if !ok {
-		return nil
-	}
-	return v.(*Gate)
+// TableSizes is a snapshot of the kernel's own tables, for leak checks
+// (the kernel-side counterpart of remote.Conn.TableSizes): each returns to
+// its baseline once what it indexes has ended.
+type TableSizes struct {
+	Domains  int // names held by domains not yet terminated
+	Tasks    int // open tasks, the domains' idle ones included
+	Segments int // segment handles minted for jk/lang/Thread objects
+	Exports  int // names served to remote kernels
 }
 
-// Domains returns a snapshot of live and terminated domains.
-func (k *Kernel) Domains() []*Domain {
-	var out []*Domain
-	k.domains.Range(func(_, v any) bool {
-		out = append(out, v.(*Domain))
-		return true
-	})
-	return out
+// TableSizes reports the kernel's current table occupancy.
+func (k *Kernel) TableSizes() TableSizes {
+	count := func(m *sync.Map) (n int) {
+		m.Range(func(_, _ any) bool { n++; return true })
+		return n
+	}
+	return TableSizes{
+		Domains:  count(&k.byName),
+		Tasks:    count(&k.tasks),
+		Segments: count(&k.segs),
+		Exports:  count(&k.exports),
+	}
 }
 
 // safepointHook is installed on every kernel-managed VM thread. The
@@ -272,13 +275,16 @@ func (k *Kernel) safepointHook(t *vmkit.Thread) *vmkit.Object {
 // Task binds one goroutine to one domain: it carries the VM thread and the
 // segment chain for calls made from that goroutine. A Task is
 // goroutine-affine — use it only from the goroutine that created it — and
-// must be Closed to release registry entries.
+// must be Closed to release registry entries, or, if it came from
+// Domain.GetTask, handed back with Domain.PutTask.
 type Task struct {
 	K      *Kernel
 	Domain *Domain
 	Thread *vmkit.Thread
 	Chain  *threads.Chain
 	closed atomic.Bool
+	// nextIdle links the task into its domain's idle list (Domain.mu).
+	nextIdle *Task
 	// registered marks tasks bound to a goroutine id in the global
 	// registry (NewTask); detached tasks (NewDetachedTask) are not.
 	registered bool
@@ -314,8 +320,9 @@ func (k *Kernel) NewTask(d *Domain, name string) *Task {
 
 // NewDetachedTask creates a task that is not bound to any goroutine:
 // only explicit-task APIs (Task.CallStatic, Capability.InvokeFrom,
-// Capability.InvokeVM) can use it, one caller at a time. Servers pool
-// detached tasks so per-request task setup stays off the hot path.
+// Capability.InvokeVM) can use it, one caller at a time. Servers draw
+// detached tasks from the domain's idle list instead (Domain.GetTask), so
+// per-request task setup stays off the hot path.
 func (k *Kernel) NewDetachedTask(d *Domain, name string) *Task {
 	return k.newTask(d, name, threads.NewChain(d.ID))
 }

@@ -146,8 +146,9 @@ func (k *Kernel) CreateNativeCapability(d *Domain, target any) (*Capability, err
 	}
 	g := &Gate{k: k, id: k.nextGate.Add(1), owner: d}
 	g.natTarget.Store(nt)
-	k.gates.Store(g.id, g)
-	d.addGate(g)
+	if err := d.addGate(g); err != nil {
+		return nil, err
+	}
 	return &Capability{g: g}, nil
 }
 

@@ -78,8 +78,9 @@ func (k *Kernel) CreateProxyCapability(d *Domain, pt ProxyTarget) (*Capability, 
 	}
 	g := &Gate{k: k, id: k.nextGate.Add(1), owner: d}
 	g.proxy.Store(&proxyBox{t: pt})
-	k.gates.Store(g.id, g)
-	d.addGate(g)
+	if err := d.addGate(g); err != nil {
+		return nil, err
+	}
 	return &Capability{g: g}, nil
 }
 

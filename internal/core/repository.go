@@ -164,7 +164,5 @@ func (k *Kernel) defineKernelClasses() error {
 			return fmt.Errorf("jkernel: defining %s: %w", def.Name, err)
 		}
 	}
-	k.capClass = vm.SystemClass(vmkit.ClassCapability)
-	k.gateSlot = k.capClass.FieldByName("gate").Slot
 	return nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -82,23 +84,45 @@ func (k *Kernel) Tracer() *telemetry.Tracer {
 	return k.tm.tracer
 }
 
+// accountFields names the fields of a domain's account as its gauges and
+// its post-mortem spell them.
+var accountFields = []struct {
+	name string
+	of   func(accountStats) int64
+}{
+	{"alloc_bytes", func(s accountStats) int64 { return s.AllocBytes }},
+	{"steps", func(s accountStats) int64 { return s.Steps }},
+	{"copy_bytes", func(s accountStats) int64 { return s.CopyBytes }},
+	{"class_bytes", func(s accountStats) int64 { return s.ClassBytes }},
+	{"cross_calls", func(s accountStats) int64 { return s.CrossCalls }},
+	{"revoked", func(s accountStats) int64 { return s.Revoked }},
+}
+
 // domainGauges publishes d's account as domain.<name>.* gauges, read at
-// snapshot time only and kept after Terminate: the frozen account is the
-// post-mortem.
+// snapshot time only, until domainEnd.
 func (m *kernelMetrics) domainGauges(d *Domain) {
 	if m == nil {
 		return
 	}
-	for name, field := range map[string]func(accountStats) int64{
-		"alloc_bytes": func(s accountStats) int64 { return s.AllocBytes },
-		"steps":       func(s accountStats) int64 { return s.Steps },
-		"copy_bytes":  func(s accountStats) int64 { return s.CopyBytes },
-		"class_bytes": func(s accountStats) int64 { return s.ClassBytes },
-		"cross_calls": func(s accountStats) int64 { return s.CrossCalls },
-		"revoked":     func(s accountStats) int64 { return s.Revoked },
-	} {
-		m.reg.GaugeFunc("domain."+d.Name+"."+name, func() int64 { return field(d.Stats()) })
+	for _, f := range accountFields {
+		m.reg.GaugeFunc("domain."+d.Name+"."+f.name, func() int64 { return f.of(d.Stats()) })
 	}
+}
+
+// domainEnd drops d's gauges and writes its frozen account to the event
+// log, one line: the post-mortem outlives the domain, its gauges do not.
+func (m *kernelMetrics) domainEnd(d *Domain, cause error) {
+	if m == nil {
+		return
+	}
+	s := d.Stats()
+	var b strings.Builder
+	fmt.Fprintf(&b, "domain %s ended (%v):", d.Name, cause)
+	for _, f := range accountFields {
+		m.reg.DropGauge("domain." + d.Name + "." + f.name)
+		fmt.Fprintf(&b, " %s=%d", f.name, f.of(s))
+	}
+	m.reg.Eventf("%s", b.String())
 }
 
 // edgeInc counts one call on the caller→callee edge. The task's one-entry

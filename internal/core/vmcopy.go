@@ -64,7 +64,7 @@ func (ctx *vmCopyCtx) copyObject(o *vmkit.Object) (*vmkit.Object, *vmkit.Object)
 	cls := o.Class
 
 	// Capabilities pass by reference — the only objects that may.
-	if cls.AssignableTo(k.capClass) {
+	if gateOf(o) != nil {
 		ctx.bytes += 8
 		return o, nil
 	}
@@ -289,7 +289,7 @@ func (e *vmEncoder) encodeObject(o *vmkit.Object) *vmkit.Object {
 	k := e.k
 	cls := o.Class
 
-	if cls.AssignableTo(k.capClass) {
+	if gateOf(o) != nil {
 		e.tag(vtagCap)
 		e.u(uint64(len(e.caps)))
 		e.caps = append(e.caps, o)

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -52,16 +51,15 @@ type Bridge struct {
 	K      *core.Kernel
 	Router *Router
 
-	system *core.Domain // hosts the bridge's own task contexts
+	// system hosts the bridge's own task contexts; its idle tasks make the
+	// per-request cost the LRMI, not task setup ("the Java code runs in the
+	// same thread as IIS uses to invoke the bridge" — and that thread
+	// context is reused).
+	system *core.Domain
 	host   *ServletHost // shared servlet interface + VM instantiation
 
 	// control, when installed, owns servlet placement (see Control).
 	control atomic.Pointer[controlBox]
-
-	// taskPool recycles detached bridge tasks so per-request cost is the
-	// LRMI, not task setup ("the Java code runs in the same thread as IIS
-	// uses to invoke the bridge" — and that thread context is reused).
-	taskPool sync.Pool
 }
 
 // controlBox wraps the Control interface for atomic.Pointer.
@@ -77,16 +75,12 @@ func NewBridge(k *core.Kernel) (*Bridge, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &Bridge{
+	return &Bridge{
 		K:      k,
 		Router: &Router{reg: k.Telemetry()},
 		system: system,
 		host:   host,
-	}
-	b.taskPool.New = func() any {
-		return k.NewDetachedTask(system, "bridge-req")
-	}
-	return b, nil
+	}, nil
 }
 
 // SetControl installs (or, with nil, removes) the cluster control plane.
@@ -219,8 +213,8 @@ func (b *Bridge) dispatch(w http.ResponseWriter, r *http.Request, rt *route) (st
 
 	// Enter the bridge domain for the duration of the request: the Java
 	// code runs "in the same thread as IIS uses to invoke the bridge".
-	task := b.taskPool.Get().(*core.Task)
-	defer b.taskPool.Put(task)
+	task := b.system.GetTask()
+	defer b.system.PutTask(task)
 
 	if rt.isVM {
 		// The request target as the client sent it; a request built by hand

@@ -2,7 +2,6 @@ package httpd
 
 import (
 	"fmt"
-	"sync"
 
 	"jkernel/internal/core"
 	"jkernel/internal/vmkit"
@@ -91,26 +90,21 @@ func ServletCapability(k *core.Kernel, d *core.Domain, s Servlet) (*core.Capabil
 // how a worker kernel serves an uploaded VM servlet to a remote front
 // server, whose wire dispatch speaks the native contract.
 type vmCapServlet struct {
-	k     *core.Kernel
+	tasks *core.Domain
 	cap   *core.Capability
-	tasks sync.Pool
 }
 
 // VMServlet wraps a VM servlet capability as a native Servlet. Tasks enter
 // taskDomain (typically the deployer's own domain) for the duration of
 // each request.
-func VMServlet(k *core.Kernel, taskDomain *core.Domain, cap *core.Capability) Servlet {
-	v := &vmCapServlet{k: k, cap: cap}
-	v.tasks.New = func() any {
-		return k.NewDetachedTask(taskDomain, "vm-servlet")
-	}
-	return v
+func VMServlet(taskDomain *core.Domain, cap *core.Capability) Servlet {
+	return &vmCapServlet{tasks: taskDomain, cap: cap}
 }
 
 // Service forwards one request into the VM servlet domain.
 func (v *vmCapServlet) Service(req *Request) (*Response, error) {
-	task := v.tasks.Get().(*core.Task)
-	defer v.tasks.Put(task)
+	task := v.tasks.GetTask()
+	defer v.tasks.PutTask(task)
 	uri := req.Path
 	if req.Query != "" {
 		uri += "?" + req.Query

@@ -139,11 +139,12 @@ func TestUploadTerminateReplaceCycle(t *testing.T) {
 		t.Errorf("after terminate: %d, want 404 (unmounted)", res.StatusCode)
 	}
 
-	// Hot-replace with v2 — no server restart, fresh domain.
+	// Hot-replace with v2 under the same name — no server restart, fresh
+	// domain: the terminated one's name is free again.
 	bundle = EncodeBundle(map[string][]byte{"UserServlet": mk("version two")})
 	rec = httptest.NewRecorder()
 	b.ServeHTTP(rec, httptest.NewRequest(http.MethodPost,
-		"/admin/upload?name=user2&prefix=/user&main=UserServlet", bytes.NewReader(bundle)))
+		"/admin/upload?name=user&prefix=/user&main=UserServlet", bytes.NewReader(bundle)))
 	if rec.Code != 200 {
 		t.Fatalf("re-upload: %d %s", rec.Code, rec.Body.String())
 	}

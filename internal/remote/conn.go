@@ -75,10 +75,6 @@ type Conn struct {
 	// throughput on null calls.
 	exec *executor
 
-	// taskPool recycles detached tasks for inbound invocations, so the
-	// per-call cost is the LRMI plus the wire, not task setup.
-	taskPool sync.Pool
-
 	// metrics is the connection's telemetry bundle; nil when the kernel
 	// has telemetry disabled (every use is nil-guarded).
 	metrics *connMetrics
@@ -121,9 +117,6 @@ func NewConn(k *core.Kernel, nc net.Conn) (*Conn, error) {
 	}
 	c.batch = newBatcher(c)
 	c.exec = newExecutor(c.done)
-	c.taskPool.New = func() any {
-		return k.NewDetachedTask(d, "remote-call")
-	}
 	c.metrics = newConnMetrics(k, c)
 	go c.readLoop()
 	go c.batch.run()
@@ -1140,7 +1133,9 @@ func (in *inbound) serveInvoke(fb *frameBuf) {
 	start := m.serveStart(f.traceID != 0 || f.reqID&telemetry.UntracedSampleMask == 0)
 	var serverSpan uint64
 
-	task := c.taskPool.Get().(*core.Task)
+	// The host domain's idle tasks make the per-call cost the LRMI plus the
+	// wire, not task setup.
+	task := c.domain.GetTask()
 	// Traced frames bind the inbound context to the serving task AND the
 	// serving goroutine, so onward calls — whether made with this task or
 	// with fresh tasks the handler creates — join the caller's trace.
@@ -1155,12 +1150,12 @@ func (in *inbound) serveInvoke(fb *frameBuf) {
 	}
 	callErr := cap.ServeWire(task, method, args, argBytes, in)
 	if unbind != nil {
-		// Clear before the task returns to the pool: the next Get may be
-		// on another goroutine serving an unrelated, untraced call.
+		// Clear before the task goes back: the next GetTask may be on
+		// another goroutine serving an unrelated, untraced call.
 		unbind()
-		task.SetTraceContext(telemetry.TraceContext{})
+		task.EndTrace()
 	}
-	c.taskPool.Put(task)
+	c.domain.PutTask(task)
 
 	if m != nil {
 		m.serverSpan(*f, method, serverSpan, cap.Owner().Name, start, callErr)

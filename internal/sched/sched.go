@@ -132,12 +132,12 @@ type placementRec struct {
 
 // Scheduler is the cluster control plane. Create one with Start.
 type Scheduler struct {
-	opts     Options
-	k        *core.Kernel
-	bridge   *httpd.Bridge
-	pool     *remote.Pool
-	reg      *telemetry.Registry
-	taskPool sync.Pool
+	opts   Options
+	k      *core.Kernel
+	bridge *httpd.Bridge
+	pool   *remote.Pool
+	reg    *telemetry.Registry
+	dom    *core.Domain // the control plane's own; its idle tasks make the RPCs
 
 	mu         sync.Mutex
 	members    map[int]*member // by pool slot index
@@ -215,7 +215,7 @@ func Start(opts Options) (*Scheduler, error) {
 		pool.Close()
 		return nil, err
 	}
-	s.taskPool.New = func() any { return s.k.NewDetachedTask(dom, "sched-rpc") }
+	s.dom = dom
 	s.cPlace = s.reg.Counter("sched.placements.total")
 	s.cReplace = s.reg.Counter("sched.replacements")
 	s.cMove = s.reg.Counter("sched.moves")
@@ -682,8 +682,8 @@ func (s *Scheduler) deployOn(m *member, spec DeploySpec) (*core.Capability, erro
 	if conn == nil || dep == nil {
 		return nil, errors.New("worker not connected")
 	}
-	task := s.taskPool.Get().(*core.Task)
-	defer s.taskPool.Put(task)
+	task := s.dom.GetTask()
+	defer s.dom.PutTask(task)
 	fut := dep.InvokeAsyncFrom(task, "Deploy", &spec)
 	conn.Flush()
 	select {
@@ -717,8 +717,8 @@ func (s *Scheduler) undeployOn(m *member, name string) {
 	if conn == nil || dep == nil {
 		return
 	}
-	task := s.taskPool.Get().(*core.Task)
-	defer s.taskPool.Put(task)
+	task := s.dom.GetTask()
+	defer s.dom.PutTask(task)
 	fut := dep.InvokeAsyncFrom(task, "Undeploy", name)
 	conn.Flush()
 	select {

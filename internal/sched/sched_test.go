@@ -124,6 +124,42 @@ func TestClusterDeployAndServe(t *testing.T) {
 	}
 }
 
+// TestRedeployAfterUndeploy: a worker the scheduler moved a servlet away
+// from can take it back, since the undeployed domain's name is free.
+func TestRedeployAfterUndeploy(t *testing.T) {
+	k := core.MustNew(core.Options{})
+	dep, err := sched.ServeWorker(k, map[string]func() httpd.Servlet{
+		"echo": func() httpd.Servlet { return echoServlet{} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	caller, err := k.NewDomain(core.DomainConfig{Name: "caller"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := k.NewDetachedTask(caller, "caller")
+	defer task.Close()
+	spec := &sched.DeploySpec{Name: "foo", Kind: "native", Impl: "echo"}
+	first, err := dep.Deploy(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dep.Undeploy("foo"); err != nil {
+		t.Fatal(err)
+	}
+	if !first.Revoked() {
+		t.Error("Undeploy left the servlet capability live")
+	}
+	again, err := dep.Deploy(spec)
+	if err != nil {
+		t.Fatalf("Deploy after Undeploy: %v", err)
+	}
+	if _, err := again.InvokeFrom(task, "Service", &httpd.Request{Path: "/x"}); err != nil {
+		t.Fatalf("redeployed servlet: %v", err)
+	}
+}
+
 // TestConsistentHashDeterminism deploys the same servlet names into two
 // independently-started clusters and demands identical name→worker
 // assignments: the ring hashes stable pool slot indexes, so placement

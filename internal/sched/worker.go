@@ -144,7 +144,7 @@ func (d *Deployer) Deploy(spec *DeploySpec) (*core.Capability, error) {
 		}
 		// The wire speaks the native servlet contract; wrap the VM
 		// capability in a forwarding native servlet.
-		cap, err := httpd.ServletCapability(d.k, dom, httpd.VMServlet(d.k, d.home, vmCap))
+		cap, err := httpd.ServletCapability(d.k, dom, httpd.VMServlet(d.home, vmCap))
 		if err != nil {
 			dom.Terminate("deploy failed")
 			return nil, err

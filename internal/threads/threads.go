@@ -187,7 +187,9 @@ func (c *Chain) Pop() *Seg {
 		s.mu.Unlock()
 	}
 	c.top = s.prev
-	s.prev = c.free
+	// A free Seg names no domain: a chain that once crossed into a domain
+	// does not keep it reachable.
+	s.prev, s.owner = c.free, nil
 	c.free = s
 	c.depth.Add(-1)
 	return c.top

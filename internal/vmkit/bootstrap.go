@@ -94,11 +94,10 @@ yes:
 	".class jk/io/FastCopyGraph interface\n",
 
 	// ---- capability root ----
-	// Generated stub classes extend Capability. The gate field indexes the
-	// kernel's gate table; it is private so verified user bytecode cannot
-	// touch it (natives may).
+	// Generated stub classes extend Capability. A stub holds no state: its
+	// gate is on its class (Class.Gate), out of bytecode's reach, so a user
+	// class extending Capability is an ordinary object.
 	`.class jk/kernel/Capability abstract
-.field private gate I
 .method native revoke ()V
 .end
 .method native isRevoked ()I

@@ -85,8 +85,7 @@ type FieldDef struct {
 	Desc   string
 	Static bool
 	// Private restricts access to methods of the declaring class, enforced
-	// by the verifier. Capability stubs rely on this to protect their gate
-	// references from user bytecode.
+	// by the verifier (the paper's static access control).
 	Private bool
 }
 
@@ -191,9 +190,12 @@ type Class struct {
 	// elem is the element descriptor for array classes ("" otherwise).
 	elem string
 
-	// Shared is non-nil when the class participates in a SharedClass group;
-	// the core layer uses it to enforce the consistency rules.
-	Shared any
+	// Gate is the kernel's gate for a capability stub class, opaque to the
+	// VM and nil for every other class. It is set at definition
+	// (DefineGateClass), before any object of the class can exist, and an
+	// object is a capability exactly when its own class carries one: a
+	// subclass, of Capability or of a stub, does not.
+	Gate any
 }
 
 // IsArray reports whether c is an array class.

@@ -151,21 +151,28 @@ func (ns *Namespace) Bind(c *Class) error {
 // returns the new class. Referenced classes are resolved recursively
 // through the namespace's resolver, as in the paper's class loaders.
 func (ns *Namespace) DefineClass(data []byte) (*Class, error) {
+	return ns.DefineGateClass(data, nil)
+}
+
+// DefineGateClass is DefineClass for a capability stub class: the class
+// carries gate (Class.Gate) from the moment it is published in the
+// namespace, so no object of it ever exists without its gate.
+func (ns *Namespace) DefineGateClass(data []byte, gate any) (*Class, error) {
 	def, err := DecodeClass(data)
 	if err != nil {
 		return nil, &LinkError{Class: "?", Op: "decode", Err: err}
 	}
-	return ns.defineDecoded(def)
+	return ns.defineDecoded(def, gate)
 }
 
 // DefineDef links an already-decoded definition (used by the stub generator
 // and bootstrap; user-supplied classes should go through DefineClass so the
 // binary format is the trust boundary).
 func (ns *Namespace) DefineDef(def *ClassDef) (*Class, error) {
-	return ns.defineDecoded(def)
+	return ns.defineDecoded(def, nil)
 }
 
-func (ns *Namespace) defineDecoded(def *ClassDef) (*Class, error) {
+func (ns *Namespace) defineDecoded(def *ClassDef, gate any) (*Class, error) {
 	ns.mu.Lock()
 	if _, exists := ns.classes[def.Name]; exists {
 		ns.mu.Unlock()
@@ -173,7 +180,7 @@ func (ns *Namespace) defineDecoded(def *ClassDef) (*Class, error) {
 			Err: fmt.Errorf("class already defined in namespace %s", ns.Name)}
 	}
 	ns.mu.Unlock()
-	c, err := ns.load(def.Name, def)
+	c, err := ns.load(def.Name, def, gate)
 	if err != nil {
 		return nil, err
 	}
@@ -183,14 +190,15 @@ func (ns *Namespace) defineDecoded(def *ClassDef) (*Class, error) {
 // Resolve returns the class bound to name, loading it through the resolver
 // if necessary.
 func (ns *Namespace) Resolve(name string) (*Class, error) {
-	return ns.load(name, nil)
+	return ns.load(name, nil, nil)
 }
 
 // load drives the two-phase pipeline. If def is non-nil it is used directly
-// instead of querying the resolver (DefineClass path). Cyclic references
-// between classes are permitted once a shell (hierarchy, fields, vtable)
-// exists; cyclic superclass chains are not.
-func (ns *Namespace) load(name string, def *ClassDef) (*Class, error) {
+// instead of querying the resolver (DefineClass path), and the new class
+// carries gate. Cyclic references between classes are permitted once a
+// shell (hierarchy, fields, vtable) exists; cyclic superclass chains are
+// not.
+func (ns *Namespace) load(name string, def *ClassDef, gate any) (*Class, error) {
 	if isArrayDesc(name) {
 		return ns.arrayClass(name)
 	}
@@ -283,7 +291,7 @@ func (ns *Namespace) load(name string, def *ClassDef) (*Class, error) {
 		return nil, &LinkError{Class: name, Op: op, Err: err}
 	}
 
-	c := &Class{Def: def, Name: name, NS: ns}
+	c := &Class{Def: def, Name: name, NS: ns, Gate: gate}
 	if def.Super == "" {
 		if name != ClassObject {
 			return fail("hierarchy", fmt.Errorf("only %s may omit a superclass", ClassObject))

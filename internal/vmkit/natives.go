@@ -8,9 +8,9 @@ import (
 )
 
 // CapabilityOps is implemented by the J-Kernel layer: the bootstrap
-// jk/kernel/Capability natives delegate revocation to the kernel's gate
-// table. (The cross-domain call itself enters through the kernel's typed
-// gate entries, which it defines and binds itself.)
+// jk/kernel/Capability natives delegate revocation to the gate the stub's
+// class carries. (The cross-domain call itself enters through the kernel's
+// typed gate entries, which it defines and binds itself.)
 type CapabilityOps interface {
 	Revoke(env *Env, stub *Object) *Object
 	IsRevoked(env *Env, stub *Object) (int64, *Object)

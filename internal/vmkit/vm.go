@@ -57,7 +57,7 @@ type VM struct {
 	Charge func(owner int64, kind ChargeKind, amount int64)
 
 	// CapOps is set by the J-Kernel layer to back the jk/kernel/Capability
-	// natives with its gate table.
+	// natives with the gate the stub's class carries (Class.Gate).
 	CapOps CapabilityOps
 
 	// Stdout receives output from the per-domain System.println native when
