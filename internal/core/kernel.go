@@ -369,7 +369,7 @@ func (t *Task) Close() {
 	t.K.dropHandle(t.Chain.Current())
 	t.K.tasks.Delete(t.Chain)
 	if t.registered {
-		threads.Unregister()
+		threads.Unregister(t.Chain)
 	}
 	t.K.VM.Detach(t.Thread)
 }

@@ -196,3 +196,46 @@ func TestDomainTaskPoolRacesTerminate(t *testing.T) {
 		t.Errorf("%d tasks left open after Terminate under traffic", got-base)
 	}
 }
+
+// innerTasker is a native callee that enters a domain of its own on the
+// goroutine it runs on, as a servlet calling onward does, and ends that
+// task before it returns.
+type innerTasker struct {
+	k *Kernel
+	d *Domain
+}
+
+func (s *innerTasker) Work() error {
+	t := s.k.NewTask(s.d, "inner")
+	defer t.Close()
+	return nil
+}
+
+// A task made and closed by a callee on its ambient caller's goroutine
+// ends itself, not its caller's registration: the caller's next ambient
+// Invoke still finds its task.
+func TestNestedTaskKeepsCallersRegistration(t *testing.T) {
+	k := MustNew(Options{})
+	app, err := k.NewDomain(DomainConfig{Name: "app"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := k.NewDomain(DomainConfig{Name: "svc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cap, err := k.CreateNativeCapability(svc, &innerTasker{k: k, d: svc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := k.NewTask(app, "caller")
+	defer task.Close()
+	for i := 0; i < 2; i++ {
+		if _, err := cap.Invoke("Work"); err != nil {
+			t.Fatalf("ambient call %d: %v", i, err)
+		}
+	}
+	if got := k.currentTask(); got != task {
+		t.Fatalf("the caller's goroutine resolves to task %v, want its own", got)
+	}
+}

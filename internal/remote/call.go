@@ -11,14 +11,14 @@ import (
 	"jkernel/internal/telemetry"
 )
 
-// The call path. Every request that awaits a reply — a capability invoke,
-// blocking or asynchronous, and each control round trip (ping, lookup,
-// manifest fetch, handoff redeem) — is one pooled callRecord in
-// Conn.pending under its request id. There is one invoke path: a blocking
-// invoke is an asynchronous one whose caller writes the queued frames
-// itself instead of waking the flusher (the write stays on the calling
-// goroutine, and calls queued by others ride along), then parks on its
-// record.
+// The call path. Every request that awaits a reply is a capability invoke
+// — a user call, or a call on the peer's bootstrap (ping, lookup, manifest
+// fetch, handoff redeem) — blocking or asynchronous, and is one pooled
+// callRecord in Conn.pending under its request id. There is one invoke
+// path: a blocking invoke is an asynchronous one whose caller writes the
+// queued frames itself instead of waking the flusher (the write stays on
+// the calling goroutine, and calls queued by others ride along), then
+// parks on its record.
 //
 // Record ownership, the companion of the frameBuf rule in bufpool.go:
 // whoever removes a record from Conn.pending (takePending: the reader on a
@@ -32,10 +32,8 @@ import (
 
 // callRecord is the per-call state of one request awaiting its reply.
 type callRecord struct {
-	// Invoke state: the route and the call (for the stale-route reissue
-	// and the completer), and the client span's books. p is nil for a
-	// control round trip — only invokes are load: a placement policy must
-	// not read a health ping as queue depth.
+	// The route and the call (for the stale-route reissue and the
+	// completer), and the client span's books.
 	p      *proxyTarget
 	call   core.ProxyCall
 	spanID uint64
@@ -62,6 +60,10 @@ func putRecord(rec *callRecord) {
 	recordPool.Put(rec)
 }
 
+// isLoad reports whether rec counts toward PendingCalls: a placement policy
+// must not read a health ping as queue depth, so bootstrap calls do not.
+func (rec *callRecord) isLoad() bool { return rec.p.exportID != bootstrapID }
+
 // register files rec under a fresh request id. The id is returned rather
 // than read back from the record: once registered, an asynchronous record
 // may complete and be recycled at any moment.
@@ -73,7 +75,7 @@ func (c *Conn) register(rec *callRecord) (uint64, error) {
 	}
 	c.nextReq++
 	c.pending[c.nextReq] = rec
-	if rec.p != nil {
+	if rec.isLoad() {
 		c.invokes++
 	}
 	return c.nextReq, nil
@@ -86,7 +88,7 @@ func (c *Conn) takePending(id uint64) *callRecord {
 	rec := c.pending[id]
 	if rec != nil {
 		delete(c.pending, id)
-		if rec.p != nil {
+		if rec.isLoad() {
 			c.invokes--
 		}
 	}
@@ -109,52 +111,6 @@ func (rec *callRecord) completeWire(res wireResult) {
 		return
 	}
 	rec.ch <- res
-}
-
-// roundTrip performs one control request/reply: register a record, write
-// the frame build makes for its request id, and park until the reply,
-// connection loss (shutdown completes every pending record, so there is no
-// separate arm for it), or — when timeout is positive — the deadline.
-//
-//jk:blocking
-func (c *Conn) roundTrip(what string, timeout time.Duration, build func(w *wbuf, reqID uint64)) wireResult {
-	rec := getRecord()
-	id, err := c.register(rec)
-	if err != nil {
-		putRecord(rec)
-		return wireResult{err: err}
-	}
-	var w wbuf
-	build(&w, id)
-	if err := c.send(w.b); err != nil {
-		return c.abandon(rec, id, err)
-	}
-	var deadline <-chan time.Time
-	if timeout > 0 {
-		timer := time.NewTimer(timeout)
-		defer timer.Stop()
-		deadline = timer.C
-	}
-	select {
-	case res := <-rec.ch:
-		putRecord(rec)
-		return res
-	case <-deadline:
-		return c.abandon(rec, id, fmt.Errorf("remote: %s timed out after %v", what, timeout))
-	}
-}
-
-// abandon gives up on a parked record. If its slot is still pending nobody
-// else will ever complete it, and err is the outcome; otherwise a
-// completion is already on its way to rec.ch, and it wins — the record
-// cannot be recycled under a completer about to send on it.
-func (c *Conn) abandon(rec *callRecord, id uint64, err error) wireResult {
-	res := wireResult{err: err}
-	if c.takePending(id) == nil {
-		res = <-rec.ch
-	}
-	putRecord(rec)
-	return res
 }
 
 // proxyOf returns cap's proxy target when cap is a wire proxy.
@@ -184,13 +140,14 @@ type proxyTarget struct {
 	// export" — a call that never executed, so it retries on next.
 	next atomic.Pointer[proxyTarget]
 
-	// The method manifest. Lookup-imported proxies are born with it;
-	// proxies imported inline (as arguments or results) fetch it lazily on
-	// the first ProxyMethods call — one msgManifest round trip, cached.
-	mmu     sync.Mutex
-	methods []string
-	fetched bool
+	// methods is the method manifest, nil until known. Imports by name and
+	// redeemed handoffs come with it; proxies imported inline (as arguments
+	// or results) fetch it on the first ProxyMethods call — one Manifest
+	// call on the peer's bootstrap, cached.
+	methods atomic.Pointer[[]string]
 }
+
+func (p *proxyTarget) setManifest(ms []string) { p.methods.Store(&ms) }
 
 // ProxyMethods reports the remote method names, fetching the manifest
 // from the exporting kernel on first use for inline imports. A fetch that
@@ -198,33 +155,16 @@ type proxyTarget struct {
 // leaves the cache empty, so a transient failure does not poison a
 // later call.
 func (p *proxyTarget) ProxyMethods() []string {
-	p.mmu.Lock()
-	defer p.mmu.Unlock()
-	if p.fetched {
-		return p.methods
+	if ms := p.methods.Load(); ms != nil {
+		return *ms
 	}
-	ms, err := p.conn.fetchManifest(p.exportID)
+	res, err := p.conn.callPeer(0, "Manifest", p.exportID)
 	if err != nil {
 		return nil
 	}
-	p.methods = ms
-	p.fetched = true
+	ms := answerAt[Manifest](res, 0).Methods
+	p.setManifest(ms)
 	return ms
-}
-
-// fetchManifest performs one manifest round trip for the peer's export.
-func (c *Conn) fetchManifest(exportID uint64) ([]string, error) {
-	res := c.roundTrip("manifest fetch", 0, func(w *wbuf, reqID uint64) {
-		w.u8(msgManifest)
-		w.uvarint(reqID)
-		w.uvarint(exportID)
-	})
-	if res.err != nil {
-		return nil, res.err
-	}
-	// results[0] carries the manifest smuggled through the reply path.
-	ms, _ := res.results[0].([]string)
-	return ms, nil
 }
 
 // InvokeProxy implements core.ProxyTarget: marshal args (capabilities by

@@ -1,7 +1,10 @@
 package remote
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"net"
 	"path/filepath"
 	"runtime"
@@ -10,7 +13,55 @@ import (
 	"time"
 
 	"jkernel/internal/core"
+	"jkernel/internal/seri"
 )
+
+// writeFrame writes one length-prefixed frame, the way a raw peer does.
+func writeFrame(w io.Writer, payload []byte) error {
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
+	}
+	_, err := w.Write(payload)
+	return err
+}
+
+// readFrame reads one length-prefixed frame into a fresh allocation.
+func readFrame(r io.Reader) ([]byte, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
+	}
+	n := binary.LittleEndian.Uint32(hdr[:])
+	if n > maxFrame {
+		return nil, fmt.Errorf("frame of %d bytes exceeds limit", n)
+	}
+	buf := make([]byte, n)
+	_, err := io.ReadFull(r, buf)
+	return buf, err
+}
+
+// bootInvoke is the frame of a call on the receiver's bootstrap, as a
+// peer writes it.
+func bootInvoke(reqID uint64, method string, args ...any) []byte {
+	w := &wbuf{}
+	w.u8(msgInvoke)
+	w.uvarint(reqID)
+	w.uvarint(bootstrapID)
+	w.str(method)
+	appendTrace(w, 0, 0)
+	stream, err := seri.AppendVector(w.b, nil, args, nil, nil)
+	if err != nil {
+		panic(err)
+	}
+	return stream
+}
+
+// isHello reports whether f is a Hello call on the receiver's bootstrap.
+func isHello(f inFrame) bool {
+	return f.t == msgInvoke && f.invoke.exportID == bootstrapID && string(f.invoke.method) == "Hello"
+}
 
 // scriptedPeer is the far end of a connection played by the test: a raw
 // socket on which the test reads the frames a real Conn sends and answers
@@ -54,10 +105,10 @@ func newScriptedPeer(t *testing.T) *scriptedPeer {
 		conn.Close()
 		nc.Close()
 	})
-	// NewConn probes the peer's features with one ping; leave it unanswered
-	// (a pre-handoff peer) but consume it.
-	if f := sp.next(); f.t != msgPing {
-		t.Fatalf("first frame is type %d, want the feature probe", f.t)
+	// NewConn announces itself with a Hello on the peer's bootstrap; leave
+	// it unanswered but consume it.
+	if f := sp.next(); !isHello(f) {
+		t.Fatalf("first frame is %+v, want a Hello on the bootstrap", f)
 	}
 	return sp
 }
@@ -110,22 +161,16 @@ func (sp *scriptedPeer) replyErr(reqID uint64, kind byte, msg string) {
 	sp.write(w)
 }
 
-func (sp *scriptedPeer) pong(reqID uint64) {
-	w := &wbuf{}
-	w.u8(msgPong)
-	w.uvarint(reqID)
-	sp.write(w)
-}
-
 // proxy mints a proxy for the scripted peer's (imaginary) export id.
 func (sp *scriptedPeer) proxy(id uint64) *core.Capability {
 	sp.t.Helper()
 	sp.conn.mu.Lock()
-	cap, _, _, err := sp.conn.importLocked(id, []string{"Null"})
+	cap, _, _, err := sp.conn.importLocked(id)
 	sp.conn.mu.Unlock()
 	if err != nil {
 		sp.t.Fatal(err)
 	}
+	proxyOf(cap).setManifest([]string{"Null"})
 	return cap
 }
 
@@ -137,17 +182,18 @@ func (sp *scriptedPeer) recordOf(reqID uint64) *callRecord {
 }
 
 // settled waits until the real end's reader has consumed everything the
-// script wrote so far, by bouncing a ping off it: the reader answers pings
-// inline and in order. No invoke may be in flight toward the script.
+// script wrote so far, by bouncing a Hello off its bootstrap: the reader
+// dispatches frames in order, and the answer leaves after the call it
+// answers. No invoke may be in flight toward the script.
 func (sp *scriptedPeer) settled() {
 	sp.t.Helper()
-	w := &wbuf{}
-	w.u8(msgPing)
-	w.uvarint(1 << 40)
-	sp.write(w)
+	sp.write(&wbuf{b: bootInvoke(1<<40, "Hello", "", "")})
 	for {
 		switch f := sp.next(); {
-		case f.t == msgPong && f.ping.reqID == 1<<40:
+		case f.t == msgReply && f.reply.reqID == 1<<40:
+			if f.reply.status != statusOK {
+				sp.t.Fatalf("the bootstrap refused a Hello: %s", f.reply.msg)
+			}
 			return
 		case f.t == msgInvoke || f.t == msgBatchInvoke:
 			sp.t.Fatalf("an invoke frame nobody expected: %+v", f)
@@ -157,7 +203,7 @@ func (sp *scriptedPeer) settled() {
 
 // A record is recycled the moment its one completion (or its drop) is
 // done, and the next call may get the same struct. Whatever still names
-// the old call — a pong that arrives after its Ping timed out, a reply to
+// the old call — an answer that arrives after its Ping timed out, a reply to
 // a cancelled invoke, a second cancel with the old token — must find
 // nothing and leave the record's new call alone.
 func TestStaleCompletionsAreInertAgainstARecycledRecord(t *testing.T) {
@@ -212,22 +258,22 @@ func TestStaleCompletionsAreInertAgainstARecycledRecord(t *testing.T) {
 		}
 	}
 
-	// A Ping times out; its pong arrives after the record moved on.
+	// A Ping times out; its answer arrives after the record moved on.
 	pingID, victim, inv := reuse(func() (uint64, *callRecord) {
 		pinged := make(chan error, 1)
 		go func() { pinged <- sp.conn.Ping(20 * time.Millisecond) }()
 		ping := sp.next()
-		if ping.t != msgPing {
-			t.Fatalf("frame type %d, want ping", ping.t)
+		if !isHello(ping) {
+			t.Fatalf("frame %+v, want a Hello", ping)
 		}
-		rec := sp.recordOf(ping.ping.reqID)
+		rec := sp.recordOf(ping.invoke.reqID)
 		if err := <-pinged; err == nil {
 			t.Fatal("unanswered ping did not time out")
 		}
-		return ping.ping.reqID, rec
+		return ping.invoke.reqID, rec
 	})
-	sp.pong(pingID)
-	untouched("a late pong", victim, inv)
+	sp.replyOK(pingID)
+	untouched("a late answer to a ping", victim, inv)
 	finish(victim, inv)
 
 	// An invoke is cancelled; its reply arrives after the record moved on,
@@ -248,12 +294,12 @@ func TestStaleCompletionsAreInertAgainstARecycledRecord(t *testing.T) {
 	untouched("a stale cancel", victim, inv)
 	finish(victim, inv)
 
-	if n := sp.conn.TableSizes().Pending; n != 1 { // the unanswered feature probe
-		t.Fatalf("%d records still pending, want the feature probe's one", n)
+	if n := sp.conn.TableSizes().Pending; n != 1 { // the unanswered announcement
+		t.Fatalf("%d records still pending, want the announcing Hello's one", n)
 	}
 }
 
-// A parked control round trip is not load: PendingCalls counts invokes
+// A parked bootstrap call is not load: PendingCalls counts user invokes
 // only, while TableSizes still sees every record.
 func TestPendingCallsCountsInvokesOnly(t *testing.T) {
 	sp := newScriptedPeer(t)
@@ -283,7 +329,7 @@ func TestPendingCallsCountsInvokesOnly(t *testing.T) {
 		t.Fatalf("PendingCalls = %d with an async and a sync invoke in flight, want 2", got)
 	}
 
-	sp.pong(ping.ping.reqID)
+	sp.replyOK(ping.invoke.reqID)
 	if err := <-pinged; err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +353,7 @@ func TestPendingCallsCountsInvokesOnly(t *testing.T) {
 func TestSyncCallOnReleasedRelayRouteIsReissuedOnce(t *testing.T) {
 	relay, direct := newScriptedPeer(t), newScriptedPeer(t)
 	proxy := relay.proxy(7)
-	proxyOf(proxy).next.Store(&proxyTarget{conn: direct.conn, exportID: 9, fetched: true, redeemed: true})
+	proxyOf(proxy).next.Store(&proxyTarget{conn: direct.conn, exportID: 9, redeemed: true})
 
 	done := make(chan error, 1)
 	go func() {

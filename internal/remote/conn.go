@@ -54,13 +54,15 @@ type Conn struct {
 	closed        bool
 	cause         error
 
-	// Peer identity for three-party handoff: the endpoint this side dialed
-	// (or the peer's advertised listen address from the ping tail) and the
-	// peer's announced feature mask. featKnown stays false against a
-	// pre-handoff peer, which pins every re-export to the relay path.
+	// boot is this side's bootstrap capability, served at export id 0;
+	// peerBoot invokes the peer's (see bootstrap.go).
+	boot     *core.Capability
+	peerBoot *proxyTarget
+
+	// Peer identity for three-party handoff: the endpoint this side dialed,
+	// or the listen address the peer announced in its Hello. A peer with
+	// neither is no handoff origin: re-exports of its capabilities relay.
 	peerNet, peerAddr string
-	peerFeatures      uint64
-	featKnown         bool
 	pendingHandoffs   map[uint64]parkedOffer // redeem offers that raced ahead of their relay import
 	releasedImports   map[uint64]time.Time   // fully-released ids; a revoke crossing the release is stale
 
@@ -91,8 +93,10 @@ type wireResult struct {
 
 // NewConn wires an established network connection into kernel k and
 // starts its reader. The connection gets a fresh host domain named
-// remote-<n> that owns its proxies and runs its inbound calls.
+// remote-<n> that owns its proxies and its bootstrap capability and runs
+// its inbound calls.
 func NewConn(k *core.Kernel, nc net.Conn) (*Conn, error) {
+	stateOf(k).wireTypes.Do(func() { k.RegisterWireType("jk.remote.Manifest", Manifest{}) })
 	d, err := k.NewDomain(core.DomainConfig{
 		Name: fmt.Sprintf("remote-%d", connSeq.Add(1)),
 	})
@@ -109,22 +113,26 @@ func NewConn(k *core.Kernel, nc net.Conn) (*Conn, error) {
 		pending:         make(map[uint64]*callRecord),
 		exports:         make(map[uint64]*exportEntry),
 		exportIDs:       make(map[*core.Gate]uint64),
+		nextExport:      bootstrapID + 1,
 		imports:         make(map[uint64]*importEntry),
 		preRevoked:      make(map[uint64]parkedRevoke),
 		pendingHandoffs: make(map[uint64]parkedOffer),
 		releasedImports: make(map[uint64]time.Time),
 		done:            make(chan struct{}),
 	}
+	if c.boot, err = k.CreateNativeCapability(d, &bootstrap{c}); err != nil {
+		d.Terminate("remote connection never started")
+		return nil, err
+	}
+	c.peerBoot = &proxyTarget{conn: c, exportID: bootstrapID}
 	c.batch = newBatcher(c)
 	c.exec = newExecutor(c.done)
 	c.metrics = newConnMetrics(k, c)
 	go c.readLoop()
 	go c.batch.run()
-	// Announce our features (and learn the peer's) with one async probe.
-	// Until the pong lands, handoff minting toward this peer stays off and
-	// re-exports use the relay path; pre-handoff peers ignore the tail and
-	// see a plain ping.
-	go func() { _ = c.Ping(10 * time.Second) }()
+	// Announce our listen endpoint; nobody waits for the answer.
+	network, addr := advertised(k)
+	c.peerBoot.InvokeProxy(core.ProxyCall{Method: "Hello", Args: []any{network, addr}, Done: make(replyChan, 1)})
 	return c, nil
 }
 
@@ -220,22 +228,6 @@ func (c *Conn) setDialTarget(network, addr string) {
 	c.mu.Unlock()
 }
 
-// recordPeer stores what a ping/pong tail announced: the peer's feature
-// mask and — when no dial target is known (inbound connections) — its
-// advertised listen address.
-func (c *Conn) recordPeer(f pingFrame) {
-	if !f.hasFeatures {
-		return
-	}
-	c.mu.Lock()
-	c.peerFeatures = f.features
-	c.featKnown = true
-	if c.peerAddr == "" && f.addr != "" {
-		c.peerNet, c.peerAddr = f.network, f.addr
-	}
-	c.mu.Unlock()
-}
-
 // Domain returns the connection's host domain (owner of its proxies).
 func (c *Conn) Domain() *core.Domain { return c.domain }
 
@@ -280,9 +272,9 @@ func (c *Conn) TableSizes() TableSizes {
 
 // PendingCalls reports how many invocations are on the wire awaiting
 // replies — the per-worker queue-depth signal a placement policy or
-// autoscaler reads. Control round trips (pings, lookups, manifest fetches,
-// redeems) are not load and are not counted; TableSizes().Pending counts
-// every record. Cheaper than TableSizes: one lock, no pruning.
+// autoscaler reads. Calls on the peer's bootstrap (pings, lookups, manifest
+// fetches, redeems) are not load and are not counted; TableSizes().Pending
+// counts every record. Cheaper than TableSizes: one lock, no pruning.
 func (c *Conn) PendingCalls() int {
 	if c == nil {
 		return 0
@@ -314,20 +306,6 @@ func (c *Conn) Close() error {
 //jk:blocking
 func (c *Conn) send(payload []byte) error {
 	return c.sendSegments(payload)
-}
-
-// sendOrFault writes one frame and routes a failed write to the
-// connection-fault path. It is the send for frame handlers with nobody
-// to hand an error back to (replies, manifests, lookup answers): a reply
-// that cannot reach the peer means the socket is broken, and the
-// connection must fault its imports rather than keep running silently —
-// the same policy sendReleases applies.
-//
-//jk:blocking
-func (c *Conn) sendOrFault(payload []byte) {
-	if err := c.send(payload); err != nil {
-		c.shutdown(fmt.Errorf("remote: reply write failed: %w", err))
-	}
 }
 
 // sendSegments frames and writes one message whose payload is the
@@ -416,40 +394,6 @@ func (c *Conn) sendBatched(t byte, n int, item func(w *wbuf, i int) []byte) erro
 	return err
 }
 
-// Ping performs one protocol round trip, proving the peer kernel is up
-// and serving. Dial-with-retry loops use it as a readiness probe: a
-// connection can land in the listen backlog of a process that is already
-// dying, and only an answered ping distinguishes the two.
-//
-//jk:blocking
-func (c *Conn) Ping(timeout time.Duration) error {
-	network, addr := advertised(c.k)
-	// A genuine pong carries no error; a shutdown racing the probe
-	// delivers the connection fault instead.
-	return c.roundTrip("ping", timeout, func(w *wbuf, reqID uint64) {
-		appendPing(w, msgPing, reqID, network, addr)
-	}).err
-}
-
-// Import asks the peer for the capability it exports under name and
-// returns a local proxy for it.
-func (c *Conn) Import(name string) (*core.Capability, error) {
-	res := c.roundTrip("lookup", 0, func(w *wbuf, reqID uint64) {
-		w.u8(msgLookup)
-		w.uvarint(reqID)
-		w.str(name)
-	})
-	if res.err != nil {
-		return nil, res.err
-	}
-	// results[0] carries the proxy smuggled through the lookup path.
-	cap, _ := res.results[0].(*core.Capability)
-	if cap == nil {
-		return nil, fmt.Errorf("remote: lookup %q returned no capability", name)
-	}
-	return cap, nil
-}
-
 func (c *Conn) causeLocked() error {
 	if c.cause != nil && c.cause != ErrConnClosed {
 		return fmt.Errorf("%w: %v", ErrConnClosed, c.cause)
@@ -495,6 +439,17 @@ type importEntry struct {
 	// drops (unpinImport completes it).
 	pins   int
 	zombie bool
+}
+
+// exported returns the capability behind the export id the peer names,
+// nil when the table has no such entry.
+func (c *Conn) exported(id uint64) *core.Capability {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e := c.exports[id]; e != nil {
+		return e.cap
+	}
+	return nil
 }
 
 // exportLocked registers cap in the export table (idempotent per gate),
@@ -619,7 +574,7 @@ func (c *Conn) dropExportRefsLocked(id, n uint64) (unhook func(), upstream *rela
 // would deadlock against the release path). created reports whether this
 // call minted the proxy, so a decode that fails mid-vector can release
 // exactly the entries nothing else will ever own. Caller holds c.mu.
-func (c *Conn) importLocked(id uint64, methods []string) (cap *core.Capability, pre error, created bool, err error) {
+func (c *Conn) importLocked(id uint64) (cap *core.Capability, pre error, created bool, err error) {
 	if e, ok := c.imports[id]; ok {
 		if !e.cap.Revoked() {
 			e.recv++
@@ -632,8 +587,7 @@ func (c *Conn) importLocked(id uint64, methods []string) (cap *core.Capability, 
 		// capability fault when its gate was severed.
 		c.batch.enqueueRelease(releaseEntry{exportID: id, count: e.recv, gen: e.gen})
 	}
-	pt := &proxyTarget{conn: c, exportID: id, methods: methods, fetched: methods != nil}
-	cap, err = c.k.CreateProxyCapability(c.domain, pt)
+	cap, err = c.k.CreateProxyCapability(c.domain, &proxyTarget{conn: c, exportID: id})
 	if err != nil {
 		return nil, nil, false, err
 	}
@@ -838,17 +792,18 @@ func (e *connExternal) rollback() {
 func (e *connExternal) DecodeExternal(h uint64) (any, error) {
 	id, kind := unpackHandle(h)
 	c := e.c
-	c.mu.Lock()
+	if id == bootstrapID {
+		return nil, fmt.Errorf("remote: a capability handle names the bootstrap")
+	}
 	if kind == handleKindYours {
 		// Our own export returning home: hand back the original.
-		ent := c.exports[id]
-		c.mu.Unlock()
-		if ent == nil {
-			return nil, fmt.Errorf("remote: unknown returning export %d", id)
+		if cap := c.exported(id); cap != nil {
+			return cap, nil
 		}
-		return ent.cap, nil
+		return nil, fmt.Errorf("remote: unknown returning export %d", id)
 	}
-	cap, pre, created, err := c.importLocked(id, nil)
+	c.mu.Lock()
+	cap, pre, created, err := c.importLocked(id)
 	c.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -1000,33 +955,8 @@ func (c *Conn) dispatch(fb *frameBuf, f *inFrame) error {
 		return c.handleRevoke(f.revoke.exportID, f.revoke.reason)
 	case msgRelease:
 		return c.handleRelease(f.releases)
-	case msgManifest:
-		// Off the reader: a manifest of a re-exported proxy may itself
-		// need a wire round trip on another connection.
-		go c.handleManifest(f.manifest)
-	case msgManifestReply:
-		c.handleManifestReply(f.manifestReply)
-	case msgLookup:
-		go c.handleLookup(f.lookup.reqID, f.lookup.name)
-	case msgLookupReply:
-		c.handleLookupReply(f.lookupReply)
-	case msgPing:
-		c.recordPeer(f.ping)
-		network, addr := advertised(c.k)
-		var w wbuf
-		appendPing(&w, msgPong, f.ping.reqID, network, addr)
-		return c.send(w.b)
-	case msgPong:
-		c.recordPeer(f.ping)
-		c.complete(f.ping.reqID, wireResult{})
 	case msgHandoff:
 		return c.handleHandoff(f.handoff)
-	case msgRedeem:
-		// Off the reader: redemption mints an export (and possibly a
-		// recursive offer on a third connection) and sends the reply.
-		go c.handleRedeem(f.redeem)
-	case msgRedeemReply:
-		c.handleRedeemReply(f.redeemReply)
 	}
 	return nil
 }
@@ -1095,12 +1025,10 @@ func (in *inbound) fail(kind byte, class, msg string) {
 func (in *inbound) serveInvoke(fb *frameBuf) {
 	c, f := in.c, &in.call
 	in.reply = replyFrame{reqID: f.reqID, status: statusOK}
-	c.mu.Lock()
-	var cap *core.Capability
-	if e := c.exports[f.exportID]; e != nil {
-		cap = e.cap
+	cap := c.boot
+	if f.exportID != bootstrapID {
+		cap = c.exported(f.exportID)
 	}
-	c.mu.Unlock()
 	if cap == nil {
 		fb.release()
 		in.fail(errKindRevoked, "", fmt.Sprintf("unknown export %d", f.exportID))
@@ -1328,6 +1256,9 @@ func (b *batchRun) run() {
 	batchRuns.Put(b)
 }
 
+// replyErr answers reqID with a failure. A reply that cannot reach the
+// peer means the socket is broken, and the connection faults its imports
+// rather than keep running silently — the policy sendReleases applies.
 func (c *Conn) replyErr(reqID uint64, kind byte, class, msg string) {
 	var w wbuf
 	w.u8(msgReply)
@@ -1336,7 +1267,9 @@ func (c *Conn) replyErr(reqID uint64, kind byte, class, msg string) {
 	w.u8(kind)
 	w.str(class)
 	w.str(msg)
-	c.sendOrFault(w.b)
+	if err := c.send(w.b); err != nil {
+		c.shutdown(fmt.Errorf("remote: reply write failed: %w", err))
+	}
 }
 
 // parkedRevoke is a pushed revocation waiting for its import: the frame
@@ -1374,8 +1307,12 @@ func (c *Conn) prunePreRevokedLocked(now time.Time) {
 }
 
 // handleRevoke applies a pushed revocation to the local proxy, or parks
-// it for an import still in flight.
+// it for an import still in flight. The peer's bootstrap is no import:
+// a push naming it does nothing.
 func (c *Conn) handleRevoke(exportID uint64, reason byte) error {
+	if exportID == bootstrapID {
+		return nil
+	}
 	c.mu.Lock()
 	var cap *core.Capability
 	if e := c.imports[exportID]; e != nil {
@@ -1442,99 +1379,6 @@ func (c *Conn) handleRelease(entries []releaseEntry) error {
 	return nil
 }
 
-// handleManifest answers a lazy manifest fetch out of the export table.
-func (c *Conn) handleManifest(f manifestFrame) {
-	c.mu.Lock()
-	var cap *core.Capability
-	if e := c.exports[f.exportID]; e != nil {
-		cap = e.cap
-	}
-	c.mu.Unlock()
-	var w wbuf
-	w.u8(msgManifestReply)
-	w.uvarint(f.reqID)
-	if cap == nil {
-		w.u8(statusErr)
-		w.u8(errKindRevoked)
-		w.str("")
-		w.str(fmt.Sprintf("unknown export %d", f.exportID))
-	} else {
-		w.u8(statusOK)
-		w.strs(cap.Methods())
-	}
-	c.sendOrFault(w.b)
-}
-
-func (c *Conn) handleManifestReply(f manifestReplyFrame) {
-	res := wireResult{}
-	if f.status == statusOK {
-		res.results = []any{f.methods}
-	} else {
-		res.err = decodeWireErr(f.kind, f.class, f.msg)
-	}
-	c.complete(f.reqID, res)
-}
-
-// handleLookup answers an Import from the peer out of the kernel's export
-// table.
-func (c *Conn) handleLookup(reqID uint64, name string) {
-	cap := c.k.ExportedCapability(name)
-	if cap == nil {
-		c.replyLookupErr(reqID, errKindNotFound, fmt.Sprintf("no export named %q", name))
-		return
-	}
-	handle, _ := c.exportHandle(cap)
-	var w wbuf
-	w.u8(msgLookupReply)
-	w.uvarint(reqID)
-	w.u8(statusOK)
-	w.uvarint(handle)
-	w.strs(cap.Methods())
-	c.sendOrFault(w.b)
-}
-
-func (c *Conn) replyLookupErr(reqID uint64, kind byte, msg string) {
-	var w wbuf
-	w.u8(msgLookupReply)
-	w.uvarint(reqID)
-	w.u8(statusErr)
-	w.u8(kind)
-	w.str("")
-	w.str(msg)
-	c.sendOrFault(w.b)
-}
-
-func (c *Conn) handleLookupReply(f lookupReplyFrame) {
-	res := wireResult{}
-	if f.status == statusOK {
-		id, kind := unpackHandle(f.handle)
-		var cap *core.Capability
-		var pre, ierr error
-		c.mu.Lock()
-		if kind == handleKindYours {
-			if e := c.exports[id]; e != nil {
-				cap = e.cap
-			} else {
-				ierr = fmt.Errorf("remote: unknown returning export %d", id)
-			}
-		} else {
-			cap, pre, _, ierr = c.importLocked(id, f.methods)
-		}
-		c.mu.Unlock()
-		if pre != nil {
-			cap.RevokeWithReason(pre)
-		}
-		if ierr != nil {
-			res.err = ierr
-		} else {
-			res.results = []any{cap}
-		}
-	} else {
-		res.err = decodeWireErr(f.kind, "", f.msg)
-	}
-	c.complete(f.reqID, res)
-}
-
 // --- error mapping ---------------------------------------------------------
 
 // encodeWireErr maps a local invocation failure onto the wire.
@@ -1564,8 +1408,6 @@ func decodeWireErr(kind byte, class, msg string) error {
 		return wrapSentinel(core.ErrDomainTerminated, msg)
 	case errKindNoMethod:
 		return wrapSentinel(core.ErrNoSuchMethod, msg)
-	case errKindNotFound:
-		return fmt.Errorf("remote: %s", msg)
 	case errKindProtocol:
 		return fmt.Errorf("remote: protocol error: %s", msg)
 	default:

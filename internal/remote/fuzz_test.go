@@ -2,13 +2,17 @@ package remote
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"jkernel/internal/core"
+	"jkernel/internal/raceflag"
 	"jkernel/internal/seri"
 )
 
@@ -40,7 +44,7 @@ func appendBatchCall(w *wbuf, reqID, exportID uint64, method string, traceID, pa
 // the live connection uses — a captured-traffic corpus without the
 // capture: these are byte-for-byte the frames a real exchange produces.
 func seedFrames() [][]byte {
-	reg := seri.NewRegistry()
+	reg := fuzzRegistry()
 	args, err := seri.MarshalExt(reg, []any{"hello", int64(42), []byte{1, 2, 3}, &fuzzRef{H: 7}}, fuzzWireExt{})
 	if err != nil {
 		panic(err)
@@ -113,47 +117,6 @@ func seedFrames() [][]byte {
 	w.u8(revokeReasonTerminated)
 	add(w)
 
-	// Lookup and its replies.
-	w = &wbuf{}
-	w.u8(msgLookup)
-	w.uvarint(6)
-	w.str("counter")
-	add(w)
-	w = &wbuf{}
-	w.u8(msgLookupReply)
-	w.uvarint(6)
-	w.u8(statusOK)
-	w.uvarint(packHandle(9, handleKindTheirs))
-	w.uvarint(2)
-	w.str("Add")
-	w.str("Get")
-	add(w)
-	w = &wbuf{}
-	w.u8(msgLookupReply)
-	w.uvarint(7)
-	w.u8(statusErr)
-	w.u8(errKindNotFound)
-	w.str("")
-	w.str("no export named \"x\"")
-	add(w)
-
-	// Liveness probes: the bare legacy form and the feature-tailed form a
-	// handoff-capable build sends (features mask, advertised endpoint).
-	w = &wbuf{}
-	w.u8(msgPing)
-	w.uvarint(8)
-	add(w)
-	w = &wbuf{}
-	w.u8(msgPong)
-	w.uvarint(8)
-	add(w)
-	w = &wbuf{}
-	appendPing(w, msgPing, 8, "unix", "/tmp/origin.sock")
-	add(w)
-	w = &wbuf{}
-	appendPing(w, msgPong, 8, "tcp", "10.0.0.7:9090")
-	add(w)
-
 	// Batched import releases (export id, receipt count, generation).
 	w = &wbuf{}
 	w.u8(msgRelease)
@@ -163,58 +126,52 @@ func seedFrames() [][]byte {
 	appendReleaseEntry(w, releaseEntry{exportID: 1 << 40, count: 7, gen: 300})
 	add(w)
 
-	// Lazy manifest fetch and its replies.
-	w = &wbuf{}
-	w.u8(msgManifest)
-	w.uvarint(10)
-	w.uvarint(9)
-	add(w)
-	w = &wbuf{}
-	w.u8(msgManifestReply)
-	w.uvarint(10)
-	w.u8(statusOK)
-	w.uvarint(2)
-	w.str("Add")
-	w.str("Get")
-	add(w)
-	w = &wbuf{}
-	w.u8(msgManifestReply)
-	w.uvarint(11)
-	w.u8(statusErr)
-	w.u8(errKindRevoked)
-	w.str("")
-	w.str("unknown export 9")
-	add(w)
-
-	// Three-party handoff: ticket registration, the offer relayed to the
-	// receiver, and the redeem exchange against the origin.
+	// Three-party handoff: ticket registration and the offer relayed to the
+	// receiver.
 	frames = append(frames, encodeRegister(0xfeedc0ffee, 9))
 	frames = append(frames, encodeOffer(3, 9, 0xfeedc0ffee, "unix", "/tmp/origin.sock"))
+
+	// Calls on the bootstrap (export 0) and their answers: a hello, a
+	// lookup, a lazy manifest fetch, a handoff redeem.
+	frames = append(frames,
+		bootInvoke(6, "Hello", "unix", "/tmp/origin.sock"),
+		bootInvoke(7, "Lookup", "counter"),
+		bootInvoke(8, "Manifest", uint64(9)),
+		bootInvoke(9, "Redeem", uint64(0xfeedc0ffee), uint64(9)))
+	manifest := Manifest{Methods: []string{"Add", "Get"}}
+	for i, answer := range [][]any{
+		{&fuzzRef{H: packHandle(9, handleKindTheirs)}, manifest},
+		{manifest},
+		{uint64(14), manifest},
+	} {
+		stream, err := seri.AppendVector(nil, reg, answer, fuzzWireExt{}, nil)
+		if err != nil {
+			panic(err)
+		}
+		w = &wbuf{}
+		w.u8(msgReply)
+		w.uvarint(uint64(7 + i))
+		appendReplyBody(w, replyFrame{status: statusOK, body: stream})
+		add(w)
+	}
 	w = &wbuf{}
-	w.u8(msgRedeem)
-	w.uvarint(12)
-	w.uvarint(0xfeedc0ffee)
-	w.uvarint(9)
-	add(w)
-	w = &wbuf{}
-	w.u8(msgRedeemReply)
-	w.uvarint(12)
-	w.u8(statusOK)
-	w.uvarint(14)
-	w.uvarint(2)
-	w.str("Add")
-	w.str("Get")
-	add(w)
-	w = &wbuf{}
-	w.u8(msgRedeemReply)
-	w.uvarint(13)
-	w.u8(statusErr)
-	w.u8(errKindNotFound)
-	w.str("")
-	w.str("unknown or expired handoff ticket")
+	w.u8(msgReply)
+	w.uvarint(7)
+	appendReplyBody(w, replyFrame{status: statusErr, kind: errKindRemote, class: "*errors.errorString", msg: "no export named \"x\""})
 	add(w)
 
 	return frames
+}
+
+// retiredTypes are the message types the bootstrap capability replaced
+// (lookup, ping and pong, manifest, redeem, with their replies).
+var retiredTypes = []byte{4, 5, 6, 7, 11, 12, 14, 15}
+
+// fuzzRegistry knows what the seed frames' streams carry.
+func fuzzRegistry() *seri.Registry {
+	reg := seri.NewRegistry()
+	reg.Register("jk.remote.Manifest", Manifest{})
+	return reg
 }
 
 // FuzzDecodeFrame drives arbitrary bytes through the full inbound decode
@@ -231,13 +188,16 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{msgInvoke, 1, 0, 4, 'E', 'c', 'h', 'o', 0xff})
 	f.Add([]byte{msgInvoke, 1, 0, 4, 'E', 'c', 'h', 'o', 1, 0, 9})
 	f.Add([]byte{msgBatchInvoke, 1, 2, 0, 4, 'N', 'u', 'l', 'l', 1, 7})
-	// Malformed handoff frames: unknown kind, an offer with no origin
-	// address, and a redeem truncated mid-ticket. Each must be rejected
-	// (faulting the connection), never panic.
+	// Malformed handoff frames: unknown kind and an offer with no origin
+	// address. Each must be rejected (faulting the connection), never panic.
 	f.Add([]byte{msgHandoff, 9, 1, 2})
 	f.Add([]byte{msgHandoff, handoffOffer, 3, 9, 5, 4, 'u', 'n', 'i', 'x', 0})
-	f.Add([]byte{msgRedeem, 12, 0xff})
-	reg := seri.NewRegistry()
+	// The retired control frames, each as its old self would have begun:
+	// they are unknown types now.
+	for _, t := range retiredTypes {
+		f.Add([]byte{t, 12, 0})
+	}
+	reg := fuzzRegistry()
 	// used plays the read loop's one inFrame: it carries whatever the
 	// previous input (and the seed below) left in it into every decode.
 	var used inFrame
@@ -318,6 +278,89 @@ func TestDecodeFrameReuse(t *testing.T) {
 	}
 }
 
+// decodeFrame knows exactly seven message types: invoke, reply, batch
+// invoke, batch reply, revoke, release and handoff. Every other type byte —
+// the retired control frames among them — is an unknown type.
+func TestDecodeFrameKnowsSevenTypes(t *testing.T) {
+	known := map[byte]bool{msgInvoke: true, msgReply: true, msgBatchInvoke: true, msgBatchReply: true,
+		msgRevoke: true, msgRelease: true, msgHandoff: true}
+	for _, rt := range retiredTypes {
+		if known[rt] {
+			t.Fatalf("retired type %d is still known", rt)
+		}
+	}
+	for i := 0; i < 256; i++ {
+		var f inFrame
+		err := decodeFrame([]byte{byte(i), 12, 0}, &f)
+		unknown := err != nil && strings.Contains(err.Error(), "unknown message type")
+		if unknown == known[byte(i)] {
+			t.Errorf("type %d: known %v, decode error %v", i, known[byte(i)], err)
+		}
+	}
+}
+
+// decodeCost measures what decodeFrame allocates for frame, per decode,
+// into a fresh inFrame each time (the reader's reused one allocates less).
+func decodeCost(frame []byte) (allocs, bytes uint64) {
+	const runs = 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		var f inFrame
+		_ = decodeFrame(frame, &f)
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / runs, (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// The cost oracle: what decodeFrame allocates stays under a bound linear
+// in the frame's length, on real traffic and on the adversary's best
+// shapes — every collection at the largest count its bytes can carry, and
+// counts that claim more than the frame holds (refused before anything is
+// allocated for them). seri's TestDecodeCompileBounded holds the streams
+// inside the frames to the same kind of bound.
+func TestDecodeFrameCostIsLinear(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's allocations are not the decoder's")
+	}
+	maxCount := func(t byte, n int, entry ...byte) []byte {
+		w := &wbuf{}
+		w.u8(t)
+		w.uvarint(uint64(n))
+		for i := 0; i < n; i++ {
+			w.raw(entry)
+		}
+		return w.b
+	}
+	const n = 1 << 14
+	frames := map[string][]byte{
+		"batch invoke, minimal calls": maxCount(msgBatchInvoke, n, 0, 0, 0, 0, 0),
+		"batch reply, empty results":  maxCount(msgBatchReply, n, 0, statusOK, 0),
+		"batch reply, short errors":   maxCount(msgBatchReply, n, 0, statusErr, errKindRemote, 2, 'a', 'b', 2, 'c', 'd'),
+		"release, minimal entries":    maxCount(msgRelease, n, 0, 0, 0),
+		"batch invoke, forged count":  {msgBatchInvoke, 0x80, 0x80, 0x80, 0x80, 0x01, 0, 0, 0, 0, 0},
+		"batch reply, forged count":   {msgBatchReply, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0},
+		"release, forged count":       {msgRelease, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0},
+	}
+	for i, f := range seedFrames() {
+		frames[fmt.Sprintf("seed %d", i)] = f
+	}
+	for _, rt := range retiredTypes {
+		frames[fmt.Sprintf("retired type %d", rt)] = []byte{rt, 12, 0}
+	}
+	for name, frame := range frames {
+		allocs, bytes := decodeCost(frame)
+		if len(frame) > 1024 {
+			t.Logf("%s: %d-byte frame, %d allocs, %d bytes", name, len(frame), allocs, bytes)
+		}
+		maxAllocs, maxBytes := 4+uint64(len(frame))/4, 1024+64*uint64(len(frame))
+		if allocs > maxAllocs || bytes > maxBytes {
+			t.Errorf("%s: a %d-byte frame costs %d allocs, %d bytes to decode; bound %d, %d",
+				name, len(frame), allocs, bytes, maxAllocs, maxBytes)
+		}
+	}
+}
+
 // A malformed frame over a live connection faults that connection — and
 // only that connection: the serving kernel keeps serving.
 func TestMalformedFrameFaultsConnection(t *testing.T) {
@@ -361,14 +404,14 @@ func TestMalformedFrameFaultsConnection(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The server must close this connection (read eventually errors),
-		// not crash and not hang. Reads may first see the server-initiated
-		// feature-probe ping, so drain until the close lands.
+		// not crash and not hang. Reads may first see the server's Hello,
+		// so drain until the close lands.
 		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
 		buf := make([]byte, 4096)
 		for {
 			_, err := nc.Read(buf)
 			if err == nil {
-				continue // feature probe or similar chatter; keep draining
+				continue // the server's Hello or similar chatter; keep draining
 			}
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {

@@ -20,10 +20,9 @@ import (
 // redeems the ticket for a fresh first-class export, and retargets its
 // existing proxy capability onto the direct route; the relay import is
 // then released, draining B's tables back to baseline. The relay path is
-// minted regardless and stays as the transparent fallback: an unreachable
-// origin, an expired ticket, or a peer that predates the handoff frames
-// (detected through the ping feature mask) just leaves the two-hop route
-// in place.
+// minted regardless and stays as the transparent fallback: an origin with
+// no known address, an unreachable one, or an expired ticket just leaves
+// the two-hop route in place.
 
 // Handoff pacing and table bounds. Tickets are one-time and TTL-pruned,
 // reusing the preRevoked flood discipline from the release-race
@@ -54,18 +53,17 @@ type redeemSlot struct {
 	conn *Conn
 }
 
-// kernelState is the per-kernel handoff state: the advertised listen
-// endpoint, the origin-side ticket table, and the receiver-side pool of
-// connections to origin kernels.
+// kernelState is the per-kernel wire state: the advertised listen
+// endpoint, the origin-side ticket table, the receiver-side pool of
+// connections to origin kernels, and the one-time registration of the
+// bootstrap's wire types.
 type kernelState struct {
-	mu      sync.Mutex
-	network string
-	addr    string
-	// disabled makes the kernel behave as a peer without featHandoff. Only
-	// tests set it; the shipped kernel always offers and redeems.
-	disabled bool
-	tickets  map[uint64]ticket
-	slots    map[string]*redeemSlot
+	mu        sync.Mutex
+	network   string
+	addr      string
+	tickets   map[uint64]ticket
+	slots     map[string]*redeemSlot
+	wireTypes sync.Once
 }
 
 var kstates sync.Map // *core.Kernel -> *kernelState
@@ -82,8 +80,8 @@ func stateOf(k *core.Kernel) *kernelState {
 }
 
 // Advertise records kernel k's dialable listen endpoint, announced to
-// peers in the ping/pong tail so re-exports of k's capabilities can be
-// shortened back to it. Listen and RunWorker call it automatically; call
+// peers in the Hello every new connection sends, so re-exports of k's
+// capabilities can be shortened back to it. Listen and RunWorker call it automatically; call
 // it directly only for hand-built listeners.
 func Advertise(k *core.Kernel, network, addr string) {
 	ks := stateOf(k)
@@ -98,13 +96,6 @@ func advertised(k *core.Kernel) (network, addr string) {
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
 	return ks.network, ks.addr
-}
-
-func handoffEnabled(k *core.Kernel) bool {
-	ks := stateOf(k)
-	ks.mu.Lock()
-	defer ks.mu.Unlock()
-	return !ks.disabled
 }
 
 // HandoffTables is a snapshot of one kernel's handoff state, for leak
@@ -170,9 +161,9 @@ func (ks *kernelState) takeTicket(nonce uint64) (ticket, bool) {
 }
 
 // originConn returns (dialing if needed) the kernel's pooled connection
-// to the origin at network/addr. The handshake includes a protocol ping,
-// so by the time a connection is handed out the peer's feature mask is
-// known. A pooled connection that died is replaced on the next call.
+// to the origin at network/addr; the handshake includes a ping, so a
+// connection handed out is one the origin serves. A pooled connection that
+// died is replaced on the next call.
 func (ks *kernelState) originConn(k *core.Kernel, network, addr string) (*Conn, error) {
 	key := network + "!" + addr
 	ks.mu.Lock()
@@ -216,24 +207,12 @@ func newNonce() uint64 {
 	return uint64(time.Now().UnixNano()) | 1
 }
 
-// handoffCounter bumps a kernel-wide handoff metric (nil-safe).
-func (c *Conn) handoffCounter(name string) {
+// count bumps a kernel-wide counter: a handoff outcome or a bootstrap
+// call served (nil-safe).
+func (c *Conn) count(name string) {
 	if reg := c.k.Telemetry(); reg != nil {
 		reg.Counter(name).Inc()
 	}
-}
-
-// handoffEligible reports whether handoff frames may be sent to this
-// connection's peer: the kernel has handoff enabled and the peer has
-// announced (via the ping tail) that it understands the new frames. An
-// unknown peer is treated as a pre-handoff build — relay only.
-func (c *Conn) handoffEligible() bool {
-	if !handoffEnabled(c.k) {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.featKnown && c.peerFeatures&featHandoff != 0
 }
 
 // relayRef records, on a relay export entry, where the re-exported proxy
@@ -248,34 +227,38 @@ type relayRef struct {
 	gen      uint64
 }
 
-// originInfo is what a middleman needs to offer a handoff for a proxy on
-// this connection: the origin's dialable address and proof it speaks the
-// handoff frames.
-type originInfo struct {
-	network string
-	addr    string
-	ok      bool
-}
+// origin is where a middleman tells a receiver to redeem a handoff for a
+// proxy on this connection: the origin's dialable address, "" when it has
+// none — which is what keeps a re-export on the relay path.
+type origin struct{ network, addr string }
 
 // relayInfo resolves the upstream side of re-exporting the proxy for
-// importID: the release linkage for the relay entry, and whether the
-// origin is offerable (address known, feature announced). The returned
-// relayRef holds one pin on the import entry — a caller that does not
-// hand it to a freshly created export entry must unpinImport it. Takes
-// c.mu itself — callers must not hold any connection lock, keeping
-// cross-connection lock order acyclic.
-func (c *Conn) relayInfo(importID uint64) (*relayRef, originInfo) {
+// importID: the release linkage for the relay entry, and the origin to
+// offer. The returned relayRef holds one pin on the import entry — a
+// caller that does not hand it to a freshly created export entry must
+// unpinImport it. Takes c.mu itself — callers must not hold any connection
+// lock, keeping cross-connection lock order acyclic.
+func (c *Conn) relayInfo(importID uint64) (*relayRef, origin) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.imports[importID]
 	if e == nil {
-		return nil, originInfo{}
+		return nil, origin{}
 	}
 	e.pins++
-	rr := &relayRef{conn: c, importID: importID, gen: e.gen}
-	oi := originInfo{network: c.peerNet, addr: c.peerAddr}
-	oi.ok = c.featKnown && c.peerFeatures&featHandoff != 0 && oi.addr != ""
-	return rr, oi
+	return &relayRef{conn: c, importID: importID, gen: e.gen}, origin{c.peerNet, c.peerAddr}
+}
+
+// offerHandoff mints a ticket for relay export id, a re-export of pt: it
+// is registered with the origin over pt's own connection and offered to
+// this connection's peer. Registration travels first; the receiver's
+// redeem retries briefly in case it still outruns this frame to the
+// origin.
+func (c *Conn) offerHandoff(pt *proxyTarget, id uint64, o origin) {
+	nonce := newNonce()
+	_ = pt.conn.send(encodeRegister(nonce, pt.exportID))
+	_ = c.send(encodeOffer(id, pt.exportID, nonce, o.network, o.addr))
+	c.count("remote.handoff.offers")
 }
 
 // exportHandle encodes cap as a capability handle for this connection's
@@ -295,11 +278,10 @@ func (c *Conn) exportHandle(cap *core.Capability) (handle uint64, refcounted boo
 		return packHandle(pt.exportID, handleKindYours), false
 	}
 	var relay *relayRef
-	var oi originInfo
+	var o origin
 	if pt != nil {
-		relay, oi = pt.conn.relayInfo(pt.exportID)
+		relay, o = pt.conn.relayInfo(pt.exportID)
 	}
-	offerable := oi.ok && c.handoffEligible()
 	c.mu.Lock()
 	id, created := c.exportLocked(cap, relay)
 	c.mu.Unlock()
@@ -307,13 +289,8 @@ func (c *Conn) exportHandle(cap *core.Capability) (handle uint64, refcounted boo
 		// Deduped onto an existing relay entry, which holds its own pin.
 		relay.conn.unpinImport(relay.importID, relay.gen)
 	}
-	if created && offerable {
-		nonce := newNonce()
-		// Registration travels first; the receiver's redeem retries
-		// briefly in case it still outruns this frame to the origin.
-		_ = pt.conn.send(encodeRegister(nonce, pt.exportID))
-		_ = c.send(encodeOffer(id, pt.exportID, nonce, oi.network, oi.addr))
-		c.handoffCounter("remote.handoff.offers")
+	if created && o.addr != "" {
+		c.offerHandoff(pt, id, o)
 	}
 	return packHandle(id, handleKindTheirs), true
 }
@@ -344,20 +321,12 @@ func (c *Conn) pruneHandoffsLocked(now time.Time) {
 func (c *Conn) handleHandoff(f handoffFrame) error {
 	switch f.kind {
 	case handoffRegister:
-		c.mu.Lock()
-		var cap *core.Capability
-		if e := c.exports[f.exportID]; e != nil {
-			cap = e.cap
-		}
-		c.mu.Unlock()
+		cap := c.exported(f.exportID)
 		if cap == nil {
 			return nil // revoked or released under the middleman; redeem will fail anyway
 		}
 		return stateOf(c.k).registerTicket(f.nonce, cap, f.exportID)
 	case handoffOffer:
-		if !handoffEnabled(c.k) {
-			return nil
-		}
 		now := time.Now()
 		c.mu.Lock()
 		c.pruneHandoffsLocked(now)
@@ -377,50 +346,6 @@ func (c *Conn) handleHandoff(f handoffFrame) error {
 	return nil
 }
 
-// handleRedeem answers one ticket redemption at the origin, off the
-// reader goroutine (it may export a foreign proxy, which consults another
-// connection). The ticket is consumed either way; a gate revoked between
-// mint and redeem yields the capability fault, never a resurrected
-// export.
-func (c *Conn) handleRedeem(f redeemFrame) {
-	fail := func(kind byte, msg string) {
-		var w wbuf
-		w.u8(msgRedeemReply)
-		w.uvarint(f.reqID)
-		w.u8(statusErr)
-		w.u8(kind)
-		w.str("")
-		w.str(msg)
-		c.sendOrFault(w.b)
-	}
-	t, ok := stateOf(c.k).takeTicket(f.nonce)
-	if !ok || t.exportID != f.exportID {
-		fail(errKindNotFound, "unknown or expired handoff ticket")
-		return
-	}
-	if t.cap.Revoked() {
-		kind := byte(errKindRevoked)
-		if t.cap.Owner().Terminated() {
-			kind = errKindTerminated
-		}
-		fail(kind, "capability revoked before the handoff was redeemed")
-		return
-	}
-	id, ok := c.exportFreshHandle(t.cap)
-	if !ok {
-		fail(errKindNotFound, "handoff target not exportable on this connection")
-		return
-	}
-	methods := t.cap.Methods()
-	var w wbuf
-	w.u8(msgRedeemReply)
-	w.uvarint(f.reqID)
-	w.u8(statusOK)
-	w.uvarint(id)
-	w.strs(methods)
-	c.sendOrFault(w.b)
-}
-
 // exportFreshHandle exports cap under a brand-new id, bypassing the
 // per-gate dedup: a redeemed handoff needs an export whose refcount and
 // revocation push are independent of any direct import the peer already
@@ -436,11 +361,10 @@ func (c *Conn) exportFreshHandle(cap *core.Capability) (uint64, bool) {
 		return 0, false
 	}
 	var relay *relayRef
-	var oi originInfo
+	var o origin
 	if pt != nil {
-		relay, oi = pt.conn.relayInfo(pt.exportID)
+		relay, o = pt.conn.relayInfo(pt.exportID)
 	}
-	offerable := oi.ok && c.handoffEligible()
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -451,46 +375,10 @@ func (c *Conn) exportFreshHandle(cap *core.Capability) (uint64, bool) {
 	}
 	id := c.exportNewLocked(cap, relay)
 	c.mu.Unlock()
-	if offerable {
-		nonce := newNonce()
-		_ = pt.conn.send(encodeRegister(nonce, pt.exportID))
-		_ = c.send(encodeOffer(id, pt.exportID, nonce, oi.network, oi.addr))
-		c.handoffCounter("remote.handoff.offers")
+	if o.addr != "" {
+		c.offerHandoff(pt, id, o)
 	}
 	return id, true
-}
-
-// redeemGrant is a successful redemption: the origin's fresh export id
-// plus the prefetched method manifest (a shortened import never
-// lazy-fetches through the middleman).
-type redeemGrant struct {
-	exportID uint64
-	methods  []string
-}
-
-// sendRedeem performs one redeem round trip on the origin connection.
-func (c *Conn) sendRedeem(nonce, exportID uint64) (redeemGrant, error) {
-	res := c.roundTrip("handoff redeem", redeemReplyTimeout, func(w *wbuf, reqID uint64) {
-		w.u8(msgRedeem)
-		w.uvarint(reqID)
-		w.uvarint(nonce)
-		w.uvarint(exportID)
-	})
-	if res.err != nil {
-		return redeemGrant{}, res.err
-	}
-	g, _ := res.results[0].(redeemGrant)
-	return g, nil
-}
-
-func (c *Conn) handleRedeemReply(f redeemReplyFrame) {
-	res := wireResult{}
-	if f.status == statusOK {
-		res.results = []any{redeemGrant{exportID: f.exportID, methods: f.methods}}
-	} else {
-		res.err = decodeWireErr(f.kind, f.class, f.msg)
-	}
-	c.complete(f.reqID, res)
 }
 
 // isUnknownTicket matches the origin's not-yet-registered reply, the one
@@ -508,13 +396,14 @@ func isUnknownTicket(err error) bool {
 // path untouched — the capability keeps working, just unshortened.
 func (c *Conn) redeemOffer(f handoffFrame, cap *core.Capability, relayID, relayGen uint64) {
 	oc, err := stateOf(c.k).originConn(c.k, f.network, f.addr)
-	if err != nil || !oc.handoffEligible() {
-		c.handoffCounter("remote.handoff.fallback")
+	if err != nil {
+		c.count("remote.handoff.fallback")
 		return
 	}
-	var grant redeemGrant
+	var id uint64
+	var methods []string
 	for attempt := 0; ; attempt++ {
-		grant, err = oc.sendRedeem(f.nonce, f.exportID)
+		id, methods, err = oc.redeem(f.nonce, f.exportID)
 		if err == nil || attempt >= redeemRetries || !isUnknownTicket(err) {
 			break
 		}
@@ -528,17 +417,17 @@ func (c *Conn) redeemOffer(f handoffFrame, cap *core.Capability, relayID, relayG
 			// deliver the same push.
 			c.metrics.capFault(1)
 			cap.RevokeWithReason(err)
-			c.handoffCounter("remote.handoff.revoked")
+			c.count("remote.handoff.revoked")
 			return
 		}
-		c.handoffCounter("remote.handoff.fallback")
+		c.count("remote.handoff.fallback")
 		return
 	}
-	pre, ok := oc.adoptImport(grant.exportID, cap)
+	pre, ok := oc.adoptImport(id, cap)
 	if !ok {
 		// The origin connection died under us; its teardown already
 		// reclaimed the fresh export. The relay path stands.
-		c.handoffCounter("remote.handoff.fallback")
+		c.count("remote.handoff.fallback")
 		return
 	}
 	if pre != nil {
@@ -550,7 +439,8 @@ func (c *Conn) redeemOffer(f handoffFrame, cap *core.Capability, relayID, relayG
 		return
 	}
 	opt := proxyOf(cap)
-	npt := &proxyTarget{conn: oc, exportID: grant.exportID, methods: grant.methods, fetched: true, redeemed: true}
+	npt := &proxyTarget{conn: oc, exportID: id, redeemed: true}
+	npt.setManifest(methods)
 	if !core.RetargetProxy(cap, npt) {
 		// Revoked under us; the adoption hook already released the fresh
 		// import.
@@ -566,7 +456,7 @@ func (c *Conn) redeemOffer(f handoffFrame, cap *core.Capability, relayID, relayG
 	// relay references; its tables (and, through the relay release
 	// linkage, its own upstream references) drain back to baseline.
 	c.releaseImport(relayID, relayGen)
-	c.handoffCounter("remote.handoff.redeemed")
+	c.count("remote.handoff.redeemed")
 }
 
 // adoptImport registers an import entry for id on this (origin)

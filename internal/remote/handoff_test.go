@@ -2,6 +2,7 @@ package remote
 
 import (
 	"errors"
+	"net"
 	"os"
 	"path/filepath"
 	"sync"
@@ -14,8 +15,9 @@ import (
 // Three-party handoff tests: kernel A (origin) exports a capability, B
 // (middleman) imports it and re-exports it to C (receiver), and C
 // silently redeems the handoff ticket for a direct A–C import. The
-// relay path must keep working whenever shortening cannot happen —
-// disabled handoff, unreachable origin, revocation racing the redeem.
+// relay path must keep working whenever shortening cannot happen — an
+// origin with no address, an unreachable one, revocation racing the
+// redeem.
 
 // capHolder republishes whatever capability the test parked in it — the
 // middleman's re-export surface.
@@ -55,8 +57,47 @@ type triple struct {
 	taskC            *core.Task
 }
 
-func newTriple(t testing.TB) *triple {
+func newTriple(t testing.TB) *triple { return buildTriple(t, false) }
+
+// newRelayTriple is newTriple with no origin address anywhere: A and B
+// listen without advertising and B and C dial raw sockets, so no kernel
+// in the chain can tell a receiver where to redeem, and every re-export
+// stays on the relay path.
+func newRelayTriple(t testing.TB) *triple { return buildTriple(t, true) }
+
+func buildTriple(t testing.TB, relayOnly bool) *triple {
 	t.Helper()
+	listen := func(k *core.Kernel, sock string) *Listener {
+		if !relayOnly {
+			ln, err := Listen(k, "unix", sock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ln
+		}
+		nl, err := net.Listen("unix", sock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln := NewListener(k, nl)
+		go ln.Serve()
+		return ln
+	}
+	dial := func(k *core.Kernel, sock string) *Conn {
+		var c *Conn
+		var err error
+		if !relayOnly {
+			c, err = Dial(k, "unix", sock)
+		} else if nc, derr := net.Dial("unix", sock); derr != nil {
+			err = derr
+		} else {
+			c, err = NewConn(k, nc)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
 	tr := &triple{
 		a: core.MustNew(core.Options{}),
 		b: core.MustNew(core.Options{}),
@@ -75,19 +116,10 @@ func newTriple(t testing.TB) *triple {
 	dir := t.TempDir()
 	tr.sockA = filepath.Join(dir, "a.sock")
 	sockB := filepath.Join(dir, "b.sock")
-	if tr.lnA, err = Listen(tr.a, "unix", tr.sockA); err != nil {
-		t.Fatal(err)
-	}
-	if tr.lnB, err = Listen(tr.b, "unix", sockB); err != nil {
-		t.Fatal(err)
-	}
-	if tr.ba, err = Dial(tr.b, "unix", tr.sockA); err != nil {
-		t.Fatal(err)
-	}
+	tr.lnA, tr.lnB = listen(tr.a, tr.sockA), listen(tr.b, sockB)
+	tr.ba = dial(tr.b, tr.sockA)
 	tr.ab = serverConn(t, tr.lnA)
-	if tr.cb, err = Dial(tr.c, "unix", sockB); err != nil {
-		t.Fatal(err)
-	}
+	tr.cb = dial(tr.c, sockB)
 	tr.bc = serverConn(t, tr.lnB)
 	tr.holder = &capHolder{}
 	holderCap, err := tr.b.CreateNativeCapability(tr.bDom, tr.holder)
@@ -106,38 +138,6 @@ func newTriple(t testing.TB) *triple {
 		tr.lnA.Close()
 	})
 	return tr
-}
-
-// disableHandoff turns three-party handoff off for kernel k: it mints no
-// tickets and ignores offers, pinning every re-export through it to the
-// relay path — the model of a peer without featHandoff.
-func disableHandoff(k *core.Kernel) {
-	ks := stateOf(k)
-	ks.mu.Lock()
-	ks.disabled = true
-	ks.mu.Unlock()
-}
-
-// waitEligible blocks until every listed connection has completed its
-// feature handshake (offers are only minted toward announced peers).
-// Deliberately independent of disableHandoff, so disabled-path tests can
-// still synchronize on the handshake.
-func waitEligible(t testing.TB, conns ...*Conn) {
-	t.Helper()
-	known := func(c *Conn) bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.featKnown && c.peerFeatures&featHandoff != 0
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for _, c := range conns {
-		for !known(c) {
-			if time.Now().After(deadline) {
-				t.Fatal("feature handshake never completed")
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
 }
 
 // relayImport runs one grant through the chain: B imports A's
@@ -198,7 +198,6 @@ func TestHandoffShortensReexport(t *testing.T) {
 	if err := tr.a.Export("origin-svc", svc); err != nil {
 		t.Fatal(err)
 	}
-	waitEligible(t, tr.ba, tr.bc)
 
 	cap := tr.relayImport(t)
 	if res, err := cap.InvokeFrom(tr.taskC, "Echo", "via-b"); err != nil || res[0] != any("via-b") {
@@ -250,7 +249,6 @@ func TestHandoffFallbackWhenOriginUnreachable(t *testing.T) {
 	if err := tr.a.Export("origin-svc", svc); err != nil {
 		t.Fatal(err)
 	}
-	waitEligible(t, tr.ba, tr.bc)
 
 	proxy, err := tr.ba.Import("origin-svc")
 	if err != nil {
@@ -288,11 +286,11 @@ func TestHandoffFallbackWhenOriginUnreachable(t *testing.T) {
 	}
 }
 
-// Disabling handoff on the middleman pins re-exports to the relay path:
-// no offers, no tickets, and the capability still works.
+// An origin that never advertised an address pins re-exports of its
+// capabilities to the relay path: no offers, no tickets, and the
+// capability still works.
 func TestHandoffDisabledPinsRelay(t *testing.T) {
-	tr := newTriple(t)
-	disableHandoff(tr.b)
+	tr := newRelayTriple(t)
 	svc, err := tr.a.CreateNativeCapability(tr.aDom, echoSvc{})
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +298,6 @@ func TestHandoffDisabledPinsRelay(t *testing.T) {
 	if err := tr.a.Export("origin-svc", svc); err != nil {
 		t.Fatal(err)
 	}
-	waitEligible(t, tr.ba, tr.bc)
 
 	cap := tr.relayImport(t)
 	if res, err := cap.InvokeFrom(tr.taskC, "Echo", "relay-only"); err != nil || res[0] != any("relay-only") {
@@ -309,20 +306,20 @@ func TestHandoffDisabledPinsRelay(t *testing.T) {
 	// Give any stray offer time to land, then assert none was minted.
 	time.Sleep(50 * time.Millisecond)
 	if got := counterValue(tr.b, "remote.handoff.offers"); got != 0 {
-		t.Fatalf("disabled middleman minted %d offers", got)
+		t.Fatalf("middleman minted %d offers for an origin with no address", got)
 	}
 	if HandoffDone(cap) {
-		t.Fatal("handoff claimed shortened with minting disabled")
+		t.Fatal("handoff claimed shortened with no origin address")
 	}
 	if tickets := HandoffTableSizes(tr.a).Tickets; tickets != 0 {
-		t.Fatalf("origin holds %d tickets from a disabled middleman", tickets)
+		t.Fatalf("origin holds %d tickets it could never be redeemed at", tickets)
 	}
 }
 
 // End-to-end revocation across a shortened path: A revokes while C holds
 // in-flight sync and async calls on the redeemed import — everything
 // resolves with the capability fault, nothing hangs. The second half
-// re-runs the scenario on the relay fallback (handoff disabled).
+// re-runs the scenario on the relay fallback (no origin address).
 func TestHandoffRevocationAcrossShortenedPath(t *testing.T) {
 	for _, relayOnly := range []bool{false, true} {
 		name := "shortened"
@@ -330,10 +327,7 @@ func TestHandoffRevocationAcrossShortenedPath(t *testing.T) {
 			name = "relay-fallback"
 		}
 		t.Run(name, func(t *testing.T) {
-			tr := newTriple(t)
-			if relayOnly {
-				disableHandoff(tr.b)
-			}
+			tr := buildTriple(t, relayOnly)
 			block := &blockSvc{gate: make(chan struct{})}
 			svc, err := tr.a.CreateNativeCapability(tr.aDom, block)
 			if err != nil {
@@ -342,7 +336,6 @@ func TestHandoffRevocationAcrossShortenedPath(t *testing.T) {
 			if err := tr.a.Export("origin-svc", svc); err != nil {
 				t.Fatal(err)
 			}
-			waitEligible(t, tr.ba, tr.bc)
 			cap := tr.relayImport(t)
 			if !relayOnly {
 				waitShortened(t, tr, cap)
@@ -401,7 +394,6 @@ func TestHandoffMidRedeemRevocationFaults(t *testing.T) {
 	if err := tr.a.Export("origin-svc", svc); err != nil {
 		t.Fatal(err)
 	}
-	waitEligible(t, tr.ba, tr.bc)
 
 	// Mint a ticket by hand at the origin, then revoke the gate before
 	// anyone redeems: the redeem must answer with the capability fault.
@@ -415,14 +407,14 @@ func TestHandoffMidRedeemRevocationFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := oc.sendRedeem(nonce, 7); !errors.Is(err, core.ErrRevoked) {
+	if _, _, err := oc.redeem(nonce, 7); !errors.Is(err, core.ErrRevoked) {
 		t.Fatalf("redeem of a revoked ticket: %v, want ErrRevoked", err)
 	}
 	if got := HandoffTableSizes(tr.a).Tickets; got != 0 {
 		t.Fatalf("consumed ticket still registered (%d left)", got)
 	}
 	// One-time semantics: the same nonce can never be redeemed twice.
-	if _, err := oc.sendRedeem(nonce, 7); err == nil {
+	if _, _, err := oc.redeem(nonce, 7); err == nil {
 		t.Fatal("second redeem of a one-time ticket succeeded")
 	}
 }
@@ -441,7 +433,6 @@ func TestHandoffStressMintRedeemRevoke(t *testing.T) {
 	if err := tr.a.Export("maker", mcap); err != nil {
 		t.Fatal(err)
 	}
-	waitEligible(t, tr.ba, tr.bc)
 	bmaker, err := tr.ba.Import("maker")
 	if err != nil {
 		t.Fatal(err)
@@ -505,17 +496,12 @@ func TestHandoffStressMintRedeemRevoke(t *testing.T) {
 	}
 }
 
-// Depth-2 relay manifest regression: with shortening disabled the chain
-// A->B->C->D stays a two-deep relay, and a manifest fetch on the deepest
-// import must traverse it without wedging any connection's reader.
+// Depth-2 relay manifest regression: with no origin address anywhere the
+// chain A->B->C->D stays a two-deep relay, and a manifest fetch on the
+// deepest import must traverse it without wedging any connection's reader.
 func TestHandoffDepthTwoRelayManifest(t *testing.T) {
-	tr := newTriple(t)
-	// Disable shortening everywhere: this test wants the pure relay chain.
-	disableHandoff(tr.a)
-	disableHandoff(tr.b)
-	disableHandoff(tr.c)
+	tr := newRelayTriple(t)
 	d := core.MustNew(core.Options{})
-	disableHandoff(d)
 	dDom, err := d.NewDomain(core.DomainConfig{Name: "deep"})
 	if err != nil {
 		t.Fatal(err)
@@ -607,10 +593,15 @@ func TestHandoffTicketFloodRefused(t *testing.T) {
 // the relayed-capability release leak: grant/relay/redeem/release cycles
 // across three kernels must leave every table — A's exports, B's relay
 // entries and upstream imports, C's imports, and the origin's ticket
-// table — at its pre-churn size. (The TestChurn prefix keeps it inside
-// the CI leak-soak pattern.)
+// table — at its pre-churn size, with handoff shortening every grant and
+// on the relay path alone (no origin address anywhere). (The TestChurn
+// prefix keeps it inside the CI leak-soak pattern.)
 func TestChurnThreeKernelTablesReturnToBaseline(t *testing.T) {
-	tr := newTriple(t)
+	t.Run("shortened", func(t *testing.T) { churnThreeKernels(t, newTriple(t)) })
+	t.Run("relay", func(t *testing.T) { churnThreeKernels(t, newRelayTriple(t)) })
+}
+
+func churnThreeKernels(t *testing.T, tr *triple) {
 	maker := &churnMaker{k: tr.a, d: tr.aDom}
 	mcap, err := tr.a.CreateNativeCapability(tr.aDom, maker)
 	if err != nil {
@@ -619,7 +610,6 @@ func TestChurnThreeKernelTablesReturnToBaseline(t *testing.T) {
 	if err := tr.a.Export("maker", mcap); err != nil {
 		t.Fatal(err)
 	}
-	waitEligible(t, tr.ba, tr.bc)
 	bmaker, err := tr.ba.Import("maker")
 	if err != nil {
 		t.Fatal(err)

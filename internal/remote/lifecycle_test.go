@@ -218,10 +218,7 @@ func TestInlineImportLazyManifest(t *testing.T) {
 	if pt == nil {
 		t.Fatal("inline result is not a wire proxy")
 	}
-	pt.mmu.Lock()
-	prefetched := pt.fetched
-	pt.mmu.Unlock()
-	if prefetched {
+	if pt.methods.Load() != nil {
 		t.Fatal("inline import arrived with a manifest; the lazy path is untested")
 	}
 
@@ -234,10 +231,7 @@ func TestInlineImportLazyManifest(t *testing.T) {
 	// export entry (which would fail a second wire fetch).
 	ReleaseProxy(counter)
 	waitTables(t, "client", p.conn, TableSizes{Imports: 1}) // maker remains
-	pt.mmu.Lock()
-	cached := pt.fetched
-	pt.mmu.Unlock()
-	if !cached {
+	if pt.methods.Load() == nil {
 		t.Fatal("manifest not cached after fetch")
 	}
 	if ms := pt.ProxyMethods(); len(ms) != 1 || ms[0] != "Add" {
@@ -249,8 +243,8 @@ func TestInlineImportLazyManifest(t *testing.T) {
 	// the flusher; wait until the exporter has applied it, or the fetch —
 	// written by this goroutine — can overtake it and find the export.
 	waitTables(t, "server", serverConn(t, p.ln), TableSizes{Exports: 1, ExportIDs: 1, Unhook: 1}) // maker remains
-	if ms, err := p.conn.fetchManifest(pt.exportID); err == nil {
-		t.Fatalf("manifest fetch for dropped export %d returned %v", pt.exportID, ms)
+	if res, err := p.conn.callPeer(0, "Manifest", pt.exportID); err == nil {
+		t.Fatalf("manifest fetch for dropped export %d returned %v", pt.exportID, res)
 	}
 	if res, err := maker.InvokeFrom(p.task, "MakeCounter"); err != nil || res[0] == nil {
 		t.Fatalf("connection damaged by dead-export manifest fetch: %v", err)
@@ -283,8 +277,8 @@ func TestPreRevokedCapFaultsConnection(t *testing.T) {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}
-	// The server may get a feature-probe ping out before the flood faults
-	// it, so drain frames until the connection actually dies.
+	// The server may get its Hello out before the flood faults it, so
+	// drain frames until the connection actually dies.
 	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
 	buf := make([]byte, 4096)
 	for {

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -218,9 +219,9 @@ func TestRemoteErrors(t *testing.T) {
 	if !errors.Is(err, core.ErrNoSuchMethod) {
 		t.Fatalf("Nope: %v", err)
 	}
-	// Unknown export name fails the import.
-	if _, err := p.conn.Import("missing"); err == nil {
-		t.Fatal("import of unexported name succeeded")
+	// Unknown export name fails the import, and the error names it.
+	if _, err := p.conn.Import("missing"); err == nil || !strings.Contains(err.Error(), `"missing"`) {
+		t.Fatalf("import of an unexported name: %v", err)
 	}
 }
 

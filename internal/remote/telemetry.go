@@ -10,8 +10,10 @@ import (
 // Connection telemetry: frame counters by message type, batch occupancy,
 // serve/client latency, capability faults, and per-connection table-size
 // gauges (registered at NewConn, dropped at shutdown so a churned
-// connection leaves no stale gauges behind). A kernel with telemetry
-// disabled yields a nil *connMetrics; every use is nil-guarded.
+// connection leaves no stale gauges behind). Calls a connection's
+// bootstrap serves count as remote.bootstrap.<method> (bootstrap.go). A
+// kernel with telemetry disabled yields a nil *connMetrics; every use is
+// nil-guarded.
 
 // msgName labels a wire message type for metric names.
 func msgName(t byte) string {
@@ -22,36 +24,20 @@ func msgName(t byte) string {
 		return "reply"
 	case msgRevoke:
 		return "revoke"
-	case msgLookup:
-		return "lookup"
-	case msgLookupReply:
-		return "lookup_reply"
-	case msgPing:
-		return "ping"
-	case msgPong:
-		return "pong"
 	case msgBatchInvoke:
 		return "batch_invoke"
 	case msgBatchReply:
 		return "batch_reply"
 	case msgRelease:
 		return "release"
-	case msgManifest:
-		return "manifest"
-	case msgManifestReply:
-		return "manifest_reply"
 	case msgHandoff:
 		return "handoff"
-	case msgRedeem:
-		return "redeem"
-	case msgRedeemReply:
-		return "redeem_reply"
 	default:
 		return "other"
 	}
 }
 
-const maxMsgType = msgRedeemReply
+const maxMsgType = msgHandoff
 
 type connMetrics struct {
 	reg    *telemetry.Registry

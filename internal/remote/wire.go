@@ -10,12 +10,15 @@
 // The protocol is symmetric: either end may export, import, and invoke.
 // Each connection keeps an export table (local capabilities the peer may
 // invoke, keyed by export id) and an import table (peer capabilities this
-// side holds proxies for). Arguments cross as an intermediate byte array
-// produced by internal/seri, with capability references encoded through
-// seri's External hook. Revocation — explicit, or implied by domain
-// termination — is pushed eagerly so proxies fail fast, and a lost
-// connection faults every proxy imported over it ("worker died" surfaces
-// as a capability fault, never as a supervisor crash).
+// side holds proxies for). Export id 0 is never a table entry: it names
+// the connection's bootstrap capability (bootstrap.go), through which a
+// peer looks names up, fetches manifests and redeems handoff tickets — so
+// every request that wants an answer is an invocation. Arguments cross as
+// an intermediate byte array produced by internal/seri, with capability
+// references encoded through seri's External hook. Revocation — explicit,
+// or implied by domain termination — is pushed eagerly so proxies fail
+// fast, and a lost connection faults every proxy imported over it ("worker
+// died" surfaces as a capability fault, never as a supervisor crash).
 //
 // The //jk:faultpath mark below puts this package's handle*/serve*/reply*
 // frame handlers in scope of jkvet's faultpath pass: an error a handler
@@ -29,17 +32,17 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
-// Message types.
+// Message types. A request that wants an answer is an invocation — a user
+// call or a call on the peer's bootstrap — and a push is a frame. Types
+// 4–7, 11, 12, 14 and 15 were control request/reply pairs before the
+// bootstrap took their place; they decode as unknown types.
 const (
-	msgInvoke      byte = 1 // reqID, exportID, method, args stream
-	msgReply       byte = 2 // reqID, status, results stream | error
-	msgRevoke      byte = 3 // exportID, reason
-	msgLookup      byte = 4 // reqID, name
-	msgLookupReply byte = 5 // reqID, status, handle, methods | error
-	msgPing        byte = 6 // reqID: liveness/readiness probe
-	msgPong        byte = 7 // reqID
+	msgInvoke byte = 1 // reqID, exportID, method, args stream
+	msgReply  byte = 2 // reqID, status, results stream | error
+	msgRevoke byte = 3 // exportID, reason
 	// Batched invokes (the paper's Table 4 lesson applied to the wire):
 	// many pending small calls coalesce into one multi-invoke frame, and
 	// the reply carries per-call status so one faulting call cannot
@@ -54,23 +57,15 @@ const (
 	// the generation counter makes a stale or duplicated release for a
 	// re-imported id harmless (see Conn.handleRelease).
 	msgRelease byte = 10 // count, then per entry: exportID, count, gen
-	// Lazy method manifests: capabilities imported inline (as arguments or
-	// results) carry no method list; the first Methods() call fetches it
-	// with one round trip and caches it on the proxy.
-	msgManifest      byte = 11 // reqID, exportID
-	msgManifestReply byte = 12 // reqID, status, methods | error
 	// Three-party handoff (path shortening): when a proxy imported from
 	// kernel A is re-exported to kernel C, the middleman B mints a
 	// redeemable ticket instead of settling for a relay. msgHandoff carries
 	// the ticket registration to A (kind=register) and the offer to C
 	// (kind=offer: A's address, A's export id, and a one-time nonce); C
 	// dials A — or reuses a pooled connection — and trades the nonce for a
-	// first-class import with msgRedeem/msgRedeemReply. Peers that predate
-	// these frames are detected through the ping feature mask, and the
-	// relay path stays as the transparent fallback.
-	msgHandoff     byte = 13 // kind, then register: nonce, exportID | offer: relayID, exportID, nonce, network, addr
-	msgRedeem      byte = 14 // reqID, nonce, exportID
-	msgRedeemReply byte = 15 // reqID, status, exportID, methods | error
+	// first-class import with a Redeem call on A's bootstrap. The relay path
+	// stays as the transparent fallback.
+	msgHandoff byte = 13 // kind, then register: nonce, exportID | offer: relayID, exportID, nonce, network, addr
 )
 
 // msgHandoff kinds.
@@ -78,15 +73,6 @@ const (
 	handoffRegister byte = 1 // middleman -> origin: register a ticket
 	handoffOffer    byte = 2 // middleman -> receiver: redeem it at the origin
 )
-
-// Feature bits exchanged in the ping/pong tail. Pre-handoff builds parse
-// only the request id and ignore the tail, which is what makes the
-// exchange backward compatible: an absent tail means an old peer, and no
-// handoff frame is ever sent to one.
-const featHandoff uint64 = 1 << 0
-
-// localFeatures is the feature mask this build announces.
-const localFeatures = featHandoff
 
 // Reply statuses.
 const (
@@ -99,7 +85,6 @@ const (
 	errKindRevoked    byte = 1
 	errKindTerminated byte = 2
 	errKindNoMethod   byte = 3
-	errKindNotFound   byte = 4 // lookup of an unexported name
 	errKindRemote     byte = 5 // copied callee failure (class + message)
 	errKindProtocol   byte = 6
 )
@@ -125,38 +110,6 @@ const (
 func packHandle(id uint64, kind uint64) uint64 { return id<<1 | kind }
 func unpackHandle(h uint64) (id uint64, kind uint64) {
 	return h >> 1, h & 1
-}
-
-// writeFrame writes one length-prefixed frame.
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > maxFrame {
-		return fmt.Errorf("remote: frame of %d bytes exceeds limit", len(payload))
-	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// readFrame reads one length-prefixed frame into a fresh allocation
-// (handshake paths and tests; the connection read loop uses readFrameInto).
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, fmt.Errorf("remote: frame of %d bytes exceeds limit", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
 }
 
 // readFrameInto reads one length-prefixed frame into a pooled frame
@@ -195,12 +148,6 @@ func (w *wbuf) str(s string) {
 	w.b = append(w.b, s...)
 }
 func (w *wbuf) raw(p []byte) { w.b = append(w.b, p...) }
-func (w *wbuf) strs(ss []string) {
-	w.uvarint(uint64(len(ss)))
-	for _, s := range ss {
-		w.str(s)
-	}
-}
 
 // rbuf walks a frame payload.
 type rbuf struct {
@@ -243,24 +190,7 @@ func (r *rbuf) str() (string, error) {
 	return s, nil
 }
 
-// strs reads a counted list of strings (a method manifest).
-func (r *rbuf) strs() ([]string, error) {
-	n, err := r.count(1)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		s, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
-// wireErr reads the statusErr tail every reply flavor shares: the error
+// wireErr reads the statusErr tail both reply flavors share: the error
 // kind, the callee's error class and its message.
 func (r *rbuf) wireErr() (kind byte, class, msg string, err error) {
 	if kind, err = r.u8(); err != nil {
@@ -275,7 +205,9 @@ func (r *rbuf) wireErr() (kind byte, class, msg string, err error) {
 
 // count reads a collection count and rejects values that cannot fit in the
 // remaining frame bytes (each element needs at least elemMin bytes), so a
-// malformed frame cannot trigger a huge up-front allocation.
+// malformed frame cannot trigger a huge up-front allocation — and a count
+// that passes may size its collection in one allocation, linear in the
+// frame's length (TestDecodeFrameCostIsLinear).
 func (r *rbuf) count(elemMin int) (int, error) {
 	n, err := r.uvarint()
 	if err != nil {
@@ -321,21 +253,14 @@ func (r *rbuf) rest() []byte { return r.b[r.pos:] }
 // and the batch slices keep their backing arrays from frame to frame — so
 // whatever must outlive dispatch is copied out of it.
 type inFrame struct {
-	t             byte
-	invoke        invokeFrame
-	batch         []invokeFrame // msgBatchInvoke
-	reply         replyFrame
-	replies       []replyFrame // msgBatchReply
-	revoke        revokeFrame
-	releases      []releaseEntry // msgRelease
-	lookup        lookupFrame
-	lookupReply   lookupReplyFrame
-	ping          pingFrame // msgPing and msgPong
-	manifest      manifestFrame
-	manifestReply manifestReplyFrame
-	handoff       handoffFrame
-	redeem        redeemFrame
-	redeemReply   redeemReplyFrame
+	t        byte
+	invoke   invokeFrame
+	batch    []invokeFrame // msgBatchInvoke
+	reply    replyFrame
+	replies  []replyFrame // msgBatchReply
+	revoke   revokeFrame
+	releases []releaseEntry // msgRelease
+	handoff  handoffFrame
 }
 
 // Trace block flags. Every invoke (single or batched call entry) carries
@@ -378,36 +303,6 @@ type revokeFrame struct {
 	reason   byte
 }
 
-// lookupFrame is an export-name lookup request.
-type lookupFrame struct {
-	reqID uint64
-	name  string
-}
-
-// lookupReplyFrame answers a lookup: a capability handle plus its method
-// manifest, or a wire error.
-type lookupReplyFrame struct {
-	reqID   uint64
-	status  byte
-	handle  uint64
-	methods []string
-	kind    byte
-	class   string
-	msg     string
-}
-
-// pingFrame is a liveness probe or its answer. New builds append a
-// feature mask and their advertised listen address; an absent tail marks
-// a pre-handoff peer (hasFeatures false) that must never see the new
-// frame types.
-type pingFrame struct {
-	reqID       uint64
-	features    uint64
-	hasFeatures bool
-	network     string // advertised listen endpoint ("" when not listening)
-	addr        string
-}
-
 // handoffFrame is one msgHandoff: a ticket registration at the origin
 // (kind=register) or a redeem offer at the receiver (kind=offer).
 type handoffFrame struct {
@@ -419,26 +314,6 @@ type handoffFrame struct {
 	addr     string
 }
 
-// redeemFrame trades a ticket nonce for a first-class import.
-type redeemFrame struct {
-	reqID    uint64
-	nonce    uint64
-	exportID uint64 // cross-check against the registered ticket
-}
-
-// redeemReplyFrame answers a redeem: a fresh export id plus the method
-// manifest (so shortened imports never lazy-fetch through the middleman),
-// or a wire error (unknown/expired ticket, revoked capability).
-type redeemReplyFrame struct {
-	reqID    uint64
-	status   byte
-	exportID uint64
-	methods  []string
-	kind     byte
-	class    string
-	msg      string
-}
-
 // releaseEntry is one import's released wire references: the peer's export
 // id, how many handles the importer received for it, and the import-entry
 // generation those receipts belong to.
@@ -446,23 +321,6 @@ type releaseEntry struct {
 	exportID uint64
 	count    uint64
 	gen      uint64
-}
-
-// manifestFrame asks for an export's method list.
-type manifestFrame struct {
-	reqID    uint64
-	exportID uint64
-}
-
-// manifestReplyFrame answers a manifest fetch: the method list, or a wire
-// error (unknown or revoked export).
-type manifestReplyFrame struct {
-	reqID   uint64
-	status  byte
-	methods []string
-	kind    byte
-	class   string
-	msg     string
 }
 
 // parseTrace decodes the trace block following the method name: one flags
@@ -534,6 +392,7 @@ func parseBatchInvoke(r *rbuf, calls []invokeFrame) ([]invokeFrame, error) {
 	if n == 0 {
 		return nil, r.fail("empty batch")
 	}
+	calls = slices.Grow(calls, n)
 	for i := 0; i < n; i++ {
 		f, err := parseCall(r)
 		if err == nil {
@@ -577,6 +436,7 @@ func parseBatchReply(r *rbuf, replies []replyFrame) ([]replyFrame, error) {
 	if n == 0 {
 		return nil, r.fail("empty batch reply")
 	}
+	replies = slices.Grow(replies, n)
 	for i := 0; i < n; i++ {
 		var f replyFrame
 		if f.reqID, err = r.uvarint(); err != nil {
@@ -608,58 +468,6 @@ func parseRevoke(r *rbuf) (revokeFrame, error) {
 		return f, err
 	}
 	f.reason, err = r.u8()
-	return f, err
-}
-
-func parseLookup(r *rbuf) (lookupFrame, error) {
-	var f lookupFrame
-	var err error
-	if f.reqID, err = r.uvarint(); err != nil {
-		return f, err
-	}
-	f.name, err = r.str()
-	return f, err
-}
-
-func parseLookupReply(r *rbuf) (lookupReplyFrame, error) {
-	var f lookupReplyFrame
-	var err error
-	if f.reqID, err = r.uvarint(); err != nil {
-		return f, err
-	}
-	if f.status, err = r.u8(); err != nil {
-		return f, err
-	}
-	if f.status != statusOK {
-		f.kind, f.class, f.msg, err = r.wireErr()
-		return f, err
-	}
-	if f.handle, err = r.uvarint(); err != nil {
-		return f, err
-	}
-	f.methods, err = r.strs()
-	return f, err
-}
-
-func parsePing(r *rbuf) (pingFrame, error) {
-	var f pingFrame
-	var err error
-	if f.reqID, err = r.uvarint(); err != nil {
-		return f, err
-	}
-	if len(r.rest()) == 0 {
-		return f, nil // pre-handoff peer: no feature tail
-	}
-	if f.features, err = r.uvarint(); err != nil {
-		return f, err
-	}
-	f.hasFeatures = true
-	if f.network, err = r.str(); err != nil {
-		return f, err
-	}
-	f.addr, err = r.str()
-	// Bytes past the advertise tail belong to future extensions and are
-	// ignored, exactly as pre-handoff builds ignore this whole tail.
 	return f, err
 }
 
@@ -701,39 +509,6 @@ func parseHandoff(r *rbuf) (handoffFrame, error) {
 	}
 }
 
-func parseRedeem(r *rbuf) (redeemFrame, error) {
-	var f redeemFrame
-	var err error
-	if f.reqID, err = r.uvarint(); err != nil {
-		return f, err
-	}
-	if f.nonce, err = r.uvarint(); err != nil {
-		return f, err
-	}
-	f.exportID, err = r.uvarint()
-	return f, err
-}
-
-func parseRedeemReply(r *rbuf) (redeemReplyFrame, error) {
-	var f redeemReplyFrame
-	var err error
-	if f.reqID, err = r.uvarint(); err != nil {
-		return f, err
-	}
-	if f.status, err = r.u8(); err != nil {
-		return f, err
-	}
-	if f.status != statusOK {
-		f.kind, f.class, f.msg, err = r.wireErr()
-		return f, err
-	}
-	if f.exportID, err = r.uvarint(); err != nil {
-		return f, err
-	}
-	f.methods, err = r.strs()
-	return f, err
-}
-
 func parseRelease(r *rbuf, entries []releaseEntry) ([]releaseEntry, error) {
 	n, err := r.count(3) // exportID + count + gen, 1 byte each minimum
 	if err != nil {
@@ -742,6 +517,7 @@ func parseRelease(r *rbuf, entries []releaseEntry) ([]releaseEntry, error) {
 	if n == 0 {
 		return nil, r.fail("empty release")
 	}
+	entries = slices.Grow(entries, n)
 	for i := 0; i < n; i++ {
 		var e releaseEntry
 		if e.exportID, err = r.uvarint(); err != nil {
@@ -759,33 +535,6 @@ func parseRelease(r *rbuf, entries []releaseEntry) ([]releaseEntry, error) {
 		return nil, r.fail("trailing bytes after release")
 	}
 	return entries, nil
-}
-
-func parseManifest(r *rbuf) (manifestFrame, error) {
-	var f manifestFrame
-	var err error
-	if f.reqID, err = r.uvarint(); err != nil {
-		return f, err
-	}
-	f.exportID, err = r.uvarint()
-	return f, err
-}
-
-func parseManifestReply(r *rbuf) (manifestReplyFrame, error) {
-	var f manifestReplyFrame
-	var err error
-	if f.reqID, err = r.uvarint(); err != nil {
-		return f, err
-	}
-	if f.status, err = r.u8(); err != nil {
-		return f, err
-	}
-	if f.status != statusOK {
-		f.kind, f.class, f.msg, err = r.wireErr()
-		return f, err
-	}
-	f.methods, err = r.strs()
-	return f, err
 }
 
 // decodeFrame decodes one frame into f, which it first resets — keeping
@@ -814,24 +563,10 @@ func decodeFrame(frame []byte, f *inFrame) error {
 		f.replies, err = parseBatchReply(r, f.replies)
 	case msgRevoke:
 		f.revoke, err = parseRevoke(r)
-	case msgLookup:
-		f.lookup, err = parseLookup(r)
-	case msgLookupReply:
-		f.lookupReply, err = parseLookupReply(r)
-	case msgPing, msgPong:
-		f.ping, err = parsePing(r)
 	case msgRelease:
 		f.releases, err = parseRelease(r, f.releases)
-	case msgManifest:
-		f.manifest, err = parseManifest(r)
-	case msgManifestReply:
-		f.manifestReply, err = parseManifestReply(r)
 	case msgHandoff:
 		f.handoff, err = parseHandoff(r)
-	case msgRedeem:
-		f.redeem, err = parseRedeem(r)
-	case msgRedeemReply:
-		f.redeemReply, err = parseRedeemReply(r)
 	default:
 		err = fmt.Errorf("remote: unknown message type %d", f.t)
 	}
@@ -870,15 +605,6 @@ func appendReplyBody(w *wbuf, f replyFrame) {
 	w.u8(f.kind)
 	w.str(f.class)
 	w.str(f.msg)
-}
-
-// appendPing encodes a ping or pong with the feature/advertise tail.
-func appendPing(w *wbuf, t byte, reqID uint64, network, addr string) {
-	w.u8(t)
-	w.uvarint(reqID)
-	w.uvarint(localFeatures)
-	w.str(network)
-	w.str(addr)
 }
 
 // encodeRegister builds the middleman -> origin ticket registration.

@@ -39,16 +39,42 @@ func GoroutineID() int64 {
 }
 
 // Register binds a new chain (base segment owned by domain) to the calling
-// goroutine and returns it. The caller must Unregister when done.
+// goroutine and returns it. A chain the goroutine already has — its ambient
+// caller's, when a callee running on it enters a domain of its own — is
+// displaced, not lost: Unregister puts it back. The caller must Unregister
+// when done.
 func Register(domain int64) *Chain {
 	c := NewChain(domain)
-	registry.Store(GoroutineID(), c)
+	gid := GoroutineID()
+	if v, ok := registry.Load(gid); ok {
+		c.displaced = v.(*Chain)
+	}
+	registry.Store(gid, c)
 	return c
 }
 
-// Unregister removes the calling goroutine's chain.
-func Unregister() {
-	registry.Delete(GoroutineID())
+// Unregister unbinds c from the calling goroutine and restores the chain it
+// displaced. Chains normally end in the reverse order of Register; one that
+// ends early is unlinked from under the chains registered after it.
+func Unregister(c *Chain) {
+	gid := GoroutineID()
+	v, ok := registry.Load(gid)
+	if !ok {
+		return
+	}
+	if top := v.(*Chain); top != c {
+		for n := top; n.displaced != nil; n = n.displaced {
+			if n.displaced == c {
+				n.displaced = c.displaced
+				break
+			}
+		}
+	} else if c.displaced != nil {
+		registry.Store(gid, c.displaced)
+	} else {
+		registry.Delete(gid)
+	}
+	c.displaced = nil
 }
 
 // CurrentChain performs the thread-info lookup for the calling goroutine.

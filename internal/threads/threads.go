@@ -104,6 +104,10 @@ type Chain struct {
 	mu sync.Mutex
 	// cv wakes a carrier parked on a suspended segment.
 	cv *sync.Cond
+
+	// displaced is the chain this one took the goroutine's registry entry
+	// from (Register), restored when this one ends. The carrier's alone.
+	displaced *Chain
 }
 
 // NewChain creates a chain whose base segment belongs to domain.

@@ -163,9 +163,30 @@ func TestGoroutineIDStableAndDistinct(t *testing.T) {
 	}
 }
 
+// A goroutine's chains stack: each Register displaces the current one and
+// each Unregister restores what its chain displaced, whichever order they
+// end in.
+func TestRegistryRestoresDisplacedChains(t *testing.T) {
+	outer := Register(1)
+	mid := Register(2)
+	inner := Register(3)
+	Unregister(mid) // ends early, from under inner
+	if CurrentChain() != inner {
+		t.Fatal("unregistering a displaced chain changed the current one")
+	}
+	Unregister(inner)
+	if CurrentChain() != outer {
+		t.Fatal("the chain under an early-ended one was not restored")
+	}
+	Unregister(outer)
+	if CurrentChain() != nil {
+		t.Fatal("the last Unregister left a chain behind")
+	}
+}
+
 func TestRegistryLookup(t *testing.T) {
 	c := Register(7)
-	defer Unregister()
+	defer Unregister(c)
 	if got := CurrentChain(); got != c {
 		t.Error("CurrentChain did not find registered chain")
 	}
