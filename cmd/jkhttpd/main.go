@@ -60,7 +60,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
 	workers := flag.Int("workers", 0, "cluster mode: minimum worker kernel processes (0 = in-process servlets only)")
 	maxWorkers := flag.Int("max-workers", 0, "cluster mode: autoscale ceiling (default: -workers)")
-	strategy := flag.String("strategy", "least-loaded", "placement strategy: least-loaded, round-robin, consistent-hash")
+	strategy := flag.String("strategy", "least-loaded", "placement strategy: least-loaded, consistent-hash")
 	flag.Parse()
 
 	k := jkernel.New(jkernel.Options{Stdout: os.Stdout})

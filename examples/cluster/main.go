@@ -156,8 +156,8 @@ func main() {
 	// Telemetry snapshot: the supervisor's own registry, including the
 	// cross-domain call graph and wire counters.
 	snap := jkernel.Metrics(sup).Snapshot()
-	fmt.Printf("-- supervisor snapshot: %d async starts, %d batch frames out\n",
-		snap.Counters["core.async.starts"], snap.Counters["remote.frames_out.batch_invoke"])
+	fmt.Printf("-- supervisor snapshot: %d async starts, %d call vectors out\n",
+		snap.Counters["core.async.starts"], snap.Counters["remote.frames_out.invoke"])
 	if h, ok := snap.Histograms["remote.invoke.latency_ns"]; ok {
 		fmt.Printf("   wire invoke latency: n=%d p50=%.0fns p99=%.0fns\n", h.Count, h.P50, h.P99)
 	}
@@ -171,7 +171,7 @@ func main() {
 	// supervisor forever; instead the re-export mints a handoff ticket and
 	// worker 0 redeems it with worker 1 directly, silently dropping the
 	// middle hop. The proof is in the supervisor's own telemetry: a burst
-	// of worker-0 -> worker-1 calls adds zero inbound invokes and zero new
+	// of worker-0 -> worker-1 calls relays zero calls and adds zero new
 	// call-graph edges at the supervisor.
 	holder, err := conns[0].Import("holder")
 	check(err)
@@ -197,25 +197,19 @@ func main() {
 		check(err)
 	}
 	after := jkernel.Metrics(sup).Snapshot()
-	// Calls on a connection's bootstrap (a worker's hello, say) arrive as
-	// invokes too, and are counted by method: only user invokes count here.
-	relayed := int64(0)
-	for name, n := range after.Counters {
-		switch {
-		case name == "remote.frames_in.invoke", name == "remote.frames_in.batch_invoke":
-			relayed += n - before.Counters[name]
-		case strings.HasPrefix(name, "remote.bootstrap."):
-			relayed -= n - before.Counters[name]
-		}
-	}
+	// Every call the supervisor serves for a peer is an edge whose caller is
+	// that connection's domain (remote-<n>); a connection's bootstrap (a
+	// worker's hello, say) is its own domain, so only edges to another
+	// domain are calls relayed onward.
+	relayed := servedCalls(after) - servedCalls(before)
 	if relayed != 0 {
-		fail("worker->worker calls relayed %d invoke frames through the supervisor", relayed)
+		fail("worker->worker calls relayed %d calls through the supervisor", relayed)
 	}
 	if len(after.CallGraph) != len(before.CallGraph) {
 		fail("worker->worker calls grew the supervisor's call graph (%d -> %d edges)",
 			len(before.CallGraph), len(after.CallGraph))
 	}
-	fmt.Println("-- 20 worker-0 -> worker-1 calls: zero invokes, zero new call-graph edges at the supervisor")
+	fmt.Println("-- 20 worker-0 -> worker-1 calls: zero relayed calls, zero new call-graph edges at the supervisor")
 
 	// Revocation across the wire: ask worker 1 to revoke its counter.
 	admin, err := conns[1].Import("admin")
@@ -327,6 +321,19 @@ func main() {
 	}
 
 	fmt.Println("== cluster demo complete ==")
+}
+
+// servedCalls sums the call-graph edges from a connection domain to any
+// other domain: the calls a kernel served for its peers past their
+// connections' bootstraps.
+func servedCalls(snap *jkernel.MetricsSnapshot) int64 {
+	n := int64(0)
+	for _, e := range snap.CallGraph {
+		if strings.HasPrefix(e.Caller, "remote-") && e.Caller != e.Callee {
+			n += e.Calls
+		}
+	}
+	return n
 }
 
 // helloServlet is the control-plane demo's native servlet: its body names

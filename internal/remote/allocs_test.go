@@ -23,7 +23,7 @@ func TestAllocsSendSegments(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	c := &Conn{nc: sinkConn{}}
-	head, body := []byte{msgInvoke, 1, 2, 3}, make([]byte, 64)
+	head, body := []byte{msgRelease, 1, 2, 3}, make([]byte, 64)
 	got := testing.AllocsPerRun(1000, func() {
 		if err := c.sendSegments(head, body); err != nil {
 			t.Fatal(err)
@@ -102,23 +102,24 @@ func asyncWindow(t *testing.T, p *pair, proxy *core.Capability, n int) func() {
 	return run
 }
 
-// TestAllocsBatchOfTwo: two calls sharing one msgBatchInvoke (and one
-// msgBatchReply) cost no more than the same two calls in lone frames —
-// the batch envelope itself, on both ends, allocates nothing. That is what
-// keeps two blocking callers who happen to coalesce from paying for it.
+// TestAllocsBatchOfTwo: a call costs the same allocations in a vector of
+// two (one msgInvoke, one msgReply) as in a vector of one — the vector
+// envelope itself, on both ends, allocates nothing. That is what keeps two
+// blocking callers who happen to coalesce from paying for it.
 func TestAllocsBatchOfTwo(t *testing.T) {
 	p, proxy := nullPair(t)
-	batchFrames := func() int64 {
-		return p.client.Telemetry().Snapshot().Counters["remote.frames_out.batch_invoke"]
+	vectors := func() int64 {
+		return p.client.Telemetry().Snapshot().Counters["remote.frames_out.invoke"]
 	}
-	lone := testing.AllocsPerRun(500, asyncWindow(t, p, proxy, 1))
-	before := batchFrames()
-	two := testing.AllocsPerRun(500, asyncWindow(t, p, proxy, 2))
-	if batchFrames() == before {
-		t.Fatal("windows of two never left as a batch frame")
+	one := testing.AllocsPerRun(500, asyncWindow(t, p, proxy, 1))
+	window, windows := asyncWindow(t, p, proxy, 2), int64(0)
+	before := vectors()
+	two := testing.AllocsPerRun(500, func() { window(); windows++ }) / 2
+	if vectors()-before == 2*windows {
+		t.Fatal("windows of two never left as one vector")
 	}
-	if two > 2*lone+0.1 {
-		t.Errorf("a batch of two: %.2f allocs, two lone frames: %.2f", two, 2*lone)
+	if two > one+0.05 {
+		t.Errorf("a call in a vector of two: %.2f allocs, in a vector of one: %.2f", two, one)
 	}
 }
 

@@ -3,15 +3,15 @@ package remote
 import "sync"
 
 // Wire-level batching: every invoke enqueues here instead of writing its
-// own frame, and the queue drains into msgInvoke/msgBatchInvoke frames —
-// on a per-connection flusher goroutine for asynchronous invokes, on the
-// caller's own goroutine for blocking ones (flushCall: the caller is about
-// to park anyway, so it does the write itself and saves the wake-up).
-// Flushing is "smart batching" rather than timer-driven: whenever the
-// flusher is idle it sends whatever has queued immediately, so a lone call
-// on an idle connection pays no added latency, while calls arriving during
-// a frame write pile up and leave as one frame. The flush policy is
-// therefore:
+// own frame, and the queue drains into msgInvoke vectors — of one call or
+// many, the same frame either way — on a per-connection flusher goroutine
+// for asynchronous invokes, on the caller's own goroutine for blocking ones
+// (flushCall: the caller is about to park anyway, so it does the write
+// itself and saves the wake-up). Flushing is "smart batching" rather than
+// timer-driven: whenever the flusher is idle it sends whatever has queued
+// immediately, so a call on an idle connection pays no added latency, while
+// calls arriving during a frame write pile up and leave as one vector. The
+// flush policy is therefore:
 //
 //   - occupancy: at most maxBatchCalls calls per frame;
 //   - size: at most maxBatchBytes of encoded calls per frame;
@@ -19,11 +19,11 @@ import "sync"
 //     before returning.
 
 const (
-	// maxBatchCalls bounds calls per multi-invoke frame.
+	// maxBatchCalls bounds calls per msgInvoke vector.
 	maxBatchCalls = 128
-	// maxBatchBytes bounds the encoded size of one multi-invoke frame
-	// (well under maxFrame; a single oversized call still travels alone
-	// and is rejected by the per-call frame check).
+	// maxBatchBytes bounds the encoded size of one msgInvoke vector (well
+	// under maxFrame; a single oversized call still travels, alone in its
+	// vector, and is rejected by the per-call frame check).
 	maxBatchBytes = 1 << 20
 	// maxReleaseEntries bounds entries per msgRelease frame (each entry is
 	// three uvarints, so even the cap is a small frame).
@@ -43,8 +43,8 @@ type batchedCall struct {
 	parentSpan uint64
 	args       []byte
 	// argsBuf is the pooled buffer args lives in (nil for zero-arg calls);
-	// sendBatch releases it once the frame is written. Calls still queued
-	// at shutdown keep theirs — the GC reclaims them, the pool just misses.
+	// sendBatch releases it once the frame is written, and discard when the
+	// connection shuts down with the call still queued.
 	argsBuf *frameBuf
 }
 
@@ -124,6 +124,21 @@ func (b *batcher) run() {
 		}
 		b.drain()
 	}
+}
+
+// discard drops the calls still queued when the connection shuts down,
+// returning their argument buffers to the pool; their pending records fail
+// with the connection.
+func (b *batcher) discard() {
+	b.mu.Lock()
+	for i := range b.q {
+		if fb := b.q[i].argsBuf; fb != nil {
+			fb.release()
+		}
+	}
+	clear(b.q)
+	b.q = b.q[:0]
+	b.mu.Unlock()
 }
 
 // sendCalls writes one frame's worth of queued calls. It reports how many

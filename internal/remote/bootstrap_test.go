@@ -76,8 +76,14 @@ func TestBootstrapCallsAreCounted(t *testing.T) {
 	if ms := res[0].(*core.Capability).Methods(); len(ms) != 1 {
 		t.Fatalf("lazy manifest: %v", ms)
 	}
+	// The client's announcing Hello is asynchronous: its flusher may write
+	// it after the calls above have been answered.
 	for method, want := range map[string]int64{"lookup": 1, "manifest": 1, "hello": 2} {
-		if got := counterValue(p.server, "remote.bootstrap."+method); got != want {
+		got := counterValue(p.server, "remote.bootstrap."+method)
+		for deadline := time.Now().Add(5 * time.Second); got < want && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			got = counterValue(p.server, "remote.bootstrap."+method)
+		}
+		if got != want {
 			t.Errorf("remote.bootstrap.%s = %d, want %d", method, got, want)
 		}
 	}

@@ -170,7 +170,7 @@ func (p *proxyTarget) ProxyMethods() []string {
 // InvokeProxy implements core.ProxyTarget: marshal args (capabilities by
 // reference), queue the call on the connection's batcher, and either
 // return (call.Done set: the completion fires on the reader goroutine when
-// the possibly batched reply arrives, or on the shutdown path when the
+// its reply arrives, or on the shutdown path when the
 // connection dies first — exactly once, unless CancelProxy takes the slot
 // before that) or write the queue out and wait for the reply.
 //
@@ -279,9 +279,8 @@ func (rec *callRecord) finish(res wireResult) ([]any, int64, uint64, error) {
 	return nil, 0, 0, nil
 }
 
-// sendBatch writes queued calls as one frame: a lone call travels as an
-// ordinary msgInvoke (no batch envelope), several as msgBatchInvoke. A
-// failed write fails every call in the frame with the connection fault.
+// sendBatch writes queued calls as one msgInvoke vector. A failed write
+// fails every call in it with the connection fault.
 func (c *Conn) sendBatch(calls []batchedCall) {
 	if m := c.metrics; m != nil {
 		m.batchOccupancy.Observe(int64(len(calls)))
@@ -290,26 +289,11 @@ func (c *Conn) sendBatch(calls []batchedCall) {
 	// stay in the buffer prepare encoded them into, and the vectored writer
 	// stitches header and payload segments into one syscall — nothing is
 	// memmoved into a contiguous frame.
-	var err error
-	if len(calls) == 1 {
-		call := &calls[0]
-		hb := getFrame(len(call.method) + 64)
-		w := wbuf{b: hb.b}
-		w.u8(msgInvoke)
-		w.uvarint(call.reqID)
-		w.uvarint(call.exportID)
-		w.str(call.method)
-		appendTrace(&w, call.traceID, call.parentSpan)
-		hb.b = w.b
-		err = c.sendSegments(hb.b, call.args)
-		hb.release()
-	} else {
-		err = c.sendBatched(msgBatchInvoke, len(calls), func(w *wbuf, i int) []byte {
-			call := &calls[i]
-			appendBatchCallHeader(w, call.reqID, call.exportID, call.method, call.traceID, call.parentSpan, len(call.args))
-			return call.args
-		})
-	}
+	err := c.sendBatched(msgInvoke, len(calls), func(w *wbuf, i int) []byte {
+		call := &calls[i]
+		appendCallHeader(w, call.reqID, call.exportID, call.method, call.traceID, call.parentSpan, len(call.args))
+		return call.args
+	})
 	for i := range calls {
 		if calls[i].argsBuf != nil {
 			calls[i].argsBuf.release()

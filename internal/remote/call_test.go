@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -42,25 +43,41 @@ func readFrame(r io.Reader) ([]byte, error) {
 	return buf, err
 }
 
+// appendCall appends one complete call entry to a msgInvoke body (the live
+// sender writes the header and hands the args to writev).
+func appendCall(w *wbuf, reqID, exportID uint64, method string, traceID, parentSpan uint64, args []byte) {
+	appendCallHeader(w, reqID, exportID, method, traceID, parentSpan, len(args))
+	w.raw(args)
+}
+
 // bootInvoke is the frame of a call on the receiver's bootstrap, as a
-// peer writes it.
+// peer writes it: a vector of one.
 func bootInvoke(reqID uint64, method string, args ...any) []byte {
-	w := &wbuf{}
-	w.u8(msgInvoke)
-	w.uvarint(reqID)
-	w.uvarint(bootstrapID)
-	w.str(method)
-	appendTrace(w, 0, 0)
-	stream, err := seri.AppendVector(w.b, nil, args, nil, nil)
+	stream, err := seri.AppendVector(nil, nil, args, nil, nil)
 	if err != nil {
 		panic(err)
 	}
-	return stream
+	w := &wbuf{}
+	w.u8(msgInvoke)
+	w.uvarint(1)
+	appendCall(w, reqID, bootstrapID, method, 0, 0, stream)
+	return w.b
 }
 
-// isHello reports whether f is a Hello call on the receiver's bootstrap.
-func isHello(f inFrame) bool {
-	return f.t == msgInvoke && f.invoke.exportID == bootstrapID && string(f.invoke.method) == "Hello"
+// replyVector is the msgReply frame carrying reps, as a peer writes it.
+func replyVector(reps ...replyFrame) []byte {
+	w := &wbuf{}
+	w.u8(msgReply)
+	w.uvarint(uint64(len(reps)))
+	for i := range reps {
+		w.raw(appendReplyHeader(w, &reps[i]))
+	}
+	return w.b
+}
+
+// isHello reports whether call is a Hello on the receiver's bootstrap.
+func isHello(call invokeFrame) bool {
+	return call.exportID == bootstrapID && string(call.method) == "Hello"
 }
 
 // scriptedPeer is the far end of a connection played by the test: a raw
@@ -74,9 +91,19 @@ type scriptedPeer struct {
 	k    *core.Kernel
 	dom  *core.Domain
 	task *core.Task
+	// calls holds the calls of the last msgInvoke vector read that
+	// nextInvoke has not handed out yet.
+	calls []invokeFrame
 }
 
 func newScriptedPeer(t *testing.T) *scriptedPeer {
+	t.Helper()
+	return newScriptedPeerOn(t, func(nc net.Conn) net.Conn { return nc })
+}
+
+// newScriptedPeerOn is newScriptedPeer with the real end's socket seen
+// through wrap.
+func newScriptedPeerOn(t *testing.T, wrap func(net.Conn) net.Conn) *scriptedPeer {
 	t.Helper()
 	k := core.MustNew(core.Options{})
 	d, err := k.NewDomain(core.DomainConfig{Name: "app"})
@@ -96,7 +123,7 @@ func newScriptedPeer(t *testing.T) *scriptedPeer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := NewConn(k, dialed)
+	conn, err := NewConn(k, wrap(dialed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +134,8 @@ func newScriptedPeer(t *testing.T) *scriptedPeer {
 	})
 	// NewConn announces itself with a Hello on the peer's bootstrap; leave
 	// it unanswered but consume it.
-	if f := sp.next(); !isHello(f) {
-		t.Fatalf("first frame is %+v, want a Hello on the bootstrap", f)
+	if call := sp.nextInvoke(); !isHello(call) {
+		t.Fatalf("first call is %+v, want a Hello on the bootstrap", call)
 	}
 	return sp
 }
@@ -128,14 +155,18 @@ func (sp *scriptedPeer) next() inFrame {
 	return f
 }
 
-// nextInvoke reads frames until a lone invoke arrives and returns it.
+// nextInvoke returns the next call the real end sent, reading frames
+// until a msgInvoke vector arrives when none is left over from the last.
 func (sp *scriptedPeer) nextInvoke() invokeFrame {
 	sp.t.Helper()
-	for {
+	for len(sp.calls) == 0 {
 		if f := sp.next(); f.t == msgInvoke {
-			return f.invoke
+			sp.calls = f.calls
 		}
 	}
+	call := sp.calls[0]
+	sp.calls = sp.calls[1:]
+	return call
 }
 
 func (sp *scriptedPeer) write(w *wbuf) {
@@ -146,19 +177,11 @@ func (sp *scriptedPeer) write(w *wbuf) {
 }
 
 func (sp *scriptedPeer) replyOK(reqID uint64) {
-	w := &wbuf{}
-	w.u8(msgReply)
-	w.uvarint(reqID)
-	w.u8(statusOK)
-	sp.write(w)
+	sp.write(&wbuf{b: replyVector(replyFrame{reqID: reqID, status: statusOK})})
 }
 
-func (sp *scriptedPeer) replyErr(reqID uint64, kind byte, msg string) {
-	w := &wbuf{}
-	w.u8(msgReply)
-	w.uvarint(reqID)
-	appendReplyBody(w, replyFrame{status: statusErr, kind: kind, msg: msg})
-	sp.write(w)
+func (sp *scriptedPeer) replyFail(reqID uint64, kind byte, msg string) {
+	sp.write(&wbuf{b: replyVector(replyFrame{reqID: reqID, status: statusErr, kind: kind, msg: msg})})
 }
 
 // proxy mints a proxy for the scripted peer's (imaginary) export id.
@@ -187,17 +210,70 @@ func (sp *scriptedPeer) recordOf(reqID uint64) *callRecord {
 // answers. No invoke may be in flight toward the script.
 func (sp *scriptedPeer) settled() {
 	sp.t.Helper()
+	if len(sp.calls) != 0 {
+		sp.t.Fatalf("calls nobody read: %+v", sp.calls)
+	}
 	sp.write(&wbuf{b: bootInvoke(1<<40, "Hello", "", "")})
 	for {
-		switch f := sp.next(); {
-		case f.t == msgReply && f.reply.reqID == 1<<40:
-			if f.reply.status != statusOK {
-				sp.t.Fatalf("the bootstrap refused a Hello: %s", f.reply.msg)
+		switch f := sp.next(); f.t {
+		case msgReply:
+			for _, rep := range f.replies {
+				if rep.reqID != 1<<40 {
+					continue
+				}
+				if rep.status != statusOK {
+					sp.t.Fatalf("the bootstrap refused a Hello: %s", rep.msg)
+				}
+				return
 			}
-			return
-		case f.t == msgInvoke || f.t == msgBatchInvoke:
+		case msgInvoke:
 			sp.t.Fatalf("an invoke frame nobody expected: %+v", f)
 		}
+	}
+}
+
+// failingConn is a socket whose writes start failing on cue.
+type failingConn struct {
+	net.Conn
+	fail atomic.Bool
+}
+
+var errWriteFailed = errors.New("write failed on cue")
+
+func (fc *failingConn) Write(p []byte) (int, error) {
+	if fc.fail.Load() {
+		return 0, errWriteFailed
+	}
+	return fc.Conn.Write(p)
+}
+
+// A reply vector that cannot be written faults the connection with the
+// write's error, so the peer's calls fail through its own teardown instead
+// of waiting on a live connection for replies that will never come.
+func TestReplyWriteFailureFaultsConnection(t *testing.T) {
+	var fc *failingConn
+	sp := newScriptedPeerOn(t, func(nc net.Conn) net.Conn {
+		fc = &failingConn{Conn: nc}
+		return fc
+	})
+	fc.fail.Store(true)
+	hello, err := seri.AppendVector(nil, nil, []any{"", ""}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &wbuf{}
+	w.u8(msgInvoke)
+	w.uvarint(2)
+	appendCall(w, 1, bootstrapID, "Hello", 0, 0, hello)
+	appendCall(w, 2, bootstrapID, "Hello", 0, 0, hello)
+	sp.write(w)
+	select {
+	case <-sp.conn.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("the connection is still up after its reply write failed: the peer's calls wait forever")
+	}
+	if err := sp.conn.Err(); !errors.Is(err, errWriteFailed) {
+		t.Fatalf("connection shut down with %v, want the write error", err)
 	}
 }
 
@@ -262,15 +338,15 @@ func TestStaleCompletionsAreInertAgainstARecycledRecord(t *testing.T) {
 	pingID, victim, inv := reuse(func() (uint64, *callRecord) {
 		pinged := make(chan error, 1)
 		go func() { pinged <- sp.conn.Ping(20 * time.Millisecond) }()
-		ping := sp.next()
+		ping := sp.nextInvoke()
 		if !isHello(ping) {
-			t.Fatalf("frame %+v, want a Hello", ping)
+			t.Fatalf("call %+v, want a Hello", ping)
 		}
-		rec := sp.recordOf(ping.invoke.reqID)
+		rec := sp.recordOf(ping.reqID)
 		if err := <-pinged; err == nil {
 			t.Fatal("unanswered ping did not time out")
 		}
-		return ping.invoke.reqID, rec
+		return ping.reqID, rec
 	})
 	sp.replyOK(pingID)
 	untouched("a late answer to a ping", victim, inv)
@@ -288,7 +364,7 @@ func TestStaleCompletionsAreInertAgainstARecycledRecord(t *testing.T) {
 		}
 		return dinv.reqID, rec
 	})
-	sp.replyErr(cancelledID, errKindRemote, "late reply to a cancelled call")
+	sp.replyFail(cancelledID, errKindRemote, "late reply to a cancelled call")
 	untouched("a late reply", victim, inv)
 	proxyOf(proxy).CancelProxy(cancelledID)
 	untouched("a stale cancel", victim, inv)
@@ -308,7 +384,7 @@ func TestPendingCallsCountsInvokesOnly(t *testing.T) {
 
 	pinged := make(chan error, 1)
 	go func() { pinged <- sp.conn.Ping(5 * time.Second) }()
-	ping := sp.next()
+	ping := sp.nextInvoke()
 	if got := sp.conn.PendingCalls(); got != 0 {
 		t.Fatalf("PendingCalls = %d with only a ping parked, want 0", got)
 	}
@@ -329,7 +405,7 @@ func TestPendingCallsCountsInvokesOnly(t *testing.T) {
 		t.Fatalf("PendingCalls = %d with an async and a sync invoke in flight, want 2", got)
 	}
 
-	sp.replyOK(ping.invoke.reqID)
+	sp.replyOK(ping.reqID)
 	if err := <-pinged; err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +440,7 @@ func TestSyncCallOnReleasedRelayRouteIsReissuedOnce(t *testing.T) {
 	if first.exportID != 7 {
 		t.Fatalf("relay saw export %d, want 7", first.exportID)
 	}
-	relay.replyErr(first.reqID, errKindRevoked, "unknown export 7")
+	relay.replyFail(first.reqID, errKindRevoked, "unknown export 7")
 	second := direct.nextInvoke()
 	if second.exportID != 9 || string(second.method) != "Null" {
 		t.Fatalf("shortened route saw %q on export %d, want Null on 9", second.method, second.exportID)
@@ -428,7 +504,7 @@ func TestConcurrentSyncCallsShareFrames(t *testing.T) {
 	}
 	framesOut := func() int64 {
 		snap := p.client.Telemetry().Snapshot()
-		return snap.Counters["remote.frames_out.invoke"] + snap.Counters["remote.frames_out.batch_invoke"]
+		return snap.Counters["remote.frames_out.invoke"]
 	}
 	before := framesOut()
 	const workers, per = 16, 200

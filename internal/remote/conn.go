@@ -66,8 +66,8 @@ type Conn struct {
 	pendingHandoffs   map[uint64]parkedOffer // redeem offers that raced ahead of their relay import
 	releasedImports   map[uint64]time.Time   // fully-released ids; a revoke crossing the release is stale
 
-	// batch coalesces pending asynchronous invokes into multi-invoke
-	// frames, and import releases into msgRelease frames (see batch.go).
+	// batch coalesces pending invokes into msgInvoke vectors, and import
+	// releases into msgRelease frames (see batch.go).
 	batch *batcher
 
 	// exec runs inbound invocations on pooled goroutines. Fresh
@@ -84,7 +84,7 @@ type Conn struct {
 	done chan struct{}
 }
 
-// wireResult is one decoded msgReply.
+// wireResult is one decoded reply entry.
 type wireResult struct {
 	results []any
 	copied  int64
@@ -136,10 +136,9 @@ func NewConn(k *core.Kernel, nc net.Conn) (*Conn, error) {
 	return c, nil
 }
 
-// execJob is one inbound-call job. Every flavor is a pointer to a pooled
-// struct — a lone invoke's invokeJob, a batch frame's batchRun, a batched
-// call's slot in that run — so handing work to the executor allocates
-// nothing.
+// execJob is one inbound-call job. Both flavors point into pooled state —
+// a call vector's batchRun and a call's slot in that run — so handing work
+// to the executor allocates nothing.
 type execJob interface{ run() }
 
 // executor runs inbound-call jobs on a bounded pool of persistent
@@ -356,15 +355,15 @@ func (c *Conn) writeLocked(segs [][]byte) error {
 	return err
 }
 
-// sendBatched frames and writes one batch message of n items (a
-// msgBatchInvoke or a msgBatchReply chunk) as a single vectored write.
+// sendBatched frames and writes one vector message of n items (a msgInvoke
+// or a msgReply chunk) as a single vectored write.
 // item(w, i) appends item i's header to w and returns the payload that
 // follows it on the wire (nil for none): headers build in one pooled
 // buffer, payloads stay where they were encoded. Two passes, because
 // appends may move the header buffer — segments are cut once it is final.
 // Both run under wmu, in scratch the connection keeps (the builder
 // included: item is an indirect call, so a local's address would escape
-// through it), and a batch frame allocates nothing; item must not block.
+// through it), and a vector frame allocates nothing; item must not block.
 //
 //jk:blocking
 func (c *Conn) sendBatched(t byte, n int, item func(w *wbuf, i int) []byte) error {
@@ -935,19 +934,12 @@ func (c *Conn) dispatch(fb *frameBuf, f *inFrame) error {
 	}
 	switch f.t {
 	case msgInvoke:
-		// Handlers run off the reader so it keeps draining replies — a
-		// worker servicing a call can call back into us mid-request. The
-		// frame buffer rides along in the job until the handler has
-		// decoded the argument stream.
-		fb.retain()
-		j := invokeJobs.Get().(*invokeJob)
-		j.c, j.call, j.fb = c, f.invoke, fb
-		c.exec.submit(j)
-	case msgBatchInvoke:
-		c.exec.submit(newBatchRun(c, f.batch, fb))
+		// Calls run off the reader so it keeps draining replies — a worker
+		// servicing a call can call back into us mid-request. The frame
+		// buffer rides along in the run until each call has decoded its
+		// argument stream.
+		c.exec.submit(newBatchRun(c, f.calls, fb))
 	case msgReply:
-		c.completeReply(&f.reply)
-	case msgBatchReply:
 		for i := range f.replies {
 			c.completeReply(&f.replies[i])
 		}
@@ -996,8 +988,8 @@ func (c *Conn) wireResultOf(rep *replyFrame, ext *connExternal) wireResult {
 
 // inbound is one inbound call while it is served: the frame that asked for
 // it, the reply under construction, and the external of its two seri
-// passes. It lives in the call's pooled job (invokeJob, batchSlot), so
-// serving a call allocates none of it.
+// passes. It lives in the call's slot of a pooled batchRun, so serving a
+// call allocates none of it.
 type inbound struct {
 	c     *Conn
 	call  invokeFrame
@@ -1007,8 +999,8 @@ type inbound struct {
 
 // fail makes the reply the call's failure. Every failure — unknown export,
 // argument decode, callee error, unencodable results — lands in the reply's
-// own status, which is what gives batched calls per-call error isolation
-// for free.
+// own status, which is what gives the calls of one vector per-call error
+// isolation for free.
 func (in *inbound) fail(kind byte, class, msg string) {
 	in.reply = replyFrame{reqID: in.call.reqID, status: statusErr, kind: kind, class: class, msg: msg}
 }
@@ -1117,55 +1109,11 @@ func (in *inbound) EncodeResults(results []any) int64 {
 	return int64(n)
 }
 
-// invokeJob is one lone msgInvoke on its way through the executor: the
-// call and the reference on the buffer its frame aliases, in a pooled
-// struct.
-type invokeJob struct {
-	inbound
-	fb *frameBuf
-}
-
-var invokeJobs = sync.Pool{New: func() any { return new(invokeJob) }}
-
-// run serves the call and writes its reply frame.
-func (j *invokeJob) run() {
-	j.serveInvoke(j.fb)
-	c, rep := j.c, &j.reply
-	hb := getFrame(32)
-	w := wbuf{b: hb.b}
-	w.u8(msgReply)
-	w.uvarint(rep.reqID)
-	var err error
-	if rep.status == statusOK {
-		// Header and result stream go down as separate segments of one
-		// vectored write; the result buffer never gets copied into the
-		// frame.
-		w.u8(statusOK)
-		hb.b = w.b
-		err = c.sendSegments(hb.b, rep.body)
-	} else {
-		appendReplyBody(&w, *rep)
-		hb.b = w.b
-		err = c.send(hb.b)
-	}
-	hb.release()
-	if rep.bodyBuf != nil {
-		rep.bodyBuf.release()
-	}
-	if err != nil && rep.status == statusOK {
-		// An unsendable success must still answer, or the caller hangs.
-		c.replyErr(rep.reqID, errKindProtocol, "", "send results: "+err.Error())
-	}
-	j.ext.reset()
-	*j = invokeJob{inbound: inbound{ext: j.ext}}
-	invokeJobs.Put(j)
-}
-
-// batchRun is the shared state of one in-flight batch invoke: the frame
-// buffer its calls alias and a slot per call — the call's own copy of its
-// decoded frame (the reader's is overwritten by the next frame), its
+// batchRun is the shared state of one in-flight msgInvoke vector: the
+// frame buffer its calls alias and a slot per call — the call's own copy of
+// its decoded entry (the reader's is overwritten by the next frame), its
 // executor job, and where its reply lands. Runs are pooled with their slot
-// arrays: a batch costs no more allocations than its calls would alone.
+// arrays: a vector costs no more allocations than its calls.
 type batchRun struct {
 	c     *Conn
 	fb    *frameBuf
@@ -1198,26 +1146,27 @@ func (s *batchSlot) run() {
 	s.serveInvoke(s.b.fb)
 }
 
-// run services one multi-invoke frame: the calls run concurrently (each
-// is an independent invocation, exactly as if it had arrived in its own
-// frame) and the replies leave as one batch frame with per-call status —
-// one faulting call never poisons its batch. The run is an executor job
-// itself, waiting on a warm stack; the executor never queues a job behind
-// a busy worker, so its calls cannot be stuck behind it.
+// run services one msgInvoke vector: its calls run concurrently, the first
+// on this worker and the rest submitted (so a vector of one costs one
+// executor hand-off), and the replies leave as msgReply vectors with
+// per-call status — one faulting call never poisons its vector. A reply
+// that cannot be written means the socket is broken: the connection shuts
+// down with the cause, so the peer's calls fail with its teardown instead
+// of waiting on a live connection for replies that will never come. The
+// executor never queues a job behind a busy worker, so the submitted calls
+// cannot be stuck behind this one.
 func (b *batchRun) run() {
 	c, slots := b.c, b.slots
 	b.wg.Add(len(slots))
-	for i := range slots {
+	for i := 1; i < len(slots); i++ {
 		c.exec.submit(&slots[i])
 	}
+	slots[0].run()
 	b.wg.Wait()
 
-	// Chunk the batch reply by size so large result sets cannot overflow
-	// one frame; each chunk is a valid msgBatchReply, and once a write has
-	// failed the connection is going down — pending completions fail
-	// through shutdown, so the rest are abandoned.
-	var err error
-	for start := 0; start < len(slots) && err == nil; {
+	// Chunk the replies by size so large result sets cannot overflow one
+	// frame; each chunk is a valid msgReply.
+	for start := 0; start < len(slots); {
 		end, size := start, 0
 		for end < len(slots) {
 			rep := &slots[end].reply
@@ -1229,19 +1178,13 @@ func (b *batchRun) run() {
 			end++
 		}
 		chunk := slots[start:end]
-		err = c.sendBatched(msgBatchReply, len(chunk), func(w *wbuf, i int) []byte {
-			rep := &chunk[i].reply
-			w.uvarint(rep.reqID)
-			w.u8(rep.status)
-			if rep.status == statusOK {
-				w.uvarint(uint64(len(rep.body)))
-				return rep.body
-			}
-			w.u8(rep.kind)
-			w.str(rep.class)
-			w.str(rep.msg)
-			return nil
+		err := c.sendBatched(msgReply, len(chunk), func(w *wbuf, i int) []byte {
+			return appendReplyHeader(w, &chunk[i].reply)
 		})
+		if err != nil {
+			c.shutdown(fmt.Errorf("remote: reply write failed: %w", err))
+			break
+		}
 		start = end
 	}
 	// Result buffers are released once written (or abandoned on a dead
@@ -1254,22 +1197,6 @@ func (b *batchRun) run() {
 	clear(slots)
 	b.c, b.fb = nil, nil
 	batchRuns.Put(b)
-}
-
-// replyErr answers reqID with a failure. A reply that cannot reach the
-// peer means the socket is broken, and the connection faults its imports
-// rather than keep running silently — the policy sendReleases applies.
-func (c *Conn) replyErr(reqID uint64, kind byte, class, msg string) {
-	var w wbuf
-	w.u8(msgReply)
-	w.uvarint(reqID)
-	w.u8(statusErr)
-	w.u8(kind)
-	w.str(class)
-	w.str(msg)
-	if err := c.send(w.b); err != nil {
-		c.shutdown(fmt.Errorf("remote: reply write failed: %w", err))
-	}
 }
 
 // parkedRevoke is a pushed revocation waiting for its import: the frame
@@ -1478,6 +1405,7 @@ func (c *Conn) shutdown(cause error) {
 
 	close(c.done)
 	c.nc.Close()
+	c.batch.discard()
 
 	if m := c.metrics; m != nil {
 		m.capFault(int64(len(imports)))

@@ -33,13 +33,6 @@ func (fuzzWireExt) DecodeExternal(h uint64) (any, error) {
 	return &fuzzRef{H: h}, nil
 }
 
-// appendBatchCall appends one complete call to a msgBatchInvoke body (the
-// live sender writes the header and hands the args to writev).
-func appendBatchCall(w *wbuf, reqID, exportID uint64, method string, traceID, parentSpan uint64, args []byte) {
-	appendBatchCallHeader(w, reqID, exportID, method, traceID, parentSpan, len(args))
-	w.raw(args)
-}
-
 // seedFrames builds one of every protocol frame with the same encoders
 // the live connection uses — a captured-traffic corpus without the
 // capture: these are byte-for-byte the frames a real exchange produces.
@@ -57,58 +50,31 @@ func seedFrames() [][]byte {
 	var frames [][]byte
 	add := func(w *wbuf) { frames = append(frames, w.b) }
 
-	// Single invoke, untraced (flags byte zero).
+	// A vector of one, untraced (flags byte zero) and carrying a trace
+	// context.
+	for _, traceID := range []uint64{0, 0xdeadbeefcafe} {
+		w := &wbuf{}
+		w.u8(msgInvoke)
+		w.uvarint(1)
+		appendCall(w, 1, 0, "Echo", traceID, 42, args)
+		add(w)
+	}
+
+	// A vector of three, traced and untraced calls mixed.
 	w := &wbuf{}
 	w.u8(msgInvoke)
-	w.uvarint(1)
-	w.uvarint(0)
-	w.str("Echo")
-	w.u8(0)
-	w.raw(args)
-	add(w)
-
-	// Single invoke carrying a trace context.
-	w = &wbuf{}
-	w.u8(msgInvoke)
-	w.uvarint(1)
-	w.uvarint(0)
-	w.str("Echo")
-	appendTrace(w, 0xdeadbeefcafe, 42)
-	w.raw(args)
-	add(w)
-
-	// Batched invoke, traced and untraced calls mixed.
-	w = &wbuf{}
-	w.u8(msgBatchInvoke)
 	w.uvarint(3)
-	appendBatchCall(w, 2, 0, "Null", 0, 0, nil)
-	appendBatchCall(w, 3, 1, "Sum", 0xfeedface, 7, args)
-	appendBatchCall(w, 4, 0, "Echo", 0, 0, args)
+	appendCall(w, 2, 0, "Null", 0, 0, nil)
+	appendCall(w, 3, 1, "Sum", 0xfeedface, 7, args)
+	appendCall(w, 4, 0, "Echo", 0, 0, args)
 	add(w)
 
-	// Replies: success and error.
-	w = &wbuf{}
-	w.u8(msgReply)
-	w.uvarint(1)
-	appendReplyBody(w, replyFrame{reqID: 1, status: statusOK, body: results})
-	add(w)
-	w = &wbuf{}
-	w.u8(msgReply)
-	w.uvarint(2)
-	appendReplyBody(w, replyFrame{reqID: 2, status: statusErr, kind: errKindRevoked, msg: "gone"})
-	add(w)
-
-	// Batched reply with mixed per-call status.
-	w = &wbuf{}
-	w.u8(msgBatchReply)
-	w.uvarint(2)
-	w.uvarint(3)
-	w.u8(statusOK)
-	w.uvarint(uint64(len(results))) // a batched body is length-prefixed
-	w.raw(results)
-	w.uvarint(4)
-	appendReplyBody(w, replyFrame{status: statusErr, kind: errKindRemote, class: "panic", msg: "boom"})
-	add(w)
+	// Replies: success and error alone, then a vector of mixed status.
+	frames = append(frames,
+		replyVector(replyFrame{reqID: 1, status: statusOK, body: results}),
+		replyVector(replyFrame{reqID: 2, status: statusErr, kind: errKindRevoked, msg: "gone"}),
+		replyVector(replyFrame{reqID: 3, status: statusOK, body: results},
+			replyFrame{reqID: 4, status: statusErr, kind: errKindRemote, class: "panic", msg: "boom"}))
 
 	// Revocation push.
 	w = &wbuf{}
@@ -148,24 +114,19 @@ func seedFrames() [][]byte {
 		if err != nil {
 			panic(err)
 		}
-		w = &wbuf{}
-		w.u8(msgReply)
-		w.uvarint(uint64(7 + i))
-		appendReplyBody(w, replyFrame{status: statusOK, body: stream})
-		add(w)
+		frames = append(frames, replyVector(replyFrame{reqID: uint64(7 + i), status: statusOK, body: stream}))
 	}
-	w = &wbuf{}
-	w.u8(msgReply)
-	w.uvarint(7)
-	appendReplyBody(w, replyFrame{status: statusErr, kind: errKindRemote, class: "*errors.errorString", msg: "no export named \"x\""})
-	add(w)
+	frames = append(frames, replyVector(replyFrame{reqID: 7, status: statusErr, kind: errKindRemote,
+		class: "*errors.errorString", msg: "no export named \"x\""}))
 
 	return frames
 }
 
-// retiredTypes are the message types the bootstrap capability replaced
-// (lookup, ping and pong, manifest, redeem, with their replies).
-var retiredTypes = []byte{4, 5, 6, 7, 11, 12, 14, 15}
+// retiredTypes are the message types nothing sends any more: the lone
+// invoke and reply the call vectors replaced, and the control frames the
+// bootstrap capability replaced (lookup, ping and pong, manifest, redeem,
+// with their replies).
+var retiredTypes = []byte{1, 2, 4, 5, 6, 7, 11, 12, 14, 15}
 
 // fuzzRegistry knows what the seed frames' streams carry.
 func fuzzRegistry() *seri.Registry {
@@ -185,15 +146,15 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	// Malformed trace blocks seed the corpus too: the fuzzer mutates from
 	// the rejection paths as well as the happy ones.
-	f.Add([]byte{msgInvoke, 1, 0, 4, 'E', 'c', 'h', 'o', 0xff})
-	f.Add([]byte{msgInvoke, 1, 0, 4, 'E', 'c', 'h', 'o', 1, 0, 9})
-	f.Add([]byte{msgBatchInvoke, 1, 2, 0, 4, 'N', 'u', 'l', 'l', 1, 7})
+	f.Add([]byte{msgInvoke, 1, 1, 0, 4, 'E', 'c', 'h', 'o', 0xff})
+	f.Add([]byte{msgInvoke, 1, 1, 0, 4, 'E', 'c', 'h', 'o', 1, 0, 9})
+	f.Add([]byte{msgInvoke, 1, 2, 0, 4, 'N', 'u', 'l', 'l', 1, 7})
 	// Malformed handoff frames: unknown kind and an offer with no origin
 	// address. Each must be rejected (faulting the connection), never panic.
 	f.Add([]byte{msgHandoff, 9, 1, 2})
 	f.Add([]byte{msgHandoff, handoffOffer, 3, 9, 5, 4, 'u', 'n', 'i', 'x', 0})
-	// The retired control frames, each as its old self would have begun:
-	// they are unknown types now.
+	// The retired frames, each as its old self would have begun: they are
+	// unknown types now.
 	for _, t := range retiredTypes {
 		f.Add([]byte{t, 12, 0})
 	}
@@ -220,16 +181,10 @@ func FuzzDecodeFrame(f *testing.F) {
 		// Follow the dispatch path into the embedded seri streams.
 		switch fresh.t {
 		case msgInvoke:
-			_, _ = seri.UnmarshalExt(reg, fresh.invoke.args, fuzzWireExt{})
-		case msgBatchInvoke:
-			for _, call := range fresh.batch {
+			for _, call := range fresh.calls {
 				_, _ = seri.UnmarshalExt(reg, call.args, fuzzWireExt{})
 			}
 		case msgReply:
-			if rep := fresh.reply; rep.status == statusOK {
-				_, _ = seri.UnmarshalExt(reg, rep.body, fuzzWireExt{})
-			}
-		case msgBatchReply:
 			for _, rep := range fresh.replies {
 				if rep.status == statusOK {
 					_, _ = seri.UnmarshalExt(reg, rep.body, fuzzWireExt{})
@@ -242,8 +197,8 @@ func FuzzDecodeFrame(f *testing.F) {
 // normalized maps f's empty reused slices to nil: a kept backing array of
 // length zero and no array at all are the same decoded frame.
 func normalized(f inFrame) inFrame {
-	if len(f.batch) == 0 {
-		f.batch = nil
+	if len(f.calls) == 0 {
+		f.calls = nil
 	}
 	if len(f.replies) == 0 {
 		f.replies = nil
@@ -278,12 +233,17 @@ func TestDecodeFrameReuse(t *testing.T) {
 	}
 }
 
-// decodeFrame knows exactly seven message types: invoke, reply, batch
-// invoke, batch reply, revoke, release and handoff. Every other type byte —
-// the retired control frames among them — is an unknown type.
-func TestDecodeFrameKnowsSevenTypes(t *testing.T) {
-	known := map[byte]bool{msgInvoke: true, msgReply: true, msgBatchInvoke: true, msgBatchReply: true,
-		msgRevoke: true, msgRelease: true, msgHandoff: true}
+// decodeFrame knows exactly five message types, under the bytes the wire
+// has always given them: revoke (3), invoke and reply (8 and 9, the call
+// vectors), release (10) and handoff (13). Every other type byte — the
+// retired lone-call and control frames among them — is an unknown type.
+func TestDecodeFrameKnowsFiveTypes(t *testing.T) {
+	known := map[byte]bool{3: true, 8: true, 9: true, 10: true, 13: true}
+	for _, mt := range []byte{msgRevoke, msgInvoke, msgReply, msgRelease, msgHandoff} {
+		if !known[mt] {
+			t.Fatalf("message type %d is not on the wire's list", mt)
+		}
+	}
 	for _, rt := range retiredTypes {
 		if known[rt] {
 			t.Fatalf("retired type %d is still known", rt)
@@ -334,13 +294,13 @@ func TestDecodeFrameCostIsLinear(t *testing.T) {
 	}
 	const n = 1 << 14
 	frames := map[string][]byte{
-		"batch invoke, minimal calls": maxCount(msgBatchInvoke, n, 0, 0, 0, 0, 0),
-		"batch reply, empty results":  maxCount(msgBatchReply, n, 0, statusOK, 0),
-		"batch reply, short errors":   maxCount(msgBatchReply, n, 0, statusErr, errKindRemote, 2, 'a', 'b', 2, 'c', 'd'),
-		"release, minimal entries":    maxCount(msgRelease, n, 0, 0, 0),
-		"batch invoke, forged count":  {msgBatchInvoke, 0x80, 0x80, 0x80, 0x80, 0x01, 0, 0, 0, 0, 0},
-		"batch reply, forged count":   {msgBatchReply, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0},
-		"release, forged count":       {msgRelease, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0},
+		"invoke, minimal calls":    maxCount(msgInvoke, n, 0, 0, 0, 0, 0),
+		"reply, empty results":     maxCount(msgReply, n, 0, statusOK, 0),
+		"reply, short errors":      maxCount(msgReply, n, 0, statusErr, errKindRemote, 2, 'a', 'b', 2, 'c', 'd'),
+		"release, minimal entries": maxCount(msgRelease, n, 0, 0, 0),
+		"invoke, forged count":     {msgInvoke, 0x80, 0x80, 0x80, 0x80, 0x01, 0, 0, 0, 0, 0},
+		"reply, forged count":      {msgReply, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0},
+		"release, forged count":    {msgRelease, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0},
 	}
 	for i, f := range seedFrames() {
 		frames[fmt.Sprintf("seed %d", i)] = f
@@ -384,17 +344,17 @@ func TestMalformedFrameFaultsConnection(t *testing.T) {
 	defer ln.Close()
 
 	// Raw client: a well-framed payload of garbage (bad message type, then
-	// a truncated batch on a second connection).
+	// a truncated vector on a second connection).
 	for _, garbage := range [][]byte{
 		{0xff, 0x01, 0x02},
-		{msgBatchInvoke, 0xce, 0xff, 0xff}, // count overruns frame
-		{msgReply},                         // truncated
+		{msgInvoke, 0xce, 0xff, 0xff}, // count overruns frame
+		{msgReply},                    // truncated
 		// Malformed trace blocks: unknown flags value, a set trace flag
 		// with a zero trace id, and a trace block truncated before the
 		// parent span. Each must fault the connection, never panic.
-		{msgInvoke, 1, 0, 4, 'E', 'c', 'h', 'o', 0xff},
-		{msgInvoke, 1, 0, 4, 'E', 'c', 'h', 'o', 1, 0, 9},
-		{msgInvoke, 1, 0, 4, 'E', 'c', 'h', 'o', 1, 7},
+		{msgInvoke, 1, 1, 0, 4, 'E', 'c', 'h', 'o', 0xff},
+		{msgInvoke, 1, 1, 0, 4, 'E', 'c', 'h', 'o', 1, 0, 9},
+		{msgInvoke, 1, 1, 0, 4, 'E', 'c', 'h', 'o', 1, 7},
 	} {
 		nc, err := net.Dial("unix", sock)
 		if err != nil {

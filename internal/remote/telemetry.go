@@ -18,16 +18,12 @@ import (
 // msgName labels a wire message type for metric names.
 func msgName(t byte) string {
 	switch t {
+	case msgRevoke:
+		return "revoke"
 	case msgInvoke:
 		return "invoke"
 	case msgReply:
 		return "reply"
-	case msgRevoke:
-		return "revoke"
-	case msgBatchInvoke:
-		return "batch_invoke"
-	case msgBatchReply:
-		return "batch_reply"
 	case msgRelease:
 		return "release"
 	case msgHandoff:

@@ -36,19 +36,17 @@ import (
 )
 
 // Message types. A request that wants an answer is an invocation — a user
-// call or a call on the peer's bootstrap — and a push is a frame. Types
-// 4–7, 11, 12, 14 and 15 were control request/reply pairs before the
-// bootstrap took their place; they decode as unknown types.
+// call or a call on the peer's bootstrap — and a push is a frame. Calls
+// travel as vectors (the paper's Table 4 lesson applied to the wire): one
+// msgInvoke carries every call the batcher held when it was written, one
+// or many, and the msgReply answering them carries per-call status, so one
+// faulting call cannot poison its vector. Types 1 and 2 were the lone-call
+// frames, and 4–7, 11, 12, 14 and 15 control request/reply pairs before
+// the bootstrap took their place; all of them decode as unknown types.
 const (
-	msgInvoke byte = 1 // reqID, exportID, method, args stream
-	msgReply  byte = 2 // reqID, status, results stream | error
 	msgRevoke byte = 3 // exportID, reason
-	// Batched invokes (the paper's Table 4 lesson applied to the wire):
-	// many pending small calls coalesce into one multi-invoke frame, and
-	// the reply carries per-call status so one faulting call cannot
-	// poison its batch.
-	msgBatchInvoke byte = 8 // count, then per call: reqID, exportID, method, argLen, args
-	msgBatchReply  byte = 9 // count, then per call: reqID, status, bodyLen+body | error
+	msgInvoke byte = 8 // count, then per call: reqID, exportID, method, trace, argLen, args
+	msgReply  byte = 9 // count, then per call: reqID, status, bodyLen+body | error
 	// Capability lifecycle: imports release their wire references when the
 	// local proxy dies (explicit ReleaseProxy, local revocation, or a
 	// pushed revocation), and the export side drops its table entry when
@@ -190,8 +188,8 @@ func (r *rbuf) str() (string, error) {
 	return s, nil
 }
 
-// wireErr reads the statusErr tail both reply flavors share: the error
-// kind, the callee's error class and its message.
+// wireErr reads a statusErr reply's tail: the error kind, the callee's
+// error class and its message.
 func (r *rbuf) wireErr() (kind byte, class, msg string, err error) {
 	if kind, err = r.u8(); err != nil {
 		return
@@ -250,27 +248,24 @@ func (r *rbuf) rest() []byte { return r.b[r.pos:] }
 // inFrame is the decoded form of one inbound frame: t is the message type
 // and says which one member is meaningful. The read loop owns a single
 // inFrame and decodeFrame refills it for every frame — nothing is boxed,
-// and the batch slices keep their backing arrays from frame to frame — so
+// and the vector slices keep their backing arrays from frame to frame — so
 // whatever must outlive dispatch is copied out of it.
 type inFrame struct {
 	t        byte
-	invoke   invokeFrame
-	batch    []invokeFrame // msgBatchInvoke
-	reply    replyFrame
-	replies  []replyFrame // msgBatchReply
+	calls    []invokeFrame // msgInvoke
+	replies  []replyFrame  // msgReply
 	revoke   revokeFrame
 	releases []releaseEntry // msgRelease
 	handoff  handoffFrame
 }
 
-// Trace block flags. Every invoke (single or batched call entry) carries
-// a one-byte flags field after the method name; traceFlagContext adds the
-// caller's trace id and parent span id, so a traced call chain stitches
-// across kernels. Unknown flag bits are a protocol error — the fuzz suite
+// Trace block flags. Every call entry carries a one-byte flags field after
+// the method name; traceFlagContext adds the caller's trace id and parent
+// span id, so a traced call chain stitches across kernels. Unknown flag bits are a protocol error — the fuzz suite
 // holds decode to "error, never panic" here like everywhere else.
 const traceFlagContext byte = 1
 
-// invokeFrame is one decoded invocation request (single or batched).
+// invokeFrame is one decoded call of a msgInvoke vector.
 type invokeFrame struct {
 	reqID    uint64
 	exportID uint64
@@ -282,8 +277,8 @@ type invokeFrame struct {
 	args       []byte // seri stream, aliases the frame buffer
 }
 
-// replyFrame is one decoded invocation reply (single or batched). It
-// doubles as the outbound reply representation: serveInvoke's encoder
+// replyFrame is one decoded reply of a msgReply vector. It doubles as the
+// outbound reply representation: serveInvoke's encoder
 // (inbound.EncodeResults) puts the result stream in a pooled buffer
 // recorded in bodyBuf (nil on parsed inbound frames), which the reply
 // sender releases after the write.
@@ -359,8 +354,7 @@ func appendTrace(w *wbuf, traceID, parentSpan uint64) {
 	w.uvarint(parentSpan)
 }
 
-// parseCall decodes what a lone and a batched invoke share: everything
-// up to the argument bytes.
+// parseCall decodes one call entry of a msgInvoke vector.
 func parseCall(r *rbuf) (f invokeFrame, err error) {
 	if f.reqID, err = r.uvarint(); err != nil {
 		return f, err
@@ -371,70 +365,46 @@ func parseCall(r *rbuf) (f invokeFrame, err error) {
 	if f.method, err = r.bytes(); err != nil {
 		return f, err
 	}
-	return f, parseTrace(r, &f)
-}
-
-func parseInvoke(r *rbuf) (invokeFrame, error) {
-	f, err := parseCall(r)
-	f.args = r.rest()
+	if err = parseTrace(r, &f); err != nil {
+		return f, err
+	}
+	f.args, err = r.bytes()
 	return f, err
 }
 
-// parseBatchInvoke decodes a multi-invoke frame, appending to calls (the
-// reader's reused backing array). Per-call argument bytes are
-// length-prefixed (unlike the single-invoke frame, whose args run to the
-// end of the frame).
-func parseBatchInvoke(r *rbuf, calls []invokeFrame) ([]invokeFrame, error) {
+// parseCalls decodes a msgInvoke vector, appending to calls (the reader's
+// reused backing array).
+func parseCalls(r *rbuf, calls []invokeFrame) ([]invokeFrame, error) {
 	n, err := r.count(5) // reqID + exportID + method len + trace flags + arg len, 1 byte each minimum
 	if err != nil {
 		return nil, err
 	}
 	if n == 0 {
-		return nil, r.fail("empty batch")
+		return nil, r.fail("empty call vector")
 	}
 	calls = slices.Grow(calls, n)
 	for i := 0; i < n; i++ {
 		f, err := parseCall(r)
-		if err == nil {
-			f.args, err = r.bytes()
-		}
 		if err != nil {
 			return nil, err
 		}
 		calls = append(calls, f)
 	}
 	if len(r.rest()) != 0 {
-		return nil, r.fail("trailing bytes after batch")
+		return nil, r.fail("trailing bytes after call vector")
 	}
 	return calls, nil
 }
 
-func parseReply(r *rbuf) (replyFrame, error) {
-	var f replyFrame
-	var err error
-	if f.reqID, err = r.uvarint(); err != nil {
-		return f, err
-	}
-	if f.status, err = r.u8(); err != nil {
-		return f, err
-	}
-	if f.status == statusOK {
-		f.body = r.rest()
-		return f, nil
-	}
-	f.kind, f.class, f.msg, err = r.wireErr()
-	return f, err
-}
-
-// parseBatchReply decodes a multi-reply frame (per-call status), appending
-// to replies.
-func parseBatchReply(r *rbuf, replies []replyFrame) ([]replyFrame, error) {
+// parseReplies decodes a msgReply vector (per-call status), appending to
+// replies.
+func parseReplies(r *rbuf, replies []replyFrame) ([]replyFrame, error) {
 	n, err := r.count(3) // reqID + status + 1 byte of payload minimum
 	if err != nil {
 		return nil, err
 	}
 	if n == 0 {
-		return nil, r.fail("empty batch reply")
+		return nil, r.fail("empty reply vector")
 	}
 	replies = slices.Grow(replies, n)
 	for i := 0; i < n; i++ {
@@ -456,7 +426,7 @@ func parseBatchReply(r *rbuf, replies []replyFrame) ([]replyFrame, error) {
 		replies = append(replies, f)
 	}
 	if len(r.rest()) != 0 {
-		return nil, r.fail("trailing bytes after batch reply")
+		return nil, r.fail("trailing bytes after reply vector")
 	}
 	return replies, nil
 }
@@ -538,15 +508,15 @@ func parseRelease(r *rbuf, entries []releaseEntry) ([]releaseEntry, error) {
 }
 
 // decodeFrame decodes one frame into f, which it first resets — keeping
-// only the batch slices' backing arrays — so nothing of the frame f held
+// only the vector slices' backing arrays — so nothing of the frame f held
 // before shows through: decoding into a used inFrame and into a fresh one
 // give the same result. f.t is set even when the frame is malformed (the
 // error faults the connection). It is the single decode entry point for
 // conn.dispatch and for the fuzz targets.
 func decodeFrame(frame []byte, f *inFrame) error {
-	clear(f.batch)
+	clear(f.calls)
 	clear(f.replies)
-	*f = inFrame{batch: f.batch[:0], replies: f.replies[:0], releases: f.releases[:0]}
+	*f = inFrame{calls: f.calls[:0], replies: f.replies[:0], releases: f.releases[:0]}
 	r := &rbuf{b: frame}
 	var err error
 	if f.t, err = r.u8(); err != nil {
@@ -554,13 +524,9 @@ func decodeFrame(frame []byte, f *inFrame) error {
 	}
 	switch f.t {
 	case msgInvoke:
-		f.invoke, err = parseInvoke(r)
-	case msgBatchInvoke:
-		f.batch, err = parseBatchInvoke(r, f.batch)
+		f.calls, err = parseCalls(r, f.calls)
 	case msgReply:
-		f.reply, err = parseReply(r)
-	case msgBatchReply:
-		f.replies, err = parseBatchReply(r, f.replies)
+		f.replies, err = parseReplies(r, f.replies)
 	case msgRevoke:
 		f.revoke, err = parseRevoke(r)
 	case msgRelease:
@@ -575,11 +541,11 @@ func decodeFrame(frame []byte, f *inFrame) error {
 
 // --- frame encoders ---------------------------------------------------------
 
-// appendBatchCallHeader appends one call's header (everything but the
-// argument bytes) to a msgBatchInvoke body. The vectored sender emits the
-// args as their own write segment, so the header declares the length and
-// the payload never moves.
-func appendBatchCallHeader(w *wbuf, reqID, exportID uint64, method string, traceID, parentSpan uint64, argLen int) {
+// appendCallHeader appends one call's header (everything but the argument
+// bytes) to a msgInvoke body. The vectored sender emits the args as their
+// own write segment, so the header declares the length and the payload
+// never moves.
+func appendCallHeader(w *wbuf, reqID, exportID uint64, method string, traceID, parentSpan uint64, argLen int) {
 	w.uvarint(reqID)
 	w.uvarint(exportID)
 	w.str(method)
@@ -594,17 +560,21 @@ func appendReleaseEntry(w *wbuf, e releaseEntry) {
 	w.uvarint(e.gen)
 }
 
-// appendReplyBody appends the status tail of f (everything after reqID)
-// to a msgReply frame.
-func appendReplyBody(w *wbuf, f replyFrame) {
-	w.u8(f.status)
-	if f.status == statusOK {
-		w.raw(f.body)
-		return
+// appendReplyHeader appends one reply entry to a msgReply body and returns
+// the payload that follows it on the wire: a success's result stream, which
+// the header declares the length of (the vectored sender writes it as its
+// own segment), or nil for a failure, whose entry the header completes.
+func appendReplyHeader(w *wbuf, rep *replyFrame) []byte {
+	w.uvarint(rep.reqID)
+	w.u8(rep.status)
+	if rep.status == statusOK {
+		w.uvarint(uint64(len(rep.body)))
+		return rep.body
 	}
-	w.u8(f.kind)
-	w.str(f.class)
-	w.str(f.msg)
+	w.u8(rep.kind)
+	w.str(rep.class)
+	w.str(rep.msg)
+	return nil
 }
 
 // encodeRegister builds the middleman -> origin ticket registration.

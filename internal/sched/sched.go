@@ -4,7 +4,7 @@
 // it deliberately left open —
 //
 //   - placement: which worker kernel hosts each servlet (pluggable
-//     Strategy: least-loaded, consistent-hash, round-robin);
+//     Strategy: least-loaded or consistent-hash);
 //   - autoscaling: how many workers exist, grown and shrunk between
 //     Min/Max bounds from per-worker wire queue depth and p99 request
 //     latency, with hysteresis and a cooldown so the pool does not flap;

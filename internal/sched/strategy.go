@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 )
 
 // MemberView is the per-worker load snapshot a placement strategy sees:
@@ -34,12 +33,10 @@ func ByName(name string) (Strategy, error) {
 	switch name {
 	case "", "least-loaded":
 		return LeastLoaded(), nil
-	case "round-robin":
-		return RoundRobin(), nil
 	case "consistent-hash":
 		return ConsistentHash(), nil
 	default:
-		return nil, fmt.Errorf("sched: unknown strategy %q (want least-loaded, round-robin, or consistent-hash)", name)
+		return nil, fmt.Errorf("sched: unknown strategy %q (want least-loaded or consistent-hash)", name)
 	}
 }
 
@@ -71,33 +68,6 @@ func (leastLoaded) Pick(servlet string, members []MemberView) int {
 		}
 	}
 	return best
-}
-
-// --- round-robin ------------------------------------------------------------
-
-// roundRobin cycles placements across workers in index order — the
-// baseline the smarter strategies are measured against.
-type roundRobin struct {
-	n atomic.Uint64
-}
-
-// RoundRobin returns the round-robin placement strategy.
-func RoundRobin() Strategy { return &roundRobin{} }
-
-func (*roundRobin) Name() string { return "round-robin" }
-func (*roundRobin) Sticky() bool { return false }
-
-func (r *roundRobin) Pick(servlet string, members []MemberView) int {
-	if len(members) == 0 {
-		return -1
-	}
-	// Stable order regardless of how the caller assembled the slice.
-	idx := make([]int, len(members))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return members[idx[a]].Worker < members[idx[b]].Worker })
-	return idx[int((r.n.Add(1)-1)%uint64(len(members)))]
 }
 
 // --- consistent hash --------------------------------------------------------

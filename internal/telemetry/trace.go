@@ -16,7 +16,7 @@ import (
 // domain → callee domain, method, latency, outcome) into a fixed
 // lock-free ring; spans over a configurable threshold are additionally
 // kept in a slow-call log. A TraceContext names the active trace: the
-// remote wire carries it inside msgInvoke/msgBatchInvoke frames, and the
+// remote wire carries it in each call entry of a msgInvoke frame, and the
 // serving side rebinds it around the inbound call, so a chain of calls
 // hopping supervisor→worker→worker shares one trace id and stitches into
 // a single tree.

@@ -231,9 +231,9 @@ func MaybeRunWorker(setup func(k *Kernel) error) {
 }
 
 // Cluster control plane. A Cluster schedules servlets across a
-// supervised worker pool: pluggable placement (least-loaded,
-// consistent-hash, round-robin), queue-depth/latency autoscaling between
-// Min/Max workers, and health-driven draining with automatic failover —
+// supervised worker pool: pluggable placement (least-loaded or
+// consistent-hash), queue-depth/latency autoscaling between Min/Max
+// workers, and health-driven draining with automatic failover —
 // a crashed worker's servlets are re-placed onto survivors within a
 // probe interval, and a sticky strategy pulls them home when the worker
 // returns. Pair StartCluster in the supervisor with ServeClusterWorker
@@ -261,8 +261,6 @@ type (
 var (
 	// LeastLoaded places on the worker with the fewest in-flight calls.
 	LeastLoaded = sched.LeastLoaded
-	// RoundRobin cycles placements across workers (the baseline).
-	RoundRobin = sched.RoundRobin
 	// ConsistentHash binds each servlet name to a ring position: stable
 	// across restarts, sticky after failover.
 	ConsistentHash = sched.ConsistentHash
