@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -13,7 +12,6 @@ import (
 
 	"jkernel/internal/core"
 	"jkernel/internal/seri"
-	"jkernel/internal/telemetry"
 )
 
 // connSeq numbers connections for domain naming.
@@ -134,61 +132,6 @@ func NewConn(k *core.Kernel, nc net.Conn) (*Conn, error) {
 	network, addr := advertised(k)
 	c.peerBoot.InvokeProxy(core.ProxyCall{Method: "Hello", Args: []any{network, addr}, Done: make(replyChan, 1)})
 	return c, nil
-}
-
-// execJob is one inbound-call job. Both flavors point into pooled state —
-// a call vector's batchRun and a call's slot in that run — so handing work
-// to the executor allocates nothing.
-type execJob interface{ run() }
-
-// executor runs inbound-call jobs on a bounded pool of persistent
-// goroutines. Jobs never queue behind a blocked worker: submit hands the
-// job to an idle worker, grows the pool if there is room, and otherwise
-// falls back to a one-off goroutine — so a call that blocks (waiting on
-// another capability, say) can never stall an unrelated call, only
-// de-optimize it.
-type executor struct {
-	done    <-chan struct{}
-	jobs    chan execJob
-	workers atomic.Int32
-	max     int32
-}
-
-func newExecutor(done <-chan struct{}) *executor {
-	// The cap tracks the deepest useful pipeline: a client fanning out
-	// full batch windows keeps ~hundreds of calls in flight, and a parked
-	// worker is only handed a job when it is actually idle, so the pool
-	// grows to what the load sustains and no further (idle stacks shrink
-	// at GC). Smaller caps measurably re-introduce stack-growth churn on
-	// the overflow path.
-	return &executor{done: done, jobs: make(chan execJob), max: 512}
-}
-
-func (e *executor) submit(job execJob) {
-	select {
-	case e.jobs <- job: // an idle pooled worker takes it
-		return
-	default:
-	}
-	if n := e.workers.Load(); n < e.max && e.workers.CompareAndSwap(n, n+1) {
-		go e.worker(job)
-		return
-	}
-	go job.run()
-}
-
-// worker runs its first job, then serves the pool until the connection
-// dies.
-func (e *executor) worker(job execJob) {
-	job.run()
-	for {
-		select {
-		case j := <-e.jobs:
-			j.run()
-		case <-e.done:
-			return
-		}
-	}
 }
 
 // Flush forces every queued asynchronous invoke — and every queued
@@ -890,313 +833,6 @@ func (c *Conn) sendReleases(entries []releaseEntry) {
 	if err != nil {
 		c.shutdown(fmt.Errorf("remote: send releases: %w", err))
 	}
-}
-
-// --- reader / inbound ------------------------------------------------------
-
-func (c *Conn) readLoop() {
-	br := bufio.NewReader(c.nc)
-	var f inFrame // the reader's one decode target, refilled per frame
-	for {
-		fb, err := readFrameInto(br)
-		if err != nil {
-			c.shutdown(err)
-			return
-		}
-		// The reader's reference spans dispatch; handlers that outlive
-		// dispatch (invoke frames, whose method and args alias the buffer)
-		// retain their own and drop it once the argument stream is decoded.
-		err = c.dispatch(fb, &f)
-		fb.release()
-		if err != nil {
-			c.shutdown(err)
-			return
-		}
-	}
-}
-
-// dispatch decodes one frame into f (decodeFrame — the fuzzed surface)
-// and acts on the typed result. Anything that outlives dispatch is copied
-// out of f first: the next frame overwrites it. A decode error faults the
-// whole connection: frame structure is trusted-transport territory, unlike
-// per-call argument streams, which fail per call.
-func (c *Conn) dispatch(fb *frameBuf, f *inFrame) error {
-	err := decodeFrame(fb.b, f)
-	if m := c.metrics; m != nil {
-		m.frameIn(f.t)
-		if err != nil {
-			m.badFrames.Inc()
-			m.reg.Eventf("conn %s: malformed %s frame faulted the connection: %v", m.peer, msgName(f.t), err)
-		}
-	}
-	if err != nil {
-		return err
-	}
-	switch f.t {
-	case msgInvoke:
-		// Calls run off the reader so it keeps draining replies — a worker
-		// servicing a call can call back into us mid-request. The frame
-		// buffer rides along in the run until each call has decoded its
-		// argument stream.
-		c.exec.submit(newBatchRun(c, f.calls, fb))
-	case msgReply:
-		for i := range f.replies {
-			c.completeReply(&f.replies[i])
-		}
-	case msgRevoke:
-		return c.handleRevoke(f.revoke.exportID, f.revoke.reason)
-	case msgRelease:
-		return c.handleRelease(f.releases)
-	case msgHandoff:
-		return c.handleHandoff(f.handoff)
-	}
-	return nil
-}
-
-// completeReply resolves the invoke rep answers. The record is taken
-// first, and the results are decoded for its waiter, through its external.
-// A reply nobody waits for any more — the call was cancelled or timed out —
-// is decoded only for the capability handles it carries: the peer counted a
-// wire reference for each, so the proxies they mint here are released at
-// once, which returns the references.
-func (c *Conn) completeReply(rep *replyFrame) {
-	rec := c.takePending(rep.reqID)
-	if rec == nil {
-		if rep.status == statusOK {
-			var ext connExternal
-			if _, err := c.unmarshalVector(rep.body, &ext); err == nil {
-				ext.releaseCreated()
-			}
-		}
-		return
-	}
-	rec.completeWire(c.wireResultOf(rep, &rec.ext))
-}
-
-// wireResultOf turns one decoded reply into a caller-facing result,
-// decoding the seri stream of successful replies.
-func (c *Conn) wireResultOf(rep *replyFrame, ext *connExternal) wireResult {
-	if rep.status != statusOK {
-		return wireResult{err: decodeWireErr(rep.kind, rep.class, rep.msg)}
-	}
-	results, err := c.unmarshalVector(rep.body, ext)
-	if err != nil {
-		return wireResult{err: fmt.Errorf("remote: decode results: %w", err)}
-	}
-	return wireResult{results: results, copied: int64(len(rep.body))}
-}
-
-// inbound is one inbound call while it is served: the frame that asked for
-// it, the reply under construction, and the external of its two seri
-// passes. It lives in the call's slot of a pooled batchRun, so serving a
-// call allocates none of it.
-type inbound struct {
-	c     *Conn
-	call  invokeFrame
-	reply replyFrame
-	ext   connExternal
-}
-
-// fail makes the reply the call's failure. Every failure — unknown export,
-// argument decode, callee error, unencodable results — lands in the reply's
-// own status, which is what gives the calls of one vector per-call error
-// isolation for free.
-func (in *inbound) fail(kind byte, class, msg string) {
-	in.reply = replyFrame{reqID: in.call.reqID, status: statusErr, kind: kind, class: class, msg: msg}
-}
-
-// serveInvoke runs the call on a local export and builds its reply. The
-// callee owns the decoded arguments and the reply carries the encoding of
-// its results themselves (core.Capability.ServeWire): each direction is
-// copied once, by the codec.
-//
-// fb is the inbound frame buffer call.method and call.args alias, with one
-// reference held for this call; serveInvoke drops it exactly once, the
-// moment the argument stream is decoded (or the call fails before needing
-// it) — the buffer must never stay pinned for the duration of the callee.
-func (in *inbound) serveInvoke(fb *frameBuf) {
-	c, f := in.c, &in.call
-	in.reply = replyFrame{reqID: f.reqID, status: statusOK}
-	cap := c.boot
-	if f.exportID != bootstrapID {
-		cap = c.exported(f.exportID)
-	}
-	if cap == nil {
-		fb.release()
-		in.fail(errKindRevoked, "", fmt.Sprintf("unknown export %d", f.exportID))
-		return
-	}
-	if cap.Stub != nil {
-		fb.release()
-		in.fail(errKindRemote, "UnsupportedOperation",
-			"remote invocation of VM capabilities is not supported yet")
-		return
-	}
-	// Interned against the export's own method set: no string per call,
-	// and no table a peer can grow. A name the export lacks (or a relayed
-	// proxy's, whose set lives upstream) is copied for the callee to judge.
-	method, ok := cap.InternMethod(f.method)
-	if !ok {
-		method = string(f.method)
-	}
-	args, err := c.unmarshalVector(f.args, &in.ext)
-	argBytes := int64(len(f.args))
-	fb.release() // decode copies everything out; the frame is free to recycle
-	if err != nil {
-		in.fail(errKindProtocol, "", err.Error())
-		return
-	}
-
-	m := c.metrics
-	// Untraced frames sample off the request id — monotonic per client
-	// connection, so it is an exact 1-in-64 tick with no shared counter.
-	start := m.serveStart(f.traceID != 0 || f.reqID&telemetry.UntracedSampleMask == 0)
-	var serverSpan uint64
-
-	// The host domain's idle tasks make the per-call cost the LRMI plus the
-	// wire, not task setup.
-	task := c.domain.GetTask()
-	// Traced frames bind the inbound context to the serving task AND the
-	// serving goroutine, so onward calls — whether made with this task or
-	// with fresh tasks the handler creates — join the caller's trace.
-	// Untraced frames (the common case) skip all of it, including the
-	// goroutine-id lookup.
-	var unbind func()
-	if m != nil && f.traceID != 0 {
-		serverSpan = telemetry.NewID()
-		tc := telemetry.TraceContext{TraceID: f.traceID, SpanID: serverSpan}
-		task.SetTraceContext(tc)
-		unbind = telemetry.BindGoroutine(tc)
-	}
-	callErr := cap.ServeWire(task, method, args, argBytes, in)
-	if unbind != nil {
-		// Clear before the task goes back: the next GetTask may be on
-		// another goroutine serving an unrelated, untraced call.
-		unbind()
-		task.EndTrace()
-	}
-	c.domain.PutTask(task)
-
-	if m != nil {
-		m.serverSpan(*f, method, serverSpan, cap.Owner().Name, start, callErr)
-	}
-	if callErr != nil {
-		in.fail(encodeWireErr(callErr))
-	}
-}
-
-// EncodeResults implements core.WireEncoder: the callee's results go into
-// a pooled buffer the reply owns until it is written. Void results — the
-// bulk of small traffic — take no buffer.
-func (in *inbound) EncodeResults(results []any) int64 {
-	if len(results) == 0 {
-		return 0
-	}
-	fb := getFrame(64)
-	if err := in.c.marshalVectorInto(fb, results, &in.ext); err != nil {
-		fb.release()
-		in.fail(errKindProtocol, "", "encode results: "+err.Error())
-		return 0
-	}
-	n := len(fb.b)
-	if n+32 > maxFrame {
-		in.ext.rollback()
-		fb.release()
-		in.fail(errKindProtocol, "", fmt.Sprintf("results of %d bytes exceed the frame limit", n))
-		return 0
-	}
-	in.reply = replyFrame{reqID: in.call.reqID, status: statusOK, body: fb.b, bodyBuf: fb}
-	return int64(n)
-}
-
-// batchRun is the shared state of one in-flight msgInvoke vector: the
-// frame buffer its calls alias and a slot per call — the call's own copy of
-// its decoded entry (the reader's is overwritten by the next frame), its
-// executor job, and where its reply lands. Runs are pooled with their slot
-// arrays: a vector costs no more allocations than its calls.
-type batchRun struct {
-	c     *Conn
-	fb    *frameBuf
-	slots []batchSlot
-	wg    sync.WaitGroup
-}
-
-type batchSlot struct {
-	inbound
-	b *batchRun
-}
-
-var batchRuns = sync.Pool{New: func() any { return new(batchRun) }}
-
-// newBatchRun copies the reader's decoded calls into a pooled run and takes
-// one reference on fb per call (each serveInvoke drops its own).
-func newBatchRun(c *Conn, calls []invokeFrame, fb *frameBuf) *batchRun {
-	b := batchRuns.Get().(*batchRun)
-	b.c, b.fb = c, fb
-	b.slots = b.slots[:0]
-	for _, call := range calls {
-		fb.retain()
-		b.slots = append(b.slots, batchSlot{inbound: inbound{c: c, call: call}, b: b})
-	}
-	return b
-}
-
-func (s *batchSlot) run() {
-	defer s.b.wg.Done()
-	s.serveInvoke(s.b.fb)
-}
-
-// run services one msgInvoke vector: its calls run concurrently, the first
-// on this worker and the rest submitted (so a vector of one costs one
-// executor hand-off), and the replies leave as msgReply vectors with
-// per-call status — one faulting call never poisons its vector. A reply
-// that cannot be written means the socket is broken: the connection shuts
-// down with the cause, so the peer's calls fail with its teardown instead
-// of waiting on a live connection for replies that will never come. The
-// executor never queues a job behind a busy worker, so the submitted calls
-// cannot be stuck behind this one.
-func (b *batchRun) run() {
-	c, slots := b.c, b.slots
-	b.wg.Add(len(slots))
-	for i := 1; i < len(slots); i++ {
-		c.exec.submit(&slots[i])
-	}
-	slots[0].run()
-	b.wg.Wait()
-
-	// Chunk the replies by size so large result sets cannot overflow one
-	// frame; each chunk is a valid msgReply.
-	for start := 0; start < len(slots); {
-		end, size := start, 0
-		for end < len(slots) {
-			rep := &slots[end].reply
-			s := len(rep.body) + len(rep.class) + len(rep.msg) + 32
-			if end > start && size+s > maxBatchBytes {
-				break
-			}
-			size += s
-			end++
-		}
-		chunk := slots[start:end]
-		err := c.sendBatched(msgReply, len(chunk), func(w *wbuf, i int) []byte {
-			return appendReplyHeader(w, &chunk[i].reply)
-		})
-		if err != nil {
-			c.shutdown(fmt.Errorf("remote: reply write failed: %w", err))
-			break
-		}
-		start = end
-	}
-	// Result buffers are released once written (or abandoned on a dead
-	// connection), and the run goes back to its pool holding nothing.
-	for i := range slots {
-		if bb := slots[i].reply.bodyBuf; bb != nil {
-			bb.release()
-		}
-	}
-	clear(slots)
-	b.c, b.fb = nil, nil
-	batchRuns.Put(b)
 }
 
 // parkedRevoke is a pushed revocation waiting for its import: the frame
