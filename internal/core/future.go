@@ -83,13 +83,14 @@ func resolvedFuture(method string, results []any, err error) *Future {
 // Method returns the remote method name the future is waiting on.
 func (f *Future) Method() string { return f.method }
 
-// resolve settles the future exactly once. The first caller wins; every
-// later resolution (a late reply racing a cancellation, say) is dropped.
-func (f *Future) resolve(results []any, err error) {
+// resolve settles the future exactly once and reports whether this call
+// did. The first caller wins; every later resolution (a late reply racing a
+// cancellation, say) is dropped.
+func (f *Future) resolve(results []any, err error) bool {
 	f.mu.Lock()
 	if f.resolved {
 		f.mu.Unlock()
-		return
+		return false
 	}
 	f.resolved = true
 	f.results = results
@@ -108,6 +109,7 @@ func (f *Future) resolve(results []any, err error) {
 	if hook != nil {
 		hook()
 	}
+	return true
 }
 
 // Done returns a channel closed when the future resolves. The channel is
@@ -187,10 +189,11 @@ func (f *Future) setCancel(via ProxyTarget, tok uint64) {
 
 // CompleteWire implements AsyncCompleter: the transport resolves the
 // future directly, charging the caller's account for the bytes copied
-// across the wire on the way.
-func (f *Future) CompleteWire(results []any, copied int64, err error) {
+// across the wire on the way. It reports false when the future had already
+// resolved (Cancel or revocation won the race), so results are dropped.
+func (f *Future) CompleteWire(results []any, copied int64, err error) bool {
 	f.wk.Meter.Cross(f.wCaller, f.wCallee, copied)
-	f.resolve(results, err)
+	return f.resolve(results, err)
 }
 
 // WaitAll joins a fan-out: it waits for every future and returns the

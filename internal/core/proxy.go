@@ -55,11 +55,13 @@ type ProxyTarget interface {
 // AsyncCompleter receives the outcome of one asynchronous wire
 // invocation: CompleteWire must be called exactly once, from any
 // goroutine, with the same results/copied/err contract as a blocking
-// InvokeProxy. *Future implements it directly, so starting a wire call
+// InvokeProxy. It reports whether the outcome was delivered; on false
+// nobody will ever see results, and the transport releases what decoding
+// them created. *Future implements it directly, so starting a wire call
 // passes the future itself to the transport instead of allocating a
 // completion closure per call.
 type AsyncCompleter interface {
-	CompleteWire(results []any, copied int64, err error)
+	CompleteWire(results []any, copied int64, err error) bool
 }
 
 // proxyBox wraps the interface so the gate can hold it atomically.

@@ -1,6 +1,8 @@
 package remote
 
 import (
+	"encoding/binary"
+	"io"
 	"math/rand/v2"
 	"net"
 	"runtime"
@@ -218,3 +220,48 @@ func checkEcho(t *testing.T, sizes []int) {
 // and every encode outgrew a 64-byte frame buffer.
 func TestAllocsAsyncEcho1K(t *testing.T)    { checkEcho(t, []int{1024}) }
 func TestAllocsAsyncEchoMixed(t *testing.T) { checkEcho(t, echoMix) }
+
+// TestAllocsMergedRun: two invoke frames that arrive in one read, served as
+// one run with one msgReply back, allocate no more than the same two frames
+// served as two runs. The scripted peer writes prebuilt bytes and reads the
+// replies into one buffer, so what is counted is the real end's.
+func TestAllocsMergedRun(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	sp := newScriptedPeer(t)
+	echo := sp.exportOn(echoSvc{})
+	a, b := framed(callOn(1, echo, "Null")), framed(callOn(2, echo, "Null"))
+	both := framed(callOn(1, echo, "Null"), callOn(2, echo, "Null"))
+	buf := make([]byte, 4096)
+	send := func(frames []byte, replies int) {
+		if _, err := sp.nc.Write(frames); err != nil {
+			t.Fatal(err)
+		}
+		for replies > 0 {
+			if _, err := io.ReadFull(sp.nc, buf[:4]); err != nil {
+				t.Fatal(err)
+			}
+			n := binary.LittleEndian.Uint32(buf)
+			if _, err := io.ReadFull(sp.nc, buf[:n]); err != nil {
+				t.Fatal(err)
+			}
+			if buf[0] == msgReply {
+				replies -= int(buf[1])
+			}
+		}
+	}
+	for i := 0; i < 200; i++ {
+		send(both, 2)
+	}
+	separate := testing.AllocsPerRun(1000, func() { send(a, 1); send(b, 1) })
+	runs := sp.conn.metrics.runCalls.Count()
+	merged, pairs := testing.AllocsPerRun(1000, func() { send(both, 2) }), int64(1001)
+	if sp.conn.metrics.runCalls.Count()-runs == 2*pairs {
+		t.Fatal("frames written together were never served as one run")
+	}
+	t.Logf("two calls: %.2f allocs as one run, %.2f as two", merged, separate)
+	if merged > separate+0.05 {
+		t.Errorf("two frames merged into one run: %.2f allocs, served as two runs: %.2f", merged, separate)
+	}
+}

@@ -109,8 +109,9 @@ func (b *bootstrap) Redeem(nonce, exportID uint64) (uint64, Manifest, error) {
 // replyChan takes one bootstrap call's outcome (a core.AsyncCompleter).
 type replyChan chan wireResult
 
-func (ch replyChan) CompleteWire(results []any, _ int64, err error) {
+func (ch replyChan) CompleteWire(results []any, _ int64, err error) bool {
 	ch <- wireResult{results: results, err: err}
+	return true
 }
 
 // callPeer invokes method on the peer's bootstrap. A positive timeout

@@ -260,22 +260,29 @@ func (p *proxyTarget) prepare(call core.ProxyCall) (*callRecord, batchedCall, er
 
 // finish closes the books on an invoke record's one completion and
 // recycles it; the outcome goes to the completer, or back to the blocking
-// caller as InvokeProxy's results.
+// caller as InvokeProxy's results. A completer that had already resolved —
+// Cancel or revocation won the race after the reader took the record —
+// drops the results, so the proxies their decode minted are released here:
+// nothing else will ever own them.
 func (rec *callRecord) finish(res wireResult) ([]any, int64, uint64, error) {
 	p, call, spanID, start, copied := rec.p, rec.call, rec.spanID, rec.start, rec.argLen+res.copied
-	putRecord(rec)
 	if n := p.next.Load(); n != nil && staleRouteErr(res.err) {
 		// Superseded relay route: the middleman dropped our export before
 		// this call reached it, so it never ran. Reissue it on the shortened
 		// route, which does its own span accounting and completes exactly
 		// once.
+		putRecord(rec)
 		return n.InvokeProxy(call)
 	}
 	p.conn.metrics.clientSpan(call.Trace, spanID, call.Method, start, res.err)
 	if call.Done == nil {
+		putRecord(rec)
 		return res.results, copied, 0, res.err
 	}
-	call.Done.CompleteWire(res.results, copied, res.err)
+	if !call.Done.CompleteWire(res.results, copied, res.err) {
+		rec.ext.releaseCreated()
+	}
+	putRecord(rec)
 	return nil, 0, 0, nil
 }
 

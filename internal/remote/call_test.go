@@ -8,6 +8,7 @@ import (
 	"net"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -539,5 +540,191 @@ func TestConcurrentSyncCallsShareFrames(t *testing.T) {
 	}
 	if n := p.conn.PendingCalls(); n != 0 {
 		t.Fatalf("%d invokes still pending", n)
+	}
+}
+
+// --- inbound runs: the invoke frames one read delivered are served as one
+// run, and their replies leave together.
+
+// framed joins length-prefixed frames into the bytes of one write.
+func framed(payloads ...[]byte) []byte {
+	var b []byte
+	for _, p := range payloads {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(p)))
+		b = append(b, p...)
+	}
+	return b
+}
+
+// callOn is the msgInvoke frame of one argument-less call on export id.
+func callOn(reqID, exportID uint64, method string) []byte {
+	w := &wbuf{}
+	w.u8(msgInvoke)
+	w.uvarint(1)
+	appendCall(w, reqID, exportID, method, 0, 0, nil)
+	return w.b
+}
+
+// raw writes b to the real end in one write.
+func (sp *scriptedPeer) raw(b []byte) {
+	sp.t.Helper()
+	if _, err := sp.nc.Write(b); err != nil {
+		sp.t.Fatalf("scripted peer write: %v", err)
+	}
+}
+
+// exportOn exports svc from the real end under a fresh export id.
+func (sp *scriptedPeer) exportOn(svc any) uint64 {
+	sp.t.Helper()
+	cap, err := sp.k.CreateNativeCapability(sp.dom, svc)
+	if err != nil {
+		sp.t.Fatal(err)
+	}
+	sp.conn.mu.Lock()
+	id, _ := sp.conn.exportLocked(cap, nil)
+	sp.conn.mu.Unlock()
+	return id
+}
+
+// nextReply returns the request ids of the next msgReply vector the real
+// end sent, failing on any reply that is not a success.
+func (sp *scriptedPeer) nextReply() []uint64 {
+	sp.t.Helper()
+	for {
+		f := sp.next()
+		if f.t != msgReply {
+			continue
+		}
+		ids := make([]uint64, len(f.replies))
+		for i, rep := range f.replies {
+			if rep.status != statusOK {
+				sp.t.Fatalf("reply %d failed: %s", rep.reqID, rep.msg)
+			}
+			ids[i] = rep.reqID
+		}
+		return ids
+	}
+}
+
+// runCalls reads the real end's calls-per-run histogram as (runs, calls).
+func (sp *scriptedPeer) runCalls() (runs, calls int64) {
+	h := sp.k.Telemetry().Snapshot().Histograms["remote.inbound.run_calls"]
+	return h.Count, int64(h.Mean*float64(h.Count) + 0.5)
+}
+
+// Two invoke frames in one write are one run: one msgReply carries both
+// replies, and the run counts two calls.
+func TestInboundRunMergesFramesOfOneRead(t *testing.T) {
+	sp := newScriptedPeer(t)
+	echo := sp.exportOn(echoSvc{})
+	runs0, calls0 := sp.runCalls()
+	occ0 := sp.k.Telemetry().Snapshot().Histograms["remote.reply.occupancy"].Count
+	sp.raw(framed(callOn(101, echo, "Null"), callOn(102, echo, "Null")))
+	if ids := sp.nextReply(); len(ids) != 2 || ids[0] != 101 || ids[1] != 102 {
+		t.Fatalf("first reply vector answers %v, want [101 102]", ids)
+	}
+	if runs, calls := sp.runCalls(); runs-runs0 != 1 || calls-calls0 != 2 {
+		t.Errorf("run_calls saw %d runs of %d calls, want 1 of 2", runs-runs0, calls-calls0)
+	}
+	if occ := sp.k.Telemetry().Snapshot().Histograms["remote.reply.occupancy"].Count; occ-occ0 != 1 {
+		t.Errorf("reply.occupancy saw %d reply frames, want 1", occ-occ0)
+	}
+}
+
+// The reader never waits for bytes to grow a run: a frame whose rest has
+// not arrived ends the run before it, and is served on its own once it is
+// whole, with nothing written after it.
+func TestInboundRunNeverWaitsForBytes(t *testing.T) {
+	sp := newScriptedPeer(t)
+	echo := sp.exportOn(echoSvc{})
+	second := framed(callOn(202, echo, "Null"))
+	cut := len(second) / 2
+	sp.raw(append(framed(callOn(201, echo, "Null")), second[:cut]...))
+	if ids := sp.nextReply(); len(ids) != 1 || ids[0] != 201 {
+		t.Fatalf("reply vector answers %v, want [201]", ids)
+	}
+	sp.raw(second[cut:])
+	if ids := sp.nextReply(); len(ids) != 1 || ids[0] != 202 {
+		t.Fatalf("reply vector answers %v, want [202]", ids)
+	}
+}
+
+// Frames act in the order they arrived: for invoke, release, invoke in
+// one write, the release is handled after the first run is submitted and
+// before the second, which finds its export gone.
+func TestInboundRunKeepsFrameOrder(t *testing.T) {
+	sp := newScriptedPeer(t)
+	echo := sp.exportOn(echoSvc{})
+	runs0, calls0 := sp.runCalls()
+	w := &wbuf{}
+	w.u8(msgRelease)
+	w.uvarint(1)
+	appendReleaseEntry(w, releaseEntry{exportID: echo, count: 1, gen: 1})
+	sp.raw(framed(bootInvoke(301, "Hello", "", ""), w.b, callOn(302, echo, "Null")))
+
+	replies := map[uint64]replyFrame{}
+	for frames := 0; len(replies) < 2; {
+		f := sp.next()
+		if f.t != msgReply {
+			continue
+		}
+		if frames++; len(f.replies) != 1 {
+			t.Fatalf("reply vector %d carries %d replies: the release did not split the run", frames, len(f.replies))
+		}
+		replies[f.replies[0].reqID] = f.replies[0]
+	}
+	if rep := replies[301]; rep.status != statusOK {
+		t.Errorf("the Hello before the release failed: %s", rep.msg)
+	}
+	if rep := replies[302]; rep.status != statusErr || !strings.Contains(rep.msg, "unknown export") {
+		t.Errorf("the call after the release: status %d %q, want unknown export", rep.status, rep.msg)
+	}
+	if runs, calls := sp.runCalls(); runs-runs0 != 2 || calls-calls0 != 2 {
+		t.Errorf("run_calls saw %d runs of %d calls, want 2 of 1", runs-runs0, calls-calls0)
+	}
+}
+
+// A malformed frame behind a buffered invoke faults the connection, and
+// the run the reader held — never served — gives its frame back.
+func TestInboundRunMalformedFrameReleasesBuffers(t *testing.T) {
+	sp := newScriptedPeer(t)
+	echo := sp.exportOn(echoSvc{})
+	base := poolOutstanding()
+	sp.raw(framed(callOn(401, echo, "Null"), []byte{msgInvoke, 0xce, 0xff, 0xff}))
+	select {
+	case <-sp.conn.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("a malformed frame behind a buffered invoke did not fault the connection")
+	}
+	for deadline := time.Now().Add(5 * time.Second); poolOutstanding() != base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d pooled buffers outstanding after the fault, %d before", poolOutstanding(), base)
+		}
+	}
+}
+
+// gateSvc blocks Wait until the test opens its gate.
+type gateSvc struct {
+	entered, gate chan struct{}
+}
+
+func (g *gateSvc) Wait() error { g.entered <- struct{}{}; <-g.gate; return nil }
+func (g *gateSvc) Null() error { return nil }
+
+// A run's replies wait for its slowest call, but a call that arrives in a
+// later read is a later run: a call blocked in one does not delay it.
+func TestInboundRunBlockedCallDoesNotDelayLaterRead(t *testing.T) {
+	sp := newScriptedPeer(t)
+	svc := &gateSvc{entered: make(chan struct{}), gate: make(chan struct{})}
+	id := sp.exportOn(svc)
+	sp.raw(framed(callOn(501, id, "Wait")))
+	<-svc.entered
+	sp.raw(framed(callOn(502, id, "Null")))
+	if ids := sp.nextReply(); len(ids) != 1 || ids[0] != 502 {
+		t.Fatalf("reply vector answers %v, want [502] while 501 is blocked", ids)
+	}
+	close(svc.gate)
+	if ids := sp.nextReply(); len(ids) != 1 || ids[0] != 501 {
+		t.Fatalf("reply vector answers %v, want [501]", ids)
 	}
 }

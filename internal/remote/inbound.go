@@ -68,21 +68,30 @@ func (e *executor) worker(job execJob) {
 
 func (c *Conn) readLoop() {
 	br := bufio.NewReader(c.nc)
-	var f inFrame // the reader's one decode target, refilled per frame
+	var f inFrame     // the reader's one decode target, refilled per frame
+	var run *batchRun // invoke frames in hand whose calls are not yet submitted
 	for {
 		fb, err := readFrameInto(br)
+		if err == nil {
+			// The reader's reference spans dispatch; calls that outlive it
+			// (their method and args alias the buffer) retain their own and
+			// drop it once their argument stream is decoded.
+			run, err = c.dispatch(fb, &f, run)
+			fb.release()
+		}
 		if err != nil {
+			if run != nil {
+				run.abandon()
+			}
 			c.shutdown(err)
 			return
 		}
-		// The reader's reference spans dispatch; handlers that outlive
-		// dispatch (invoke frames, whose method and args alias the buffer)
-		// retain their own and drop it once the argument stream is decoded.
-		err = c.dispatch(fb, &f)
-		fb.release()
-		if err != nil {
-			c.shutdown(err)
-			return
+		// A run grows only by frames already in hand: the reader never
+		// waits for bytes to extend one, so merging adds no latency and
+		// trusts nothing about the peer's pace.
+		if run != nil && !invokeBuffered(br) {
+			c.serveRun(run)
+			run = nil
 		}
 	}
 }
@@ -92,7 +101,13 @@ func (c *Conn) readLoop() {
 // out of f first: the next frame overwrites it. A decode error faults the
 // whole connection: frame structure is trusted-transport territory, unlike
 // per-call argument streams, which fail per call.
-func (c *Conn) dispatch(fb *frameBuf, f *inFrame) error {
+//
+// An invoke frame's calls join run, the reader's pending run (a fresh one
+// when run is nil or the frame would take it past maxBatchCalls or
+// maxBatchBytes), which dispatch returns for the reader to submit or grow.
+// Any other frame submits the pending run before it is handled, so frames
+// act in the order they arrived.
+func (c *Conn) dispatch(fb *frameBuf, f *inFrame, run *batchRun) (*batchRun, error) {
 	err := decodeFrame(fb.b, f)
 	if m := c.metrics; m != nil {
 		m.frameIn(f.t)
@@ -102,7 +117,11 @@ func (c *Conn) dispatch(fb *frameBuf, f *inFrame) error {
 		}
 	}
 	if err != nil {
-		return err
+		return run, err
+	}
+	if run != nil && (f.t != msgInvoke || !run.fits(len(f.calls), len(fb.b))) {
+		c.serveRun(run)
+		run = nil
 	}
 	switch f.t {
 	case msgInvoke:
@@ -110,19 +129,31 @@ func (c *Conn) dispatch(fb *frameBuf, f *inFrame) error {
 		// servicing a call can call back into us mid-request. The frame
 		// buffer rides along in the run until each call has decoded its
 		// argument stream.
-		c.exec.submit(newBatchRun(c, f.calls, fb))
+		if run == nil {
+			run = newBatchRun(c)
+		}
+		run.add(f.calls, fb)
+		return run, nil
 	case msgReply:
 		for i := range f.replies {
 			c.completeReply(&f.replies[i])
 		}
 	case msgRevoke:
-		return c.handleRevoke(f.revoke.exportID, f.revoke.reason)
+		err = c.handleRevoke(f.revoke.exportID, f.revoke.reason)
 	case msgRelease:
-		return c.handleRelease(f.releases)
+		err = c.handleRelease(f.releases)
 	case msgHandoff:
-		return c.handleHandoff(f.handoff)
+		err = c.handleHandoff(f.handoff)
 	}
-	return nil
+	return nil, err
+}
+
+// serveRun hands a run to the executor.
+func (c *Conn) serveRun(run *batchRun) {
+	if m := c.metrics; m != nil {
+		m.runCalls.Observe(int64(len(run.slots)))
+	}
+	c.exec.submit(run)
 }
 
 // completeReply resolves the invoke rep answers. The record is taken
@@ -281,52 +312,81 @@ func (in *inbound) EncodeResults(results []any) int64 {
 	return int64(n)
 }
 
-// batchRun is the shared state of one in-flight msgInvoke vector: the
-// frame buffer its calls alias and a slot per call — the call's own copy of
-// its decoded entry (the reader's is overwritten by the next frame), its
-// executor job, and where its reply lands. Runs are pooled with their slot
-// arrays: a vector costs no more allocations than its calls.
+// batchRun is the shared state of one inbound run: the calls of the
+// msgInvoke frames one read delivered — a vector, or several a peer's
+// batcher sent back to back — with a slot per call holding the call's own
+// copy of its decoded entry (the reader's is overwritten by the next frame),
+// the frame buffer that entry aliases, its executor job, and where its reply
+// lands. Runs are pooled with their slot arrays: a run costs no more
+// allocations than its calls.
 type batchRun struct {
 	c     *Conn
-	fb    *frameBuf
 	slots []batchSlot
+	size  int // frame bytes the run's calls arrived in
 	wg    sync.WaitGroup
 }
 
 type batchSlot struct {
 	inbound
-	b *batchRun
+	fb *frameBuf // the frame call aliases, one reference held until serveInvoke drops it
+	b  *batchRun
 }
 
 var batchRuns = sync.Pool{New: func() any { return new(batchRun) }}
 
-// newBatchRun copies the reader's decoded calls into a pooled run and takes
-// one reference on fb per call (each serveInvoke drops its own).
-func newBatchRun(c *Conn, calls []invokeFrame, fb *frameBuf) *batchRun {
+func newBatchRun(c *Conn) *batchRun {
 	b := batchRuns.Get().(*batchRun)
-	b.c, b.fb = c, fb
-	b.slots = b.slots[:0]
+	b.c = c
+	return b
+}
+
+// fits reports whether a frame of n calls in size bytes may join the run.
+func (b *batchRun) fits(n, size int) bool {
+	return len(b.slots)+n <= maxBatchCalls && b.size+size <= maxBatchBytes
+}
+
+// add copies the reader's decoded calls into the run and takes one
+// reference on fb per call (each serveInvoke drops its own).
+func (b *batchRun) add(calls []invokeFrame, fb *frameBuf) {
 	for _, call := range calls {
 		fb.retain()
-		b.slots = append(b.slots, batchSlot{inbound: inbound{c: c, call: call}, b: b})
+		b.slots = append(b.slots, batchSlot{inbound: inbound{c: b.c, call: call}, fb: fb, b: b})
 	}
-	return b
+	b.size += len(fb.b)
+}
+
+// abandon drops a run that will never be served — the reader faulted the
+// connection while holding it — with its frame references.
+func (b *batchRun) abandon() {
+	for i := range b.slots {
+		b.slots[i].fb.release()
+	}
+	b.recycle()
+}
+
+// recycle returns the run to its pool holding nothing.
+func (b *batchRun) recycle() {
+	clear(b.slots)
+	b.slots = b.slots[:0]
+	b.c, b.size = nil, 0
+	batchRuns.Put(b)
 }
 
 func (s *batchSlot) run() {
 	defer s.b.wg.Done()
-	s.serveInvoke(s.b.fb)
+	s.serveInvoke(s.fb)
 }
 
-// run services one msgInvoke vector: its calls run concurrently, the first
-// on this worker and the rest submitted (so a vector of one costs one
-// executor hand-off), and the replies leave as msgReply vectors with
-// per-call status — one faulting call never poisons its vector. A reply
-// that cannot be written means the socket is broken: the connection shuts
-// down with the cause, so the peer's calls fail with its teardown instead
-// of waiting on a live connection for replies that will never come. The
-// executor never queues a job behind a busy worker, so the submitted calls
-// cannot be stuck behind this one.
+// run serves the run's calls concurrently, the first on this worker and
+// the rest submitted (so a run of one call costs one executor hand-off),
+// and once every call is done — a run's replies wait for its slowest
+// call — the replies leave as msgReply vectors with per-call status: one
+// faulting call never poisons its run. A reply that cannot be written
+// means the socket is broken: the connection shuts down with the cause, so
+// the peer's calls fail with its teardown instead of waiting on a live
+// connection for replies that will never come. The executor never queues
+// a job behind a busy worker, so the submitted calls cannot be stuck
+// behind this one.
 func (b *batchRun) run() {
 	c, slots := b.c, b.slots
 	b.wg.Add(len(slots))
@@ -350,6 +410,9 @@ func (b *batchRun) run() {
 			end++
 		}
 		chunk := slots[start:end]
+		if m := c.metrics; m != nil {
+			m.replyOccupancy.Observe(int64(len(chunk)))
+		}
 		err := c.sendBatched(msgReply, len(chunk), func(w *wbuf, i int) []byte {
 			return appendReplyHeader(w, &chunk[i].reply)
 		})
@@ -366,7 +429,5 @@ func (b *batchRun) run() {
 			bb.release()
 		}
 	}
-	clear(slots)
-	b.c, b.fb = nil, nil
-	batchRuns.Put(b)
+	b.recycle()
 }

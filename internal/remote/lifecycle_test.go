@@ -2,8 +2,10 @@ package remote
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -590,4 +592,85 @@ func TestLateReplyReleasesImports(t *testing.T) {
 	}
 	waitTables(t, "client after the late reply", p.conn, clientBase)
 	waitTables(t, "server after the late reply", sc, serverBase)
+}
+
+// A future that another outcome resolved after the reader took its record
+// drops the reply's results; the proxies their decode minted must be
+// released with them, or the import entry here and the export entry there
+// outlive the call. Revocation resolves the future but leaves the record
+// pending, so the reply always loses; Cancel loses when it lands after the
+// reader took the record, which the loop provokes by cancelling the moment
+// the record leaves the pending table.
+func TestLostRaceReleasesImports(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		calls int
+		// lose lets Make return (release) and makes the future's resolution
+		// race its reply.
+		lose func(t *testing.T, p *pair, maker *core.Capability, fut *core.Future, release func())
+	}{
+		{"revoke", 1, func(t *testing.T, p *pair, maker *core.Capability, fut *core.Future, release func()) {
+			maker.Revoke()
+			release()
+			if _, err := fut.Wait(); !errors.Is(err, core.ErrRevoked) {
+				t.Fatalf("future of a revoked proxy: %v", err)
+			}
+		}},
+		{"cancel", 50, func(t *testing.T, p *pair, _ *core.Capability, fut *core.Future, release func()) {
+			release()
+			for p.conn.TableSizes().Pending != 0 && !fut.Resolved() {
+				runtime.Gosched()
+			}
+			fut.Cancel()
+			if res, err := fut.Wait(); err == nil {
+				res[0].(*core.Capability).Revoke() // the reply won: the result is ours to drop
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newPair(t)
+			p.export(t, "echo", echoSvc{})
+			sc := serverConn(t, p.ln)
+			echo, err := p.conn.Import("echo")
+			if err != nil {
+				t.Fatal(err)
+			}
+			serverBase := TableSizes{Exports: 1, ExportIDs: 1, Unhook: 1}
+			clientBase := TableSizes{Imports: 1}
+			waitTables(t, "server baseline", sc, serverBase)
+			serverKernel, clientKernel := p.server.TableSizes(), p.client.TableSizes()
+			replies := func() int64 { return p.server.Telemetry().Snapshot().Counters["remote.frames_out.reply"] }
+			for i := 0; i < tc.calls; i++ {
+				svc := &slowMaker{k: p.server, d: p.serverDom, entered: make(chan struct{}), release: make(chan struct{})}
+				name := fmt.Sprintf("maker-%d", i)
+				p.export(t, name, svc)
+				maker, err := p.conn.Import(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sent := replies()
+				fut := maker.InvokeAsyncFrom(p.task, "Make")
+				p.conn.Flush()
+				<-svc.entered
+				tc.lose(t, p, maker, fut, func() { close(svc.release) })
+				// Once the server has written the reply (and put Make's task
+				// back), a round trip is answered after it: when Null
+				// returns, the reader has dispatched it.
+				for deadline := time.Now().Add(5 * time.Second); replies() == sent; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatal("Make's reply never left the server")
+					}
+				}
+				if _, err := echo.InvokeFrom(p.task, "Null"); err != nil {
+					t.Fatal(err)
+				}
+				maker.Revoke()
+				p.server.Unexport(name)
+			}
+			waitTables(t, "client after the lost races", p.conn, clientBase)
+			waitTables(t, "server after the lost races", sc, serverBase)
+			waitKernelTables(t, "client", p.client, clientKernel)
+			waitKernelTables(t, "server", p.server, serverKernel)
+		})
+	}
 }

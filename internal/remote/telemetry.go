@@ -7,13 +7,14 @@ import (
 	"jkernel/internal/telemetry"
 )
 
-// Connection telemetry: frame counters by message type, batch occupancy,
-// serve/client latency, capability faults, and per-connection table-size
-// gauges (registered at NewConn, dropped at shutdown so a churned
-// connection leaves no stale gauges behind). Calls a connection's
-// bootstrap serves count as remote.bootstrap.<method> (bootstrap.go). A
-// kernel with telemetry disabled yields a nil *connMetrics; every use is
-// nil-guarded.
+// Connection telemetry: frame counters by message type, batch occupancy
+// both ways (calls per invoke frame sent, calls per inbound run, replies
+// per reply frame sent), serve/client latency, capability faults, and
+// per-connection table-size gauges (registered at NewConn, dropped at
+// shutdown so a churned connection leaves no stale gauges behind). Calls
+// a connection's bootstrap serves count as remote.bootstrap.<method>
+// (bootstrap.go). A kernel with telemetry disabled yields a nil
+// *connMetrics; every use is nil-guarded.
 
 // msgName labels a wire message type for metric names.
 func msgName(t byte) string {
@@ -46,7 +47,9 @@ type connMetrics struct {
 	framesOut [maxMsgType + 2]*telemetry.Counter
 	badFrames *telemetry.Counter
 
-	batchOccupancy *telemetry.Histogram
+	batchOccupancy *telemetry.Histogram // calls per msgInvoke frame sent
+	runCalls       *telemetry.Histogram // calls per inbound run served
+	replyOccupancy *telemetry.Histogram // replies per msgReply frame sent
 	serveLatency   *telemetry.Histogram
 	clientLatency  *telemetry.Histogram
 	capFaults      *telemetry.Counter
@@ -67,6 +70,8 @@ func newConnMetrics(k *core.Kernel, c *Conn) *connMetrics {
 		peer:           c.domain.Name,
 		badFrames:      reg.Counter("remote.frames_in.malformed"),
 		batchOccupancy: reg.Histogram("remote.batch.occupancy"),
+		runCalls:       reg.Histogram("remote.inbound.run_calls"),
+		replyOccupancy: reg.Histogram("remote.reply.occupancy"),
 		serveLatency:   reg.Histogram("remote.serve.latency_ns"),
 		clientLatency:  reg.Histogram("remote.invoke.latency_ns"),
 		capFaults:      reg.Counter("remote.capability_faults"),

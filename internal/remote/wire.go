@@ -136,6 +136,17 @@ func readFrameInto(br *bufio.Reader) (*frameBuf, error) {
 	return fb, nil
 }
 
+// invokeBuffered reports whether br already holds the whole next frame and
+// that frame is a msgInvoke, so reading it cannot block.
+func invokeBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 5 {
+		return false // Peek would wait for the bytes
+	}
+	hdr, _ := br.Peek(5)
+	n := binary.LittleEndian.Uint32(hdr)
+	return hdr[4] == msgInvoke && n > 0 && int64(n)+4 <= int64(br.Buffered())
+}
+
 // wbuf builds a frame payload.
 type wbuf struct{ b []byte }
 
