@@ -18,21 +18,31 @@ type sinkConn struct{ net.Conn }
 
 func (sinkConn) Write(p []byte) (int, error) { return len(p), nil }
 
-// TestAllocsSendSegments pins one framed vectored write at zero
-// allocations: the header net.Buffers.WriteTo consumes lives in the Conn.
-func TestAllocsSendSegments(t *testing.T) {
+// TestAllocsSendBatchedPush pins one framed vectored write — a push vector
+// of every entry kind — at zero allocations: the header builder, the
+// segments and the header net.Buffers.WriteTo consumes live in the Conn.
+func TestAllocsSendBatchedPush(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	c := &Conn{nc: sinkConn{}}
-	head, body := []byte{msgRelease, 1, 2, 3}, make([]byte, 64)
+	pushes := []pushEntry{
+		{kind: pushRelease, exportID: 9, count: 2, gen: 4},
+		{kind: pushRevoke, exportID: 5, reason: revokeReasonTerminated},
+		{kind: pushRegister, nonce: 0xfeedc0ffee, exportID: 9},
+		{kind: pushOffer, relayID: 3, exportID: 9, nonce: 0xfeedc0ffee, network: "unix", addr: "/tmp/origin.sock"},
+	}
 	got := testing.AllocsPerRun(1000, func() {
-		if err := c.sendSegments(head, body); err != nil {
+		err := c.sendBatched(msgPush, len(pushes), func(w *wbuf, i int) []byte {
+			appendPush(w, &pushes[i])
+			return nil
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
 	})
 	if got > 0 {
-		t.Errorf("sendSegments: %.2f allocs per frame, want 0", got)
+		t.Errorf("sendBatched: %.2f allocs per push vector, want 0", got)
 	}
 }
 

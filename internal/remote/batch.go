@@ -17,6 +17,10 @@ import "sync"
 //   - size: at most maxBatchBytes of encoded calls per frame;
 //   - explicit: Conn.Flush drains the queue on the calling goroutine
 //     before returning.
+//
+// One-way traffic queues here too: every revocation, release and handoff
+// entry leaves as part of a msgPush vector the flusher writes, so no
+// revoker, marshal or revocation hook ever waits on the socket.
 
 const (
 	// maxBatchCalls bounds calls per msgInvoke vector.
@@ -25,9 +29,10 @@ const (
 	// under maxFrame; a single oversized call still travels, alone in its
 	// vector, and is rejected by the per-call frame check).
 	maxBatchBytes = 1 << 20
-	// maxReleaseEntries bounds entries per msgRelease frame (each entry is
-	// three uvarints, so even the cap is a small frame).
-	maxReleaseEntries = 4096
+	// maxPushEntries bounds entries per msgPush vector (each entry is a
+	// few uvarints, or an offer's two short strings, so even the cap is a
+	// small frame).
+	maxPushEntries = 4096
 )
 
 // batchedCall is one encoded, pending invocation awaiting a frame — a copy
@@ -54,23 +59,25 @@ func (b batchedCall) wireSize() int {
 	return len(b.args) + len(b.method) + 64
 }
 
-// batcher coalesces pending invokes — and capability releases — for one
-// connection.
+// batcher coalesces pending invokes — and pushes — for one connection.
+// Its mu is a leaf lock: nothing is acquired under it, so a revocation
+// hook may queue a push whatever locks its revoker holds.
 type batcher struct {
 	c *Conn
 
 	mu       sync.Mutex
 	q        []batchedCall
-	rq       []releaseEntry // pending import releases, coalesced per frame
-	inflight int            // batches taken but not yet written
-	idle     *sync.Cond     // signalled when inflight drops to zero
+	pq       []pushEntry // pending pushes, coalesced per frame
+	closed   bool        // the connection is down: pushes have nowhere to go
+	inflight int         // batches taken but not yet written
+	idle     *sync.Cond  // signalled when inflight drops to zero
 
-	// qSpare/rqSpare recycle the slices take/takeReleases pop: the sender
+	// qSpare/pqSpare recycle the slices take/takePushes pop: the sender
 	// returns each batch's backing array after the write, so steady-state
 	// batching ping-pongs between two arrays instead of allocating one per
 	// flush.
 	qSpare  []batchedCall
-	rqSpare []releaseEntry
+	pqSpare []pushEntry
 
 	// kick signals the flusher that the queue is non-empty (capacity 1:
 	// a pending kick covers any number of enqueues).
@@ -95,12 +102,17 @@ func (b *batcher) enqueue(call batchedCall, kick bool) {
 	}
 }
 
-// enqueueRelease queues one import release. Releases churned in a burst (a
-// table sweep, a fan of proxies dying together) leave as one msgRelease
-// frame, exactly as batched invokes do.
-func (b *batcher) enqueueRelease(e releaseEntry) {
+// push queues one push entry and nudges the flusher; it never writes and
+// never blocks. Pushes churned in a burst (a table sweep, a fan of proxies
+// dying together, a domain's exports revoked at once) leave as one
+// msgPush vector, exactly as batched invokes do.
+func (b *batcher) push(p pushEntry) {
 	b.mu.Lock()
-	b.rq = append(b.rq, e)
+	if b.closed {
+		b.mu.Unlock()
+		return
+	}
+	b.pq = append(b.pq, p)
 	b.mu.Unlock()
 	b.nudge()
 }
@@ -126,9 +138,10 @@ func (b *batcher) run() {
 	}
 }
 
-// discard drops the calls still queued when the connection shuts down,
-// returning their argument buffers to the pool; their pending records fail
-// with the connection.
+// discard drops the calls and pushes still queued when the connection
+// shuts down, returning the calls' argument buffers to the pool (their
+// pending records fail with the connection), and refuses later pushes —
+// the proxies teardown revokes queue releases nobody would send.
 func (b *batcher) discard() {
 	b.mu.Lock()
 	for i := range b.q {
@@ -138,6 +151,9 @@ func (b *batcher) discard() {
 	}
 	clear(b.q)
 	b.q = b.q[:0]
+	clear(b.pq)
+	b.pq = b.pq[:0]
+	b.closed = true
 	b.mu.Unlock()
 }
 
@@ -172,8 +188,8 @@ func (b *batcher) flushCall(reqID uint64) {
 
 // drain sends frames until both queues are empty. Safe to call
 // concurrently (Conn.Flush and blocking callers race the flusher):
-// take/takeReleases are atomic, so each queued call and release is sent
-// exactly once. Invokes drain before releases, so a call enqueued before
+// take/takePushes are atomic, so each queued call and push is sent
+// exactly once. Invokes drain before pushes, so a call enqueued before
 // its proxy was released reaches the exporter while the export entry is
 // still live.
 func (b *batcher) drain() {
@@ -181,12 +197,12 @@ func (b *batcher) drain() {
 		if n, _ := b.sendCalls(0); n != 0 {
 			continue
 		}
-		rels := b.takeReleases()
-		if len(rels) == 0 {
+		pushes := b.takePushes()
+		if len(pushes) == 0 {
 			return
 		}
-		b.c.sendReleases(rels)
-		b.recycleReleases(rels)
+		b.c.sendPushes(pushes)
+		b.recyclePushes(pushes)
 	}
 }
 
@@ -197,8 +213,8 @@ func (b *batcher) drain() {
 func (b *batcher) flush() {
 	b.drain()
 	b.mu.Lock()
-	for b.inflight > 0 || len(b.q) > 0 || len(b.rq) > 0 {
-		if len(b.q) > 0 || len(b.rq) > 0 {
+	for b.inflight > 0 || len(b.q) > 0 || len(b.pq) > 0 {
+		if len(b.q) > 0 || len(b.pq) > 0 {
 			// More work queued while we waited; send it ourselves.
 			b.mu.Unlock()
 			b.drain()
@@ -260,40 +276,38 @@ func (b *batcher) recycleCalls(calls []batchedCall) {
 	b.mu.Unlock()
 }
 
-// recycleReleases is recycleCalls for release batches.
-func (b *batcher) recycleReleases(rels []releaseEntry) {
-	clear(rels)
+// recyclePushes is recycleCalls for push batches.
+func (b *batcher) recyclePushes(pushes []pushEntry) {
+	clear(pushes)
 	b.mu.Lock()
-	if b.rqSpare == nil {
-		b.rqSpare = rels[:0]
+	if b.pqSpare == nil {
+		b.pqSpare = pushes[:0]
 	}
 	b.sentLocked()
 	b.mu.Unlock()
 }
 
-// releaseBacklog reports the queued-release count (telemetry gauge).
-func (b *batcher) releaseBacklog() int {
+// pushBacklog reports the queued-push count (telemetry gauge).
+func (b *batcher) pushBacklog() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.rq)
+	return len(b.pq)
 }
 
-// takeReleases pops up to one frame's worth of queued releases, marking
-// them in flight until sent.
-func (b *batcher) takeReleases() []releaseEntry {
+// takePushes pops up to one frame's worth of queued pushes, marking them
+// in flight until sent.
+func (b *batcher) takePushes() []pushEntry {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if len(b.rq) == 0 {
+	if len(b.pq) == 0 {
 		return nil
 	}
 	b.inflight++
-	n := len(b.rq)
-	if n > maxReleaseEntries {
-		n = maxReleaseEntries
-	}
-	out := append(b.rqSpare[:0], b.rq[:n]...)
-	b.rqSpare = nil
-	rest := copy(b.rq, b.rq[n:])
-	b.rq = b.rq[:rest]
+	n := min(len(b.pq), maxPushEntries)
+	out := append(b.pqSpare[:0], b.pq[:n]...)
+	b.pqSpare = nil
+	rest := copy(b.pq, b.pq[n:])
+	clear(b.pq[rest:]) // drop the offers' strings
+	b.pq = b.pq[:rest]
 	return out
 }

@@ -23,20 +23,17 @@ func TestBootstrapIsNotAnExport(t *testing.T) {
 	waitTables(t, "client", p.conn, clientBase)
 
 	// The client pushes a release of the server's export 0 and a
-	// revocation of its own; the Ping behind them is answered once the
-	// server's reader has dispatched both.
-	var w wbuf
-	w.u8(msgRelease)
-	w.uvarint(1)
-	appendReleaseEntry(&w, releaseEntry{exportID: bootstrapID, count: 1, gen: 1})
-	if err := p.conn.send(w.b); err != nil {
-		t.Fatal(err)
+	// revocation of its own, as two entries of one push vector; the Ping
+	// behind them is answered once the server's reader has dispatched it.
+	pushes := []pushEntry{
+		{kind: pushRelease, exportID: bootstrapID, count: 1, gen: 1},
+		{kind: pushRevoke, exportID: bootstrapID, reason: revokeReasonRevoked},
 	}
-	w = wbuf{}
-	w.u8(msgRevoke)
-	w.uvarint(bootstrapID)
-	w.u8(revokeReasonRevoked)
-	if err := p.conn.send(w.b); err != nil {
+	err := p.conn.sendBatched(msgPush, len(pushes), func(w *wbuf, i int) []byte {
+		appendPush(w, &pushes[i])
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := p.conn.Ping(5 * time.Second); err != nil {

@@ -76,6 +76,17 @@ func replyVector(reps ...replyFrame) []byte {
 	return w.b
 }
 
+// pushVector is the msgPush frame carrying entries, as a peer writes it.
+func pushVector(entries ...pushEntry) []byte {
+	w := &wbuf{}
+	w.u8(msgPush)
+	w.uvarint(uint64(len(entries)))
+	for i := range entries {
+		appendPush(w, &entries[i])
+	}
+	return w.b
+}
+
 // isHello reports whether call is a Hello on the receiver's bootstrap.
 func isHello(call invokeFrame) bool {
 	return call.exportID == bootstrapID && string(call.method) == "Hello"
@@ -656,11 +667,8 @@ func TestInboundRunKeepsFrameOrder(t *testing.T) {
 	sp := newScriptedPeer(t)
 	echo := sp.exportOn(echoSvc{})
 	runs0, calls0 := sp.runCalls()
-	w := &wbuf{}
-	w.u8(msgRelease)
-	w.uvarint(1)
-	appendReleaseEntry(w, releaseEntry{exportID: echo, count: 1, gen: 1})
-	sp.raw(framed(bootInvoke(301, "Hello", "", ""), w.b, callOn(302, echo, "Null")))
+	release := pushVector(pushEntry{kind: pushRelease, exportID: echo, count: 1, gen: 1})
+	sp.raw(framed(bootInvoke(301, "Hello", "", ""), release, callOn(302, echo, "Null")))
 
 	replies := map[uint64]replyFrame{}
 	for frames := 0; len(replies) < 2; {

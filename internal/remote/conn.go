@@ -64,8 +64,9 @@ type Conn struct {
 	pendingHandoffs   map[uint64]parkedOffer // redeem offers that raced ahead of their relay import
 	releasedImports   map[uint64]time.Time   // fully-released ids; a revoke crossing the release is stale
 
-	// batch coalesces pending invokes into msgInvoke vectors, and import
-	// releases into msgRelease frames (see batch.go).
+	// batch coalesces pending invokes into msgInvoke vectors, and
+	// revocations, releases and handoff entries into msgPush vectors (see
+	// batch.go): it is the connection's one writer of requests and pushes.
 	batch *batcher
 
 	// exec runs inbound invocations on pooled goroutines. Fresh
@@ -134,11 +135,11 @@ func NewConn(k *core.Kernel, nc net.Conn) (*Conn, error) {
 	return c, nil
 }
 
-// Flush forces every queued asynchronous invoke — and every queued
-// capability release — onto the wire before returning, including frames
-// the background flusher was mid-write on. The flusher already drains the
-// queues whenever it is idle, so Flush is only needed when the caller
-// wants a hard everything-is-sent point (end of a fan-out wave, say).
+// Flush forces every queued asynchronous invoke — and every queued push —
+// onto the wire before returning, including frames the background flusher
+// was mid-write on. The flusher already drains the queues whenever it is
+// idle, so Flush is only needed when the caller wants a hard
+// everything-is-sent point (end of a fan-out wave, say).
 //
 //jk:blocking
 func (c *Conn) Flush() {
@@ -243,28 +244,11 @@ func (c *Conn) Close() error {
 	return nil
 }
 
-// send frames and writes one message.
-//
-//jk:blocking
-func (c *Conn) send(payload []byte) error {
-	return c.sendSegments(payload)
-}
-
-// sendSegments frames and writes one message whose payload is the
+// writeLocked frames and writes one message whose payload is the
 // concatenation of segs, as a single vectored write: the 4-byte length
 // header and every segment go down in one writev-style syscall
 // (net.Buffers), with no copy into an intermediate contiguous buffer. The
-// first byte of the first segment is the message type.
-//
-//jk:blocking
-func (c *Conn) sendSegments(segs ...[]byte) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	//jk:allow(lockhold) wmu is the frame-write serializer: it exists to be held across this one vectored write so frames never interleave, and nothing else ever blocks under it
-	return c.writeLocked(segs)
-}
-
-// writeLocked is sendSegments' body. Caller holds wmu.
+// first byte of the first segment is the message type. Caller holds wmu.
 //
 //jk:blocking
 func (c *Conn) writeLocked(segs [][]byte) error {
@@ -298,8 +282,9 @@ func (c *Conn) writeLocked(segs [][]byte) error {
 	return err
 }
 
-// sendBatched frames and writes one vector message of n items (a msgInvoke
-// or a msgReply chunk) as a single vectored write.
+// sendBatched frames and writes one vector message of n items (a msgInvoke,
+// a msgReply chunk or a msgPush) as a single vectored write; it is the
+// connection's only writer.
 // item(w, i) appends item i's header to w and returns the payload that
 // follows it on the wire (nil for none): headers build in one pooled
 // buffer, payloads stay where they were encoded. Two passes, because
@@ -327,7 +312,7 @@ func (c *Conn) sendBatched(t byte, n int, item func(w *wbuf, i int) []byte) erro
 		segs[2*i] = hb.b[prev:end]
 		prev = end
 	}
-	//jk:allow(lockhold) as in sendSegments: wmu is held across the one write by design; the passes above only append bytes
+	//jk:allow(lockhold) wmu is the frame-write serializer: it is held across this one vectored write so frames never interleave; the passes above only append bytes, and nothing else ever blocks under it
 	err := c.writeLocked(segs)
 	clear(segs)
 	c.wcuts, c.wsegs = cuts, segs
@@ -347,8 +332,8 @@ func (c *Conn) causeLocked() error {
 
 // exportEntry is one row of the per-connection export table. refs counts
 // the handles shipped to the peer that the peer has not yet released; the
-// entry — and its gate revocation hook — dies when refs reaches zero
-// (msgRelease) or when the gate is revoked, whichever happens first, so a
+// entry — and its gate revocation hook — dies when refs reaches zero (a
+// release push) or when the gate is revoked, whichever happens first, so a
 // long-lived connection does not pin dead gates.
 type exportEntry struct {
 	cap    *core.Capability
@@ -381,6 +366,9 @@ type importEntry struct {
 	// drops (unpinImport completes it).
 	pins   int
 	zombie bool
+	// redeeming is set once a handoff offer for this import is being
+	// redeemed: a peer repeating the offer starts nothing more.
+	redeeming bool
 }
 
 // exported returns the capability behind the export id the peer names,
@@ -420,58 +408,23 @@ func (c *Conn) exportNewLocked(cap *core.Capability, relay *relayRef) uint64 {
 	c.nextExport++
 	e := &exportEntry{cap: cap, refs: 1, relay: relay}
 	c.exports[id] = e
-	// Push revocation to the peer the moment the gate dies, so remote
-	// proxies fail fast instead of on their next wire round-trip, then
-	// drop the table entry: a revoked gate answers every call with the
-	// same fault the push delivered, so nothing is lost, and the table
-	// returns to baseline without waiting for the peer's release. The
-	// hook fires immediately if the gate is already revoked — while this
-	// goroutine holds c.mu — which is why the table cleanup runs on its
-	// own goroutine. The peer tolerates a revoke arriving before the
-	// handle that names it (preRevoked).
+	// The gate's death queues a revocation push, and that is all the hook
+	// does: the revoker never waits on the socket, and the hook may fire
+	// inline — the gate already revoked, this goroutine holding c.mu —
+	// because the batcher's lock is a leaf. The flusher drops the table
+	// entry and writes the push (sendPushes), so remote proxies fail fast
+	// instead of on their next wire round-trip; a revoked gate answers
+	// every call with the same fault, so nothing is lost. The peer
+	// tolerates a revoke arriving before the handle that names it
+	// (preRevoked).
 	e.unhook = g.OnRevoke(func() {
 		reason := revokeReasonRevoked
 		if cap.Owner().Terminated() {
 			reason = revokeReasonTerminated
 		}
-		var w wbuf
-		w.u8(msgRevoke)
-		w.uvarint(id)
-		w.u8(reason)
-		if err := c.send(w.b); err != nil {
-			// A writer that cannot deliver the push is a dead connection:
-			// fault it (async — the hook may fire under c.mu) so the peer's
-			// proxies fail via teardown instead of hanging on a half-dead
-			// socket that swallows every later push and release too.
-			go c.shutdown(fmt.Errorf("remote: send revocation push: %w", err))
-		}
-		go c.dropExport(id, g)
+		c.batch.push(pushEntry{kind: pushRevoke, exportID: id, reason: reason})
 	})
 	return id
-}
-
-// dropExport removes one export entry unconditionally (gate revoked).
-func (c *Conn) dropExport(id uint64, g *core.Gate) {
-	c.mu.Lock()
-	e := c.exports[id]
-	if e == nil {
-		c.mu.Unlock()
-		return
-	}
-	delete(c.exports, id)
-	if c.exportIDs[g] == id {
-		delete(c.exportIDs, g)
-	}
-	c.mu.Unlock()
-	if e.unhook != nil {
-		e.unhook() // no-op post-fire, but uniform with the refcount path
-	}
-	if e.relay != nil {
-		// A revoked relay entry drops its pin on the upstream import; the
-		// import's own revocation (same fault, pushed from the origin)
-		// completes the release once every pin is gone.
-		e.relay.conn.unpinImport(e.relay.importID, e.relay.gen)
-	}
 }
 
 // dropExportRefsLocked returns n of an export's wire references, deleting
@@ -523,11 +476,11 @@ func (c *Conn) importLocked(id uint64) (cap *core.Capability, pre error, created
 			return e.cap, nil, false, nil
 		}
 		// Replacing a dead proxy: release the stale entry's receipts now.
-		// Its revocation hook will find the entry replaced and no-op, so
-		// this is the only release for that generation — and any in-flight
-		// async invokes on the old proxy were already resolved with the
-		// capability fault when its gate was severed.
-		c.batch.enqueueRelease(releaseEntry{exportID: id, count: e.recv, gen: e.gen})
+		// Its release intent will find the entry replaced and send nothing,
+		// so this is the only release for that generation — and any
+		// in-flight async invokes on the old proxy were already resolved
+		// with the capability fault when its gate was severed.
+		c.batch.push(pushEntry{kind: pushRelease, exportID: id, count: e.recv, gen: e.gen})
 	}
 	cap, err = c.k.CreateProxyCapability(c.domain, &proxyTarget{conn: c, exportID: id})
 	if err != nil {
@@ -544,49 +497,52 @@ func (c *Conn) importLocked(id uint64) (cap *core.Capability, pre error, created
 	gen := e.gen
 	// The proxy's death — explicit ReleaseProxy, local revocation, pushed
 	// revocation, or connection teardown — releases its wire references.
-	// The hook cannot fire inline here (the gate is fresh and every revoke
-	// path serializes on c.mu, which we hold), and it runs on its own
-	// goroutine so no revoker ever blocks on the connection lock.
-	cap.Gate().OnRevoke(func() { go c.releaseImport(id, gen) })
+	// The hook only queues the intent, so no revoker ever takes the
+	// connection lock.
+	cap.Gate().OnRevoke(func() { c.releaseImport(id, gen) })
 	if p, raced := c.preRevoked[id]; raced {
 		delete(c.preRevoked, id)
 		pre = revokeFault(p.reason)
 	}
 	// A handoff offer for this handle may have raced ahead of the frame
-	// that carries it (offers are sent during marshal, before the payload).
+	// that carries it (the middleman's flusher may write its pushes first).
 	// Now that the proxy exists, redeem the parked offer against the origin.
 	if off, parked := c.pendingHandoffs[id]; parked && pre == nil {
 		delete(c.pendingHandoffs, id)
-		go c.redeemOffer(off.f, cap, id, gen)
+		e.redeeming = true
+		go c.redeemOffer(off.p, cap, id, gen)
 	}
 	return cap, pre, created, nil
 }
 
-// releaseImport drops the import-table entry for id (if it still holds
-// the generation the dying proxy was created under) and queues a batched
-// release for every handle receipt it accumulated.
+// releaseImport queues the release intent of the proxy created under
+// generation gen of import id. It is what an import's revocation hook
+// does, and all it does; the flusher resolves the intent under c.mu
+// (releaseImportLocked) before anything is written.
 func (c *Conn) releaseImport(id, gen uint64) {
-	c.mu.Lock()
-	e := c.imports[id]
-	if e == nil || e.gen != gen || c.closed {
-		// Replaced, already released, or the whole connection is going
-		// down (shutdown clears the tables wholesale).
-		c.mu.Unlock()
-		return
+	c.batch.push(pushEntry{kind: pushRelease, exportID: id, gen: gen})
+}
+
+// releaseImportLocked resolves a release intent: it drops the import entry
+// the intent names, if the entry still holds the intent's generation, and
+// fills in the receipts to return. It reports false when there is nothing
+// to send — the entry was replaced or already released, or relay exports
+// still ride on its receipts, which parks it as a zombie until the last
+// unpin queues the intent again. Caller holds c.mu.
+func (c *Conn) releaseImportLocked(p *pushEntry) bool {
+	e := c.imports[p.exportID]
+	if e == nil || e.gen != p.gen {
+		return false
 	}
 	if e.pins > 0 {
-		// Relay exports still ride on these receipts: park the entry and
-		// let the last unpin return them.
 		e.zombie = true
-		c.mu.Unlock()
-		return
+		return false
 	}
-	delete(c.imports, id)
-	delete(c.preRevoked, id) // a parked revoke for a dead handle expires with it
-	c.recordReleasedLocked(id, time.Now())
-	rel := releaseEntry{exportID: id, count: e.recv, gen: e.gen}
-	c.mu.Unlock()
-	c.batch.enqueueRelease(rel)
+	delete(c.imports, p.exportID)
+	delete(c.preRevoked, p.exportID) // a parked revoke for a dead handle expires with it
+	c.recordReleasedLocked(p.exportID, time.Now())
+	p.count = e.recv
+	return true
 }
 
 // unpinImport drops one relay pin from an import entry: a relay export
@@ -595,22 +551,15 @@ func (c *Conn) releaseImport(id, gen uint64) {
 // pin leaving a zombie entry completes the release its proxy deferred.
 func (c *Conn) unpinImport(id, gen uint64) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	e := c.imports[id]
 	if e == nil || e.gen != gen || c.closed {
-		c.mu.Unlock()
 		return
 	}
 	e.pins--
-	if e.pins > 0 || !e.zombie {
-		c.mu.Unlock()
-		return
+	if e.pins == 0 && e.zombie {
+		c.releaseImport(id, gen)
 	}
-	delete(c.imports, id)
-	delete(c.preRevoked, id)
-	c.recordReleasedLocked(id, time.Now())
-	rel := releaseEntry{exportID: id, count: e.recv, gen: e.gen}
-	c.mu.Unlock()
-	c.batch.enqueueRelease(rel)
 }
 
 // recordReleasedLocked remembers that every receipt for import id went
@@ -815,33 +764,70 @@ func (c *Conn) unmarshalVector(data []byte, ext *connExternal) ([]any, error) {
 	return vals, nil
 }
 
-// sendReleases writes queued import releases as one msgRelease frame. A
-// failed write faults the connection: a half-dead writer that swallowed
-// releases silently would leak the peer's export entries until teardown,
-// and every later frame was going to fail the same way.
-func (c *Conn) sendReleases(entries []releaseEntry) {
-	fb := getFrame(8 + 16*len(entries))
-	w := wbuf{b: fb.b}
-	w.u8(msgRelease)
-	w.uvarint(uint64(len(entries)))
-	for _, e := range entries {
-		appendReleaseEntry(&w, e)
+// sendPushes does the table work of queued pushes under c.mu and writes
+// what is left as one msgPush. A revoke drops its export entry — the gate
+// is dead — and one whose entry is already gone (released, rolled back)
+// names no handle the peer holds, so it is not sent; a release intent is
+// resolved against the import table (releaseImportLocked); a closed
+// connection sends nothing. A failed write faults the connection: a
+// half-dead writer that swallowed pushes silently would leak the peer's
+// export entries and leave its proxies working until teardown, and every
+// later frame was going to fail the same way.
+func (c *Conn) sendPushes(q []pushEntry) {
+	var upstreams []*relayRef
+	out := q[:0]
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return
 	}
-	fb.b = w.b
-	err := c.send(fb.b)
-	fb.release()
+	for _, p := range q {
+		switch {
+		case p.kind == pushRevoke:
+			e := c.exports[p.exportID]
+			if e == nil {
+				continue
+			}
+			delete(c.exports, p.exportID)
+			if g := e.cap.Gate(); c.exportIDs[g] == p.exportID {
+				delete(c.exportIDs, g)
+			}
+			if e.relay != nil {
+				upstreams = append(upstreams, e.relay)
+			}
+		case p.kind == pushRelease && p.count == 0:
+			if !c.releaseImportLocked(&p) {
+				continue
+			}
+		}
+		out = append(out, p)
+	}
+	c.mu.Unlock()
+	// A revoked relay entry drops its pin on the upstream import; the
+	// import's own revocation (same fault, pushed from the origin) completes
+	// the release once every pin is gone.
+	for _, rr := range upstreams {
+		rr.conn.unpinImport(rr.importID, rr.gen)
+	}
+	if len(out) == 0 {
+		return
+	}
+	err := c.sendBatched(msgPush, len(out), func(w *wbuf, i int) []byte {
+		appendPush(w, &out[i])
+		return nil
+	})
 	if err != nil {
-		c.shutdown(fmt.Errorf("remote: send releases: %w", err))
+		c.shutdown(fmt.Errorf("remote: send pushes: %w", err))
 	}
 }
 
 // parkedRevoke is a pushed revocation waiting for its import: the frame
-// carrying the handle was sent after the revocation push (the hook fires
-// during marshal, before the invoke frame leaves), so on a FIFO stream
-// the handle follows within one in-flight window. at bounds that window:
-// a parked entry that old is garbage — most commonly a revocation racing
-// a release the importer already sent, for an id that will never arrive
-// again — and is pruned rather than kept forever.
+// carrying the handle was sent after the revocation push (the hook may
+// fire during marshal, and the flusher may write the push before the frame
+// leaves), so on a FIFO stream the handle follows within one in-flight
+// window. at bounds that window: a parked entry that old is garbage — most
+// commonly a revocation racing a release the importer already sent, for an
+// id that will never arrive again — and is pruned rather than kept forever.
 type parkedRevoke struct {
 	reason byte
 	at     time.Time
@@ -900,34 +886,38 @@ func (c *Conn) handleRevoke(exportID uint64, reason byte) error {
 	return nil
 }
 
-// handleRelease returns wire references the peer is done with, dropping
-// export entries — and their gate revocation hooks — at refcount zero.
-// The generation guard makes duplicate or superseded releases inert; a
-// release of more references than were ever sent faults the connection.
-func (c *Conn) handleRelease(entries []releaseEntry) error {
-	var unhooks []func()
-	var upstreams []*relayRef
-	c.mu.Lock()
-	for _, re := range entries {
-		e := c.exports[re.exportID]
-		if e == nil || re.gen <= e.relGen {
-			continue // dropped by revocation GC, or a stale duplicate
-		}
-		e.relGen = re.gen
-		unhook, upstream, err := c.dropExportRefsLocked(re.exportID, re.count)
-		if err != nil {
-			c.mu.Unlock()
-			return err
-		}
-		if unhook != nil {
-			unhooks = append(unhooks, unhook)
-		}
-		if upstream != nil {
-			upstreams = append(upstreams, upstream)
-		}
+// handlePush applies one entry of a msgPush vector.
+func (c *Conn) handlePush(p *pushEntry) error {
+	switch p.kind {
+	case pushRelease:
+		return c.handleRelease(p)
+	case pushRevoke:
+		return c.handleRevoke(p.exportID, p.reason)
+	case pushRegister:
+		return c.handleRegister(p)
+	default:
+		return c.handleOffer(p)
 	}
+}
+
+// handleRelease returns wire references the peer is done with, dropping
+// the export entry — and its gate revocation hook — at refcount zero. The
+// generation guard makes duplicate or superseded releases inert; a release
+// of more references than were ever sent faults the connection.
+func (c *Conn) handleRelease(p *pushEntry) error {
+	c.mu.Lock()
+	e := c.exports[p.exportID]
+	if e == nil || p.gen <= e.relGen {
+		c.mu.Unlock()
+		return nil // dropped by revocation GC, or a stale duplicate
+	}
+	e.relGen = p.gen
+	unhook, upstream, err := c.dropExportRefsLocked(p.exportID, p.count)
 	c.mu.Unlock()
-	for _, unhook := range unhooks {
+	if err != nil {
+		return err
+	}
+	if unhook != nil {
 		unhook()
 	}
 	// A dead relay entry drops its pin on the middleman's own import, so
@@ -936,8 +926,8 @@ func (c *Conn) handleRelease(entries []releaseEntry) error {
 	// origin's export for the life of the middleman's connection. An
 	// import the middleman still holds for itself just loses the pin and
 	// stays usable.
-	for _, rr := range upstreams {
-		rr.conn.unpinImport(rr.importID, rr.gen)
+	if upstream != nil {
+		upstream.conn.unpinImport(upstream.importID, upstream.gen)
 	}
 	return nil
 }

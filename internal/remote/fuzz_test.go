@@ -76,26 +76,22 @@ func seedFrames() [][]byte {
 		replyVector(replyFrame{reqID: 3, status: statusOK, body: results},
 			replyFrame{reqID: 4, status: statusErr, kind: errKindRemote, class: "panic", msg: "boom"}))
 
-	// Revocation push.
-	w = &wbuf{}
-	w.u8(msgRevoke)
-	w.uvarint(5)
-	w.u8(revokeReasonTerminated)
-	add(w)
-
-	// Batched import releases (export id, receipt count, generation).
-	w = &wbuf{}
-	w.u8(msgRelease)
-	w.uvarint(3)
-	appendReleaseEntry(w, releaseEntry{exportID: 9, count: 2, gen: 4})
-	appendReleaseEntry(w, releaseEntry{exportID: 0, count: 1, gen: 1})
-	appendReleaseEntry(w, releaseEntry{exportID: 1 << 40, count: 7, gen: 300})
-	add(w)
-
-	// Three-party handoff: ticket registration and the offer relayed to the
-	// receiver.
-	frames = append(frames, encodeRegister(0xfeedc0ffee, 9))
-	frames = append(frames, encodeOffer(3, 9, 0xfeedc0ffee, "unix", "/tmp/origin.sock"))
+	// Push vectors: a revocation alone; batched import releases (export
+	// id, receipt count, generation); the three-party handoff's ticket
+	// registration and the offer relayed to the receiver, each alone; and
+	// one vector of all four kinds, as a flusher coalesces them.
+	revoke := pushEntry{kind: pushRevoke, exportID: 5, reason: revokeReasonTerminated}
+	register := pushEntry{kind: pushRegister, nonce: 0xfeedc0ffee, exportID: 9}
+	offer := pushEntry{kind: pushOffer, relayID: 3, exportID: 9, nonce: 0xfeedc0ffee, network: "unix", addr: "/tmp/origin.sock"}
+	release := pushEntry{kind: pushRelease, exportID: 9, count: 2, gen: 4}
+	frames = append(frames,
+		pushVector(revoke),
+		pushVector(release,
+			pushEntry{kind: pushRelease, exportID: 0, count: 1, gen: 1},
+			pushEntry{kind: pushRelease, exportID: 1 << 40, count: 7, gen: 300}),
+		pushVector(register),
+		pushVector(offer),
+		pushVector(release, revoke, register, offer))
 
 	// Calls on the bootstrap (export 0) and their answers: a hello, a
 	// lookup, a lazy manifest fetch, a handoff redeem.
@@ -123,10 +119,11 @@ func seedFrames() [][]byte {
 }
 
 // retiredTypes are the message types nothing sends any more: the lone
-// invoke and reply the call vectors replaced, and the control frames the
+// invoke and reply the call vectors replaced, the lone revocation and
+// handoff frames the push vector replaced, and the control frames the
 // bootstrap capability replaced (lookup, ping and pong, manifest, redeem,
 // with their replies).
-var retiredTypes = []byte{1, 2, 4, 5, 6, 7, 11, 12, 14, 15}
+var retiredTypes = []byte{1, 2, 3, 4, 5, 6, 7, 11, 12, 13, 14, 15}
 
 // fuzzRegistry knows what the seed frames' streams carry.
 func fuzzRegistry() *seri.Registry {
@@ -149,10 +146,12 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{msgInvoke, 1, 1, 0, 4, 'E', 'c', 'h', 'o', 0xff})
 	f.Add([]byte{msgInvoke, 1, 1, 0, 4, 'E', 'c', 'h', 'o', 1, 0, 9})
 	f.Add([]byte{msgInvoke, 1, 2, 0, 4, 'N', 'u', 'l', 'l', 1, 7})
-	// Malformed handoff frames: unknown kind and an offer with no origin
-	// address. Each must be rejected (faulting the connection), never panic.
-	f.Add([]byte{msgHandoff, 9, 1, 2})
-	f.Add([]byte{msgHandoff, handoffOffer, 3, 9, 5, 4, 'u', 'n', 'i', 'x', 0})
+	// Malformed push vectors: an unknown entry kind, an offer with no
+	// origin address, and an empty vector. Each must be rejected (faulting
+	// the connection), never panic.
+	f.Add([]byte{msgPush, 1, 9, 1, 2})
+	f.Add([]byte{msgPush, 1, pushOffer, 3, 9, 5, 4, 'u', 'n', 'i', 'x', 0})
+	f.Add([]byte{msgPush, 0})
 	// The retired frames, each as its old self would have begun: they are
 	// unknown types now.
 	for _, t := range retiredTypes {
@@ -203,8 +202,8 @@ func normalized(f inFrame) inFrame {
 	if len(f.replies) == 0 {
 		f.replies = nil
 	}
-	if len(f.releases) == 0 {
-		f.releases = nil
+	if len(f.pushes) == 0 {
+		f.pushes = nil
 	}
 	return f
 }
@@ -233,13 +232,13 @@ func TestDecodeFrameReuse(t *testing.T) {
 	}
 }
 
-// decodeFrame knows exactly five message types, under the bytes the wire
-// has always given them: revoke (3), invoke and reply (8 and 9, the call
-// vectors), release (10) and handoff (13). Every other type byte — the
-// retired lone-call and control frames among them — is an unknown type.
-func TestDecodeFrameKnowsFiveTypes(t *testing.T) {
-	known := map[byte]bool{3: true, 8: true, 9: true, 10: true, 13: true}
-	for _, mt := range []byte{msgRevoke, msgInvoke, msgReply, msgRelease, msgHandoff} {
+// decodeFrame knows exactly three message types: invoke and reply (8 and
+// 9, the call vectors) and push (10, the byte the release frame it grew
+// from always had). Every other type byte — the retired lone-call,
+// revocation, handoff and control frames among them — is an unknown type.
+func TestDecodeFrameKnowsThreeTypes(t *testing.T) {
+	known := map[byte]bool{8: true, 9: true, 10: true}
+	for _, mt := range []byte{msgInvoke, msgReply, msgPush} {
 		if !known[mt] {
 			t.Fatalf("message type %d is not on the wire's list", mt)
 		}
@@ -294,13 +293,13 @@ func TestDecodeFrameCostIsLinear(t *testing.T) {
 	}
 	const n = 1 << 14
 	frames := map[string][]byte{
-		"invoke, minimal calls":    maxCount(msgInvoke, n, 0, 0, 0, 0, 0),
-		"reply, empty results":     maxCount(msgReply, n, 0, statusOK, 0),
-		"reply, short errors":      maxCount(msgReply, n, 0, statusErr, errKindRemote, 2, 'a', 'b', 2, 'c', 'd'),
-		"release, minimal entries": maxCount(msgRelease, n, 0, 0, 0),
-		"invoke, forged count":     {msgInvoke, 0x80, 0x80, 0x80, 0x80, 0x01, 0, 0, 0, 0, 0},
-		"reply, forged count":      {msgReply, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0},
-		"release, forged count":    {msgRelease, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0},
+		"invoke, minimal calls": maxCount(msgInvoke, n, 0, 0, 0, 0, 0),
+		"reply, empty results":  maxCount(msgReply, n, 0, statusOK, 0),
+		"reply, short errors":   maxCount(msgReply, n, 0, statusErr, errKindRemote, 2, 'a', 'b', 2, 'c', 'd'),
+		"push, minimal entries": maxCount(msgPush, n, pushRevoke, 0, 0),
+		"invoke, forged count":  {msgInvoke, 0x80, 0x80, 0x80, 0x80, 0x01, 0, 0, 0, 0, 0},
+		"reply, forged count":   {msgReply, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0},
+		"push, forged count":    {msgPush, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0},
 	}
 	for i, f := range seedFrames() {
 		frames[fmt.Sprintf("seed %d", i)] = f

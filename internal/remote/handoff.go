@@ -250,14 +250,14 @@ func (c *Conn) relayInfo(importID uint64) (*relayRef, origin) {
 }
 
 // offerHandoff mints a ticket for relay export id, a re-export of pt: it
-// is registered with the origin over pt's own connection and offered to
-// this connection's peer. Registration travels first; the receiver's
-// redeem retries briefly in case it still outruns this frame to the
-// origin.
+// queues the registration with the origin on pt's own connection and the
+// offer to this connection's peer, and writes neither — it runs during
+// marshal. Registration is queued first; the receiver's redeem retries
+// briefly in case it still outruns the register entry to the origin.
 func (c *Conn) offerHandoff(pt *proxyTarget, id uint64, o origin) {
 	nonce := newNonce()
-	_ = pt.conn.send(encodeRegister(nonce, pt.exportID))
-	_ = c.send(encodeOffer(id, pt.exportID, nonce, o.network, o.addr))
+	pt.conn.batch.push(pushEntry{kind: pushRegister, nonce: nonce, exportID: pt.exportID})
+	c.batch.push(pushEntry{kind: pushOffer, relayID: id, exportID: pt.exportID, nonce: nonce, network: o.network, addr: o.addr})
 	c.count("remote.handoff.offers")
 }
 
@@ -269,8 +269,8 @@ func (c *Conn) offerHandoff(pt *proxyTarget, id uint64, o origin) {
 // invoke through this kernel — the relay export still happens (it is the
 // fallback the receiver keeps if redemption fails), but a handoff ticket
 // is minted alongside it: registered with the origin over the proxy's own
-// connection, offered to the receiver over this one. On a FIFO stream the
-// offer precedes the frame carrying the handle, so the receiver parks it
+// connection, offered to the receiver over this one. The offer may reach
+// the receiver before the frame carrying the handle, which then parks it
 // until the import materializes.
 func (c *Conn) exportHandle(cap *core.Capability) (handle uint64, refcounted bool) {
 	pt := proxyOf(cap)
@@ -296,10 +296,10 @@ func (c *Conn) exportHandle(cap *core.Capability) (handle uint64, refcounted boo
 }
 
 // parkedOffer is a redeem offer waiting for the relay import it names
-// (the offer frame outruns the handle on the same stream). TTL-pruned
-// with the preRevoked window.
+// (the offer outran the handle on the same stream). TTL-pruned with the
+// preRevoked window.
 type parkedOffer struct {
-	f  handoffFrame
+	p  pushEntry
 	at time.Time
 }
 
@@ -313,36 +313,41 @@ func (c *Conn) pruneHandoffsLocked(now time.Time) {
 	}
 }
 
-// handleHandoff services one msgHandoff on the reader: a ticket
-// registration (we are the origin) or a redeem offer (we are the
-// receiver). Only table floods fault the connection; anything stale —
-// an export revoked under the ticket, an offer for a relay that was
-// already released — degrades to the relay fallback.
-func (c *Conn) handleHandoff(f handoffFrame) error {
-	switch f.kind {
-	case handoffRegister:
-		cap := c.exported(f.exportID)
-		if cap == nil {
-			return nil // revoked or released under the middleman; redeem will fail anyway
-		}
-		return stateOf(c.k).registerTicket(f.nonce, cap, f.exportID)
-	case handoffOffer:
-		now := time.Now()
-		c.mu.Lock()
-		c.pruneHandoffsLocked(now)
-		if e, ok := c.imports[f.relayID]; ok {
-			cap, gen := e.cap, e.gen
-			c.mu.Unlock()
-			go c.redeemOffer(f, cap, f.relayID, gen)
-			return nil
-		}
-		if len(c.pendingHandoffs) >= maxPreRevoked {
-			c.mu.Unlock()
-			return fmt.Errorf("remote: protocol error: %d handoff offers parked for never-imported relays", maxPreRevoked)
-		}
-		c.pendingHandoffs[f.relayID] = parkedOffer{f: f, at: now}
-		c.mu.Unlock()
+// handleRegister records a ticket registration: we are the origin. Only a
+// table flood faults the connection; a registration for an export revoked
+// or released under the middleman is dropped — its redeem fails anyway.
+func (c *Conn) handleRegister(p *pushEntry) error {
+	cap := c.exported(p.exportID)
+	if cap == nil {
+		return nil
 	}
+	return stateOf(c.k).registerTicket(p.nonce, cap, p.exportID)
+}
+
+// handleOffer services a redeem offer: we are the receiver. An import is
+// redeemed at most once, so a peer repeating an offer starts nothing; an
+// offer for a relay import not yet here is parked for it, and one for a
+// relay already released is stale. Only a parking flood faults the
+// connection; anything stale degrades to the relay fallback.
+func (c *Conn) handleOffer(p *pushEntry) error {
+	now := time.Now()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.pruneHandoffsLocked(now)
+	if e, ok := c.imports[p.relayID]; ok {
+		if !e.redeeming {
+			e.redeeming = true
+			go c.redeemOffer(*p, e.cap, p.relayID, e.gen)
+		}
+		return nil
+	}
+	if at, released := c.releasedImports[p.relayID]; released && now.Sub(at) <= preRevokedTTL {
+		return nil
+	}
+	if len(c.pendingHandoffs) >= maxPreRevoked {
+		return fmt.Errorf("remote: protocol error: %d handoff offers parked for never-imported relays", maxPreRevoked)
+	}
+	c.pendingHandoffs[p.relayID] = parkedOffer{p: *p, at: now}
 	return nil
 }
 
@@ -394,7 +399,7 @@ func isUnknownTicket(err error) bool {
 // existing relay proxy onto the direct route, and release the middleman's
 // relay references. Every failure short of a revocation leaves the relay
 // path untouched — the capability keeps working, just unshortened.
-func (c *Conn) redeemOffer(f handoffFrame, cap *core.Capability, relayID, relayGen uint64) {
+func (c *Conn) redeemOffer(f pushEntry, cap *core.Capability, relayID, relayGen uint64) {
 	oc, err := stateOf(c.k).originConn(c.k, f.network, f.addr)
 	if err != nil {
 		c.count("remote.handoff.fallback")
@@ -481,9 +486,10 @@ func (c *Conn) adoptImport(id uint64, cap *core.Capability) (pre error, ok bool)
 	c.imports[id] = e
 	delete(c.releasedImports, id) // id is live again; future revokes are real
 	gen := e.gen
-	// If cap is already revoked this fires inline and the fresh entry
-	// self-cleans through the ordinary release path.
-	cap.Gate().OnRevoke(func() { go c.releaseImport(id, gen) })
+	// If cap is already revoked this fires inline — under c.mu, which is
+	// why the hook only queues — and the fresh entry self-cleans through
+	// the ordinary release path.
+	cap.Gate().OnRevoke(func() { c.releaseImport(id, gen) })
 	if p, raced := c.preRevoked[id]; raced {
 		delete(c.preRevoked, id)
 		pre = revokeFault(p.reason)

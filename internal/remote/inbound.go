@@ -106,7 +106,8 @@ func (c *Conn) readLoop() {
 // when run is nil or the frame would take it past maxBatchCalls or
 // maxBatchBytes), which dispatch returns for the reader to submit or grow.
 // Any other frame submits the pending run before it is handled, so frames
-// act in the order they arrived.
+// act in the order they arrived, and a push vector's entries act in the
+// order they were queued.
 func (c *Conn) dispatch(fb *frameBuf, f *inFrame, run *batchRun) (*batchRun, error) {
 	err := decodeFrame(fb.b, f)
 	if m := c.metrics; m != nil {
@@ -138,12 +139,12 @@ func (c *Conn) dispatch(fb *frameBuf, f *inFrame, run *batchRun) (*batchRun, err
 		for i := range f.replies {
 			c.completeReply(&f.replies[i])
 		}
-	case msgRevoke:
-		err = c.handleRevoke(f.revoke.exportID, f.revoke.reason)
-	case msgRelease:
-		err = c.handleRelease(f.releases)
-	case msgHandoff:
-		err = c.handleHandoff(f.handoff)
+	case msgPush:
+		for i := range f.pushes {
+			if err = c.handlePush(&f.pushes[i]); err != nil {
+				break
+			}
+		}
 	}
 	return nil, err
 }

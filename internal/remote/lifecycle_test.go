@@ -270,14 +270,12 @@ func TestPreRevokedCapFaultsConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	for i := 0; i <= maxPreRevoked; i++ {
-		var w wbuf
-		w.u8(msgRevoke)
-		w.uvarint(uint64(1000 + i))
-		w.u8(revokeReasonRevoked)
-		if err := writeFrame(nc, w.b); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
+	flood := make([]pushEntry, maxPreRevoked+1)
+	for i := range flood {
+		flood[i] = pushEntry{kind: pushRevoke, exportID: uint64(1000 + i), reason: revokeReasonRevoked}
+	}
+	if err := writeFrame(nc, pushVector(flood...)); err != nil {
+		t.Fatal(err)
 	}
 	// The server may get its Hello out before the flood faults it, so
 	// drain frames until the connection actually dies.
@@ -457,10 +455,10 @@ func TestChurnTablesReturnToBaseline(t *testing.T) {
 	// async call still counted in flight.
 	cbase := "remote.conn." + p.conn.domain.Name
 	waitGauges(t, "client post-churn", p.client, map[string]int64{
-		cbase + ".imports":         2,
-		cbase + ".pending":         0,
-		cbase + ".release_backlog": 0,
-		"core.async.inflight":      0,
+		cbase + ".imports":      2,
+		cbase + ".pending":      0,
+		cbase + ".push_backlog": 0,
+		"core.async.inflight":   0,
 	})
 	sbase := "remote.conn." + sc.domain.Name
 	waitGauges(t, "server post-churn", p.server, map[string]int64{

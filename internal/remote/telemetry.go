@@ -19,22 +19,18 @@ import (
 // msgName labels a wire message type for metric names.
 func msgName(t byte) string {
 	switch t {
-	case msgRevoke:
-		return "revoke"
 	case msgInvoke:
 		return "invoke"
 	case msgReply:
 		return "reply"
-	case msgRelease:
-		return "release"
-	case msgHandoff:
-		return "handoff"
+	case msgPush:
+		return "push"
 	default:
 		return "other"
 	}
 }
 
-const maxMsgType = msgHandoff
+const maxMsgType = msgPush
 
 type connMetrics struct {
 	reg    *telemetry.Registry
@@ -84,7 +80,7 @@ func newConnMetrics(k *core.Kernel, c *Conn) *connMetrics {
 	m.framesOut[maxMsgType+1] = reg.Counter("remote.frames_out.other")
 
 	// Per-connection live gauges: table occupancy (the wire-table leak
-	// diagnostics of TableSizes), release backlog, executor pool size.
+	// diagnostics of TableSizes), push backlog, executor pool size.
 	base := "remote.conn." + c.domain.Name
 	gauge := func(name string, fn func() int64) {
 		reg.GaugeFunc(name, fn)
@@ -94,7 +90,7 @@ func newConnMetrics(k *core.Kernel, c *Conn) *connMetrics {
 	gauge(base+".imports", func() int64 { return int64(c.TableSizes().Imports) })
 	gauge(base+".pending", func() int64 { return int64(c.TableSizes().Pending) })
 	gauge(base+".pre_revoked", func() int64 { return int64(c.TableSizes().PreRevoked) })
-	gauge(base+".release_backlog", func() int64 { return int64(c.batch.releaseBacklog()) })
+	gauge(base+".push_backlog", func() int64 { return int64(c.batch.pushBacklog()) })
 	gauge(base+".exec_workers", func() int64 { return int64(c.exec.workers.Load()) })
 	return m
 }

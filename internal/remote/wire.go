@@ -13,12 +13,15 @@
 // side holds proxies for). Export id 0 is never a table entry: it names
 // the connection's bootstrap capability (bootstrap.go), through which a
 // peer looks names up, fetches manifests and redeems handoff tickets — so
-// every request that wants an answer is an invocation. Arguments cross as
-// an intermediate byte array produced by internal/seri, with capability
+// every request that wants an answer is an invocation, and everything else
+// the peer must hear is an entry of a push vector. Arguments cross as an
+// intermediate byte array produced by internal/seri, with capability
 // references encoded through seri's External hook. Revocation — explicit,
-// or implied by domain termination — is pushed eagerly so proxies fail
-// fast, and a lost connection faults every proxy imported over it ("worker
-// died" surfaces as a capability fault, never as a supervisor crash).
+// or implied by domain termination — is queued as a push the moment the
+// gate dies, so proxies fail fast without the revoker ever waiting on a
+// socket, and a lost connection faults every proxy imported over it
+// ("worker died" surfaces as a capability fault, never as a supervisor
+// crash).
 //
 // The //jk:faultpath mark below puts this package's handle*/serve*/reply*
 // frame handlers in scope of jkvet's faultpath pass: an error a handler
@@ -36,40 +39,43 @@ import (
 )
 
 // Message types. A request that wants an answer is an invocation — a user
-// call or a call on the peer's bootstrap — and a push is a frame. Calls
-// travel as vectors (the paper's Table 4 lesson applied to the wire): one
-// msgInvoke carries every call the batcher held when it was written, one
-// or many, and the msgReply answering them carries per-call status, so one
-// faulting call cannot poison its vector. Types 1 and 2 were the lone-call
-// frames, and 4–7, 11, 12, 14 and 15 control request/reply pairs before
+// call or a call on the peer's bootstrap — and anything one-way is a push.
+// Both travel as vectors (the paper's Table 4 lesson applied to the wire):
+// one msgInvoke carries every call the batcher held when it was written,
+// one or many, and the msgReply answering them carries per-call status, so
+// one faulting call cannot poison its vector; one msgPush carries every
+// revocation, release and handoff entry queued meanwhile. Types 1 and 2
+// were the lone-call frames, 3 and 13 the lone revocation and handoff
+// pushes, and 4–7, 11, 12, 14 and 15 control request/reply pairs before
 // the bootstrap took their place; all of them decode as unknown types.
 const (
-	msgRevoke byte = 3 // exportID, reason
-	msgInvoke byte = 8 // count, then per call: reqID, exportID, method, trace, argLen, args
-	msgReply  byte = 9 // count, then per call: reqID, status, bodyLen+body | error
-	// Capability lifecycle: imports release their wire references when the
-	// local proxy dies (explicit ReleaseProxy, local revocation, or a
-	// pushed revocation), and the export side drops its table entry when
-	// the reference count reaches zero. Releases are batched — one frame
-	// carries any number of (exportID, count, generation) entries — and
-	// the generation counter makes a stale or duplicated release for a
-	// re-imported id harmless (see Conn.handleRelease).
-	msgRelease byte = 10 // count, then per entry: exportID, count, gen
-	// Three-party handoff (path shortening): when a proxy imported from
-	// kernel A is re-exported to kernel C, the middleman B mints a
-	// redeemable ticket instead of settling for a relay. msgHandoff carries
-	// the ticket registration to A (kind=register) and the offer to C
-	// (kind=offer: A's address, A's export id, and a one-time nonce); C
-	// dials A — or reuses a pooled connection — and trades the nonce for a
-	// first-class import with a Redeem call on A's bootstrap. The relay path
-	// stays as the transparent fallback.
-	msgHandoff byte = 13 // kind, then register: nonce, exportID | offer: relayID, exportID, nonce, network, addr
+	msgInvoke byte = 8  // count, then per call: reqID, exportID, method, trace, argLen, args
+	msgReply  byte = 9  // count, then per call: reqID, status, bodyLen+body | error
+	msgPush   byte = 10 // count, then per entry: kind, then that kind's fields
 )
 
-// msgHandoff kinds.
+// Push entry kinds.
+//
+// Capability lifecycle: imports release their wire references when the
+// local proxy dies (explicit ReleaseProxy, local revocation, or a pushed
+// revocation), and the export side drops its table entry when the
+// reference count reaches zero. A release carries the receipt count and a
+// generation, which makes a stale or duplicated release for a re-imported
+// id harmless (see Conn.handleRelease). A revoked gate's export entry is
+// dropped and its revocation pushed.
+//
+// Three-party handoff (path shortening): when a proxy imported from kernel
+// A is re-exported to kernel C, the middleman B mints a redeemable ticket
+// instead of settling for a relay. A register entry carries the ticket to
+// A, and an offer entry carries A's address, A's export id and the
+// one-time nonce to C; C dials A — or reuses a pooled connection — and
+// trades the nonce for a first-class import with a Redeem call on A's
+// bootstrap. The relay path stays as the transparent fallback.
 const (
-	handoffRegister byte = 1 // middleman -> origin: register a ticket
-	handoffOffer    byte = 2 // middleman -> receiver: redeem it at the origin
+	pushRelease  byte = 1 // exportID, count, gen
+	pushRevoke   byte = 2 // exportID, reason
+	pushRegister byte = 3 // nonce, exportID (middleman -> origin)
+	pushOffer    byte = 4 // relayID, exportID, nonce, network, addr (middleman -> receiver)
 )
 
 // Reply statuses.
@@ -87,7 +93,7 @@ const (
 	errKindProtocol   byte = 6
 )
 
-// Revocation reasons pushed with msgRevoke.
+// Revocation reasons a revoke entry carries.
 const (
 	revokeReasonRevoked    byte = 0
 	revokeReasonTerminated byte = 1
@@ -262,12 +268,10 @@ func (r *rbuf) rest() []byte { return r.b[r.pos:] }
 // and the vector slices keep their backing arrays from frame to frame — so
 // whatever must outlive dispatch is copied out of it.
 type inFrame struct {
-	t        byte
-	calls    []invokeFrame // msgInvoke
-	replies  []replyFrame  // msgReply
-	revoke   revokeFrame
-	releases []releaseEntry // msgRelease
-	handoff  handoffFrame
+	t       byte
+	calls   []invokeFrame // msgInvoke
+	replies []replyFrame  // msgReply
+	pushes  []pushEntry   // msgPush
 }
 
 // Trace block flags. Every call entry carries a one-byte flags field after
@@ -303,30 +307,22 @@ type replyFrame struct {
 	bodyBuf *frameBuf // outbound only: pooled owner of body
 }
 
-// revokeFrame is a pushed revocation.
-type revokeFrame struct {
-	exportID uint64
-	reason   byte
-}
-
-// handoffFrame is one msgHandoff: a ticket registration at the origin
-// (kind=register) or a redeem offer at the receiver (kind=offer).
-type handoffFrame struct {
+// pushEntry is one entry of a msgPush vector; kind says which fields are
+// meaningful. It doubles as the batcher's queued push: a release queued
+// by a dying proxy's hook is an intent with count 0, which the flusher
+// resolves against the import table before the entry is written (see
+// Conn.sendPushes). It holds ids and strings only, so a queued push pins
+// no gate.
+type pushEntry struct {
 	kind     byte
-	nonce    uint64
-	exportID uint64 // the origin's export id the ticket names
-	relayID  uint64 // offer only: the middleman's relay export id on this conn
-	network  string // offer only: the origin kernel's dialable endpoint
+	reason   byte   // revoke
+	exportID uint64 // the sender's export for a revoke, the receiver's for a release or register, the origin's for an offer
+	count    uint64 // release: the receipts returned
+	gen      uint64 // release: the import generation they belong to
+	nonce    uint64 // register, offer: the one-time ticket
+	relayID  uint64 // offer: the middleman's relay export id on this conn
+	network  string // offer: the origin kernel's dialable endpoint
 	addr     string
-}
-
-// releaseEntry is one import's released wire references: the peer's export
-// id, how many handles the importer received for it, and the import-entry
-// generation those receipts belong to.
-type releaseEntry struct {
-	exportID uint64
-	count    uint64
-	gen      uint64
 }
 
 // parseTrace decodes the trace block following the method name: one flags
@@ -442,80 +438,73 @@ func parseReplies(r *rbuf, replies []replyFrame) ([]replyFrame, error) {
 	return replies, nil
 }
 
-func parseRevoke(r *rbuf) (revokeFrame, error) {
-	var f revokeFrame
-	var err error
-	if f.exportID, err = r.uvarint(); err != nil {
-		return f, err
+// parsePush decodes one entry of a msgPush vector.
+func parsePush(r *rbuf) (p pushEntry, err error) {
+	if p.kind, err = r.u8(); err != nil {
+		return p, err
 	}
-	f.reason, err = r.u8()
-	return f, err
-}
-
-func parseHandoff(r *rbuf) (handoffFrame, error) {
-	var f handoffFrame
-	var err error
-	if f.kind, err = r.u8(); err != nil {
-		return f, err
-	}
-	switch f.kind {
-	case handoffRegister:
-		if f.nonce, err = r.uvarint(); err != nil {
-			return f, err
+	switch p.kind {
+	case pushRelease:
+		if p.exportID, err = r.uvarint(); err != nil {
+			return p, err
 		}
-		f.exportID, err = r.uvarint()
-		return f, err
-	case handoffOffer:
-		if f.relayID, err = r.uvarint(); err != nil {
-			return f, err
+		if p.count, err = r.uvarint(); err != nil {
+			return p, err
 		}
-		if f.exportID, err = r.uvarint(); err != nil {
-			return f, err
+		p.gen, err = r.uvarint()
+	case pushRevoke:
+		if p.exportID, err = r.uvarint(); err != nil {
+			return p, err
 		}
-		if f.nonce, err = r.uvarint(); err != nil {
-			return f, err
+		p.reason, err = r.u8()
+	case pushRegister:
+		if p.nonce, err = r.uvarint(); err != nil {
+			return p, err
 		}
-		if f.network, err = r.str(); err != nil {
-			return f, err
+		p.exportID, err = r.uvarint()
+	case pushOffer:
+		if p.relayID, err = r.uvarint(); err != nil {
+			return p, err
 		}
-		if f.addr, err = r.str(); err != nil {
-			return f, err
+		if p.exportID, err = r.uvarint(); err != nil {
+			return p, err
 		}
-		if f.addr == "" {
-			return f, r.fail("offer without origin address")
+		if p.nonce, err = r.uvarint(); err != nil {
+			return p, err
 		}
-		return f, nil
+		if p.network, err = r.str(); err != nil {
+			return p, err
+		}
+		if p.addr, err = r.str(); err == nil && p.addr == "" {
+			err = r.fail("offer without origin address")
+		}
 	default:
-		return f, r.fail("unknown handoff kind")
+		err = r.fail("unknown push kind")
 	}
+	return p, err
 }
 
-func parseRelease(r *rbuf, entries []releaseEntry) ([]releaseEntry, error) {
-	n, err := r.count(3) // exportID + count + gen, 1 byte each minimum
+// parsePushes decodes a msgPush vector, appending to pushes.
+func parsePushes(r *rbuf, pushes []pushEntry) ([]pushEntry, error) {
+	n, err := r.count(3) // kind + two fields, 1 byte each minimum
 	if err != nil {
 		return nil, err
 	}
 	if n == 0 {
-		return nil, r.fail("empty release")
+		return nil, r.fail("empty push vector")
 	}
-	entries = slices.Grow(entries, n)
+	pushes = slices.Grow(pushes, n)
 	for i := 0; i < n; i++ {
-		var e releaseEntry
-		if e.exportID, err = r.uvarint(); err != nil {
+		p, err := parsePush(r)
+		if err != nil {
 			return nil, err
 		}
-		if e.count, err = r.uvarint(); err != nil {
-			return nil, err
-		}
-		if e.gen, err = r.uvarint(); err != nil {
-			return nil, err
-		}
-		entries = append(entries, e)
+		pushes = append(pushes, p)
 	}
 	if len(r.rest()) != 0 {
-		return nil, r.fail("trailing bytes after release")
+		return nil, r.fail("trailing bytes after push vector")
 	}
-	return entries, nil
+	return pushes, nil
 }
 
 // decodeFrame decodes one frame into f, which it first resets — keeping
@@ -527,7 +516,8 @@ func parseRelease(r *rbuf, entries []releaseEntry) ([]releaseEntry, error) {
 func decodeFrame(frame []byte, f *inFrame) error {
 	clear(f.calls)
 	clear(f.replies)
-	*f = inFrame{calls: f.calls[:0], replies: f.replies[:0], releases: f.releases[:0]}
+	clear(f.pushes)
+	*f = inFrame{calls: f.calls[:0], replies: f.replies[:0], pushes: f.pushes[:0]}
 	r := &rbuf{b: frame}
 	var err error
 	if f.t, err = r.u8(); err != nil {
@@ -538,12 +528,8 @@ func decodeFrame(frame []byte, f *inFrame) error {
 		f.calls, err = parseCalls(r, f.calls)
 	case msgReply:
 		f.replies, err = parseReplies(r, f.replies)
-	case msgRevoke:
-		f.revoke, err = parseRevoke(r)
-	case msgRelease:
-		f.releases, err = parseRelease(r, f.releases)
-	case msgHandoff:
-		f.handoff, err = parseHandoff(r)
+	case msgPush:
+		f.pushes, err = parsePushes(r, f.pushes)
 	default:
 		err = fmt.Errorf("remote: unknown message type %d", f.t)
 	}
@@ -564,11 +550,27 @@ func appendCallHeader(w *wbuf, reqID, exportID uint64, method string, traceID, p
 	w.uvarint(uint64(argLen))
 }
 
-// appendReleaseEntry appends one entry to a msgRelease body.
-func appendReleaseEntry(w *wbuf, e releaseEntry) {
-	w.uvarint(e.exportID)
-	w.uvarint(e.count)
-	w.uvarint(e.gen)
+// appendPush appends one entry to a msgPush body.
+func appendPush(w *wbuf, p *pushEntry) {
+	w.u8(p.kind)
+	switch p.kind {
+	case pushRelease:
+		w.uvarint(p.exportID)
+		w.uvarint(p.count)
+		w.uvarint(p.gen)
+	case pushRevoke:
+		w.uvarint(p.exportID)
+		w.u8(p.reason)
+	case pushRegister:
+		w.uvarint(p.nonce)
+		w.uvarint(p.exportID)
+	case pushOffer:
+		w.uvarint(p.relayID)
+		w.uvarint(p.exportID)
+		w.uvarint(p.nonce)
+		w.str(p.network)
+		w.str(p.addr)
+	}
 }
 
 // appendReplyHeader appends one reply entry to a msgReply body and returns
@@ -586,27 +588,4 @@ func appendReplyHeader(w *wbuf, rep *replyFrame) []byte {
 	w.str(rep.class)
 	w.str(rep.msg)
 	return nil
-}
-
-// encodeRegister builds the middleman -> origin ticket registration.
-func encodeRegister(nonce, exportID uint64) []byte {
-	var w wbuf
-	w.u8(msgHandoff)
-	w.u8(handoffRegister)
-	w.uvarint(nonce)
-	w.uvarint(exportID)
-	return w.b
-}
-
-// encodeOffer builds the middleman -> receiver redeem offer.
-func encodeOffer(relayID, exportID, nonce uint64, network, addr string) []byte {
-	var w wbuf
-	w.u8(msgHandoff)
-	w.u8(handoffOffer)
-	w.uvarint(relayID)
-	w.uvarint(exportID)
-	w.uvarint(nonce)
-	w.str(network)
-	w.str(addr)
-	return w.b
 }

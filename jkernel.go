@@ -191,7 +191,7 @@ func ReleaseProxy(cap *Capability) bool {
 // Three-party handoff. When a capability imported from kernel A is
 // re-exported to kernel C, the middleman mints a redeemable ticket and C
 // silently shortens the route to a direct A–C import (falling back to the
-// two-hop relay when A is unreachable or predates the handoff frames).
+// two-hop relay when A is unreachable or the ticket cannot be redeemed).
 // Shortening is fully transparent; these helpers exist for deployments
 // that need to steer or observe it.
 
