@@ -155,15 +155,6 @@ func (m *Meter) Account(domain int64) *Account {
 	return a
 }
 
-// Alloc charges domain for bytes of heap allocation.
-func (m *Meter) Alloc(domain, bytes int64) { m.Account(domain).Alloc(bytes) }
-
-// Steps charges domain for interpreter work.
-func (m *Meter) Steps(domain, n int64) { m.Account(domain).Steps(n) }
-
-// Class charges domain for class metadata.
-func (m *Meter) Class(domain, bytes int64) { m.Account(domain).Class(bytes) }
-
 // CrossCall is Cross by domain id. The callee's account is resolved only
 // under a policy that bills it.
 func (m *Meter) CrossCall(caller, callee, bytes int64) {

@@ -11,10 +11,10 @@ import (
 
 func TestBasicCharges(t *testing.T) {
 	m := NewMeter(ChargeCaller)
-	m.Alloc(1, 100)
-	m.Alloc(1, 50)
-	m.Steps(1, 7)
-	m.Class(2, 300)
+	m.Account(1).Alloc(100)
+	m.Account(1).Alloc(50)
+	m.Account(1).Steps(7)
+	m.Account(2).Class(300)
 	s1 := m.Snapshot(1)
 	if s1.AllocBytes != 150 || s1.Steps != 7 {
 		t.Errorf("domain1 = %+v", s1)
@@ -76,11 +76,11 @@ func TestCopyConservationProperty(t *testing.T) {
 
 func TestFreezeStopsCharges(t *testing.T) {
 	m := NewMeter(ChargeCaller)
-	m.Alloc(1, 10)
+	m.Account(1).Alloc(10)
 	m.Account(1).Freeze()
-	m.Alloc(1, 10)
-	m.Steps(1, 10)
-	m.Class(1, 10)
+	m.Account(1).Alloc(10)
+	m.Account(1).Steps(10)
+	m.Account(1).Class(10)
 	s := m.Snapshot(1)
 	if s.AllocBytes != 10 || s.Steps != 0 || s.ClassBytes != 0 {
 		t.Errorf("frozen domain accrued charges: %+v", s)
@@ -126,9 +126,9 @@ func TestChargeTakesNoLock(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 1000; i++ {
-			m.Steps(1, 1)
-			m.Alloc(1, 1)
-			m.Class(2, 1)
+			m.Account(1).Steps(1)
+			m.Account(1).Alloc(1)
+			m.Account(2).Class(1)
 			m.CrossCall(1, 2, 2)
 			m.Cross(a, b, 2)
 			m.Snapshot(1)
@@ -175,9 +175,9 @@ func TestConcurrentChargesConserve(t *testing.T) {
 
 func TestDomainsSorted(t *testing.T) {
 	m := NewMeter(ChargeCaller)
-	m.Alloc(3, 1)
-	m.Alloc(1, 1)
-	m.Alloc(2, 1)
+	m.Account(3).Alloc(1)
+	m.Account(1).Alloc(1)
+	m.Account(2).Alloc(1)
 	ids := m.Domains()
 	if len(ids) != 3 || ids[0] != 1 || ids[1] != 2 || ids[2] != 3 {
 		t.Errorf("Domains() = %v", ids)
@@ -192,7 +192,7 @@ func TestConcurrentCharging(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				m.Alloc(1, 1)
+				m.Account(1).Alloc(1)
 				m.CrossCall(1, 2, 2)
 			}
 		}()

@@ -130,6 +130,7 @@ func (k *Kernel) newDomain(cfg DomainConfig) (*Domain, error) {
 
 	ns := k.VM.NewNamespace(cfg.Name, resolver)
 	ns.OwnerID = d.ID
+	ns.Account = d.acct
 	ns.Output = cfg.Output
 	ns.ThreadOps = &domainThreadOps{k: k, d: d}
 	d.NS = ns

@@ -110,18 +110,7 @@ func New(opts Options) (*Kernel, error) {
 	if opts.Stdout != nil {
 		vm.Stdout = opts.Stdout
 	}
-	vm.Charge = func(owner int64, kind vmkit.ChargeKind, amount int64) {
-		switch kind {
-		case vmkit.ChargeAlloc:
-			k.Meter.Alloc(owner, amount)
-		case vmkit.ChargeSteps:
-			k.Meter.Steps(owner, amount)
-		case vmkit.ChargeClass:
-			k.Meter.Class(owner, amount)
-		case vmkit.ChargeCopy:
-			// Copy charges flow through Meter.CrossCall in the LRMI path.
-		}
-	}
+	vm.Bootstrap().Account = k.Meter.Account(0)
 	vm.CapOps = (*capOps)(k)
 	k.repo = newRepository()
 	if err := k.defineKernelClasses(); err != nil {
@@ -328,7 +317,7 @@ func (k *Kernel) NewDetachedTask(d *Domain, name string) *Task {
 
 func (k *Kernel) newTask(d *Domain, name string, chain *threads.Chain) *Task {
 	th := k.VM.NewThread(name)
-	th.DomainID = d.ID
+	th.Account = d.acct
 	th.SafepointHook = k.safepointHook
 	// One word for the interpreter's safepoint and the chain's Poll.
 	chain.SetAttention(th.Attention())

@@ -180,15 +180,15 @@ func (g *Gate) cross(task *Task, t *vmkit.Thread, callerDomain *Domain, m *vmkit
 	t.FlushAccounting()
 	vm.RecordHeavyLock(nil)
 	seg := task.enter(g.owner)
-	prevDomain := t.DomainID
-	t.DomainID = g.owner.ID
+	prevAcct := t.Account
+	t.Account = g.owner.acct
 
 	ret, thrown := vm.Invoke(t, m, callArgs)
 
 	// Segment restore (lock pair #2).
 	t.FlushAccounting()
 	vm.RecordHeavyLock(nil)
-	t.DomainID = prevDomain
+	t.Account = prevAcct
 	task.leave(seg)
 
 	if thrown != nil {

@@ -139,6 +139,10 @@ type Method struct {
 	// frame is the method's arena window in slots: arguments, extra locals
 	// and operand stack (just the arguments for native methods).
 	frame int
+	// slot is the method's index in its owner's vslots, and so in the
+	// vslots of every class below the owner (an override takes its
+	// parent's slot). An interface's own methods index its itable entries.
+	slot int
 	// linked caches resolved symbolic references, parallel to Code.
 	linked []linkedRef
 	// excClasses caches resolved exception-table types, parallel to Excs.
@@ -166,10 +170,18 @@ type Class struct {
 	Interfaces []*Class
 
 	// vtable maps "name:desc" to the implementing method, with inherited
-	// methods flattened in. Interface dispatch uses itable (profile B) or a
-	// linear scan of methods (profile A).
+	// methods flattened in: MethodBySig and link-time resolution read it.
+	// vslots holds the same methods by slot (Method.slot), the superclass's
+	// slots first, and itable has one entry per interface the class
+	// implements; invokevirtual and invokeinterface read those (see
+	// dispatch). Profile A's interface dispatch scans methods instead.
 	vtable  map[string]*Method
+	vslots  []*Method
+	itable  []itableEntry
 	methods []*Method // declared + inherited, for linear scans
+	// supers is the superclass chain from the root down to the class
+	// itself, so a class's ancestor at depth d is supers[d].
+	supers []*Class
 
 	// fields maps name to linked field (instance and static).
 	fields   map[string]*Field
@@ -231,17 +243,41 @@ func (c *Class) MethodBySig(name, desc string) *Method {
 	return c.vtable[name+":"+desc]
 }
 
+// itableEntry is one interface a class implements, with impl holding the
+// class's implementation of each of the interface's methods by slot (nil
+// where the class has none).
+type itableEntry struct {
+	iface *Class
+	impl  []*Method
+}
+
+// dispatch returns c's implementation of the virtual or interface method
+// m, which is what c.vtable[m.Sig()] holds. It returns nil when c has no
+// implementation, and when c does not descend from, or implement, m's
+// owner.
+func (c *Class) dispatch(m *Method) *Method {
+	o := m.Owner
+	if !o.IsInterface() {
+		if c.SubclassOf(o) {
+			return c.vslots[m.slot]
+		}
+		return nil
+	}
+	for i := range c.itable {
+		if c.itable[i].iface == o {
+			return c.itable[i].impl[m.slot]
+		}
+	}
+	return nil
+}
+
 // Methods returns the flattened method list (declared and inherited).
 func (c *Class) Methods() []*Method { return c.methods }
 
 // SubclassOf reports whether c is t or a subclass of t.
 func (c *Class) SubclassOf(t *Class) bool {
-	for k := c; k != nil; k = k.Super {
-		if k == t {
-			return true
-		}
-	}
-	return false
+	d := len(t.supers) - 1
+	return d < len(c.supers) && c.supers[d] == t
 }
 
 // Implements reports whether c or any superclass lists t (or a

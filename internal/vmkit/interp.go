@@ -7,7 +7,7 @@ import "fmt"
 const maxCallDepth = 512
 
 // stepsFlushEvery bounds how much interpreter work accumulates before being
-// reported to the accounting hook.
+// charged to the thread's account.
 const stepsFlushEvery = 4096
 
 // The frame arena. Each Thread owns one growable []Value, and every live
@@ -415,11 +415,11 @@ func (vm *VM) run(t *Thread, m *Method, base int) (Value, *Object) {
 			f.Owner.Statics[f.Slot] = pop()
 
 		case OpInvokeV, OpInvokeI:
-			ref := linked[pc]
-			sp -= ref.method.nargs
+			decl := linked[pc].method
+			sp -= decl.nargs
 			recv := frame[sp].R
 			if recv == nil {
-				thrown = throwName(ClassNullPointerEx, "invoke on null (%s)", ref.sig)
+				thrown = throwName(ClassNullPointerEx, "invoke on null (%s)", decl.Sig())
 				continue
 			}
 			var target *Method
@@ -427,12 +427,12 @@ func (vm *VM) run(t *Thread, m *Method, base int) (Value, *Object) {
 				// Profile A: resolve through the VM-global locked
 				// interface table with a composite key built per call —
 				// the expensive invokeinterface of Table 1.
-				target = vm.ifaceDispatchSlow(recv.Class, ref.method.Name, ref.method.Desc)
+				target = vm.ifaceDispatchSlow(recv.Class, decl.Name, decl.Desc)
 			} else {
-				target = recv.Class.vtable[ref.sig]
+				target = recv.Class.dispatch(decl)
 			}
 			if target == nil || target.Flags&MAbstract != 0 {
-				thrown = throwName(ClassError, "no implementation of %s in %s", ref.sig, recv.Class.Name)
+				thrown = throwName(ClassError, "no implementation of %s in %s", decl.Sig(), recv.Class.Name)
 				continue
 			}
 			// The arguments start at frame[sp]: that slot is the callee's
@@ -480,12 +480,7 @@ func (vm *VM) run(t *Thread, m *Method, base int) (Value, *Object) {
 				thrown = throwName(ClassNegArraySizeEx, "array size %d", n)
 				continue
 			}
-			o, err := m.Owner.NS.newArrayOfClass(linked[pc].class, int(n))
-			if err != nil {
-				thrown = throwName(ClassError, "%v", err)
-				continue
-			}
-			push(RefVal(o))
+			push(RefVal(m.Owner.NS.newArrayOfClass(linked[pc].class, int(n))))
 
 		case OpALoad:
 			idx := pop().I
@@ -600,8 +595,8 @@ func (c *Class) elemClass() *Class {
 	return c.NS.Lookup(RefName(c.elem))
 }
 
-// newArrayOfClass allocates an array whose class is already resolved.
-func (ns *Namespace) newArrayOfClass(c *Class, length int) (*Object, error) {
+// newArrayOfClass allocates an array of class c, charged to ns's account.
+func (ns *Namespace) newArrayOfClass(c *Class, length int) *Object {
 	o := &Object{Class: c, Owner: ns.OwnerID}
 	var bytes int64
 	switch c.elem {
@@ -618,8 +613,8 @@ func (ns *Namespace) newArrayOfClass(c *Class, length int) (*Object, error) {
 		o.Refs = make([]*Object, length)
 		bytes = int64(length) * 8
 	}
-	if ch := ns.VM.Charge; ch != nil {
-		ch(ns.OwnerID, ChargeAlloc, 16+bytes)
+	if a := ns.Account; a != nil {
+		a.Alloc(16 + bytes)
 	}
-	return o, nil
+	return o
 }

@@ -8,8 +8,7 @@ import "fmt"
 type linkedRef struct {
 	class  *Class  // OpNew/OpCast/OpInstOf/OpNewArr
 	field  *Field  // field ops
-	method *Method // OpInvokeS, and declared-method check for the others
-	sig    string  // dispatch key for OpInvokeV/OpInvokeI
+	method *Method // OpInvokeS; for the others, what the receiver dispatches
 	str    *Object // OpSConst interned literal
 }
 
@@ -151,7 +150,7 @@ func resolveInstr(c *Class, in Instr) (linkedRef, error) {
 				return linkedRef{}, fmt.Errorf("%s.%s is static", mr.Class, mr.Name)
 			}
 		}
-		return linkedRef{method: m, class: k, sig: mr.Name + ":" + mr.Desc}, nil
+		return linkedRef{method: m, class: k}, nil
 	}
 	return linkedRef{}, nil
 }

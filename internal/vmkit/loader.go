@@ -3,8 +3,11 @@ package vmkit
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
+
+	"jkernel/internal/account"
 )
 
 // Resolution is the outcome of a resolver query, mirroring the J-Kernel's
@@ -61,9 +64,12 @@ type Namespace struct {
 	resolver ResolverFunc
 	interns  map[string]*Object
 
-	// OwnerID is the domain id charged for allocations performed by code
-	// running against this namespace (0 = system).
+	// OwnerID is the id of the domain that owns the namespace (0 =
+	// system); objects its classes allocate record it (Object.Owner).
 	OwnerID int64
+	// Account, when set, is charged for those objects and for the
+	// namespace's classes.
+	Account *account.Account
 
 	// Output receives jk/lang/System output for this namespace; when nil,
 	// the VM's Stdout is used. Interposing System per domain is what makes
@@ -336,8 +342,8 @@ func (ns *Namespace) load(name string, def *ClassDef, gate any) (*Class, error) 
 	ns.mu.Lock()
 	entry.state = stateReady
 	ns.mu.Unlock()
-	if ch := ns.VM.Charge; ch != nil {
-		ch(ns.OwnerID, ChargeClass, int64(len(def.Methods))*64+int64(len(def.Fields))*16+256)
+	if a := ns.Account; a != nil {
+		a.Class(int64(len(def.Methods))*64 + int64(len(def.Fields))*16 + 256)
 	}
 	return c, nil
 }
@@ -395,8 +401,11 @@ func linkFieldsAndMethods(c *Class) error {
 		for sig, m := range c.Super.vtable {
 			c.vtable[sig] = m
 		}
+		c.vslots = slices.Clone(c.Super.vslots)
 		c.methods = append(c.methods, c.Super.methods...)
+		c.supers = slices.Clip(c.Super.supers)
 	}
+	c.supers = append(c.supers, c)
 	for i := range def.Methods {
 		md := def.Methods[i]
 		params, ret, err := ParseMethodDesc(md.Desc)
@@ -427,13 +436,44 @@ func linkFieldsAndMethods(c *Class) error {
 			return fmt.Errorf("method %s has no code", md.Name)
 		}
 		sig := m.Sig()
-		if prev, dup := c.vtable[sig]; dup && prev.Owner == c {
+		if prev, inherited := c.vtable[sig]; !inherited {
+			m.slot = len(c.vslots)
+			c.vslots = append(c.vslots, m)
+		} else if prev.Owner == c {
 			return fmt.Errorf("duplicate method %s", sig)
+		} else {
+			m.slot = prev.slot
+			c.vslots[m.slot] = m
 		}
 		c.vtable[sig] = m
 		c.methods = append(c.methods, m)
 	}
+	if !c.IsInterface() {
+		for k := c; k != nil; k = k.Super {
+			for _, it := range k.Interfaces {
+				c.addItable(it)
+			}
+		}
+	}
 	return nil
+}
+
+// addItable gives c an itable entry for interface it and for each of its
+// super-interfaces that has none yet, filled from c's vtable.
+func (c *Class) addItable(it *Class) {
+	for _, e := range c.itable {
+		if e.iface == it {
+			return
+		}
+	}
+	impl := make([]*Method, len(it.vslots))
+	for i, m := range it.vslots {
+		impl[i] = c.vtable[m.Sig()]
+	}
+	c.itable = append(c.itable, itableEntry{iface: it, impl: impl})
+	for _, sup := range it.Interfaces {
+		c.addItable(sup)
+	}
 }
 
 // isArrayDesc reports whether name is an array descriptor rather than a
@@ -469,17 +509,16 @@ func (ns *Namespace) arrayClass(desc string) (*Class, error) {
 		return nil, err
 	}
 	c := &Class{
-		Name:   desc,
-		Super:  super,
-		NS:     ns,
-		elem:   elem,
-		vtable: map[string]*Method{},
-		fields: map[string]*Field{},
+		Name:    desc,
+		Super:   super,
+		NS:      ns,
+		elem:    elem,
+		vtable:  super.vtable,
+		vslots:  super.vslots,
+		methods: super.methods,
+		fields:  map[string]*Field{},
 	}
-	if super != nil {
-		c.vtable = super.vtable
-		c.methods = super.methods
-	}
+	c.supers = append(slices.Clip(super.supers), c)
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	if e, ok := ns.classes[desc]; ok {
@@ -571,8 +610,8 @@ func NewInstance(c *Class) (*Object, error) {
 	}
 	o := &Object{Class: c, Fields: make([]Value, c.numSlots), Owner: c.NS.OwnerID}
 	copy(o.Fields, c.zeroFields)
-	if ch := c.NS.VM.Charge; ch != nil {
-		ch(c.NS.OwnerID, ChargeAlloc, int64(16+16*len(o.Fields)))
+	if a := c.NS.Account; a != nil {
+		a.Alloc(int64(16 + 16*len(o.Fields)))
 	}
 	return o, nil
 }
@@ -598,24 +637,5 @@ func (ns *Namespace) NewArray(desc string, length int) (*Object, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := &Object{Class: c, Owner: ns.OwnerID}
-	var bytes int64
-	switch {
-	case desc == "[B":
-		o.Bytes = make([]byte, length)
-		bytes = int64(length)
-	case desc == "[I":
-		o.Ints = make([]int64, length)
-		bytes = int64(length) * 8
-	case desc == "[D":
-		o.Floats = make([]float64, length)
-		bytes = int64(length) * 8
-	default:
-		o.Refs = make([]*Object, length)
-		bytes = int64(length) * 8
-	}
-	if ch := ns.VM.Charge; ch != nil {
-		ch(ns.OwnerID, ChargeAlloc, 16+bytes)
-	}
-	return o, nil
+	return ns.newArrayOfClass(c, length), nil
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"jkernel/internal/account"
 )
 
 // Thread is a VM thread: the unit that executes bytecode. It is carried by
@@ -47,9 +49,10 @@ type Thread struct {
 	// env is the Env every native on this thread receives.
 	env Env
 
-	// DomainID is the id of the domain currently executing (for charge
-	// attribution); maintained by the segment layer across LRMI.
-	DomainID int64
+	// Account, when set, is the account of the domain the thread is
+	// executing in: its interpreter steps are charged there. The segment
+	// layer switches it across LRMI.
+	Account *account.Account
 
 	// Data is reserved for the J-Kernel layer (the thread's task).
 	Data any
@@ -184,18 +187,15 @@ func (t *Thread) attend() *Object {
 	return nil
 }
 
-// FlushAccounting reports any buffered interpreter-step charges to the
-// accounting hook; LRMI gates call it at domain-switch boundaries so steps
-// land on the right domain.
+// FlushAccounting charges any buffered interpreter steps to the thread's
+// account; LRMI gates call it at domain-switch boundaries so steps land on
+// the right domain.
 func (t *Thread) FlushAccounting() { t.flushSteps() }
 
-// flushSteps reports accumulated interpreter steps to the accounting hook.
+// flushSteps charges accumulated interpreter steps to t.Account.
 func (t *Thread) flushSteps() {
-	if t.steps == 0 {
-		return
-	}
-	if ch := t.VM.Charge; ch != nil {
-		ch(t.DomainID, ChargeSteps, t.steps)
+	if a := t.Account; a != nil {
+		a.Steps(t.steps)
 	}
 	t.steps = 0
 }

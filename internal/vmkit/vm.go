@@ -8,14 +8,15 @@ import (
 )
 
 // Profile selects a VM cost structure. The zero Profile is the product
-// VM: vtable dispatch, light locks, nothing modelled. The paper measured
-// two commercial JVMs whose overheads decomposed differently (Table 1):
-// MS-VM had expensive interface dispatch and cheap locks, Sun-VM the
-// reverse. ProfileA and ProfileB reproduce those shapes on one
-// interpreter, for the tables that measure them.
+// VM, with nothing modelled: invokevirtual and invokeinterface index the
+// receiver class's vtable slots and itables, which linking fills, and
+// locks are light. The paper measured two commercial JVMs whose overheads
+// decomposed differently (Table 1): MS-VM had expensive interface dispatch
+// and cheap locks, Sun-VM the reverse. ProfileA and ProfileB reproduce
+// those shapes on one interpreter, for the tables that measure them.
 type Profile struct {
 	// LinearIfaceDispatch makes invokeinterface scan the receiver class's
-	// flattened method list on every call instead of using the vtable map.
+	// flattened method list on every call instead of using its itable.
 	LinearIfaceDispatch bool
 	// HeavyLocks adds ownership bookkeeping and contention statistics to
 	// every monitor operation.
@@ -30,29 +31,11 @@ var ProfileA = Profile{LinearIfaceDispatch: true}
 // locks.
 var ProfileB = Profile{HeavyLocks: true}
 
-// ChargeKind classifies resource charges reported to the accounting hook.
-type ChargeKind uint8
-
-const (
-	// ChargeAlloc is heap allocation, in approximate bytes.
-	ChargeAlloc ChargeKind = iota
-	// ChargeSteps is interpreter work, in executed instructions.
-	ChargeSteps
-	// ChargeCopy is LRMI argument copying, in bytes.
-	ChargeCopy
-	// ChargeClass is class metadata, in approximate bytes.
-	ChargeClass
-)
-
 // VM is one virtual machine instance: bootstrap classes, native methods,
 // threads, and a cost profile. The J-Kernel's Kernel wraps exactly one VM,
 // mirroring "multiple protection domains within a single JVM".
 type VM struct {
 	Profile Profile
-
-	// Charge, when set, receives resource charges (owner is a domain id,
-	// 0 = system). Set by the accounting layer before classes load.
-	Charge func(owner int64, kind ChargeKind, amount int64)
 
 	// CapOps is set by the J-Kernel layer to back the jk/kernel/Capability
 	// natives with the gate the stub's class carries (Class.Gate).
