@@ -83,6 +83,9 @@ type Kernel struct {
 	// entries are the typed gate entries generated so far, by shape.
 	entryMu sync.Mutex
 	entries map[string]*gateEntry
+
+	// The marker interfaces that choose a VM argument's copy path.
+	serializable, fastCopy, fastGraph *vmkit.Class
 }
 
 // New creates a kernel, boots its VM, installs the kernel's native classes
@@ -107,6 +110,9 @@ func New(opts Options) (*Kernel, error) {
 		return nil, err
 	}
 	k.VM = vm
+	k.serializable = vm.SystemClass(vmkit.IfaceSerializable)
+	k.fastCopy = vm.SystemClass(vmkit.IfaceFastCopy)
+	k.fastGraph = vm.SystemClass(vmkit.IfaceFastCopyGraph)
 	if opts.Stdout != nil {
 		vm.Stdout = opts.Stdout
 	}

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
+	"sync"
 
 	"jkernel/internal/vmkit"
 )
@@ -15,12 +17,58 @@ import (
 // direct field copy for jk/io/FastCopy classes, direct copy with a
 // cycle-tracking hash table for jk/io/FastCopyGraph. Strings and arrays
 // are always copyable. Anything else may not cross.
+//
+// What Table 4 measures stays modelled on every copy: the serialized
+// stream tags each element, keeps a handle table, and writes and
+// validates a class descriptor. What it does not measure is not paid
+// again per object: a copy resolves each class in the destination once
+// (memo), the serializer's scratch comes from a pool, and a string's
+// bytes are copied once.
 type vmCopyCtx struct {
 	k     *Kernel
 	dest  *Domain
 	bytes int64
 	table map[*vmkit.Object]*vmkit.Object
 	depth int
+	memo  classMemo
+}
+
+// classMemo maps the classes one copy has resolved to the destination's
+// class for each, in a few fixed slots reused round robin. It holds only
+// successful resolutions, so a miss or a failure goes to Namespace.Resolve
+// and fails there as it always did.
+type classMemo struct {
+	src, dst [4]*vmkit.Class
+	next     int
+}
+
+func (m *classMemo) get(c *vmkit.Class) *vmkit.Class {
+	for i, s := range m.src {
+		if s == c {
+			return m.dst[i]
+		}
+	}
+	return nil
+}
+
+func (m *classMemo) put(src, dst *vmkit.Class) {
+	m.src[m.next], m.dst[m.next] = src, dst
+	m.next = (m.next + 1) % len(m.src)
+}
+
+// destClass returns the class ctx.dest binds to the name of the source
+// class c. That must be c itself, unless c is an array class: dest has
+// its own array class of the same descriptor (array classes are per
+// namespace).
+func (ctx *vmCopyCtx) destClass(c *vmkit.Class) (*vmkit.Class, error) {
+	if d := ctx.memo.get(c); d != nil {
+		return d, nil
+	}
+	d, err := ctx.dest.NS.Resolve(c.Name)
+	if err == nil && (d == c || c.IsArray()) {
+		ctx.memo.put(c, d)
+	}
+	return d, err
 }
 
 // vmCopyMaxDepth converts runaway recursion (cycles in non-graph fast-copy
@@ -78,8 +126,9 @@ func (ctx *vmCopyCtx) copyObject(o *vmkit.Object) (*vmkit.Object, *vmkit.Object)
 	// so no cross-domain aliasing of string internals can arise — the
 	// hazard of §2's domain-termination discussion).
 	if cls.Name == vmkit.ClassString {
-		ctx.bytes += int64(len(vmkit.StringText(o)))
-		s, err := ctx.dest.NS.NewString(vmkit.StringText(o))
+		text := vmkit.StringBytes(o)
+		ctx.bytes += int64(len(text))
+		s, err := ctx.dest.NS.NewStringBytes(text)
 		if err != nil {
 			return nil, ctx.throwf(vmkit.ClassError, "%v", err)
 		}
@@ -89,18 +138,13 @@ func (ctx *vmCopyCtx) copyObject(o *vmkit.Object) (*vmkit.Object, *vmkit.Object)
 	// The class must be visible in the destination namespace, and it must
 	// be the *same* class — "two domains that share a class must also
 	// share other classes referenced by that class".
-	destCls, err := ctx.dest.NS.Resolve(cls.Name)
-	if err != nil || destCls != cls {
+	if d, err := ctx.destClass(cls); err != nil || d != cls {
 		return nil, ctx.throwf(vmkit.ClassRemoteEx,
 			"class %s is not shared with domain %s", cls.Name, ctx.dest.Name)
 	}
 
-	fastGraph := k.VM.SystemClass(vmkit.IfaceFastCopyGraph)
-	fastCopy := k.VM.SystemClass(vmkit.IfaceFastCopy)
-	serializable := k.VM.SystemClass(vmkit.IfaceSerializable)
-
 	switch {
-	case cls.Implements(fastGraph):
+	case cls.Implements(k.fastGraph):
 		if ctx.table == nil {
 			ctx.table = make(map[*vmkit.Object]*vmkit.Object)
 		}
@@ -108,9 +152,9 @@ func (ctx *vmCopyCtx) copyObject(o *vmkit.Object) (*vmkit.Object, *vmkit.Object)
 			return prev, nil
 		}
 		return ctx.copyFields(o, true)
-	case cls.Implements(fastCopy):
+	case cls.Implements(k.fastCopy):
 		return ctx.copyFields(o, false)
-	case cls.Implements(serializable):
+	case cls.Implements(k.serializable):
 		return ctx.copySerialized(o)
 	default:
 		return nil, ctx.throwf(vmkit.ClassRemoteEx,
@@ -143,11 +187,11 @@ func (ctx *vmCopyCtx) copyFields(o *vmkit.Object, track bool) (*vmkit.Object, *v
 
 // copyArray copies an array into the destination namespace.
 func (ctx *vmCopyCtx) copyArray(o *vmkit.Object) (*vmkit.Object, *vmkit.Object) {
-	dest := ctx.dest
-	dup, err := dest.NS.NewArray(o.Class.Name, o.Len())
+	cls, err := ctx.destClass(o.Class)
 	if err != nil {
 		return nil, ctx.throwf(vmkit.ClassRemoteEx, "array %s: %v", o.Class.Name, err)
 	}
+	dup := ctx.dest.NS.NewArrayOfClass(cls, o.Len())
 	switch {
 	case o.Bytes != nil:
 		copy(dup.Bytes, o.Bytes)
@@ -179,19 +223,68 @@ func (ctx *vmCopyCtx) copyArray(o *vmkit.Object) (*vmkit.Object, *vmkit.Object) 
 // copySerialized runs the object through a real byte-array intermediate:
 // encode the graph to bytes, then decode a fresh graph in the destination.
 // This is the J-Kernel's default (slow) copy path whose cost Table 4
-// measures against fast-copy.
+// measures against fast-copy. The encoder's and decoder's scratch is
+// pooled; only the objects the decoder builds are new.
 func (ctx *vmCopyCtx) copySerialized(o *vmkit.Object) (*vmkit.Object, *vmkit.Object) {
-	enc := &vmEncoder{k: ctx.k, handles: map[*vmkit.Object]uint64{}}
+	s := vmSerialPool.Get().(*vmSerial)
+	defer s.release()
+	enc, dec := &s.enc, &s.dec
+	enc.k = ctx.k
 	if th := enc.encodeObject(o); th != nil {
 		return nil, th
 	}
 	ctx.bytes += int64(len(enc.buf))
-	dec := &vmDecoder{k: ctx.k, dest: ctx.dest, buf: enc.buf, classes: enc.classes, caps: enc.caps}
-	out, th := dec.decodeObject()
-	if th != nil {
-		return nil, th
+	dec.k, dec.dest = ctx.k, ctx.dest
+	dec.buf, dec.classes, dec.caps = enc.buf, enc.classes, enc.caps
+	return dec.decodeObject()
+}
+
+// vmSerial is the scratch of one serialized copy. The decoder reads the
+// encoder's buffer and side tables in place.
+type vmSerial struct {
+	enc vmEncoder
+	dec vmDecoder
+}
+
+var vmSerialPool = sync.Pool{New: func() any {
+	return &vmSerial{enc: vmEncoder{handles: map[*vmkit.Object]uint64{}}}
+}}
+
+// Scratch that grew past these sizes is dropped rather than pooled, so
+// one large graph does not make every later copy clear or hold its size.
+const (
+	vmSerialMaxBuf   = 64 << 10
+	vmSerialMaxSlots = 4096
+)
+
+// release scrubs s and returns it to the pool. A pooled entry names no
+// object, class, kernel or domain, so it keeps none of them alive.
+func (s *vmSerial) release() {
+	e, d := &s.enc, &s.dec
+	e.buf = e.buf[:0]
+	if cap(e.buf) > vmSerialMaxBuf {
+		e.buf = nil
 	}
-	return out, nil
+	if len(e.handles) > vmSerialMaxSlots {
+		e.handles = map[*vmkit.Object]uint64{}
+	} else {
+		clear(e.handles)
+	}
+	e.k, e.next = nil, 0
+	e.classes = scrub(e.classes)
+	e.caps = scrub(e.caps)
+	*d = vmDecoder{objs: scrub(d.objs), seen: scrub(d.seen)}
+	vmSerialPool.Put(s)
+}
+
+// scrub empties s, clearing every slot up to its capacity; it drops a
+// slice over vmSerialMaxSlots.
+func scrub[E any](s []*E) []*E {
+	if cap(s) > vmSerialMaxSlots {
+		return nil
+	}
+	clear(s[:cap(s)])
+	return s[:0]
 }
 
 const (
@@ -244,19 +337,11 @@ func (e *vmEncoder) writeClassRef(c *vmkit.Class) {
 	e.classes = append(e.classes, c)
 	e.u(0) // new-class marker
 	e.str(c.Name)
-	fields := c.AllFields()
-	n := 0
+	fields := c.InstanceFields()
+	e.u(uint64(len(fields)))
 	for _, f := range fields {
-		if !f.Static {
-			n++
-		}
-	}
-	e.u(uint64(n))
-	for _, f := range fields {
-		if !f.Static {
-			e.str(f.Name)
-			e.str(f.Desc)
-		}
+		e.str(f.Name)
+		e.str(f.Desc)
 	}
 }
 
@@ -302,7 +387,7 @@ func (e *vmEncoder) encodeObject(o *vmkit.Object) *vmkit.Object {
 	switch {
 	case cls.Name == vmkit.ClassString:
 		e.tag(vtagString)
-		text := vmkit.StringText(o)
+		text := vmkit.StringBytes(o)
 		e.u(uint64(len(text)))
 		e.buf = append(e.buf, text...)
 	case cls.IsArray():
@@ -344,10 +429,7 @@ func (e *vmEncoder) encodeObject(o *vmkit.Object) *vmkit.Object {
 			}
 		}
 	default:
-		serializable := k.VM.SystemClass(vmkit.IfaceSerializable)
-		fastCopy := k.VM.SystemClass(vmkit.IfaceFastCopy)
-		fastGraph := k.VM.SystemClass(vmkit.IfaceFastCopyGraph)
-		if !cls.Implements(serializable) && !cls.Implements(fastCopy) && !cls.Implements(fastGraph) {
+		if !cls.Implements(k.serializable) && !cls.Implements(k.fastCopy) && !cls.Implements(k.fastGraph) {
 			return k.VM.Throwf(vmkit.ClassRemoteEx, "%s is not serializable", cls.Name)
 		}
 		e.tag(vtagObject)
@@ -372,6 +454,7 @@ type vmDecoder struct {
 	classes []*vmkit.Class
 	seen    []*vmkit.Class // classes whose descriptors have been read
 	caps    []*vmkit.Object
+	prim    [3]*vmkit.Class // dest's [B, [I and [D, once resolved
 }
 
 func (d *vmDecoder) fail(format string, args ...any) *vmkit.Object {
@@ -435,23 +518,27 @@ func (d *vmDecoder) decodeValue() (vmkit.Value, *vmkit.Object) {
 	}
 }
 
-func (d *vmDecoder) str() (string, *vmkit.Object) {
+// bytes reads a length-prefixed string as a slice of the stream.
+func (d *vmDecoder) bytes() ([]byte, *vmkit.Object) {
 	n, th := d.u()
 	if th != nil {
-		return "", th
+		return nil, th
 	}
 	if n > uint64(len(d.buf)-d.pos) {
-		return "", d.fail("string overruns stream")
+		return nil, d.fail("string overruns stream")
 	}
-	s := string(d.buf[d.pos : d.pos+int(n)])
+	b := d.buf[d.pos : d.pos+int(n)]
 	d.pos += int(n)
-	return s, nil
+	return b, nil
 }
 
 // readClassRef parses a class reference: either a back-reference or a full
-// descriptor, which is resolved in the destination namespace, checked for
-// identity with the sender's class, and validated field-by-field — the
-// decode-side counterpart of Java's descriptor handling.
+// descriptor, which is resolved in the destination namespace, checked
+// against the sender's class, and validated field-by-field — the
+// decode-side counterpart of Java's descriptor handling. The sender's
+// class must be the destination's, except that an array class may be the
+// destination's own array class of the same descriptor when both hold
+// the same elements (sameArrayClass).
 func (d *vmDecoder) readClassRef() (*vmkit.Class, *vmkit.Object) {
 	v, th := d.u()
 	if th != nil {
@@ -464,7 +551,7 @@ func (d *vmDecoder) readClassRef() (*vmkit.Class, *vmkit.Object) {
 		}
 		return d.seen[idx], nil
 	}
-	name, th := d.str()
+	name, th := d.bytes()
 	if th != nil {
 		return nil, th
 	}
@@ -472,31 +559,75 @@ func (d *vmDecoder) readClassRef() (*vmkit.Class, *vmkit.Object) {
 	if th != nil {
 		return nil, th
 	}
-	destCls, err := d.dest.NS.Resolve(name)
+	// The descriptor names the sender's class, whose name and fields are
+	// at hand as strings to resolve and look up by.
+	srcIdx := len(d.seen)
+	if srcIdx >= len(d.classes) || string(name) != d.classes[srcIdx].Name {
+		return nil, d.fail("class %s binds differently in domain %s", name, d.dest.Name)
+	}
+	src := d.classes[srcIdx]
+	destCls, err := d.dest.NS.Resolve(src.Name)
 	if err != nil {
 		return nil, d.fail("class %s is not shared with domain %s", name, d.dest.Name)
 	}
-	srcIdx := len(d.seen)
-	if srcIdx >= len(d.classes) || d.classes[srcIdx] != destCls {
+	if destCls != src && !sameArrayClass(src, destCls) {
 		return nil, d.fail("class %s binds differently in domain %s", name, d.dest.Name)
 	}
 	// Validate every declared field against the descriptor.
+	fields := src.InstanceFields()
 	for i := uint64(0); i < nf; i++ {
-		fname, th := d.str()
+		fname, th := d.bytes()
 		if th != nil {
 			return nil, th
 		}
-		fdesc, th := d.str()
+		fdesc, th := d.bytes()
 		if th != nil {
 			return nil, th
 		}
-		f := destCls.FieldByName(fname)
-		if f == nil || f.Desc != fdesc {
+		var f *vmkit.Field
+		if i < uint64(len(fields)) && string(fname) == fields[i].Name {
+			f = destCls.FieldByName(fields[i].Name)
+		}
+		if f == nil || f.Desc != string(fdesc) {
 			return nil, d.fail("class %s: incompatible field %s:%s", name, fname, fdesc)
 		}
 	}
 	d.seen = append(d.seen, destCls)
 	return destCls, nil
+}
+
+// sameArrayClass reports whether dst, an array class of another
+// namespace, holds what the array class src holds: the same descriptor,
+// and an innermost element class that is primitive or the same class in
+// both namespaces.
+func sameArrayClass(src, dst *vmkit.Class) bool {
+	if !src.IsArray() || dst.Name != src.Name {
+		return false
+	}
+	elem := strings.TrimLeft(src.Name, "[")
+	if elem[0] != 'L' {
+		return true
+	}
+	name := vmkit.RefName(elem)
+	c := src.NS.Lookup(name)
+	return c != nil && c == dst.NS.Lookup(name)
+}
+
+// primArrayDescs are the descriptors of vtagArrB, vtagArrI and vtagArrD.
+var primArrayDescs = [3]string{"[B", "[I", "[D"}
+
+// primClass returns dest's array class for the primitive array tag t.
+func (d *vmDecoder) primClass(t byte) (*vmkit.Class, error) {
+	i := t - vtagArrB
+	if c := d.prim[i]; c != nil {
+		return c, nil
+	}
+	c, err := d.dest.NS.Resolve(primArrayDescs[i])
+	if err != nil {
+		return nil, err
+	}
+	d.prim[i] = c
+	return c, nil
 }
 
 func (d *vmDecoder) decodeObject() (*vmkit.Object, *vmkit.Object) {
@@ -533,7 +664,7 @@ func (d *vmDecoder) decodeObject() (*vmkit.Object, *vmkit.Object) {
 		if n > uint64(len(d.buf)-d.pos) {
 			return nil, d.fail("string overruns stream")
 		}
-		s, err := d.dest.NS.NewString(string(d.buf[d.pos : d.pos+int(n)]))
+		s, err := d.dest.NS.NewStringBytes(d.buf[d.pos : d.pos+int(n)])
 		d.pos += int(n)
 		if err != nil {
 			return nil, d.fail("%v", err)
@@ -545,22 +676,14 @@ func (d *vmDecoder) decodeObject() (*vmkit.Object, *vmkit.Object) {
 		if th != nil {
 			return nil, th
 		}
-		var desc string
-		switch t {
-		case vtagArrB:
-			desc = "[B"
-		case vtagArrI:
-			desc = "[I"
-		default:
-			desc = "[D"
-		}
 		if n > 1<<26 {
 			return nil, d.fail("array too large: %d", n)
 		}
-		arr, err := d.dest.NS.NewArray(desc, int(n))
+		cls, err := d.primClass(t)
 		if err != nil {
 			return nil, d.fail("%v", err)
 		}
+		arr := d.dest.NS.NewArrayOfClass(cls, int(n))
 		d.objs = append(d.objs, arr)
 		switch t {
 		case vtagArrB:
@@ -608,10 +731,7 @@ func (d *vmDecoder) decodeObject() (*vmkit.Object, *vmkit.Object) {
 		if n > 1<<24 {
 			return nil, d.fail("array too large: %d", n)
 		}
-		arr, err := d.dest.NS.NewArray(cls.Name, int(n))
-		if err != nil {
-			return nil, d.fail("%v", err)
-		}
+		arr := d.dest.NS.NewArrayOfClass(cls, int(n))
 		d.objs = append(d.objs, arr)
 		for j := range arr.Refs {
 			el, th := d.decodeObject()

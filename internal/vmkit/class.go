@@ -186,6 +186,9 @@ type Class struct {
 	// fields maps name to linked field (instance and static).
 	fields   map[string]*Field
 	numSlots int // instance field slots including inherited
+	// instanceFields holds the instance fields, inherited ones included,
+	// by slot.
+	instanceFields []*Field
 	// zeroFields is the precomputed zero template for instances.
 	zeroFields []Value
 	// Statics holds static field storage. Like the JVM, slot access is not
@@ -222,6 +225,11 @@ func (c *Class) IsInterface() bool { return c.Def != nil && c.Def.Flags&FlagInte
 // NumInstanceSlots returns the number of instance field slots (including
 // inherited fields).
 func (c *Class) NumInstanceSlots() int { return c.numSlots }
+
+// InstanceFields returns the instance fields, inherited ones included, in
+// slot order: InstanceFields()[i] describes Object.Fields[i]. The slice
+// is the class's own; callers must not modify it.
+func (c *Class) InstanceFields() []*Field { return c.instanceFields }
 
 // FieldByName returns the linked field with the given name, searching
 // superclasses, or nil.

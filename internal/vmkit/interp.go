@@ -480,7 +480,7 @@ func (vm *VM) run(t *Thread, m *Method, base int) (Value, *Object) {
 				thrown = throwName(ClassNegArraySizeEx, "array size %d", n)
 				continue
 			}
-			push(RefVal(m.Owner.NS.newArrayOfClass(linked[pc].class, int(n))))
+			push(RefVal(m.Owner.NS.NewArrayOfClass(linked[pc].class, int(n))))
 
 		case OpALoad:
 			idx := pop().I
@@ -595,8 +595,10 @@ func (c *Class) elemClass() *Class {
 	return c.NS.Lookup(RefName(c.elem))
 }
 
-// newArrayOfClass allocates an array of class c, charged to ns's account.
-func (ns *Namespace) newArrayOfClass(c *Class, length int) *Object {
+// NewArrayOfClass allocates an array of class c, which must be an array
+// class, with length >= 0 elements, owned by ns and charged to its
+// account. It is NewArray for a caller that holds the class already.
+func (ns *Namespace) NewArrayOfClass(c *Class, length int) *Object {
 	o := &Object{Class: c, Owner: ns.OwnerID}
 	var bytes int64
 	switch c.elem {

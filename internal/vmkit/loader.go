@@ -388,10 +388,12 @@ func linkFieldsAndMethods(c *Class) error {
 		}
 	}
 	c.zeroFields = make([]Value, nextSlot)
+	c.instanceFields = make([]*Field, nextSlot)
 	for k := c; k != nil; k = k.Super {
 		for _, f := range k.fields {
 			if !f.Static {
 				c.zeroFields[f.Slot] = zeroValue(f.Desc)
+				c.instanceFields[f.Slot] = f
 			}
 		}
 	}
@@ -557,13 +559,27 @@ func (ns *Namespace) NewString(text string) (*Object, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newStringOfClass(sc, []byte(text), ns.OwnerID), nil
+}
+
+// NewStringBytes is NewString for text held in a byte slice, which it
+// copies once: the new string shares no bytes with b.
+func (ns *Namespace) NewStringBytes(b []byte) (*Object, error) {
+	sc, err := ns.Resolve(ClassString)
+	if err != nil {
+		return nil, err
+	}
+	text := make([]byte, len(b))
+	copy(text, b)
 	return newStringOfClass(sc, text, ns.OwnerID), nil
 }
 
-func newStringOfClass(sc *Class, text string, owner int64) *Object {
+// newStringOfClass builds a string of class sc around text, which the new
+// string's byte array takes as its own.
+func newStringOfClass(sc *Class, text []byte, owner int64) *Object {
 	arr := &Object{
 		Class: mustArrayClass(sc.NS, "[B"),
-		Bytes: []byte(text),
+		Bytes: text,
 		Owner: owner,
 	}
 	o := &Object{
@@ -585,19 +601,23 @@ func mustArrayClass(ns *Namespace, desc string) *Class {
 
 // StringText extracts the Go string from a jk/lang/String object. Returns
 // "" when o is not a string.
-func StringText(o *Object) string {
+func StringText(o *Object) string { return string(StringBytes(o)) }
+
+// StringBytes returns the bytes of a jk/lang/String object, nil when o is
+// not a string. The slice is the string's own: callers must not modify it.
+func StringBytes(o *Object) []byte {
 	if o == nil || o.Class == nil || o.Class.Name != ClassString {
-		return ""
+		return nil
 	}
 	f := o.Class.FieldByName("bytes")
 	if f == nil {
-		return ""
+		return nil
 	}
 	arr := o.Fields[f.Slot].R
 	if arr == nil {
-		return ""
+		return nil
 	}
-	return string(arr.Bytes)
+	return arr.Bytes
 }
 
 // NewInstance allocates a zeroed instance of c.
@@ -616,18 +636,6 @@ func NewInstance(c *Class) (*Object, error) {
 	return o, nil
 }
 
-// AllFields returns every field including inherited ones (diagnostics and
-// serialization helpers).
-func (c *Class) AllFields() []*Field {
-	var out []*Field
-	for k := c; k != nil; k = k.Super {
-		for _, f := range k.fields {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // NewArray allocates an array of the given descriptor and length in ns.
 func (ns *Namespace) NewArray(desc string, length int) (*Object, error) {
 	if length < 0 {
@@ -637,5 +645,5 @@ func (ns *Namespace) NewArray(desc string, length int) (*Object, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ns.newArrayOfClass(c, length), nil
+	return ns.NewArrayOfClass(c, length), nil
 }

@@ -701,3 +701,26 @@ func TestSystemOutputPerNamespace(t *testing.T) {
 		t.Errorf("output = %q", got)
 	}
 }
+
+// InstanceFields lists a class's instance fields, a shadowed one
+// included, in slot order; statics are not among them.
+func TestInstanceFieldsInSlotOrder(t *testing.T) {
+	_, ns := newTestNS(t,
+		".class Base\n.field a I\n.field static s I\n.field x D\n",
+		".class Sub super Base\n.field z [B\n.field x I\n.field b LBase;\n")
+	sub, err := ns.Resolve("Sub")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for i, f := range sub.InstanceFields() {
+		if f.Slot != i || f.Static {
+			t.Errorf("InstanceFields()[%d] is %s, slot %d", i, f.Name, f.Slot)
+		}
+		got = append(got, f.Owner.Name+"."+f.Name+":"+f.Desc)
+	}
+	want := "[Base.a:I Base.x:D Sub.z:[B Sub.x:I Sub.b:LBase;]"
+	if "["+strings.Join(got, " ")+"]" != want || len(got) != sub.NumInstanceSlots() {
+		t.Errorf("InstanceFields = %v, want %s", got, want)
+	}
+}
