@@ -658,16 +658,30 @@ func (sp *scriptedPeer) runCalls() (runs, calls int64) {
 	return h.Count, int64(h.Mean*float64(h.Count) + 0.5)
 }
 
-// Two invoke frames in one write are one run: one msgReply carries both
-// replies, and the run counts two calls.
+// Two invoke frames in one write are one run. At one P its claimer serves
+// both calls before the spare it submitted runs, so one msgReply carries
+// both replies and the run counts two calls; at the default P count the
+// spare may claim 102 in parallel and answer it in a vector of its own.
 func TestInboundRunMergesFramesOfOneRead(t *testing.T) {
 	sp := newScriptedPeer(t)
 	echo := sp.exportOn(echoSvc{})
+	sp.raw(framed(callOn(101, echo, "Null"), callOn(102, echo, "Null")))
+	answered := map[uint64]bool{}
+	for len(answered) < 2 {
+		for _, id := range sp.nextReply() {
+			answered[id] = true
+		}
+	}
+	if !answered[101] || !answered[102] {
+		t.Fatalf("replies answer %v, want 101 and 102", answered)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	runs0, calls0 := sp.runCalls()
 	occ0 := sp.k.Telemetry().Snapshot().Histograms["remote.reply.occupancy"].Count
-	sp.raw(framed(callOn(101, echo, "Null"), callOn(102, echo, "Null")))
-	if ids := sp.nextReply(); len(ids) != 2 || ids[0] != 101 || ids[1] != 102 {
-		t.Fatalf("first reply vector answers %v, want [101 102]", ids)
+	sp.raw(framed(callOn(103, echo, "Null"), callOn(104, echo, "Null")))
+	if ids := sp.nextReply(); len(ids) != 2 || ids[0] != 103 || ids[1] != 104 {
+		t.Fatalf("first reply vector answers %v, want [103 104]", ids)
 	}
 	if runs, calls := sp.runCalls(); runs-runs0 != 1 || calls-calls0 != 2 {
 		t.Errorf("run_calls saw %d runs of %d calls, want 1 of 2", runs-runs0, calls-calls0)
@@ -754,8 +768,8 @@ type gateSvc struct {
 func (g *gateSvc) Wait() error { g.entered <- struct{}{}; <-g.gate; return nil }
 func (g *gateSvc) Null() error { return nil }
 
-// A run's replies wait for its slowest call, but a call that arrives in a
-// later read is a later run: a call blocked in one does not delay it.
+// A call that arrives in a later read is a later run: a call blocked in
+// one does not delay it.
 func TestInboundRunBlockedCallDoesNotDelayLaterRead(t *testing.T) {
 	sp := newScriptedPeer(t)
 	svc := &gateSvc{entered: make(chan struct{}), gate: make(chan struct{})}
@@ -769,5 +783,109 @@ func TestInboundRunBlockedCallDoesNotDelayLaterRead(t *testing.T) {
 	close(svc.gate)
 	if ids := sp.nextReply(); len(ids) != 1 || ids[0] != 501 {
 		t.Fatalf("reply vector answers %v, want [501]", ids)
+	}
+}
+
+// A finished reply does not wait for a sibling of its run: with a blocked
+// Wait and a Null in one write, Null is answered while Wait is blocked.
+func TestInboundRunReplyDoesNotWaitForSibling(t *testing.T) {
+	sp := newScriptedPeer(t)
+	svc := &gateSvc{entered: make(chan struct{}), gate: make(chan struct{})}
+	id := sp.exportOn(svc)
+	sp.raw(framed(callOn(601, id, "Wait"), callOn(602, id, "Null")))
+	<-svc.entered
+	if ids := sp.nextReply(); len(ids) != 1 || ids[0] != 602 {
+		t.Fatalf("reply vector answers %v, want [602] while 601 is blocked", ids)
+	}
+	close(svc.gate)
+	if ids := sp.nextReply(); len(ids) != 1 || ids[0] != 601 {
+		t.Fatalf("reply vector answers %v, want [601]", ids)
+	}
+}
+
+// barrierSvc blocks every Wait until n of them have entered.
+type barrierSvc struct {
+	n         int32
+	entered   atomic.Int32
+	all, quit chan struct{}
+}
+
+func (b *barrierSvc) Wait() error {
+	if b.entered.Add(1) == b.n {
+		close(b.all)
+	}
+	select {
+	case <-b.all:
+		return nil
+	case <-b.quit:
+		return errors.New("the barrier was abandoned")
+	}
+}
+
+// A run whose calls all block gets a goroutine per call, even at one P: a
+// claimer that takes a call while others are unclaimed has a spare in
+// flight to take the next. Without the spare the first Wait would hold
+// the other 127 unclaimed, and the barrier would never open.
+func TestInboundRunOfBlockingCallsAllEnter(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	sp := newScriptedPeer(t)
+	svc := &barrierSvc{n: maxBatchCalls, all: make(chan struct{}), quit: make(chan struct{})}
+	t.Cleanup(func() { close(svc.quit) })
+	id := sp.exportOn(svc)
+	w := &wbuf{}
+	w.u8(msgInvoke)
+	w.uvarint(maxBatchCalls)
+	for i := uint64(0); i < maxBatchCalls; i++ {
+		appendCall(w, 700+i, id, "Wait", 0, 0, nil)
+	}
+	sp.raw(framed(w.b))
+	answered := map[uint64]bool{}
+	for len(answered) < maxBatchCalls {
+		for _, id := range sp.nextReply() {
+			answered[id] = true
+		}
+	}
+	if entered := svc.entered.Load(); entered != maxBatchCalls {
+		t.Fatalf("%d calls entered, want %d", entered, maxBatchCalls)
+	}
+}
+
+// At one P, windows of 128 async echo calls are served by a claimer and its
+// spare, not a goroutine per call: the server's executor stays at a few
+// workers (a goroutine per call grew it to 128).
+func TestInboundRunWindowsNeedFewWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	p := newPair(t)
+	p.server.RegisterWireType("echoMsg", echoMsg{})
+	p.client.RegisterWireType("echoMsg", echoMsg{})
+	p.export(t, "msg", msgSvc{})
+	proxy, err := p.conn.Import("msg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	futs := make([]*core.Future, maxBatchCalls)
+	for window := 0; window < 50; window++ {
+		for j := range futs {
+			futs[j] = proxy.InvokeAsyncFrom(p.task, "EchoMsg", echoMsg{Seq: int64(j), Data: make([]byte, echoMix[j%len(echoMix)])})
+		}
+		p.conn.Flush()
+		for j, f := range futs {
+			res, err := f.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m := res[0].(echoMsg); m.Seq != int64(j) {
+				t.Fatalf("call %d echoed seq %d", j, m.Seq)
+			}
+		}
+	}
+	var workers int64
+	for name, v := range p.server.Telemetry().Snapshot().Gauges {
+		if strings.HasSuffix(name, ".exec_workers") {
+			workers = max(workers, v)
+		}
+	}
+	if workers == 0 || workers > 4 {
+		t.Fatalf("the server's executor has %d workers after windows of %d echo calls, want 1 to 4", workers, maxBatchCalls)
 	}
 }

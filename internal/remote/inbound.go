@@ -9,55 +9,53 @@ import (
 	"jkernel/internal/telemetry"
 )
 
-// execJob is one inbound-call job. Both flavors point into pooled state —
-// a call vector's batchRun and a call's slot in that run — so handing work
-// to the executor allocates nothing.
-type execJob interface{ run() }
-
-// executor runs inbound-call jobs on a bounded pool of persistent
-// goroutines. Jobs never queue behind a blocked worker: submit hands the
-// job to an idle worker, grows the pool if there is room, and otherwise
-// falls back to a one-off goroutine — so a call that blocks (waiting on
-// another capability, say) can never stall an unrelated call, only
-// de-optimize it.
+// executor runs the claimers of inbound runs (batchRun.run) on a bounded
+// pool of persistent goroutines. A claimer is its pooled run, so handing
+// one over allocates nothing. Claimers never queue behind a blocked
+// worker: submit hands the run to an idle worker, grows the pool if there
+// is room, and otherwise falls back to a one-off goroutine — so a call
+// that blocks (waiting on another capability, say) can never stall an
+// unrelated call, only de-optimize it.
 type executor struct {
 	done    <-chan struct{}
-	jobs    chan execJob
+	jobs    chan *batchRun
 	workers atomic.Int32
 	max     int32
 }
 
 func newExecutor(done <-chan struct{}) *executor {
-	// The cap tracks the deepest useful pipeline: a client fanning out
-	// full batch windows keeps ~hundreds of calls in flight, and a parked
-	// worker is only handed a job when it is actually idle, so the pool
-	// grows to what the load sustains and no further (idle stacks shrink
-	// at GC). Smaller caps measurably re-introduce stack-growth churn on
-	// the overflow path.
-	return &executor{done: done, jobs: make(chan execJob), max: 512}
+	// A run is served by claimers that take its calls in order, with at
+	// most one spare in flight, so calls that never block keep two or
+	// three workers busy however deep the client's pipeline; the pool
+	// grows toward the cap only with calls that block, one worker each,
+	// and a parked worker is handed a claimer only when it is idle (idle
+	// stacks shrink at GC). Past the cap a claimer runs on a one-off
+	// goroutine whose fresh stack grows again on every deep call, so the
+	// cap stays well above the blocked calls a peer's windows hold.
+	return &executor{done: done, jobs: make(chan *batchRun), max: 512}
 }
 
-func (e *executor) submit(job execJob) {
+func (e *executor) submit(run *batchRun) {
 	select {
-	case e.jobs <- job: // an idle pooled worker takes it
+	case e.jobs <- run: // an idle pooled worker takes it
 		return
 	default:
 	}
 	if n := e.workers.Load(); n < e.max && e.workers.CompareAndSwap(n, n+1) {
-		go e.worker(job)
+		go e.worker(run)
 		return
 	}
-	go job.run()
+	go run.run()
 }
 
-// worker runs its first job, then serves the pool until the connection
-// dies.
-func (e *executor) worker(job execJob) {
-	job.run()
+// worker runs its first claimer, then serves the pool until the
+// connection dies.
+func (e *executor) worker(run *batchRun) {
+	run.run()
 	for {
 		select {
-		case j := <-e.jobs:
-			j.run()
+		case r := <-e.jobs:
+			r.run()
 		case <-e.done:
 			return
 		}
@@ -154,7 +152,7 @@ func (c *Conn) serveRun(run *batchRun) {
 	if m := c.metrics; m != nil {
 		m.runCalls.Observe(int64(len(run.slots)))
 	}
-	c.exec.submit(run)
+	run.addClaimer()
 }
 
 // completeReply resolves the invoke rep answers. The record is taken
@@ -317,20 +315,24 @@ func (in *inbound) EncodeResults(results []any) int64 {
 // msgInvoke frames one read delivered — a vector, or several a peer's
 // batcher sent back to back — with a slot per call holding the call's own
 // copy of its decoded entry (the reader's is overwritten by the next frame),
-// the frame buffer that entry aliases, its executor job, and where its reply
-// lands. Runs are pooled with their slot arrays: a run costs no more
-// allocations than its calls.
+// the frame buffer that entry aliases, and where its reply lands. Runs are
+// pooled with their slot arrays: a run costs no more allocations than its
+// calls.
 type batchRun struct {
 	c     *Conn
 	slots []batchSlot
-	size  int // frame bytes the run's calls arrived in
-	wg    sync.WaitGroup
+	size  int          // frame bytes the run's calls arrived in
+	next  atomic.Int32 // index of the next unclaimed call
+	spare atomic.Bool  // a submitted claimer has not started yet
+	refs  atomic.Int32 // claimers submitted and not yet done
 }
 
+// batchSlot is one call of a run. It is served once, so a reply taken to
+// be written (ready swapped back to false) never reads as ready again.
 type batchSlot struct {
 	inbound
-	fb *frameBuf // the frame call aliases, one reference held until serveInvoke drops it
-	b  *batchRun
+	fb    *frameBuf   // the frame call aliases, one reference held until serveInvoke drops it
+	ready atomic.Bool // the reply is built and no claimer has taken it to write yet
 }
 
 var batchRuns = sync.Pool{New: func() any { return new(batchRun) }}
@@ -351,7 +353,7 @@ func (b *batchRun) fits(n, size int) bool {
 func (b *batchRun) add(calls []invokeFrame, fb *frameBuf) {
 	for _, call := range calls {
 		fb.retain()
-		b.slots = append(b.slots, batchSlot{inbound: inbound{c: b.c, call: call}, fb: fb, b: b})
+		b.slots = append(b.slots, batchSlot{inbound: inbound{c: b.c, call: call}, fb: fb})
 	}
 	b.size += len(fb.b)
 }
@@ -370,39 +372,72 @@ func (b *batchRun) recycle() {
 	clear(b.slots)
 	b.slots = b.slots[:0]
 	b.c, b.size = nil, 0
+	b.next.Store(0)
+	b.spare.Store(false)
 	batchRuns.Put(b)
 }
 
-func (s *batchSlot) run() {
-	defer s.b.wg.Done()
-	s.serveInvoke(s.fb)
+// addClaimer hands one more claimer of the run to the executor.
+func (b *batchRun) addClaimer() {
+	b.refs.Add(1)
+	b.c.exec.submit(b)
 }
 
-// run serves the run's calls concurrently, the first on this worker and
-// the rest submitted (so a run of one call costs one executor hand-off),
-// and once every call is done — a run's replies wait for its slowest
-// call — the replies leave as msgReply vectors with per-call status: one
-// faulting call never poisons its run. A reply that cannot be written
-// means the socket is broken: the connection shuts down with the cause, so
-// the peer's calls fail with its teardown instead of waiting on a live
-// connection for replies that will never come. The executor never queues
-// a job behind a busy worker, so the submitted calls cannot be stuck
-// behind this one.
+// run is one claimer: it takes the run's calls in order, one at a time,
+// and serves each on this goroutine. Before serving a call while calls are
+// left unclaimed it makes sure a spare claimer has been submitted — at
+// most one is in flight — so a call that blocks never stalls its siblings,
+// a run whose calls all block still gets a goroutine per call, and a run of
+// one call costs one executor hand-off. The executor never queues a
+// claimer behind a busy worker, so a spare cannot be stuck behind this one.
+//
+// Out of calls, the claimer writes every finished reply no claimer has
+// taken yet: a finished reply never waits for a sibling still being
+// served, and on one P a run of calls that never block leaves as one
+// vector. The last claimer out recycles the run.
 func (b *batchRun) run() {
-	c, slots := b.c, b.slots
-	b.wg.Add(len(slots))
-	for i := 1; i < len(slots); i++ {
-		c.exec.submit(&slots[i])
+	b.spare.Store(false)
+	n := int32(len(b.slots))
+	for {
+		i := b.next.Add(1) - 1
+		if i >= n {
+			break
+		}
+		if b.next.Load() < n && b.spare.CompareAndSwap(false, true) {
+			b.addClaimer()
+		}
+		s := &b.slots[i]
+		s.serveInvoke(s.fb)
+		s.ready.Store(true)
 	}
-	slots[0].run()
-	b.wg.Wait()
+	b.writeFinished()
+	if b.refs.Add(-1) == 0 {
+		b.recycle()
+	}
+}
 
-	// Chunk the replies by size so large result sets cannot overflow one
-	// frame; each chunk is a valid msgReply.
-	for start := 0; start < len(slots); {
+// writeFinished takes the finished replies no claimer has taken yet and
+// writes them as msgReply vectors with per-call status — one faulting call
+// never poisons its run — cut by size so large result sets cannot overflow
+// one frame. A reply that cannot be written means the socket is broken:
+// the connection shuts down with the cause, so the peer's calls fail with
+// its teardown instead of waiting on a live connection for replies that
+// will never come. The result buffers are released once written (or
+// abandoned on a dead connection).
+func (b *batchRun) writeFinished() {
+	c, slots := b.c, b.slots
+	var taken [maxBatchCalls]int32
+	n := 0
+	for i := range slots {
+		if slots[i].ready.CompareAndSwap(true, false) {
+			taken[n] = int32(i)
+			n++
+		}
+	}
+	for start := 0; start < n; {
 		end, size := start, 0
-		for end < len(slots) {
-			rep := &slots[end].reply
+		for end < n {
+			rep := &slots[taken[end]].reply
 			s := len(rep.body) + len(rep.class) + len(rep.msg) + 32
 			if end > start && size+s > maxBatchBytes {
 				break
@@ -410,12 +445,12 @@ func (b *batchRun) run() {
 			size += s
 			end++
 		}
-		chunk := slots[start:end]
+		chunk := taken[start:end]
 		if m := c.metrics; m != nil {
 			m.replyOccupancy.Observe(int64(len(chunk)))
 		}
 		err := c.sendBatched(msgReply, len(chunk), func(w *wbuf, i int) []byte {
-			return appendReplyHeader(w, &chunk[i].reply)
+			return appendReplyHeader(w, &slots[chunk[i]].reply)
 		})
 		if err != nil {
 			c.shutdown(fmt.Errorf("remote: reply write failed: %w", err))
@@ -423,12 +458,9 @@ func (b *batchRun) run() {
 		}
 		start = end
 	}
-	// Result buffers are released once written (or abandoned on a dead
-	// connection), and the run goes back to its pool holding nothing.
-	for i := range slots {
+	for _, i := range taken[:n] {
 		if bb := slots[i].reply.bodyBuf; bb != nil {
 			bb.release()
 		}
 	}
-	b.recycle()
 }
