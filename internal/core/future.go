@@ -276,7 +276,7 @@ func (c *Capability) invokeAsync(task *Task, caller *Domain, name string, args [
 		f.wk, f.wCaller, f.wCallee = k, caller.acct, g.owner.acct
 		call := ProxyCall{Method: name, Args: args, Done: f}
 		if k.tm != nil {
-			call.Trace = task.effectiveTrace()
+			call.Trace = task.Chain.Trace
 		}
 		_, _, tok, _ := pb.t.InvokeProxy(call)
 		k.tm.edgeInc(task, caller, g.owner)
@@ -291,7 +291,7 @@ func (c *Capability) invokeAsync(task *Task, caller *Domain, name string, args [
 	// accounting, termination unwinding — hold unchanged.
 	dt := caller.GetTask()
 	if k.tm != nil {
-		dt.trace = task.effectiveTrace()
+		dt.Chain.Trace = task.Chain.Trace
 	}
 	go func() {
 		results, err := c.invokeFrom(dt, name, args)

@@ -282,9 +282,6 @@ type Task struct {
 	// registered marks tasks bound to a goroutine id in the global
 	// registry (NewTask); detached tasks (NewDetachedTask) are not.
 	registered bool
-	// trace is the task's active trace context (see BeginTrace /
-	// SetTraceContext). Goroutine-affine like the task itself.
-	trace telemetry.TraceContext
 	// sampleTick drives untraced-call profiling (1 in 64, see
 	// kernelMetrics.callStart). Plain field: a task is goroutine-affine,
 	// so the tick needs no atomics.
@@ -374,14 +371,16 @@ func (t *Task) CallStatic(ref string, args ...vmkit.Value) (vmkit.Value, error) 
 }
 
 // currentTask resolves the Task for the calling goroutine via the chain
-// registry — the "thread info lookup" of Table 1 on the native path.
+// registry — the "thread info lookup" of Table 1 on the native path. Only
+// a task NewTask entered counts: a served task that JoinTrace lent its
+// chain to the goroutine leaves the goroutine not entered.
 func (k *Kernel) currentTask() *Task {
 	chain := threads.CurrentChain()
 	if chain == nil {
 		return nil
 	}
 	v, ok := k.tasks.Load(chain)
-	if !ok {
+	if !ok || !v.(*Task).registered {
 		return nil
 	}
 	return v.(*Task)

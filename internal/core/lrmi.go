@@ -206,7 +206,7 @@ func (g *Gate) account(task *Task, callerDomain *Domain, m *vmkit.Method, tmStar
 		if failed {
 			callErr = errVMException
 		}
-		tm.vm(task, task.effectiveTrace(), callerDomain, g.owner, m.Name, tmStart, callErr)
+		tm.call(vmCall, task, callerDomain, g.owner, m.Name, tmStart, callErr)
 	}
 }
 

@@ -240,7 +240,7 @@ func (c *Capability) invokeFrom(task *Task, name string, args []any) ([]any, err
 	}
 	k.Meter.Cross(caller.acct, g.owner.acct, copied)
 	if k.tm != nil {
-		k.tm.lrmi(task, task.effectiveTrace(), caller, g.owner, name, start, callErr)
+		k.tm.call(nativeCall, task, caller, g.owner, name, start, callErr)
 	}
 	if callErr != nil {
 		return nil, callErr

@@ -134,7 +134,7 @@ func (c *Capability) invokeProxy(task *Task, caller *Domain, pt ProxyTarget, nam
 
 	call := ProxyCall{Method: name, Args: args}
 	if k.tm != nil {
-		call.Trace = task.effectiveTrace()
+		call.Trace = task.Chain.Trace
 	}
 	results, copied, _, err := pt.InvokeProxy(call)
 
@@ -206,7 +206,7 @@ func (c *Capability) ServeWire(task *Task, name string, args []any, argBytes int
 		return perr
 	}
 	if k.tm != nil {
-		k.tm.lrmi(task, task.effectiveTrace(), caller, g.owner, name, start, callErr)
+		k.tm.call(nativeCall, task, caller, g.owner, name, start, callErr)
 	}
 	if callErr == nil && merr == nil {
 		argBytes += out.EncodeResults(results)

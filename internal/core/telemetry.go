@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"jkernel/internal/telemetry"
+	"jkernel/internal/threads"
 )
 
 // Kernel-side telemetry: a per-kernel registry + tracer with the hot-path
@@ -20,10 +21,9 @@ type kernelMetrics struct {
 	reg    *telemetry.Registry
 	tracer *telemetry.Tracer
 
-	lrmiCalls   *telemetry.Counter
-	lrmiLatency *telemetry.Histogram
-	vmCalls     *telemetry.Counter
-	vmLatency   *telemetry.Histogram
+	// calls and latency are each LRMI path's instruments, by callPath.
+	calls       [2]*telemetry.Counter
+	latency     [2]*telemetry.Histogram
 	asyncStarts *telemetry.Counter
 	// asyncDones mirrors asyncStarts on resolution; the in-flight gauge is
 	// starts-dones, computed at snapshot time. Two monotonic counters keep
@@ -48,10 +48,8 @@ func newKernelMetrics(node string) *kernelMetrics {
 	m := &kernelMetrics{
 		reg:         reg,
 		tracer:      telemetry.NewTracer(node),
-		lrmiCalls:   reg.Counter("core.lrmi.calls"),
-		lrmiLatency: reg.Histogram("core.lrmi.latency_ns"),
-		vmCalls:     reg.Counter("core.vm.calls"),
-		vmLatency:   reg.Histogram("core.vm.latency_ns"),
+		calls:       [2]*telemetry.Counter{reg.Counter("core.lrmi.calls"), reg.Counter("core.vm.calls")},
+		latency:     [2]*telemetry.Histogram{reg.Histogram("core.lrmi.latency_ns"), reg.Histogram("core.vm.latency_ns")},
 		asyncStarts: reg.Counter("core.async.starts"),
 		asyncDones:  reg.Counter("core.async.dones"),
 	}
@@ -180,78 +178,40 @@ func (m *kernelMetrics) callStart(t *Task) time.Time {
 		return time.Time{}
 	}
 	t.sampleTick++
-	if t.sampleTick&telemetry.UntracedSampleMask == 0 || t.effectiveTrace().Active() {
+	if t.sampleTick&telemetry.UntracedSampleMask == 0 || t.Chain.Trace.Active() {
 		return time.Now()
 	}
 	return time.Time{}
 }
 
-// span records one completed cross-domain call as a trace span continuing
-// tc. The caller has already made the sampling decision (callStart).
-// Untraced calls — even sampled ones — only materialize a span when they
-// fail or cross the slow-call threshold: the latency histograms already
-// carry their timing, and the span allocation plus trace-ring insert is
-// the single most expensive piece of the whole instrumentation (GC
-// pressure on an otherwise allocation-free hot loop), so it is reserved
-// for spans someone will actually look at.
-func (m *kernelMetrics) span(kind string, tc telemetry.TraceContext, caller, callee *Domain, method string, start time.Time, err error) {
-	if m == nil {
-		return
-	}
-	dur := time.Since(start)
-	if !tc.Active() && err == nil {
-		if thr := m.tracer.SlowThreshold(); thr <= 0 || dur < thr {
-			return
-		}
-	}
-	s := &telemetry.Span{
-		TraceID: tc.TraceID,
-		SpanID:  telemetry.NewID(),
-		Parent:  tc.SpanID,
-		Kind:    kind,
-		Caller:  caller.Name,
-		Callee:  callee.Name,
-		Method:  method,
-		Start:   start,
-		Dur:     dur,
-	}
-	if s.TraceID == 0 {
-		s.TraceID = s.SpanID // untraced calls get a local single-span trace
-	}
-	if err != nil {
-		s.Err = err.Error()
-	}
-	m.tracer.Record(s)
-}
+// callPath is the LRMI path a call took: it picks the call's counter,
+// latency histogram and span kind.
+type callPath uint8
 
-// lrmi records one native-path LRMI. A zero start means the call fell
-// outside the sample (callStart): count it exactly, skip the latency
-// histogram and span.
-func (m *kernelMetrics) lrmi(t *Task, tc telemetry.TraceContext, caller, callee *Domain, method string, start time.Time, err error) {
+const (
+	nativeCall callPath = iota // core.lrmi.*, spans of kind "local"
+	vmCall                     // core.vm.*, spans of kind "vm"
+)
+
+var callKinds = [...]string{nativeCall: "local", vmCall: "vm"}
+
+// call records one LRMI made with t, on the trace t carries. A zero start
+// means the call fell outside the sample (callStart): count it exactly,
+// skip the latency histogram and span.
+func (m *kernelMetrics) call(p callPath, t *Task, caller, callee *Domain, method string, start time.Time, err error) {
 	if m == nil {
 		return
 	}
-	m.lrmiCalls.IncAt(t.stripe)
+	m.calls[p].IncAt(t.stripe)
 	m.edgeInc(t, caller, callee)
 	if start.IsZero() {
 		return
 	}
-	m.lrmiLatency.ObserveSince(start)
-	m.span("local", tc, caller, callee, method, start, err)
-}
-
-// vm records one VM-path LRMI (same sampling contract as lrmi).
-func (m *kernelMetrics) vm(t *Task, tc telemetry.TraceContext, caller, callee *Domain, method string, start time.Time, err error) {
-	if m == nil {
-		return
-	}
-	m.vmCalls.IncAt(t.stripe)
-	m.edgeInc(t, caller, callee)
-	if start.IsZero() {
-		return
-	}
-	m.vmLatency.ObserveSince(start)
-	m.span("vm", tc, caller, callee, method, start, err)
+	tc := t.Chain.Trace
+	m.tracer.Finish(m.latency[p], telemetry.Span{
+		TraceID: tc.TraceID, Parent: tc.SpanID, Kind: callKinds[p],
+		Caller: caller.Name, Callee: callee.Name, Method: method, Start: start,
+	}, err)
 }
 
 // asyncStart counts a future launch and installs the resolution counter
@@ -271,32 +231,34 @@ func (m *kernelMetrics) asyncStart(f *Future) {
 
 // BeginTrace starts a new trace on the task: subsequent calls made with it
 // (and their onward hops, across the wire) record spans under one trace
-// id. It returns the new context; pass its TraceID to /debug/jk?trace= to
-// retrieve the stitched spans.
+// id, and so do the calls of a task NewTask makes on the goroutine this
+// task is entered on. It returns the new context; pass its TraceID to
+// /debug/jk?trace= to retrieve the stitched spans.
 func (t *Task) BeginTrace() telemetry.TraceContext {
 	tc := telemetry.TraceContext{TraceID: telemetry.NewID(), SpanID: telemetry.NewID()}
-	t.trace = tc
+	t.Chain.Trace = tc
 	return tc
 }
 
 // EndTrace clears the task's trace context.
-func (t *Task) EndTrace() { t.trace = telemetry.TraceContext{} }
+func (t *Task) EndTrace() { t.Chain.Trace = telemetry.TraceContext{} }
 
-// TraceContext returns the task's own trace context (zero when none).
-func (t *Task) TraceContext() telemetry.TraceContext { return t.trace }
+// TraceContext returns the task's trace context (zero when none).
+func (t *Task) TraceContext() telemetry.TraceContext { return t.Chain.Trace }
 
-// SetTraceContext installs an inbound trace context on the task — the
-// serving side of a traced remote invoke joins the caller's trace.
-func (t *Task) SetTraceContext(tc telemetry.TraceContext) { t.trace = tc }
+// JoinTrace puts a detached task — a served task from Domain.GetTask — on
+// the inbound trace tc, and lends its chain to the calling goroutine, so a
+// task the handler makes there with NewTask joins tc too. Ambient APIs
+// still find the goroutine not entered (currentTask). LeaveTrace must run
+// on the same goroutine before the task goes back.
+func (t *Task) JoinTrace(tc telemetry.TraceContext) {
+	t.Chain.Trace = tc
+	threads.Bind(t.Chain)
+}
 
-// effectiveTrace resolves the context governing a call made with this
-// task: the task's own context, else the goroutine-bound context (set
-// around served traced invokes, so handler code that builds fresh tasks
-// still joins the inbound trace). Both lookups are free when no trace is
-// active anywhere.
-func (t *Task) effectiveTrace() telemetry.TraceContext {
-	if t.trace.Active() {
-		return t.trace
-	}
-	return telemetry.GoroutineContext()
+// LeaveTrace takes the task's chain off the goroutine and ends its trace:
+// the next call it serves, on whatever goroutine, starts untraced.
+func (t *Task) LeaveTrace() {
+	threads.Unregister(t.Chain)
+	t.EndTrace()
 }

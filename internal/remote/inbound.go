@@ -258,29 +258,27 @@ func (in *inbound) serveInvoke(fb *frameBuf) {
 	// The host domain's idle tasks make the per-call cost the LRMI plus the
 	// wire, not task setup.
 	task := c.domain.GetTask()
-	// Traced frames bind the inbound context to the serving task AND the
-	// serving goroutine, so onward calls — whether made with this task or
-	// with fresh tasks the handler creates — join the caller's trace.
-	// Untraced frames (the common case) skip all of it, including the
-	// goroutine-id lookup.
-	var unbind func()
+	// A traced frame joins the serving task to the caller's trace and lends
+	// its chain to this goroutine for the call, so onward calls — made with
+	// this task or with tasks the handler creates — join it too. Untraced
+	// frames (the common case) skip it all, the goroutine-id lookup too.
 	if m != nil && f.traceID != 0 {
 		serverSpan = telemetry.NewID()
-		tc := telemetry.TraceContext{TraceID: f.traceID, SpanID: serverSpan}
-		task.SetTraceContext(tc)
-		unbind = telemetry.BindGoroutine(tc)
+		task.JoinTrace(telemetry.TraceContext{TraceID: f.traceID, SpanID: serverSpan})
 	}
 	callErr := cap.ServeWire(task, method, args, argBytes, in)
-	if unbind != nil {
-		// Clear before the task goes back: the next GetTask may be on
-		// another goroutine serving an unrelated, untraced call.
-		unbind()
-		task.EndTrace()
+	if serverSpan != 0 {
+		// Before the task goes back: the next GetTask, and the next call
+		// this goroutine serves, may be an unrelated, untraced one.
+		task.LeaveTrace()
 	}
 	c.domain.PutTask(task)
 
-	if m != nil {
-		m.serverSpan(*f, method, serverSpan, cap.Owner().Name, start, callErr)
+	if m != nil && !start.IsZero() {
+		m.tracer.Finish(m.serveLatency, telemetry.Span{
+			TraceID: f.traceID, SpanID: serverSpan, Parent: f.parentSpan, Kind: "server",
+			Caller: m.peer, Callee: cap.Owner().Name, Method: method, Start: start,
+		}, callErr)
 	}
 	if callErr != nil {
 		in.fail(encodeWireErr(callErr))

@@ -159,78 +159,13 @@ func (m *connMetrics) serveStart(profiled bool) time.Time {
 // clientSpan records the caller side of one wire invoke (sync or async,
 // enqueue to reply). A zero start means the call fell outside the
 // untraced sample (see sampleStart): the frame counters already counted
-// it; skip the latency histogram and span.
+// it, and nothing more is recorded.
 func (m *connMetrics) clientSpan(tc telemetry.TraceContext, spanID uint64, method string, start time.Time, err error) {
 	if m == nil || start.IsZero() {
 		return
 	}
-	m.clientLatency.ObserveSince(start)
-	dur := time.Since(start)
-	if tc.TraceID == 0 && err == nil {
-		// Untraced sampled calls feed the histogram only; a span is
-		// recorded just for failures and slow outliers (see
-		// kernelMetrics.span for the rationale).
-		if thr := m.tracer.SlowThreshold(); thr <= 0 || dur < thr {
-			return
-		}
-	}
-	if spanID == 0 {
-		spanID = telemetry.NewID()
-	}
-	s := &telemetry.Span{
-		TraceID: tc.TraceID,
-		SpanID:  spanID,
-		Parent:  tc.SpanID,
-		Kind:    "client",
-		Callee:  m.peer,
-		Method:  method,
-		Start:   start,
-		Dur:     dur,
-	}
-	if s.TraceID == 0 {
-		s.TraceID = s.SpanID // untraced calls get a local single-span trace
-	}
-	if err != nil {
-		s.Err = err.Error()
-	}
-	m.tracer.Record(s)
-}
-
-// serverSpan records the serving side of one inbound invoke. A zero
-// start means the frame fell outside the untraced sample: skip the
-// latency histogram and span. method is the callee's name for what
-// f.method spelled (the frame's bytes are gone by now); spanID is zero for
-// untraced frames (a fresh id is minted for the local span).
-func (m *connMetrics) serverSpan(f invokeFrame, method string, spanID uint64, callee string, start time.Time, err error) {
-	if m == nil || start.IsZero() {
-		return
-	}
-	m.serveLatency.ObserveSince(start)
-	dur := time.Since(start)
-	if f.traceID == 0 && err == nil {
-		if thr := m.tracer.SlowThreshold(); thr <= 0 || dur < thr {
-			return
-		}
-	}
-	if spanID == 0 {
-		spanID = telemetry.NewID()
-	}
-	s := &telemetry.Span{
-		TraceID: f.traceID,
-		SpanID:  spanID,
-		Parent:  f.parentSpan,
-		Kind:    "server",
-		Caller:  m.peer,
-		Callee:  callee,
-		Method:  method,
-		Start:   start,
-		Dur:     dur,
-	}
-	if s.TraceID == 0 {
-		s.TraceID = s.SpanID
-	}
-	if err != nil {
-		s.Err = err.Error()
-	}
-	m.tracer.Record(s)
+	m.tracer.Finish(m.clientLatency, telemetry.Span{
+		TraceID: tc.TraceID, SpanID: spanID, Parent: tc.SpanID, Kind: "client",
+		Callee: m.peer, Method: method, Start: start,
+	}, err)
 }

@@ -1,18 +1,21 @@
 package remote
 
 import (
+	"errors"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"jkernel/internal/core"
 	"jkernel/internal/telemetry"
+	"jkernel/internal/threads"
 )
 
 // chainRelay hops a call onward through a proxy imported from the next
 // kernel in the chain — the supervisor→worker→worker shape. The handler
-// builds its own task, so trace continuity depends on the serving side's
-// goroutine-bound context, not on the inbound task leaking through.
+// builds its own task, so trace continuity depends on the serving side
+// lending the inbound trace to its goroutine, not on the inbound task
+// leaking through.
 type chainRelay struct {
 	k    *core.Kernel
 	d    *core.Domain
@@ -202,5 +205,73 @@ func TestSyncAndAsyncClientSpansMatch(t *testing.T) {
 		if a.TraceID != tc.TraceID || a.Parent != tc.SpanID || a.Method != method || (a.Err == "") != (method == "Null") {
 			t.Fatalf("%s: client span %+v does not describe the call (trace %d, parent %d)", method, a, tc.TraceID, tc.SpanID)
 		}
+	}
+}
+
+// outcomeProbe reports what a served call's handler sees: whether an
+// ambient invoke finds the goroutine not entered, whether a task the
+// handler makes joins a trace, and the goroutine that served the call.
+type outcomeProbe struct {
+	k      *core.Kernel
+	d      *core.Domain
+	target *core.Capability // a capability local to the serving kernel
+}
+
+func (p *outcomeProbe) Probe() (bool, bool, int64, error) {
+	_, err := p.target.Invoke("Null")
+	task := p.k.NewTask(p.d, "probe")
+	traced := task.TraceContext().Active()
+	task.Close()
+	return errors.Is(err, core.ErrNotEntered), traced, threads.GoroutineID(), nil
+}
+
+// Tracing changes no outcome. A served native method's ambient invoke
+// fails with ErrNotEntered on a traced frame as on an untraced one, and a
+// claimer goroutine that has just served a traced call hands the next,
+// untraced call's handler no trace: served tasks and claimers are
+// recycled, so a trace left on either would leak into unrelated calls.
+func TestTraceChangesNoOutcome(t *testing.T) {
+	p := newPair(t)
+	target, err := p.server.CreateNativeCapability(p.serverDom, echoSvc{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.export(t, "probe", &outcomeProbe{k: p.server, d: p.serverDom, target: target})
+	proxy, err := p.conn.Import("probe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := func(traced bool) int64 {
+		t.Helper()
+		res, err := proxy.InvokeFrom(p.task, "Probe")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res[0] != any(true) {
+			t.Fatalf("traced=%v: an ambient invoke inside the served call did not fail with ErrNotEntered", traced)
+		}
+		if res[1] != any(traced) {
+			t.Fatalf("traced=%v: the handler's NewTask joined a trace: %v", traced, res[1])
+		}
+		return res[2].(int64)
+	}
+	// lastTraced[g] says whether claimer g's last call was traced. Idle
+	// claimers take runs in turn, so one traced call in three lets every
+	// claimer serve an untraced call right after a traced one.
+	lastTraced, reused := map[int64]bool{}, 0
+	for i := 0; i < 60; i++ {
+		traced := i%3 == 0
+		if traced {
+			p.task.BeginTrace()
+		}
+		g := probe(traced)
+		p.task.EndTrace()
+		if !traced && lastTraced[g] {
+			reused++
+		}
+		lastTraced[g] = traced
+	}
+	if reused == 0 {
+		t.Fatal("no untraced call was served by the claimer that had just served a traced one")
 	}
 }

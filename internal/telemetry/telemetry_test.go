@@ -2,12 +2,16 @@ package telemetry
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"jkernel/internal/raceflag"
 )
 
 func TestCounterGaugeNilSafe(t *testing.T) {
@@ -242,49 +246,103 @@ func TestIDsNonZeroAndDistinct(t *testing.T) {
 	}
 }
 
-func TestGoroutineContext(t *testing.T) {
-	if tc := GoroutineContext(); tc.Active() {
-		t.Fatal("unbound goroutine should have no context")
-	}
-	outer := TraceContext{TraceID: NewID(), SpanID: NewID()}
-	unbind := BindGoroutine(outer)
-	if got := GoroutineContext(); got != outer {
-		t.Fatalf("bound context = %+v, want %+v", got, outer)
-	}
-	// Nested binding restores the outer one.
-	inner := TraceContext{TraceID: NewID(), SpanID: NewID()}
-	unbind2 := BindGoroutine(inner)
-	if got := GoroutineContext(); got != inner {
-		t.Fatalf("nested context = %+v", got)
-	}
-	unbind2()
-	if got := GoroutineContext(); got != outer {
-		t.Fatalf("context after inner unbind = %+v, want %+v", got, outer)
-	}
-	// Other goroutines see nothing.
-	done := make(chan TraceContext)
-	go func() { done <- GoroutineContext() }()
-	if other := <-done; other.Active() {
-		t.Fatalf("other goroutine saw %+v", other)
-	}
-	unbind()
-	if tc := GoroutineContext(); tc.Active() {
-		t.Fatal("context should be cleared after unbind")
-	}
-}
-
+// Spans arrive from other processes (HandlerConfig.RemoteSpans), so a
+// malformed id is an error, never a silent zero: a zero parent would turn
+// the span into a root of its trace.
 func TestSpanJSONHexIDs(t *testing.T) {
 	s := Span{TraceID: 0xdeadbeefcafe0001, SpanID: 0x2, Parent: 0x3, Node: "n", Kind: "client", Method: "Echo"}
-	b, err := json.Marshal(s)
+	good, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var m map[string]any
-	if err := json.Unmarshal(b, &m); err != nil {
+	if err := json.Unmarshal(good, &m); err != nil {
 		t.Fatal(err)
 	}
 	if m["trace"] != "deadbeefcafe0001" || m["span"] != "2" || m["parent"] != "3" {
 		t.Fatalf("ids = %v %v %v", m["trace"], m["span"], m["parent"])
+	}
+	for _, tc := range []struct {
+		name, json string
+		want       Span // compared when wantErr is empty
+		wantErr    string
+	}{
+		{name: "round trip", json: string(good), want: s},
+		{name: "root", json: `{"trace":"a","span":"a","method":"M"}`, want: Span{TraceID: 10, SpanID: 10, Method: "M"}},
+		{name: "bad trace", json: `{"trace":"xyz","span":"2","parent":"3"}`, wantErr: "trace id"},
+		{name: "missing trace", json: `{"span":"2","parent":"3"}`, wantErr: "trace id"},
+		{name: "bad span", json: `{"trace":"1","span":"-2","parent":"3"}`, wantErr: "span id"},
+		{name: "bad parent", json: `{"trace":"1","span":"2","parent":"3g"}`, wantErr: "parent id"},
+		{name: "parent overflows", json: `{"trace":"1","span":"2","parent":"10000000000000000"}`, wantErr: "parent id"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var got Span
+			err := json.Unmarshal([]byte(tc.json), &got)
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Fatalf("unmarshal: %v", err)
+			case tc.wantErr == "" && got != tc.want:
+				t.Fatalf("got %+v, want %+v", got, tc.want)
+			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+				t.Fatalf("err = %v, want one naming the %s (span %+v)", err, tc.wantErr, got)
+			}
+		})
+	}
+}
+
+// Finish holds the span rules of every instrumented layer: an untraced
+// call is a span only when it failed or was slow (and then its own
+// single-span trace), and a traced call always is, under its caller's span.
+func TestFinishSpanRules(t *testing.T) {
+	tr := NewTracer("n")
+	h := NewRegistry("n").Histogram("lat")
+	start := time.Now()
+	call := Span{Kind: "local", Caller: "a", Callee: "b", Method: "M", Start: start}
+
+	tr.Finish(h, call, nil) // untraced, fast, fine
+	if n, c := len(tr.Recent()), h.Count(); n != 0 || c != 1 {
+		t.Fatalf("after a fast untraced call: %d spans, %d observations; want 0 and 1", n, c)
+	}
+
+	tr.Finish(h, call, errors.New("boom"))
+	failed := tr.Recent()
+	if len(failed) != 1 || failed[0].Err != "boom" || failed[0].SpanID == 0 || failed[0].TraceID != failed[0].SpanID || failed[0].Parent != 0 {
+		t.Fatalf("failed untraced call: %+v, want one root span on a trace of its own", failed)
+	}
+
+	tr.SetSlowThreshold(time.Nanosecond)
+	tr.Finish(h, call, nil)
+	if got := tr.Slow(); len(got) != 1 || len(tr.Recent()) != 2 || got[0].Err != "" || got[0].TraceID != got[0].SpanID {
+		t.Fatalf("slow untraced call: %+v", got)
+	}
+
+	tr.SetSlowThreshold(0)
+	traced := call
+	traced.TraceID, traced.SpanID, traced.Parent = 7, 9, 8
+	tr.Finish(h, traced, nil)
+	got := tr.TraceSpans(7)
+	if len(got) != 1 || got[0].SpanID != 9 || got[0].Parent != 8 || got[0].Node != "n" || got[0].Method != "M" || got[0].Dur <= 0 {
+		t.Fatalf("traced call: %+v", got)
+	}
+	if c := h.Count(); c != 4 {
+		t.Fatalf("%d latency observations, want 4 (every sampled call)", c)
+	}
+}
+
+// TestAllocsFinishUntracedFastCall pins the common sampled call — untraced,
+// fast, successful — at zero allocations in the shared span function.
+func TestAllocsFinishUntracedFastCall(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	tr := NewTracer("n")
+	h := NewRegistry("n").Histogram("lat")
+	call := Span{Kind: "local", Caller: "a", Callee: "b", Method: "M", Start: time.Now()}
+	if got := testing.AllocsPerRun(1000, func() { tr.Finish(h, call, nil) }); got != 0 {
+		t.Fatalf("Finish of an untraced fast call: %.2f allocs, want 0", got)
+	}
+	if n := len(tr.Recent()); n != 0 {
+		t.Fatalf("untraced fast calls recorded %d spans", n)
 	}
 }
 

@@ -2,14 +2,12 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
-
-	"jkernel/internal/threads"
 )
 
 // The trace layer. Every LRMI and remote invoke records a Span (caller
@@ -17,17 +15,17 @@ import (
 // lock-free ring; spans over a configurable threshold are additionally
 // kept in a slow-call log. A TraceContext names the active trace: the
 // remote wire carries it in each call entry of a msgInvoke frame, and the
-// serving side rebinds it around the inbound call, so a chain of calls
+// serving side joins the inbound call to it, so a chain of calls
 // hopping supervisor→worker→worker shares one trace id and stitches into
 // a single tree.
 //
 // Propagation is opt-in at the root: Task.BeginTrace starts a trace on a
 // task, and only active contexts travel on the wire (one flag byte
-// otherwise). Untraced calls still reach the ring — a 1-in-64 sample of
-// ordinary traffic gets a local span under a fresh trace id (see
-// SampleUntraced) — but never pay the cross-process propagation cost,
-// and sampled-out calls skip span recording and latency clock reads
-// entirely.
+// otherwise). Untraced calls are timed 1 in 64 (UntracedSampleMask), and
+// a timed one that failed or was slow still reaches the ring as a trace
+// of its own (Finish); they never pay the cross-process propagation
+// cost, and sampled-out calls skip span recording and latency clock
+// reads entirely.
 
 // TraceContext names an active trace: the trace id shared by the whole
 // chain and the span id of the current hop (the parent of any span the
@@ -123,10 +121,17 @@ func (s *Span) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &aux); err != nil {
 		return err
 	}
-	s.TraceID, _ = ParseID(aux.Trace)
-	s.SpanID, _ = ParseID(aux.Span)
+	var err error
+	if s.TraceID, err = ParseID(aux.Trace); err != nil {
+		return fmt.Errorf("telemetry: span trace id: %w", err)
+	}
+	if s.SpanID, err = ParseID(aux.Span); err != nil {
+		return fmt.Errorf("telemetry: span id: %w", err)
+	}
 	if aux.Parent != "" {
-		s.Parent, _ = ParseID(aux.Parent)
+		if s.Parent, err = ParseID(aux.Parent); err != nil {
+			return fmt.Errorf("telemetry: span parent id: %w", err)
+		}
 	}
 	return nil
 }
@@ -213,11 +218,10 @@ func (t *Tracer) SetSlowThreshold(d time.Duration) {
 
 // UntracedSampleMask selects the 1-in-64 untraced-call sample: a call is
 // profiled when (tick & UntracedSampleMask) == 0, whatever monotonic
-// per-call tick the instrumenting layer has at hand (a shared atomic
-// here, a per-task tick in core, the request id on the wire).
+// per-call tick the instrumenting layer has at hand: the tracer's shared
+// atomic (SampleUntraced) on a wire call's calling side, the task's own
+// tick for an LRMI in core, the request id on a wire call's serving side.
 const UntracedSampleMask = 63
-
-const untracedSampleMask = UntracedSampleMask
 
 // SampleUntraced reports whether an untraced call should be profiled
 // (1 in 64): record a span and observe call latency. Traced calls always
@@ -229,7 +233,7 @@ func (t *Tracer) SampleUntraced() bool {
 	if t == nil {
 		return false
 	}
-	return t.sample.Add(1)&untracedSampleMask == 0
+	return t.sample.Add(1)&UntracedSampleMask == 0
 }
 
 // Record stores one completed span, filling in the tracer's node name.
@@ -244,6 +248,40 @@ func (t *Tracer) Record(s *Span) {
 	if thr := t.slowNs.Load(); thr > 0 && int64(s.Dur) >= thr {
 		t.slow.record(s)
 	}
+}
+
+// Finish closes the books on one instrumented call: it observes the call's
+// latency on lat and records s as its span, by the rules every layer
+// shares. s names the call — its trace (TraceID, and the caller's span as
+// Parent; both zero when untraced), Kind, Caller, Callee, Method and Start,
+// set only for a call inside the sample — and a zero SpanID is minted here.
+// An untraced call becomes a span only when it failed or crossed the
+// slow-call threshold, and then as a trace of its own: the histogram
+// already carries its timing, and the span allocation is the dearest piece
+// of the instrumentation, kept for spans someone will look at.
+func (t *Tracer) Finish(lat *Histogram, s Span, err error) {
+	if t == nil {
+		return
+	}
+	s.Dur = time.Since(s.Start)
+	lat.Observe(int64(s.Dur))
+	if s.TraceID == 0 && err == nil {
+		if thr := t.slowNs.Load(); thr <= 0 || int64(s.Dur) < thr {
+			return
+		}
+	}
+	if s.SpanID == 0 {
+		s.SpanID = NewID()
+	}
+	if s.TraceID == 0 {
+		s.TraceID = s.SpanID
+	}
+	if err != nil {
+		s.Err = err.Error()
+	}
+	rec := new(Span)
+	*rec = s
+	t.Record(rec)
 }
 
 // Recent returns the retained spans, oldest first.
@@ -275,59 +313,4 @@ func (t *Tracer) TraceSpans(traceID uint64) []Span {
 		}
 	}
 	return out
-}
-
-// --- goroutine-carried contexts ---------------------------------------------
-
-// The serving side of a traced remote call rebinds the inbound context
-// onto its executor goroutine, so onward calls made inside the served
-// method — which create their own tasks — still join the trace. The
-// binding uses a goroutine-id map gated by a global count: processes that
-// never serve traced calls (benchmarks with tracing un-propagated) skip
-// the goroutine-id lookup entirely, which keeps the null-call path free
-// of its cost.
-
-var (
-	goCtxCount atomic.Int64
-	goCtxMu    sync.Mutex
-	goCtx      = map[int64]TraceContext{}
-)
-
-// BindGoroutine attaches tc to the calling goroutine until the returned
-// unbind runs. Bindings nest: unbind restores the previous context.
-func BindGoroutine(tc TraceContext) (unbind func()) {
-	gid := threads.GoroutineID()
-	goCtxMu.Lock()
-	prev, hadPrev := goCtx[gid]
-	goCtx[gid] = tc
-	goCtxMu.Unlock()
-	if !hadPrev {
-		goCtxCount.Add(1)
-	}
-	return func() {
-		goCtxMu.Lock()
-		if hadPrev {
-			goCtx[gid] = prev
-		} else {
-			delete(goCtx, gid)
-		}
-		goCtxMu.Unlock()
-		if !hadPrev {
-			goCtxCount.Add(-1)
-		}
-	}
-}
-
-// GoroutineContext returns the calling goroutine's bound context. The
-// fast path is one atomic load: when no goroutine anywhere holds a
-// binding, it returns the zero context without the goroutine-id lookup.
-func GoroutineContext() TraceContext {
-	if goCtxCount.Load() == 0 {
-		return TraceContext{}
-	}
-	gid := threads.GoroutineID()
-	goCtxMu.Lock()
-	tc := goCtx[gid]
-	goCtxMu.Unlock()
-	return tc
 }

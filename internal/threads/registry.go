@@ -39,18 +39,27 @@ func GoroutineID() int64 {
 }
 
 // Register binds a new chain (base segment owned by domain) to the calling
-// goroutine and returns it. A chain the goroutine already has — its ambient
-// caller's, when a callee running on it enters a domain of its own — is
-// displaced, not lost: Unregister puts it back. The caller must Unregister
-// when done.
+// goroutine and returns it. The chain joins the trace of the chain it
+// displaces — its ambient caller's, when a callee running on the goroutine
+// enters a domain of its own — so a goroutine's calls stay on one trace
+// however many chains it stacks. The caller must Unregister when done.
 func Register(domain int64) *Chain {
 	c := NewChain(domain)
+	Bind(c)
+	if c.displaced != nil {
+		c.Trace = c.displaced.Trace
+	}
+	return c
+}
+
+// Bind puts c on the calling goroutine until Unregister(c). A chain the
+// goroutine already has is displaced, not lost: Unregister puts it back.
+func Bind(c *Chain) {
 	gid := GoroutineID()
 	if v, ok := registry.Load(gid); ok {
 		c.displaced = v.(*Chain)
 	}
 	registry.Store(gid, c)
-	return c
 }
 
 // Unregister unbinds c from the calling goroutine and restores the chain it

@@ -30,6 +30,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"jkernel/internal/telemetry"
 )
 
 // ErrSegmentStopped is returned (or converted to a VM ThreadDeath) when a
@@ -106,8 +108,13 @@ type Chain struct {
 	cv *sync.Cond
 
 	// displaced is the chain this one took the goroutine's registry entry
-	// from (Register), restored when this one ends. The carrier's alone.
+	// from (Bind), restored when this one ends. The carrier's alone.
 	displaced *Chain
+
+	// Trace is the trace the carrier's calls join (zero when none): the
+	// one place a trace lives. Register starts a chain on the trace of the
+	// chain it displaces. The carrier's alone.
+	Trace telemetry.TraceContext
 }
 
 // NewChain creates a chain whose base segment belongs to domain.
