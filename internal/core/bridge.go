@@ -189,7 +189,7 @@ func (ctx *vmCopyCtx) toGo(v vmkit.Value) (any, error) {
 		return v.I, nil
 	case vmkit.KFloat:
 		ctx.bytes += 8
-		return v.F, nil
+		return v.Float(), nil
 	}
 	o := v.R
 	switch {

@@ -196,12 +196,9 @@ func (ctx *vmCopyCtx) copyArray(o *vmkit.Object) (*vmkit.Object, *vmkit.Object) 
 	case o.Bytes != nil:
 		copy(dup.Bytes, o.Bytes)
 		ctx.bytes += int64(len(o.Bytes))
-	case o.Ints != nil:
-		copy(dup.Ints, o.Ints)
-		ctx.bytes += int64(8 * len(o.Ints))
-	case o.Floats != nil:
-		copy(dup.Floats, o.Floats)
-		ctx.bytes += int64(8 * len(o.Floats))
+	case o.Words != nil:
+		copy(dup.Words, o.Words)
+		ctx.bytes += int64(8 * len(o.Words))
 	default:
 		for i, e := range o.Refs {
 			if e == nil {
@@ -313,10 +310,12 @@ type vmEncoder struct {
 	caps    []*vmkit.Object
 }
 
-func (e *vmEncoder) u(v uint64)  { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *vmEncoder) i(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *vmEncoder) tag(t byte)  { e.buf = append(e.buf, t) }
-func (e *vmEncoder) f(v float64) { e.u(math.Float64bits(v)) }
+func (e *vmEncoder) u(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
+func (e *vmEncoder) i(v int64)  { e.buf = binary.AppendVarint(e.buf, v) }
+func (e *vmEncoder) tag(t byte) { e.buf = append(e.buf, t) }
+
+// f writes a float held as its IEEE 754 bits (Value.I, a "[D" word).
+func (e *vmEncoder) f(bits int64) { e.u(uint64(bits)) }
 func (e *vmEncoder) str(s string) {
 	e.u(uint64(len(s)))
 	e.buf = append(e.buf, s...)
@@ -352,7 +351,7 @@ func (e *vmEncoder) encodeValue(v vmkit.Value) *vmkit.Object {
 		e.i(v.I)
 	case vmkit.KFloat:
 		e.tag(vtagFloat)
-		e.f(v.F)
+		e.f(v.I)
 	case vmkit.KRef:
 		if v.R == nil {
 			e.tag(vtagNull)
@@ -402,16 +401,16 @@ func (e *vmEncoder) encodeObject(o *vmkit.Object) *vmkit.Object {
 				e.tag(vtagInt)
 				e.i(int64(x))
 			}
-		case o.Ints != nil:
+		case o.Words != nil && cls.Elem() == "I":
 			e.tag(vtagArrI)
-			e.u(uint64(len(o.Ints)))
-			for _, x := range o.Ints {
+			e.u(uint64(len(o.Words)))
+			for _, x := range o.Words {
 				e.i(x)
 			}
-		case o.Floats != nil:
+		case o.Words != nil:
 			e.tag(vtagArrD)
-			e.u(uint64(len(o.Floats)))
-			for _, x := range o.Floats {
+			e.u(uint64(len(o.Words)))
+			for _, x := range o.Words {
 				e.f(x)
 			}
 		default:
@@ -702,20 +701,20 @@ func (d *vmDecoder) decodeObject() (*vmkit.Object, *vmkit.Object) {
 				arr.Bytes[j] = byte(v)
 			}
 		case vtagArrI:
-			for j := range arr.Ints {
+			for j := range arr.Words {
 				v, th := d.i()
 				if th != nil {
 					return nil, th
 				}
-				arr.Ints[j] = v
+				arr.Words[j] = v
 			}
 		default:
-			for j := range arr.Floats {
+			for j := range arr.Words {
 				v, th := d.u()
 				if th != nil {
 					return nil, th
 				}
-				arr.Floats[j] = math.Float64frombits(v)
+				arr.Words[j] = int64(v)
 			}
 		}
 		return arr, nil

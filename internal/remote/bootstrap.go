@@ -88,7 +88,7 @@ func (b *bootstrap) Manifest(exportID uint64) (Manifest, error) {
 func (b *bootstrap) Redeem(nonce, exportID uint64) (uint64, Manifest, error) {
 	c := b.c
 	c.count("remote.bootstrap.redeem")
-	t, ok := stateOf(c.k).takeTicket(nonce)
+	t, ok := c.ks.takeTicket(nonce)
 	if !ok || t.exportID != exportID {
 		return 0, Manifest{}, errors.New("unknown or expired handoff ticket")
 	}

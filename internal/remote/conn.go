@@ -26,6 +26,7 @@ var ErrConnClosed = errors.New("remote: connection closed")
 // the kernel is disturbed.
 type Conn struct {
 	k      *core.Kernel
+	ks     *kernelState // k's wire state: ticket table and clock
 	domain *core.Domain
 
 	nc    net.Conn
@@ -93,7 +94,8 @@ type wireResult struct {
 // remote-<n> that owns its proxies and its bootstrap capability and runs
 // its inbound calls.
 func NewConn(k *core.Kernel, nc net.Conn) (*Conn, error) {
-	stateOf(k).wireTypes.Do(func() { k.RegisterWireType("jk.remote.Manifest", Manifest{}) })
+	ks := stateOf(k)
+	ks.wireTypes.Do(func() { k.RegisterWireType("jk.remote.Manifest", Manifest{}) })
 	d, err := k.NewDomain(core.DomainConfig{
 		Name: fmt.Sprintf("remote-%d", connSeq.Add(1)),
 	})
@@ -105,6 +107,7 @@ func NewConn(k *core.Kernel, nc net.Conn) (*Conn, error) {
 	}
 	c := &Conn{
 		k:               k,
+		ks:              ks,
 		domain:          d,
 		nc:              nc,
 		pending:         make(map[uint64]*callRecord),
@@ -192,7 +195,7 @@ type TableSizes struct {
 func (c *Conn) TableSizes() TableSizes {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := time.Now()
+	now := c.ks.now()
 	c.prunePreRevokedLocked(now)
 	c.pruneHandoffsLocked(now)
 	t := TableSizes{

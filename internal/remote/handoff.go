@@ -55,8 +55,9 @@ type redeemSlot struct {
 
 // kernelState is the per-kernel wire state: the advertised listen
 // endpoint, the origin-side ticket table, the receiver-side pool of
-// connections to origin kernels, and the one-time registration of the
-// bootstrap's wire types.
+// connections to origin kernels, the one-time registration of the
+// bootstrap's wire types, and the clock that ages tickets and the
+// connections' parked revocations, released ids and parked offers.
 type kernelState struct {
 	mu        sync.Mutex
 	network   string
@@ -64,6 +65,10 @@ type kernelState struct {
 	tickets   map[uint64]ticket
 	slots     map[string]*redeemSlot
 	wireTypes sync.Once
+
+	// now is time.Now unless a test replaced it, before the kernel's
+	// first connection, to age entries past a TTL without waiting it out.
+	now func() time.Time
 }
 
 var kstates sync.Map // *core.Kernel -> *kernelState
@@ -75,6 +80,7 @@ func stateOf(k *core.Kernel) *kernelState {
 	v, _ := kstates.LoadOrStore(k, &kernelState{
 		tickets: make(map[uint64]ticket),
 		slots:   make(map[string]*redeemSlot),
+		now:     time.Now,
 	})
 	return v.(*kernelState)
 }
@@ -112,7 +118,7 @@ func HandoffTableSizes(k *core.Kernel) HandoffTables {
 	ks := stateOf(k)
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
-	ks.pruneTicketsLocked(time.Now())
+	ks.pruneTicketsLocked(ks.now())
 	return HandoffTables{Tickets: len(ks.tickets), OriginConns: len(ks.slots)}
 }
 
@@ -137,7 +143,7 @@ func (ks *kernelState) pruneTicketsLocked(now time.Time) {
 // window means a malfunctioning or hostile middleman; the caller faults
 // the registering connection.
 func (ks *kernelState) registerTicket(nonce uint64, cap *core.Capability, exportID uint64) error {
-	now := time.Now()
+	now := ks.now()
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
 	ks.pruneTicketsLocked(now)
@@ -152,7 +158,7 @@ func (ks *kernelState) registerTicket(nonce uint64, cap *core.Capability, export
 func (ks *kernelState) takeTicket(nonce uint64) (ticket, bool) {
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
-	ks.pruneTicketsLocked(time.Now())
+	ks.pruneTicketsLocked(ks.now())
 	t, ok := ks.tickets[nonce]
 	if ok {
 		delete(ks.tickets, nonce)
@@ -321,7 +327,7 @@ func (c *Conn) handleRegister(p *pushEntry) error {
 	if cap == nil {
 		return nil
 	}
-	return stateOf(c.k).registerTicket(p.nonce, cap, p.exportID)
+	return c.ks.registerTicket(p.nonce, cap, p.exportID)
 }
 
 // handleOffer services a redeem offer: we are the receiver. An import is
@@ -330,7 +336,7 @@ func (c *Conn) handleRegister(p *pushEntry) error {
 // relay already released is stale. Only a parking flood faults the
 // connection; anything stale degrades to the relay fallback.
 func (c *Conn) handleOffer(p *pushEntry) error {
-	now := time.Now()
+	now := c.ks.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.pruneHandoffsLocked(now)
@@ -400,7 +406,7 @@ func isUnknownTicket(err error) bool {
 // relay references. Every failure short of a revocation leaves the relay
 // path untouched — the capability keeps working, just unshortened.
 func (c *Conn) redeemOffer(f pushEntry, cap *core.Capability, relayID, relayGen uint64) {
-	oc, err := stateOf(c.k).originConn(c.k, f.network, f.addr)
+	oc, err := c.ks.originConn(c.k, f.network, f.addr)
 	if err != nil {
 		c.count("remote.handoff.fallback")
 		return

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -55,7 +56,16 @@ type triple struct {
 	holder           *capHolder
 	taskB            *core.Task
 	taskC            *core.Task
+	clock            *testClock // the three kernels' wire-state clock
 }
+
+// testClock is a wire-state clock (kernelState.now) that a test moves past
+// a TTL instead of waiting it out.
+type testClock struct{ skew atomic.Int64 }
+
+func (c *testClock) now() time.Time { return time.Now().Add(time.Duration(c.skew.Load())) }
+
+func (c *testClock) advance(d time.Duration) { c.skew.Add(int64(d)) }
 
 func newTriple(t testing.TB) *triple { return buildTriple(t, false) }
 
@@ -99,9 +109,13 @@ func buildTriple(t testing.TB, relayOnly bool) *triple {
 		return c
 	}
 	tr := &triple{
-		a: core.MustNew(core.Options{}),
-		b: core.MustNew(core.Options{}),
-		c: core.MustNew(core.Options{}),
+		a:     core.MustNew(core.Options{}),
+		b:     core.MustNew(core.Options{}),
+		c:     core.MustNew(core.Options{}),
+		clock: &testClock{},
+	}
+	for _, k := range []*core.Kernel{tr.a, tr.b, tr.c} {
+		stateOf(k).now = tr.clock.now
 	}
 	var err error
 	if tr.aDom, err = tr.a.NewDomain(core.DomainConfig{Name: "origin"}); err != nil {
@@ -481,8 +495,9 @@ func TestHandoffStressMintRedeemRevoke(t *testing.T) {
 
 	// Tickets are one-time and TTL-bounded; after the storm the origin's
 	// table must drain (redeems consumed them, revoked ones answered the
-	// fault) and no offer may stay parked at the receiver.
-	deadline := time.Now().Add(30 * time.Second)
+	// fault, and the TTL, which the clock skips, took any other) and no
+	// offer may stay parked at the receiver.
+	deadline := time.Now().Add(10 * time.Second)
 	for {
 		ht := HandoffTableSizes(tr.a)
 		cs := tr.cb.TableSizes()
@@ -492,6 +507,7 @@ func TestHandoffStressMintRedeemRevoke(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("handoff tables never drained: origin=%+v receiver=%+v", ht, cs)
 		}
+		tr.clock.advance(ticketTTL + time.Second)
 		time.Sleep(5 * time.Millisecond)
 	}
 }
@@ -589,6 +605,56 @@ func TestHandoffTicketFloodRefused(t *testing.T) {
 	}
 }
 
+// Tickets and a connection's parked revocations age on the kernel's wire
+// clock: moved past their TTLs they are pruned, and not a moment before.
+func TestTTLFollowsTheWireClock(t *testing.T) {
+	k, peer := core.MustNew(core.Options{}), core.MustNew(core.Options{})
+	clock := &testClock{}
+	stateOf(k).now = clock.now
+	d, err := k.NewDomain(core.DomainConfig{Name: "ttl"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cap, err := k.CreateNativeCapability(d, echoSvc{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sock := filepath.Join(t.TempDir(), "peer.sock")
+	ln, err := Listen(peer, "unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	c, err := Dial(k, "unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	if err := stateOf(k).registerTicket(1, cap, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.handleRevoke(42, revokeReasonRevoked); err != nil {
+		t.Fatal(err)
+	}
+	clock.advance(preRevokedTTL - time.Second)
+	if got := c.TableSizes().PreRevoked; got != 1 {
+		t.Fatalf("%d parked revocations inside their window, want 1", got)
+	}
+	clock.advance(2 * time.Second)
+	if got := c.TableSizes().PreRevoked; got != 0 {
+		t.Errorf("%d parked revocations past their window, want 0", got)
+	}
+	clock.advance(ticketTTL - preRevokedTTL - 2*time.Second)
+	if got := HandoffTableSizes(k).Tickets; got != 1 {
+		t.Fatalf("%d tickets inside the TTL, want 1", got)
+	}
+	clock.advance(2 * time.Second)
+	if got := HandoffTableSizes(k).Tickets; got != 0 {
+		t.Errorf("%d tickets past the TTL, want 0", got)
+	}
+}
+
 // TestChurnThreeKernelTablesReturnToBaseline is satellite coverage for
 // the relayed-capability release leak: grant/relay/redeem/release cycles
 // across three kernels must leave every table — A's exports, B's relay
@@ -671,7 +737,9 @@ func churnThreeKernels(t *testing.T, tr *triple) {
 	waitTables(t, "A->B post-churn", tr.ab, abBase)
 	waitTables(t, "B->C post-churn", tr.bc, bcBase)
 	waitTables(t, "C->B post-churn", tr.cb, cbBase)
-	deadline := time.Now().Add(30 * time.Second)
+	// A ticket whose redeem never came (the grant was revoked or released
+	// first) expires with the TTL, which the clock skips.
+	deadline := time.Now().Add(10 * time.Second)
 	for {
 		at := HandoffTableSizes(tr.a)
 		if at.Tickets == 0 {
@@ -680,6 +748,7 @@ func churnThreeKernels(t *testing.T, tr *triple) {
 		if time.Now().After(deadline) {
 			t.Fatalf("origin ticket table never drained: %+v", at)
 		}
+		tr.clock.advance(ticketTTL + time.Second)
 		time.Sleep(5 * time.Millisecond)
 	}
 	// The direct A<-C connection minted per-cycle exports; all of them

@@ -220,7 +220,7 @@ func (c *Conn) releaseImportLocked(p *pushEntry) bool {
 	}
 	delete(c.imports, p.exportID)
 	delete(c.preRevoked, p.exportID) // a parked revoke for a dead handle expires with it
-	c.recordReleasedLocked(p.exportID, time.Now())
+	c.recordReleasedLocked(p.exportID, c.ks.now())
 	p.count = e.recv
 	return true
 }
@@ -546,11 +546,11 @@ func (c *Conn) handleRevoke(exportID uint64, reason byte) error {
 	var cap *core.Capability
 	if e := c.imports[exportID]; e != nil {
 		cap = e.cap
-	} else if at, released := c.releasedImports[exportID]; released && time.Since(at) <= preRevokedTTL {
+	} else if at, released := c.releasedImports[exportID]; released && c.ks.now().Sub(at) <= preRevokedTTL {
 		// The push crossed our own full release in flight: the handle is
 		// already dead on both ends, so there is nothing left to revoke.
 	} else {
-		now := time.Now()
+		now := c.ks.now()
 		c.prunePreRevokedLocked(now)
 		if len(c.preRevoked) >= maxPreRevoked {
 			c.mu.Unlock()

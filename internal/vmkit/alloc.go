@@ -1,0 +1,89 @@
+package vmkit
+
+// An object and what it owns are one Go allocation where they fit a block:
+// an instance with at most four slots, and a byte array of at
+// most maxBlockBytes bytes (in buckets of 16, 32, 64 and 128). A block is
+// the Object followed by its payload; callers see only the Object. The
+// payload slice has cap == len, so an append copies it out of the block
+// rather than writing into the bucket's spare bytes. A pointer into the
+// payload keeps the whole block alive, header included: a Go caller that
+// holds o.Bytes holds o.
+//
+// Larger payloads get their own allocation, as before. What an account is
+// charged does not depend on either layout.
+
+const maxBlockBytes = 128
+
+// newInstanceObject returns an Object whose Fields are n zero Values.
+func newInstanceObject(n int) *Object {
+	switch n {
+	case 0:
+		return &Object{Fields: []Value{}}
+	case 1:
+		b := new(struct {
+			o Object
+			f [1]Value
+		})
+		b.o.Fields = b.f[:]
+		return &b.o
+	case 2:
+		b := new(struct {
+			o Object
+			f [2]Value
+		})
+		b.o.Fields = b.f[:]
+		return &b.o
+	case 3:
+		b := new(struct {
+			o Object
+			f [3]Value
+		})
+		b.o.Fields = b.f[:]
+		return &b.o
+	case 4:
+		b := new(struct {
+			o Object
+			f [4]Value
+		})
+		b.o.Fields = b.f[:]
+		return &b.o
+	}
+	return &Object{Fields: make([]Value, n)}
+}
+
+// newByteArrayObject returns an Object whose Bytes are n zero bytes.
+func newByteArrayObject(n int) *Object {
+	switch {
+	case n == 0:
+		return &Object{Bytes: []byte{}}
+	case n <= 16:
+		b := new(struct {
+			o Object
+			b [16]byte
+		})
+		b.o.Bytes = b.b[:n:n]
+		return &b.o
+	case n <= 32:
+		b := new(struct {
+			o Object
+			b [32]byte
+		})
+		b.o.Bytes = b.b[:n:n]
+		return &b.o
+	case n <= 64:
+		b := new(struct {
+			o Object
+			b [64]byte
+		})
+		b.o.Bytes = b.b[:n:n]
+		return &b.o
+	case n <= maxBlockBytes:
+		b := new(struct {
+			o Object
+			b [maxBlockBytes]byte
+		})
+		b.o.Bytes = b.b[:n:n]
+		return &b.o
+	}
+	return &Object{Bytes: make([]byte, n)}
+}

@@ -1,0 +1,229 @@
+package vmkit
+
+import (
+	"math"
+	"runtime"
+	"sync"
+	"testing"
+	"unsafe"
+	"weak"
+
+	"jkernel/internal/raceflag"
+)
+
+// The header every VM object carries, and the slot every field, local and
+// operand takes.
+func TestObjectLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Object{}); got > 128 {
+		t.Errorf("Object is %d bytes, want at most 128", got)
+	}
+	if got := unsafe.Sizeof(Value{}); got != 24 {
+		t.Errorf("Value is %d bytes, want 24", got)
+	}
+}
+
+// inBlock reports whether the payload starting at p directly follows o's
+// header, in o's own allocation.
+func inBlock(o *Object, p unsafe.Pointer) bool {
+	return uintptr(p) == uintptr(unsafe.Pointer(o))+unsafe.Sizeof(*o)
+}
+
+// A co-located payload has cap == len, so an append moves it out of the
+// block instead of writing into the bucket's spare bytes, and so into
+// nothing another slice can see.
+func TestColocatedPayloadsHaveNoSpareCapacity(t *testing.T) {
+	for n := range 7 {
+		o := newInstanceObject(n)
+		if len(o.Fields) != n || cap(o.Fields) != n {
+			t.Errorf("%d slots: len %d cap %d", n, len(o.Fields), cap(o.Fields))
+		}
+		if want := n <= 4; n > 0 && inBlock(o, unsafe.Pointer(&o.Fields[0])) != want {
+			t.Errorf("%d slots: in the header's block %v, want %v", n, !want, want)
+		}
+	}
+	vm, ns := newTestNS(t)
+	for _, n := range []int{0, 1, 10, 16, 17, 32, 33, 64, 65, 100, maxBlockBytes, maxBlockBytes + 1, 1000} {
+		arr, err := ns.NewArray("[B", n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if arr.Bytes == nil || len(arr.Bytes) != n || cap(arr.Bytes) != n {
+			t.Errorf("[B of %d: nil %v, len %d, cap %d", n, arr.Bytes == nil, len(arr.Bytes), cap(arr.Bytes))
+		}
+		if n == 0 {
+			continue
+		}
+		if want := n <= maxBlockBytes; inBlock(arr, unsafe.Pointer(&arr.Bytes[0])) != want {
+			t.Errorf("[B of %d: in the header's block %v, want %v", n, !want, want)
+		}
+		if grown := append(arr.Bytes, 0xff); &grown[0] == &arr.Bytes[0] {
+			t.Errorf("[B of %d: append wrote in place", n)
+		}
+	}
+	s, err := ns.NewString("text")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := s.Fields[s.Class.FieldByName("bytes").Slot].R
+	for _, c := range []struct {
+		what     string
+		len, cap int
+		in       bool
+	}{
+		{"String fields", len(s.Fields), cap(s.Fields), inBlock(s, unsafe.Pointer(&s.Fields[0]))},
+		{"String bytes", len(b.Bytes), cap(b.Bytes), inBlock(b, unsafe.Pointer(&b.Bytes[0]))},
+	} {
+		if c.len != c.cap || !c.in {
+			t.Errorf("%s: len %d cap %d, in the header's block %v", c.what, c.len, c.cap, c.in)
+		}
+	}
+	th := vm.Throwf(ClassError, "boom")
+	if len(th.Fields) != cap(th.Fields) || !inBlock(th, unsafe.Pointer(&th.Fields[0])) {
+		t.Errorf("throwable fields: len %d cap %d", len(th.Fields), cap(th.Fields))
+	}
+}
+
+// A co-located instance and a small array are collected once dropped; a
+// slice of an array's bytes keeps the whole block, header included.
+func TestColocatedObjectsAreCollected(t *testing.T) {
+	_, ns := newTestNS(t)
+	sc, err := ns.Resolve(ClassString)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drop := func() (inst, arr, held weak.Pointer[Object], bytes []byte) {
+		o, err := NewInstance(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := ns.NewArray("[B", 24)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := ns.NewArray("[B", 24)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return weak.Make(o), weak.Make(a), weak.Make(h), h.Bytes
+	}
+	inst, arr, held, bytes := drop()
+	runtime.GC()
+	if inst.Value() != nil {
+		t.Error("a dropped co-located instance survived a collection")
+	}
+	if arr.Value() != nil {
+		t.Error("a dropped small array survived a collection")
+	}
+	if held.Value() == nil {
+		t.Error("a small array whose bytes are still held was collected")
+	}
+	runtime.KeepAlive(bytes)
+}
+
+// A "[D" element is its IEEE 754 bits: astore then aload hands back NaN
+// (with its payload), -0 and both infinities bit for bit.
+func TestDoubleArrayKeepsFloatBits(t *testing.T) {
+	vm, ns := newTestNS(t, `
+.class DArr
+.method static roundtrip ([DID)D stack 6 locals 0
+  load 0
+  load 1
+  load 2
+  astore
+  load 0
+  load 1
+  aload
+  retv
+.end
+`)
+	specials := []float64{math.NaN(), math.Float64frombits(0x7ff8_0000_dead_beef), math.Copysign(0, -1), math.Inf(1), math.Inf(-1)}
+	arr, err := ns.NewArray("[D", len(specials))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range specials {
+		got := callStatic(t, vm, ns, "DArr.roundtrip:([DID)D", RefVal(arr), IntVal(int64(i)), FloatVal(x))
+		bits := math.Float64bits(x)
+		if got.K != KFloat || uint64(got.I) != bits || uint64(arr.Words[i]) != bits {
+			t.Errorf("%v: aload gave %v (%#x), the array holds %#x, want %#x", x, got, got.I, arr.Words[i], bits)
+		}
+	}
+}
+
+// Sixteen VM threads race the first monitorenter on a fresh object: one
+// monitor is installed and every thread locks that one. A plain counter
+// the monitor guards is the race detector's witness.
+func TestMonitorFirstEnterRace(t *testing.T) {
+	vm, ns := newTestNS(t, ".class Lock\n")
+	c, err := ns.Resolve("Lock")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const threads = 16
+	for range 50 {
+		o, err := NewInstance(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seen [threads]*monitor
+		counter := 0
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range threads {
+			th := vm.NewThread("racer")
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer vm.Detach(th)
+				<-start
+				o.monEnter(th)
+				seen[i] = o.mon.Load()
+				counter++
+				if !o.monExit(th) {
+					t.Error("monitorexit by the owner failed")
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if counter != threads {
+			t.Fatalf("%d of %d threads counted", counter, threads)
+		}
+		for i, m := range seen {
+			if m == nil || m != seen[0] {
+				t.Fatalf("thread %d locked monitor %p, thread 0 %p", i, m, seen[0])
+			}
+		}
+		if o.mon.Load() != seen[0] || o.MonitorOwner() != nil {
+			t.Fatal("the installed monitor changed or is still owned")
+		}
+	}
+}
+
+// MonitorOwner reads a monitor and never installs one.
+func TestAllocsMonitorOwner(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	vm, ns := newTestNS(t, ".class Lock\n")
+	c, err := ns.Resolve("Lock")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, _ := NewInstance(c)
+	locked, _ := NewInstance(c)
+	th := vm.NewThread("owner")
+	defer vm.Detach(th)
+	locked.monEnter(th)
+	for _, o := range []*Object{fresh, locked} {
+		if got := testing.AllocsPerRun(100, func() { o.MonitorOwner() }); got != 0 {
+			t.Errorf("MonitorOwner: %.1f allocs", got)
+		}
+	}
+	if fresh.mon.Load() != nil {
+		t.Error("MonitorOwner installed a monitor")
+	}
+	if locked.MonitorOwner() != th {
+		t.Error("MonitorOwner does not name the owner")
+	}
+}

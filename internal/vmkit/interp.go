@@ -294,26 +294,26 @@ func (vm *VM) run(t *Thread, m *Method, base int) (Value, *Object) {
 			push(IntVal(a ^ b))
 
 		case OpDAdd:
-			b, a := pop().F, pop().F
+			b, a := pop().Float(), pop().Float()
 			push(FloatVal(a + b))
 		case OpDSub:
-			b, a := pop().F, pop().F
+			b, a := pop().Float(), pop().Float()
 			push(FloatVal(a - b))
 		case OpDMul:
-			b, a := pop().F, pop().F
+			b, a := pop().Float(), pop().Float()
 			push(FloatVal(a * b))
 		case OpDDiv:
-			b, a := pop().F, pop().F
+			b, a := pop().Float(), pop().Float()
 			push(FloatVal(a / b))
 		case OpDNeg:
-			push(FloatVal(-pop().F))
+			push(FloatVal(-pop().Float()))
 
 		case OpI2D:
 			push(FloatVal(float64(pop().I)))
 		case OpD2I:
-			push(IntVal(int64(pop().F)))
+			push(IntVal(int64(pop().Float())))
 		case OpDCmp:
-			b, a := pop().F, pop().F
+			b, a := pop().Float(), pop().Float()
 			switch {
 			case a < b:
 				push(IntVal(-1))
@@ -496,10 +496,8 @@ func (vm *VM) run(t *Thread, m *Method, base int) (Value, *Object) {
 			switch {
 			case arr.Bytes != nil:
 				push(IntVal(int64(arr.Bytes[idx])))
-			case arr.Ints != nil:
-				push(IntVal(arr.Ints[idx]))
-			case arr.Floats != nil:
-				push(FloatVal(arr.Floats[idx]))
+			case arr.Words != nil:
+				push(Value{K: DescKind(arr.Class.elem), I: arr.Words[idx]})
 			default:
 				push(RefVal(arr.Refs[idx]))
 			}
@@ -518,10 +516,8 @@ func (vm *VM) run(t *Thread, m *Method, base int) (Value, *Object) {
 			switch {
 			case arr.Bytes != nil:
 				arr.Bytes[idx] = byte(v.I)
-			case arr.Ints != nil:
-				arr.Ints[idx] = v.I
-			case arr.Floats != nil:
-				arr.Floats[idx] = v.F
+			case arr.Words != nil:
+				arr.Words[idx] = v.I
 			default:
 				if v.R != nil {
 					ec := arr.Class.elemClass()
@@ -599,22 +595,20 @@ func (c *Class) elemClass() *Class {
 // class, with length >= 0 elements, owned by ns and charged to its
 // account. It is NewArray for a caller that holds the class already.
 func (ns *Namespace) NewArrayOfClass(c *Class, length int) *Object {
-	o := &Object{Class: c, Owner: ns.OwnerID}
+	var o *Object
 	var bytes int64
 	switch c.elem {
 	case "B":
-		o.Bytes = make([]byte, length)
+		o = newByteArrayObject(length)
 		bytes = int64(length)
-	case "I":
-		o.Ints = make([]int64, length)
-		bytes = int64(length) * 8
-	case "D":
-		o.Floats = make([]float64, length)
+	case "I", "D":
+		o = &Object{Words: make([]int64, length)}
 		bytes = int64(length) * 8
 	default:
-		o.Refs = make([]*Object, length)
+		o = &Object{Refs: make([]*Object, length)}
 		bytes = int64(length) * 8
 	}
+	o.Class, o.Owner = c, ns.OwnerID
 	if a := ns.Account; a != nil {
 		a.Alloc(16 + bytes)
 	}

@@ -559,7 +559,7 @@ func (ns *Namespace) NewString(text string) (*Object, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newStringOfClass(sc, []byte(text), ns.OwnerID), nil
+	return newStringOfClass(sc, text, ns.OwnerID), nil
 }
 
 // NewStringBytes is NewString for text held in a byte slice, which it
@@ -569,24 +569,16 @@ func (ns *Namespace) NewStringBytes(b []byte) (*Object, error) {
 	if err != nil {
 		return nil, err
 	}
-	text := make([]byte, len(b))
-	copy(text, b)
-	return newStringOfClass(sc, text, ns.OwnerID), nil
+	return newStringOfClass(sc, b, ns.OwnerID), nil
 }
 
-// newStringOfClass builds a string of class sc around text, which the new
-// string's byte array takes as its own.
-func newStringOfClass(sc *Class, text []byte, owner int64) *Object {
-	arr := &Object{
-		Class: mustArrayClass(sc.NS, "[B"),
-		Bytes: text,
-		Owner: owner,
-	}
-	o := &Object{
-		Class:  sc,
-		Fields: make([]Value, sc.numSlots),
-		Owner:  owner,
-	}
+// newStringOfClass builds a string of class sc holding a copy of text.
+func newStringOfClass[T string | []byte](sc *Class, text T, owner int64) *Object {
+	arr := newByteArrayObject(len(text))
+	copy(arr.Bytes, text)
+	arr.Class, arr.Owner = mustArrayClass(sc.NS, "[B"), owner
+	o := newInstanceObject(sc.numSlots)
+	o.Class, o.Owner = sc, owner
 	o.Fields[sc.FieldByName("bytes").Slot] = RefVal(arr)
 	return o
 }
@@ -628,7 +620,8 @@ func NewInstance(c *Class) (*Object, error) {
 	if c.IsArray() {
 		return nil, fmt.Errorf("vmkit: use NewArray for %s", c.Name)
 	}
-	o := &Object{Class: c, Fields: make([]Value, c.numSlots), Owner: c.NS.OwnerID}
+	o := newInstanceObject(c.numSlots)
+	o.Class, o.Owner = c, c.NS.OwnerID
 	copy(o.Fields, c.zeroFields)
 	if a := c.NS.Account; a != nil {
 		a.Alloc(int64(16 + 16*len(o.Fields)))

@@ -3,21 +3,35 @@ package vmkit
 import "sync"
 
 // monitor implements per-object recursive locks (monitorenter/monitorexit
-// and synchronized methods). Owners are VM threads.
+// and synchronized methods). Owners are VM threads. An object has no
+// monitor until its first monitorenter (see inflate), so the objects that
+// are never locked — nearly all of them — carry one pointer for it.
 type monitor struct {
 	mu    sync.Mutex
-	cv    *sync.Cond
+	cv    sync.Cond
 	owner *Thread
 	depth int
 }
 
+// inflate returns o's monitor, installing a fresh one if o has none. Of
+// threads racing to install, one CAS wins and every thread uses its
+// monitor.
+func (o *Object) inflate() *monitor {
+	if m := o.mon.Load(); m != nil {
+		return m
+	}
+	m := new(monitor)
+	m.cv.L = &m.mu
+	if o.mon.CompareAndSwap(nil, m) {
+		return m
+	}
+	return o.mon.Load()
+}
+
 // Enter blocks until the calling thread owns the monitor.
 func (o *Object) monEnter(t *Thread) {
-	m := &o.mon
+	m := o.inflate()
 	m.mu.Lock()
-	if m.cv == nil {
-		m.cv = sync.NewCond(&m.mu)
-	}
 	for m.owner != nil && m.owner != t {
 		m.cv.Wait()
 	}
@@ -32,7 +46,10 @@ func (o *Object) monEnter(t *Thread) {
 // monExit releases one level of the monitor. It returns false when the
 // calling thread does not own the monitor (IllegalMonitorState).
 func (o *Object) monExit(t *Thread) bool {
-	m := &o.mon
+	m := o.mon.Load()
+	if m == nil {
+		return false
+	}
 	m.mu.Lock()
 	if m.owner != t || m.depth == 0 {
 		m.mu.Unlock()
@@ -41,9 +58,7 @@ func (o *Object) monExit(t *Thread) bool {
 	m.depth--
 	if m.depth == 0 {
 		m.owner = nil
-		if m.cv != nil {
-			m.cv.Signal()
-		}
+		m.cv.Signal()
 	}
 	m.mu.Unlock()
 	if t.VM.Profile.HeavyLocks {
@@ -53,8 +68,13 @@ func (o *Object) monExit(t *Thread) bool {
 }
 
 // MonitorOwner returns the owning thread for tests (nil when unlocked).
+// It installs no monitor.
 func (o *Object) MonitorOwner() *Thread {
-	o.mon.mu.Lock()
-	defer o.mon.mu.Unlock()
-	return o.mon.owner
+	m := o.mon.Load()
+	if m == nil {
+		return nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.owner
 }

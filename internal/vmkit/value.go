@@ -12,7 +12,11 @@
 // cross-domain calls.
 package vmkit
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"sync/atomic"
+)
 
 // Kind discriminates the runtime value union.
 type Kind uint8
@@ -29,10 +33,10 @@ const (
 
 // Value is a single operand-stack or local-variable slot.
 // The zero Value is an invalid slot; Null() is the null reference.
+// A float keeps its IEEE 754 bits in I (see Float), so a slot is 24 bytes.
 type Value struct {
 	K Kind
 	I int64
-	F float64
 	R *Object
 }
 
@@ -40,7 +44,10 @@ type Value struct {
 func IntVal(i int64) Value { return Value{K: KInt, I: i} }
 
 // FloatVal returns a float value.
-func FloatVal(f float64) Value { return Value{K: KFloat, F: f} }
+func FloatVal(f float64) Value { return Value{K: KFloat, I: int64(math.Float64bits(f))} }
+
+// Float returns the float a KFloat value holds.
+func (v Value) Float() float64 { return math.Float64frombits(uint64(v.I)) }
 
 // RefVal returns a reference value (obj may be nil for null).
 func RefVal(obj *Object) Value { return Value{K: KRef, R: obj} }
@@ -57,7 +64,7 @@ func (v Value) String() string {
 	case KInt:
 		return fmt.Sprintf("%d", v.I)
 	case KFloat:
-		return fmt.Sprintf("%g", v.F)
+		return fmt.Sprintf("%g", v.Float())
 	case KRef:
 		if v.R == nil {
 			return "null"
@@ -73,18 +80,22 @@ func (v Value) String() string {
 //
 //   - instances: Class points at a non-array class and Fields holds one slot
 //     per instance field (indexed by Field.Slot);
-//   - arrays: Class is an array class ("[B", "[I", "[D", "[L...;") and one of
-//     Bytes/Ints/Floats/Refs is non-nil.
+//   - arrays: Class is an array class and one of Bytes ("[B"), Words ("[I"
+//     and "[D") or Refs ("[L...;" and "[[...") is non-nil. Words holds a
+//     "[D" element's IEEE 754 bits, as Value.I does; the class says which
+//     kind an element is.
 //
-// The monitor word (mon) implements synchronized blocks; see monitor.go.
+// A small instance's Fields and a small byte array's Bytes live in the
+// object's own allocation (see alloc.go). The monitor (mon) implements
+// synchronized blocks and is created by the first monitorenter; see
+// monitor.go.
 type Object struct {
 	Class  *Class
 	Fields []Value
 
-	Bytes  []byte
-	Ints   []int64
-	Floats []float64
-	Refs   []*Object
+	Bytes []byte
+	Words []int64
+	Refs  []*Object
 
 	// Owner is the id of the domain whose account was charged for this
 	// allocation. Zero means "system" (allocated outside any domain).
@@ -93,7 +104,7 @@ type Object struct {
 	// hash is the lazily assigned identity hash (see identityHash).
 	hash int64
 
-	mon monitor
+	mon atomic.Pointer[monitor]
 }
 
 // Len returns the array length, or -1 if o is not an array.
@@ -101,10 +112,8 @@ func (o *Object) Len() int {
 	switch {
 	case o.Bytes != nil:
 		return len(o.Bytes)
-	case o.Ints != nil:
-		return len(o.Ints)
-	case o.Floats != nil:
-		return len(o.Floats)
+	case o.Words != nil:
+		return len(o.Words)
 	case o.Refs != nil:
 		return len(o.Refs)
 	}

@@ -191,7 +191,8 @@ func (vm *VM) Throwf(class, format string, args ...any) *Object {
 			panic("vmkit: bootstrap throwables missing")
 		}
 	}
-	o := &Object{Class: c, Fields: make([]Value, c.numSlots)}
+	o := newInstanceObject(c.numSlots)
+	o.Class = c
 	msg := fmt.Sprintf(format, args...)
 	if f := c.FieldByName("message"); f != nil {
 		s, err := vm.boot.NewString(msg)
