@@ -128,12 +128,12 @@ func TestInvokeVMWrongClassIsClassCast(t *testing.T) {
 	}
 }
 
-// Measures 9: method and URI as VM strings in the callee's domain (2
-// allocations each: the string with its fields, the array with its
-// bytes), the empty body array, the result's bytes and their box, and the
-// boxed arguments. It was 14 while a VM object's fields and bytes were
-// allocations of their own, and 28 built in the caller's domain and
-// copied again.
+// Measures 7: method and URI as VM strings in the callee's domain (1
+// allocation each: the string, its field, its byte array and the bytes in
+// one block), the empty body array, the result's bytes and their box, and
+// the boxed arguments. It was 9 while a string was two blocks, 14 while a
+// VM object's fields and bytes were allocations of their own, and 28
+// built in the caller's domain and copied again.
 func TestAllocsInvokeVMFromGo(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector allocates")
@@ -145,8 +145,8 @@ func TestAllocsInvokeVMFromGo(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if got > 9 {
-		t.Errorf(`InvokeVM("service", string, string, []byte): %.1f allocs/call, want at most 9`, got)
+	if got > 7 {
+		t.Errorf(`InvokeVM("service", string, string, []byte): %.1f allocs/call, want at most 7`, got)
 	}
 }
 

@@ -18,20 +18,24 @@ import (
 
 // nativeTarget is a revocable reference to a Go object's method table.
 type nativeTarget struct {
-	recv    reflect.Value
 	methods map[string]*nativeMethod
 }
 
-// nativeMethod is one remote method: the reflect method value plus, for
-// the signatures that dominate the wire hot path, a typed thunk compiled
-// at capability-creation time. The thunk dispatches through a direct
-// function call — no reflect.Call argument frame, no boxed receiver — and
-// bails out with errThunkFallback when an argument's dynamic type misses
-// the compiled shape, in which case the invoke re-dispatches through
-// reflect with identical semantics.
+// nativeMethod is one remote method: the method's unbound function, its
+// receiver and its signature without the receiver, plus, for the
+// signatures that dominate the wire hot path, a typed thunk compiled at
+// capability-creation time. The reflect path calls fn with the receiver
+// first in the caller's argument buffer; a bound method value would make
+// every call allocate reflect's method-value receiver. The thunk
+// dispatches through a direct function call — no reflect.Call argument
+// frame, no boxed receiver — and bails out with errThunkFallback when an
+// argument's dynamic type misses the compiled shape, in which case the
+// invoke re-dispatches through reflect with identical semantics.
 type nativeMethod struct {
 	name  string
-	fn    reflect.Value
+	fn    reflect.Value // reflect.Method.Func: the receiver is its first argument
+	recv  reflect.Value
+	typ   reflect.Type // the method's signature as its callers see it
 	thunk func(in []any) (out []any, err error)
 }
 
@@ -127,7 +131,7 @@ func (k *Kernel) CreateNativeCapability(d *Domain, target any) (*Capability, err
 	}
 	rv := reflect.ValueOf(target)
 	rt := rv.Type()
-	nt := &nativeTarget{recv: rv, methods: map[string]*nativeMethod{}}
+	nt := &nativeTarget{methods: map[string]*nativeMethod{}}
 	errType := reflect.TypeOf((*error)(nil)).Elem()
 	for i := 0; i < rt.NumMethod(); i++ {
 		m := rt.Method(i)
@@ -139,7 +143,7 @@ func (k *Kernel) CreateNativeCapability(d *Domain, target any) (*Capability, err
 			continue
 		}
 		mv := rv.Method(i)
-		nt.methods[m.Name] = &nativeMethod{name: m.Name, fn: mv, thunk: compileThunk(mv)}
+		nt.methods[m.Name] = &nativeMethod{name: m.Name, fn: m.Func, recv: rv, typ: mv.Type(), thunk: compileThunk(mv)}
 	}
 	if len(nt.methods) == 0 {
 		return nil, ErrNotRemote
@@ -226,7 +230,7 @@ func (c *Capability) invokeFrom(task *Task, name string, args []any) ([]any, err
 	start := k.tm.callStart(task)
 
 	// Copy arguments in (capabilities by reference).
-	var inBuf [4]reflect.Value
+	var inBuf [5]reflect.Value
 	in, cargs, copied, err := k.nativeArgs(m, args, inBuf[:0], true)
 	if err != nil {
 		return nil, err
@@ -295,15 +299,15 @@ func (c *Capability) nativeCallee(task *Task, name string) (caller *Domain, m *n
 }
 
 // nativeArgs makes args the callee's and shapes them for m's dispatch: the
-// plain values a thunk takes (cargs), or reflect values conformed to the
-// parameter types, appended to in — the caller's stack buffer: argument
-// frames of up to four values, nearly every method, never reach the heap
-// (reflect's Call reads the slice and keeps nothing of it). With copyIn
-// each argument is copied by the calling convention and copied reports the
-// bytes; without, args are already the callee's own (ServeWire) and a
-// thunk takes the vector as it is.
+// plain values a thunk takes (cargs), or the receiver and then reflect
+// values conformed to the parameter types, appended to in — the caller's
+// stack buffer: the receiver and up to four arguments, nearly every
+// method, never reach the heap (reflect's Call reads the slice and keeps
+// nothing of it). With copyIn each argument is copied by the calling
+// convention and copied reports the bytes; without, args are already the
+// callee's own (ServeWire) and a thunk takes the vector as it is.
 func (k *Kernel) nativeArgs(m *nativeMethod, args []any, in []reflect.Value, copyIn bool) (_ []reflect.Value, cargs []any, copied int64, err error) {
-	ft := m.fn.Type()
+	ft := m.typ
 	if ft.NumIn() != len(args) && !ft.IsVariadic() {
 		return nil, nil, 0, fmt.Errorf("jkernel: %s wants %d args, got %d", m.name, ft.NumIn(), len(args))
 	}
@@ -311,6 +315,8 @@ func (k *Kernel) nativeArgs(m *nativeMethod, args []any, in []reflect.Value, cop
 		if cargs = args; copyIn && len(args) > 0 {
 			cargs = make([]any, len(args))
 		}
+	} else {
+		in = append(in, m.recv)
 	}
 	for i, a := range args {
 		if copyIn {
@@ -359,9 +365,9 @@ func (g *Gate) crossNative(task *Task, m *nativeMethod, in []reflect.Value, carg
 			// and dispatch through reflect, exactly as a thunk-less method
 			// would. Thunk shapes are never variadic.
 			viaReflect, callErr = true, nil
-			ft := m.fn.Type()
+			in = append(in, m.recv)
 			for i, ca := range cargs {
-				rv, err := conform(ca, ft.In(i))
+				rv, err := conform(ca, m.typ.In(i))
 				if err != nil {
 					callErr = fmt.Errorf("jkernel: %s argument %d: %w", m.name, i, err)
 					break

@@ -196,7 +196,7 @@ func (c *Capability) ServeWire(task *Task, name string, args []any, argBytes int
 		return err
 	}
 	start := k.tm.callStart(task)
-	var inBuf [4]reflect.Value
+	var inBuf [5]reflect.Value
 	in, cargs, _, err := k.nativeArgs(m, args, inBuf[:0], false)
 	if err != nil {
 		return err

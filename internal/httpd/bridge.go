@@ -228,7 +228,7 @@ func (b *Bridge) dispatch(w http.ResponseWriter, r *http.Request, rt *route) (st
 			return servletError(w, err), err
 		}
 		data, _ := out.([]byte)
-		writeReply(w, http.StatusOK, data)
+		writeReply(w, r, nil, http.StatusOK, data)
 		return http.StatusOK, nil
 	}
 
@@ -249,19 +249,35 @@ func (b *Bridge) dispatch(w http.ResponseWriter, r *http.Request, rt *route) (st
 		http.Error(w, "servlet returned no response", http.StatusBadGateway)
 		return http.StatusBadGateway, nil
 	}
-	for k, v := range resp.Headers {
-		w.Header().Set(k, v)
-	}
 	status = resp.Status
 	if status == 0 {
 		status = http.StatusOK
 	}
-	writeReply(w, status, resp.Body)
+	writeReply(w, r, resp.Headers, status, resp.Body)
 	return status, nil
 }
 
-func writeReply(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+// bufferBeforeChunking is how much of a reply net/http holds before it
+// writes any (bufferBeforeChunkingSize in net/http/server.go). A body no
+// longer than that is still whole in the buffer when the handler returns.
+const bufferBeforeChunking = 2048
+
+// writeReply writes status, the servlet's headers and body, framed by a
+// Content-Length of the body's length. For a body it holds whole, net/http
+// writes that header itself and allocates nothing for it, while a
+// handler's call to w.Header() before WriteHeader makes it clone the whole
+// header map. So writeReply calls w.Header() only when it must: to set the
+// servlet's headers, where the body's length replaces any Content-Length
+// among them; for a body longer than net/http buffers, which it would
+// chunk; and for an empty reply to HEAD, which it leaves unframed.
+func writeReply(w http.ResponseWriter, r *http.Request, headers map[string]string, status int, body []byte) {
+	if len(headers) > 0 || len(body) > bufferBeforeChunking || len(body) == 0 && r.Method == http.MethodHead {
+		h := w.Header()
+		for k, v := range headers {
+			h.Set(k, v)
+		}
+		h.Set("Content-Length", strconv.Itoa(len(body)))
+	}
 	w.WriteHeader(status)
 	w.Write(body)
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"strconv"
 
 	"jkernel/internal/core"
 	"jkernel/internal/vmkit"
@@ -21,12 +20,11 @@ import (
 // parsing, header generation, body copy — runs in VM bytecode on the
 // interpreter, as JWS ran all-Java without a JIT.
 
-// StaticHandler serves doc for every request.
+// StaticHandler serves doc for every request, framed as the bridge frames
+// a servlet's reply.
 func StaticHandler(doc []byte) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Length", strconv.Itoa(len(doc)))
-		w.WriteHeader(http.StatusOK)
-		w.Write(doc)
+		writeReply(w, r, nil, http.StatusOK, doc)
 	})
 }
 

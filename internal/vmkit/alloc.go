@@ -1,9 +1,11 @@
 package vmkit
 
 // An object and what it owns are one Go allocation where they fit a block:
-// an instance with at most four slots, and a byte array of at
-// most maxBlockBytes bytes (in buckets of 16, 32, 64 and 128). A block is
-// the Object followed by its payload; callers see only the Object. The
+// an instance with at most four slots, a byte array of at most
+// maxBlockBytes bytes (in buckets of 16, 32, 64 and 128), and a string of
+// at most maxStringBlockBytes bytes — its instance, that instance's one
+// slot, its [B and room for maxStringBlockBytes bytes. A block is the
+// Object followed by its payload; callers see only the Object. The
 // payload slice has cap == len, so an append copies it out of the block
 // rather than writing into the bucket's spare bytes. A pointer into the
 // payload keeps the whole block alive, header included: a Go caller that
@@ -86,4 +88,27 @@ func newByteArrayObject(n int) *Object {
 		return &b.o
 	}
 	return &Object{Bytes: make([]byte, n)}
+}
+
+// maxStringBlockBytes is the longest string newStringObjects builds as one
+// block.
+const maxStringBlockBytes = 32
+
+// newStringObjects returns a string's instance, with slots zero Values,
+// and its [B, with n zero bytes. A string of one slot and at most
+// maxStringBlockBytes bytes is one block: the instance, its slot, then the
+// array and its bytes. Any other is the two blocks newInstanceObject and
+// newByteArrayObject build.
+func newStringObjects(slots, n int) (str, arr *Object) {
+	if slots != 1 || n > maxStringBlockBytes {
+		return newInstanceObject(slots), newByteArrayObject(n)
+	}
+	b := new(struct {
+		s Object
+		f [1]Value
+		a Object
+		b [maxStringBlockBytes]byte
+	})
+	b.s.Fields, b.a.Bytes = b.f[:], b.b[:n:n]
+	return &b.s, &b.a
 }

@@ -3,6 +3,7 @@ package vmkit
 import (
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -118,6 +119,87 @@ func TestColocatedObjectsAreCollected(t *testing.T) {
 		t.Error("a small array whose bytes are still held was collected")
 	}
 	runtime.KeepAlive(bytes)
+}
+
+// A string of at most 32 bytes is one block — the instance, its one slot,
+// the [B header and the bytes — and one allocation; a longer one is two.
+// Both have cap == len, concat and substring build correct strings across
+// the boundary, and a dropped short string is collected.
+func TestColocatedString(t *testing.T) {
+	vm, ns := newTestNS(t, `
+.class Str
+.method static cat (Ljk/lang/String;Ljk/lang/String;)Ljk/lang/String; stack 4 locals 0
+  load 0
+  load 1
+  invokevirtual jk/lang/String.concat:(Ljk/lang/String;)Ljk/lang/String;
+  retv
+.end
+.method static sub (Ljk/lang/String;II)Ljk/lang/String; stack 4 locals 0
+  load 0
+  load 1
+  load 2
+  invokevirtual jk/lang/String.substring:(II)Ljk/lang/String;
+  retv
+.end
+`)
+	text := strings.Repeat("0123456789", 7)
+	for _, n := range []int{0, 1, 16, 17, 32, 33, 70} {
+		s, err := ns.NewString(text[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := s.Fields[s.Class.FieldByName("bytes").Slot].R
+		if len(s.Fields) != 1 || cap(s.Fields) != 1 || len(b.Bytes) != n || cap(b.Bytes) != n || StringText(s) != text[:n] {
+			t.Errorf("string of %d: fields len %d cap %d, bytes len %d cap %d, text %q",
+				n, len(s.Fields), cap(s.Fields), len(b.Bytes), cap(b.Bytes), StringText(s))
+		}
+		arrFollows := uintptr(unsafe.Pointer(b)) == uintptr(unsafe.Pointer(&s.Fields[0]))+unsafe.Sizeof(Value{})
+		if want := n <= 32; arrFollows != want {
+			t.Errorf("string of %d: [B in the string's block %v, want %v", n, arrFollows, want)
+		}
+		if !raceflag.Enabled {
+			want := 2.0
+			if n <= 32 {
+				want = 1
+			}
+			if got := testing.AllocsPerRun(100, func() { ns.NewString(text[:n]) }); got != want {
+				t.Errorf("NewString of %d bytes: %.1f allocs, want %.0f", n, got, want)
+			}
+		}
+	}
+
+	str := func(s string) Value {
+		o, err := ns.NewString(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return RefVal(o)
+	}
+	for _, c := range []struct{ a, b string }{{"", ""}, {"short", " and short"}, {text[:16], text[:16]}, {text[:30], text[:5]}, {text, "!"}} {
+		got := callStatic(t, vm, ns, "Str.cat:(Ljk/lang/String;Ljk/lang/String;)Ljk/lang/String;", str(c.a), str(c.b))
+		if StringText(got.R) != c.a+c.b {
+			t.Errorf("%q.concat(%q) = %q", c.a, c.b, StringText(got.R))
+		}
+	}
+	for _, c := range []struct{ from, to int }{{0, 0}, {3, 19}, {0, 32}, {1, 34}, {10, 70}} {
+		got := callStatic(t, vm, ns, "Str.sub:(Ljk/lang/String;II)Ljk/lang/String;", str(text), IntVal(int64(c.from)), IntVal(int64(c.to)))
+		if StringText(got.R) != text[c.from:c.to] {
+			t.Errorf("substring(%d, %d) = %q", c.from, c.to, StringText(got.R))
+		}
+	}
+
+	drop := func() weak.Pointer[Object] {
+		s, err := ns.NewString("dropped")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return weak.Make(s)
+	}
+	w := drop()
+	runtime.GC()
+	if w.Value() != nil {
+		t.Error("a dropped short string survived a collection")
+	}
 }
 
 // A "[D" element is its IEEE 754 bits: astore then aload hands back NaN

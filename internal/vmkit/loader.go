@@ -574,10 +574,9 @@ func (ns *Namespace) NewStringBytes(b []byte) (*Object, error) {
 
 // newStringOfClass builds a string of class sc holding a copy of text.
 func newStringOfClass[T string | []byte](sc *Class, text T, owner int64) *Object {
-	arr := newByteArrayObject(len(text))
+	o, arr := newStringObjects(sc.numSlots, len(text))
 	copy(arr.Bytes, text)
 	arr.Class, arr.Owner = mustArrayClass(sc.NS, "[B"), owner
-	o := newInstanceObject(sc.numSlots)
 	o.Class, o.Owner = sc, owner
 	o.Fields[sc.FieldByName("bytes").Slot] = RefVal(arr)
 	return o
