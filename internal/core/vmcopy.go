@@ -301,6 +301,11 @@ const (
 // vmEncoder serializes a VM object graph. Class identities and capability
 // references travel in side tables (they are pointers, not data), while
 // all field and array content goes through the byte stream.
+//
+// The stream's cursor is a local: each method takes the stream and
+// returns it grown, and only encodeObject stores it in buf. A store of a
+// slice into the pooled encoder is a write barrier while the collector
+// marks; a per-element store would pay one per payload byte.
 type vmEncoder struct {
 	k       *Kernel
 	buf     []byte
@@ -310,74 +315,69 @@ type vmEncoder struct {
 	caps    []*vmkit.Object
 }
 
-func (e *vmEncoder) u(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *vmEncoder) i(v int64)  { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *vmEncoder) tag(t byte) { e.buf = append(e.buf, t) }
-
-// f writes a float held as its IEEE 754 bits (Value.I, a "[D" word).
-func (e *vmEncoder) f(bits int64) { e.u(uint64(bits)) }
-func (e *vmEncoder) str(s string) {
-	e.u(uint64(len(s)))
-	e.buf = append(e.buf, s...)
+// appendStr writes a length-prefixed string.
+func appendStr(buf []byte, s string) []byte {
+	return append(binary.AppendUvarint(buf, uint64(len(s))), s...)
 }
 
-// writeClassRef emits a class reference. The first mention of a class
-// writes a full class descriptor — name and declared fields — into the
-// stream, exactly as Java serialization writes ObjectStreamClass
-// descriptors; later mentions are back-references. The descriptor is the
-// fixed cost that dominates small-argument serialization in Table 4.
-func (e *vmEncoder) writeClassRef(c *vmkit.Class) {
+// classRef emits a class reference. The first mention of a class writes a
+// full class descriptor — name and declared fields — into the stream,
+// exactly as Java serialization writes ObjectStreamClass descriptors;
+// later mentions are back-references. The descriptor is the fixed cost
+// that dominates small-argument serialization in Table 4.
+func (e *vmEncoder) classRef(buf []byte, c *vmkit.Class) []byte {
 	for i, k := range e.classes {
 		if k == c {
-			e.u(uint64(i)*2 + 1) // back-reference: odd
-			return
+			return binary.AppendUvarint(buf, uint64(i)*2+1) // back-reference: odd
 		}
 	}
 	e.classes = append(e.classes, c)
-	e.u(0) // new-class marker
-	e.str(c.Name)
+	buf = append(buf, 0) // new-class marker
+	buf = appendStr(buf, c.Name)
 	fields := c.InstanceFields()
-	e.u(uint64(len(fields)))
+	buf = binary.AppendUvarint(buf, uint64(len(fields)))
 	for _, f := range fields {
-		e.str(f.Name)
-		e.str(f.Desc)
+		buf = appendStr(buf, f.Name)
+		buf = appendStr(buf, f.Desc)
 	}
+	return buf
 }
 
-func (e *vmEncoder) encodeValue(v vmkit.Value) *vmkit.Object {
+// value appends one field value. A float travels as its IEEE 754 bits.
+func (e *vmEncoder) value(buf []byte, v vmkit.Value) ([]byte, *vmkit.Object) {
 	switch v.K {
 	case vmkit.KInt:
-		e.tag(vtagInt)
-		e.i(v.I)
+		return binary.AppendVarint(append(buf, vtagInt), v.I), nil
 	case vmkit.KFloat:
-		e.tag(vtagFloat)
-		e.f(v.I)
+		return binary.AppendUvarint(append(buf, vtagFloat), uint64(v.I)), nil
 	case vmkit.KRef:
 		if v.R == nil {
-			e.tag(vtagNull)
-			return nil
+			return append(buf, vtagNull), nil
 		}
-		return e.encodeObject(v.R)
+		return e.object(buf, v.R)
 	default:
-		return e.k.VM.Throwf(vmkit.ClassError, "invalid value in serialization")
+		return buf, e.k.VM.Throwf(vmkit.ClassError, "invalid value in serialization")
 	}
-	return nil
 }
 
+// encodeObject appends o's graph to e.buf.
 func (e *vmEncoder) encodeObject(o *vmkit.Object) *vmkit.Object {
+	buf, th := e.object(e.buf, o)
+	e.buf = buf
+	return th
+}
+
+func (e *vmEncoder) object(buf []byte, o *vmkit.Object) ([]byte, *vmkit.Object) {
 	if h, ok := e.handles[o]; ok {
-		e.tag(vtagRef)
-		e.u(h)
-		return nil
+		return binary.AppendUvarint(append(buf, vtagRef), h), nil
 	}
 	k := e.k
 	cls := o.Class
 
 	if gateOf(o) != nil {
-		e.tag(vtagCap)
-		e.u(uint64(len(e.caps)))
+		buf = binary.AppendUvarint(append(buf, vtagCap), uint64(len(e.caps)))
 		e.caps = append(e.caps, o)
-		return nil
+		return buf, nil
 	}
 
 	e.handles[o] = e.next
@@ -385,62 +385,57 @@ func (e *vmEncoder) encodeObject(o *vmkit.Object) *vmkit.Object {
 
 	switch {
 	case cls.Name == vmkit.ClassString:
-		e.tag(vtagString)
 		text := vmkit.StringBytes(o)
-		e.u(uint64(len(text)))
-		e.buf = append(e.buf, text...)
+		buf = binary.AppendUvarint(append(buf, vtagString), uint64(len(text)))
+		buf = append(buf, text...)
 	case cls.IsArray():
 		switch {
 		case o.Bytes != nil:
 			// Element-wise with a per-element tag, like Java
 			// serialization's generic typed-stream writes — this is where
 			// the byte-array intermediate gets expensive (Table 4).
-			e.tag(vtagArrB)
-			e.u(uint64(len(o.Bytes)))
+			buf = binary.AppendUvarint(append(buf, vtagArrB), uint64(len(o.Bytes)))
 			for _, x := range o.Bytes {
-				e.tag(vtagInt)
-				e.i(int64(x))
+				buf = binary.AppendVarint(append(buf, vtagInt), int64(x))
 			}
 		case o.Words != nil && cls.Elem() == "I":
-			e.tag(vtagArrI)
-			e.u(uint64(len(o.Words)))
+			buf = binary.AppendUvarint(append(buf, vtagArrI), uint64(len(o.Words)))
 			for _, x := range o.Words {
-				e.i(x)
+				buf = binary.AppendVarint(buf, x)
 			}
 		case o.Words != nil:
-			e.tag(vtagArrD)
-			e.u(uint64(len(o.Words)))
+			buf = binary.AppendUvarint(append(buf, vtagArrD), uint64(len(o.Words)))
 			for _, x := range o.Words {
-				e.f(x)
+				buf = binary.AppendUvarint(buf, uint64(x))
 			}
 		default:
-			e.tag(vtagArrRef)
-			e.writeClassRef(cls)
-			e.u(uint64(len(o.Refs)))
+			buf = e.classRef(append(buf, vtagArrRef), cls)
+			buf = binary.AppendUvarint(buf, uint64(len(o.Refs)))
 			for _, el := range o.Refs {
 				if el == nil {
-					e.tag(vtagNull)
+					buf = append(buf, vtagNull)
 					continue
 				}
-				if th := e.encodeObject(el); th != nil {
-					return th
+				var th *vmkit.Object
+				if buf, th = e.object(buf, el); th != nil {
+					return buf, th
 				}
 			}
 		}
 	default:
 		if !cls.Implements(k.serializable) && !cls.Implements(k.fastCopy) && !cls.Implements(k.fastGraph) {
-			return k.VM.Throwf(vmkit.ClassRemoteEx, "%s is not serializable", cls.Name)
+			return buf, k.VM.Throwf(vmkit.ClassRemoteEx, "%s is not serializable", cls.Name)
 		}
-		e.tag(vtagObject)
-		e.writeClassRef(cls)
-		e.u(uint64(len(o.Fields)))
+		buf = e.classRef(append(buf, vtagObject), cls)
+		buf = binary.AppendUvarint(buf, uint64(len(o.Fields)))
 		for _, fv := range o.Fields {
-			if th := e.encodeValue(fv); th != nil {
-				return th
+			var th *vmkit.Object
+			if buf, th = e.value(buf, fv); th != nil {
+				return buf, th
 			}
 		}
 	}
-	return nil
+	return buf, nil
 }
 
 // vmDecoder rebuilds a graph in the destination domain.
@@ -678,44 +673,18 @@ func (d *vmDecoder) decodeObject() (*vmkit.Object, *vmkit.Object) {
 		if n > 1<<26 {
 			return nil, d.fail("array too large: %d", n)
 		}
+		// An element is at least a byte; a [B element is a tag and a byte.
+		if left := uint64(len(d.buf) - d.pos); t == vtagArrB && n > left/2 || n > left {
+			return nil, d.fail("array overruns stream")
+		}
 		cls, err := d.primClass(t)
 		if err != nil {
 			return nil, d.fail("%v", err)
 		}
 		arr := d.dest.NS.NewArrayOfClass(cls, int(n))
 		d.objs = append(d.objs, arr)
-		switch t {
-		case vtagArrB:
-			for j := range arr.Bytes {
-				tt, th := d.tag()
-				if th != nil {
-					return nil, th
-				}
-				if tt != vtagInt {
-					return nil, d.fail("expected element tag in byte array")
-				}
-				v, th := d.i()
-				if th != nil {
-					return nil, th
-				}
-				arr.Bytes[j] = byte(v)
-			}
-		case vtagArrI:
-			for j := range arr.Words {
-				v, th := d.i()
-				if th != nil {
-					return nil, th
-				}
-				arr.Words[j] = v
-			}
-		default:
-			for j := range arr.Words {
-				v, th := d.u()
-				if th != nil {
-					return nil, th
-				}
-				arr.Words[j] = int64(v)
-			}
+		if th := d.elements(t, arr); th != nil {
+			return nil, th
 		}
 		return arr, nil
 	case vtagArrRef:
@@ -729,6 +698,9 @@ func (d *vmDecoder) decodeObject() (*vmkit.Object, *vmkit.Object) {
 		}
 		if n > 1<<24 {
 			return nil, d.fail("array too large: %d", n)
+		}
+		if n > uint64(len(d.buf)-d.pos) {
+			return nil, d.fail("array overruns stream")
 		}
 		arr := d.dest.NS.NewArrayOfClass(cls, int(n))
 		d.objs = append(d.objs, arr)
@@ -769,6 +741,60 @@ func (d *vmDecoder) decodeObject() (*vmkit.Object, *vmkit.Object) {
 	default:
 		return nil, d.fail("unknown tag %d", t)
 	}
+}
+
+// elements reads the elements of arr, a primitive array of tag t. The
+// cursor stays in locals and is stored back once, at the end; a [B
+// element's tag check and each element's varint are inline, with the
+// faults d.tag, d.i and d.u raise.
+func (d *vmDecoder) elements(t byte, arr *vmkit.Object) *vmkit.Object {
+	buf, pos := d.buf, d.pos
+	switch t {
+	case vtagArrB:
+		for j := range arr.Bytes {
+			if pos >= len(buf) {
+				return d.fail("truncated stream")
+			}
+			if buf[pos] != vtagInt {
+				return d.fail("expected element tag in byte array")
+			}
+			ux, n := binary.Uvarint(buf[pos+1:])
+			if n <= 0 {
+				return d.fail("bad varint")
+			}
+			pos += 1 + n
+			arr.Bytes[j] = byte(unzigzag(ux))
+		}
+	case vtagArrI:
+		for j := range arr.Words {
+			ux, n := binary.Uvarint(buf[pos:])
+			if n <= 0 {
+				return d.fail("bad varint")
+			}
+			pos += n
+			arr.Words[j] = unzigzag(ux)
+		}
+	default:
+		for j := range arr.Words {
+			ux, n := binary.Uvarint(buf[pos:])
+			if n <= 0 {
+				return d.fail("bad uvarint")
+			}
+			pos += n
+			arr.Words[j] = int64(ux)
+		}
+	}
+	d.pos = pos
+	return nil
+}
+
+// unzigzag is binary.Varint's decoding of the unsigned varint ux.
+func unzigzag(ux uint64) int64 {
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
+	}
+	return x
 }
 
 // CopyValueBetween copies a VM value into dest under the calling

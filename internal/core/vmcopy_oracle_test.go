@@ -63,8 +63,9 @@ type oracleFixture struct {
 }
 
 // newOracleFixture builds domains a and b. a defines the node classes,
-// a capability, Plain (shared, but of no copy mode), Hidden (FastCopy,
-// not shared) and Other (FastCopy, not shared; b defines its own).
+// Table 4's MsgS, a capability, Plain (shared, but of no copy mode),
+// Hidden (FastCopy, not shared) and Other (FastCopy, not shared; b
+// defines its own).
 func newOracleFixture(t testing.TB) *oracleFixture {
 	t.Helper()
 	k := MustNew(Options{})
@@ -77,11 +78,12 @@ func newOracleFixture(t testing.TB) *oracleFixture {
 		"Plain":   asmBytes(".class Plain\n.field x I\n"),
 		"Hidden":  asmBytes(".class Hidden implements jk/io/FastCopy\n.field x I\n"),
 		"Other":   asmBytes(".class Other implements jk/io/FastCopy\n.field x I\n"),
+		"MsgS":    asmBytes(copyMsgS),
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := k.ShareClasses(a, "S", "F", "G", "Plain")
+	sc, err := k.ShareClasses(a, "S", "F", "G", "Plain", "MsgS")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"weak"
@@ -432,5 +437,234 @@ func TestAllocsVMStringArgument(t *testing.T) {
 	}
 	if got := f.perCall(t, "str", s); got != 1 {
 		t.Errorf("VM string argument: %.1f allocs/call, want 1", got)
+	}
+}
+
+// --- the stream ----------------------------------------------------------
+
+// encode serializes o as a serialized copy does. The encoder holds the
+// stream and the side tables a decoder reads with it.
+func (f *oracleFixture) encode(t testing.TB, o *vmkit.Object) *vmEncoder {
+	t.Helper()
+	e := &vmEncoder{k: f.k, handles: map[*vmkit.Object]uint64{}}
+	if th := e.encodeObject(o); th != nil {
+		t.Fatalf("encode: %s", vmkit.ThrowableMessage(th))
+	}
+	return e
+}
+
+// decode rebuilds the graph of stream buf, whose side tables are e's, in b.
+func (f *oracleFixture) decode(e *vmEncoder, buf []byte) (*vmkit.Object, error) {
+	d := &vmDecoder{k: f.k, dest: f.b, buf: buf, classes: e.classes, caps: e.caps}
+	o, th := d.decodeObject()
+	if th != nil {
+		return nil, &ThrownVMError{Throwable: th}
+	}
+	return o, nil
+}
+
+// msgChain builds Table 4's argument in a: count MsgS nodes whose
+// payloads hold size bytes 0, 1, 2, ...
+func (f *oracleFixture) msgChain(t testing.TB, count, size int) *vmkit.Object {
+	t.Helper()
+	var head *vmkit.Object
+	for range count {
+		node := f.node(t, "MsgS")
+		payload := f.array(t, "[B", size)
+		for i := range payload.Bytes {
+			payload.Bytes[i] = byte(i)
+		}
+		setField(node, "payload", vmkit.RefVal(payload))
+		setField(node, "next", vmkit.RefVal(head))
+		head = node
+	}
+	return head
+}
+
+// mixedGraph builds an S graph that meets every tag: ints and floats,
+// [B, [I and [D, a string written once and then referred to, a
+// reference array holding its own root, a node reached twice and two
+// mentions of one capability.
+func (f *oracleFixture) mixedGraph(t testing.TB) *vmkit.Object {
+	t.Helper()
+	root, leaf := f.node(t, "S"), f.node(t, "S")
+	bs := f.array(t, "[B", 5)
+	copy(bs.Bytes, []byte{0, 1, 63, 64, 255})
+	ns := f.array(t, "[I", 4)
+	copy(ns.Words, []int64{0, -1, 1 << 40, math.MinInt64})
+	ds := f.array(t, "[D", 3)
+	for i, x := range []float64{math.Copysign(0, -1), math.Inf(1), 1.5} {
+		ds.Words[i] = int64(math.Float64bits(x))
+	}
+	s := f.str(t, "héllo")
+	arr := f.array(t, "[LS;", 3)
+	arr.Refs[0], arr.Refs[2] = root, leaf
+	setField(root, "i", vmkit.IntVal(-5))
+	setField(root, "f", vmkit.FloatVal(math.NaN()))
+	setField(root, "b", vmkit.RefVal(bs))
+	setField(root, "n", vmkit.RefVal(ns))
+	setField(root, "d", vmkit.RefVal(ds))
+	setField(root, "s", vmkit.RefVal(s))
+	setField(root, "l", vmkit.RefVal(leaf))
+	setField(root, "r", vmkit.RefVal(leaf))
+	setField(root, "c", vmkit.RefVal(f.cap))
+	setField(root, "a", vmkit.RefVal(arr))
+	setField(leaf, "i", vmkit.IntVal(7))
+	setField(leaf, "s", vmkit.RefVal(s))
+	setField(leaf, "c", vmkit.RefVal(f.cap))
+	return root
+}
+
+// pinnedGraph is a graph whose stream streamPins holds.
+type pinnedGraph struct {
+	name string
+	root *vmkit.Object
+}
+
+func (f *oracleFixture) pinnedStreams(t testing.TB) []pinnedGraph {
+	return []pinnedGraph{
+		{"1x10", f.msgChain(t, 1, 10)},
+		{"1x100", f.msgChain(t, 1, 100)},
+		{"10x10", f.msgChain(t, 10, 10)},
+		{"1x1000", f.msgChain(t, 1, 1000)},
+		{"mixed", f.mixedGraph(t)},
+	}
+}
+
+// streamPins are what the pinned graphs encoded to, and the fault each
+// proper prefix of their streams decoded to, before the encoder and the
+// decoder kept their cursor in locals. A fault is one letter: t
+// "truncated stream", u "bad uvarint", v "bad varint", s "string overruns
+// stream". faults holds every prefix's letter in order (the short
+// streams), counts how many prefixes gave t, u, v and s.
+var streamPins = map[string]struct {
+	size   int
+	sha256 string
+	faults string
+	counts [4]int
+}{
+	"1x10": {55, "6c3034491604f78c0393740a8a40a487b2ea2202a059547e226a30aaa3275618",
+		"tuussssuusssssssussussssussssssututvtvtvtvtvtvtvtvtvtvt", [4]int{13, 9, 10, 23}},
+	"1x100":  {271, "296cc01e312df47fe8e3e9d9ff58a90e60806a457f3d699f0104a0d69c851dfd", "", [4]int{103, 9, 136, 23}},
+	"10x10":  {280, "89e35421d32f5cfb44e673748d73963577d3c65eaa14ef8d5e1cd902f0db6e0f", "", [4]int{121, 36, 100, 23}},
+	"1x1000": {2780, "d2a9c78b430e0ee1a2ce795226227c12e91073b4b00250852d9c124091030f48", "", [4]int{1003, 10, 1744, 23}},
+	"mixed": {194, "9ae877c97b29e83dd96021c1e3036afa1c1e45e708c8a604f896aaa84292e421",
+		"tuusuusususususussusussusussusussssssssssssssssususssususssususssssusussssutvtuuuuuuuuututvtvtvtvvtvvt" +
+			"uvvvvvvvvvvvvvvvvvvtuuuuuuuuuuuuuuuuuuuuuuuuuuuuutusssssstuutvtuttttutttuttututuussssuututtu",
+		[4]int{29, 78, 27, 60}},
+}
+
+// The serialized copy writes the stream it always wrote: Table 4's four
+// argument shapes and a graph that meets every tag encode to the pinned
+// bytes, and decode to a copy of their source.
+func TestSerialStreamPinned(t *testing.T) {
+	f := newOracleFixture(t)
+	for _, p := range f.pinnedStreams(t) {
+		pin := streamPins[p.name]
+		e := f.encode(t, p.root)
+		if sum := sha256.Sum256(e.buf); len(e.buf) != pin.size || hex.EncodeToString(sum[:]) != pin.sha256 {
+			t.Errorf("%s: %d bytes, sha256 %x; want %d, %s", p.name, len(e.buf), sum, pin.size, pin.sha256)
+		}
+		out, err := f.decode(e, e.buf)
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		if err := f.checkCopy("S", p.root, out); err != nil {
+			t.Errorf("%s: %v", p.name, err)
+		}
+	}
+}
+
+const deserializeFault = "jkernel: jk/kernel/RemoteException: deserialize: "
+
+// faultLetters maps the faults of a cut stream to streamPins' letters; a
+// stands for "array overruns stream".
+var faultLetters = map[string]byte{
+	"truncated stream": 't', "bad uvarint": 'u', "bad varint": 'v',
+	"string overruns stream": 's', "array overruns stream": 'a',
+}
+
+// A cut or corrupt stream is a RemoteException with the text it always
+// had. The one new text is "array overruns stream": an array whose length
+// cannot fit what is left of the stream fails before it is allocated,
+// where the stream used to run out inside its elements (t, u or v).
+func TestSerialStreamFaults(t *testing.T) {
+	f := newOracleFixture(t)
+	for _, p := range f.pinnedStreams(t) {
+		pin := streamPins[p.name]
+		e := f.encode(t, p.root)
+		got := make([]byte, len(e.buf))
+		for n := range e.buf {
+			_, err := f.decode(e, e.buf[:n:n])
+			text, ok := "", false
+			if err != nil {
+				text, ok = strings.CutPrefix(err.Error(), deserializeFault)
+			}
+			if got[n] = faultLetters[text]; !ok || got[n] == 0 {
+				t.Fatalf("%s cut at %d: got %v", p.name, n, err)
+			}
+			if pin.faults != "" && got[n] != pin.faults[n] && (got[n] != 'a' || !strings.Contains("tuv", pin.faults[n:n+1])) {
+				t.Errorf("%s cut at %d: %q, was %q", p.name, n, got[n], pin.faults[n])
+			}
+		}
+		count := func(c string) int { return bytes.Count(got, []byte(c)) }
+		t4, u, v, s, a := count("t"), count("u"), count("v"), count("s"), count("a")
+		if was := pin.counts; s != was[3] || t4 > was[0] || u > was[1] || v > was[2] || t4+u+v+a != was[0]+was[1]+was[2] || a == 0 {
+			t.Errorf("%s: t %d, u %d, v %d, s %d, a %d; was %v", p.name, t4, u, v, s, a, was)
+		}
+	}
+
+	e := f.encode(t, f.msgChain(t, 1, 10))
+	at := bytes.Index(e.buf, []byte{vtagArrB, 10, vtagInt}) // the payload
+	splice := func(from, to int, with ...byte) []byte {
+		return append(append(bytes.Clone(e.buf[:from]), with...), e.buf[to:]...)
+	}
+	overlong := bytes.Repeat([]byte{0x80}, 10)
+	ints := f.encode(t, f.mixedGraph(t))
+	atI := bytes.Index(ints.buf, []byte{vtagArrI, 4}) // the [I
+	for _, c := range []struct {
+		name string
+		e    *vmEncoder
+		buf  []byte
+		want string
+	}{
+		{"wrong element tag in [B", e, splice(at+2, at+3, vtagFloat), "expected element tag in byte array"},
+		{"over-long varint in [B", e, splice(at+3, at+4, overlong...), "bad varint"},
+		{"over-long [B length", e, splice(at+1, at+2, overlong...), "bad uvarint"},
+		{"over-long varint in [I", ints, append(append(bytes.Clone(ints.buf[:atI+2]), overlong...), ints.buf[atI+3:]...), "bad varint"},
+	} {
+		if _, err := f.decode(c.e, c.buf); err == nil || err.Error() != deserializeFault+c.want {
+			t.Errorf("%s: got %v, want %q", c.name, err, deserializeFault+c.want)
+		}
+	}
+}
+
+// An array's length is bounded by the bytes left in the stream: a 5-byte
+// stream that claims 1<<26 elements fails without allocating them.
+func TestSerialStreamArrayOverrun(t *testing.T) {
+	f := newOracleFixture(t)
+	e := f.encode(t, f.mixedGraph(t))
+	huge := binary.AppendUvarint(nil, 1<<26)
+	// A [LS; of no elements ends in its length, 0.
+	refs := f.encode(t, f.array(t, "[LS;", 0))
+	for _, c := range []struct {
+		e      *vmEncoder
+		stream []byte
+	}{
+		{e, append([]byte{vtagArrB}, huge...)},
+		{e, append([]byte{vtagArrI}, huge...)},
+		{e, append([]byte{vtagArrD}, huge...)},
+		{refs, binary.AppendUvarint(bytes.Clone(refs.buf[:len(refs.buf)-1]), 1<<24)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := f.decode(c.e, c.stream)
+		runtime.ReadMemStats(&after)
+		if want := deserializeFault + "array overruns stream"; err == nil || err.Error() != want {
+			t.Errorf("%x: got %v, want %q", c.stream, err, want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%x: the failed decode allocated %d B", c.stream, grew)
+		}
 	}
 }

@@ -59,14 +59,17 @@ func Bind(c *Chain) {
 	if v, ok := registry.Load(gid); ok {
 		c.displaced = v.(*Chain)
 	}
+	c.gid = gid
 	registry.Store(gid, c)
 }
 
-// Unregister unbinds c from the calling goroutine and restores the chain it
-// displaced. Chains normally end in the reverse order of Register; one that
-// ends early is unlinked from under the chains registered after it.
+// Unregister unbinds c from the goroutine Bind put it on and restores the
+// chain it displaced. It may run on another goroutine once that one no
+// longer uses c. Chains normally end in the reverse order of Register;
+// one that ends early is unlinked from under the chains registered after
+// it.
 func Unregister(c *Chain) {
-	gid := GoroutineID()
+	gid := c.gid
 	v, ok := registry.Load(gid)
 	if !ok {
 		return
@@ -83,7 +86,7 @@ func Unregister(c *Chain) {
 	} else {
 		registry.Delete(gid)
 	}
-	c.displaced = nil
+	c.displaced, c.gid = nil, 0
 }
 
 // CurrentChain performs the thread-info lookup for the calling goroutine.

@@ -110,6 +110,9 @@ type Chain struct {
 	// displaced is the chain this one took the goroutine's registry entry
 	// from (Bind), restored when this one ends. The carrier's alone.
 	displaced *Chain
+	// gid is the goroutine Bind put the chain on, which Unregister takes
+	// it off; 0 while unbound.
+	gid int64
 
 	// Trace is the trace the carrier's calls join (zero when none): the
 	// one place a trace lives. Register starts a chain on the trace of the

@@ -184,6 +184,50 @@ func TestRegistryRestoresDisplacedChains(t *testing.T) {
 	}
 }
 
+// A chain bound on one goroutine and unregistered from another leaves
+// that goroutine's entry, not the caller's: the registry no longer names
+// it, and the caller keeps its own chain. A chain it displaced is put back.
+func TestRegistryUnregisterOffGoroutine(t *testing.T) {
+	mine := Register(9)
+	defer Unregister(mine)
+	var gid int64
+	var outer, inner *Chain
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		gid = GoroutineID()
+		outer = Register(1)
+		inner = Register(2)
+	}()
+	<-done
+	bound := func() *Chain {
+		if v, ok := registry.Load(gid); ok {
+			return v.(*Chain)
+		}
+		return nil
+	}
+	Unregister(inner)
+	if bound() != outer {
+		t.Fatal("unregistering from another goroutine did not restore the displaced chain")
+	}
+	Unregister(outer)
+	if c := bound(); c != nil {
+		t.Fatal("a chain unregistered from another goroutine is still bound to its own")
+	}
+	if CurrentChain() != mine {
+		t.Fatal("unregistering another goroutine's chain changed the caller's")
+	}
+	// A served chain goes back and is bound again, on whatever goroutine.
+	Bind(outer)
+	if CurrentChain() != outer {
+		t.Fatal("a recycled chain was not bound to its new goroutine")
+	}
+	Unregister(outer)
+	if CurrentChain() != mine {
+		t.Fatal("the recycled chain did not restore the chain it displaced")
+	}
+}
+
 func TestRegistryLookup(t *testing.T) {
 	c := Register(7)
 	defer Unregister(c)
