@@ -182,3 +182,86 @@ func TestAllocsNativeNullLRMI(t *testing.T) {
 		t.Errorf("native null LRMI via InvokeFrom: %.2f allocs/call, want at most 1", got)
 	}
 }
+
+// argMsgS and argMsgF are lrmi_copy's native argument: a 1 KiB struct,
+// registered for serialization and left to fast copy.
+type argMsgS struct {
+	Seq  int64
+	Data []byte
+}
+
+type argMsgF struct {
+	Seq  int64
+	Data []byte
+}
+
+type argSvc struct{}
+
+func (argSvc) SumS(m argMsgS) (int64, error) { return m.Seq + int64(len(m.Data)), nil }
+func (argSvc) SumF(m argMsgF) (int64, error) { return m.Seq + int64(len(m.Data)), nil }
+
+// A local native LRMI with one struct argument: the argument vector stays
+// on the caller's stack, and a serialized copy streams through pooled
+// scratch.
+//
+// Each measures 7: the copied struct's slot, its bytes and its box (3);
+// reflect's call, its result vector and the slots of the method's two
+// results (3); the results slice (1). They measured 11 by serialization
+// and 8 by fast copy while the caller's argument vector escaped to the
+// heap and each serialized copy grew a fresh stream.
+func TestAllocsNativeArgLRMI(t *testing.T) {
+	f := newAllocFixture(t)
+	f.k.RegisterSerializable("core.argMsgS", argMsgS{})
+	cap, err := f.k.CreateNativeCapability(f.server, argSvc{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 1024)
+	for _, c := range []struct {
+		method  string
+		arg     any
+		ceiling float64
+	}{
+		{"SumS", argMsgS{Seq: 1, Data: data}, 7},
+		{"SumF", argMsgF{Seq: 1, Data: data}, 7},
+	} {
+		got := testing.AllocsPerRun(200, func() {
+			out, err := cap.InvokeFrom(f.task, c.method, c.arg)
+			if err != nil || out[0] != int64(1+len(data)) {
+				t.Fatalf("%s: %v %v", c.method, out, err)
+			}
+		})
+		t.Logf("%s: %.2f allocs/call", c.method, got)
+		if got > c.ceiling {
+			t.Errorf("native LRMI %s with a 1 KiB struct: %.2f allocs/call, want at most %.0f", c.method, got, c.ceiling)
+		}
+	}
+}
+
+// nopProxy is a transport that answers every call at once, with nothing.
+type nopProxy struct{}
+
+func (nopProxy) InvokeProxy(ProxyCall) ([]any, int64, uint64, error) { return nil, 0, 0, nil }
+func (nopProxy) CancelProxy(uint64)                                  {}
+func (nopProxy) ProxyMethods() []string                              { return nil }
+
+// A call through a proxy gate with one argument: the one allocation is the
+// vector the transport gets, copied at the proxy's boundary, where before
+// the caller's own vector escaped to the heap to be handed over.
+func TestAllocsProxyArgLRMI(t *testing.T) {
+	f := newAllocFixture(t)
+	cap, err := f.k.CreateProxyCapability(f.server, nopProxy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var arg any = &argMsgF{Seq: 1}
+	got := testing.AllocsPerRun(200, func() {
+		if _, err := cap.InvokeFrom(f.task, "Sum", arg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.2f allocs/call", got)
+	if got > 1 {
+		t.Errorf("proxy LRMI with one argument: %.2f allocs/call, want at most 1", got)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 
 	"jkernel/internal/seri"
@@ -225,13 +226,16 @@ func (c *Capability) invokeFrom(task *Task, name string, args []any) ([]any, err
 		return nil, err
 	}
 	if pt != nil {
-		return c.invokeProxy(task, caller, pt, name, args)
+		// The transport is reached through an interface, which escape
+		// analysis cannot see through: it gets its own copy of the vector,
+		// so the caller's stays on the caller's stack.
+		return c.invokeProxy(task, caller, pt, name, slices.Clone(args))
 	}
 	start := k.tm.callStart(task)
 
 	// Copy arguments in (capabilities by reference).
 	var inBuf [5]reflect.Value
-	in, cargs, copied, err := k.nativeArgs(m, args, inBuf[:0], true)
+	in, cargs, copied, err := k.nativeArgs(m, args, nil, inBuf[:0])
 	if err != nil {
 		return nil, err
 	}
@@ -303,16 +307,20 @@ func (c *Capability) nativeCallee(task *Task, name string) (caller *Domain, m *n
 // values conformed to the parameter types, appended to in — the caller's
 // stack buffer: the receiver and up to four arguments, nearly every
 // method, never reach the heap (reflect's Call reads the slice and keeps
-// nothing of it). With copyIn each argument is copied by the calling
-// convention and copied reports the bytes; without, args are already the
-// callee's own (ServeWire) and a thunk takes the vector as it is.
-func (k *Kernel) nativeArgs(m *nativeMethod, args []any, in []reflect.Value, copyIn bool) (_ []reflect.Value, cargs []any, copied int64, err error) {
+// nothing of it). With owned nil each argument is copied by the calling
+// convention and copied reports the bytes; otherwise owned is args itself,
+// already the callee's own (ServeWire), and a thunk takes it as it is. The
+// two are separate parameters so that nativeArgs only reads args: a local
+// caller's variadic vector stays on its stack. (A vector of no arguments
+// is the same either way.)
+func (k *Kernel) nativeArgs(m *nativeMethod, args, owned []any, in []reflect.Value) (_ []reflect.Value, cargs []any, copied int64, err error) {
 	ft := m.typ
 	if ft.NumIn() != len(args) && !ft.IsVariadic() {
 		return nil, nil, 0, fmt.Errorf("jkernel: %s wants %d args, got %d", m.name, ft.NumIn(), len(args))
 	}
+	copyIn := owned == nil
 	if m.thunk != nil {
-		if cargs = args; copyIn && len(args) > 0 {
+		if cargs = owned; copyIn && len(args) > 0 {
 			cargs = make([]any, len(args))
 		}
 	} else {
@@ -462,12 +470,8 @@ func (k *Kernel) copyNative(v any) (any, int64, error) {
 	}
 	switch k.copyModeFor(v) {
 	case copyModeSeri:
-		data, err := seri.Marshal(k.seriReg, v)
-		if err != nil {
-			return nil, 0, err
-		}
-		out, err := seri.Unmarshal(k.seriReg, data)
-		return out, int64(len(data)), err
+		out, n, err := seri.CopySize(k.seriReg, v)
+		return out, int64(n), err
 	case copyModeFastGraph:
 		return k.graphCop.CopySize(v)
 	default:
@@ -533,9 +537,12 @@ func (c *Capability) Bind(stubStruct any) error {
 		}
 		name := f.Name
 		stub := reflect.MakeFunc(ft, func(in []reflect.Value) []reflect.Value {
-			args := make([]any, len(in))
-			for j, v := range in {
-				args[j] = v.Interface()
+			// Invoke keeps nothing of the vector: up to four arguments
+			// stay on this stack.
+			var argBuf [4]any
+			args := argBuf[:0]
+			for _, v := range in {
+				args = append(args, v.Interface())
 			}
 			results, err := c.Invoke(name, args...)
 			out := make([]reflect.Value, ft.NumOut())

@@ -197,7 +197,7 @@ func (c *Capability) ServeWire(task *Task, name string, args []any, argBytes int
 	}
 	start := k.tm.callStart(task)
 	var inBuf [5]reflect.Value
-	in, cargs, _, err := k.nativeArgs(m, args, inBuf[:0], false)
+	in, cargs, _, err := k.nativeArgs(m, args, args, inBuf[:0])
 	if err != nil {
 		return err
 	}

@@ -136,6 +136,17 @@ func (c *Copier) CopySize(v any) (out any, size int64, err error) {
 	return slot.Interface(), st.size, nil
 }
 
+// lookup finds a cell's copy. Tree mode has no table and consults none:
+// the key holds a reflect.Type, so even a lookup in a nil map would pay the
+// runtime's hash of an interface.
+func (st *state) lookup(key cell) (reflect.Value, bool) {
+	if st.seen == nil {
+		return reflect.Value{}, false
+	}
+	v, ok := st.seen[key]
+	return v, ok
+}
+
 // remember enters a cell's copy into the table before its contents are
 // copied, so cycles terminate. dup must not be a slot a later step rewrites.
 func (st *state) remember(key cell, dup reflect.Value) {

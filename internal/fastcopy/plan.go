@@ -211,7 +211,7 @@ func (p *plan) copyRef(st *state, dst, src reflect.Value) error {
 // to and returns the pointer to the copy: one allocation per struct.
 func (p *plan) newPointee(st *state, src reflect.Value) (reflect.Value, error) {
 	key := cell{p: src.Pointer(), t: p.t}
-	if prev, ok := st.seen[key]; ok {
+	if prev, ok := st.lookup(key); ok {
 		return prev, nil
 	}
 	dup := reflect.New(p.elem.t)
@@ -226,7 +226,7 @@ func (p *plan) copySlice(st *state, dst, src reflect.Value) error {
 	}
 	n := src.Len()
 	key := cell{p: src.Pointer(), t: p.t, n: n}
-	if prev, ok := st.seen[key]; ok {
+	if prev, ok := st.lookup(key); ok {
 		dst.Set(prev)
 		return nil
 	}
@@ -234,11 +234,18 @@ func (p *plan) copySlice(st *state, dst, src reflect.Value) error {
 	case n == 0:
 		dst.Set(reflect.MakeSlice(p.t, 0, 0))
 	case p.elem.kind == reflect.Uint8:
-		dst.SetBytes(make([]byte, n))
+		// One clone: the bytes are not cleared first to be overwritten.
+		b := src.Bytes()
+		dup := make([]byte, len(b))
+		copy(dup, b)
+		dst.SetBytes(dup)
 	default:
 		// Grown in place: no slice header is boxed on the way.
 		dst.Grow(n)
 		dst.SetLen(n)
+		if p.elem.fixed {
+			reflect.Copy(dst, src)
+		}
 	}
 	if st.c.useTable {
 		// A snapshot of the header, not the slot: the slot may be a map
@@ -246,7 +253,6 @@ func (p *plan) copySlice(st *state, dst, src reflect.Value) error {
 		st.remember(key, dst.Slice(0, n))
 	}
 	if p.elem.fixed {
-		reflect.Copy(dst, src)
 		st.size += int64(n) * p.elem.size
 		return nil
 	}
@@ -263,7 +269,7 @@ func (p *plan) copyMap(st *state, dst, src reflect.Value) error {
 		return nil
 	}
 	key := cell{p: src.Pointer(), t: p.t}
-	if prev, ok := st.seen[key]; ok {
+	if prev, ok := st.lookup(key); ok {
 		dst.Set(prev)
 		return nil
 	}

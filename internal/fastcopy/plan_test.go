@@ -164,22 +164,38 @@ func TestScalarStructsCopyByAssignment(t *testing.T) {
 	}
 }
 
+// In both modes, at the top level and in fields: byte slices (copied as
+// one clone, of a named type too) and strings come back as they went.
 func TestEmptyAndNilContainersKeepTheirNilness(t *testing.T) {
+	type blob []byte
 	type boxes struct {
 		NilS, EmptyS []int
 		NilB, EmptyB []byte
+		NilN, EmptyN blob
 		NilM, EmptyM map[string]int
+		Empty        string
 	}
-	out, err := New().Copy(&boxes{EmptyS: []int{}, EmptyB: []byte{}, EmptyM: map[string]int{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := out.(*boxes)
-	if got.NilS != nil || got.NilB != nil || got.NilM != nil {
-		t.Error("nil container became non-nil")
-	}
-	if got.EmptyS == nil || got.EmptyB == nil || got.EmptyM == nil {
-		t.Error("empty container became nil")
+	for _, c := range []*Copier{New(), New(WithCycleTable())} {
+		out, err := c.Copy(&boxes{EmptyS: []int{}, EmptyB: []byte{}, EmptyN: blob{}, EmptyM: map[string]int{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := out.(*boxes)
+		if got.NilS != nil || got.NilB != nil || got.NilN != nil || got.NilM != nil {
+			t.Errorf("table %v: nil container became non-nil", c.useTable)
+		}
+		if got.EmptyS == nil || got.EmptyB == nil || got.EmptyN == nil || got.EmptyM == nil {
+			t.Errorf("table %v: empty container became nil", c.useTable)
+		}
+		for _, v := range []any{[]byte(nil), []byte{}, []byte("b"), blob(nil), blob{}, blob("n"), "", "s"} {
+			got, err := c.Copy(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, v) {
+				t.Errorf("table %v: Copy(%#v) = %#v", c.useTable, v, got)
+			}
+		}
 	}
 }
 
@@ -279,5 +295,39 @@ func TestConcurrentFirstCopy(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
+	}
+}
+
+// Table mode keeps the graph's shape for byte slices too: one met twice is
+// copied once, a shorter slice of the same array is a copy of its own, and
+// a cycle through nodes that carry bytes terminates.
+func TestTableModeBytes(t *testing.T) {
+	type ring struct {
+		Data []byte
+		Next *ring
+	}
+	type graph struct {
+		A, B, Short []byte
+		R           *ring
+	}
+	buf := []byte("abcdef")
+	r := &ring{Data: buf[2:4]}
+	r.Next = r
+	out, err := New(WithCycleTable()).Copy(&graph{A: buf, B: buf, Short: buf[:3], R: r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := out.(*graph)
+	if &got.A[0] != &got.B[0] {
+		t.Error("a byte slice met twice was copied twice")
+	}
+	if &got.Short[0] == &got.A[0] || string(got.Short) != "abc" {
+		t.Errorf("the shorter slice was conflated: %q", got.Short)
+	}
+	if &got.A[0] == &buf[0] || string(got.A) != "abcdef" {
+		t.Errorf("the copy aliases or differs from the source: %q", got.A)
+	}
+	if got.R == r || got.R.Next != got.R || string(got.R.Data) != "cd" {
+		t.Error("the cycle did not copy to a cycle of its own")
 	}
 }

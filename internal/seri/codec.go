@@ -257,9 +257,11 @@ func (cp *compiler) bytes(c *codec) {
 			return err
 		}
 		// Copy-on-decode: the result must not alias d.buf, which
-		// transports recycle the moment decode returns.
-		b := make([]byte, n)
-		copy(b, d.buf[d.pos:])
+		// transports and Copy recycle the moment decode returns. One
+		// clone: the bytes are not cleared first to be overwritten.
+		src := d.buf[d.pos : d.pos+n]
+		b := make([]byte, len(src))
+		copy(b, src)
 		d.pos += n
 		v.SetBytes(b)
 		d.objs = append(d.objs, v)

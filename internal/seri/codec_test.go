@@ -185,6 +185,11 @@ type echoMsg struct {
 // its count: alone (the local LRMI copy), and inside the []any vector the
 // wire puts it in, through the transports' entries — the vector is one
 // allocation there, not four, and is not boxed to be encoded.
+//
+// Alone it measures 3: the decoded message's slot, its bytes and its box.
+// The stream grows in pooled scratch; it measured 6 while each copy grew a
+// fresh stream by appends. In the vector, 4: the vector, the message's
+// slot, its bytes and its box; the stream goes into the caller's buffer.
 func TestAllocsSeriRoundtrip(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -200,7 +205,7 @@ func TestAllocsSeriRoundtrip(t *testing.T) {
 		run     func() error
 		ceiling float64
 	}{
-		{"alone", func() error { _, err := Copy(r, boxed); return err }, 8},
+		{"alone", func() error { _, err := Copy(r, boxed); return err }, 3},
 		{"in []any", func() error {
 			data, err := AppendVector(buf, r, vec, nil, nil)
 			if err == nil {

@@ -256,9 +256,49 @@ func Marshal(r *Registry, v any) ([]byte, error) {
 }
 
 // MarshalExt is Marshal with an External hook for capability references.
+// The stream grows in pooled scratch and leaves as one exact-size copy.
 func MarshalExt(r *Registry, v any, ext External) ([]byte, error) {
-	e := getEncoder(nil, r, ext, nil)
-	return e.finish(e.dynamic(reflect.ValueOf(v)))
+	sp, data, err := encode(r, v, ext)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, len(data))
+	copy(out, data)
+	putScratch(sp, data)
+	return out, nil
+}
+
+// maxScratch bounds the streams the scratch pool keeps: a larger one goes
+// to the collector, so one huge copy does not pin its footprint forever.
+const maxScratch = 64 << 10
+
+// scratchPool holds the buffers Copy and Marshal encode into. Nothing a
+// caller gets back refers to one: Marshal returns a copy, and the decoder
+// copies every byte it keeps out of the stream.
+var scratchPool = sync.Pool{
+	New: func() any { return new([]byte) },
+}
+
+// encode writes v's stream into a pooled scratch buffer, which the caller
+// gives back with putScratch once done with data. A failed stream is
+// dropped and its buffer is already back.
+func encode(r *Registry, v any, ext External) (sp *[]byte, data []byte, err error) {
+	sp = scratchPool.Get().(*[]byte)
+	e := getEncoder(*sp, r, ext, nil)
+	if data, err = e.finish(e.dynamic(reflect.ValueOf(v))); err != nil {
+		scratchPool.Put(sp)
+		return nil, nil, err
+	}
+	return sp, data, nil
+}
+
+// putScratch returns sp to its pool holding data's buffer, emptied.
+func putScratch(sp *[]byte, data []byte) {
+	if cap(data) > maxScratch {
+		data = nil
+	}
+	*sp = data[:0]
+	scratchPool.Put(sp)
 }
 
 // Grower is an output buffer that makes its own room: a transport encoding
@@ -287,6 +327,12 @@ var encPool = sync.Pool{
 	New: func() any { return &encoder{seen: make(map[heapCell]uint64)} },
 }
 
+// maxSeenCells bounds the alias map an encoder keeps for its next use.
+// Clearing a map costs its capacity, which never shrinks: one stream of
+// many heap cells would otherwise make every later encode on that encoder
+// pay for them.
+const maxSeenCells = 1024
+
 func getEncoder(dst []byte, r *Registry, ext External, g Grower) *encoder {
 	e := encPool.Get().(*encoder)
 	e.reg, e.ext, e.buf, e.grow = r.orNone(), ext, dst, g
@@ -297,10 +343,12 @@ func getEncoder(dst []byte, r *Registry, ext External, g Grower) *encoder {
 func (e *encoder) finish(err error) ([]byte, error) {
 	buf := e.buf
 	e.reg, e.ext, e.buf, e.grow = nil, nil, nil, nil
-	if e.next != 0 {
+	if e.next > maxSeenCells {
+		e.seen = make(map[heapCell]uint64)
+	} else if e.next != 0 {
 		clear(e.seen)
-		e.next = 0
 	}
+	e.next = 0
 	encPool.Put(e)
 	if err != nil {
 		return nil, err
@@ -373,11 +421,22 @@ func UnmarshalVector(r *Registry, data []byte, ext External) ([]any, error) {
 
 // Copy deep-copies v through the serialized form — the LRMI default path.
 func Copy(r *Registry, v any) (any, error) {
-	data, err := Marshal(r, v)
+	out, _, err := CopySize(r, v)
+	return out, err
+}
+
+// CopySize is Copy that also reports the length of the intermediate
+// stream, the copy's transfer size. The stream lives in pooled scratch for
+// the copy's duration only: the decode copies out of it everything the
+// result holds.
+func CopySize(r *Registry, v any) (any, int, error) {
+	sp, data, err := encode(r, v, nil)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return Unmarshal(r, data)
+	out, err := Unmarshal(r, data)
+	putScratch(sp, data)
+	return out, len(data), err
 }
 
 // heapCell identifies heap cells for alias/cycle detection without unsafe:

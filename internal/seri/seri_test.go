@@ -62,6 +62,12 @@ func TestIntWidthsNormalize(t *testing.T) {
 }
 
 func TestBytesAndSlices(t *testing.T) {
+	for _, v := range []any{[]byte(nil), []byte{}, Doc{Body: []byte{}}} {
+		if got := roundTrip(t, v); !reflect.DeepEqual(got, v) {
+			t.Errorf("round trip %#v = %#v", v, got)
+		}
+	}
+
 	b := []byte{1, 2, 3}
 	got := roundTrip(t, b).([]byte)
 	if !reflect.DeepEqual(got, b) {
