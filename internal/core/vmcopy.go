@@ -200,17 +200,17 @@ func (ctx *vmCopyCtx) copyArray(o *vmkit.Object) (*vmkit.Object, *vmkit.Object) 
 		copy(dup.Words, o.Words)
 		ctx.bytes += int64(8 * len(o.Words))
 	default:
-		for i, e := range o.Refs {
-			if e == nil {
+		for i, e := range o.Fields {
+			if e.R == nil {
 				continue
 			}
-			ce, th := ctx.copyObject(e)
+			ce, th := ctx.copyObject(e.R)
 			if th != nil {
 				return nil, th
 			}
-			dup.Refs[i] = ce
+			dup.Fields[i] = vmkit.RefVal(ce)
 		}
-		ctx.bytes += int64(8 * len(o.Refs))
+		ctx.bytes += int64(8 * len(o.Fields))
 	}
 	return dup, nil
 }
@@ -410,14 +410,14 @@ func (e *vmEncoder) object(buf []byte, o *vmkit.Object) ([]byte, *vmkit.Object) 
 			}
 		default:
 			buf = e.classRef(append(buf, vtagArrRef), cls)
-			buf = binary.AppendUvarint(buf, uint64(len(o.Refs)))
-			for _, el := range o.Refs {
-				if el == nil {
+			buf = binary.AppendUvarint(buf, uint64(len(o.Fields)))
+			for _, el := range o.Fields {
+				if el.R == nil {
 					buf = append(buf, vtagNull)
 					continue
 				}
 				var th *vmkit.Object
-				if buf, th = e.object(buf, el); th != nil {
+				if buf, th = e.object(buf, el.R); th != nil {
 					return buf, th
 				}
 			}
@@ -704,12 +704,12 @@ func (d *vmDecoder) decodeObject() (*vmkit.Object, *vmkit.Object) {
 		}
 		arr := d.dest.NS.NewArrayOfClass(cls, int(n))
 		d.objs = append(d.objs, arr)
-		for j := range arr.Refs {
+		for j := range arr.Fields {
 			el, th := d.decodeObject()
 			if th != nil {
 				return nil, th
 			}
-			arr.Refs[j] = el
+			arr.Fields[j] = vmkit.RefVal(el)
 		}
 		return arr, nil
 	case vtagObject:
@@ -814,4 +814,17 @@ type ThrownVMError struct{ Throwable *vmkit.Object }
 
 func (e *ThrownVMError) Error() string {
 	return fmt.Sprintf("jkernel: %s: %s", e.Throwable.Class.Name, vmkit.ThrowableMessage(e.Throwable))
+}
+
+// Is matches a revocation or termination throwable to the sentinel a
+// native gate returns for the same fault, so a Go caller tells an
+// unavailable VM callee from a failed one the same way.
+func (e *ThrownVMError) Is(target error) bool {
+	switch e.Throwable.Class.Name {
+	case vmkit.ClassRevokedEx:
+		return target == ErrRevoked
+	case vmkit.ClassTerminatedEx:
+		return target == ErrDomainTerminated
+	}
+	return false
 }

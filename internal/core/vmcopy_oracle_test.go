@@ -240,8 +240,8 @@ func (f *oracleFixture) gen(t testing.TB, seed int) oracleGraph {
 		}
 		if useRefArrays && maybe(40) {
 			arr := f.array(t, "["+"L"+kind+";", rng.IntN(5))
-			for j := range arr.Refs {
-				arr.Refs[j] = ref()
+			for j := range arr.Fields {
+				arr.Fields[j] = vmkit.RefVal(ref())
 			}
 			setField(n, "a", vmkit.RefVal(arr))
 		}
@@ -269,9 +269,6 @@ func reach(o *vmkit.Object, capStub *vmkit.Object, seen map[*vmkit.Object]bool) 
 		if v.K == vmkit.KRef {
 			reach(v.R, capStub, seen)
 		}
-	}
-	for _, e := range o.Refs {
-		reach(e, capStub, seen)
 	}
 }
 
@@ -341,8 +338,11 @@ func (f *oracleFixture) checkCopy(kind string, src, dup *vmkit.Object) error {
 					}
 				}
 			default:
-				for i := range s.Refs {
-					if err := walk(s.Refs[i], c.Refs[i], fmt.Sprintf("%s[%d]", path, i)); err != nil {
+				for i := range s.Fields {
+					if c.Fields[i].K != vmkit.KRef {
+						return bad("[%d] copied as a %v slot", i, c.Fields[i].K)
+					}
+					if err := walk(s.Fields[i].R, c.Fields[i].R, fmt.Sprintf("%s[%d]", path, i)); err != nil {
 						return err
 					}
 				}

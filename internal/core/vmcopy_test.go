@@ -53,7 +53,9 @@ func TestSerializedRefArrayCrosses(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				copy(o.Refs, elems)
+				for i, e := range elems {
+					o.Fields[i] = vmkit.RefVal(e)
+				}
 				return o
 			}
 			b1, b2 := box(1), box(2)
@@ -86,26 +88,26 @@ func TestSerializedRefArrayCrosses(t *testing.T) {
 			}
 			c := out.R
 			cb := get(c, "boxes")
-			if cb == boxes || cb.Class.NS != b.NS || cb.Class.Name != "[LBox;" || len(cb.Refs) != 4 || cb.Refs[2] != nil {
+			if cb == boxes || cb.Class.NS != b.NS || cb.Class.Name != "[LBox;" || cb.Len() != 4 || cb.Fields[2].R != nil {
 				t.Fatalf("boxes copied as %+v", cb)
 			}
-			if cb.Refs[0] == b1 || cb.Refs[0].Class != b1.Class || cb.Refs[3].Fields[0].I != 2 {
+			if cb.Fields[0].R == b1 || cb.Fields[0].R.Class != b1.Class || cb.Fields[3].R.Fields[0].I != 2 {
 				t.Fatal("the boxes' elements were not copied")
 			}
 			grid := get(c, "grid")
-			if grid.Class.Name != "[[LBox;" || grid.Class.NS != b.NS || grid.Refs[1].Refs[0].Fields[0].I != 2 {
+			if grid.Class.Name != "[[LBox;" || grid.Class.NS != b.NS || grid.Fields[1].R.Fields[0].R.Fields[0].I != 2 {
 				t.Fatalf("grid copied as %+v", grid)
 			}
 			names := get(c, "names")
-			if vmkit.StringText(names.Refs[0]) != "shared" || names.Refs[0] == name {
+			if vmkit.StringText(names.Fields[0].R) != "shared" || names.Fields[0].R == name {
 				t.Fatal("the names were not copied")
 			}
-			if ci := get(c, "ints"); ci.Refs[0].Words[1] != 7 || ci.Refs[0] == ints {
+			if ci := get(c, "ints"); ci.Fields[0].R.Words[1] != 7 || ci.Fields[0].R == ints {
 				t.Fatal("the [[I was not copied")
 			}
 			// Serialization keeps the graph's sharing; fast-copy duplicates.
-			shared := cb.Refs[0] == cb.Refs[1] && cb.Refs[0] == get(c, "one") &&
-				grid.Refs[0] == cb && names.Refs[0] == names.Refs[1] && grid.Refs[1].Refs[0] == cb.Refs[3]
+			shared := cb.Fields[0].R == cb.Fields[1].R && cb.Fields[0].R == get(c, "one") &&
+				grid.Fields[0].R == cb && names.Fields[0].R == names.Fields[1].R && grid.Fields[1].R.Fields[0].R == cb.Fields[3].R
 			if want := mode == vmkit.IfaceSerializable; shared != want {
 				t.Errorf("sharing kept: %v, want %v", shared, want)
 			}
@@ -204,7 +206,7 @@ func TestSerializedRefArrayOfUnsharedClass(t *testing.T) {
 	f := newOracleFixture(t)
 	other := f.node(t, "Other")
 	arr := f.array(t, "[LOther;", 1)
-	arr.Refs[0] = other
+	arr.Fields[0] = vmkit.RefVal(other)
 	s := f.node(t, "S")
 	s.Fields[s.Class.FieldByName("a").Slot] = vmkit.RefVal(arr)
 	const want = "jkernel: jk/kernel/RemoteException: deserialize: class [LOther; binds differently in domain b"
@@ -235,7 +237,7 @@ func TestSerialPoolPinsNothing(t *testing.T) {
 		}
 		s := f.node(t, "S")
 		arr := f.array(t, "[LS;", 2)
-		arr.Refs[0], arr.Refs[1] = s, s
+		arr.Fields[0], arr.Fields[1] = vmkit.RefVal(s), vmkit.RefVal(s)
 		setField(s, "a", vmkit.RefVal(arr))
 		setField(s, "s", vmkit.RefVal(f.str(t, "text")))
 		for range 4 {
@@ -401,22 +403,61 @@ func (f *copyFixture) chain(t *testing.T, class string, count, size int) *vmkit.
 	return head
 }
 
+// bytesPerCall reports the bytes one LRMI of method with arg allocates,
+// rounded down as testing.AllocsPerRun rounds: the least of three
+// measurements, since a background allocation can only add to one.
+func (f *copyFixture) bytesPerCall(t *testing.T, method string, arg *vmkit.Object) float64 {
+	t.Helper()
+	const runs = 200
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	call := func() {
+		if _, err := f.cap.InvokeVM(f.task, method, arg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call()
+	least := uint64(math.MaxUint64)
+	var m runtime.MemStats
+	for range 3 {
+		runtime.ReadMemStats(&m)
+		before := m.TotalAlloc
+		for range runs {
+			call()
+		}
+		runtime.ReadMemStats(&m)
+		least = min(least, (m.TotalAlloc-before)/runs)
+	}
+	return float64(least)
+}
+
+// nodeBytes is what one Table 4 node and its payload of the given size
+// allocate, by Go's size classes: the node is a 96-byte header with its
+// two 24-byte slots (144); a payload of at most 128 bytes shares a block
+// with its header (96 + 16 in the smallest), a larger one is a header and
+// the bytes' own allocation.
+var nodeBytes = map[int]float64{10: 144 + 112, 100: 144 + 224, 1000: 144 + 96 + 1024}
+
 // allocsVMCopy checks that a serialized argument of count nodes of size
 // bytes allocates what its fast-copy does: the objects the callee gets,
 // and nothing else. A node is two Go allocations, the node with its
 // fields and the array with its bytes, while the payload fits the largest
 // byte-array block (128 B), and three past it, when the bytes are their
-// own.
+// own. It pins the bytes too, nodeBytes a node.
 func allocsVMCopy(t *testing.T, count, size int) {
 	f := newCopyFixture(t)
-	ser := f.perCall(t, "sink", f.chain(t, "MsgS", count, size))
-	fast := f.perCall(t, "sinkF", f.chain(t, "MsgF", count, size))
+	ser, fast := f.chain(t, "MsgS", count, size), f.chain(t, "MsgF", count, size)
 	perNode := 2
 	if size > 128 {
 		perNode = 3
 	}
-	if want := float64(perNode * count); ser != want || fast != want {
-		t.Errorf("%dx%d: serialized %.1f allocs/call, fast-copy %.1f, want %.0f each", count, size, ser, fast, want)
+	if want, sa, fa := float64(perNode*count), f.perCall(t, "sink", ser), f.perCall(t, "sinkF", fast); sa != want || fa != want {
+		t.Errorf("%dx%d: serialized %.1f allocs/call, fast-copy %.1f, want %.0f each", count, size, sa, fa, want)
+	}
+	if raceflag.Enabled {
+		return
+	}
+	if want, sb, fb := nodeBytes[size]*float64(count), f.bytesPerCall(t, "sink", ser), f.bytesPerCall(t, "sinkF", fast); sb != want || fb != want {
+		t.Errorf("%dx%d: serialized %.1f B/call, fast-copy %.1f, want %.0f each", count, size, sb, fb, want)
 	}
 }
 
@@ -498,7 +539,7 @@ func (f *oracleFixture) mixedGraph(t testing.TB) *vmkit.Object {
 	}
 	s := f.str(t, "héllo")
 	arr := f.array(t, "[LS;", 3)
-	arr.Refs[0], arr.Refs[2] = root, leaf
+	arr.Fields[0], arr.Fields[2] = vmkit.RefVal(root), vmkit.RefVal(leaf)
 	setField(root, "i", vmkit.IntVal(-5))
 	setField(root, "f", vmkit.FloatVal(math.NaN()))
 	setField(root, "b", vmkit.RefVal(bs))

@@ -354,12 +354,18 @@ func (b *Bridge) maybeUnmountFaulted(rt *route, err error) {
 
 // servletError maps kernel failures onto HTTP statuses: a dead or revoked
 // servlet — local, or a remote worker that crashed — is a gateway
-// failure, not a server crash. Returns the status it wrote.
+// failure, not a server crash; an exception a local VM servlet threw (a
+// panic beneath it included) is the server's internal error. Returns the
+// status it wrote.
 func servletError(w http.ResponseWriter, err error) int {
+	var thrown *core.ThrownVMError
 	switch {
 	case errors.Is(err, core.ErrRevoked) || errors.Is(err, core.ErrDomainTerminated):
 		http.Error(w, "servlet unavailable: "+err.Error(), http.StatusServiceUnavailable)
 		return http.StatusServiceUnavailable
+	case errors.As(err, &thrown):
+		http.Error(w, "servlet failed: "+err.Error(), http.StatusInternalServerError)
+		return http.StatusInternalServerError
 	default:
 		http.Error(w, "servlet failed: "+err.Error(), http.StatusBadGateway)
 		return http.StatusBadGateway

@@ -86,6 +86,50 @@ func TestServletCrashIsolated(t *testing.T) {
 	}
 }
 
+// A VM servlet whose service asks newarr for 2^62 bytes answers 500, and
+// the next request, to another route, is served.
+func TestVMServletGiantArrayIs500(t *testing.T) {
+	_, b := newBridge(t)
+	data, err := vmkit.AssembleBytes(`
+.class Giant implements jk/servlet/Servlet
+.method service (Ljk/lang/String;Ljk/lang/String;[B)[B stack 2 locals 0
+  iconst 4611686018427387904
+  newarr "[B"
+  retv
+.end
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.UploadVM("giant", "/giant", "Giant", map[string][]byte{"Giant": data}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.MountDocServlet("doc", "/doc", []byte("doc body")); err != nil {
+		t.Fatal(err)
+	}
+	res, body := get(t, b, "/giant")
+	if res.StatusCode != http.StatusInternalServerError || !strings.Contains(body, "exceeds") {
+		t.Errorf("giant newarr: %d %q, want 500", res.StatusCode, body)
+	}
+	if res, body := get(t, b, "/doc"); res.StatusCode != 200 || body != "doc body" {
+		t.Errorf("next request: %d %q, want 200", res.StatusCode, body)
+	}
+}
+
+// A VM servlet whose domain was terminated under a mounted route is
+// unavailable, not failed.
+func TestVMServletTerminatedIs503(t *testing.T) {
+	_, b := newBridge(t)
+	d, err := b.MountDocServlet("doc", "/doc", []byte("doc body"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Terminate("test")
+	if res, body := get(t, b, "/doc"); res.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("terminated VM servlet: %d %q, want 503", res.StatusCode, body)
+	}
+}
+
 func TestVMDocServlet(t *testing.T) {
 	_, b := newBridge(t)
 	doc := []byte("<html>doc body</html>")

@@ -397,7 +397,8 @@ func TestRemoteConnectionLossFaultsProxies(t *testing.T) {
 // shutdown marks the connection closed before it faults the imported
 // proxies. A sync call landing in that window fails at register, and must
 // report the capability fault every other outcome of a lost connection
-// reports — the bridge turns ErrRevoked into 503 and anything else into 502.
+// reports — the bridge turns ErrRevoked into 503, and anything but a local
+// VM servlet's exception into 502.
 func TestSyncInvokeOnClosedConnIsACapabilityFault(t *testing.T) {
 	p := newPair(t)
 	p.export(t, "echo", echoSvc{})

@@ -15,8 +15,8 @@ import (
 // The header every VM object carries, and the slot every field, local and
 // operand takes.
 func TestObjectLayout(t *testing.T) {
-	if got := unsafe.Sizeof(Object{}); got > 128 {
-		t.Errorf("Object is %d bytes, want at most 128", got)
+	if got := unsafe.Sizeof(Object{}); got != 96 {
+		t.Errorf("Object is %d bytes, want 96", got)
 	}
 	if got := unsafe.Sizeof(Value{}); got != 24 {
 		t.Errorf("Value is %d bytes, want 24", got)
@@ -278,6 +278,60 @@ func TestMonitorFirstEnterRace(t *testing.T) {
 		}
 		if o.mon.Load() != seen[0] || o.MonitorOwner() != nil {
 			t.Fatal("the installed monitor changed or is still owned")
+		}
+	}
+}
+
+// The first hashCode and the first monitorenter of one fresh object race
+// to install its side struct: one CAS wins, so the object ends with one
+// monitor that every locker used, and one hash that every caller read.
+func TestHashFirstEnterRace(t *testing.T) {
+	vm, ns := newTestNS(t, ".class Lock\n")
+	c, err := ns.Resolve("Lock")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pairs = 8
+	for range 50 {
+		o, err := NewInstance(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hashes [pairs]int64
+		var seen [pairs]*monitor
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range pairs {
+			th := vm.NewThread("locker")
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				<-start
+				hashes[i] = identityHash(o)
+			}()
+			go func() {
+				defer wg.Done()
+				defer vm.Detach(th)
+				<-start
+				o.monEnter(th)
+				seen[i] = o.mon.Load()
+				if !o.monExit(th) {
+					t.Error("monitorexit by the owner failed")
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for i := range pairs {
+			if hashes[i] == 0 || hashes[i] != hashes[0] {
+				t.Fatalf("hash %d read %d, hash 0 %d", i, hashes[i], hashes[0])
+			}
+			if seen[i] == nil || seen[i] != seen[0] {
+				t.Fatalf("locker %d locked monitor %p, locker 0 %p", i, seen[i], seen[0])
+			}
+		}
+		if o.mon.Load() != seen[0] || identityHash(o) != hashes[0] {
+			t.Fatal("the side struct or the hash changed after the race")
 		}
 	}
 }

@@ -74,15 +74,29 @@ func (vm *VM) Invoke(t *Thread, m *Method, args []Value) (Value, *Object) {
 }
 
 // enter places args in a fresh window above everything live and runs m.
-func (vm *VM) enter(t *Thread, m *Method, args []Value) (Value, *Object) {
-	base := t.top
+//
+// It is where Go enters the VM, and no Go panic raised beneath it (a
+// native's, or the runtime's) crosses it: the recover puts the thread back
+// as the call found it — top, call depth, the native Env's namespace, and
+// every window above base cleared — and returns the panic as a thrown
+// jk/lang/Error, as safeCall does for a native callee. A bytecode caller
+// that re-entered through a native sees an exception, and the carrier
+// stays usable.
+func (vm *VM) enter(t *Thread, m *Method, args []Value) (v Value, thrown *Object) {
+	base, depth, ns := t.top, t.callDepth, t.env.NS
+	defer func() {
+		if r := recover(); r != nil {
+			clear(t.arena[base:])
+			t.top, t.callDepth, t.env.NS = base, depth, ns
+			v, thrown = Value{}, vm.Throwf(ClassError, "panic in %s.%s: %v", m.Owner.Name, m.Name, r)
+		}
+		if base == 0 && len(t.arena) > arenaKeepSlots {
+			t.arena = nil
+		}
+	}()
 	t.reserve(base + len(args))
 	copy(t.arena[base:], args)
-	v, thrown := vm.invoke(t, m, base)
-	if base == 0 && len(t.arena) > arenaKeepSlots {
-		t.arena = nil
-	}
-	return v, thrown
+	return vm.invoke(t, m, base)
 }
 
 // reserve grows the arena to at least n slots.
@@ -476,11 +490,16 @@ func (vm *VM) run(t *Thread, m *Method, base int) (Value, *Object) {
 
 		case OpNewArr:
 			n := pop().I
-			if n < 0 {
+			c := linked[pc].class
+			switch {
+			case n < 0:
 				thrown = throwName(ClassNegArraySizeEx, "array size %d", n)
 				continue
+			case n > maxArrayLen(c):
+				thrown = throwName(ClassError, "%s", arrayTooLarge(c, n))
+				continue
 			}
-			push(RefVal(m.Owner.NS.NewArrayOfClass(linked[pc].class, int(n))))
+			push(RefVal(m.Owner.NS.NewArrayOfClass(c, int(n))))
 
 		case OpALoad:
 			idx := pop().I
@@ -499,7 +518,7 @@ func (vm *VM) run(t *Thread, m *Method, base int) (Value, *Object) {
 			case arr.Words != nil:
 				push(Value{K: DescKind(arr.Class.elem), I: arr.Words[idx]})
 			default:
-				push(RefVal(arr.Refs[idx]))
+				push(arr.Fields[idx])
 			}
 		case OpAStore:
 			v := pop()
@@ -526,7 +545,7 @@ func (vm *VM) run(t *Thread, m *Method, base int) (Value, *Object) {
 						continue
 					}
 				}
-				arr.Refs[idx] = v.R
+				arr.Fields[idx] = RefVal(v.R)
 			}
 		case OpALen:
 			arr := pop().R
@@ -591,9 +610,31 @@ func (c *Class) elemClass() *Class {
 	return c.NS.Lookup(RefName(c.elem))
 }
 
+// MaxArrayBytes is the largest array payload newarr and NewArray build:
+// element size × length, a reference element counted at its 24-byte Value.
+// Past it, newarr throws jk/lang/Error rather than leave the Go runtime a
+// length it panics on, or an allocation that ends the process.
+const MaxArrayBytes = 1 << 28
+
+// maxArrayLen is the longest array of class c within MaxArrayBytes.
+func maxArrayLen(c *Class) int64 {
+	switch c.elem {
+	case "B":
+		return MaxArrayBytes
+	case "I", "D":
+		return MaxArrayBytes / 8
+	}
+	return MaxArrayBytes / 24
+}
+
+func arrayTooLarge(c *Class, n int64) string {
+	return fmt.Sprintf("array %s of %d elements exceeds %d bytes", c.Name, n, MaxArrayBytes)
+}
+
 // NewArrayOfClass allocates an array of class c, which must be an array
-// class, with length >= 0 elements, owned by ns and charged to its
-// account. It is NewArray for a caller that holds the class already.
+// class, with 0 <= length <= maxArrayLen(c) elements, owned by ns and
+// charged to its account. It is NewArray for a caller that holds the
+// class and has checked the length already.
 func (ns *Namespace) NewArrayOfClass(c *Class, length int) *Object {
 	var o *Object
 	var bytes int64
@@ -605,7 +646,11 @@ func (ns *Namespace) NewArrayOfClass(c *Class, length int) *Object {
 		o = &Object{Words: make([]int64, length)}
 		bytes = int64(length) * 8
 	default:
-		o = &Object{Refs: make([]*Object, length)}
+		refs := make([]Value, length)
+		for i := range refs {
+			refs[i].K = KRef
+		}
+		o = &Object{Fields: refs}
 		bytes = int64(length) * 8
 	}
 	o.Class, o.Owner = c, ns.OwnerID

@@ -637,5 +637,8 @@ func (ns *Namespace) NewArray(desc string, length int) (*Object, error) {
 	if err != nil {
 		return nil, err
 	}
+	if int64(length) > maxArrayLen(c) {
+		return nil, fmt.Errorf("vmkit: %s", arrayTooLarge(c, int64(length)))
+	}
 	return ns.NewArrayOfClass(c, length), nil
 }

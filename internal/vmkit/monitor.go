@@ -1,21 +1,30 @@
 package vmkit
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
-// monitor implements per-object recursive locks (monitorenter/monitorexit
-// and synchronized methods). Owners are VM threads. An object has no
-// monitor until its first monitorenter (see inflate), so the objects that
-// are never locked — nearly all of them — carry one pointer for it.
+// monitor is an object's side struct: its per-object recursive lock
+// (monitorenter/monitorexit and synchronized methods), whose owners are VM
+// threads, and its identity hash. An object has none until its first
+// monitorenter or its first hashCode (see inflate), so the objects that
+// are never locked or hashed — nearly all of them — carry one pointer for
+// both.
 type monitor struct {
 	mu    sync.Mutex
 	cv    sync.Cond
 	owner *Thread
 	depth int
+
+	// hash is the identity hash, 0 until the first hashCode assigns it
+	// (see identityHash).
+	hash atomic.Int64
 }
 
-// inflate returns o's monitor, installing a fresh one if o has none. Of
-// threads racing to install, one CAS wins and every thread uses its
-// monitor.
+// inflate returns o's side struct, installing a fresh one if o has none.
+// Of threads racing to install, one CAS wins and every thread uses its
+// struct.
 func (o *Object) inflate() *monitor {
 	if m := o.mon.Load(); m != nil {
 		return m

@@ -18,17 +18,17 @@ type CapabilityOps interface {
 
 var hashCounter atomic.Int64
 
-// identityHash lazily assigns a stable identity hash to o.
+// identityHash lazily assigns a stable identity hash to o, in the side
+// struct it shares with o's monitor.
 func identityHash(o *Object) int64 {
-	h := atomic.LoadInt64(&o.hash)
-	if h != 0 {
+	m := o.inflate()
+	if h := m.hash.Load(); h != 0 {
 		return h
 	}
-	n := hashCounter.Add(1)
-	if atomic.CompareAndSwapInt64(&o.hash, 0, n) {
+	if n := hashCounter.Add(1); m.hash.CompareAndSwap(0, n) {
 		return n
 	}
-	return atomic.LoadInt64(&o.hash)
+	return m.hash.Load()
 }
 
 func (vm *VM) npe(format string, args ...any) *Object {

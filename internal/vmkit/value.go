@@ -80,29 +80,27 @@ func (v Value) String() string {
 //
 //   - instances: Class points at a non-array class and Fields holds one slot
 //     per instance field (indexed by Field.Slot);
-//   - arrays: Class is an array class and one of Bytes ("[B"), Words ("[I"
-//     and "[D") or Refs ("[L...;" and "[[...") is non-nil. Words holds a
+//   - arrays: Class is an array class and its elements are in Bytes ("[B"),
+//     Words ("[I" and "[D") or Fields ("[L...;" and "[[...", one KRef Value
+//     an element, as an instance keeps a reference field). Words holds a
 //     "[D" element's IEEE 754 bits, as Value.I does; the class says which
 //     kind an element is.
 //
 // A small instance's Fields and a small byte array's Bytes live in the
-// object's own allocation (see alloc.go). The monitor (mon) implements
-// synchronized blocks and is created by the first monitorenter; see
-// monitor.go.
+// object's own allocation (see alloc.go). The monitor and the identity
+// hash live in a side struct (mon) that the first monitorenter or the
+// first hashCode installs, so an object never locked or hashed carries
+// one pointer for both; see monitor.go. The header is 96 bytes.
 type Object struct {
 	Class  *Class
 	Fields []Value
 
 	Bytes []byte
 	Words []int64
-	Refs  []*Object
 
 	// Owner is the id of the domain whose account was charged for this
 	// allocation. Zero means "system" (allocated outside any domain).
 	Owner int64
-
-	// hash is the lazily assigned identity hash (see identityHash).
-	hash int64
 
 	mon atomic.Pointer[monitor]
 }
@@ -114,11 +112,8 @@ func (o *Object) Len() int {
 		return len(o.Bytes)
 	case o.Words != nil:
 		return len(o.Words)
-	case o.Refs != nil:
-		return len(o.Refs)
-	}
-	if o.Class != nil && o.Class.IsArray() {
-		return 0
+	case o.Class != nil && o.Class.IsArray():
+		return len(o.Fields)
 	}
 	return -1
 }
