@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"jkernel/internal/raceflag"
@@ -163,24 +165,68 @@ func TestAllocsVM3IntLRMI(t *testing.T) {
 
 type allocNop struct{}
 
-func (allocNop) Nop() error { return nil }
+func (allocNop) Nop() error                    { return nil }
+func (allocNop) Mul(a, b int64) (int64, error) { return a * b, nil }
 
+// The null LRMI, func() error, calls its bound method value directly.
 func TestAllocsNativeNullLRMI(t *testing.T) {
 	f := newAllocFixture(t)
 	cap, err := f.k.CreateNativeCapability(f.server, allocNop{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := testing.AllocsPerRun(200, func() {
+	call := func() {
 		if _, err := cap.InvokeFrom(f.task, "Nop"); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
 	// The one left is reflect's: calling the target's method value
-	// (reflect.methodReceiver). The crossing itself allocates nothing.
-	if got > 1 {
+	// (reflect.methodReceiver), 8 B. The crossing itself allocates nothing.
+	if got := testing.AllocsPerRun(200, call); got > 1 {
 		t.Errorf("native null LRMI via InvokeFrom: %.2f allocs/call, want at most 1", got)
 	}
+	if got := bytesPerRun(200, call); got > 8 {
+		t.Errorf("native null LRMI via InvokeFrom: %d B/call, want at most 8", got)
+	}
+}
+
+// Every other native method goes through reflect with the receiver first:
+// its call, the int64 result's box, the result vector and the vector's
+// one slot.
+func TestAllocsNativeInt64LRMI(t *testing.T) {
+	f := newAllocFixture(t)
+	cap, err := f.k.CreateNativeCapability(f.server, allocNop{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(200, func() {
+		if _, err := cap.InvokeFrom(f.task, "Mul", int64(6), int64(7)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 4 {
+		t.Errorf("native func(int64, int64) (int64, error) via InvokeFrom: %.2f allocs/call, want at most 4", got)
+	}
+}
+
+// bytesPerRun reports the bytes one call of fn allocates, rounded down as
+// testing.AllocsPerRun rounds: the least of three measurements at one P,
+// since a background allocation can only add to one.
+func bytesPerRun(runs uint64, fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fn()
+	least := uint64(math.MaxUint64)
+	var m runtime.MemStats
+	for range 3 {
+		runtime.ReadMemStats(&m)
+		before := m.TotalAlloc
+		for range runs {
+			fn()
+		}
+		runtime.ReadMemStats(&m)
+		least = min(least, (m.TotalAlloc-before)/runs)
+	}
+	return least
 }
 
 // argMsgS and argMsgF are lrmi_copy's native argument: a 1 KiB struct,

@@ -617,7 +617,8 @@ func TestServeWireHandsOverWithoutCopying(t *testing.T) {
 			after.CrossCalls-before.CrossCalls, after.CopyBytes-before.CopyBytes)
 	}
 
-	// Reflect-dispatched methods (no thunk shape) take the same path.
+	// Every other method takes the same path: here a capability argument,
+	// which crosses by reference.
 	other, err := k.CreateNativeCapability(d1, &calcService{})
 	if err != nil {
 		t.Fatal(err)

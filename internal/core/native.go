@@ -23,99 +23,18 @@ type nativeTarget struct {
 }
 
 // nativeMethod is one remote method: the method's unbound function, its
-// receiver and its signature without the receiver, plus, for the
-// signatures that dominate the wire hot path, a typed thunk compiled at
-// capability-creation time. The reflect path calls fn with the receiver
-// first in the caller's argument buffer; a bound method value would make
-// every call allocate reflect's method-value receiver. The thunk
-// dispatches through a direct function call — no reflect.Call argument
-// frame, no boxed receiver — and bails out with errThunkFallback when an
-// argument's dynamic type misses the compiled shape, in which case the
-// invoke re-dispatches through reflect with identical semantics.
+// receiver and its signature without the receiver. Every call goes through
+// safeCall, which calls fn with the receiver first in the caller's argument
+// buffer — a bound method value would make every call allocate reflect's
+// method-value receiver — except the null LRMI: a method whose signature is
+// exactly func() error is called as its bound method value, null, with no
+// reflect.Call argument frame and no result vector.
 type nativeMethod struct {
-	name  string
-	fn    reflect.Value // reflect.Method.Func: the receiver is its first argument
-	recv  reflect.Value
-	typ   reflect.Type // the method's signature as its callers see it
-	thunk func(in []any) (out []any, err error)
-}
-
-// errThunkFallback reroutes a thunk whose argument types missed the
-// compiled shape to the reflect path. Never escapes invokeFrom.
-var errThunkFallback = errors.New("thunk fallback")
-
-// compileThunk builds the typed dispatch closure for common method
-// shapes (run-time stub generation, as CreateNativeCapability's reflect
-// stubs always were — this is the same idea pushed one level down, so the
-// per-call reflection cost is paid once, at compile time). Returns nil
-// for signatures without a compiled shape.
-func compileThunk(fn reflect.Value) func([]any) ([]any, error) {
-	switch f := fn.Interface().(type) {
-	case func() error:
-		return func([]any) ([]any, error) { return nil, f() }
-	case func() ([]byte, error):
-		return func([]any) ([]any, error) { r, err := f(); return []any{r}, err }
-	case func() (string, error):
-		return func([]any) ([]any, error) { r, err := f(); return []any{r}, err }
-	case func() (*Capability, error):
-		return func([]any) ([]any, error) { r, err := f(); return []any{r}, err }
-	case func(string) error:
-		return func(in []any) ([]any, error) {
-			s, ok := in[0].(string)
-			if !ok {
-				return nil, errThunkFallback
-			}
-			return nil, f(s)
-		}
-	case func(string) (string, error):
-		return func(in []any) ([]any, error) {
-			s, ok := in[0].(string)
-			if !ok {
-				return nil, errThunkFallback
-			}
-			r, err := f(s)
-			return []any{r}, err
-		}
-	case func([]byte) ([]byte, error):
-		return func(in []any) ([]any, error) {
-			b, ok := in[0].([]byte)
-			if !ok && in[0] != nil {
-				return nil, errThunkFallback
-			}
-			r, err := f(b)
-			return []any{r}, err
-		}
-	case func(int64) (int64, error):
-		return func(in []any) ([]any, error) {
-			a, ok := in[0].(int64)
-			if !ok {
-				return nil, errThunkFallback
-			}
-			r, err := f(a)
-			return []any{r}, err
-		}
-	case func(int64, int64) (int64, error):
-		return func(in []any) ([]any, error) {
-			a, ok := in[0].(int64)
-			b, ok2 := in[1].(int64)
-			if !ok || !ok2 {
-				return nil, errThunkFallback
-			}
-			r, err := f(a, b)
-			return []any{r}, err
-		}
-	case func(int64, int64) ([]byte, error):
-		return func(in []any) ([]any, error) {
-			a, ok := in[0].(int64)
-			b, ok2 := in[1].(int64)
-			if !ok || !ok2 {
-				return nil, errThunkFallback
-			}
-			r, err := f(a, b)
-			return []any{r}, err
-		}
-	}
-	return nil
+	name string
+	fn   reflect.Value // reflect.Method.Func: the receiver is its first argument
+	recv reflect.Value
+	typ  reflect.Type // the method's signature as its callers see it
+	null func() error // the bound method when typ is func() error, else nil
 }
 
 // CreateNativeCapability creates a capability, owned by d, for a Go target
@@ -144,7 +63,9 @@ func (k *Kernel) CreateNativeCapability(d *Domain, target any) (*Capability, err
 			continue
 		}
 		mv := rv.Method(i)
-		nt.methods[m.Name] = &nativeMethod{name: m.Name, fn: m.Func, recv: rv, typ: mv.Type(), thunk: compileThunk(mv)}
+		nm := &nativeMethod{name: m.Name, fn: m.Func, recv: rv, typ: mv.Type()}
+		nm.null, _ = mv.Interface().(func() error)
+		nt.methods[m.Name] = nm
 	}
 	if len(nt.methods) == 0 {
 		return nil, ErrNotRemote
@@ -235,11 +156,11 @@ func (c *Capability) invokeFrom(task *Task, name string, args []any) ([]any, err
 
 	// Copy arguments in (capabilities by reference).
 	var inBuf [5]reflect.Value
-	in, cargs, copied, err := k.nativeArgs(m, args, nil, inBuf[:0])
+	in, copied, err := k.nativeArgs(m, args, true, inBuf[:0])
 	if err != nil {
 		return nil, err
 	}
-	results, merr, callErr := g.crossNative(task, m, in, cargs)
+	results, merr, callErr := g.crossNative(task, m, in)
 
 	// The caller's segment may have been stopped or suspended while the
 	// callee ran; honor it at the boundary (the native safepoint).
@@ -302,41 +223,27 @@ func (c *Capability) nativeCallee(task *Task, name string) (caller *Domain, m *n
 	return caller, m, nil, nil
 }
 
-// nativeArgs makes args the callee's and shapes them for m's dispatch: the
-// plain values a thunk takes (cargs), or the receiver and then reflect
-// values conformed to the parameter types, appended to in — the caller's
-// stack buffer: the receiver and up to four arguments, nearly every
-// method, never reach the heap (reflect's Call reads the slice and keeps
-// nothing of it). With owned nil each argument is copied by the calling
-// convention and copied reports the bytes; otherwise owned is args itself,
-// already the callee's own (ServeWire), and a thunk takes it as it is. The
-// two are separate parameters so that nativeArgs only reads args: a local
-// caller's variadic vector stays on its stack. (A vector of no arguments
-// is the same either way.)
-func (k *Kernel) nativeArgs(m *nativeMethod, args, owned []any, in []reflect.Value) (_ []reflect.Value, cargs []any, copied int64, err error) {
+// nativeArgs makes args the callee's and conforms them to m's parameter
+// types: the receiver and then one reflect value an argument, appended to
+// in — the caller's stack buffer: the receiver and up to four arguments,
+// nearly every method, never reach the heap (reflect's Call reads the slice
+// and keeps nothing of it). With copyIn each argument is copied by the
+// calling convention and copied reports the bytes; otherwise args are
+// already the callee's own (ServeWire). Either way nativeArgs only reads
+// args, so a local caller's variadic vector stays on its stack.
+func (k *Kernel) nativeArgs(m *nativeMethod, args []any, copyIn bool, in []reflect.Value) (_ []reflect.Value, copied int64, err error) {
 	ft := m.typ
 	if ft.NumIn() != len(args) && !ft.IsVariadic() {
-		return nil, nil, 0, fmt.Errorf("jkernel: %s wants %d args, got %d", m.name, ft.NumIn(), len(args))
+		return nil, 0, fmt.Errorf("jkernel: %s wants %d args, got %d", m.name, ft.NumIn(), len(args))
 	}
-	copyIn := owned == nil
-	if m.thunk != nil {
-		if cargs = owned; copyIn && len(args) > 0 {
-			cargs = make([]any, len(args))
-		}
-	} else {
-		in = append(in, m.recv)
-	}
+	in = append(in, m.recv)
 	for i, a := range args {
 		if copyIn {
 			var n int64
 			if a, n, err = k.copyNative(a); err != nil {
-				return nil, nil, 0, &CopyError{What: fmt.Sprintf("argument %d of %s", i, m.name), Err: err}
+				return nil, 0, &CopyError{What: fmt.Sprintf("argument %d of %s", i, m.name), Err: err}
 			}
 			copied += n
-		}
-		if m.thunk != nil {
-			cargs[i] = a
-			continue
 		}
 		var want reflect.Type
 		if ft.IsVariadic() && i >= ft.NumIn()-1 {
@@ -346,52 +253,26 @@ func (k *Kernel) nativeArgs(m *nativeMethod, args, owned []any, in []reflect.Val
 		}
 		rv, err := conform(a, want)
 		if err != nil {
-			return nil, nil, 0, fmt.Errorf("jkernel: %s argument %d: %w", m.name, i, err)
+			return nil, 0, fmt.Errorf("jkernel: %s argument %d: %w", m.name, i, err)
 		}
 		in = append(in, rv)
 	}
-	return in, cargs, copied, nil
+	return in, copied, nil
 }
 
 // crossNative is the gate crossing every native LRMI makes, whoever the
 // caller: switch to the callee's segment, run m on arguments that are
-// already the callee's (nativeArgs) — through its thunk when it has one,
-// through reflect otherwise or when an argument misses the thunk's shape —
-// and switch back. The results are still the callee's; merr is the
-// method's own error, callErr a call that did not run to its end.
-func (g *Gate) crossNative(task *Task, m *nativeMethod, in []reflect.Value, cargs []any) (results []any, merr, callErr error) {
+// already the callee's (nativeArgs), and switch back. The results are still
+// the callee's; merr is the method's own error, callErr a call that did not
+// run to its end.
+func (g *Gate) crossNative(task *Task, m *nativeMethod, in []reflect.Value) (results []any, merr, callErr error) {
 	// Segment switch (lock pair #1 on push, #2 on pop).
 	seg := task.enter(g.owner)
-
-	var out []reflect.Value
-	viaReflect := m.thunk == nil
-	if !viaReflect {
-		results, merr, callErr = safeThunk(m.thunk, cargs)
-		if callErr == errThunkFallback {
-			// An argument's dynamic type missed the compiled shape (a
-			// numeric width the copy normalized, say): conform the values
-			// and dispatch through reflect, exactly as a thunk-less method
-			// would. Thunk shapes are never variadic.
-			viaReflect, callErr = true, nil
-			in = append(in, m.recv)
-			for i, ca := range cargs {
-				rv, err := conform(ca, m.typ.In(i))
-				if err != nil {
-					callErr = fmt.Errorf("jkernel: %s argument %d: %w", m.name, i, err)
-					break
-				}
-				in = append(in, rv)
-			}
-		}
-	}
-	if viaReflect && callErr == nil {
-		out, callErr = safeCall(m.fn, in)
-	}
-
+	out, merr, callErr := safeCall(m, in)
 	task.leave(seg)
 
-	if !viaReflect || callErr != nil {
-		return results, merr, callErr
+	if len(out) == 0 {
+		return nil, merr, callErr
 	}
 	// The last result is the error.
 	last := len(out) - 1
@@ -405,34 +286,22 @@ func (g *Gate) crossNative(task *Task, m *nativeMethod, in []reflect.Value, carg
 	return results, merr, nil
 }
 
-// safeThunk invokes a compiled method thunk, converting a callee panic
-// into a RemoteError exactly as safeCall does. The thunk's
-// errThunkFallback sentinel comes back as callErr so the caller can
-// re-dispatch; any other error is the method's own, returned as merr.
-func safeThunk(thunk func([]any) ([]any, error), in []any) (out []any, merr, callErr error) {
+// safeCall runs m — the null method as its bound method value, any other
+// as fn with the receiver first in in — converting a callee panic into a
+// RemoteError: a crash in one component must not crash the others (failure
+// isolation). out is reflect's result vector, empty for the null method,
+// whose error comes back as merr.
+func safeCall(m *nativeMethod, in []reflect.Value) (out []reflect.Value, merr, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			out, merr = nil, nil
-			callErr = &RemoteError{Class: "panic", Msg: fmt.Sprint(r)}
-		}
-	}()
-	out, merr = thunk(in)
-	if merr == errThunkFallback {
-		return nil, nil, errThunkFallback
-	}
-	return out, merr, nil
-}
-
-// safeCall invokes fn, converting a callee panic into a RemoteError: a
-// crash in one component must not crash the others (failure isolation).
-func safeCall(fn reflect.Value, in []reflect.Value) (out []reflect.Value, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			out = nil
 			err = &RemoteError{Class: "panic", Msg: fmt.Sprint(r)}
 		}
 	}()
-	return fn.Call(in), nil
+	if m.null != nil {
+		return nil, m.null(), nil
+	}
+	return m.fn.Call(in), nil, nil
 }
 
 // copyErrorOut transfers a callee error to the caller. Kernel sentinel

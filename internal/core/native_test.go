@@ -1,17 +1,20 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"jkernel/internal/raceflag"
 )
 
-// Targets whose methods have no thunk shape, so every call below goes
-// through reflect: the method's function with the receiver first.
+// Targets of every signature shape a native method can have. All but the
+// null method, func() error, are called through reflect: the method's
+// function with the receiver first.
 
 type point struct{ X, Y int64 }
 
@@ -52,9 +55,38 @@ func (s *shapeSvc) Crash(msg string, code int64) (int64, error) {
 	panic(fmt.Sprintf("crash %s %d", msg, code))
 }
 
-// Mul has a thunk shape; arguments of another width miss it and fall back
-// to reflect.
+// Mul takes int64s; arguments of another width are converted to them.
 func (s *shapeSvc) Mul(a, b int64) (int64, error) { return a * b, nil }
+
+// formerSvc has one method of each signature that once had a compiled
+// dispatch shape of its own, and null methods that fail and panic.
+type formerSvc struct{ self *Capability }
+
+func (f *formerSvc) Null() error                    { return nil }
+func (f *formerSvc) Refuse() error                  { return errors.New("refused") }
+func (f *formerSvc) Boom() error                    { panic("boom") }
+func (f *formerSvc) Bytes() ([]byte, error)         { return []byte("abc"), nil }
+func (f *formerSvc) Str() (string, error)           { return "str", nil }
+func (f *formerSvc) Self() (*Capability, error)     { return f.self, nil }
+func (f *formerSvc) Neg(a int64) (int64, error)     { return -a, nil }
+func (f *formerSvc) Upper(s string) (string, error) { return strings.ToUpper(s), nil }
+
+func (f *formerSvc) Put(s string) error {
+	if s == "" {
+		return errors.New("empty")
+	}
+	return nil
+}
+
+// Rev reverses b in place; a nil b stays nil.
+func (f *formerSvc) Rev(b []byte) ([]byte, error) {
+	slices.Reverse(b)
+	return b, nil
+}
+
+func (f *formerSvc) Pad(n, fill int64) ([]byte, error) {
+	return bytes.Repeat([]byte{byte(fill)}, int(n)), nil
+}
 
 // Get has a value receiver: a *valSvc target reaches it through the
 // method the compiler generates for the pointer, a valSvc target directly.
@@ -62,11 +94,13 @@ type valSvc struct{ n int64 }
 
 func (v valSvc) Get(k int64) (int64, error) { return v.n + k, nil }
 
-// Native methods outside the thunk shapes — struct and pointer arguments,
-// variadic, promoted and value-receiver methods — and a thunk's reflect
-// fallback return what the method returns, and fail as they always have:
-// a method's error and a callee's panic as a RemoteError, a bad argument
-// as the call's own error. InvokeFrom and ServeWire agree.
+// Native methods of every shape — the null method, the signatures that
+// once had compiled shapes, struct and pointer arguments, variadic,
+// promoted and value-receiver methods, arguments of another numeric width
+// — return what the method returns, and fail as they always have: a
+// method's error and a callee's panic as a RemoteError, a bad argument as
+// the call's own error. InvokeFrom and ServeWire agree, and a callee's
+// panic leaves the kernel serving.
 func TestNativeReflectDispatch(t *testing.T) {
 	k := MustNew(Options{})
 	server, err := k.NewDomain(DomainConfig{Name: "server"})
@@ -88,13 +122,37 @@ func TestNativeReflectDispatch(t *testing.T) {
 	}
 	shapes := mk(&shapeSvc{tagged: &tagged{tag: "t"}, scale: 2})
 	byPtr, byVal := mk(&valSvc{n: 40}), mk(valSvc{n: 50})
+	fsvc := &formerSvc{}
+	former := mk(fsvc)
+	fsvc.self = former
+	// same compares result vectors; a method with no results but its
+	// error may answer nil or an empty vector.
+	same := func(got []any, want any) bool {
+		if want == nil {
+			return len(got) == 0
+		}
+		return len(got) == 1 && reflect.DeepEqual(got[0], want)
+	}
 
 	for _, c := range []struct {
 		cap  *Capability
 		name string
 		args []any
-		want any
+		want any // the one result; nil for none
 	}{
+		{former, "Null", nil, nil},
+		{former, "Bytes", nil, []byte("abc")},
+		{former, "Str", nil, "str"},
+		{former, "Self", nil, former},
+		{former, "Put", []any{"x"}, nil},
+		{former, "Upper", []any{"x"}, "X"},
+		{former, "Rev", []any{[]byte{1, 2, 3}}, []byte{3, 2, 1}},
+		{former, "Rev", []any{[]byte(nil)}, []byte(nil)},
+		{former, "Rev", []any{nil}, []byte(nil)},
+		{former, "Neg", []any{int64(5)}, int64(-5)},
+		{former, "Neg", []any{int16(5)}, int64(-5)},
+		{former, "Pad", []any{int64(2), int64(7)}, []byte{7, 7}},
+		{former, "Pad", []any{uint8(2), int32(7)}, []byte{7, 7}},
 		{shapes, "Dot", []any{point{1, 2}, point{3, 4}}, int64(22)},
 		{shapes, "Move", []any{&point{1, 2}, int64(5)}, &point{6, 2}},
 		{shapes, "Sum", []any{int64(1)}, int64(1)},
@@ -109,28 +167,34 @@ func TestNativeReflectDispatch(t *testing.T) {
 		{byVal, "Get", []any{int64(2)}, int64(52)},
 	} {
 		res, err := c.cap.InvokeFrom(task, c.name, c.args...)
-		if err != nil || len(res) != 1 || !reflect.DeepEqual(res[0], c.want) {
+		if err != nil || !same(res, c.want) {
 			t.Errorf("%s%v = %v, %v; want %v", c.name, c.args, res, err, c.want)
 		}
 		sink := &wireSink{}
-		if err := c.cap.ServeWire(task, c.name, c.args, 0, sink); err != nil || len(sink.got) != 1 || !reflect.DeepEqual(sink.got[0], c.want) {
+		if err := c.cap.ServeWire(task, c.name, c.args, 0, sink); err != nil || !same(sink.got, c.want) {
 			t.Errorf("%s%v through ServeWire = %v, %v; want %v", c.name, c.args, sink.got, err, c.want)
 		}
 	}
 
 	for _, c := range []struct {
+		cap  *Capability
 		name string
 		args []any
 		want string // the error's text
 	}{
-		{"Fail", []any{"x", int64(3)}, "jkernel: remote error (*errors.errorString): fail x 3"},
-		{"Crash", []any{"x", int64(3)}, "jkernel: remote error (panic): crash x 3"},
-		{"Sum", nil, "jkernel: remote error (panic): reflect: Call with too few input arguments"},
-		{"Dot", []any{point{}, "no"}, "jkernel: Dot argument 1: string is not assignable to core.point"},
-		{"Three", []any{int64(1), int64(2)}, "jkernel: Three wants 3 args, got 2"},
-		{"Mul", []any{int64(6), "seven"}, "jkernel: Mul argument 1: string is not assignable to int64"},
+		{former, "Refuse", nil, "jkernel: remote error (*errors.errorString): refused"},
+		{former, "Boom", nil, "jkernel: remote error (panic): boom"},
+		{former, "Null", []any{int64(1)}, "jkernel: Null wants 0 args, got 1"},
+		{former, "Put", []any{""}, "jkernel: remote error (*errors.errorString): empty"},
+		{former, "Rev", []any{true}, "jkernel: Rev argument 0: bool is not assignable to []uint8"},
+		{shapes, "Fail", []any{"x", int64(3)}, "jkernel: remote error (*errors.errorString): fail x 3"},
+		{shapes, "Crash", []any{"x", int64(3)}, "jkernel: remote error (panic): crash x 3"},
+		{shapes, "Sum", nil, "jkernel: remote error (panic): reflect: Call with too few input arguments"},
+		{shapes, "Dot", []any{point{}, "no"}, "jkernel: Dot argument 1: string is not assignable to core.point"},
+		{shapes, "Three", []any{int64(1), int64(2)}, "jkernel: Three wants 3 args, got 2"},
+		{shapes, "Mul", []any{int64(6), "seven"}, "jkernel: Mul argument 1: string is not assignable to int64"},
 	} {
-		_, err := shapes.InvokeFrom(task, c.name, c.args...)
+		_, err := c.cap.InvokeFrom(task, c.name, c.args...)
 		if err == nil || err.Error() != c.want {
 			t.Errorf("%s%v: error %v, want %q", c.name, c.args, err, c.want)
 		}
@@ -138,9 +202,12 @@ func TestNativeReflectDispatch(t *testing.T) {
 		if remote := strings.HasPrefix(c.want, "jkernel: remote error"); errors.As(err, &re) != remote {
 			t.Errorf("%s%v: %T, RemoteError %v", c.name, c.args, err, remote)
 		}
-		if werr := shapes.ServeWire(task, c.name, c.args, 0, &wireSink{}); werr == nil || werr.Error() != c.want {
+		if werr := c.cap.ServeWire(task, c.name, c.args, 0, &wireSink{}); werr == nil || werr.Error() != c.want {
 			t.Errorf("%s%v through ServeWire: error %v, want %q", c.name, c.args, werr, c.want)
 		}
+	}
+	if _, err := former.InvokeFrom(task, "Null"); err != nil {
+		t.Errorf("the kernel did not survive a panicking null method: %v", err)
 	}
 
 	// The receiver and four arguments fit the caller's stack buffer.

@@ -197,11 +197,11 @@ func (c *Capability) ServeWire(task *Task, name string, args []any, argBytes int
 	}
 	start := k.tm.callStart(task)
 	var inBuf [5]reflect.Value
-	in, cargs, _, err := k.nativeArgs(m, args, args, inBuf[:0])
+	in, _, err := k.nativeArgs(m, args, false, inBuf[:0])
 	if err != nil {
 		return err
 	}
-	results, merr, callErr := g.crossNative(task, m, in, cargs)
+	results, merr, callErr := g.crossNative(task, m, in)
 	if perr := task.Chain.Poll(); perr != nil {
 		return perr
 	}

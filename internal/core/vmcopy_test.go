@@ -403,31 +403,15 @@ func (f *copyFixture) chain(t *testing.T, class string, count, size int) *vmkit.
 	return head
 }
 
-// bytesPerCall reports the bytes one LRMI of method with arg allocates,
-// rounded down as testing.AllocsPerRun rounds: the least of three
-// measurements, since a background allocation can only add to one.
+// bytesPerCall reports the bytes one LRMI of method with arg allocates
+// (bytesPerRun).
 func (f *copyFixture) bytesPerCall(t *testing.T, method string, arg *vmkit.Object) float64 {
 	t.Helper()
-	const runs = 200
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	call := func() {
+	return float64(bytesPerRun(200, func() {
 		if _, err := f.cap.InvokeVM(f.task, method, arg); err != nil {
 			t.Fatal(err)
 		}
-	}
-	call()
-	least := uint64(math.MaxUint64)
-	var m runtime.MemStats
-	for range 3 {
-		runtime.ReadMemStats(&m)
-		before := m.TotalAlloc
-		for range runs {
-			call()
-		}
-		runtime.ReadMemStats(&m)
-		least = min(least, (m.TotalAlloc-before)/runs)
-	}
-	return float64(least)
+	}))
 }
 
 // nodeBytes is what one Table 4 node and its payload of the given size

@@ -8,15 +8,19 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"time"
 
 	"jkernel/internal/core"
 	"jkernel/internal/raceflag"
 )
 
-// sinkConn is an in-memory net.Conn that accepts every write.
+// sinkConn is an in-memory net.Conn that accepts every write, and any
+// write deadline.
 type sinkConn struct{ net.Conn }
 
 func (sinkConn) Write(p []byte) (int, error) { return len(p), nil }
+
+func (sinkConn) SetWriteDeadline(time.Time) error { return nil }
 
 // TestAllocsSendBatchedPush pins one framed vectored write — a push vector
 // of every entry kind — at zero allocations: the header builder, the
@@ -25,7 +29,7 @@ func TestAllocsSendBatchedPush(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	c := &Conn{nc: sinkConn{}}
+	c := &Conn{nc: sinkConn{}, ks: &kernelState{now: time.Now}}
 	pushes := []pushEntry{
 		{kind: pushRelease, exportID: 9, count: 2, gen: 4},
 		{kind: pushRevoke, exportID: 5, reason: revokeReasonTerminated},

@@ -287,7 +287,7 @@ func (rec *callRecord) finish(res wireResult) ([]any, int64, uint64, error) {
 }
 
 // sendBatch writes queued calls as one msgInvoke vector. A failed write
-// fails every call in it with the connection fault.
+// faults the connection (sendBatched), which fails every pending call.
 func (c *Conn) sendBatch(calls []batchedCall) {
 	if m := c.metrics; m != nil {
 		m.batchOccupancy.Observe(int64(len(calls)))
@@ -296,7 +296,7 @@ func (c *Conn) sendBatch(calls []batchedCall) {
 	// stay in the buffer prepare encoded them into, and the vectored writer
 	// stitches header and payload segments into one syscall — nothing is
 	// memmoved into a contiguous frame.
-	err := c.sendBatched(msgInvoke, len(calls), func(w *wbuf, i int) []byte {
+	c.sendBatched(msgInvoke, len(calls), func(w *wbuf, i int) []byte {
 		call := &calls[i]
 		appendCallHeader(w, call.reqID, call.exportID, call.method, call.traceID, call.parentSpan, len(call.args))
 		return call.args
@@ -305,12 +305,6 @@ func (c *Conn) sendBatch(calls []batchedCall) {
 		if calls[i].argsBuf != nil {
 			calls[i].argsBuf.release()
 			calls[i].argsBuf = nil
-		}
-	}
-	if err != nil {
-		fault := fmt.Errorf("%w: remote send: %v", core.ErrRevoked, err)
-		for _, call := range calls {
-			c.complete(call.reqID, wireResult{err: fault})
 		}
 	}
 }

@@ -117,7 +117,15 @@ func newScriptedPeer(t *testing.T) *scriptedPeer {
 // through wrap.
 func newScriptedPeerOn(t *testing.T, wrap func(net.Conn) net.Conn) *scriptedPeer {
 	t.Helper()
+	return newScriptedPeerAt(t, time.Now, wrap)
+}
+
+// newScriptedPeerAt is newScriptedPeerOn with the real end's kernel on the
+// wire-state clock now from its first frame on.
+func newScriptedPeerAt(t *testing.T, now func() time.Time, wrap func(net.Conn) net.Conn) *scriptedPeer {
+	t.Helper()
 	k := core.MustNew(core.Options{})
+	stateOf(k).now = now
 	d, err := k.NewDomain(core.DomainConfig{Name: "app"})
 	if err != nil {
 		t.Fatal(err)
@@ -259,33 +267,58 @@ func (fc *failingConn) Write(p []byte) (int, error) {
 	return fc.Conn.Write(p)
 }
 
-// A reply vector that cannot be written faults the connection with the
-// write's error, so the peer's calls fail through its own teardown instead
-// of waiting on a live connection for replies that will never come.
+// A frame that cannot be written faults the connection with the write's
+// error, whichever writer hit it: a reply vector, so the peer's calls fail
+// through its own teardown instead of waiting on a live connection for
+// replies that will never come, and an invoke vector, whose stream may
+// hold half a frame, so the caller's call and the connection end together.
 func TestReplyWriteFailureFaultsConnection(t *testing.T) {
-	var fc *failingConn
-	sp := newScriptedPeerOn(t, func(nc net.Conn) net.Conn {
-		fc = &failingConn{Conn: nc}
-		return fc
-	})
-	fc.fail.Store(true)
-	hello, err := seri.AppendVector(nil, nil, []any{"", ""}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := &wbuf{}
-	w.u8(msgInvoke)
-	w.uvarint(2)
-	appendCall(w, 1, bootstrapID, "Hello", 0, 0, hello)
-	appendCall(w, 2, bootstrapID, "Hello", 0, 0, hello)
-	sp.write(w)
-	select {
-	case <-sp.conn.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("the connection is still up after its reply write failed: the peer's calls wait forever")
-	}
-	if err := sp.conn.Err(); !errors.Is(err, errWriteFailed) {
-		t.Fatalf("connection shut down with %v, want the write error", err)
+	for _, c := range []struct {
+		name string
+		// write makes the real end write a frame and returns what to check
+		// once the connection is down.
+		write func(t *testing.T, sp *scriptedPeer) (after func())
+	}{
+		{"reply", func(t *testing.T, sp *scriptedPeer) func() {
+			hello, err := seri.AppendVector(nil, nil, []any{"", ""}, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := &wbuf{}
+			w.u8(msgInvoke)
+			w.uvarint(2)
+			appendCall(w, 1, bootstrapID, "Hello", 0, 0, hello)
+			appendCall(w, 2, bootstrapID, "Hello", 0, 0, hello)
+			sp.write(w)
+			return func() {}
+		}},
+		{"invoke", func(t *testing.T, sp *scriptedPeer) func() {
+			fut := sp.proxy(7).InvokeAsyncFrom(sp.task, "Null")
+			return func() {
+				if _, err := fut.Wait(); !errors.Is(err, core.ErrRevoked) {
+					t.Errorf("a call whose invoke write failed: %v, want a revocation", err)
+				}
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var fc *failingConn
+			sp := newScriptedPeerOn(t, func(nc net.Conn) net.Conn {
+				fc = &failingConn{Conn: nc}
+				return fc
+			})
+			fc.fail.Store(true)
+			after := c.write(t, sp)
+			select {
+			case <-sp.conn.Done():
+			case <-time.After(5 * time.Second):
+				t.Fatalf("the connection is still up after its %s write failed", c.name)
+			}
+			if err := sp.conn.Err(); !errors.Is(err, errWriteFailed) {
+				t.Fatalf("connection shut down with %v, want the write error", err)
+			}
+			after()
+		})
 	}
 }
 

@@ -37,6 +37,7 @@ type Conn struct {
 	whead wbuf        // sendBatched: the item headers' builder (guarded by wmu)
 	wcuts []int       // sendBatched: where each item's header ends (guarded by wmu)
 	wsegs [][]byte    // sendBatched: the frame's segments (guarded by wmu)
+	wdead time.Time   // the socket's write deadline, on the ks clock (guarded by wmu)
 
 	mu            sync.Mutex
 	nextReq       uint64
@@ -245,6 +246,13 @@ func (c *Conn) Close() error {
 	return nil
 }
 
+// writeWindow bounds how long one frame write may wait on a peer that
+// stopped reading: past it the write fails, and the connection with it,
+// instead of holding wmu — and every caller and the flusher behind it —
+// for ever. The socket's deadline is moved only once less than half the
+// window is left, so a frame pays one clock read, not a deadline syscall.
+const writeWindow = 30 * time.Second
+
 // writeLocked frames and writes one message whose payload is the
 // concatenation of segs, as a single vectored write: the 4-byte length
 // header and every segment go down in one writev-style syscall
@@ -270,6 +278,12 @@ func (c *Conn) writeLocked(segs [][]byte) error {
 			c.wvec = append(c.wvec, s)
 		}
 	}
+	if now := c.ks.now(); c.wdead.Sub(now) < writeWindow/2 {
+		c.wdead = now.Add(writeWindow)
+		if err := c.nc.SetWriteDeadline(c.wdead); err != nil {
+			return err
+		}
+	}
 	// WriteTo consumes its receiver, so hand it a copy of the scratch's
 	// slice header — in a Conn field, not a local: the receiver's address
 	// escapes through the writer interface, and a local would cost one
@@ -285,7 +299,10 @@ func (c *Conn) writeLocked(segs [][]byte) error {
 
 // sendBatched frames and writes one vector message of n items (a msgInvoke,
 // a msgReply chunk or a msgPush) as a single vectored write; it is the
-// connection's only writer.
+// connection's only writer. A write that fails — the peer gone, or past
+// writeWindow — may have left part of a frame on the stream, so it shuts
+// the connection down with the write's error as the cause: pending calls
+// fail and proxies fault there, whichever writer hit it.
 // item(w, i) appends item i's header to w and returns the payload that
 // follows it on the wire (nil for none): headers build in one pooled
 // buffer, payloads stay where they were encoded. Two passes, because
@@ -319,6 +336,9 @@ func (c *Conn) sendBatched(t byte, n int, item func(w *wbuf, i int) []byte) erro
 	c.wcuts, c.wsegs = cuts, segs
 	c.wmu.Unlock()
 	hb.release()
+	if err != nil {
+		c.shutdown(fmt.Errorf("remote: %s write failed: %w", msgName(t), err))
+	}
 	return err
 }
 

@@ -418,10 +418,10 @@ func (b *batchRun) run() {
 // writes them as msgReply vectors with per-call status — one faulting call
 // never poisons its run — cut by size so large result sets cannot overflow
 // one frame. A reply that cannot be written means the socket is broken:
-// the connection shuts down with the cause, so the peer's calls fail with
-// its teardown instead of waiting on a live connection for replies that
-// will never come. The result buffers are released once written (or
-// abandoned on a dead connection).
+// sendBatched shuts the connection down with the cause, so the peer's
+// calls fail with its teardown instead of waiting on a live connection for
+// replies that will never come. The result buffers are released once
+// written (or abandoned on a dead connection).
 func (b *batchRun) writeFinished() {
 	c, slots := b.c, b.slots
 	var taken [maxBatchCalls]int32
@@ -451,8 +451,7 @@ func (b *batchRun) writeFinished() {
 			return appendReplyHeader(w, &slots[chunk[i]].reply)
 		})
 		if err != nil {
-			c.shutdown(fmt.Errorf("remote: reply write failed: %w", err))
-			break
+			break // the connection is down
 		}
 		start = end
 	}

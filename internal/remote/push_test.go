@@ -1,9 +1,12 @@
 package remote
 
 import (
+	"errors"
 	"net"
+	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -116,6 +119,80 @@ func TestPushStalledSocketCannotStallRevoker(t *testing.T) {
 	if n := sp.conn.batch.pushBacklog(); n != 0 {
 		t.Errorf("%d pushes still queued", n)
 	}
+}
+
+// A peer that connects and then stops reading holds no writer for ever: a
+// frame write still waiting when the socket's write deadline passes fails,
+// and the connection shuts down once, with the timeout as its cause. The
+// caller in the write, an async call queued behind it for the flusher and
+// a revoker's next call all end with a revocation within the deadline and
+// a margin, and the tables are back. The clock runs writeWindow less out
+// behind, so the deadline the first frame sets lands out from now.
+func TestWriteDeadlineEndsStalledPeer(t *testing.T) {
+	const out, margin = 200 * time.Millisecond, 2 * time.Second
+	clock := &testClock{}
+	clock.advance(out - writeWindow)
+	start := time.Now()
+	sp := newScriptedPeerAt(t, clock.now, func(nc net.Conn) net.Conn { return nc })
+	base := sp.conn.TableSizes()
+	base.Pending-- // the Hello the real end sent on connecting, never answered
+	proxy := sp.proxy(7)
+	live, err := sp.k.CreateNativeCapability(sp.dom, echoSvc{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp.conn.mu.Lock()
+	sp.conn.exportLocked(live, nil)
+	sp.conn.mu.Unlock()
+
+	// From here on the script reads nothing. The sync call's argument is
+	// far past what the socket buffers, so its write waits on the peer.
+	// Each caller has a task of its own.
+	ends := make(chan error, 3)
+	caller := func(name string, call func(task *core.Task) error) {
+		task := sp.k.NewDetachedTask(sp.dom, name)
+		go func() {
+			defer task.Close()
+			ends <- call(task)
+		}()
+	}
+	caller("sync", func(task *core.Task) error {
+		_, err := proxy.InvokeFrom(task, "Null", make([]byte, 4<<20))
+		return err
+	})
+	caller("async", func(task *core.Task) error {
+		_, err := proxy.InvokeAsyncFrom(task, "Null").Wait()
+		return err
+	})
+	caller("revoker", func(task *core.Task) error {
+		live.Revoke()
+		_, err := proxy.InvokeFrom(task, "Null")
+		return err
+	})
+	for range 3 {
+		select {
+		case err := <-ends:
+			if !errors.Is(err, core.ErrRevoked) {
+				t.Errorf("a caller behind the stalled write ended with %v, want a revocation", err)
+			}
+		case <-time.After(time.Until(start.Add(out + margin))):
+			t.Fatalf("a caller still blocked %v after the write deadline", margin)
+		}
+	}
+	<-sp.conn.Done()
+	if err := sp.conn.Err(); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("connection shut down with %v, want the write timeout", err)
+	}
+	closed := 0
+	for _, e := range sp.k.Telemetry().Events() {
+		if strings.HasPrefix(e.Msg, "conn ") && strings.Contains(e.Msg, " closed: ") {
+			closed++
+		}
+	}
+	if closed != 1 {
+		t.Errorf("the connection shut down %d times, want once", closed)
+	}
+	waitTables(t, "real end", sp.conn, base)
 }
 
 // A peer repeating a handoff offer for one relay import starts one redeem,

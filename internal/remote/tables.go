@@ -449,10 +449,10 @@ func (c *Conn) unmarshalVector(data []byte, ext *connExternal) ([]any, error) {
 // is dead — and one whose entry is already gone (released, rolled back)
 // names no handle the peer holds, so it is not sent; a release intent is
 // resolved against the import table (releaseImportLocked); a closed
-// connection sends nothing. A failed write faults the connection: a
-// half-dead writer that swallowed pushes silently would leak the peer's
-// export entries and leave its proxies working until teardown, and every
-// later frame was going to fail the same way.
+// connection sends nothing. A failed write faults the connection
+// (sendBatched): a half-dead writer that swallowed pushes silently would
+// leak the peer's export entries and leave its proxies working until
+// teardown, and every later frame was going to fail the same way.
 func (c *Conn) sendPushes(q []pushEntry) {
 	var upstreams []*relayRef
 	out := q[:0]
@@ -492,13 +492,10 @@ func (c *Conn) sendPushes(q []pushEntry) {
 	if len(out) == 0 {
 		return
 	}
-	err := c.sendBatched(msgPush, len(out), func(w *wbuf, i int) []byte {
+	c.sendBatched(msgPush, len(out), func(w *wbuf, i int) []byte {
 		appendPush(w, &out[i])
 		return nil
 	})
-	if err != nil {
-		c.shutdown(fmt.Errorf("remote: send pushes: %w", err))
-	}
 }
 
 // parkedRevoke is a pushed revocation waiting for its import: the frame
