@@ -58,10 +58,22 @@ func (s Stats) Total() int64 { return s.AllocBytes + s.CopyBytes + s.ClassBytes 
 
 // Account is one domain's charges: a set of counters each charge adds to
 // atomically, so charging takes no lock and carriers charging different
-// domains share nothing. The zero Account is ready to use.
+// domains share nothing. What carriers publish (Pending) — steps, calls
+// and copied bytes — is striped, so carriers publishing into one domain at
+// once write different cache lines. The zero Account is ready to use.
 type Account struct {
-	alloc, steps, copied, class, calls, revoked atomic.Int64
-	frozen                                      atomic.Bool
+	published             [stripes]stripe
+	alloc, class, revoked atomic.Int64
+	frozen                atomic.Bool
+}
+
+// stripes is the number of stripes of an account, a power of two.
+const stripes = 8
+
+// stripe is one cache line of an account's published charges.
+type stripe struct {
+	steps, calls, copied atomic.Int64
+	_                    [40]byte
 }
 
 // charge adds n to c unless the account is frozen.
@@ -75,7 +87,7 @@ func (a *Account) charge(c *atomic.Int64, n int64) {
 func (a *Account) Alloc(bytes int64) { a.charge(&a.alloc, bytes) }
 
 // Steps charges interpreter work.
-func (a *Account) Steps(n int64) { a.charge(&a.steps, n) }
+func (a *Account) Steps(n int64) { a.charge(&a.published[0].steps, n) }
 
 // Class charges class metadata.
 func (a *Account) Class(bytes int64) { a.charge(&a.class, bytes) }
@@ -92,14 +104,18 @@ func (a *Account) Freeze() { a.frozen.Store(true) }
 // Snapshot reads the counters one by one: every finished charge is in it,
 // but it is not a consistent cut across fields while charges are in flight.
 func (a *Account) Snapshot() Stats {
-	return Stats{
+	s := Stats{
 		AllocBytes: a.alloc.Load(),
-		Steps:      a.steps.Load(),
-		CopyBytes:  a.copied.Load(),
 		ClassBytes: a.class.Load(),
-		CrossCalls: a.calls.Load(),
 		Revoked:    a.revoked.Load(),
 	}
+	for i := range a.published {
+		p := &a.published[i]
+		s.Steps += p.steps.Load()
+		s.CrossCalls += p.calls.Load()
+		s.CopyBytes += p.copied.Load()
+	}
+	return s
 }
 
 // Meter holds the accounts by domain id and the copy policy. The zero
@@ -170,17 +186,22 @@ func (m *Meter) CrossCall(caller, callee, bytes int64) {
 // bytes according to the policy. A frozen side takes nothing: its share of
 // the bytes is dropped, and a frozen caller counts no call.
 func (m *Meter) Cross(caller, callee *Account, bytes int64) {
-	caller.charge(&caller.calls, 1)
-	switch m.Policy() {
-	case ChargeCaller:
-		caller.charge(&caller.copied, bytes)
+	toCaller, toCallee := m.Policy().split(bytes)
+	caller.charge(&caller.published[0].calls, 1)
+	caller.charge(&caller.published[0].copied, toCaller)
+	callee.charge(&callee.published[0].copied, toCallee)
+}
+
+// split divides a crossing's copied bytes between its caller and callee.
+func (p CopyPolicy) split(bytes int64) (caller, callee int64) {
+	switch p {
 	case ChargeCallee:
-		callee.charge(&callee.copied, bytes)
+		return 0, bytes
 	case ChargeSplit:
 		half := bytes / 2
-		caller.charge(&caller.copied, bytes-half)
-		callee.charge(&callee.copied, half)
+		return bytes - half, half
 	}
+	return bytes, 0
 }
 
 // Snapshot returns a copy of domain's stats (see Account.Snapshot); zero

@@ -36,10 +36,21 @@ const allocSvcImpl = `
 .end
 `
 
-// AllocBench.null(n) and .add(n) make n LRMIs through the generated stub.
+// AllocBench.null(n) and .add(n) make n LRMIs through the generated stub;
+// sum4 crosses nothing.
 const allocClient = `
 .class AllocBench
 .field static svc LSvc;
+.method static sum4 (IIII)I stack 2 locals 0
+  load 0
+  load 1
+  iadd
+  load 2
+  iadd
+  load 3
+  iadd
+  retv
+.end
 .method static setup ()V stack 2 locals 0
   sconst "svc"
   invokestatic jk/kernel/Repository.lookup:(Ljk/lang/String;)Ljk/kernel/Capability;
@@ -160,6 +171,29 @@ func TestAllocsVM3IntLRMI(t *testing.T) {
 	f := newAllocFixture(t)
 	if got := f.perCall(t, "add", "(I)I"); got > 0 {
 		t.Errorf("VM 3-int LRMI through a generated stub: %.2f allocs/call, want 0", got)
+	}
+}
+
+// Task.CallStatic resolves its reference in place: the descriptor is
+// checked, not split into a parameter list (3 allocations for (IIII)I and
+// 1 for (I)V while it was).
+func TestAllocsTaskCallStatic(t *testing.T) {
+	f := newAllocFixture(t)
+	for _, c := range []struct {
+		ref  string
+		args []vmkit.Value
+	}{
+		{"AllocBench.null:(I)V", []vmkit.Value{vmkit.IntVal(1)}},
+		{"AllocBench.sum4:(IIII)I", []vmkit.Value{vmkit.IntVal(1), vmkit.IntVal(2), vmkit.IntVal(3), vmkit.IntVal(4)}},
+	} {
+		got := testing.AllocsPerRun(200, func() {
+			if _, err := f.task.CallStatic(c.ref, c.args...); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > 0 {
+			t.Errorf("Task.CallStatic(%q): %.2f allocs/call, want 0", c.ref, got)
+		}
 	}
 }
 

@@ -117,6 +117,7 @@ func (g *Gate) callVMFromGo(task *Task, plan *vmMethodPlan, args []any) (any, er
 		ctx.bytes += retCtx.bytes
 	}
 	g.account(task, callerDomain, m, tmStart, ctx.bytes, err != nil)
+	task.Thread.Publish()
 	return out, err
 }
 

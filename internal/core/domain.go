@@ -239,6 +239,7 @@ func (d *Domain) GetTask() *Task {
 // task must be back at its base segment with no trace context of its own.
 // A task returned after d terminated is closed instead.
 func (d *Domain) PutTask(t *Task) {
+	t.Thread.Publish()
 	d.mu.Lock()
 	if !d.Terminated() {
 		t.nextIdle, d.idle = d.idle, t

@@ -357,6 +357,7 @@ func (t *Task) Close() {
 	if !t.closed.CompareAndSwap(false, true) {
 		return
 	}
+	t.Thread.Publish()
 	t.K.dropHandle(t.Chain.Current())
 	t.K.tasks.Delete(t.Chain)
 	if t.registered {

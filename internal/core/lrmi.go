@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"sync/atomic"
 	"time"
 
 	"jkernel/internal/threads"
@@ -35,6 +36,26 @@ func (t *Task) enter(d *Domain) *threads.Seg {
 func (t *Task) leave(seg *threads.Seg) {
 	t.K.dropHandle(seg)
 	t.Chain.Pop()
+}
+
+// charge books one crossing the task's carrier made from caller into
+// callee along path p, copying bytes: the caller's call and the copy
+// charge by the meter's policy, the path's call counter and the
+// caller→callee edge. It is all plain adds into the carrier's pending
+// record (vmkit.Thread.Pending), which reaches the shared counters at the
+// next publish (Thread.Publish): the thread's step flush inside bytecode,
+// and every API that returns to Go from a crossing on its way out, so a
+// Go caller holding its result sees the call's charges and counters in
+// Stats and the registry. Every crossing — VM, native, proxy — books here.
+func (t *Task) charge(p callPath, caller, callee *Domain, bytes int64) {
+	var path, edge *atomic.Int64
+	if m := t.K.tm; m != nil {
+		if p != proxyCall {
+			path = m.calls[p].Cell(t.stripe)
+		}
+		edge = m.edgeCell(t, caller, callee)
+	}
+	t.Thread.Pending.Cross(t.K.Meter.Policy(), caller.acct, callee.acct, bytes, path, edge)
 }
 
 // vmParam is one parameter of a gate method as the gate checks it.
@@ -173,22 +194,20 @@ func (g *Gate) revokedThrowable() *vmkit.Object {
 func (g *Gate) cross(task *Task, t *vmkit.Thread, callerDomain *Domain, m *vmkit.Method, callArgs []vmkit.Value) (vmkit.Value, *vmkit.Object) {
 	vm := g.k.VM
 
-	// Segment switch: push the callee segment (lock pair #1). Buffered
-	// step charges flush at each switch so work lands on the right domain.
-	// Under the heavy-lock profile each pair pays the Sun-VM-style
-	// synchronization bookkeeping.
-	t.FlushAccounting()
+	// Segment switch: push the callee segment (lock pair #1), and have the
+	// thread count steps for the callee's account; the caller's stay
+	// pending on the thread, so work lands on the right domain without a
+	// shared write. Under the heavy-lock profile each pair pays the
+	// Sun-VM-style synchronization bookkeeping.
 	vm.RecordHeavyLock(nil)
 	seg := task.enter(g.owner)
-	prevAcct := t.Account
-	t.Account = g.owner.acct
+	prevAcct := t.SwitchAccount(g.owner.acct)
 
 	ret, thrown := vm.Invoke(t, m, callArgs)
 
 	// Segment restore (lock pair #2).
-	t.FlushAccounting()
 	vm.RecordHeavyLock(nil)
-	t.Account = prevAcct
+	t.SwitchAccount(prevAcct)
 	task.leave(seg)
 
 	if thrown != nil {
@@ -197,16 +216,17 @@ func (g *Gate) cross(task *Task, t *vmkit.Thread, callerDomain *Domain, m *vmkit
 	return ret, thrown
 }
 
-// account books a finished crossing: the bytes copied in both directions,
-// and the call's span.
+// account books a finished crossing on the carrier (Task.charge): the
+// call and the bytes copied in both directions. A sampled call also
+// records its span.
 func (g *Gate) account(task *Task, callerDomain *Domain, m *vmkit.Method, tmStart time.Time, bytes int64, failed bool) {
-	g.k.Meter.Cross(callerDomain.acct, g.owner.acct, bytes)
+	task.charge(vmCall, callerDomain, g.owner, bytes)
 	if tm := g.k.tm; tm != nil {
 		var callErr error
 		if failed {
 			callErr = errVMException
 		}
-		tm.call(vmCall, task, callerDomain, g.owner, m.Name, tmStart, callErr)
+		tm.span(vmCall, task, callerDomain, g.owner, m.Name, tmStart, callErr)
 	}
 }
 

@@ -281,18 +281,13 @@ func TestTerminateMidCallStopsOnlyTheCalleeSegment(t *testing.T) {
 	done := make(chan struct{})
 	var v vmkit.Value
 	var callErr error
+	steps := f.server.Stats().Steps
 	go func() {
 		defer close(done)
 		v, callErr = f.k.VM.CallStatic(task.Thread, f.client.NS, "SemClient.spinCaught:()I")
 	}()
 	// Wait for the carrier to be inside the server, then kill the server.
-	deadline := time.Now().Add(5 * time.Second)
-	for task.Chain.Depth() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("callee never entered")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitSteps(t, f.server, steps, 5*time.Second)
 	f.server.Terminate("test")
 	select {
 	case <-done:
@@ -311,6 +306,21 @@ func TestTerminateMidCallStopsOnlyTheCalleeSegment(t *testing.T) {
 	cap2 := f.k.Repository().Lookup("sem2")
 	if out, err := cap2.InvokeVM(task, "ping"); err != nil || out.(int64) != 1 {
 		t.Fatalf("ping on the surviving server = %v, %v", out, err)
+	}
+}
+
+// awaitSteps waits until d's account shows more than steps interpreter
+// steps: a carrier running d's code publishes them every flush window, so
+// another goroutine learns the carrier is inside d without reading its
+// chain, which is the carrier's alone.
+func awaitSteps(t *testing.T, d *Domain, steps int64, within time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(within)
+	for d.Stats().Steps <= steps {
+		if time.Now().After(deadline) {
+			t.Fatalf("no steps published by domain %s's code", d.Name)
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 }
 

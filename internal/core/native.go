@@ -167,10 +167,9 @@ func (c *Capability) invokeFrom(task *Task, name string, args []any) ([]any, err
 	if perr := task.Chain.Poll(); perr != nil {
 		return nil, perr
 	}
-	k.Meter.Cross(caller.acct, g.owner.acct, copied)
-	if k.tm != nil {
-		k.tm.call(nativeCall, task, caller, g.owner, name, start, callErr)
-	}
+	task.charge(nativeCall, caller, g.owner, copied)
+	task.Thread.Publish()
+	k.tm.span(nativeCall, task, caller, g.owner, name, start, callErr)
 	if callErr != nil {
 		return nil, callErr
 	}
@@ -349,7 +348,8 @@ func (k *Kernel) copyNative(v any) (any, int64, error) {
 }
 
 // conform adapts a copied value to the parameter type, converting numeric
-// widths that the copy normalized.
+// widths that the copy normalized. An integer is not a string: reflect
+// would convert it to the rune it encodes.
 func conform(v any, want reflect.Type) (reflect.Value, error) {
 	if v == nil {
 		switch want.Kind() {
@@ -366,7 +366,11 @@ func conform(v any, want reflect.Type) (reflect.Value, error) {
 		switch rv.Kind() {
 		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
 			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
-			reflect.Float32, reflect.Float64, reflect.String:
+			reflect.Float32, reflect.Float64:
+			if want.Kind() != reflect.String {
+				return rv.Convert(want), nil
+			}
+		case reflect.String:
 			return rv.Convert(want), nil
 		}
 	}

@@ -187,6 +187,7 @@ func TestNativeReflectDispatch(t *testing.T) {
 		{former, "Null", []any{int64(1)}, "jkernel: Null wants 0 args, got 1"},
 		{former, "Put", []any{""}, "jkernel: remote error (*errors.errorString): empty"},
 		{former, "Rev", []any{true}, "jkernel: Rev argument 0: bool is not assignable to []uint8"},
+		{former, "Upper", []any{int64(65)}, "jkernel: Upper argument 0: int64 is not assignable to string"},
 		{shapes, "Fail", []any{"x", int64(3)}, "jkernel: remote error (*errors.errorString): fail x 3"},
 		{shapes, "Crash", []any{"x", int64(3)}, "jkernel: remote error (panic): crash x 3"},
 		{shapes, "Sum", nil, "jkernel: remote error (panic): reflect: Call with too few input arguments"},

@@ -143,10 +143,10 @@ func (c *Capability) invokeProxy(task *Task, caller *Domain, pt ProxyTarget, nam
 	if perr := task.Chain.Poll(); perr != nil {
 		return nil, perr
 	}
-	k.Meter.Cross(caller.acct, g.owner.acct, copied)
 	// The transport records the wire client span (it sees the peer and the
 	// reply timing); the kernel only keeps the call-graph edge.
-	k.tm.edge(caller, g.owner).Inc()
+	task.charge(proxyCall, caller, g.owner, copied)
+	task.Thread.Publish()
 	return results, err
 }
 
@@ -205,13 +205,12 @@ func (c *Capability) ServeWire(task *Task, name string, args []any, argBytes int
 	if perr := task.Chain.Poll(); perr != nil {
 		return perr
 	}
-	if k.tm != nil {
-		k.tm.call(nativeCall, task, caller, g.owner, name, start, callErr)
-	}
+	k.tm.span(nativeCall, task, caller, g.owner, name, start, callErr)
 	if callErr == nil && merr == nil {
 		argBytes += out.EncodeResults(results)
 	}
-	k.Meter.Cross(caller.acct, g.owner.acct, argBytes)
+	task.charge(nativeCall, caller, g.owner, argBytes)
+	task.Thread.Publish()
 	if callErr != nil {
 		return callErr
 	}

@@ -411,14 +411,9 @@ func TestSafepointCallerStopLandsOnReturnVM(t *testing.T) {
 	defer task.Close()
 	// If the stop is lost the carrier spins for ever; end it with the test.
 	defer f.client.Terminate("cleanup")
+	steps := f.server.Stats().Steps
 	done := f.runOn(task, "SP.callThenSpin:()I")
-	deadline := time.Now().Add(10 * time.Second)
-	for task.Chain.Depth() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("callee never entered")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
+	awaitSteps(t, f.server, steps, 10*time.Second)
 	h, ok := f.handleIn(f.client)
 	if !ok {
 		t.Fatal("the client's Thread object is not registered")

@@ -123,25 +123,23 @@ func (m *kernelMetrics) domainEnd(d *Domain, cause error) {
 	m.reg.Eventf("%s", b.String())
 }
 
-// edgeInc counts one call on the caller→callee edge. The task's one-entry
-// cache covers the overwhelming case — a task calling along the edge it
-// just used — so most calls never touch the shared edge map at all.
+// edgeInc counts one call on the caller→callee edge, now.
 func (m *kernelMetrics) edgeInc(t *Task, caller, callee *Domain) {
-	if m == nil {
-		return
+	if m != nil {
+		m.edgeCell(t, caller, callee).Add(1)
 	}
+}
+
+// edgeCell returns t's stripe of the caller→callee edge counter. The
+// task's one-entry cache covers the overwhelming case — a task calling
+// along the edge it just used — so most calls never touch the shared edge
+// map at all.
+func (m *kernelMetrics) edgeCell(t *Task, caller, callee *Domain) *atomic.Int64 {
 	key := uint64(uint32(caller.ID))<<32 | uint64(uint32(callee.ID))
-	if t != nil && t.edgeCtr != nil && t.edgeKey == key {
-		t.edgeCtr.IncAt(t.stripe)
-		return
+	if t.edgeCtr == nil || t.edgeKey != key {
+		t.edgeKey, t.edgeCtr = key, m.edge(caller, callee)
 	}
-	c := m.edge(caller, callee)
-	if t != nil {
-		t.edgeKey, t.edgeCtr = key, c
-		c.IncAt(t.stripe)
-		return
-	}
-	c.Inc()
+	return t.edgeCtr.Cell(t.stripe)
 }
 
 // edge returns the caller→callee call-graph counter, caching by domain id.
@@ -191,20 +189,18 @@ type callPath uint8
 const (
 	nativeCall callPath = iota // core.lrmi.*, spans of kind "local"
 	vmCall                     // core.vm.*, spans of kind "vm"
+	// proxyCall counts on its edge only: the transport records the call
+	// and its span.
+	proxyCall
 )
 
 var callKinds = [...]string{nativeCall: "local", vmCall: "vm"}
 
-// call records one LRMI made with t, on the trace t carries. A zero start
-// means the call fell outside the sample (callStart): count it exactly,
-// skip the latency histogram and span.
-func (m *kernelMetrics) call(p callPath, t *Task, caller, callee *Domain, method string, start time.Time, err error) {
-	if m == nil {
-		return
-	}
-	m.calls[p].IncAt(t.stripe)
-	m.edgeInc(t, caller, callee)
-	if start.IsZero() {
+// span records the span and latency of one LRMI made with t, on the trace
+// t carries. A zero start means the call fell outside the sample
+// (callStart): Task.charge counted it, and that is all.
+func (m *kernelMetrics) span(p callPath, t *Task, caller, callee *Domain, method string, start time.Time, err error) {
+	if m == nil || start.IsZero() {
 		return
 	}
 	tc := t.Chain.Trace

@@ -61,6 +61,13 @@ func (c *Counter) IncAt(s uint64) {
 	}
 }
 
+// Cell returns stripe s&(stripes-1) of the counter, for a caller that
+// batches its increments and adds them to the cell itself. c must not be
+// nil.
+func (c *Counter) Cell(s uint64) *atomic.Int64 {
+	return &c.stripes[s&(counterStripes-1)].v
+}
+
 // Value returns the current count (0 for nil). The striped cells are
 // summed with independent atomic loads, so a concurrent reader sees a
 // value at least as large as any increment that completed before the

@@ -21,8 +21,8 @@
 // it again while any live segment still has a request it has not taken.
 //
 // A crossing writes only the carrier's own memory: Push and Pop take no
-// lock. Another goroutine reaches a chain through a Handle operation,
-// Depth or Kick, and nothing else.
+// lock. Another goroutine reaches a chain through a Handle operation or
+// Kick, and nothing else.
 package threads
 
 import (
@@ -98,9 +98,8 @@ type Chain struct {
 	free *Seg
 	// nextID..idEnd is what is left of the block drawn from segIDs.
 	nextID, idEnd int64
-	// depth is the number of live segments: the carrier stores it, anyone
-	// may load it.
-	depth atomic.Int32
+	// depth is the number of live segments. The carrier's alone.
+	depth int
 
 	// mu is the slow poll's, and Kick's to wake a carrier parked on cv.
 	mu sync.Mutex
@@ -158,7 +157,7 @@ func (c *Chain) Push(domain int64) *Seg {
 	s.stop, s.suspended, s.priority = nil, false, 5
 	s.prev = c.top
 	c.top = s
-	c.depth.Add(1)
+	c.depth++
 	return s
 }
 
@@ -205,12 +204,14 @@ func (c *Chain) Pop() *Seg {
 	// does not keep it reachable.
 	s.prev, s.owner = c.free, nil
 	c.free = s
-	c.depth.Add(-1)
+	c.depth--
 	return c.top
 }
 
-// Depth returns the number of segments (≥1). Any goroutine may call it.
-func (c *Chain) Depth() int { return int(c.depth.Load()) }
+// Depth returns the number of segments (≥1). Carrier-only: another
+// goroutine that wants to know where the carrier is waits for something
+// the carrier publishes (a domain's account, say) instead.
+func (c *Chain) Depth() int { return c.depth }
 
 // Poll is the safepoint check: it parks the carrier while the controlling
 // segment is suspended and reports ErrSegmentStopped when it has been

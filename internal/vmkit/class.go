@@ -361,56 +361,69 @@ func descOfClass(name string) string {
 // ParseMethodDesc splits "(AB)C" into parameter descriptors and the return
 // descriptor ("" for V). It returns an error for malformed descriptors.
 func ParseMethodDesc(desc string) (params []string, ret string, err error) {
-	if len(desc) < 3 || desc[0] != '(' {
-		return nil, "", fmt.Errorf("vmkit: bad method descriptor %q", desc)
+	if ret, err = checkMethodDesc(desc); err != nil {
+		return nil, "", err
 	}
-	i := 1
-	for i < len(desc) && desc[i] != ')' {
-		d, n, perr := parseOneDesc(desc[i:])
-		if perr != nil {
-			return nil, "", fmt.Errorf("vmkit: bad method descriptor %q: %v", desc, perr)
-		}
+	for i := 1; desc[i] != ')'; {
+		d, n, _ := parseOneDesc(desc[i:])
 		params = append(params, d)
 		i += n
 	}
+	return params, ret, nil
+}
+
+// checkMethodDesc validates "(AB)C" and returns its return descriptor (""
+// for V). It allocates only to report an error.
+func checkMethodDesc(desc string) (ret string, err error) {
+	if len(desc) < 3 || desc[0] != '(' {
+		return "", fmt.Errorf("vmkit: bad method descriptor %q", desc)
+	}
+	i := 1
+	for i < len(desc) && desc[i] != ')' {
+		_, n, perr := parseOneDesc(desc[i:])
+		if perr != nil {
+			return "", fmt.Errorf("vmkit: bad method descriptor %q: %v", desc, perr)
+		}
+		i += n
+	}
 	if i >= len(desc) || desc[i] != ')' {
-		return nil, "", fmt.Errorf("vmkit: unterminated params in %q", desc)
+		return "", fmt.Errorf("vmkit: unterminated params in %q", desc)
 	}
 	rest := desc[i+1:]
 	if rest == "V" {
-		return params, "", nil
+		return "", nil
 	}
 	d, n, perr := parseOneDesc(rest)
 	if perr != nil || n != len(rest) {
-		return nil, "", fmt.Errorf("vmkit: bad return descriptor in %q", desc)
+		return "", fmt.Errorf("vmkit: bad return descriptor in %q", desc)
 	}
-	return params, d, nil
+	return d, nil
 }
 
 // parseOneDesc parses a single type descriptor at the front of s and
-// returns it plus the number of bytes consumed.
+// returns it plus the number of bytes consumed. The descriptor is a prefix
+// of s: nothing is allocated but an error.
 func parseOneDesc(s string) (string, int, error) {
-	if s == "" {
+	n := 0
+	for n < len(s) && s[n] == '[' {
+		n++
+	}
+	if n == len(s) {
 		return "", 0, fmt.Errorf("empty descriptor")
 	}
-	switch s[0] {
+	switch s[n] {
 	case 'I', 'D', 'Z', 'B', 'C':
-		return s[:1], 1, nil
+		n++
 	case 'L':
-		j := strings.IndexByte(s, ';')
+		j := strings.IndexByte(s[n:], ';')
 		if j < 2 {
 			return "", 0, fmt.Errorf("unterminated class descriptor")
 		}
-		return s[:j+1], j + 1, nil
-	case '[':
-		d, n, err := parseOneDesc(s[1:])
-		if err != nil {
-			return "", 0, err
-		}
-		return "[" + d, n + 1, nil
+		n += j + 1
 	default:
-		return "", 0, fmt.Errorf("unknown descriptor byte %q", s[0])
+		return "", 0, fmt.Errorf("unknown descriptor byte %q", s[n])
 	}
+	return s[:n], n, nil
 }
 
 // ValidIdent reports whether s is acceptable as a class, field, or method

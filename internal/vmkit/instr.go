@@ -261,7 +261,8 @@ func ParseFieldRef(s string) (FieldRef, error) {
 }
 
 // ParseMethodRef parses "Class.name:(params)ret". The class/name split is
-// the last '.' before the descriptor's '(' (class names may be dotted).
+// the last '.' before the descriptor's '(' (class names may be dotted). It
+// allocates only to report an error: every part is a substring of s.
 func ParseMethodRef(s string) (MethodRef, error) {
 	end := strings.IndexByte(s, '(')
 	if end < 0 {
@@ -279,7 +280,7 @@ func ParseMethodRef(s string) (MethodRef, error) {
 	if mr.Name == "" || !ValidIdent(mr.Class) {
 		return MethodRef{}, fmt.Errorf("vmkit: bad method ref %q", s)
 	}
-	if _, _, err := ParseMethodDesc(mr.Desc); err != nil {
+	if _, err := checkMethodDesc(mr.Desc); err != nil {
 		return MethodRef{}, err
 	}
 	return mr, nil

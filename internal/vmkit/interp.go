@@ -6,8 +6,10 @@ import "fmt"
 // StackOverflow-style error instead of exhausting the Go stack.
 const maxCallDepth = 512
 
-// stepsFlushEvery bounds how much interpreter work accumulates before being
-// charged to the thread's account.
+// stepsFlushEvery bounds how much interpreter work a thread keeps
+// unpublished (Thread.Pending): a frame publishes every stepsFlushEvery of
+// its own steps, and so does the thread once the steps of returned frames,
+// or those pending for the accounts it switched between, reach it.
 const stepsFlushEvery = 4096
 
 // The frame arena. Each Thread owns one growable []Value, and every live
@@ -39,7 +41,7 @@ func (vm *VM) Call(t *Thread, m *Method, args []Value) (Value, error) {
 		return Value{}, fmt.Errorf("vmkit: %s.%s wants %d args, got %d", m.Owner.Name, m.Name, m.nargs, len(args))
 	}
 	v, thrown := vm.enter(t, m, args)
-	t.flushSteps()
+	t.Publish()
 	if thrown != nil {
 		return Value{}, &ThrownError{Throwable: thrown}
 	}
@@ -214,7 +216,7 @@ func (vm *VM) run(t *Thread, m *Method, base int) (Value, *Object) {
 				}
 			}
 			if handler < 0 {
-				t.steps += steps
+				t.retire(steps)
 				return Value{}, thrown
 			}
 			sp = nlocals
@@ -228,7 +230,7 @@ func (vm *VM) run(t *Thread, m *Method, base int) (Value, *Object) {
 		if steps >= stepsFlushEvery {
 			t.steps += steps
 			steps = 0
-			t.flushSteps()
+			t.Publish()
 		}
 
 		switch in.Op {
@@ -583,10 +585,10 @@ func (vm *VM) run(t *Thread, m *Method, base int) (Value, *Object) {
 			}
 
 		case OpRet:
-			t.steps += steps
+			t.retire(steps)
 			return Value{}, nil
 		case OpRetV:
-			t.steps += steps
+			t.retire(steps)
 			return pop(), nil
 
 		default:

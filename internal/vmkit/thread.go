@@ -34,9 +34,6 @@ type Thread struct {
 	suspendCV *sync.Cond
 	suspended bool
 
-	// steps counts executed instructions since the last accounting flush.
-	steps int64
-
 	// callDepth tracks interpreter recursion against maxCallDepth.
 	callDepth int
 
@@ -51,8 +48,21 @@ type Thread struct {
 
 	// Account, when set, is the account of the domain the thread is
 	// executing in: its interpreter steps are charged there. The segment
-	// layer switches it across LRMI.
+	// layer switches it across LRMI (SwitchAccount). steps counts the
+	// instructions of returned frames that ran under it, not yet published.
 	Account *account.Account
+	steps   int64
+	// alt is the account the thread last switched away from, with the
+	// steps it counted there: a crossing and its return alternate between
+	// two accounts, and switching back swaps them in again.
+	alt      *account.Account
+	altSteps int64
+
+	// Pending is the carrier's record of charges not yet published: what
+	// its crossings book, and the steps of any third account it switched
+	// to. It is published with the steps every stepsFlushEvery steps and
+	// at VM.Call's return (Publish).
+	Pending account.Pending
 
 	// Data is reserved for the J-Kernel layer (the thread's task).
 	Data any
@@ -187,17 +197,50 @@ func (t *Thread) attend() *Object {
 	return nil
 }
 
-// FlushAccounting charges any buffered interpreter steps to the thread's
-// account; LRMI gates call it at domain-switch boundaries so steps land on
-// the right domain.
-func (t *Thread) FlushAccounting() { t.flushSteps() }
-
-// flushSteps charges accumulated interpreter steps to t.Account.
-func (t *Thread) flushSteps() {
-	if a := t.Account; a != nil {
-		a.Steps(t.steps)
+// SwitchAccount makes a the account the thread's steps are charged to and
+// returns the one it replaces: the LRMI gates switch to the callee's and
+// back. Nothing is published: the steps counted so far stay on the thread
+// for the account they ran under (the one switched back to next swaps in
+// again), or, for a third account, go to Pending.
+func (t *Thread) SwitchAccount(a *account.Account) (prev *account.Account) {
+	prev = t.Account
+	if a == prev {
+		return prev
 	}
-	t.steps = 0
+	if a != t.alt {
+		t.setAlt(a)
+	}
+	t.Account, t.steps, t.alt, t.altSteps = a, t.altSteps, prev, t.steps
+	return prev
+}
+
+// setAlt makes room for a third account, a: the steps of the account last
+// switched away from go to Pending, and a takes its place, for
+// SwitchAccount's swap to bring in.
+func (t *Thread) setAlt(a *account.Account) {
+	t.Pending.Steps(t.alt, t.altSteps)
+	t.alt, t.altSteps = a, 0
+	if t.Pending.Work() >= stepsFlushEvery {
+		t.Pending.Publish()
+	}
+}
+
+// Publish books the thread's counted steps to their accounts and publishes
+// everything pending to the shared counters. Carrier-only.
+func (t *Thread) Publish() {
+	t.Pending.Steps(t.Account, t.steps)
+	t.Pending.Steps(t.alt, t.altSteps)
+	t.steps, t.altSteps = 0, 0
+	t.Pending.Publish()
+}
+
+// retire adds a returning frame's steps to the thread's count, publishing
+// once the count fills a flush window.
+func (t *Thread) retire(steps int64) {
+	t.steps += steps
+	if t.steps >= stepsFlushEvery {
+		t.Publish()
+	}
 }
 
 func (t *Thread) String() string {
