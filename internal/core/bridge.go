@@ -185,6 +185,8 @@ func (ctx *vmCopyCtx) fromGo(a any, kind vmkit.Kind) (vmkit.Value, error) {
 // object is copied into ctx.dest — the caller's domain.
 func (ctx *vmCopyCtx) toGo(v vmkit.Value) (any, error) {
 	switch v.K {
+	case vmkit.KInvalid:
+		return nil, nil // a void return copies nothing
 	case vmkit.KInt:
 		ctx.bytes += 8
 		return v.I, nil

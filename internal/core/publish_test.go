@@ -163,8 +163,8 @@ func TestPublishExactAtGoReturn(t *testing.T) {
 			_, err := f.task.CallStatic("PubClient.calls:(I)V", vmkit.IntVal(n))
 			return err
 		}, n, n, 0, n, 0},
-		// InvokeVM charges a void result as one 8-byte value.
-		{"InvokeVM", func() error { _, err := f.vmCap.InvokeVM(f.task, "nop"); return err }, 1, 1, 0, 1, 8},
+		// InvokeVM copies nothing for a void result, as a bytecode LRMI does.
+		{"InvokeVM", func() error { _, err := f.vmCap.InvokeVM(f.task, "nop"); return err }, 1, 1, 0, 1, 0},
 		{"InvokeFrom native", func() error { _, err := native.InvokeFrom(f.task, "Nop"); return err }, 1, 0, 1, 0, 0},
 		{"InvokeFrom proxy", func() error { _, err := proxy.InvokeFrom(f.task, "Nop"); return err }, 1, 0, 0, 0, 0},
 		{"ServeWire", func() error { return native.ServeWire(f.task, "Nop", nil, 10, &wireSink{}) }, 1, 0, 1, 0, 10},

@@ -1,6 +1,7 @@
 package vmkit
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -361,5 +362,71 @@ func TestAllocsMonitorOwner(t *testing.T) {
 	}
 	if locked.MonitorOwner() != th {
 		t.Error("MonitorOwner does not name the owner")
+	}
+}
+
+// Verification allocates for the class it is given and for the states it
+// keeps where control joins, not for every instruction times every local:
+// a straight-line method of N nops with 65 536 locals has one join point,
+// whatever N, and a chain of K jumps has K+1. A state is 16 B a local.
+func TestAllocsVerifyFollowsTheClass(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's allocations are not the verifier's")
+	}
+	const locals = 1 << 16
+	const c = 3
+	vm := MustNew(ProfileA)
+	// define returns the size of the class src assembles to and the least
+	// that defining it in a fresh namespace allocated in three tries.
+	define := func(src string) (size int, bytes uint64) {
+		b, err := AssembleBytes(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes = math.MaxUint64
+		for range 3 {
+			ns := vm.NewNamespace("verify", vm.BootResolver())
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := ns.DefineClass(b)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		}
+		return len(b), bytes
+	}
+	check := func(what string, size, joins int, bytes uint64) {
+		bound := c * uint64(size+joins*locals*16)
+		t.Logf("%s: %d-byte class, %d join points, %d B to define (bound %d)", what, size, joins, bytes, bound)
+		if bytes > bound {
+			t.Errorf("%s: a %d-byte class with %d join points costs %d B to define; bound %d",
+				what, size, joins, bytes, bound)
+		}
+	}
+
+	var first uint64
+	for _, n := range []int{16, 64, 256} {
+		size, bytes := define(".class Nops\n.method static f ()V stack 0 locals 65536\n" +
+			strings.Repeat("  nop\n", n) + "  ret\n.end\n")
+		check(fmt.Sprintf("%d nops", n), size, 1, bytes)
+		if n == 16 {
+			first = bytes
+		} else if bytes > first+uint64(n)*1024 {
+			// An instruction's own share (its decoded form, its link
+			// entry, its join mark) is tens of bytes; a state is 1 MiB.
+			t.Errorf("%d nops cost %d B, 16 cost %d: verification grows with the code", n, bytes, first)
+		}
+	}
+	for _, k := range []int{4, 16} {
+		var src strings.Builder
+		src.WriteString(".class Jumps\n.method static f ()V stack 0 locals 65536\n")
+		for i := range k {
+			fmt.Fprintf(&src, "  jmp l%d\nl%d:\n", i, i)
+		}
+		src.WriteString("  ret\n.end\n")
+		size, bytes := define(src.String())
+		check(fmt.Sprintf("%d jumps", k), size, k+1, bytes)
 	}
 }

@@ -116,62 +116,68 @@ type Instr struct {
 	S  string
 }
 
-// opInfo describes static properties of each opcode used by the assembler,
-// codec, and verifier.
+// opInfo describes the static properties of each opcode: its operands for
+// the assembler and the codec, and its stack effect for the verifier.
 type opInfo struct {
 	name   string
 	hasI   bool // carries an integer operand (imm, slot, or branch target)
 	hasF   bool
 	hasS   bool
 	branch bool // I is a code index patched from a label
+	// stack is the effect of a fixed-shape opcode, which the verifier
+	// checks by one rule: the kinds it pops, top last, then '>' and the
+	// kind it pushes, if any. I is int, F float, R a reference (popped,
+	// it also takes null; pushed, it is of the instruction's linked
+	// class), N null. Empty for the opcodes the verifier spells out.
+	stack string
 }
 
 var opTable = [opMax]opInfo{
-	OpNop:       {name: "nop"},
-	OpIConst:    {name: "iconst", hasI: true},
-	OpDConst:    {name: "dconst", hasF: true},
-	OpSConst:    {name: "sconst", hasS: true},
-	OpNullConst: {name: "aconst_null"},
+	OpNop:       {name: "nop", stack: ">"},
+	OpIConst:    {name: "iconst", hasI: true, stack: ">I"},
+	OpDConst:    {name: "dconst", hasF: true, stack: ">F"},
+	OpSConst:    {name: "sconst", hasS: true, stack: ">R"},
+	OpNullConst: {name: "aconst_null", stack: ">N"},
 	OpLoad:      {name: "load", hasI: true},
 	OpStore:     {name: "store", hasI: true},
 	OpPop:       {name: "pop"},
 	OpDup:       {name: "dup"},
 	OpDupX1:     {name: "dup_x1"},
 	OpSwap:      {name: "swap"},
-	OpIAdd:      {name: "iadd"},
-	OpISub:      {name: "isub"},
-	OpIMul:      {name: "imul"},
-	OpIDiv:      {name: "idiv"},
-	OpIRem:      {name: "irem"},
-	OpINeg:      {name: "ineg"},
-	OpIShl:      {name: "ishl"},
-	OpIShr:      {name: "ishr"},
-	OpIUshr:     {name: "iushr"},
-	OpIAnd:      {name: "iand"},
-	OpIOr:       {name: "ior"},
-	OpIXor:      {name: "ixor"},
-	OpDAdd:      {name: "dadd"},
-	OpDSub:      {name: "dsub"},
-	OpDMul:      {name: "dmul"},
-	OpDDiv:      {name: "ddiv"},
-	OpDNeg:      {name: "dneg"},
-	OpI2D:       {name: "i2d"},
-	OpD2I:       {name: "d2i"},
-	OpDCmp:      {name: "dcmp"},
-	OpJmp:       {name: "jmp", hasI: true, branch: true},
-	OpIfEQ:      {name: "if_eq", hasI: true, branch: true},
-	OpIfNE:      {name: "if_ne", hasI: true, branch: true},
-	OpIfLT:      {name: "if_lt", hasI: true, branch: true},
-	OpIfLE:      {name: "if_le", hasI: true, branch: true},
-	OpIfGT:      {name: "if_gt", hasI: true, branch: true},
-	OpIfGE:      {name: "if_ge", hasI: true, branch: true},
-	OpIfZ:       {name: "ifz", hasI: true, branch: true},
-	OpIfNZ:      {name: "ifnz", hasI: true, branch: true},
-	OpIfNull:    {name: "ifnull", hasI: true, branch: true},
-	OpIfNonNull: {name: "ifnonnull", hasI: true, branch: true},
-	OpIfACmpEQ:  {name: "if_acmpeq", hasI: true, branch: true},
-	OpIfACmpNE:  {name: "if_acmpne", hasI: true, branch: true},
-	OpNew:       {name: "new", hasS: true},
+	OpIAdd:      {name: "iadd", stack: "II>I"},
+	OpISub:      {name: "isub", stack: "II>I"},
+	OpIMul:      {name: "imul", stack: "II>I"},
+	OpIDiv:      {name: "idiv", stack: "II>I"},
+	OpIRem:      {name: "irem", stack: "II>I"},
+	OpINeg:      {name: "ineg", stack: "I>I"},
+	OpIShl:      {name: "ishl", stack: "II>I"},
+	OpIShr:      {name: "ishr", stack: "II>I"},
+	OpIUshr:     {name: "iushr", stack: "II>I"},
+	OpIAnd:      {name: "iand", stack: "II>I"},
+	OpIOr:       {name: "ior", stack: "II>I"},
+	OpIXor:      {name: "ixor", stack: "II>I"},
+	OpDAdd:      {name: "dadd", stack: "FF>F"},
+	OpDSub:      {name: "dsub", stack: "FF>F"},
+	OpDMul:      {name: "dmul", stack: "FF>F"},
+	OpDDiv:      {name: "ddiv", stack: "FF>F"},
+	OpDNeg:      {name: "dneg", stack: "F>F"},
+	OpI2D:       {name: "i2d", stack: "I>F"},
+	OpD2I:       {name: "d2i", stack: "F>I"},
+	OpDCmp:      {name: "dcmp", stack: "FF>I"},
+	OpJmp:       {name: "jmp", hasI: true, branch: true, stack: ">"},
+	OpIfEQ:      {name: "if_eq", hasI: true, branch: true, stack: "II>"},
+	OpIfNE:      {name: "if_ne", hasI: true, branch: true, stack: "II>"},
+	OpIfLT:      {name: "if_lt", hasI: true, branch: true, stack: "II>"},
+	OpIfLE:      {name: "if_le", hasI: true, branch: true, stack: "II>"},
+	OpIfGT:      {name: "if_gt", hasI: true, branch: true, stack: "II>"},
+	OpIfGE:      {name: "if_ge", hasI: true, branch: true, stack: "II>"},
+	OpIfZ:       {name: "ifz", hasI: true, branch: true, stack: "I>"},
+	OpIfNZ:      {name: "ifnz", hasI: true, branch: true, stack: "I>"},
+	OpIfNull:    {name: "ifnull", hasI: true, branch: true, stack: "R>"},
+	OpIfNonNull: {name: "ifnonnull", hasI: true, branch: true, stack: "R>"},
+	OpIfACmpEQ:  {name: "if_acmpeq", hasI: true, branch: true, stack: "RR>"},
+	OpIfACmpNE:  {name: "if_acmpne", hasI: true, branch: true, stack: "RR>"},
+	OpNew:       {name: "new", hasS: true, stack: ">R"},
 	OpGetF:      {name: "getfield", hasS: true},
 	OpPutF:      {name: "putfield", hasS: true},
 	OpGetS:      {name: "getstatic", hasS: true},
@@ -179,15 +185,15 @@ var opTable = [opMax]opInfo{
 	OpInvokeV:   {name: "invokevirtual", hasS: true},
 	OpInvokeI:   {name: "invokeinterface", hasS: true},
 	OpInvokeS:   {name: "invokestatic", hasS: true},
-	OpCast:      {name: "cast", hasS: true},
-	OpInstOf:    {name: "instanceof", hasS: true},
-	OpNewArr:    {name: "newarr", hasS: true},
+	OpCast:      {name: "cast", hasS: true, stack: "R>R"},
+	OpInstOf:    {name: "instanceof", hasS: true, stack: "R>I"},
+	OpNewArr:    {name: "newarr", hasS: true, stack: "I>R"},
 	OpALoad:     {name: "aload"},
 	OpAStore:    {name: "astore"},
 	OpALen:      {name: "arraylength"},
 	OpThrow:     {name: "throw"},
-	OpMonEnter:  {name: "monitorenter"},
-	OpMonExit:   {name: "monitorexit"},
+	OpMonEnter:  {name: "monitorenter", stack: "R>"},
+	OpMonExit:   {name: "monitorexit", stack: "R>"},
 	OpRet:       {name: "ret"},
 	OpRetV:      {name: "retv"},
 }

@@ -6,7 +6,7 @@ import "fmt"
 // resolved once at class-link time (loading referenced classes recursively,
 // as the paper's class loaders do) and stored parallel to the code.
 type linkedRef struct {
-	class  *Class  // OpNew/OpCast/OpInstOf/OpNewArr
+	class  *Class  // OpNew/OpCast/OpInstOf/OpNewArr; jk/lang/String for OpSConst
 	field  *Field  // field ops
 	method *Method // OpInvokeS; for the others, what the receiver dispatches
 	str    *Object // OpSConst interned literal
@@ -66,7 +66,7 @@ func resolveInstr(c *Class, in Instr) (linkedRef, error) {
 		if err != nil {
 			return linkedRef{}, err
 		}
-		return linkedRef{str: s}, nil
+		return linkedRef{str: s, class: s.Class}, nil
 
 	case OpNew:
 		k, err := ns.Resolve(in.S)

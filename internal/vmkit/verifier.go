@@ -1,6 +1,9 @@
 package vmkit
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // The verifier performs abstract interpretation over value types, the
 // vmkit analog of the JVM bytecode verifier: it proves that code cannot
@@ -47,12 +50,39 @@ type vstate struct {
 	stack  []vtype
 }
 
-func (s *vstate) clone() *vstate {
-	ns := &vstate{
-		locals: append([]vtype(nil), s.locals...),
-		stack:  append([]vtype(nil), s.stack...),
+// copyFrom makes s a copy of src, reusing s's storage.
+func (s *vstate) copyFrom(src *vstate) {
+	s.locals = append(s.locals[:0], src.locals...)
+	s.stack = append(s.stack[:0], src.stack...)
+}
+
+func (s *vstate) push(t vtype) { s.stack = append(s.stack, t) }
+
+func (s *vstate) pop() (vtype, error) {
+	if len(s.stack) == 0 {
+		return vtype{}, fmt.Errorf("stack underflow")
 	}
-	return ns
+	t := s.stack[len(s.stack)-1]
+	s.stack = s.stack[:len(s.stack)-1]
+	return t, nil
+}
+
+// popKind pops a value of kind k; vtRef also takes null.
+func (s *vstate) popKind(k vkind) (vtype, error) {
+	t, err := s.pop()
+	if err != nil {
+		return t, err
+	}
+	if k == vtRef {
+		if t.k != vtRef && t.k != vtNull {
+			return t, fmt.Errorf("expected ref, got %v", t)
+		}
+		return t, nil
+	}
+	if t.k != k {
+		return t, fmt.Errorf("expected kind %d, got %v", k, t)
+	}
+	return t, nil
 }
 
 // mergeInto merges src into dst, returning true when dst changed. Stack
@@ -134,12 +164,18 @@ func verifyClass(c *Class) error {
 	return nil
 }
 
+// verifier checks one method. A join point is pc 0, a branch target or a
+// handler entry; only join points keep a state, and the straight-line code
+// between them runs in place through cur.
 type verifier struct {
 	c      *Class
 	m      *Method
-	states []*vstate
-	work   []int
 	ret    string
+	join   []bool
+	states []*vstate // a join point's entry state, once control reaches it
+	work   []int     // join points whose state changed since their last run
+	cur    vstate    // the working state
+	exc    vstate    // a handler's entry state, on its way into flowTo
 }
 
 func verifyMethod(c *Class, m *Method) error {
@@ -175,12 +211,21 @@ func verifyMethod(c *Class, m *Method) error {
 		init.locals[idx] = vtype{k: vtTop}
 	}
 
-	v := &verifier{c: c, m: m, states: make([]*vstate, len(m.Code)), ret: ret}
+	v := &verifier{c: c, m: m, ret: ret, join: make([]bool, len(m.Code)), states: make([]*vstate, len(m.Code))}
 	// Validate exception table ranges up front.
 	for _, e := range m.Excs {
 		if e.From < 0 || e.To < e.From || int(e.To) > len(m.Code) ||
 			e.Handler < 0 || int(e.Handler) >= len(m.Code) {
 			return fmt.Errorf("bad exception table entry %+v", e)
+		}
+		v.join[e.Handler] = true
+	}
+	v.join[0] = true
+	for _, in := range m.Code {
+		// A target out of range is left to flowTo, which rejects it if
+		// control reaches the branch.
+		if in.Op.IsBranch() && in.I >= 0 && in.I < int64(len(m.Code)) {
+			v.join[in.I] = true
 		}
 	}
 	v.states[0] = init
@@ -188,14 +233,38 @@ func verifyMethod(c *Class, m *Method) error {
 	for len(v.work) > 0 {
 		pc := v.work[len(v.work)-1]
 		v.work = v.work[:len(v.work)-1]
-		if err := v.step(pc); err != nil {
-			return fmt.Errorf("pc=%d (%s): %w", pc, m.Code[pc], err)
+		if err := v.run(pc); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// flowTo merges state into the target pc, queueing it when changed.
+// run verifies the straight-line code from the join point at pc in the
+// working state, until it ends in a terminal instruction or falls into the
+// next join point.
+func (v *verifier) run(pc int) error {
+	s := &v.cur
+	s.copyFrom(v.states[pc])
+	for {
+		fall, err := v.step(pc, s)
+		if err == nil && fall {
+			err = v.flowTo(pc+1, s)
+		}
+		if err != nil {
+			return fmt.Errorf("pc=%d (%s): %w", pc, v.m.Code[pc], err)
+		}
+		if !fall || v.join[pc+1] {
+			return nil
+		}
+		pc++
+	}
+}
+
+// flowTo checks a transfer of s to pc. At a join point it merges s into the
+// state kept there, queueing pc when that state changed. The transfer is
+// monotone, so the state a join point last runs with covers every earlier
+// one.
 func (v *verifier) flowTo(pc int, s *vstate) error {
 	if pc < 0 || pc >= len(v.m.Code) {
 		return fmt.Errorf("control flows to invalid pc %d", pc)
@@ -203,8 +272,12 @@ func (v *verifier) flowTo(pc int, s *vstate) error {
 	if len(s.stack) > int(v.m.MaxStack) {
 		return fmt.Errorf("operand stack exceeds max %d", v.m.MaxStack)
 	}
+	if !v.join[pc] {
+		return nil
+	}
 	if v.states[pc] == nil {
-		v.states[pc] = s.clone()
+		v.states[pc] = new(vstate)
+		v.states[pc].copyFrom(s)
 		v.work = append(v.work, pc)
 		return nil
 	}
@@ -218,15 +291,13 @@ func (v *verifier) flowTo(pc int, s *vstate) error {
 	return nil
 }
 
-// flowExc propagates the current locals to every handler covering pc.
+// flowExc propagates the locals s holds at pc to every handler covering pc.
 func (v *verifier) flowExc(pc int, s *vstate) error {
 	for i, e := range v.m.Excs {
 		if int32(pc) >= e.From && int32(pc) < e.To {
-			hs := &vstate{
-				locals: s.locals,
-				stack:  []vtype{{k: vtRef, c: v.m.excClasses[i]}},
-			}
-			if err := v.flowTo(int(e.Handler), hs); err != nil {
+			v.exc.locals = s.locals
+			v.exc.stack = append(v.exc.stack[:0], vtype{k: vtRef, c: v.m.excClasses[i]})
+			if err := v.flowTo(int(e.Handler), &v.exc); err != nil {
 				return fmt.Errorf("handler at %d: %w", e.Handler, err)
 			}
 		}
@@ -234,434 +305,281 @@ func (v *verifier) flowExc(pc int, s *vstate) error {
 	return nil
 }
 
-func (v *verifier) step(pc int) error {
-	s := v.states[pc].clone()
+// step checks the instruction at pc against s and applies it to s in
+// place. It reports whether control falls through to pc+1; a branch target
+// it flows to itself.
+func (v *verifier) step(pc int, s *vstate) (bool, error) {
 	in := v.m.Code[pc]
 	linked := v.m.linked[pc]
 	ns := v.c.NS
 
 	// Any instruction that can throw propagates its *entry* locals to
 	// covering handlers.
-	if err := v.flowExc(pc, v.states[pc]); err != nil {
-		return err
-	}
-
-	pop := func() (vtype, error) {
-		if len(s.stack) == 0 {
-			return vtype{}, fmt.Errorf("stack underflow")
-		}
-		t := s.stack[len(s.stack)-1]
-		s.stack = s.stack[:len(s.stack)-1]
-		return t, nil
-	}
-	popKind := func(k vkind) (vtype, error) {
-		t, err := pop()
-		if err != nil {
-			return t, err
-		}
-		if k == vtRef {
-			if t.k != vtRef && t.k != vtNull {
-				return t, fmt.Errorf("expected ref, got %v", t)
-			}
-			return t, nil
-		}
-		if t.k != k {
-			return t, fmt.Errorf("expected kind %d, got %v", k, t)
-		}
-		return t, nil
-	}
-	push := func(t vtype) { s.stack = append(s.stack, t) }
-	next := func() error { return v.flowTo(pc+1, s) }
-	branch := func() error {
-		if err := v.flowTo(int(in.I), s); err != nil {
-			return err
-		}
-		return next()
-	}
-
-	intBinop := func() error {
-		if _, err := popKind(vtInt); err != nil {
-			return err
-		}
-		if _, err := popKind(vtInt); err != nil {
-			return err
-		}
-		push(vtype{k: vtInt})
-		return next()
-	}
-	floatBinop := func() error {
-		if _, err := popKind(vtFloat); err != nil {
-			return err
-		}
-		if _, err := popKind(vtFloat); err != nil {
-			return err
-		}
-		push(vtype{k: vtFloat})
-		return next()
+	if err := v.flowExc(pc, s); err != nil {
+		return false, err
 	}
 
 	switch in.Op {
-	case OpNop:
-		return next()
-
-	case OpIConst:
-		push(vtype{k: vtInt})
-		return next()
-	case OpDConst:
-		push(vtype{k: vtFloat})
-		return next()
-	case OpSConst:
-		sc, err := ns.Resolve(ClassString)
-		if err != nil {
-			return err
-		}
-		push(vtype{k: vtRef, c: sc})
-		return next()
-	case OpNullConst:
-		push(vtype{k: vtNull})
-		return next()
-
 	case OpLoad:
 		if in.I < 0 || int(in.I) >= len(s.locals) {
-			return fmt.Errorf("load of local %d (have %d)", in.I, len(s.locals))
+			return false, fmt.Errorf("load of local %d (have %d)", in.I, len(s.locals))
 		}
 		t := s.locals[in.I]
 		if t.k == vtTop {
-			return fmt.Errorf("load of uninitialized local %d", in.I)
+			return false, fmt.Errorf("load of uninitialized local %d", in.I)
 		}
-		push(t)
-		return next()
+		s.push(t)
 	case OpStore:
 		if in.I < 0 || int(in.I) >= len(s.locals) {
-			return fmt.Errorf("store to local %d (have %d)", in.I, len(s.locals))
+			return false, fmt.Errorf("store to local %d (have %d)", in.I, len(s.locals))
 		}
-		t, err := pop()
+		t, err := s.pop()
 		if err != nil {
-			return err
+			return false, err
 		}
 		s.locals[in.I] = t
-		return next()
 
 	case OpPop:
-		if _, err := pop(); err != nil {
-			return err
+		if _, err := s.pop(); err != nil {
+			return false, err
 		}
-		return next()
 	case OpDup:
-		t, err := pop()
+		t, err := s.pop()
 		if err != nil {
-			return err
+			return false, err
 		}
-		push(t)
-		push(t)
-		return next()
-	case OpDupX1:
-		a, err := pop()
+		s.push(t)
+		s.push(t)
+	case OpDupX1, OpSwap:
+		a, err := s.pop()
 		if err != nil {
-			return err
+			return false, err
 		}
-		b, err := pop()
+		b, err := s.pop()
 		if err != nil {
-			return err
+			return false, err
 		}
-		push(a)
-		push(b)
-		push(a)
-		return next()
-	case OpSwap:
-		a, err := pop()
-		if err != nil {
-			return err
+		s.push(a) // a b -> b a: swap
+		s.push(b)
+		if in.Op == OpDupX1 {
+			s.push(a) // a b -> b a b
 		}
-		b, err := pop()
-		if err != nil {
-			return err
-		}
-		push(a)
-		push(b)
-		return next()
-
-	case OpIAdd, OpISub, OpIMul, OpIDiv, OpIRem, OpIShl, OpIShr, OpIUshr, OpIAnd, OpIOr, OpIXor:
-		return intBinop()
-	case OpINeg:
-		if _, err := popKind(vtInt); err != nil {
-			return err
-		}
-		push(vtype{k: vtInt})
-		return next()
-	case OpDAdd, OpDSub, OpDMul, OpDDiv:
-		return floatBinop()
-	case OpDNeg:
-		if _, err := popKind(vtFloat); err != nil {
-			return err
-		}
-		push(vtype{k: vtFloat})
-		return next()
-
-	case OpI2D:
-		if _, err := popKind(vtInt); err != nil {
-			return err
-		}
-		push(vtype{k: vtFloat})
-		return next()
-	case OpD2I:
-		if _, err := popKind(vtFloat); err != nil {
-			return err
-		}
-		push(vtype{k: vtInt})
-		return next()
-	case OpDCmp:
-		if _, err := popKind(vtFloat); err != nil {
-			return err
-		}
-		if _, err := popKind(vtFloat); err != nil {
-			return err
-		}
-		push(vtype{k: vtInt})
-		return next()
-
-	case OpJmp:
-		return v.flowTo(int(in.I), s)
-	case OpIfEQ, OpIfNE, OpIfLT, OpIfLE, OpIfGT, OpIfGE:
-		if _, err := popKind(vtInt); err != nil {
-			return err
-		}
-		if _, err := popKind(vtInt); err != nil {
-			return err
-		}
-		return branch()
-	case OpIfZ, OpIfNZ:
-		if _, err := popKind(vtInt); err != nil {
-			return err
-		}
-		return branch()
-	case OpIfNull, OpIfNonNull:
-		if _, err := popKind(vtRef); err != nil {
-			return err
-		}
-		return branch()
-	case OpIfACmpEQ, OpIfACmpNE:
-		if _, err := popKind(vtRef); err != nil {
-			return err
-		}
-		if _, err := popKind(vtRef); err != nil {
-			return err
-		}
-		return branch()
-
-	case OpNew:
-		push(vtype{k: vtRef, c: linked.class})
-		return next()
 
 	case OpGetF:
-		t, err := popKind(vtRef)
+		t, err := s.popKind(vtRef)
 		if err != nil {
-			return err
+			return false, err
 		}
 		if err := v.checkFieldAccess(linked.field); err != nil {
-			return err
+			return false, err
 		}
 		if err := v.checkRefAssignable(t, linked.field.Owner); err != nil {
-			return err
+			return false, err
 		}
 		ft, err := descToVtype(ns, linked.field.Desc)
 		if err != nil {
-			return err
+			return false, err
 		}
-		push(ft)
-		return next()
+		s.push(ft)
 	case OpPutF:
-		val, err := pop()
+		val, err := s.pop()
 		if err != nil {
-			return err
+			return false, err
 		}
 		if err := v.checkFieldAccess(linked.field); err != nil {
-			return err
+			return false, err
 		}
 		if err := v.checkAssignableDesc(val, linked.field.Desc); err != nil {
-			return err
+			return false, err
 		}
-		t, err := popKind(vtRef)
+		t, err := s.popKind(vtRef)
 		if err != nil {
-			return err
+			return false, err
 		}
 		if err := v.checkRefAssignable(t, linked.field.Owner); err != nil {
-			return err
+			return false, err
 		}
-		return next()
 	case OpGetS:
 		if err := v.checkFieldAccess(linked.field); err != nil {
-			return err
+			return false, err
 		}
 		ft, err := descToVtype(ns, linked.field.Desc)
 		if err != nil {
-			return err
+			return false, err
 		}
-		push(ft)
-		return next()
+		s.push(ft)
 	case OpPutS:
-		val, err := pop()
+		val, err := s.pop()
 		if err != nil {
-			return err
+			return false, err
 		}
 		if err := v.checkFieldAccess(linked.field); err != nil {
-			return err
+			return false, err
 		}
 		if err := v.checkAssignableDesc(val, linked.field.Desc); err != nil {
-			return err
+			return false, err
 		}
-		return next()
 
 	case OpInvokeV, OpInvokeI, OpInvokeS:
 		if linked.method.Flags&MPrivate != 0 && linked.method.Owner != v.c {
-			return fmt.Errorf("private method %s.%s not accessible from %s",
+			return false, fmt.Errorf("private method %s.%s not accessible from %s",
 				linked.method.Owner.Name, linked.method.Name, v.c.Name)
 		}
 		params, _, err := ParseMethodDesc(linked.method.Desc)
 		if err != nil {
-			return err
+			return false, err
 		}
 		for i := len(params) - 1; i >= 0; i-- {
-			arg, err := pop()
+			arg, err := s.pop()
 			if err != nil {
-				return err
+				return false, err
 			}
 			if err := v.checkAssignableDesc(arg, params[i]); err != nil {
-				return fmt.Errorf("arg %d: %w", i, err)
+				return false, fmt.Errorf("arg %d: %w", i, err)
 			}
 		}
 		if in.Op != OpInvokeS {
-			recv, err := popKind(vtRef)
+			recv, err := s.popKind(vtRef)
 			if err != nil {
-				return err
+				return false, err
 			}
 			if err := v.checkRefAssignable(recv, linked.class); err != nil {
-				return err
+				return false, err
 			}
 		}
 		if linked.method.ret != "" {
 			rt, err := descToVtype(ns, linked.method.ret)
 			if err != nil {
-				return err
+				return false, err
 			}
-			push(rt)
+			s.push(rt)
 		}
-		return next()
 
-	case OpCast:
-		if _, err := popKind(vtRef); err != nil {
-			return err
-		}
-		push(vtype{k: vtRef, c: linked.class})
-		return next()
-	case OpInstOf:
-		if _, err := popKind(vtRef); err != nil {
-			return err
-		}
-		push(vtype{k: vtInt})
-		return next()
-
-	case OpNewArr:
-		if _, err := popKind(vtInt); err != nil {
-			return err
-		}
-		push(vtype{k: vtRef, c: linked.class})
-		return next()
 	case OpALoad:
-		if _, err := popKind(vtInt); err != nil {
-			return err
+		if _, err := s.popKind(vtInt); err != nil {
+			return false, err
 		}
-		arr, err := popKind(vtRef)
+		arr, err := s.popKind(vtRef)
 		if err != nil {
-			return err
+			return false, err
 		}
 		et, err := arrayElemVtype(ns, arr)
 		if err != nil {
-			return err
+			return false, err
 		}
-		push(et)
-		return next()
+		s.push(et)
 	case OpAStore:
-		val, err := pop()
+		val, err := s.pop()
 		if err != nil {
-			return err
+			return false, err
 		}
-		if _, err := popKind(vtInt); err != nil {
-			return err
+		if _, err := s.popKind(vtInt); err != nil {
+			return false, err
 		}
-		arr, err := popKind(vtRef)
+		arr, err := s.popKind(vtRef)
 		if err != nil {
-			return err
+			return false, err
 		}
 		et, err := arrayElemVtype(ns, arr)
 		if err != nil {
-			return err
+			return false, err
 		}
 		switch et.k {
 		case vtInt, vtFloat:
 			if val.k != et.k {
-				return fmt.Errorf("array store kind mismatch: %v into %v", val, arr)
+				return false, fmt.Errorf("array store kind mismatch: %v into %v", val, arr)
 			}
 		default:
 			if val.k != vtRef && val.k != vtNull {
-				return fmt.Errorf("array store of %v into reference array", val)
+				return false, fmt.Errorf("array store of %v into reference array", val)
 			}
 		}
-		return next()
 	case OpALen:
-		arr, err := popKind(vtRef)
+		arr, err := s.popKind(vtRef)
 		if err != nil {
-			return err
+			return false, err
 		}
 		if arr.k == vtRef && !arr.c.IsArray() && arr.c.Name != ClassObject {
-			return fmt.Errorf("arraylength of non-array %v", arr)
+			return false, fmt.Errorf("arraylength of non-array %v", arr)
 		}
-		push(vtype{k: vtInt})
-		return next()
+		s.push(vtype{k: vtInt})
 
 	case OpThrow:
-		t, err := popKind(vtRef)
+		t, err := s.popKind(vtRef)
 		if err != nil {
-			return err
+			return false, err
 		}
 		if t.k == vtRef {
 			thr, err := ns.Resolve(ClassThrowable)
 			if err != nil {
-				return err
+				return false, err
 			}
 			if !t.c.AssignableTo(thr) {
-				return fmt.Errorf("throw of non-throwable %v", t)
+				return false, fmt.Errorf("throw of non-throwable %v", t)
 			}
 		}
-		return nil // terminal
-
-	case OpMonEnter, OpMonExit:
-		if _, err := popKind(vtRef); err != nil {
-			return err
-		}
-		return next()
+		return false, nil // terminal
 
 	case OpRet:
 		if v.ret != "" {
-			return fmt.Errorf("ret in non-void method")
+			return false, fmt.Errorf("ret in non-void method")
 		}
-		return nil
+		return false, nil
 	case OpRetV:
-		t, err := pop()
+		t, err := s.pop()
 		if err != nil {
-			return err
+			return false, err
 		}
 		if v.ret == "" {
-			return fmt.Errorf("retv in void method")
+			return false, fmt.Errorf("retv in void method")
 		}
 		if err := v.checkAssignableDesc(t, v.ret); err != nil {
-			return err
+			return false, err
 		}
-		return nil
+		return false, nil
 
 	default:
-		return fmt.Errorf("unverifiable opcode %s", in.Op.Name())
+		// Every other opcode has a fixed stack effect in opTable.
+		if in.Op >= opMax || opTable[in.Op].stack == "" {
+			return false, fmt.Errorf("unverifiable opcode %s", in.Op.Name())
+		}
+		eff := opTable[in.Op].stack
+		arrow := strings.IndexByte(eff, '>')
+		for i := arrow - 1; i >= 0; i-- {
+			if _, err := s.popKind(stackKind(eff[i])); err != nil {
+				return false, err
+			}
+		}
+		if arrow+1 < len(eff) {
+			t := vtype{k: stackKind(eff[arrow+1])}
+			if t.k == vtRef {
+				t.c = linked.class
+			}
+			s.push(t)
+		}
+		if in.Op.IsBranch() {
+			if err := v.flowTo(int(in.I), s); err != nil {
+				return false, err
+			}
+		}
+		return in.Op != OpJmp, nil
 	}
+	return true, nil
+}
+
+// stackKind reads one letter of an opTable stack effect.
+func stackKind(c byte) vkind {
+	switch c {
+	case 'I':
+		return vtInt
+	case 'F':
+		return vtFloat
+	case 'R':
+		return vtRef
+	case 'N':
+		return vtNull
+	}
+	return vtTop
 }
 
 // checkFieldAccess enforces private field visibility (the paper's static

@@ -482,6 +482,77 @@ join:
   retv
 .end
 `, "height mismatch"},
+		{"local changes kind across a loop back edge", `
+.class Bad
+.method static f ()I stack 4 locals 1
+  iconst 0
+  store 0
+loop:
+  load 0
+  ifz done
+  aconst_null
+  store 0
+  jmp loop
+done:
+  iconst 0
+  retv
+.end
+`, "uninitialized"},
+		{"handler sees a local a covered instruction overwrites", `
+.class Bad
+.method static f ()I stack 4 locals 1
+  iconst 1
+  store 0
+try:
+  aconst_null
+  store 0
+  iconst 0
+  retv
+end:
+handler:
+  pop
+  load 0
+  retv
+  .catch jk/lang/Throwable from try to end using handler
+.end
+`, "uninitialized"},
+		{"fall-through into a handler with an empty stack", `
+.class Bad
+.method static f ()I stack 4 locals 0
+try:
+  iconst 1
+  pop
+end:
+handler:
+  pop
+  iconst 0
+  retv
+  .catch jk/lang/Throwable from try to end using handler
+.end
+`, "height mismatch"},
+		{"fall-through into a handler with an int on the stack", `
+.class Bad
+.method static f ()I stack 4 locals 0
+try:
+  iconst 1
+end:
+handler:
+  pop
+  iconst 0
+  retv
+  .catch jk/lang/Throwable from try to end using handler
+.end
+`, "irreconcilable stack types"},
+		{"reachable branch past the code", `
+.class Bad
+.method static f (I)I stack 4 locals 0
+  load 0
+  ifz out
+  iconst 1
+  retv
+out:
+.end
+`, "invalid pc"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -496,6 +567,123 @@ join:
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("error %q does not contain %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+func TestVerifierAcceptances(t *testing.T) {
+	cases := []struct{ name, src string }{
+		{"counted loop", `
+.class Good
+.method static f (I)I stack 4 locals 1
+  iconst 0
+  store 1
+loop:
+  load 0
+  ifz done
+  load 1
+  load 0
+  iadd
+  store 1
+  load 0
+  iconst 1
+  isub
+  store 0
+  jmp loop
+done:
+  load 1
+  retv
+.end
+`},
+		{"loop widens a local to a common superclass", `
+.class Good
+.method static f (I)Ljk/lang/Object; stack 4 locals 1
+  aconst_null
+  store 1
+loop:
+  load 0
+  ifz done
+  sconst "s"
+  store 1
+  new jk/lang/Object
+  store 1
+  load 0
+  iconst 1
+  isub
+  store 0
+  jmp loop
+done:
+  load 1
+  retv
+.end
+`},
+		{"handler reads a local its try block keeps", `
+.class Good
+.method static f (Ljk/lang/Object;)I stack 4 locals 1
+  iconst 7
+  store 1
+try:
+  load 0
+  monitorenter
+  load 0
+  monitorexit
+  iconst 1
+  store 1
+end:
+  load 1
+  retv
+handler:
+  pop
+  load 1
+  retv
+  .catch jk/lang/Throwable from try to end using handler
+.end
+`},
+		{"handler loops back into its try block", `
+.class Good
+.method static f (I)I stack 4 locals 0
+try:
+  load 0
+  ifz done
+  iconst 1
+  load 0
+  idiv
+  pop
+  iconst 0
+  store 0
+  jmp try
+done:
+  iconst 0
+  retv
+end:
+handler:
+  pop
+  iconst 0
+  store 0
+  jmp try
+  .catch jk/lang/ArithmeticException from try to end using handler
+.end
+`},
+		{"unreachable branch past the code", `
+.class Good
+.method static f ()I stack 4 locals 0
+  iconst 1
+  retv
+  jmp out
+out:
+.end
+`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			vm := MustNew(ProfileA)
+			b, err := AssembleBytes(tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := vm.NewNamespace("test", vm.BootResolver()).DefineClass(b); err != nil {
+				t.Errorf("rejected: %v", err)
 			}
 		})
 	}
