@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"strings"
 	"sync"
 
@@ -395,9 +397,7 @@ func (e *vmEncoder) object(buf []byte, o *vmkit.Object) ([]byte, *vmkit.Object) 
 			// serialization's generic typed-stream writes — this is where
 			// the byte-array intermediate gets expensive (Table 4).
 			buf = binary.AppendUvarint(append(buf, vtagArrB), uint64(len(o.Bytes)))
-			for _, x := range o.Bytes {
-				buf = binary.AppendVarint(append(buf, vtagInt), int64(x))
-			}
+			buf = appendByteElements(buf, o.Bytes)
 		case o.Words != nil && cls.Elem() == "I":
 			buf = binary.AppendUvarint(append(buf, vtagArrI), uint64(len(o.Words)))
 			for _, x := range o.Words {
@@ -436,6 +436,42 @@ func (e *vmEncoder) object(buf []byte, o *vmkit.Object) ([]byte, *vmkit.Object) 
 		}
 	}
 	return buf, nil
+}
+
+// appendByteElements appends bs as [B elements, each a vtagInt tag and
+// the zigzag varint of the byte: one varint byte below 64, two from 64
+// up. The stream grows once, to its exact length plus a spare byte, and
+// every element is the same three stores and an advance of 2 + more,
+// whatever its value: a one-byte varint's third store is overwritten by
+// the next tag, or lands in the spare byte past the end.
+func appendByteElements(buf, bs []byte) []byte {
+	n := len(buf)
+	size := 2*len(bs) + wideBytes(bs)
+	buf = slices.Grow(buf, size+1)
+	out := buf[n : n+size+1]
+	p := 0
+	for _, x := range bs {
+		zz, more := uint(x)<<1, (uint(x)+192)>>8 // more: x >= 64
+		out[p] = vtagInt
+		out[p+1] = byte(zz) | byte(more<<7)
+		out[p+2] = byte(zz >> 7)
+		p += 2 + int(more)
+	}
+	return buf[:n+size]
+}
+
+// wideBytes counts the bytes of bs from 64 up, those with bit 6 or 7 set,
+// eight bytes a load.
+func wideBytes(bs []byte) int {
+	n := 0
+	for ; len(bs) >= 8; bs = bs[8:] {
+		w := binary.LittleEndian.Uint64(bs)
+		n += bits.OnesCount64((w | w<<1) & 0x8080808080808080)
+	}
+	for _, x := range bs {
+		n += int((uint(x) + 192) >> 8)
+	}
+	return n
 }
 
 // vmDecoder rebuilds a graph in the destination domain.
@@ -744,26 +780,15 @@ func (d *vmDecoder) decodeObject() (*vmkit.Object, *vmkit.Object) {
 }
 
 // elements reads the elements of arr, a primitive array of tag t. The
-// cursor stays in locals and is stored back once, at the end; a [B
-// element's tag check and each element's varint are inline, with the
-// faults d.tag, d.i and d.u raise.
+// cursor stays in locals and is stored back once, at the end; each
+// element's varint is inline, with the faults d.i and d.u raise.
 func (d *vmDecoder) elements(t byte, arr *vmkit.Object) *vmkit.Object {
 	buf, pos := d.buf, d.pos
 	switch t {
 	case vtagArrB:
-		for j := range arr.Bytes {
-			if pos >= len(buf) {
-				return d.fail("truncated stream")
-			}
-			if buf[pos] != vtagInt {
-				return d.fail("expected element tag in byte array")
-			}
-			ux, n := binary.Uvarint(buf[pos+1:])
-			if n <= 0 {
-				return d.fail("bad varint")
-			}
-			pos += 1 + n
-			arr.Bytes[j] = byte(unzigzag(ux))
+		var fault string
+		if pos, fault = byteElements(arr.Bytes, buf, pos); fault != "" {
+			return d.fail("%s", fault)
 		}
 	case vtagArrI:
 		for j := range arr.Words {
@@ -786,6 +811,42 @@ func (d *vmDecoder) elements(t byte, arr *vmkit.Object) *vmkit.Object {
 	}
 	d.pos = pos
 	return nil
+}
+
+// byteElements reads the [B elements at buf[pos:] into out. It returns
+// the cursor past them, or the cursor at the element that failed and the
+// fault's text, the one d.tag or d.i would raise. While three bytes are
+// left it reads a tag and both bytes a varint may take, and advances by
+// 2 + more with no branch on the value; at the stream's last two bytes,
+// a wrong tag or a varint that runs to a third byte it hands over to the
+// element-at-a-time loop.
+func byteElements(out, buf []byte, pos int) (int, string) {
+	j := 0
+	for ; j < len(out) && pos < len(buf)-2; j++ {
+		t, b1, b2 := buf[pos], buf[pos+1], buf[pos+2]
+		if t != vtagInt || b1&b2 >= 0x80 {
+			break
+		}
+		more := uint(b1 >> 7)
+		ux := uint(b1&0x7f) | uint(b2)<<7&-more
+		out[j] = byte(ux>>1) ^ -byte(ux&1)
+		pos += 2 + int(more)
+	}
+	for ; j < len(out); j++ {
+		if pos >= len(buf) {
+			return pos, "truncated stream"
+		}
+		if buf[pos] != vtagInt {
+			return pos, "expected element tag in byte array"
+		}
+		ux, n := binary.Uvarint(buf[pos+1:])
+		if n <= 0 {
+			return pos, "bad varint"
+		}
+		pos += 1 + n
+		out[j] = byte(unzigzag(ux))
+	}
+	return pos, ""
 }
 
 // unzigzag is binary.Varint's decoding of the unsigned varint ux.

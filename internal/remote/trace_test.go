@@ -255,11 +255,13 @@ func TestTraceChangesNoOutcome(t *testing.T) {
 		}
 		return res[2].(int64)
 	}
-	// lastTraced[g] says whether claimer g's last call was traced. Idle
-	// claimers take runs in turn, so one traced call in three lets every
-	// claimer serve an untraced call right after a traced one.
+	// lastTraced[g] says whether claimer g's last call was traced. Which
+	// claimer serves a call is the scheduler's choice, so calls go on,
+	// one traced in three, until some claimer has served an untraced
+	// call right after a traced one, or maxCalls have gone.
+	const maxCalls = 600
 	lastTraced, reused := map[int64]bool{}, 0
-	for i := 0; i < 60; i++ {
+	for i := 0; reused == 0 && i < maxCalls; i++ {
 		traced := i%3 == 0
 		if traced {
 			p.task.BeginTrace()
