@@ -7,41 +7,15 @@
 // convention makes ownership crisp again — every non-capability object
 // lives in exactly one domain — so charges have an unambiguous home. This
 // package meters allocation, interpreter work, copied bytes, loaded class
-// metadata, and cross-domain calls per domain, with pluggable policies for
-// who pays LRMI copy costs (the open design point the paper discusses).
+// metadata, and cross-domain calls per domain. The caller of an LRMI pays
+// for the bytes it copies: it chose to pass the data.
 package account
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
 )
-
-// CopyPolicy selects who pays for LRMI argument copying.
-type CopyPolicy uint8
-
-const (
-	// ChargeCaller bills the invoking domain (it chose to pass the data).
-	ChargeCaller CopyPolicy = iota
-	// ChargeCallee bills the receiving domain (the copy becomes its state).
-	ChargeCallee
-	// ChargeSplit bills each side half, rounding the odd byte to the caller.
-	ChargeSplit
-)
-
-func (p CopyPolicy) String() string {
-	switch p {
-	case ChargeCaller:
-		return "caller"
-	case ChargeCallee:
-		return "callee"
-	case ChargeSplit:
-		return "split"
-	default:
-		return fmt.Sprintf("policy(%d)", uint8(p))
-	}
-}
 
 // Stats is a snapshot of one domain's charges.
 type Stats struct {
@@ -118,28 +92,16 @@ func (a *Account) Snapshot() Stats {
 	return s
 }
 
-// Meter holds the accounts by domain id and the copy policy. The zero
-// Meter is ready to use with the default policy (ChargeCaller).
+// Meter holds the accounts by domain id. The zero Meter is ready to use.
 type Meter struct {
-	policy atomic.Uint32
 	// accounts is copy-on-write: Account reads it without a lock, and mu
 	// serializes the inserts that replace it.
 	accounts atomic.Pointer[map[int64]*Account]
 	mu       sync.Mutex
 }
 
-// NewMeter creates a Meter with the given copy policy.
-func NewMeter(policy CopyPolicy) *Meter {
-	m := &Meter{}
-	m.SetPolicy(policy)
-	return m
-}
-
-// Policy returns the meter's copy policy.
-func (m *Meter) Policy() CopyPolicy { return CopyPolicy(m.policy.Load()) }
-
-// SetPolicy changes the copy policy for subsequent charges.
-func (m *Meter) SetPolicy(p CopyPolicy) { m.policy.Store(uint32(p)) }
+// NewMeter creates a Meter.
+func NewMeter() *Meter { return &Meter{} }
 
 // table returns the current accounts, to read only.
 func (m *Meter) table() map[int64]*Account {
@@ -171,37 +133,16 @@ func (m *Meter) Account(domain int64) *Account {
 	return a
 }
 
-// CrossCall is Cross by domain id. The callee's account is resolved only
-// under a policy that bills it.
+// CrossCall is Cross by domain id. callee is not read: the caller pays.
 func (m *Meter) CrossCall(caller, callee, bytes int64) {
-	a := m.Account(caller)
-	b := a
-	if m.Policy() != ChargeCaller {
-		b = m.Account(callee)
-	}
-	m.Cross(a, b, bytes)
+	m.Cross(m.Account(caller), bytes)
 }
 
-// Cross records an LRMI initiated by caller and applies the copy charge for
-// bytes according to the policy. A frozen side takes nothing: its share of
-// the bytes is dropped, and a frozen caller counts no call.
-func (m *Meter) Cross(caller, callee *Account, bytes int64) {
-	toCaller, toCallee := m.Policy().split(bytes)
+// Cross records an LRMI initiated by caller and charges it the bytes
+// copied. A frozen caller takes nothing: no call, no bytes.
+func (m *Meter) Cross(caller *Account, bytes int64) {
 	caller.charge(&caller.published[0].calls, 1)
-	caller.charge(&caller.published[0].copied, toCaller)
-	callee.charge(&callee.published[0].copied, toCallee)
-}
-
-// split divides a crossing's copied bytes between its caller and callee.
-func (p CopyPolicy) split(bytes int64) (caller, callee int64) {
-	switch p {
-	case ChargeCallee:
-		return 0, bytes
-	case ChargeSplit:
-		half := bytes / 2
-		return bytes - half, half
-	}
-	return bytes, 0
+	caller.charge(&caller.published[0].copied, bytes)
 }
 
 // Snapshot returns a copy of domain's stats (see Account.Snapshot); zero
@@ -224,8 +165,8 @@ func (m *Meter) Domains() []int64 {
 }
 
 // GrandTotal sums a field across all domains; used by conservation tests:
-// however the copy policy splits a charge, the sum over unfrozen domains
-// equals the bytes charged, once the charges have finished.
+// the sum over unfrozen domains equals the bytes charged, once the charges
+// have finished.
 func (m *Meter) GrandTotal(f func(Stats) int64) int64 {
 	var total int64
 	for _, a := range m.table() {

@@ -10,7 +10,7 @@ import (
 )
 
 func TestBasicCharges(t *testing.T) {
-	m := NewMeter(ChargeCaller)
+	m := NewMeter()
 	m.Account(1).Alloc(100)
 	m.Account(1).Alloc(50)
 	m.Account(1).Steps(7)
@@ -27,38 +27,26 @@ func TestBasicCharges(t *testing.T) {
 	}
 }
 
+// TestCopyPolicies: one policy is left, the caller's. The caller pays for
+// the bytes a crossing copies and counts the call; the callee pays nothing.
 func TestCopyPolicies(t *testing.T) {
-	cases := []struct {
-		policy                 CopyPolicy
-		wantCaller, wantCallee int64
-	}{
-		{ChargeCaller, 101, 0},
-		{ChargeCallee, 0, 101},
-		{ChargeSplit, 51, 50},
-	}
-	for _, tc := range cases {
-		t.Run(tc.policy.String(), func(t *testing.T) {
-			m := NewMeter(tc.policy)
-			m.CrossCall(1, 2, 101)
-			if got := m.Snapshot(1).CopyBytes; got != tc.wantCaller {
-				t.Errorf("caller copy = %d, want %d", got, tc.wantCaller)
-			}
-			if got := m.Snapshot(2).CopyBytes; got != tc.wantCallee {
-				t.Errorf("callee copy = %d, want %d", got, tc.wantCallee)
-			}
-			if m.Snapshot(1).CrossCalls != 1 {
-				t.Error("cross call not counted")
-			}
-		})
-	}
+	t.Run("caller", func(t *testing.T) {
+		m := NewMeter()
+		m.CrossCall(1, 2, 101)
+		if got := m.Snapshot(1); got.CopyBytes != 101 || got.CrossCalls != 1 {
+			t.Errorf("caller = %+v, want 101 copy bytes and 1 call", got)
+		}
+		if got := m.Snapshot(2); got != (Stats{}) {
+			t.Errorf("callee = %+v, want nothing", got)
+		}
+	})
 }
 
-// Conservation: whatever the policy, total copy charges equal total bytes.
+// Conservation: total copy charges equal total bytes.
 func TestCopyConservationProperty(t *testing.T) {
-	f := func(seed int64, policyRaw uint8) bool {
+	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		policy := CopyPolicy(policyRaw % 3)
-		m := NewMeter(policy)
+		m := NewMeter()
 		var want int64
 		for i := 0; i < 50; i++ {
 			caller := int64(rng.Intn(4) + 1)
@@ -75,7 +63,7 @@ func TestCopyConservationProperty(t *testing.T) {
 }
 
 func TestFreezeStopsCharges(t *testing.T) {
-	m := NewMeter(ChargeCaller)
+	m := NewMeter()
 	m.Account(1).Alloc(10)
 	m.Account(1).Freeze()
 	m.Account(1).Alloc(10)
@@ -89,28 +77,23 @@ func TestFreezeStopsCharges(t *testing.T) {
 	// A call in flight when its caller (or callee) was terminated bills the
 	// dead account nothing on return; the live side still pays its share.
 	for _, tc := range []struct {
-		policy     CopyPolicy
 		frozen     int64
 		wantCaller int64
 		wantCallee int64
 	}{
-		{ChargeCaller, 1, 0, 0},
-		{ChargeCaller, 2, 101, 0},
-		{ChargeCallee, 1, 0, 101},
-		{ChargeCallee, 2, 0, 0},
-		{ChargeSplit, 1, 0, 50},
-		{ChargeSplit, 2, 51, 0},
+		{1, 0, 0},
+		{2, 101, 0},
 	} {
-		m := NewMeter(tc.policy)
+		m := NewMeter()
 		m.Account(tc.frozen).Freeze()
 		m.CrossCall(1, 2, 101)
 		caller, callee := m.Snapshot(1), m.Snapshot(2)
 		if caller.CopyBytes != tc.wantCaller || callee.CopyBytes != tc.wantCallee {
-			t.Errorf("%v, domain %d frozen: copy bytes caller %d callee %d, want %d and %d",
-				tc.policy, tc.frozen, caller.CopyBytes, callee.CopyBytes, tc.wantCaller, tc.wantCallee)
+			t.Errorf("domain %d frozen: copy bytes caller %d callee %d, want %d and %d",
+				tc.frozen, caller.CopyBytes, callee.CopyBytes, tc.wantCaller, tc.wantCallee)
 		}
 		if wantCalls := tc.frozen - 1; caller.CrossCalls != wantCalls { // a frozen caller counts no call either
-			t.Errorf("%v, domain %d frozen: caller cross calls = %d, want %d", tc.policy, tc.frozen, caller.CrossCalls, wantCalls)
+			t.Errorf("domain %d frozen: caller cross calls = %d, want %d", tc.frozen, caller.CrossCalls, wantCalls)
 		}
 	}
 }
@@ -118,8 +101,9 @@ func TestFreezeStopsCharges(t *testing.T) {
 // TestChargeTakesNoLock pins the charge path: once an account exists,
 // charging it — by pointer or by id — never waits for the meter's mutex.
 func TestChargeTakesNoLock(t *testing.T) {
-	m := NewMeter(ChargeSplit)
-	a, b := m.Account(1), m.Account(2)
+	m := NewMeter()
+	a := m.Account(1)
+	m.Account(2)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	done := make(chan struct{})
@@ -130,7 +114,7 @@ func TestChargeTakesNoLock(t *testing.T) {
 			m.Account(1).Alloc(1)
 			m.Account(2).Class(1)
 			m.CrossCall(1, 2, 2)
-			m.Cross(a, b, 2)
+			m.Cross(a, 2)
 			m.Snapshot(1)
 		}
 	}()
@@ -142,39 +126,37 @@ func TestChargeTakesNoLock(t *testing.T) {
 }
 
 // TestConcurrentChargesConserve: eight goroutines charge crossings between
-// overlapping domains, some of them first seen mid-run, under every policy;
-// once they are done the copy bytes on the books are the bytes charged. Run
-// it under -race.
+// overlapping domains, some of them first seen mid-run, under the caller's
+// policy; once they are done the copy bytes on the books are the bytes
+// charged. Run it under -race.
 func TestConcurrentChargesConserve(t *testing.T) {
-	for _, policy := range []CopyPolicy{ChargeCaller, ChargeCallee, ChargeSplit} {
-		t.Run(policy.String(), func(t *testing.T) {
-			m := NewMeter(policy)
-			var want atomic.Int64
-			var wg sync.WaitGroup
-			for g := int64(0); g < 8; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := int64(0); i < 2000; i++ {
-						bytes := i%7 + g
-						m.CrossCall(g%3+1, i/500+10, bytes)
-						want.Add(bytes)
-					}
-				}()
-			}
-			wg.Wait()
-			if got := m.GrandTotal(func(s Stats) int64 { return s.CopyBytes }); got != want.Load() {
-				t.Errorf("copy bytes on the books = %d, charged %d", got, want.Load())
-			}
-			if got := m.GrandTotal(func(s Stats) int64 { return s.CrossCalls }); got != 8*2000 {
-				t.Errorf("cross calls = %d, want %d", got, 8*2000)
-			}
-		})
-	}
+	t.Run("caller", func(t *testing.T) {
+		m := NewMeter()
+		var want atomic.Int64
+		var wg sync.WaitGroup
+		for g := int64(0); g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := int64(0); i < 2000; i++ {
+					bytes := i%7 + g
+					m.CrossCall(g%3+i/500+1, 10, bytes)
+					want.Add(bytes)
+				}
+			}()
+		}
+		wg.Wait()
+		if got := m.GrandTotal(func(s Stats) int64 { return s.CopyBytes }); got != want.Load() {
+			t.Errorf("copy bytes on the books = %d, charged %d", got, want.Load())
+		}
+		if got := m.GrandTotal(func(s Stats) int64 { return s.CrossCalls }); got != 8*2000 {
+			t.Errorf("cross calls = %d, want %d", got, 8*2000)
+		}
+	})
 }
 
 func TestDomainsSorted(t *testing.T) {
-	m := NewMeter(ChargeCaller)
+	m := NewMeter()
 	m.Account(3).Alloc(1)
 	m.Account(1).Alloc(1)
 	m.Account(2).Alloc(1)
@@ -185,7 +167,7 @@ func TestDomainsSorted(t *testing.T) {
 }
 
 func TestConcurrentCharging(t *testing.T) {
-	m := NewMeter(ChargeSplit)
+	m := NewMeter()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

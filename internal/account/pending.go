@@ -37,13 +37,12 @@ type pendingSteps struct {
 	steps int64
 }
 
-// pendingCross is the crossings of one kind: caller, callee and the
-// counters they count on.
+// pendingCross is the crossings of one kind: the caller and the counters
+// they count on.
 type pendingCross struct {
-	caller, callee     *Account
-	path, edge         *atomic.Int64
-	calls              int64
-	toCaller, toCallee int64
+	caller        *Account
+	path, edge    *atomic.Int64
+	calls, copied int64
 }
 
 // Steps books n interpreter steps to a (nil: nowhere).
@@ -69,26 +68,23 @@ func (p *Pending) Steps(a *Account, n int64) {
 // Work returns the steps booked since the last Publish.
 func (p *Pending) Work() int64 { return p.work }
 
-// Cross books an LRMI initiated by caller into callee: the caller's call,
-// the copy charge for bytes divided by policy — what Meter.Cross charges,
-// once published — and one increment of each non-nil counter, path and
-// edge (the kernel's call counter and call-graph edge).
-func (p *Pending) Cross(policy CopyPolicy, caller, callee *Account, bytes int64, path, edge *atomic.Int64) {
-	toCaller, toCallee := policy.split(bytes)
+// Cross books an LRMI initiated by caller: its call and the bytes it
+// copied — what Meter.Cross charges, once published — and one increment of
+// each non-nil counter, path and edge (the kernel's call counter and
+// call-graph edge).
+func (p *Pending) Cross(caller *Account, bytes int64, path, edge *atomic.Int64) {
 	for i := range p.nx {
 		x := &p.crosses[i]
-		if x.caller == caller && x.callee == callee && x.path == path && x.edge == edge {
+		if x.caller == caller && x.path == path && x.edge == edge {
 			x.calls++
-			x.toCaller += toCaller
-			x.toCallee += toCallee
+			x.copied += bytes
 			return
 		}
 	}
 	if p.nx == len(p.crosses) {
 		p.Publish()
 	}
-	p.crosses[p.nx] = pendingCross{caller: caller, callee: callee, path: path, edge: edge,
-		calls: 1, toCaller: toCaller, toCallee: toCallee}
+	p.crosses[p.nx] = pendingCross{caller: caller, path: path, edge: edge, calls: 1, copied: bytes}
 	p.nx++
 }
 
@@ -112,10 +108,7 @@ func (p *Pending) Publish() {
 		x := &p.crosses[j]
 		if !x.caller.frozen.Load() {
 			x.caller.published[i].calls.Add(x.calls)
-			add(&x.caller.published[i].copied, x.toCaller)
-		}
-		if x.toCallee != 0 && !x.callee.frozen.Load() {
-			x.callee.published[i].copied.Add(x.toCallee)
+			add(&x.caller.published[i].copied, x.copied)
 		}
 		if x.path != nil {
 			x.path.Add(x.calls)

@@ -52,8 +52,8 @@ type Future struct {
 	// dispatch on the starting goroutine, read on the transport's reader.
 	// The transport's own synchronization (its enqueue lock) orders the
 	// writes before any CompleteWire call.
-	wk               *Kernel
-	wCaller, wCallee *account.Account
+	wk      *Kernel
+	wCaller *account.Account
 
 	// done is created on demand (Done, or a Wait that actually blocks):
 	// on the batched hot path most futures resolve before anyone waits,
@@ -192,7 +192,7 @@ func (f *Future) setCancel(via ProxyTarget, tok uint64) {
 // across the wire on the way. It reports false when the future had already
 // resolved (Cancel or revocation won the race), so results are dropped.
 func (f *Future) CompleteWire(results []any, copied int64, err error) bool {
-	f.wk.Meter.Cross(f.wCaller, f.wCallee, copied)
+	f.wk.Meter.Cross(f.wCaller, copied)
 	return f.resolve(results, err)
 }
 
@@ -273,7 +273,7 @@ func (c *Capability) invokeAsync(task *Task, caller *Domain, name string, args [
 	// completion callback (CompleteWire), so no per-call closure crosses
 	// into the transport.
 	if pb := g.proxy.Load(); pb != nil {
-		f.wk, f.wCaller, f.wCallee = k, caller.acct, g.owner.acct
+		f.wk, f.wCaller = k, caller.acct
 		call := ProxyCall{Method: name, Args: args, Done: f}
 		if k.tm != nil {
 			call.Trace = task.Chain.Trace

@@ -41,8 +41,6 @@ type Options struct {
 	// VM; vmkit.ProfileA and ProfileB are the paper's cost models, for the
 	// tables that measure them.
 	Profile vmkit.Profile
-	// CopyPolicy selects who pays LRMI copy charges (default ChargeCaller).
-	CopyPolicy account.CopyPolicy
 	// Stdout receives output of domains with no per-domain writer.
 	Stdout io.Writer
 	// DisableTelemetry turns off the kernel's metrics registry and trace
@@ -92,7 +90,7 @@ type Kernel struct {
 // (jk/kernel/Repository, jk/kernel/Domain), and wires accounting.
 func New(opts Options) (*Kernel, error) {
 	k := &Kernel{
-		Meter:   account.NewMeter(opts.CopyPolicy),
+		Meter:   account.NewMeter(),
 		seriReg: seri.NewRegistry(),
 	}
 	if !opts.DisableTelemetry {

@@ -39,8 +39,8 @@ func (t *Task) leave(seg *threads.Seg) {
 }
 
 // charge books one crossing the task's carrier made from caller into
-// callee along path p, copying bytes: the caller's call and the copy
-// charge by the meter's policy, the path's call counter and the
+// callee along path p, copying bytes: the caller's call and the bytes it
+// copied, the path's call counter and the
 // caller→callee edge. It is all plain adds into the carrier's pending
 // record (vmkit.Thread.Pending), which reaches the shared counters at the
 // next publish (Thread.Publish): the thread's step flush inside bytecode,
@@ -55,7 +55,7 @@ func (t *Task) charge(p callPath, caller, callee *Domain, bytes int64) {
 		}
 		edge = m.edgeCell(t, caller, callee)
 	}
-	t.Thread.Pending.Cross(t.K.Meter.Policy(), caller.acct, callee.acct, bytes, path, edge)
+	t.Thread.Pending.Cross(caller.acct, bytes, path, edge)
 }
 
 // vmParam is one parameter of a gate method as the gate checks it.

@@ -38,9 +38,6 @@ type Control interface {
 	// after a capability fault (revocation, worker crash, lost
 	// connection) so the control plane can re-place it.
 	ServletFault(name string, err error)
-	// ObserveRequest receives the outcome of every routed request — the
-	// per-servlet load and latency signal for placement and autoscaling.
-	ObserveRequest(name string, status int, err error, dur time.Duration)
 }
 
 // Bridge is the ISAPI-extension analog: it lives in the front server's
@@ -184,31 +181,27 @@ func (b *Bridge) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		b.serveAdmin(w, r)
 		return
 	}
-	rt := b.Router.Lookup(r.URL.Path)
+	rt := b.Router.enter(r.URL.Path)
 	if rt == nil {
 		http.NotFound(w, r)
 		return
 	}
+	defer rt.leave()
 	start := time.Now()
-	status, err := b.dispatch(w, r, rt)
+	status := b.dispatch(w, r, rt)
 
 	// Per-servlet telemetry through the handles the route resolved when it
-	// was mounted (inert when telemetry is disabled), plus the control
-	// plane's load/latency observer when one is installed.
+	// was mounted (inert when telemetry is disabled).
 	rt.tm.observe(status, start)
-	if ctl := b.controlPlane(); ctl != nil {
-		ctl.ObserveRequest(rt.name, status, err, time.Since(start))
-	}
 }
 
 // dispatch forwards one routed request through LRMI to rt's servlet and
-// writes the reply. It returns the status written and the servlet's
-// failure, if that is what the status reports.
-func (b *Bridge) dispatch(w http.ResponseWriter, r *http.Request, rt *route) (status int, err error) {
+// writes the reply. It returns the status written.
+func (b *Bridge) dispatch(w http.ResponseWriter, r *http.Request, rt *route) int {
 	body, status, err := readBody(r)
 	if err != nil {
 		http.Error(w, "read body: "+err.Error(), status)
-		return status, nil
+		return status
 	}
 
 	// Enter the bridge domain for the duration of the request: the Java
@@ -225,11 +218,11 @@ func (b *Bridge) dispatch(w http.ResponseWriter, r *http.Request, rt *route) (st
 		}
 		out, err := rt.cap.InvokeVM(task, "service", r.Method, uri, body)
 		if err != nil {
-			return servletError(w, err), err
+			return servletError(w, err)
 		}
 		data, _ := out.([]byte)
 		writeReply(w, r, nil, http.StatusOK, data)
-		return http.StatusOK, nil
+		return http.StatusOK
 	}
 
 	req := &Request{
@@ -242,19 +235,19 @@ func (b *Bridge) dispatch(w http.ResponseWriter, r *http.Request, rt *route) (st
 	results, err := rt.cap.InvokeFrom(task, "Service", req)
 	if err != nil {
 		b.maybeUnmountFaulted(rt, err)
-		return servletError(w, err), err
+		return servletError(w, err)
 	}
 	resp, _ := results[0].(*Response)
 	if resp == nil {
 		http.Error(w, "servlet returned no response", http.StatusBadGateway)
-		return http.StatusBadGateway, nil
+		return http.StatusBadGateway
 	}
 	status = resp.Status
 	if status == 0 {
 		status = http.StatusOK
 	}
 	writeReply(w, r, resp.Headers, status, resp.Body)
-	return status, nil
+	return status
 }
 
 // bufferBeforeChunking is how much of a reply net/http holds before it

@@ -17,6 +17,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"jkernel/internal/core"
 	"jkernel/internal/telemetry"
@@ -74,7 +75,27 @@ type route struct {
 	domain *core.Domain
 	isVM   bool
 	tm     routeMetrics
+	// inflight counts the requests that entered this route and have not
+	// left it, on a remote-backed route only: a control plane that
+	// replaced the route waits for it to reach zero before it tears down
+	// the instance behind it.
+	inflight atomic.Int64
 }
+
+// remote reports whether rt is backed by a remote capability, the only
+// kind Remount replaces.
+func (rt *route) remote() bool { return rt.domain == nil && !rt.isVM }
+
+// leave ends a request that enter counted on rt.
+func (rt *route) leave() {
+	if rt.remote() {
+		rt.inflight.Add(-1)
+	}
+}
+
+// InFlight returns how many requests are in flight on rt. Once Remount
+// has replaced rt, no request enters it, so the count only falls.
+func (rt *route) InFlight() int64 { return rt.inflight.Load() }
 
 func (r *Router) newRoute(name, prefix string, cap *core.Capability, d *core.Domain, isVM bool) *route {
 	rt := &route{name: name, prefix: prefix, cap: cap, domain: d, isVM: isVM}
@@ -125,32 +146,33 @@ func (r *Router) unmountRoute(rt *route) bool {
 }
 
 // Remount atomically replaces the route mounted as name with a fresh
-// remote-backed one, or mounts it new. Lookups never observe a gap,
-// which is what keeps control-plane failover 503→200 instead of 404.
-func (r *Router) Remount(name, prefix string, cap *core.Capability) error {
+// remote-backed one, or mounts it new, and returns the route it replaced
+// (nil if none). Requests never observe a gap, which is what keeps
+// control-plane failover 503→200 instead of 404.
+func (r *Router) Remount(name, prefix string, cap *core.Capability) (*route, error) {
 	if !strings.HasPrefix(prefix, "/") {
-		return fmt.Errorf("httpd: prefix must start with /: %q", prefix)
+		return nil, fmt.Errorf("httpd: prefix must start with /: %q", prefix)
 	}
 	nrt := r.newRoute(name, prefix, cap, nil, false)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for i, rt := range r.routes {
 		if rt.name == name {
-			if rt.domain != nil || rt.isVM {
-				return fmt.Errorf("httpd: servlet %q is locally hosted; unmount it first", name)
+			if !rt.remote() {
+				return nil, fmt.Errorf("httpd: servlet %q is locally hosted; unmount it first", name)
 			}
 			r.routes[i] = nrt
 			sort.SliceStable(r.routes, func(i, j int) bool {
 				return len(r.routes[i].prefix) > len(r.routes[j].prefix)
 			})
-			return nil
+			return rt, nil
 		}
 	}
 	r.routes = append(r.routes, nrt)
 	sort.SliceStable(r.routes, func(i, j int) bool {
 		return len(r.routes[i].prefix) > len(r.routes[j].prefix)
 	})
-	return nil
+	return nil, nil
 }
 
 // Unmount removes a servlet by name and returns its route.
@@ -166,12 +188,17 @@ func (r *Router) Unmount(name string) *route {
 	return nil
 }
 
-// Lookup finds the longest-prefix route for path.
-func (r *Router) Lookup(path string) *route {
+// enter finds the longest-prefix route for path and counts a request on
+// it; the caller ends the request with leave. The count is taken under
+// the read lock, so no request enters a route after Remount replaced it.
+func (r *Router) enter(path string) *route {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for _, rt := range r.routes {
 		if strings.HasPrefix(path, rt.prefix) {
+			if rt.remote() {
+				rt.inflight.Add(1)
+			}
 			return rt
 		}
 	}

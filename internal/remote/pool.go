@@ -27,8 +27,6 @@ type PoolOptions struct {
 	Command func(i int, network, addr string) *exec.Cmd
 	// Stderr receives worker stderr (default: the supervisor's stderr).
 	Stderr *os.File
-	// RestartDelay paces respawns after a crash (default 200ms).
-	RestartDelay time.Duration
 	// Log, when set, receives pool lifecycle events.
 	Log func(format string, args ...any)
 	// Telemetry receives pool metrics and lifecycle events (spawn counts,
@@ -62,6 +60,9 @@ type Pool struct {
 	restarts    *telemetry.Counter
 	dialLatency *telemetry.Histogram
 }
+
+// restartDelay paces respawns after a crash.
+const restartDelay = 200 * time.Millisecond
 
 // PoolWorker is one supervised worker slot. The process occupying it may
 // be restarted any number of times; the socket address is stable. Slot
@@ -98,9 +99,6 @@ func StartPool(opts PoolOptions) (*Pool, error) {
 	}
 	if opts.Command == nil {
 		opts.Command = SelfExecCommand
-	}
-	if opts.RestartDelay <= 0 {
-		opts.RestartDelay = 200 * time.Millisecond
 	}
 	if opts.Log == nil {
 		opts.Log = func(string, ...any) {}
@@ -407,9 +405,9 @@ func (w *PoolWorker) monitor(cmd *exec.Cmd) {
 	reason := exitReason(cmd, err)
 	w.pool.restarts.Inc()
 	w.pool.opts.Telemetry.Eventf("pool worker %d exited: %s; restarting in %v",
-		w.Index, reason, w.pool.opts.RestartDelay)
-	w.pool.opts.Log("worker %d: exited (%s); restarting in %v", w.Index, reason, w.pool.opts.RestartDelay)
-	time.Sleep(w.pool.opts.RestartDelay)
+		w.Index, reason, restartDelay)
+	w.pool.opts.Log("worker %d: exited (%s); restarting in %v", w.Index, reason, restartDelay)
+	time.Sleep(restartDelay)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.pool.closed.Load() || w.removed.Load() {

@@ -89,7 +89,7 @@ func TestPoolAddRemove(t *testing.T) {
 // again once the killing stops. Run under -race this also checks the
 // pool's slot bookkeeping against concurrent monitor respawns.
 func TestDialRacesKillRestart(t *testing.T) {
-	pool, err := StartPool(PoolOptions{Workers: 1, RestartDelay: 10 * time.Millisecond})
+	pool, err := StartPool(PoolOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

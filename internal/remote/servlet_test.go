@@ -137,7 +137,6 @@ func (f *faultRecorder) ServletFault(name string, err error) {
 	f.faults = append(f.faults, name)
 	f.mu.Unlock()
 }
-func (f *faultRecorder) ObserveRequest(name string, status int, err error, dur time.Duration) {}
 
 // TestRemoteServletFaultAutoUnmount checks the two fault policies: a
 // remote mount whose backing capability faults (worker connection lost)

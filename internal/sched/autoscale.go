@@ -4,62 +4,41 @@ import (
 	"fmt"
 	"sort"
 	"time"
-
-	"jkernel/internal/telemetry"
 )
 
-// AutoscaleConfig tunes the pool-sizing feedback loop. The two signals
-// are the mean wire queue depth per ready worker (calls sent but not yet
-// answered) and the worst per-worker p99 request latency over the last
-// evaluation window. Hysteresis comes from three places: the gap between
-// UpQueue and DownQueue, the DownTicks consecutive-low requirement, and
-// the Cooldown after any size change.
+// AutoscaleConfig configures the pool-sizing feedback loop. Its signal is the
+// mean wire queue depth per ready worker (calls sent but not yet
+// answered). Hysteresis comes from three places: the gap between
+// upQueue and downQueue, the downTicks consecutive-low requirement, and
+// the cooldown after any size change.
 type AutoscaleConfig struct {
 	// Disabled pins the pool at MinWorkers.
 	Disabled bool
-	// Interval paces evaluations (default 1s).
-	Interval time.Duration
-	// Cooldown is the minimum gap between size changes (default 5s).
-	Cooldown time.Duration
-	// UpQueue scales up when mean queue depth per ready worker reaches it
-	// (default 16). DownQueue arms scale-down when depth falls to it or
-	// below (default 2); keep a wide gap or the pool flaps.
-	UpQueue, DownQueue float64
-	// UpP99 optionally scales up when any worker's windowed p99 request
-	// latency reaches it, even with short queues (0 = off).
-	UpP99 time.Duration
-	// DownTicks is how many consecutive low evaluations arm a scale-down
-	// (default 5).
-	DownTicks int
 }
 
-func (c *AutoscaleConfig) fillDefaults() {
-	if c.Interval <= 0 {
-		c.Interval = time.Second
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 5 * time.Second
-	}
-	if c.UpQueue <= 0 {
-		c.UpQueue = 16
-	}
-	if c.DownQueue <= 0 {
-		c.DownQueue = 2
-	}
-	if c.DownTicks <= 0 {
-		c.DownTicks = 5
-	}
-}
+// The feedback loop's thresholds and pacing.
+const (
+	// upQueue scales up when mean queue depth per ready worker reaches it.
+	upQueue = 16
+	// downQueue arms scale-down when depth falls to it or below; the wide
+	// gap to upQueue keeps the pool from flapping.
+	downQueue = 2
+	// downTicks is how many consecutive low evaluations arm a scale-down.
+	downTicks = 5
+	// evalTicks and cooldownTicks are the evaluation interval and the
+	// minimum gap between size changes, in probe intervals: 1s and 5s at
+	// the default 250ms.
+	evalTicks, cooldownTicks = 4, 20
+)
 
 // autoscale is one feedback-loop evaluation; the control loop calls it
-// every probe tick and it self-paces to AutoscaleConfig.Interval.
+// every probe tick and it self-paces to evalTicks probe intervals.
 func (s *Scheduler) autoscale() {
-	cfg := &s.opts.Autoscale
-	if cfg.Disabled {
+	if s.opts.Autoscale.Disabled {
 		return
 	}
 	now := time.Now()
-	if now.Sub(s.lastScaleEval) < cfg.Interval {
+	if now.Sub(s.lastScaleEval) < evalTicks*s.opts.ProbeInterval {
 		return
 	}
 	s.lastScaleEval = now
@@ -68,7 +47,6 @@ func (s *Scheduler) autoscale() {
 	active := 0 // slots we own and are not tearing down
 	ready := 0
 	totalPending := 0
-	var worstP99 time.Duration
 	for _, m := range s.members {
 		if !m.removing {
 			active++
@@ -78,32 +56,24 @@ func (s *Scheduler) autoscale() {
 		}
 		ready++
 		totalPending += m.conn.PendingCalls()
-		// Swap in a fresh histogram: p99 is over the last window only.
-		h := m.lat.Swap(&telemetry.Histogram{})
-		if q := time.Duration(h.Quantile(0.99)); q > worstP99 {
-			worstP99 = q
-		}
 	}
 	s.mu.Unlock()
 	if ready == 0 {
 		return
 	}
 	depth := float64(totalPending) / float64(ready)
-	cooled := now.Sub(s.lastScale) >= cfg.Cooldown
-
-	hot := depth >= cfg.UpQueue || (cfg.UpP99 > 0 && worstP99 >= cfg.UpP99)
-	cold := depth <= cfg.DownQueue && (cfg.UpP99 == 0 || worstP99 < cfg.UpP99/2)
+	cooled := now.Sub(s.lastScale) >= cooldownTicks*s.opts.ProbeInterval
 
 	switch {
-	case hot:
+	case depth >= upQueue:
 		s.lowTicks = 0
 		if active < s.opts.MaxWorkers && cooled {
-			s.scaleUp(fmt.Sprintf("queue depth %.1f, p99 %v", depth, worstP99))
+			s.scaleUp(fmt.Sprintf("queue depth %.1f", depth))
 			s.lastScale = now
 		}
-	case cold:
+	case depth <= downQueue:
 		s.lowTicks++
-		if s.lowTicks >= cfg.DownTicks && active > s.opts.MinWorkers && cooled {
+		if s.lowTicks >= downTicks && active > s.opts.MinWorkers && cooled {
 			if s.scaleDown(fmt.Sprintf("queue depth %.1f for %d ticks", depth, s.lowTicks)) {
 				s.lastScale = now
 			}

@@ -6,8 +6,8 @@
 //   - placement: which worker kernel hosts each servlet (pluggable
 //     Strategy: least-loaded or consistent-hash);
 //   - autoscaling: how many workers exist, grown and shrunk between
-//     Min/Max bounds from per-worker wire queue depth and p99 request
-//     latency, with hysteresis and a cooldown so the pool does not flap;
+//     Min/Max bounds from the mean wire queue depth per worker, with
+//     hysteresis and a cooldown so the pool does not flap;
 //   - health: a periodic probe per worker; an unhealthy worker drains (no
 //     new placements, in-flight calls finish), a crashed worker's
 //     servlets are re-placed onto survivors, and a restarted worker
@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"jkernel/internal/core"
@@ -51,25 +50,31 @@ type Options struct {
 	MinWorkers, MaxWorkers int
 	// Strategy places servlets (default LeastLoaded).
 	Strategy Strategy
-	// ProbeInterval paces the health loop (default 250ms); each probe is
-	// a protocol ping bounded by ProbeTimeout (default 2s).
-	ProbeInterval, ProbeTimeout time.Duration
-	// DeadAfter is how many consecutive probe failures turn a draining
-	// worker into a dead one (default 2).
-	DeadAfter int
-	// DialTimeout bounds worker (re)connects (default 10s); DeployTimeout
-	// bounds one deploy RPC (default 10s).
-	DialTimeout, DeployTimeout time.Duration
-	// Autoscale tunes the feedback loop; zero values mean defaults, set
-	// Disabled to pin the pool at MinWorkers.
+	// ProbeInterval paces the health loop (default 250ms). The
+	// autoscaler's evaluation interval and cooldown are multiples of it.
+	ProbeInterval time.Duration
+	// Autoscale switches the feedback loop off.
 	Autoscale AutoscaleConfig
 	// Log, when set, receives control-plane decisions (also in telemetry).
 	Log func(format string, args ...any)
 }
 
+// The control plane's health and RPC bounds.
+const (
+	// probeTimeout bounds one health probe, a protocol ping.
+	probeTimeout = 2 * time.Second
+	// deadAfter is how many consecutive probe failures turn a draining
+	// worker into a dead one.
+	deadAfter = 2
+	// dialTimeout bounds a worker (re)connect.
+	dialTimeout = 10 * time.Second
+	// deployTimeout bounds one deploy or undeploy RPC.
+	deployTimeout = 10 * time.Second
+)
+
 // memberState is the drain state machine of one worker:
 //
-//	starting ──ready──▶ ready ──probe fail──▶ draining ──DeadAfter──▶ dead
+//	starting ──ready──▶ ready ──probe fail──▶ draining ──deadAfter──▶ dead
 //	   ▲                  ▲                      │                      │
 //	   │                  └──────probe ok────────┘                      │
 //	   └────────────────── reconnect + readiness ◀──────────────────────┘
@@ -107,13 +112,9 @@ type member struct {
 	removing   bool // scale-down: evacuate, then reap the slot
 	fails      int  // consecutive probe failures
 	connecting bool // one async (re)connect in flight
+	teardowns  int  // moved-off instances not yet undeployed (reap waits)
 	conn       *remote.Conn
 	deployer   *core.Capability
-
-	// lat is the windowed request-latency histogram: the autoscaler swaps
-	// in a fresh one each evaluation, so p99 reflects the last window,
-	// not process history.
-	lat atomic.Pointer[telemetry.Histogram]
 }
 
 // placeable reports whether new placements may land on m.
@@ -176,22 +177,9 @@ func Start(opts Options) (*Scheduler, error) {
 	if opts.ProbeInterval <= 0 {
 		opts.ProbeInterval = 250 * time.Millisecond
 	}
-	if opts.ProbeTimeout <= 0 {
-		opts.ProbeTimeout = 2 * time.Second
-	}
-	if opts.DeadAfter <= 0 {
-		opts.DeadAfter = 2
-	}
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 10 * time.Second
-	}
-	if opts.DeployTimeout <= 0 {
-		opts.DeployTimeout = 10 * time.Second
-	}
 	if opts.Log == nil {
 		opts.Log = func(string, ...any) {}
 	}
-	opts.Autoscale.fillDefaults()
 	RegisterWireTypes(opts.Kernel)
 
 	opts.Pool.Workers = opts.MinWorkers
@@ -281,7 +269,6 @@ func Start(opts Options) (*Scheduler, error) {
 // addMemberLocked registers a pool slot as a managed member.
 func (s *Scheduler) addMemberLocked(w *remote.PoolWorker) *member {
 	m := &member{w: w, state: stateStarting}
-	m.lat.Store(&telemetry.Histogram{})
 	s.members[w.Index] = m
 	return m
 }
@@ -331,7 +318,7 @@ func (s *Scheduler) Close() {
 // connectNow dials a member's worker and imports its deployer, marking it
 // ready on success. Blocking; callers decide whether to background it.
 func (s *Scheduler) connectNow(m *member) {
-	conn, err := m.w.Dial(s.k, s.opts.DialTimeout)
+	conn, err := m.w.Dial(s.k, dialTimeout)
 	if err != nil {
 		s.mu.Lock()
 		m.connecting = false
@@ -429,7 +416,7 @@ func (s *Scheduler) run() {
 
 // probe pings every connected member and advances the drain state
 // machine: ready → draining on the first failure, draining → dead after
-// DeadAfter consecutive failures, draining → ready on recovery.
+// deadAfter consecutive failures, draining → ready on recovery.
 func (s *Scheduler) probe() {
 	s.mu.Lock()
 	type probeTarget struct {
@@ -450,7 +437,7 @@ func (s *Scheduler) probe() {
 		wg.Add(1)
 		go func(i int, conn *remote.Conn) {
 			defer wg.Done()
-			results[i] = conn.Ping(s.opts.ProbeTimeout)
+			results[i] = conn.Ping(probeTimeout)
 		}(i, t.conn)
 	}
 	wg.Wait()
@@ -476,7 +463,7 @@ func (s *Scheduler) probe() {
 			s.cDrain.Inc()
 			s.eventf("worker %d unhealthy (%v); draining", m.w.Index, results[i])
 		}
-		if m.fails >= s.opts.DeadAfter {
+		if m.fails >= deadAfter {
 			s.declareDeadLocked(m, fmt.Sprintf("%d failed probes", m.fails))
 		}
 	}
@@ -657,7 +644,7 @@ func (s *Scheduler) place(p *placementRec) error {
 		p.worker = m.w.Index
 		p.cap = cap
 		s.mu.Unlock()
-		if err := s.bridge.Router.Remount(p.name, p.prefix, cap); err != nil {
+		if _, err := s.bridge.Router.Remount(p.name, p.prefix, cap); err != nil {
 			s.mu.Lock()
 			p.worker, p.cap = -1, nil
 			s.mu.Unlock()
@@ -672,7 +659,7 @@ func (s *Scheduler) place(p *placementRec) error {
 }
 
 // deployOn runs one Deploy RPC against a member, bounded by
-// DeployTimeout so a wedged worker cannot stall the control plane.
+// deployTimeout so a wedged worker cannot stall the control plane.
 //
 //jk:blocking
 func (s *Scheduler) deployOn(m *member, spec DeploySpec) (*core.Capability, error) {
@@ -688,9 +675,9 @@ func (s *Scheduler) deployOn(m *member, spec DeploySpec) (*core.Capability, erro
 	conn.Flush()
 	select {
 	case <-fut.Done():
-	case <-time.After(s.opts.DeployTimeout):
+	case <-time.After(deployTimeout):
 		fut.Cancel()
-		return nil, fmt.Errorf("deploy of %q timed out after %v", spec.Name, s.opts.DeployTimeout)
+		return nil, fmt.Errorf("deploy of %q timed out after %v", spec.Name, deployTimeout)
 	}
 	res, err := fut.Wait()
 	if err != nil {
@@ -723,7 +710,7 @@ func (s *Scheduler) undeployOn(m *member, name string) {
 	conn.Flush()
 	select {
 	case <-fut.Done():
-	case <-time.After(s.opts.DeployTimeout):
+	case <-time.After(deployTimeout):
 		fut.Cancel()
 	}
 }
@@ -806,10 +793,10 @@ func (s *Scheduler) rebalance() {
 	}
 }
 
-// movePlacement deploys p on its new worker, swaps the mount, and lazily
-// undeploys the old instance once its worker's wire queue drains, so
-// calls in flight on the old route finish instead of being revoked
-// mid-request.
+// movePlacement deploys p on its new worker, swaps the mount, and
+// undeploys the old instance once no request is in flight on the old
+// route, so a request that resolved the old route before the swap finishes
+// there instead of meeting a torn-down instance or connection.
 func (s *Scheduler) movePlacement(p *placementRec, to *member) {
 	defer func() {
 		s.mu.Lock()
@@ -832,7 +819,8 @@ func (s *Scheduler) movePlacement(p *placementRec, to *member) {
 	p.worker = to.w.Index
 	p.cap = cap
 	s.mu.Unlock()
-	if err := s.bridge.Router.Remount(p.name, p.prefix, cap); err != nil {
+	old, err := s.bridge.Router.Remount(p.name, p.prefix, cap)
+	if err != nil {
 		s.eventf("re-mount of %q failed: %v", p.name, err)
 		return
 	}
@@ -841,20 +829,24 @@ func (s *Scheduler) movePlacement(p *placementRec, to *member) {
 	if from == nil && oldCap == nil {
 		return
 	}
+	// The control loop runs reap after this returns, so from is busy by
+	// then and keeps its connection until the teardown is done.
+	s.mu.Lock()
+	if from != nil {
+		from.teardowns++
+	}
+	s.mu.Unlock()
 	go func() {
-		// Grace: let in-flight calls on the old worker finish.
+		// Grace: let the requests in flight on the old route finish.
 		deadline := time.Now().Add(2 * time.Second)
-		for from != nil && time.Now().Before(deadline) {
-			s.mu.Lock()
-			conn := from.conn
-			s.mu.Unlock()
-			if conn == nil || conn.PendingCalls() == 0 {
-				break
-			}
+		for old != nil && old.InFlight() > 0 && time.Now().Before(deadline) {
 			time.Sleep(10 * time.Millisecond)
 		}
 		if from != nil {
 			s.undeployOn(from, p.name)
+			s.mu.Lock()
+			from.teardowns--
+			s.mu.Unlock()
 		}
 		if oldCap != nil {
 			remote.ReleaseProxy(oldCap)
@@ -913,8 +905,8 @@ func (s *Scheduler) RemoveWorker(worker int) error {
 }
 
 // reap finishes pending removals: once a removing member has no
-// placements and no in-flight calls, its connection closes and the pool
-// slot is deleted.
+// placements, no instance left to tear down and no in-flight calls, its
+// connection closes and the pool slot is deleted.
 func (s *Scheduler) reap() {
 	s.mu.Lock()
 	var victims []*member
@@ -929,7 +921,7 @@ func (s *Scheduler) reap() {
 				break
 			}
 		}
-		if busy {
+		if busy || m.teardowns > 0 {
 			continue
 		}
 		if m.conn != nil && m.conn.PendingCalls() > 0 {
@@ -991,19 +983,6 @@ func (s *Scheduler) ServletFault(name string, err error) {
 	}
 	s.mu.Unlock()
 	s.kick()
-}
-
-// ObserveRequest feeds the autoscaler's latency window.
-func (s *Scheduler) ObserveRequest(name string, status int, err error, dur time.Duration) {
-	s.mu.Lock()
-	var h *telemetry.Histogram
-	if p := s.placements[name]; p != nil && p.worker >= 0 {
-		if m := s.members[p.worker]; m != nil {
-			h = m.lat.Load()
-		}
-	}
-	s.mu.Unlock()
-	h.Observe(int64(dur)) // nil-safe
 }
 
 // --- snapshot ---------------------------------------------------------------

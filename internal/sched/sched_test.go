@@ -2,6 +2,7 @@ package sched_test
 
 import (
 	"fmt"
+	"io"
 	"net/http/httptest"
 	"os"
 	"sync"
@@ -391,20 +392,117 @@ func TestDrainAndRemove(t *testing.T) {
 	}
 }
 
+// TestMoveIsInvisibleToClients: clients keep calling while a worker is
+// removed and its servlets move, and every request is answered 200. One
+// request resolves echo0's route and then holds its body open while echo0
+// moves: it must still reach the old instance, so the scheduler may
+// undeploy that instance, and close its worker's connection, only once
+// the request is done.
+func TestMoveIsInvisibleToClients(t *testing.T) {
+	bridge, s := startCluster(t, sched.Options{
+		MinWorkers: 2,
+		Autoscale:  sched.AutoscaleConfig{Disabled: true},
+	})
+	const servlets = 4
+	for i := 0; i < servlets; i++ {
+		if err := s.Deploy(fmt.Sprintf("echo%d", i), fmt.Sprintf("/e%d/", i), sched.DeploySpec{Kind: "native", Impl: "echo"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	workerOf := func(name string) int {
+		for _, sv := range s.Snapshot().Servlets {
+			if sv.Name == name {
+				return sv.Worker
+			}
+		}
+		return -1
+	}
+
+	stop := make(chan struct{})
+	var requests, failed atomic.Int64
+	var firstFailure atomic.Value
+	var wg sync.WaitGroup
+	stopClients := sync.OnceFunc(func() {
+		close(stop)
+		wg.Wait()
+	})
+	defer stopClients()
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				requests.Add(1)
+				if code, body := get(bridge, fmt.Sprintf("/e%d/ping", i%servlets)); code != 200 {
+					failed.Add(1)
+					firstFailure.CompareAndSwap(nil, fmt.Sprintf("%d %q", code, body))
+				}
+			}
+		}(c)
+	}
+
+	body, bodyW := io.Pipe()
+	defer bodyW.Close()
+	held := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		bridge.ServeHTTP(rec, httptest.NewRequest("POST", "/e0/held", body))
+		held <- rec
+	}()
+	bodyW.Write([]byte("x")) // returns once the bridge is reading the body: the route is resolved
+
+	from := workerOf("echo0")
+	if err := s.RemoveWorker(from); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(15 * time.Second)
+	for workerOf("echo0") == from {
+		if time.Now().After(deadline) {
+			t.Fatalf("echo0 never moved off worker %d: %+v", from, s.Snapshot())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// Hold the request well inside the scheduler's 2 s grace: long enough
+	// for the old instance to be torn down if nothing waited for it.
+	time.Sleep(300 * time.Millisecond)
+	bodyW.Close()
+	if rec := <-held; rec.Code != 200 {
+		t.Errorf("request held across the move: %d %q", rec.Code, rec.Body.String())
+	}
+
+	for {
+		snap := s.Snapshot()
+		gone := true
+		for _, w := range snap.Workers {
+			gone = gone && w.Worker != from
+		}
+		if gone {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("worker %d not removed: %+v", from, snap)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	stopClients()
+	if n := failed.Load(); n != 0 {
+		t.Fatalf("%d of %d requests failed while servlets moved; first: %v", n, requests.Load(), firstFailure.Load())
+	}
+}
+
 // TestAutoscale drives sustained slow traffic through a 1-worker pool and
 // expects the feedback loop to grow it, then shrink it back once the
-// load stops.
+// load stops. 32 clients keep more than the 16 calls in flight that
+// scale a pool up.
 func TestAutoscale(t *testing.T) {
 	bridge, s := startCluster(t, sched.Options{
 		MinWorkers: 1,
 		MaxWorkers: 3,
-		Autoscale: sched.AutoscaleConfig{
-			Interval:  100 * time.Millisecond,
-			Cooldown:  300 * time.Millisecond,
-			UpQueue:   4,
-			DownQueue: 1,
-			DownTicks: 3,
-		},
 	})
 	if err := s.Deploy("slow", "/s/", sched.DeploySpec{Kind: "native", Impl: "slow"}); err != nil {
 		t.Fatal(err)
@@ -412,7 +510,7 @@ func TestAutoscale(t *testing.T) {
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
+	for i := 0; i < 32; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

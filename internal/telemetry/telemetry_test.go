@@ -191,13 +191,12 @@ func TestEventRingWraps(t *testing.T) {
 
 func TestTracerRingAndSlowLog(t *testing.T) {
 	tr := NewTracer("node-a")
-	tr.SetSlowThreshold(time.Millisecond)
 	base := time.Now()
 	id := NewID()
 	for i := 0; i < 5; i++ {
-		d := 100 * time.Microsecond
+		d := DefaultSlowCall - time.Microsecond
 		if i == 3 {
-			d = 5 * time.Millisecond
+			d = DefaultSlowCall
 		}
 		tr.Record(&Span{TraceID: id, SpanID: NewID(), Method: fmt.Sprintf("m%d", i), Start: base.Add(time.Duration(i)), Dur: d})
 	}
@@ -218,7 +217,6 @@ func TestTracerRingAndSlowLog(t *testing.T) {
 
 func TestTracerRingOverflow(t *testing.T) {
 	tr := NewTracer("n")
-	tr.SetSlowThreshold(0)
 	for i := 0; i < recentSpanCap*2; i++ {
 		tr.Record(&Span{TraceID: 1, SpanID: uint64(i + 1), Start: time.Unix(0, int64(i))})
 	}
@@ -310,13 +308,13 @@ func TestFinishSpanRules(t *testing.T) {
 		t.Fatalf("failed untraced call: %+v, want one root span on a trace of its own", failed)
 	}
 
-	tr.SetSlowThreshold(time.Nanosecond)
-	tr.Finish(h, call, nil)
+	slow := call
+	slow.Start = time.Now().Add(-2 * DefaultSlowCall)
+	tr.Finish(h, slow, nil)
 	if got := tr.Slow(); len(got) != 1 || len(tr.Recent()) != 2 || got[0].Err != "" || got[0].TraceID != got[0].SpanID {
 		t.Fatalf("slow untraced call: %+v", got)
 	}
 
-	tr.SetSlowThreshold(0)
 	traced := call
 	traced.TraceID, traced.SpanID, traced.Parent = 7, 9, 8
 	tr.Finish(h, traced, nil)

@@ -137,11 +137,10 @@ func (s *Span) UnmarshalJSON(b []byte) error {
 }
 
 // Tracer records completed spans for one kernel: a lock-free recent ring
-// plus a slow-call log over a configurable threshold. A nil *Tracer is an
-// inert no-op.
+// plus a log of the calls that took DefaultSlowCall or longer. A nil
+// *Tracer is an inert no-op.
 type Tracer struct {
 	node   string
-	slowNs atomic.Int64
 	sample atomic.Uint64
 
 	recent spanRing
@@ -151,7 +150,7 @@ type Tracer struct {
 const (
 	recentSpanCap = 512
 	slowSpanCap   = 128
-	// DefaultSlowCall is the initial slow-call threshold.
+	// DefaultSlowCall is the slow-call threshold.
 	DefaultSlowCall = 10 * time.Millisecond
 )
 
@@ -189,7 +188,6 @@ func NewTracer(node string) *Tracer {
 	t := &Tracer{node: node}
 	t.recent.init(recentSpanCap)
 	t.slow.init(slowSpanCap)
-	t.slowNs.Store(int64(DefaultSlowCall))
 	return t
 }
 
@@ -199,21 +197,6 @@ func (t *Tracer) Node() string {
 		return ""
 	}
 	return t.node
-}
-
-// SlowThreshold returns the slow-call log threshold (0 when disabled).
-func (t *Tracer) SlowThreshold() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Duration(t.slowNs.Load())
-}
-
-// SetSlowThreshold sets the slow-call log threshold (0 disables it).
-func (t *Tracer) SetSlowThreshold(d time.Duration) {
-	if t != nil {
-		t.slowNs.Store(int64(d))
-	}
 }
 
 // UntracedSampleMask selects the 1-in-64 untraced-call sample: a call is
@@ -245,7 +228,7 @@ func (t *Tracer) Record(s *Span) {
 		s.Node = t.node
 	}
 	t.recent.record(s)
-	if thr := t.slowNs.Load(); thr > 0 && int64(s.Dur) >= thr {
+	if s.Dur >= DefaultSlowCall {
 		t.slow.record(s)
 	}
 }
@@ -265,10 +248,8 @@ func (t *Tracer) Finish(lat *Histogram, s Span, err error) {
 	}
 	s.Dur = time.Since(s.Start)
 	lat.Observe(int64(s.Dur))
-	if s.TraceID == 0 && err == nil {
-		if thr := t.slowNs.Load(); thr <= 0 || int64(s.Dur) < thr {
-			return
-		}
+	if s.TraceID == 0 && err == nil && s.Dur < DefaultSlowCall {
+		return
 	}
 	if s.SpanID == 0 {
 		s.SpanID = NewID()

@@ -1,6 +1,7 @@
 package vmkit
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -199,6 +200,50 @@ func TestArenaOverflowThenReuse(t *testing.T) {
 		t.Errorf("arena grew to %d slots for %d frames of 3", len(th.arena), maxCallDepth)
 	}
 	v, err := vm.CallStatic(th, ns, "Deep.ok:(I)I", IntVal(41))
+	if err != nil || v.I != 42 {
+		t.Fatalf("call after overflow = %v, %v; want 42", v, err)
+	}
+	assertArenaIdle(t, th)
+}
+
+// TestArenaCeiling: a recursion whose frames declare 16 384 locals runs
+// into the stack's byte ceiling long before maxCallDepth. It ends in the
+// same overflow error, having allocated less than twice the ceiling, and
+// the thread then runs another method.
+func TestArenaCeiling(t *testing.T) {
+	vm, ns := newTestNS(t, `
+.class Wide
+.method static down (I)I stack 2 locals 16384
+  load 0
+  iconst 1
+  iadd
+  invokestatic Wide.down:(I)I
+  retv
+.end
+.method static ok (I)I stack 2 locals 0
+  load 0
+  iconst 1
+  iadd
+  retv
+.end
+`)
+	if _, err := ns.Resolve("Wide"); err != nil { // loading and verifying are not the call's
+		t.Fatal(err)
+	}
+	th := vm.NewThread("wide")
+	defer vm.Detach(th)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := vm.CallStatic(th, ns, "Wide.down:(I)I", IntVal(0))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "call stack overflow") {
+		t.Fatalf("wide recursion: got %v, want the overflow error", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; !raceflag.Enabled && got > 2*maxArenaBytes {
+		t.Errorf("wide recursion allocated %d bytes, over twice the %d-byte stack", got, maxArenaBytes)
+	}
+	assertArenaIdle(t, th)
+	v, err := vm.CallStatic(th, ns, "Wide.ok:(I)I", IntVal(41))
 	if err != nil || v.I != 42 {
 		t.Fatalf("call after overflow = %v, %v; want 42", v, err)
 	}

@@ -1,6 +1,9 @@
 package vmkit
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // maxCallDepth bounds interpreter recursion so runaway bytecode raises a
 // StackOverflow-style error instead of exhausting the Go stack.
@@ -32,6 +35,20 @@ const stepsFlushEvery = 4096
 // a deep recursion's arena is released rather than held for the thread's
 // lifetime.
 const arenaKeepSlots = 1 << 14
+
+// maxArenaBytes is a thread's stack size, the analog of the JVM's -Xss: a
+// call whose window would take the arena past it throws "call stack
+// overflow", as one past maxCallDepth does. What a method declares
+// (locals, stack) sizes its window, so without it one small class could
+// ask for gigabytes. The arena grows through powers of two of bytes up to
+// this one, so the arenas a thread grows through on its way to the
+// ceiling sum to less than twice it.
+const maxArenaBytes = 8 << 20
+
+// minArenaBytes is the size of a thread's first arena.
+const minArenaBytes = 8 << 10
+
+const valueBytes = int(unsafe.Sizeof(Value{}))
 
 // Call executes method m on thread t with the given arguments and returns
 // the result. A thrown VM exception surfaces as *ThrownError; VM-level
@@ -96,19 +113,30 @@ func (vm *VM) enter(t *Thread, m *Method, args []Value) (v Value, thrown *Object
 			t.arena = nil
 		}
 	}()
-	t.reserve(base + len(args))
+	if !t.reserve(base + len(args)) {
+		return Value{}, vm.Throwf(ClassError, "call stack overflow")
+	}
 	copy(t.arena[base:], args)
 	return vm.invoke(t, m, base)
 }
 
-// reserve grows the arena to at least n slots.
-func (t *Thread) reserve(n int) {
+// reserve grows the arena to at least n slots, reporting false, and
+// leaving the arena as it is, when that would pass maxArenaBytes.
+func (t *Thread) reserve(n int) bool {
 	if n <= len(t.arena) {
-		return
+		return true
 	}
-	grown := make([]Value, max(n, 2*len(t.arena), 256))
+	if n > maxArenaBytes/valueBytes {
+		return false
+	}
+	size := minArenaBytes
+	for size/valueBytes < n {
+		size *= 2
+	}
+	grown := make([]Value, size/valueBytes)
 	copy(grown, t.arena)
 	t.arena = grown
+	return true
 }
 
 // invoke runs m on the window whose first m.nargs slots, from base, hold
@@ -135,8 +163,11 @@ func (vm *VM) invoke(t *Thread, m *Method, base int) (v Value, thrown *Object) {
 			v, thrown = vm.callNative(t, m, base)
 			break
 		}
+		if !t.reserve(base + m.frame) {
+			thrown = vm.Throwf(ClassError, "call stack overflow")
+			break
+		}
 		end = base + m.frame
-		t.reserve(end)
 		t.top = end
 		if m.Flags&MSynchronized != 0 && !m.IsStatic() && t.arena[base].R != nil {
 			v, thrown = vm.runLocked(t, m, base)

@@ -222,7 +222,7 @@ func MaybeRunWorker(setup func(k *Kernel) error) {
 
 // Cluster control plane. A Cluster schedules servlets across a
 // supervised worker pool: pluggable placement (least-loaded or
-// consistent-hash), queue-depth/latency autoscaling between Min/Max
+// consistent-hash), queue-depth autoscaling between Min/Max
 // workers, and health-driven draining with automatic failover —
 // a crashed worker's servlets are re-placed onto survivors within a
 // probe interval, and a sticky strategy pulls them home when the worker
@@ -235,7 +235,7 @@ type (
 	Cluster = sched.Scheduler
 	// ClusterOptions configures StartCluster.
 	ClusterOptions = sched.Options
-	// ClusterAutoscale tunes the pool-sizing feedback loop.
+	// ClusterAutoscale switches the pool-sizing feedback loop off.
 	ClusterAutoscale = sched.AutoscaleConfig
 	// ClusterSnapshot is the control plane's point-in-time state.
 	ClusterSnapshot = sched.Snapshot
