@@ -27,9 +27,6 @@ type Stats struct {
 	Revoked    int64 // capabilities revoked by/for this domain
 }
 
-// Total returns the byte-denominated charges (steps and calls excluded).
-func (s Stats) Total() int64 { return s.AllocBytes + s.CopyBytes + s.ClassBytes }
-
 // Account is one domain's charges: a set of counters each charge adds to
 // atomically, so charging takes no lock and carriers charging different
 // domains share nothing. What carriers publish (Pending) — steps, calls

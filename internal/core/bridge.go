@@ -23,9 +23,6 @@ func (k *Kernel) CapabilityFromStub(stub *vmkit.Object) (*Capability, error) {
 	return &Capability{g: g, Stub: stub}, nil
 }
 
-// IsVM reports whether the capability's target is a VM object.
-func (c *Capability) IsVM() bool { return c.Stub != nil }
-
 // InvokeVM performs an LRMI on a VM capability from Go code running under
 // task. The method is named by its simple name (it must be unambiguous
 // among the capability's remote methods).
@@ -82,7 +79,7 @@ func (g *Gate) callVMFromGo(task *Task, plan *vmMethodPlan, args []any) (any, er
 		return nil, ErrNotEntered
 	}
 	if callerDomain.Terminated() {
-		return nil, thrownError(vm.Throwf(vmkit.ClassTerminatedEx, "calling domain %s terminated", callerDomain.Name))
+		return nil, thrownError(vm.Throwf(classTerminatedEx, "calling domain %s terminated", callerDomain.Name))
 	}
 
 	// Arguments go straight into the callee's domain and are class-checked

@@ -224,7 +224,7 @@ func (c *Capability) Owner() *Domain { return c.g.owner }
 // remoteInterfacesOf collects the interfaces of c (transitively) that
 // extend jk/kernel/Remote, excluding Remote itself.
 func remoteInterfacesOf(k *Kernel, c *vmkit.Class) []*vmkit.Class {
-	remote := k.VM.SystemClass(vmkit.IfaceRemote)
+	remote := k.VM.SystemClass(ifaceRemote)
 	seen := map[*vmkit.Class]bool{}
 	var out []*vmkit.Class
 	var visit func(ifc *vmkit.Class)
@@ -320,13 +320,6 @@ func (k *Kernel) CreateVMCapability(d *Domain, target *vmkit.Object) (*Capabilit
 	return &Capability{g: g, Stub: stub}, nil
 }
 
-// capOps backs the jk/kernel/Capability natives with the gate a stub's
-// class carries. Declared as a type alias target so vmkit needs no core
-// import.
-type capOps Kernel
-
-func (c *capOps) kernel() *Kernel { return (*Kernel)(c) }
-
 // gateOf returns the gate o is a stub of, or nil. An object is a
 // capability exactly when its own class is a stub class the kernel
 // generated: a user class extending jk/kernel/Capability, or extending a
@@ -344,35 +337,6 @@ func (k *Kernel) gateOfStub(stub *vmkit.Object) (*Gate, *vmkit.Object) {
 		}
 	}
 	return nil, k.VM.Throwf(vmkit.ClassIllegalStateEx, "not a capability")
-}
-
-// Revoke implements the VM-visible revoke(). Only code running in the
-// creating domain may revoke ("revoked at any time by the domain that
-// created it").
-func (c *capOps) Revoke(env *vmkit.Env, stub *vmkit.Object) *vmkit.Object {
-	k := c.kernel()
-	g, th := k.gateOfStub(stub)
-	if th != nil {
-		return th
-	}
-	cur := k.currentDomainOfThread(env.Thread)
-	if cur != g.owner {
-		return env.VM.Throwf(vmkit.ClassIllegalStateEx,
-			"only the creating domain may revoke (caller=%v owner=%v)", cur, g.owner)
-	}
-	g.revoke()
-	return nil
-}
-
-func (c *capOps) IsRevoked(env *vmkit.Env, stub *vmkit.Object) (int64, *vmkit.Object) {
-	g, th := c.kernel().gateOfStub(stub)
-	if th != nil {
-		return 0, th
-	}
-	if g.Revoked() {
-		return 1, nil
-	}
-	return 0, nil
 }
 
 // currentDomainOfThread resolves the domain of the thread's controlling

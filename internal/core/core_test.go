@@ -303,7 +303,7 @@ func TestStubClassIsVerifiedBytecode(t *testing.T) {
 		t.Error("stub defined outside creating domain's namespace")
 	}
 	// The stub extends Capability and implements the remote interface.
-	capClass := d1.K.VM.SystemClass(vmkit.ClassCapability)
+	capClass := d1.K.VM.SystemClass(classCapability)
 	if !stubClass.AssignableTo(capClass) {
 		t.Error("stub does not extend Capability")
 	}

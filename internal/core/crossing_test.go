@@ -148,14 +148,18 @@ func TestStaleHandleGoneAtPop(t *testing.T) {
 	if saved == nil {
 		t.Fatal("grab did not stash its Thread object")
 	}
-	ops, env := f.server.NS.ThreadOps, &vmkit.Env{VM: f.k.VM, NS: f.server.NS, Thread: task.Thread}
-	_, thPriority := ops.GetPriority(env, saved)
+	env := &vmkit.Env{VM: f.k.VM, NS: f.server.NS, Thread: task.Thread}
+	call := func(sig string, args ...vmkit.Value) *vmkit.Object {
+		name, desc, _ := strings.Cut(sig, ":")
+		_, th := saved.Class.MethodBySig(name, desc).Native(env, saved, args)
+		return th
+	}
 	for name, th := range map[string]*vmkit.Object{
-		"stop":        ops.Stop(env, saved),
-		"suspend":     ops.Suspend(env, saved),
-		"resume":      ops.Resume(env, saved),
-		"setPriority": ops.SetPriority(env, saved, 9),
-		"getPriority": thPriority,
+		"stop":        call("stop:()V"),
+		"suspend":     call("suspend:()V"),
+		"resume":      call("resume:()V"),
+		"setPriority": call("setPriority:(I)V", vmkit.IntVal(9)),
+		"getPriority": call("getPriority:()I"),
 	} {
 		if th == nil {
 			t.Errorf("%s through a stale Thread object succeeded", name)
@@ -173,8 +177,8 @@ func TestStaleHandleGoneAtPop(t *testing.T) {
 
 // ended reports whether err is what a client of a terminated domain sees.
 func ended(err error) bool {
-	return errors.Is(err, ErrDomainTerminated) || thrownClass(err) == vmkit.ClassTerminatedEx ||
-		(err != nil && strings.Contains(err.Error(), vmkit.ClassTerminatedEx))
+	return errors.Is(err, ErrDomainTerminated) || thrownClass(err) == classTerminatedEx ||
+		(err != nil && strings.Contains(err.Error(), classTerminatedEx))
 }
 
 // TestTerminateDuringCrossings: eight carriers loop VM and native calls
@@ -303,8 +307,8 @@ func TestTerminateDuringCrossings(t *testing.T) {
 	if err := late.Chain.Poll(); !errors.Is(err, ErrDomainTerminated) || !errors.Is(err, threads.ErrSegmentStopped) {
 		t.Errorf("first poll of a task created in the dead domain = %v", err)
 	}
-	if _, err := late.CallStatic("SP.forever:()I"); thrownClass(err) != vmkit.ClassTerminatedEx {
-		t.Errorf("bytecode on a task created in the dead domain = %v, want %s", err, vmkit.ClassTerminatedEx)
+	if _, err := late.CallStatic("SP.forever:()I"); thrownClass(err) != classTerminatedEx {
+		t.Errorf("bytecode on a task created in the dead domain = %v, want %s", err, classTerminatedEx)
 	}
 
 	// The chains have unwound: at most one slow poll clears a kick, and the

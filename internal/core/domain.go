@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -106,7 +107,11 @@ func (k *Kernel) newDomain(cfg DomainConfig) (*Domain, error) {
 	resolver := func(name string) (*vmkit.Resolution, error) {
 		// Interposed classes never resolve through sharing or bootstrap:
 		// each domain gets its own copy, defined eagerly below.
-		if src := vmkit.InterposedClassSource(name); src != "" {
+		src := vmkit.InterposedClassSource(name)
+		if name == classThread {
+			src = threadClassSource
+		}
+		if src != "" {
 			b, err := vmkit.AssembleBytes(src)
 			if err != nil {
 				return nil, err
@@ -132,11 +137,10 @@ func (k *Kernel) newDomain(cfg DomainConfig) (*Domain, error) {
 	ns.OwnerID = d.ID
 	ns.Account = d.acct
 	ns.Output = cfg.Output
-	ns.ThreadOps = &domainThreadOps{k: k, d: d}
 	d.NS = ns
 
 	// Define the interposed classes eagerly so the domain starts complete.
-	for _, name := range []string{vmkit.ClassSystem, vmkit.ClassThread} {
+	for _, name := range []string{vmkit.ClassSystem, classThread} {
 		if _, err := ns.Resolve(name); err != nil {
 			return nil, fmt.Errorf("jkernel: interposing %s: %w", name, err)
 		}
@@ -318,28 +322,44 @@ func (d *Domain) Stats() accountStats { return d.acct.Snapshot() }
 
 func (d *Domain) String() string { return fmt.Sprintf("domain[%d %s]", d.ID, d.Name) }
 
-// domainThreadOps gives the interposed jk/lang/Thread class its segment
-// semantics. Thread objects are per-domain and hold a segment id; since
-// non-capability objects cannot cross domains, a domain can only ever hold
-// Thread objects denoting its own segments.
-type domainThreadOps struct {
-	k *Kernel
-	d *Domain
-}
+// threadClassSource is interposed per domain: each domain namespace
+// defines its own jk/lang/Thread, whose natives therefore run with that
+// namespace as env.NS. Its operations act on a segment of the calling
+// thread, never on the carrier, which is how the J-Kernel keeps callers
+// and callees from attacking each other's threads. A Thread object holds a
+// segment id; since non-capability objects cannot cross domains, a domain
+// can only ever hold Thread objects denoting its own segments.
+const threadClassSource = `.class jk/lang/Thread
+.field private id I
+.method static native currentThread ()Ljk/lang/Thread;
+.end
+.method native stop ()V
+.end
+.method native suspend ()V
+.end
+.method native resume ()V
+.end
+.method native setPriority (I)V
+.end
+.method native getPriority ()I
+.end
+.method native yield ()V
+.end
+`
 
-// handleOf resolves a Thread object to the segment activation it names.
-func (ops *domainThreadOps) handleOf(env *vmkit.Env, threadObj *vmkit.Object) (threads.Handle, *vmkit.Object) {
+// segmentOf resolves a Thread object to the segment activation it names.
+func (k *Kernel) segmentOf(env *vmkit.Env, threadObj *vmkit.Object) (threads.Handle, *vmkit.Object) {
 	f := threadObj.Class.FieldByName("id")
 	if f == nil {
 		return threads.Handle{}, env.VM.Throwf(vmkit.ClassIllegalStateEx, "not a thread object")
 	}
 	id := threadObj.Fields[f.Slot].I
-	v, ok := ops.k.segs.Load(id)
+	v, ok := k.segs.Load(id)
 	if !ok {
 		return threads.Handle{}, segmentGone(env, id)
 	}
 	h := v.(threads.Handle)
-	if h.Domain != ops.d.ID {
+	if h.Domain != env.NS.OwnerID {
 		// Unreachable if the copy rules hold; defense in depth.
 		return threads.Handle{}, env.VM.Throwf(vmkit.ClassIllegalStateEx, "segment belongs to another domain")
 	}
@@ -353,60 +373,75 @@ func segmentGone(env *vmkit.Env, id int64) *vmkit.Object {
 	return env.VM.Throwf(vmkit.ClassIllegalStateEx, "segment %d is gone", id)
 }
 
-// Current mints the Thread object for the running segment. This is the
-// one place a segment enters the kernel-wide handle registry: a crossing
-// whose callee never asks for its Thread pays nothing for it.
-func (ops *domainThreadOps) Current(env *vmkit.Env) (*vmkit.Object, *vmkit.Object) {
-	task, _ := env.Thread.Data.(*Task)
-	if task == nil {
-		return nil, env.VM.Throwf(vmkit.ClassIllegalStateEx, "thread has no segment chain")
+// registerThreadNatives binds the natives of every domain's jk/lang/Thread.
+func (k *Kernel) registerThreadNatives() {
+	vm := k.VM
+	// onSegment runs op on the activation the Thread object recv names.
+	onSegment := func(env *vmkit.Env, recv *vmkit.Object, op func(threads.Handle) bool) *vmkit.Object {
+		h, th := k.segmentOf(env, recv)
+		if th == nil && !op(h) {
+			th = segmentGone(env, h.ID())
+		}
+		return th
 	}
-	seg := task.Chain.Current()
-	tc, err := ops.d.NS.Resolve(vmkit.ClassThread)
-	if err != nil {
-		return nil, env.VM.Throwf(vmkit.ClassError, "%v", err)
-	}
-	o, ierr := vmkit.NewInstance(tc)
-	if ierr != nil {
-		return nil, env.VM.Throwf(vmkit.ClassError, "%v", ierr)
-	}
-	if !seg.Minted() {
-		h := seg.Handle()
-		ops.k.segs.Store(h.ID(), h)
-	}
-	o.Fields[tc.FieldByName("id").Slot] = vmkit.IntVal(seg.ID)
-	return o, nil
-}
 
-// apply runs op on the activation threadObj names.
-func (ops *domainThreadOps) apply(env *vmkit.Env, threadObj *vmkit.Object, op func(threads.Handle) bool) *vmkit.Object {
-	h, th := ops.handleOf(env, threadObj)
-	if th == nil && !op(h) {
-		th = segmentGone(env, h.ID())
-	}
-	return th
-}
-
-func (ops *domainThreadOps) Stop(env *vmkit.Env, threadObj *vmkit.Object) *vmkit.Object {
-	return ops.apply(env, threadObj, func(h threads.Handle) bool { return h.Stop("Thread.stop") })
-}
-
-func (ops *domainThreadOps) Suspend(env *vmkit.Env, threadObj *vmkit.Object) *vmkit.Object {
-	return ops.apply(env, threadObj, threads.Handle.Suspend)
-}
-
-func (ops *domainThreadOps) Resume(env *vmkit.Env, threadObj *vmkit.Object) *vmkit.Object {
-	return ops.apply(env, threadObj, threads.Handle.Resume)
-}
-
-func (ops *domainThreadOps) SetPriority(env *vmkit.Env, threadObj *vmkit.Object, p int64) *vmkit.Object {
-	return ops.apply(env, threadObj, func(h threads.Handle) bool { return h.SetPriority(p) })
-}
-
-func (ops *domainThreadOps) GetPriority(env *vmkit.Env, threadObj *vmkit.Object) (p int64, th *vmkit.Object) {
-	th = ops.apply(env, threadObj, func(h threads.Handle) (ok bool) {
-		p, ok = h.Priority()
-		return ok
-	})
-	return p, th
+	// currentThread mints the Thread object for the running segment. This
+	// is the one place a segment enters the kernel-wide handle registry: a
+	// crossing whose callee never asks for its Thread pays nothing for it.
+	vm.RegisterNative("jk/lang/Thread.currentThread:()Ljk/lang/Thread;",
+		func(env *vmkit.Env, recv *vmkit.Object, args []vmkit.Value) (vmkit.Value, *vmkit.Object) {
+			task, _ := env.Thread.Data.(*Task)
+			if task == nil {
+				return vmkit.Value{}, vm.Throwf(vmkit.ClassIllegalStateEx, "thread has no segment chain")
+			}
+			seg := task.Chain.Current()
+			tc, err := env.NS.Resolve(classThread)
+			if err != nil {
+				return vmkit.Value{}, vm.Throwf(vmkit.ClassError, "%v", err)
+			}
+			o, ierr := vmkit.NewInstance(tc)
+			if ierr != nil {
+				return vmkit.Value{}, vm.Throwf(vmkit.ClassError, "%v", ierr)
+			}
+			if !seg.Minted() {
+				h := seg.Handle()
+				k.segs.Store(h.ID(), h)
+			}
+			o.Fields[tc.FieldByName("id").Slot] = vmkit.IntVal(seg.ID)
+			return vmkit.RefVal(o), nil
+		})
+	vm.RegisterNative("jk/lang/Thread.stop:()V",
+		func(env *vmkit.Env, recv *vmkit.Object, args []vmkit.Value) (vmkit.Value, *vmkit.Object) {
+			return vmkit.Value{}, onSegment(env, recv, func(h threads.Handle) bool { return h.Stop("Thread.stop") })
+		})
+	vm.RegisterNative("jk/lang/Thread.suspend:()V",
+		func(env *vmkit.Env, recv *vmkit.Object, args []vmkit.Value) (vmkit.Value, *vmkit.Object) {
+			return vmkit.Value{}, onSegment(env, recv, threads.Handle.Suspend)
+		})
+	vm.RegisterNative("jk/lang/Thread.resume:()V",
+		func(env *vmkit.Env, recv *vmkit.Object, args []vmkit.Value) (vmkit.Value, *vmkit.Object) {
+			return vmkit.Value{}, onSegment(env, recv, threads.Handle.Resume)
+		})
+	vm.RegisterNative("jk/lang/Thread.setPriority:(I)V",
+		func(env *vmkit.Env, recv *vmkit.Object, args []vmkit.Value) (vmkit.Value, *vmkit.Object) {
+			p := args[0].I
+			return vmkit.Value{}, onSegment(env, recv, func(h threads.Handle) bool { return h.SetPriority(p) })
+		})
+	vm.RegisterNative("jk/lang/Thread.getPriority:()I",
+		func(env *vmkit.Env, recv *vmkit.Object, args []vmkit.Value) (vmkit.Value, *vmkit.Object) {
+			var p int64
+			th := onSegment(env, recv, func(h threads.Handle) (ok bool) {
+				p, ok = h.Priority()
+				return ok
+			})
+			if th != nil {
+				return vmkit.Value{}, th
+			}
+			return vmkit.IntVal(p), nil
+		})
+	vm.RegisterNative("jk/lang/Thread.yield:()V",
+		func(env *vmkit.Env, recv *vmkit.Object, args []vmkit.Value) (vmkit.Value, *vmkit.Object) {
+			runtime.Gosched()
+			return vmkit.Value{}, nil
+		})
 }

@@ -112,11 +112,95 @@ func TestStubSubclassIsNotACapability(t *testing.T) {
 		t.Errorf("CapabilityFromStub(subclass instance) = %v, want \"not a capability\"", err)
 	}
 	ctx := vmCopyCtx{k: k, dest: client}
-	if _, th := ctx.copyValue(vmkit.RefVal(obj)); th == nil || th.Class.Name != vmkit.ClassRemoteEx {
+	if _, th := ctx.copyValue(vmkit.RefVal(obj)); th == nil || th.Class.Name != classRemoteEx {
 		t.Errorf("copying a stub subclass instance into %s threw %v, want RemoteException", client.Name, th)
 	}
 	// The stub itself still passes by reference.
 	if got, th := ctx.copyValue(vmkit.RefVal(cap.Stub)); th != nil || got.R != cap.Stub {
 		t.Errorf("the stub did not pass by reference: %v", th)
+	}
+}
+
+const kernelNativesSrc = `
+.class KN
+.method static cap ()Ljk/kernel/Capability; stack 2 locals 0
+  sconst "kn"
+  invokestatic jk/kernel/Repository.lookup:(Ljk/lang/String;)Ljk/kernel/Capability;
+  retv
+.end
+.method static isRevoked ()I stack 2 locals 0
+  invokestatic KN.cap:()Ljk/kernel/Capability;
+  invokevirtual jk/kernel/Capability.isRevoked:()I
+  retv
+.end
+.method static revoke ()V stack 2 locals 0
+  invokestatic KN.cap:()Ljk/kernel/Capability;
+  invokevirtual jk/kernel/Capability.revoke:()V
+  ret
+.end
+.method static priority ()I stack 4 locals 0
+  invokestatic jk/lang/Thread.currentThread:()Ljk/lang/Thread;
+  dup
+  iconst 7
+  invokevirtual jk/lang/Thread.setPriority:(I)V
+  dup
+  invokevirtual jk/lang/Thread.yield:()V
+  invokevirtual jk/lang/Thread.getPriority:()I
+  retv
+.end
+`
+
+// TestKernelNativesFromBytecode calls the kernel's jk/kernel/Capability
+// and jk/lang/Thread natives from bytecode: only the creating domain
+// revokes, isRevoked follows, and a priority set on the running segment
+// reads back.
+func TestKernelNativesFromBytecode(t *testing.T) {
+	k := MustNew(Options{})
+	kn := mustAsm(t, kernelNativesSrc)
+	owner, err := k.NewDomain(DomainConfig{Name: "owner", Classes: map[string][]byte{
+		"KN":     kn,
+		"KNSvc":  mustAsm(t, ".class KNSvc interface implements jk/kernel/Remote\n.method ping ()I\n.end\n"),
+		"KNImpl": mustAsm(t, ".class KNImpl implements KNSvc\n.method ping ()I stack 1 locals 0\n  iconst 1\n  retv\n.end\n"),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := k.NewDomain(DomainConfig{Name: "other", Classes: map[string][]byte{"KN": kn}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, err := owner.NewInstance("KNImpl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := k.CreateVMCapability(owner, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Repository().Bind("kn", c); err != nil {
+		t.Fatal(err)
+	}
+	ot, xt := k.NewDetachedTask(owner, "owner"), k.NewDetachedTask(other, "other")
+	defer ot.Close()
+	defer xt.Close()
+
+	if v, err := xt.CallStatic("KN.isRevoked:()I"); err != nil || v.I != 0 {
+		t.Fatalf("isRevoked before any revoke = %v, %v; want 0", v.I, err)
+	}
+	_, err = xt.CallStatic("KN.revoke:()V")
+	if thrownClass(err) != vmkit.ClassIllegalStateEx || !strings.Contains(err.Error(), "only the creating domain may revoke") {
+		t.Fatalf("revoke from another domain: %v, want IllegalStateException", err)
+	}
+	if c.Revoked() {
+		t.Fatal("another domain's revoke revoked the capability")
+	}
+	if _, err := ot.CallStatic("KN.revoke:()V"); err != nil {
+		t.Fatalf("revoke from the creating domain: %v", err)
+	}
+	if v, err := xt.CallStatic("KN.isRevoked:()I"); err != nil || v.I != 1 || !c.Revoked() {
+		t.Fatalf("isRevoked after the owner's revoke = %v, %v; want 1", v.I, err)
+	}
+	if v, err := ot.CallStatic("KN.priority:()I"); err != nil || v.I != 7 {
+		t.Fatalf("priority read back = %v, %v; want 7", v.I, err)
 	}
 }

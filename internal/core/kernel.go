@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"reflect"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -86,8 +85,9 @@ type Kernel struct {
 	serializable, fastCopy, fastGraph *vmkit.Class
 }
 
-// New creates a kernel, boots its VM, installs the kernel's native classes
-// (jk/kernel/Repository, jk/kernel/Domain), and wires accounting.
+// New creates a kernel, boots its VM, installs the kernel's classes and
+// their natives (jk/kernel/*, and jk/lang/Thread's for every domain), and
+// wires accounting.
 func New(opts Options) (*Kernel, error) {
 	k := &Kernel{
 		Meter:   account.NewMeter(),
@@ -115,7 +115,6 @@ func New(opts Options) (*Kernel, error) {
 		vm.Stdout = opts.Stdout
 	}
 	vm.Bootstrap().Account = k.Meter.Account(0)
-	vm.CapOps = (*capOps)(k)
 	k.repo = newRepository()
 	if err := k.defineKernelClasses(); err != nil {
 		return nil, err
@@ -185,17 +184,6 @@ func (k *Kernel) ExportedCapability(name string) *Capability {
 	return v.(*Capability)
 }
 
-// ExportedNames returns the remotely visible export names, sorted.
-func (k *Kernel) ExportedNames() []string {
-	var out []string
-	k.exports.Range(func(key, _ any) bool {
-		out = append(out, key.(string))
-		return true
-	})
-	sort.Strings(out)
-	return out
-}
-
 // RegisterFastCopy marks a Go type (given by sample) as a fast-copy class:
 // native LRMI copies it field-by-field without the byte-array intermediate.
 // graph enables the cycle-tracking hash table, as in the paper.
@@ -259,7 +247,7 @@ func (k *Kernel) safepointHook(t *vmkit.Thread) *vmkit.Object {
 	case err == nil:
 		return nil
 	case errors.Is(err, ErrDomainTerminated):
-		return k.VM.Throwf(vmkit.ClassTerminatedEx, "%v", err)
+		return k.VM.Throwf(classTerminatedEx, "%v", err)
 	}
 	return k.VM.Throwf(vmkit.ClassThreadDeath, "%v", err)
 }
@@ -290,7 +278,7 @@ type Task struct {
 	edgeKey uint64
 	edgeCtr *telemetry.Counter
 	// stripe spreads this task's shared-counter increments across the
-	// counters' padded stripes (telemetry.Counter.IncAt): a pool of server
+	// counters' padded stripes (telemetry.Counter.Cell): a pool of server
 	// tasks otherwise bounces one cache line between every worker on every
 	// call, which costs more than the counting itself.
 	stripe uint64

@@ -23,7 +23,7 @@ import (
 // chain is written): push a segment and have it name d, so that the slow
 // poll finds d's end. Every crossing — VM, native, proxy — goes through
 // enter and leave. Only a segment that a jk/lang/Thread object names is
-// registered kernel-wide, by domainThreadOps.Current.
+// registered kernel-wide, by jk/lang/Thread.currentThread.
 func (t *Task) enter(d *Domain) *threads.Seg {
 	seg := t.Chain.Push(d.ID)
 	seg.SetOwner(d)
@@ -135,7 +135,7 @@ func (g *Gate) callVM(t *vmkit.Thread, via *gateEntry, idx int64, args []vmkit.V
 		return vmkit.Value{}, vm.Throwf(vmkit.ClassIllegalStateEx, "caller domain is gone")
 	}
 	if callerDomain.Terminated() {
-		return vmkit.Value{}, vm.Throwf(vmkit.ClassTerminatedEx, "calling domain %s terminated", callerDomain.Name)
+		return vmkit.Value{}, vm.Throwf(classTerminatedEx, "calling domain %s terminated", callerDomain.Name)
 	}
 
 	// Copy and check arguments under the calling convention. The entries
@@ -180,9 +180,9 @@ func (g *Gate) callVM(t *vmkit.Thread, via *gateEntry, idx int64, args []vmkit.V
 // revokedThrowable is what a call through a gate without a target throws:
 // termination revokes all of a domain's gates, so the fault tells which.
 func (g *Gate) revokedThrowable() *vmkit.Object {
-	fault, class := g.revocationFault(), vmkit.ClassRevokedEx
+	fault, class := g.revocationFault(), classRevokedEx
 	if errors.Is(fault, ErrDomainTerminated) {
-		class = vmkit.ClassTerminatedEx
+		class = classTerminatedEx
 	}
 	return g.k.VM.Throwf(class, "%v (capability %d of domain %s)", fault, g.id, g.owner.Name)
 }
@@ -242,5 +242,5 @@ func (k *Kernel) copyThrowable(caller *Domain, thrown *vmkit.Object) *vmkit.Obje
 	if cls.Def != nil && cls.Def.Flags&vmkit.FlagSystem != 0 {
 		return k.VM.Throwf(cls.Name, "%s", msg)
 	}
-	return k.VM.Throwf(vmkit.ClassRemoteEx, "remote %s: %s", cls.Name, msg)
+	return k.VM.Throwf(classRemoteEx, "remote %s: %s", cls.Name, msg)
 }

@@ -566,7 +566,7 @@ func TestUnsharedArgumentClassIsRemoteException(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = cap.InvokeVM(task, "keep", item)
-	if te, ok := err.(*ThrownVMError); !ok || te.Throwable.Class.Name != vmkit.ClassRemoteEx {
+	if te, ok := err.(*ThrownVMError); !ok || te.Throwable.Class.Name != classRemoteEx {
 		t.Errorf("an unshared Item: got %v, want RemoteException", err)
 	}
 }

@@ -443,11 +443,3 @@ func (c *Capability) Bind(stubStruct any) error {
 	}
 	return nil
 }
-
-// EnterBaseDomain is a convenience for callers that need an anonymous
-// context: it creates a task for d on the current goroutine and returns a
-// cleanup func.
-func (k *Kernel) EnterBaseDomain(d *Domain, name string) (task *Task, cleanup func()) {
-	t := k.NewTask(d, name)
-	return t, t.Close
-}

@@ -64,9 +64,40 @@ func (r *Repository) Names() []string {
 	return out
 }
 
+// The J-Kernel's own VM classes. The kernel defines them into the
+// bootstrap namespace, so every domain shares them; a bare vmkit VM has
+// none of them.
+const (
+	classCapability   = "jk/kernel/Capability"
+	classRevokedEx    = "jk/kernel/RevokedException"
+	classRemoteEx     = "jk/kernel/RemoteException"
+	classTerminatedEx = "jk/kernel/DomainTerminatedException"
+	// ifaceRemote marks the interfaces a capability exports, mirroring
+	// java.rmi.Remote.
+	ifaceRemote = "jk/kernel/Remote"
+	// classThread is not shared: each domain defines its own
+	// (threadClassSource).
+	classThread = "jk/lang/Thread"
+)
+
 // kernelClassSources are VM-visible kernel services, defined into the
 // bootstrap namespace once the kernel's natives are registered.
 var kernelClassSources = []string{
+	// Generated stub classes extend Capability. A stub holds no state: its
+	// gate is on its class (Class.Gate), out of bytecode's reach, so a user
+	// class extending Capability is an ordinary object.
+	`.class jk/kernel/Capability abstract
+.method native revoke ()V
+.end
+.method native isRevoked ()I
+.end
+`,
+	// Shared so that a RevokedException thrown in a callee is catchable by
+	// the caller even though the two share nothing else.
+	".class jk/kernel/RevokedException super jk/lang/RuntimeException\n",
+	".class jk/kernel/RemoteException super jk/lang/Exception\n",
+	".class jk/kernel/DomainTerminatedException super jk/kernel/RemoteException\n",
+	".class jk/kernel/Remote interface\n",
 	`.class jk/kernel/Repository
 .method static native bind (Ljk/lang/String;Ljk/kernel/Capability;)V
 .end
@@ -87,6 +118,36 @@ var kernelClassSources = []string{
 // VM-visible kernel classes.
 func (k *Kernel) defineKernelClasses() error {
 	vm := k.VM
+
+	// Only code running in the creating domain may revoke ("revoked at any
+	// time by the domain that created it").
+	vm.RegisterNative("jk/kernel/Capability.revoke:()V",
+		func(env *vmkit.Env, recv *vmkit.Object, args []vmkit.Value) (vmkit.Value, *vmkit.Object) {
+			g, th := k.gateOfStub(recv)
+			if th != nil {
+				return vmkit.Value{}, th
+			}
+			if cur := k.currentDomainOfThread(env.Thread); cur != g.owner {
+				return vmkit.Value{}, vm.Throwf(vmkit.ClassIllegalStateEx,
+					"only the creating domain may revoke (caller=%v owner=%v)", cur, g.owner)
+			}
+			g.revoke()
+			return vmkit.Value{}, nil
+		})
+
+	vm.RegisterNative("jk/kernel/Capability.isRevoked:()I",
+		func(env *vmkit.Env, recv *vmkit.Object, args []vmkit.Value) (vmkit.Value, *vmkit.Object) {
+			g, th := k.gateOfStub(recv)
+			if th != nil {
+				return vmkit.Value{}, th
+			}
+			if g.Revoked() {
+				return vmkit.IntVal(1), nil
+			}
+			return vmkit.IntVal(0), nil
+		})
+
+	k.registerThreadNatives()
 
 	vm.RegisterNative("jk/kernel/Repository.bind:(Ljk/lang/String;Ljk/kernel/Capability;)V",
 		func(env *vmkit.Env, recv *vmkit.Object, args []vmkit.Value) (vmkit.Value, *vmkit.Object) {

@@ -275,8 +275,8 @@ func TestSafepointTerminateEndsLoopAndRecursion(t *testing.T) {
 			f.client.Terminate("test")
 			select {
 			case r := <-done:
-				if got := thrownClass(r.err); got != vmkit.ClassTerminatedEx {
-					t.Fatalf("ended with %s, want %s", got, vmkit.ClassTerminatedEx)
+				if got := thrownClass(r.err); got != classTerminatedEx {
+					t.Fatalf("ended with %s, want %s", got, classTerminatedEx)
 				}
 			case <-time.After(10 * time.Second):
 				t.Fatal("terminated domain kept running")
@@ -313,8 +313,8 @@ func TestStickyTerminationHostileLoop(t *testing.T) {
 		t.Fatal("hostile loop neither stopped nor gave up")
 	}
 	// Still dead afterwards, for the interpreter and at the native boundary.
-	if _, err := task.CallStatic("SP.attempts:()I"); thrownClass(err) != vmkit.ClassTerminatedEx {
-		t.Errorf("call in the dead domain = %v, want %s", err, vmkit.ClassTerminatedEx)
+	if _, err := task.CallStatic("SP.attempts:()I"); thrownClass(err) != classTerminatedEx {
+		t.Errorf("call in the dead domain = %v, want %s", err, classTerminatedEx)
 	}
 	for i := 0; i < 2; i++ {
 		err := task.Chain.Poll()

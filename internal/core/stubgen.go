@@ -23,7 +23,7 @@ func genStubClass(k *Kernel, g *Gate, targetClass *vmkit.Class) *vmkit.ClassDef 
 	name := fmt.Sprintf("jk/stub/%s$%d", targetClass.Name, k.nextStub.Add(1))
 	def := &vmkit.ClassDef{
 		Name:  name,
-		Super: vmkit.ClassCapability,
+		Super: classCapability,
 	}
 	for _, ifc := range g.ifaces {
 		def.Interfaces = append(def.Interfaces, ifc.Name)
@@ -103,7 +103,7 @@ func erase(desc string) (shape, entryDesc string) {
 // then the class is defined into the bootstrap namespace through the
 // ordinary link pipeline, from where every domain's resolver shares it.
 func (k *Kernel) entryFor(params []string, ret string) (*gateEntry, error) {
-	shape, desc := "", "(L"+vmkit.ClassCapability+";I"
+	shape, desc := "", "(L"+classCapability+";I"
 	for _, p := range params {
 		s, d := erase(p)
 		shape, desc = shape+s, desc+d

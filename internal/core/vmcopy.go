@@ -107,7 +107,7 @@ func (ctx *vmCopyCtx) copyObject(o *vmkit.Object) (*vmkit.Object, *vmkit.Object)
 	ctx.depth++
 	defer func() { ctx.depth-- }()
 	if ctx.depth > vmCopyMaxDepth {
-		return nil, ctx.throwf(vmkit.ClassRemoteEx,
+		return nil, ctx.throwf(classRemoteEx,
 			"argument graph too deep or cyclic (declare jk/io/FastCopyGraph)")
 	}
 	k := ctx.k
@@ -141,7 +141,7 @@ func (ctx *vmCopyCtx) copyObject(o *vmkit.Object) (*vmkit.Object, *vmkit.Object)
 	// be the *same* class — "two domains that share a class must also
 	// share other classes referenced by that class".
 	if d, err := ctx.destClass(cls); err != nil || d != cls {
-		return nil, ctx.throwf(vmkit.ClassRemoteEx,
+		return nil, ctx.throwf(classRemoteEx,
 			"class %s is not shared with domain %s", cls.Name, ctx.dest.Name)
 	}
 
@@ -159,7 +159,7 @@ func (ctx *vmCopyCtx) copyObject(o *vmkit.Object) (*vmkit.Object, *vmkit.Object)
 	case cls.Implements(k.serializable):
 		return ctx.copySerialized(o)
 	default:
-		return nil, ctx.throwf(vmkit.ClassRemoteEx,
+		return nil, ctx.throwf(classRemoteEx,
 			"objects of %s cannot cross domains (not a capability, not Serializable/FastCopy)", cls.Name)
 	}
 }
@@ -191,7 +191,7 @@ func (ctx *vmCopyCtx) copyFields(o *vmkit.Object, track bool) (*vmkit.Object, *v
 func (ctx *vmCopyCtx) copyArray(o *vmkit.Object) (*vmkit.Object, *vmkit.Object) {
 	cls, err := ctx.destClass(o.Class)
 	if err != nil {
-		return nil, ctx.throwf(vmkit.ClassRemoteEx, "array %s: %v", o.Class.Name, err)
+		return nil, ctx.throwf(classRemoteEx, "array %s: %v", o.Class.Name, err)
 	}
 	dup := ctx.dest.NS.NewArrayOfClass(cls, o.Len())
 	switch {
@@ -424,7 +424,7 @@ func (e *vmEncoder) object(buf []byte, o *vmkit.Object) ([]byte, *vmkit.Object) 
 		}
 	default:
 		if !cls.Implements(k.serializable) && !cls.Implements(k.fastCopy) && !cls.Implements(k.fastGraph) {
-			return buf, k.VM.Throwf(vmkit.ClassRemoteEx, "%s is not serializable", cls.Name)
+			return buf, k.VM.Throwf(classRemoteEx, "%s is not serializable", cls.Name)
 		}
 		buf = e.classRef(append(buf, vtagObject), cls)
 		buf = binary.AppendUvarint(buf, uint64(len(o.Fields)))
@@ -488,7 +488,7 @@ type vmDecoder struct {
 }
 
 func (d *vmDecoder) fail(format string, args ...any) *vmkit.Object {
-	return d.k.VM.Throwf(vmkit.ClassRemoteEx, "deserialize: "+format, args...)
+	return d.k.VM.Throwf(classRemoteEx, "deserialize: "+format, args...)
 }
 
 func (d *vmDecoder) tag() (byte, *vmkit.Object) {
@@ -882,9 +882,9 @@ func (e *ThrownVMError) Error() string {
 // unavailable VM callee from a failed one the same way.
 func (e *ThrownVMError) Is(target error) bool {
 	switch e.Throwable.Class.Name {
-	case vmkit.ClassRevokedEx:
+	case classRevokedEx:
 		return target == ErrRevoked
-	case vmkit.ClassTerminatedEx:
+	case classTerminatedEx:
 		return target == ErrDomainTerminated
 	}
 	return false

@@ -56,9 +56,6 @@ func NewEmulator(exe *Executable, memSize int) (*Emulator, error) {
 	return e, nil
 }
 
-// Halted reports whether the program has stopped.
-func (e *Emulator) Halted() bool { return e.halted }
-
 // Steps returns executed instruction count.
 func (e *Emulator) Steps() int64 { return e.steps }
 

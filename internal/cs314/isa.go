@@ -12,8 +12,6 @@
 // toolchain as isolated domains.
 package cs314
 
-import "fmt"
-
 // Register conventions: r0 is hard-wired zero, r1 carries return values
 // and the first argument, r1–r4 are arguments, r5–r12 are scratch, r13 is
 // the stack pointer, r14 the link register, r15 assembler temporary.
@@ -57,23 +55,6 @@ const (
 	OpOut // emit rs to the output device
 	opMax
 )
-
-var opNames = [opMax]string{
-	OpHalt: "halt",
-	OpAdd:  "add", OpSub: "sub", OpMul: "mul", OpDiv: "div", OpRem: "rem",
-	OpAnd: "and", OpOr: "or", OpXor: "xor", OpShl: "shl", OpShr: "shr", OpSlt: "slt",
-	OpAddi: "addi", OpLui: "lui", OpLw: "lw", OpSw: "sw",
-	OpBeq: "beq", OpBne: "bne", OpBlt: "blt",
-	OpJal: "jal", OpJr: "jr", OpOut: "out",
-}
-
-// Name returns the mnemonic.
-func (o Op) Name() string {
-	if o < opMax {
-		return opNames[o]
-	}
-	return fmt.Sprintf("op%d", uint32(o))
-}
 
 // Instruction encoding (32 bits):
 //
@@ -121,33 +102,4 @@ func Decode(w uint32) (op Op, rd, rs, rt int, imm int32, addr uint32) {
 	}
 	addr = w & addrMask
 	return
-}
-
-// Disasm renders one instruction for diagnostics.
-func Disasm(w uint32) string {
-	op, rd, rs, rt, imm, addr := Decode(w)
-	switch op {
-	case OpHalt:
-		return "halt"
-	case OpAdd, OpSub, OpMul, OpDiv, OpRem, OpAnd, OpOr, OpXor, OpShl, OpShr, OpSlt:
-		return fmt.Sprintf("%s r%d, r%d, r%d", op.Name(), rd, rs, rt)
-	case OpAddi:
-		return fmt.Sprintf("addi r%d, r%d, %d", rd, rs, imm)
-	case OpLui:
-		return fmt.Sprintf("lui r%d, %d", rd, imm)
-	case OpLw:
-		return fmt.Sprintf("lw r%d, %d(r%d)", rd, imm, rs)
-	case OpSw:
-		return fmt.Sprintf("sw r%d, %d(r%d)", rd, imm, rs)
-	case OpBeq, OpBne, OpBlt:
-		return fmt.Sprintf("%s r%d, r%d, %d", op.Name(), rs, rd, imm)
-	case OpJal:
-		return fmt.Sprintf("jal %d", addr)
-	case OpJr:
-		return fmt.Sprintf("jr r%d", rs)
-	case OpOut:
-		return fmt.Sprintf("out r%d", rs)
-	default:
-		return fmt.Sprintf(".word %#08x", w)
-	}
 }

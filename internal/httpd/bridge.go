@@ -100,10 +100,6 @@ func (b *Bridge) controlPlane() Control {
 // Host returns the bridge's servlet host (VM instantiation machinery).
 func (b *Bridge) Host() *ServletHost { return b.host }
 
-// ServletInterface returns the shared jk/servlet/Servlet group, for
-// domains created outside the bridge.
-func (b *Bridge) ServletInterface() *core.SharedClass { return b.host.servletSC }
-
 // MountNative runs a Go servlet in its own domain and mounts it.
 func (b *Bridge) MountNative(name, prefix string, s Servlet) (*core.Domain, error) {
 	d, err := b.K.NewDomain(core.DomainConfig{Name: "servlet-" + name})

@@ -41,10 +41,6 @@ func NewServletHost(k *core.Kernel) (*ServletHost, error) {
 	return &ServletHost{K: k, www: www, servletSC: sc}, nil
 }
 
-// ServletInterface returns the shared jk/servlet/Servlet group, for
-// domains created outside the host.
-func (h *ServletHost) ServletInterface() *core.SharedClass { return h.servletSC }
-
 // InstantiateVM creates a fresh domain, loads the class bundle into it,
 // and instantiates mainClass (which must implement jk/servlet/Servlet)
 // behind a VM capability. The caller decides what to do with the pair —

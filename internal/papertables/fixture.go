@@ -1,6 +1,7 @@
 package papertables
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"jkernel/internal/core"
@@ -250,9 +251,13 @@ func (f *vmFixture) run(tb testing.TB, method string, n int) {
 }
 
 // chain builds count nodes of class MsgS or MsgF with size-byte payloads
-// in the client domain (the caller's side of the copy).
+// in the client domain (the caller's side of the copy). The payloads are
+// 7-bit bytes from a fixed seed: the serializer writes a byte as a varint,
+// so an all-zero payload would time only its one-byte form, and 8-bit
+// bytes would make the stream's length depend on the bytes drawn.
 func (f *vmFixture) chain(tb testing.TB, class string, count, size int) *vmkit.Object {
 	tb.Helper()
+	rng := rand.New(rand.NewPCG(4, 1))
 	var head *vmkit.Object
 	for i := 0; i < count; i++ {
 		node, err := f.client.NewInstance(class)
@@ -262,6 +267,9 @@ func (f *vmFixture) chain(tb testing.TB, class string, count, size int) *vmkit.O
 		payload, err := f.client.NS.NewArray("[B", size)
 		if err != nil {
 			tb.Fatal(err)
+		}
+		for j := range payload.Bytes {
+			payload.Bytes[j] = byte(rng.Uint32()) & 0x7f
 		}
 		node.Fields[node.Class.FieldByName("payload").Slot] = vmkit.RefVal(payload)
 		if head != nil {

@@ -31,21 +31,11 @@ type DeploySpec struct {
 	Config []byte
 }
 
-// DeployedList is the deep-copy envelope for Deployer.Deployed: the
-// deployer's remote surface may only traffic in capabilities and
-// wire-registered types (jkvet's capleak pass enforces it), so the
-// servlet listing crosses inside a registered struct rather than as a
-// raw slice.
-type DeployedList struct {
-	Names []string
-}
-
 // RegisterWireTypes registers the control-plane types with a kernel so
 // deploy requests can cross the wire. Both sides need it; ServeWorker and
 // Start call it themselves.
 func RegisterWireTypes(k *core.Kernel) {
 	k.RegisterWireType("jk.sched.DeploySpec", DeploySpec{})
-	k.RegisterWireType("jk.sched.DeployedList", DeployedList{})
 }
 
 // deployed is one servlet instance living on this worker.
@@ -169,15 +159,4 @@ func (d *Deployer) Undeploy(name string) error {
 	}
 	dep.domain.Terminate("undeployed by control plane")
 	return nil
-}
-
-// Deployed lists the servlets currently live on this worker.
-func (d *Deployer) Deployed() (*DeployedList, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := &DeployedList{Names: make([]string, 0, len(d.deployed))}
-	for name := range d.deployed {
-		out.Names = append(out.Names, name)
-	}
-	return out, nil
 }

@@ -37,7 +37,7 @@ type padInt64 struct {
 // goroutines (the serve-side LRMI counters, say) would otherwise bounce
 // one line between every core on every increment, which costs more than
 // the rest of the instrumentation combined. Single-writer callers use
-// Inc/Add (stripe 0); pooled callers pass a per-worker stripe to IncAt.
+// Inc/Add (stripe 0); pooled callers add to a per-worker stripe's Cell.
 type Counter struct {
 	stripes [counterStripes]padInt64
 }
@@ -51,15 +51,6 @@ func (c *Counter) Add(d int64) {
 
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
-
-// IncAt increments the counter by one on stripe s&(stripes-1). Callers
-// that share one counter across a worker pool pass a stable per-worker
-// value so concurrent increments land on distinct cache lines.
-func (c *Counter) IncAt(s uint64) {
-	if c != nil {
-		c.stripes[s&(counterStripes-1)].v.Add(1)
-	}
-}
 
 // Cell returns stripe s&(stripes-1) of the counter, for a caller that
 // batches its increments and adds them to the cell itself. c must not be

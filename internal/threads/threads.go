@@ -38,10 +38,10 @@ import (
 // stopped segment regains control.
 var ErrSegmentStopped = errors.New("threads: segment stopped")
 
-// attnSeg is the chain's bit of the attention word. Bit 0 is left to the
-// owner of a shared word (SetAttention): the carrier's VM thread keeps its
-// own requests there, so each side lowers only what it is about to re-read.
-const attnSeg uint32 = 1 << 1
+// attnSeg is the chain's bit of the attention word. The chain is the
+// word's one writer: the carrier's VM thread, which shares it
+// (SetAttention), only reads it.
+const attnSeg uint32 = 1
 
 // segIDs hands out activation ids, idBlock at a time to each chain: unique
 // across chains with no shared write on the crossing.

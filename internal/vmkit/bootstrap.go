@@ -3,10 +3,11 @@ package vmkit
 import "fmt"
 
 // Bootstrap class sources, assembled at VM construction. These are the
-// "system classes" of the paper: most are shared into every domain
-// namespace verbatim; jk/lang/System and jk/lang/Thread are *interposed* —
-// each domain gets its own class so output streams and thread operations
-// are per-domain (see internal/core).
+// "system classes" of the paper, shared into every namespace that resolves
+// through the bootstrap one. jk/lang/System is also *interposed*: a domain
+// gets its own copy so its output stream is per-domain. The J-Kernel's own
+// classes — jk/kernel/*, and the interposed jk/lang/Thread whose natives
+// act on call segments — are defined by the kernel layer (internal/core).
 
 var bootstrapSources = []string{
 	// ---- the root ----
@@ -80,33 +81,13 @@ yes:
 	".class jk/lang/IllegalStateException super jk/lang/RuntimeException\n",
 	".class jk/lang/ThreadDeath super jk/lang/Error\n",
 
-	// Kernel exceptions are bootstrap classes so that every domain shares
-	// them: a RevokedException thrown in a callee must be catchable by the
-	// caller even though the two share nothing else.
-	".class jk/kernel/RevokedException super jk/lang/RuntimeException\n",
-	".class jk/kernel/RemoteException super jk/lang/Exception\n",
-	".class jk/kernel/DomainTerminatedException super jk/kernel/RemoteException\n",
-
 	// ---- marker interfaces (calling convention) ----
-	".class jk/kernel/Remote interface\n",
 	".class jk/io/Serializable interface\n",
 	".class jk/io/FastCopy interface\n",
 	".class jk/io/FastCopyGraph interface\n",
 
-	// ---- capability root ----
-	// Generated stub classes extend Capability. A stub holds no state: its
-	// gate is on its class (Class.Gate), out of bytecode's reach, so a user
-	// class extending Capability is an ordinary object.
-	`.class jk/kernel/Capability abstract
-.method native revoke ()V
-.end
-.method native isRevoked ()I
-.end
-`,
-
-	// ---- interposable system classes (bootstrap versions) ----
+	// ---- interposable system class (bootstrap version) ----
 	systemClassSource,
-	threadClassSource,
 
 	// ---- misc utility ----
 	`.class jk/lang/StringBuilder
@@ -144,29 +125,6 @@ const systemClassSource = `.class jk/lang/System
 .end
 `
 
-// threadClassSource is interposed per domain: stop/suspend/resume act on
-// the calling thread's current *segment*, not the carrier thread, which is
-// how the J-Kernel prevents callers and callees from attacking each other's
-// threads. The bootstrap binding acts directly on the carrier (there are no
-// segments until the core layer is loaded).
-const threadClassSource = `.class jk/lang/Thread
-.field private id I
-.method static native currentThread ()Ljk/lang/Thread;
-.end
-.method native stop ()V
-.end
-.method native suspend ()V
-.end
-.method native resume ()V
-.end
-.method native setPriority (I)V
-.end
-.method native getPriority ()I
-.end
-.method native yield ()V
-.end
-`
-
 // defineBootstrap assembles and links the system classes into ns.
 func defineBootstrap(ns *Namespace) error {
 	for _, src := range bootstrapSources {
@@ -182,30 +140,11 @@ func defineBootstrap(ns *Namespace) error {
 	return nil
 }
 
-// SystemClassNames returns the bootstrap classes that are safe to share
-// into every domain namespace as-is. jk/lang/System and jk/lang/Thread are
-// excluded: they must be interposed per domain.
-func SystemClassNames() []string {
-	names := make([]string, 0, len(bootstrapSources))
-	for _, src := range bootstrapSources {
-		def := MustAssemble(src)
-		switch def.Name {
-		case ClassSystem, ClassThread:
-			continue
-		}
-		names = append(names, def.Name)
-	}
-	return names
-}
-
 // InterposedClassSource returns the assembly source for the per-domain
 // version of an interposed system class ("" if name is not interposed).
 func InterposedClassSource(name string) string {
-	switch name {
-	case ClassSystem:
+	if name == ClassSystem {
 		return systemClassSource
-	case ClassThread:
-		return threadClassSource
 	}
 	return ""
 }

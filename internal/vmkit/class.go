@@ -23,19 +23,12 @@ const (
 	ClassThreadDeath    = "jk/lang/ThreadDeath"
 
 	ClassSystem = "jk/lang/System"
-	ClassThread = "jk/lang/Thread"
 
-	// Marker interfaces controlling the LRMI calling convention, mirroring
-	// java.rmi.Remote and the J-Kernel's fast-copy declaration.
-	IfaceRemote        = "jk/kernel/Remote"
+	// Marker interfaces choosing how an LRMI argument is copied, mirroring
+	// the J-Kernel's fast-copy declaration.
 	IfaceSerializable  = "jk/io/Serializable"
 	IfaceFastCopy      = "jk/io/FastCopy"
 	IfaceFastCopyGraph = "jk/io/FastCopyGraph" // fast copy with cycle table
-
-	ClassCapability   = "jk/kernel/Capability"
-	ClassRevokedEx    = "jk/kernel/RevokedException"
-	ClassRemoteEx     = "jk/kernel/RemoteException"
-	ClassTerminatedEx = "jk/kernel/DomainTerminatedException"
 
 	// GateEntryPrefix starts the names of the typed gate entries, system
 	// classes the kernel generates into the bootstrap namespace at run
@@ -148,9 +141,6 @@ type Method struct {
 	// excClasses caches resolved exception-table types, parallel to Excs.
 	excClasses []*Class
 }
-
-// NArgs returns the number of argument slots including any receiver.
-func (m *Method) NArgs() int { return m.nargs }
 
 // RetDesc returns the return type descriptor, or "" for void.
 func (m *Method) RetDesc() string { return m.ret }

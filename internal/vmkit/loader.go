@@ -75,23 +75,6 @@ type Namespace struct {
 	// the VM's Stdout is used. Interposing System per domain is what makes
 	// this per-domain state possible.
 	Output io.Writer
-
-	// ThreadOps, when set by the J-Kernel layer, reroutes the interposed
-	// jk/lang/Thread natives to thread-segment semantics.
-	ThreadOps ThreadOps
-}
-
-// ThreadOps is implemented by the J-Kernel layer to give the interposed
-// jk/lang/Thread class segment semantics: operations act on the current
-// call segment rather than the carrier thread. Each method returns a VM
-// throwable or nil.
-type ThreadOps interface {
-	Current(env *Env) (*Object, *Object)
-	Stop(env *Env, threadObj *Object) *Object
-	Suspend(env *Env, threadObj *Object) *Object
-	Resume(env *Env, threadObj *Object) *Object
-	SetPriority(env *Env, threadObj *Object, p int64) *Object
-	GetPriority(env *Env, threadObj *Object) (int64, *Object)
 }
 
 // NewNamespace creates an empty namespace resolving through r. The VM's
@@ -105,13 +88,6 @@ func (vm *VM) NewNamespace(name string, r ResolverFunc) *Namespace {
 		resolver: r,
 		interns:  make(map[string]*Object),
 	}
-}
-
-// SetResolver replaces the namespace's resolver (used while bootstrapping).
-func (ns *Namespace) SetResolver(r ResolverFunc) {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	ns.resolver = r
 }
 
 // Lookup returns the class bound to name if it is fully defined, else nil.

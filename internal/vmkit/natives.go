@@ -2,19 +2,9 @@ package vmkit
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"time"
 )
-
-// CapabilityOps is implemented by the J-Kernel layer: the bootstrap
-// jk/kernel/Capability natives delegate revocation to the gate the stub's
-// class carries. (The cross-domain call itself enters through the kernel's
-// typed gate entries, which it defines and binds itself.)
-type CapabilityOps interface {
-	Revoke(env *Env, stub *Object) *Object
-	IsRevoked(env *Env, stub *Object) (int64, *Object)
-}
 
 var hashCounter atomic.Int64
 
@@ -170,117 +160,6 @@ func registerBuiltinNatives(vm *VM) {
 		return IntVal(time.Now().UnixNano()), nil
 	})
 
-	// ---- jk/lang/Thread (carrier semantics; the kernel interposes) ----
-	threadField := func(env *Env, obj *Object) (*Thread, *Object) {
-		f := obj.Class.FieldByName("id")
-		if f == nil {
-			return nil, env.VM.Throwf(ClassError, "thread object missing id")
-		}
-		t := env.VM.LookupThread(obj.Fields[f.Slot].I)
-		if t == nil {
-			return nil, env.VM.Throwf(ClassIllegalStateEx, "no such thread")
-		}
-		return t, nil
-	}
-	reg("jk/lang/Thread.currentThread:()Ljk/lang/Thread;", func(env *Env, recv *Object, args []Value) (Value, *Object) {
-		if ops := env.NS.ThreadOps; ops != nil {
-			o, th := ops.Current(env)
-			if th != nil {
-				return Value{}, th
-			}
-			return RefVal(o), nil
-		}
-		tc, err := env.NS.Resolve(ClassThread)
-		if err != nil {
-			return Value{}, env.VM.Throwf(ClassError, "%v", err)
-		}
-		o, ierr := NewInstance(tc)
-		if ierr != nil {
-			return Value{}, env.VM.Throwf(ClassError, "%v", ierr)
-		}
-		o.Fields[tc.FieldByName("id").Slot] = IntVal(env.Thread.ID)
-		return RefVal(o), nil
-	})
-	reg("jk/lang/Thread.stop:()V", func(env *Env, recv *Object, args []Value) (Value, *Object) {
-		if ops := env.NS.ThreadOps; ops != nil {
-			return Value{}, ops.Stop(env, recv)
-		}
-		t, th := threadField(env, recv)
-		if th != nil {
-			return Value{}, th
-		}
-		t.Stop(env.VM.Throwf(ClassThreadDeath, "stopped"))
-		return Value{}, nil
-	})
-	reg("jk/lang/Thread.suspend:()V", func(env *Env, recv *Object, args []Value) (Value, *Object) {
-		if ops := env.NS.ThreadOps; ops != nil {
-			return Value{}, ops.Suspend(env, recv)
-		}
-		t, th := threadField(env, recv)
-		if th != nil {
-			return Value{}, th
-		}
-		t.Suspend()
-		return Value{}, nil
-	})
-	reg("jk/lang/Thread.resume:()V", func(env *Env, recv *Object, args []Value) (Value, *Object) {
-		if ops := env.NS.ThreadOps; ops != nil {
-			return Value{}, ops.Resume(env, recv)
-		}
-		t, th := threadField(env, recv)
-		if th != nil {
-			return Value{}, th
-		}
-		t.Resume()
-		return Value{}, nil
-	})
-	reg("jk/lang/Thread.setPriority:(I)V", func(env *Env, recv *Object, args []Value) (Value, *Object) {
-		if ops := env.NS.ThreadOps; ops != nil {
-			return Value{}, ops.SetPriority(env, recv, args[0].I)
-		}
-		t, th := threadField(env, recv)
-		if th != nil {
-			return Value{}, th
-		}
-		t.SetPriority(args[0].I)
-		return Value{}, nil
-	})
-	reg("jk/lang/Thread.getPriority:()I", func(env *Env, recv *Object, args []Value) (Value, *Object) {
-		if ops := env.NS.ThreadOps; ops != nil {
-			p, th := ops.GetPriority(env, recv)
-			if th != nil {
-				return Value{}, th
-			}
-			return IntVal(p), nil
-		}
-		t, th := threadField(env, recv)
-		if th != nil {
-			return Value{}, th
-		}
-		return IntVal(t.Priority()), nil
-	})
-	reg("jk/lang/Thread.yield:()V", func(env *Env, recv *Object, args []Value) (Value, *Object) {
-		runtime.Gosched()
-		return Value{}, nil
-	})
-
-	// ---- jk/kernel/Capability ----
-	reg("jk/kernel/Capability.revoke:()V", func(env *Env, recv *Object, args []Value) (Value, *Object) {
-		if env.VM.CapOps == nil {
-			return Value{}, env.VM.Throwf(ClassIllegalStateEx, "no kernel loaded")
-		}
-		return Value{}, env.VM.CapOps.Revoke(env, recv)
-	})
-	reg("jk/kernel/Capability.isRevoked:()I", func(env *Env, recv *Object, args []Value) (Value, *Object) {
-		if env.VM.CapOps == nil {
-			return Value{}, env.VM.Throwf(ClassIllegalStateEx, "no kernel loaded")
-		}
-		v, th := env.VM.CapOps.IsRevoked(env, recv)
-		if th != nil {
-			return Value{}, th
-		}
-		return IntVal(v), nil
-	})
 	// ---- jk/lang/StringBuilder ----
 	sbFields := func(recv *Object) (bufF, lenF *Field) {
 		return recv.Class.FieldByName("buf"), recv.Class.FieldByName("len")

@@ -1,105 +1,19 @@
 package vmkit
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
 
-// safepointSoon runs one safepoint of th on its own goroutine and returns
-// the channel its result arrives on.
-func safepointSoon(th *Thread) <-chan *Object {
-	out := make(chan *Object, 1)
-	go func() { out <- th.safepoint() }()
-	return out
-}
-
-func mustPark(t *testing.T, out <-chan *Object) {
-	t.Helper()
-	select {
-	case th := <-out:
-		t.Fatalf("safepoint returned %v on a suspended thread", th)
-	case <-time.After(20 * time.Millisecond):
-	}
-}
-
-// TestIdlePollTakesNoLock pins the nothing-pending safepoint: one load — it
-// returns with the thread's suspend mutex held elsewhere and never reaches
-// the hook.
-func TestIdlePollTakesNoLock(t *testing.T) {
-	vm := MustNew(ProfileA)
-	th := vm.NewThread("idle")
-	defer vm.Detach(th)
-	th.SafepointHook = func(*Thread) *Object {
-		t.Error("idle safepoint called the hook")
-		return nil
-	}
-	th.suspendMu.Lock()
-	defer th.suspendMu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 1000; i++ {
-			if thrown := th.safepoint(); thrown != nil {
-				t.Errorf("idle safepoint threw %v", thrown)
-				return
-			}
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("1000 idle safepoints did not return with suspendMu held: the fast path takes it")
-	}
-}
-
-// TestSafepointAttentionWord walks the thread's own bit through stop,
-// suspend/resume, and a stop behind a suspension.
-func TestSafepointAttentionWord(t *testing.T) {
-	vm := MustNew(ProfileA)
-	th := vm.NewThread("t")
-	defer vm.Detach(th)
-	word := th.Attention()
+// hookDeath installs the hook the segment layer's stop amounts to: once
+// the word is raised, the next safepoint lowers it and throws ThreadDeath.
+// Install it before the thread runs; raise the word to stop it.
+func hookDeath(vm *VM, th *Thread) {
 	death := vm.Throwf(ClassThreadDeath, "die")
-
-	th.Stop(death)
-	if word.Load() == 0 {
-		t.Fatal("Stop did not raise the word")
-	}
-	if got := th.safepoint(); got != death {
-		t.Fatalf("safepoint = %v, want the stop", got)
-	}
-	if word.Load() != 0 {
-		t.Errorf("word = %#x after the stop was delivered", word.Load())
-	}
-
-	th.Suspend()
-	if word.Load() == 0 {
-		t.Fatal("Suspend did not raise the word")
-	}
-	out := safepointSoon(th)
-	mustPark(t, out)
-	th.Resume()
-	if got := <-out; got != nil {
-		t.Fatalf("safepoint after resume = %v", got)
-	}
-	if word.Load() != 0 {
-		t.Errorf("word = %#x after resume", word.Load())
-	}
-
-	// The stop is taken first; the park is still owed and the word says so.
-	th.Suspend()
-	th.Stop(death)
-	if got := th.safepoint(); got != death {
-		t.Fatalf("safepoint = %v, want the stop", got)
-	}
-	if word.Load() == 0 {
-		t.Error("word lowered with the thread still suspended")
-	}
-	out = safepointSoon(th)
-	mustPark(t, out)
-	th.Resume()
-	if got := <-out; got != nil || word.Load() != 0 {
-		t.Errorf("after resume: safepoint = %v, word = %#x", got, word.Load())
+	th.SafepointHook = func(th *Thread) *Object {
+		th.Attention().Store(0)
+		return death
 	}
 }
 
@@ -164,13 +78,14 @@ leaf:
 `)
 	th := vm.NewThread("walker")
 	defer vm.Detach(th)
+	hookDeath(vm, th)
 	done := make(chan error, 1)
 	go func() {
 		_, err := vm.CallStatic(th, ns, "Tree.walk:(I)I", IntVal(40))
 		done <- err
 	}()
 	time.Sleep(5 * time.Millisecond)
-	th.Stop(vm.Throwf(ClassThreadDeath, "die"))
+	th.Attention().Store(1)
 	select {
 	case err := <-done:
 		te, ok := err.(*ThrownError)
@@ -179,5 +94,37 @@ leaf:
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("the recursion ignored the stop")
+	}
+}
+
+// TestVMDefinesNoKernelClass: the J-Kernel's classes are the kernel
+// layer's to define. A bare VM has no jk/kernel/* class and no
+// jk/lang/Thread, so bytecode there has no Thread.stop to link against.
+func TestVMDefinesNoKernelClass(t *testing.T) {
+	vm := MustNew(ProfileA)
+	for _, name := range []string{"jk/kernel/Capability", "jk/lang/Thread"} {
+		if vm.SystemClass(name) != nil {
+			t.Errorf("a bare VM defines %s", name)
+		}
+	}
+	for _, c := range vm.Bootstrap().Classes() {
+		if strings.HasPrefix(c.Name, "jk/kernel/") {
+			t.Errorf("a bare VM defines %s", c.Name)
+		}
+	}
+	b, err := AssembleBytes(`
+.class Stopper
+.method static stopSelf ()V stack 2 locals 0
+  invokestatic jk/lang/Thread.currentThread:()Ljk/lang/Thread;
+  invokevirtual jk/lang/Thread.stop:()V
+  ret
+.end
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns := vm.NewNamespace("bare", MapResolver(map[string][]byte{"Stopper": b}, vm.BootResolver()))
+	if _, err := ns.Resolve("Stopper"); err == nil || !strings.Contains(err.Error(), "resolve jk/lang/Thread") {
+		t.Fatalf("linking a class that calls jk/lang/Thread.stop on a bare VM: %v, want jk/lang/Thread unresolved", err)
 	}
 }

@@ -2,37 +2,25 @@ package vmkit
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"jkernel/internal/account"
 )
 
 // Thread is a VM thread: the unit that executes bytecode. It is carried by
-// whatever goroutine invokes the interpreter. The J-Kernel layer divides
-// each Thread into segments (one per side of a cross-domain call) and
-// interposes the jk/lang/Thread class so bytecode can only act on segments,
-// never on the carrier; see internal/threads.
+// whatever goroutine invokes the interpreter. The VM offers bytecode no way
+// to stop or suspend a Thread: the J-Kernel layer divides each one into
+// segments (one per side of a cross-domain call), defines the jk/lang/Thread
+// class whose operations act on those, and asks the carrier to look through
+// the attention word and SafepointHook; see internal/threads.
 type Thread struct {
 	ID   int64
 	VM   *VM
 	Name string
 
-	priority atomic.Int64
-
 	// attn is the attention word: zero while nothing is asked of the
 	// carrier, which is all a safepoint reads. See safepoint.
 	attn atomic.Uint32
-
-	// stop holds a throwable to be thrown at the next safepoint (the
-	// Thread.stop mechanism). The segment layer decides whether a stop
-	// applies to the current segment.
-	stop atomic.Pointer[Object]
-
-	// suspended parks the thread at the next safepoint until resumed.
-	suspendMu sync.Mutex
-	suspendCV *sync.Cond
-	suspended bool
 
 	// callDepth tracks interpreter recursion against maxCallDepth.
 	callDepth int
@@ -69,19 +57,13 @@ type Thread struct {
 
 	// SafepointHook, when non-nil, runs at a safepoint that found the
 	// attention word raised and may return a throwable to inject (segment
-	// stops and domain termination). Its owner raises a bit of Attention
-	// other than bit 0 when it wants the hook run.
+	// stops and domain termination). Its owner raises the word when it
+	// wants the hook run and lowers it there.
 	SafepointHook func(t *Thread) *Object
 }
 
-// attnThread, bit 0 of the attention word, is the Thread's own: Stop and
-// Suspend raise it. The other bits are the embedder's: the segment layer
-// raises one for requests aimed at the carrier's segments and lowers it in
-// its SafepointHook.
-const attnThread uint32 = 1
-
-// Attention returns the thread's attention word, for the layer that
-// divides the thread into segments to share.
+// Attention returns the thread's attention word. The VM only reads it: the
+// layer that divides the thread into segments raises and lowers it.
 func (t *Thread) Attention() *atomic.Uint32 { return &t.attn }
 
 // NewThread registers a new VM thread. The caller's goroutine becomes the
@@ -93,8 +75,6 @@ func (vm *VM) NewThread(name string) *Thread {
 		Name: name,
 	}
 	t.env = Env{VM: vm, Thread: t}
-	t.priority.Store(5)
-	t.suspendCV = sync.NewCond(&t.suspendMu)
 	vm.threadsMu.Lock()
 	vm.threads[t.ID] = t
 	vm.threadsMu.Unlock()
@@ -117,52 +97,10 @@ func (vm *VM) LookupThread(id int64) *Thread {
 	return vm.threads[id]
 }
 
-// Priority returns the thread priority (1..10, default 5).
-func (t *Thread) Priority() int64 { return t.priority.Load() }
-
-// SetPriority sets the thread priority. The interpreter treats priority as
-// advisory, as most 1990s JVMs did.
-func (t *Thread) SetPriority(p int64) {
-	if p < 1 {
-		p = 1
-	}
-	if p > 10 {
-		p = 10
-	}
-	t.priority.Store(p)
-}
-
-// Stop schedules throwable to be thrown in this thread at its next
-// safepoint (the Java Thread.stop model).
-func (t *Thread) Stop(throwable *Object) {
-	t.stop.Store(throwable)
-	t.attn.Or(attnThread)
-	// A suspended thread must wake to observe the stop.
-	t.suspendMu.Lock()
-	t.suspendCV.Broadcast()
-	t.suspendMu.Unlock()
-}
-
-// Suspend parks the thread at its next safepoint until Resume.
-func (t *Thread) Suspend() {
-	t.suspendMu.Lock()
-	t.suspended = true
-	t.suspendMu.Unlock()
-	t.attn.Or(attnThread)
-}
-
-// Resume releases a suspended thread.
-func (t *Thread) Resume() {
-	t.suspendMu.Lock()
-	t.suspended = false
-	t.suspendCV.Broadcast()
-	t.suspendMu.Unlock()
-}
-
 // safepoint is called by the interpreter at method entry and backward
 // branches. It returns a throwable to raise, or nil. Nothing pending is one
 // load: whoever asks something of the carrier publishes the request first
-// and raises the attention word after; attend lowers before it re-reads.
+// and raises the attention word after; the hook lowers before it re-reads.
 func (t *Thread) safepoint() *Object {
 	if t.attn.Load() == 0 {
 		return nil
@@ -170,27 +108,12 @@ func (t *Thread) safepoint() *Object {
 	return t.attend()
 }
 
-// attend is the safepoint's slow path. The thread's own bit goes down
-// before stop and suspended are read, so a request published after the
-// read raises it again and one published before is seen here; it goes back
-// up when the thread leaves with a park still owed.
+// attend is the safepoint's slow path: the word's owner asked the carrier
+// to look, and its hook says what for. It stays out of line so that
+// safepoint, a load and a call, inlines at the interpreter's poll sites.
+//
+//go:noinline
 func (t *Thread) attend() *Object {
-	t.attn.And(^attnThread)
-	t.suspendMu.Lock()
-	for {
-		if th := t.stop.Swap(nil); th != nil {
-			if t.suspended {
-				t.attn.Or(attnThread)
-			}
-			t.suspendMu.Unlock()
-			return th
-		}
-		if !t.suspended {
-			break
-		}
-		t.suspendCV.Wait()
-	}
-	t.suspendMu.Unlock()
 	if t.SafepointHook != nil {
 		return t.SafepointHook(t)
 	}

@@ -37,10 +37,6 @@ var ProfileB = Profile{HeavyLocks: true}
 type VM struct {
 	Profile Profile
 
-	// CapOps is set by the J-Kernel layer to back the jk/kernel/Capability
-	// natives with the gate the stub's class carries (Class.Gate).
-	CapOps CapabilityOps
-
 	// Stdout receives output from the per-domain System.println native when
 	// the namespace has no domain-specific writer bound.
 	Stdout io.Writer

@@ -212,7 +212,7 @@ handler:
   pop
   iconst 1
   retv
-  .catch jk/kernel/RevokedException from try to end using handler
+  .catch jk/lang/Error from try to end using handler
 .end
 .method static divZero (I)I stack 4 locals 0
 try:
@@ -842,12 +842,13 @@ loop:
 `)
 	th := vm.NewThread("spinner")
 	defer vm.Detach(th)
+	hookDeath(vm, th)
 	done := make(chan error, 1)
 	go func() {
 		_, err := vm.CallStatic(th, ns, "Spin.forever:()I")
 		done <- err
 	}()
-	th.Stop(vm.Throwf(ClassThreadDeath, "die"))
+	th.Attention().Store(1)
 	err := <-done
 	te, ok := err.(*ThrownError)
 	if !ok || te.Throwable.Class.Name != ClassThreadDeath {
