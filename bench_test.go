@@ -277,7 +277,7 @@ const parallelVMServer = `
 
 const parallelVMServerImpl = `
 .class PingedImpl implements Pinged
-.method ping ()I stack 2 locals 0
+.method ping ()I
   iconst 1
   retv
 .end

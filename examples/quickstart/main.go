@@ -101,7 +101,7 @@ func main() {
 `)
 	adderImpl := jkernel.MustAssemble(`
 .class AdderImpl implements Adder
-.method add (II)I stack 4 locals 0
+.method add (II)I
   load 1
   load 2
   iadd

@@ -83,7 +83,7 @@ func main() {
 	src := `
 .class CounterServlet implements jk/servlet/Servlet
 .field hits I
-.method service (Ljk/lang/String;Ljk/lang/String;[B)[B stack 8 locals 0
+.method service (Ljk/lang/String;Ljk/lang/String;[B)[B
   load 0
   load 0
   getfield CounterServlet.hits:I

@@ -96,7 +96,7 @@ func TestIntegrationUploadAndHotReplace(t *testing.T) {
 	classData := MustAssemble(`
 .class Hit implements jk/servlet/Servlet
 .field count I
-.method service (Ljk/lang/String;Ljk/lang/String;[B)[B stack 8 locals 0
+.method service (Ljk/lang/String;Ljk/lang/String;[B)[B
   load 0
   load 0
   getfield Hit.count:I

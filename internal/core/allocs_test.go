@@ -23,10 +23,10 @@ const allocSvcIface = `
 
 const allocSvcImpl = `
 .class SvcImpl implements Svc
-.method nop ()V stack 1 locals 0
+.method nop ()V
   ret
 .end
-.method add3 (III)I stack 2 locals 0
+.method add3 (III)I
   load 1
   load 2
   iadd
@@ -41,7 +41,7 @@ const allocSvcImpl = `
 const allocClient = `
 .class AllocBench
 .field static svc LSvc;
-.method static sum4 (IIII)I stack 2 locals 0
+.method static sum4 (IIII)I
   load 0
   load 1
   iadd
@@ -51,14 +51,14 @@ const allocClient = `
   iadd
   retv
 .end
-.method static setup ()V stack 2 locals 0
+.method static setup ()V
   sconst "svc"
   invokestatic jk/kernel/Repository.lookup:(Ljk/lang/String;)Ljk/kernel/Capability;
   cast Svc
   putstatic AllocBench.svc:LSvc;
   ret
 .end
-.method static null (I)V stack 2 locals 0
+.method static null (I)V
 loop:
   load 0
   ifz done
@@ -72,7 +72,7 @@ loop:
 done:
   ret
 .end
-.method static add (I)I stack 4 locals 1
+.method static add (I)I
   iconst 0
   store 1
 loop:

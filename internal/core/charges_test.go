@@ -22,7 +22,7 @@ const (
 	chargeBox  = ".class Box\n.field v I\n"
 	chargeHopC = `
 .class HopC implements Hop
-.method leaf (I)I stack 2 locals 0
+.method leaf (I)I
   iconst 24
   newarr "[B"
   pop
@@ -31,14 +31,14 @@ const (
   iadd
   retv
 .end
-.method relay (I)I stack 2 locals 0
+.method relay (I)I
   load 1
   retv
 .end
 `
 	chargeHopB = `
 .class HopB implements Hop
-.method leaf (I)I stack 2 locals 0
+.method leaf (I)I
   new Box
   pop
   iconst 16
@@ -49,7 +49,7 @@ const (
   iadd
   retv
 .end
-.method relay (I)I stack 2 locals 0
+.method relay (I)I
   sconst "c"
   invokestatic jk/kernel/Repository.lookup:(Ljk/lang/String;)Ljk/kernel/Capability;
   cast Hop
@@ -64,14 +64,14 @@ const (
 	chargeClient = `
 .class Client
 .field static hop LHop;
-.method static setup ()V stack 2 locals 0
+.method static setup ()V
   sconst "b"
   invokestatic jk/kernel/Repository.lookup:(Ljk/lang/String;)Ljk/kernel/Capability;
   cast Hop
   putstatic Client.hop:LHop;
   ret
 .end
-.method static direct (I)V stack 3 locals 0
+.method static direct (I)V
 loop:
   load 0
   ifz done
@@ -87,7 +87,7 @@ loop:
 done:
   ret
 .end
-.method static chain (I)V stack 3 locals 0
+.method static chain (I)V
 loop:
   load 0
   ifz done
@@ -103,7 +103,7 @@ loop:
 done:
   ret
 .end
-.method static sys (I)V stack 2 locals 0
+.method static sys (I)V
 loop:
   load 0
   ifz done

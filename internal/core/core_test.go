@@ -36,30 +36,30 @@ const readFileIface = `
 const readFileImpl = `
 .class ReadFileImpl implements ReadFile
 .field base I
-.method readByte (I)I stack 4 locals 0
+.method readByte (I)I
   load 0
   getfield ReadFileImpl.base:I
   load 1
   iadd
   retv
 .end
-.method readBytes (I)[B stack 4 locals 0
+.method readBytes (I)[B
   load 1
   newarr "[B"
   retv
 .end
-.method fill ([B)V stack 6 locals 0
+.method fill ([B)V
   load 1
   iconst 0
   iconst 9
   astore
   ret
 .end
-.method echo (Ljk/kernel/Capability;)Ljk/kernel/Capability; stack 2 locals 0
+.method echo (Ljk/kernel/Capability;)Ljk/kernel/Capability;
   load 1
   retv
 .end
-.method reject (Ljk/lang/Object;)I stack 2 locals 0
+.method reject (Ljk/lang/Object;)I
   iconst 1
   retv
 .end
@@ -67,7 +67,7 @@ const readFileImpl = `
 
 const clientSrc = `
 .class Client
-.method static run ()I stack 8 locals 1
+.method static run ()I
   sconst "files"
   invokestatic jk/kernel/Repository.lookup:(Ljk/lang/String;)Ljk/kernel/Capability;
   cast ReadFile
@@ -77,7 +77,7 @@ const clientSrc = `
   invokeinterface ReadFile.readByte:(I)I
   retv
 .end
-.method static callCaught ()I stack 8 locals 1
+.method static callCaught ()I
 try:
   invokestatic Client.run:()I
   retv
@@ -93,7 +93,7 @@ terminated:
   .catch jk/kernel/RevokedException from try to end using revoked
   .catch jk/kernel/DomainTerminatedException from try to end using terminated
 .end
-.method static copySemantics ()I stack 10 locals 2
+.method static copySemantics ()I
   ; arr = [1]; cap.fill(arr); return arr[0]  (must stay 1: callee got a copy)
   iconst 1
   newarr "[B"
@@ -112,7 +112,7 @@ terminated:
   aload
   retv
 .end
-.method static capIdentity ()I stack 8 locals 1
+.method static capIdentity ()I
   ; echo(cap) must return the identical stub reference
   sconst "files"
   invokestatic jk/kernel/Repository.lookup:(Ljk/lang/String;)Ljk/kernel/Capability;
@@ -129,7 +129,7 @@ same:
   iconst 1
   retv
 .end
-.method static passLocalObject ()I stack 8 locals 0
+.method static passLocalObject ()I
   ; passing a non-copyable object must raise RemoteException
 try:
   sconst "files"
@@ -282,7 +282,7 @@ func TestDomainTerminationRevokesAllCapabilities(t *testing.T) {
 		t.Errorf("expected DomainTerminatedException path (-2), got %d", v.I)
 	}
 	// A dead domain cannot load classes or create capabilities.
-	if _, err := d1.DefineClass(mustAsm(t, ".class Late\n.method static f ()I stack 2 locals 0\n iconst 1\n retv\n.end\n")); err == nil {
+	if _, err := d1.DefineClass(mustAsm(t, ".class Late\n.method static f ()I\n iconst 1\n retv\n.end\n")); err == nil {
 		t.Error("terminated domain accepted new classes")
 	}
 	if _, err := k.CreateVMCapability(d1, cap.Stub); err == nil {
@@ -318,7 +318,7 @@ func TestCreateRequiresRemoteInterface(t *testing.T) {
 	d, err := k.NewDomain(DomainConfig{
 		Name: "d",
 		Classes: map[string][]byte{
-			"Plain": mustAsm(t, ".class Plain\n.method f ()I stack 2 locals 0\n iconst 1\n retv\n.end\n"),
+			"Plain": mustAsm(t, ".class Plain\n.method f ()I\n iconst 1\n retv\n.end\n"),
 		},
 	})
 	if err != nil {
@@ -349,7 +349,7 @@ const serialIface = `
 
 const serialImpl = `
 .class SinkImpl implements Sink
-.method consume (LMsg;)I stack 6 locals 0
+.method consume (LMsg;)I
   ; mutate the received copy, return value + text length
   load 1
   iconst 999
@@ -363,7 +363,7 @@ const serialImpl = `
 
 const serialClient = `
 .class SClient
-.method static run ()I stack 10 locals 2
+.method static run ()I
   new Msg
   store 0
   load 0
@@ -723,7 +723,7 @@ func TestInvokeWithoutTaskFails(t *testing.T) {
 
 const threadedImpl = `
 .class StopperImpl implements Stopper
-.method selfStop ()I stack 4 locals 0
+.method selfStop ()I
   ; stop the *current segment* (the callee side), then keep running: the
   ; stop fires at the next safepoint inside the callee.
   invokestatic jk/lang/Thread.currentThread:()Ljk/lang/Thread;
@@ -731,7 +731,7 @@ const threadedImpl = `
 loop:
   jmp loop
 .end
-.method ping ()I stack 2 locals 0
+.method ping ()I
   iconst 1
   retv
 .end
@@ -747,7 +747,7 @@ const threadedIface = `
 
 const threadedClient = `
 .class TClient
-.method static run ()I stack 4 locals 0
+.method static run ()I
 try:
   sconst "stopper"
   invokestatic jk/kernel/Repository.lookup:(Ljk/lang/String;)Ljk/kernel/Capability;

@@ -69,7 +69,7 @@ func TestCrossingTakesNoLock(t *testing.T) {
 // returns the sum of their answers.
 const crossClient = `
 .class Cross
-.method static calls (LWork;I)I stack 4 locals 1
+.method static calls (LWork;I)I
   iconst 0
   store 2
 loop:

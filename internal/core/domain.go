@@ -18,13 +18,14 @@ type DomainConfig struct {
 	// terminated.
 	Name string
 	// Classes maps class names to binary class files loadable on demand:
-	// the domain's local classes.
+	// the domain's local classes. A name the bootstrap defines resolves to
+	// the bootstrap's class, as in the JVM's parent-first delegation.
 	Classes map[string][]byte
 	// Shared lists shared-class groups visible to this domain (the
 	// SharedClass capabilities it has been given).
 	Shared []*SharedClass
-	// Resolver, when set, is consulted after Classes, Shared, and the
-	// system classes — the user-defined tail of the paper's "class name
+	// Resolver, when set, is consulted after the system classes, Classes
+	// and Shared — the user-defined tail of the paper's "class name
 	// resolvers".
 	Resolver vmkit.ResolverFunc
 	// Output receives the domain's System.println output.
@@ -118,14 +119,14 @@ func (k *Kernel) newDomain(cfg DomainConfig) (*Domain, error) {
 			}
 			return &vmkit.Resolution{Bytes: b}, nil
 		}
+		if res, err := boot(name); res != nil || err != nil {
+			return res, err
+		}
 		if b, ok := cfg.Classes[name]; ok {
 			return &vmkit.Resolution{Bytes: b}, nil
 		}
 		if c, ok := shared[name]; ok {
 			return &vmkit.Resolution{Shared: c}, nil
-		}
-		if res, err := boot(name); res != nil || err != nil {
-			return res, err
 		}
 		if cfg.Resolver != nil {
 			return cfg.Resolver(name)

@@ -17,7 +17,7 @@ const forgedSrc = `
 
 const forgerSrc = `
 .class Forger
-.method static passForged ()I stack 8 locals 1
+.method static passForged ()I
   ; echo(forged): a capability comes back as the same reference (1); an
   ; object of a class the callee does not share does not cross (42)
 try:
@@ -42,7 +42,7 @@ handler:
   retv
   .catch jk/kernel/RemoteException from try to end using handler
 .end
-.method static bindForged ()V stack 4 locals 0
+.method static bindForged ()V
   sconst "forged"
   new Forged
   invokestatic jk/kernel/Repository.bind:(Ljk/lang/String;Ljk/kernel/Capability;)V
@@ -123,22 +123,22 @@ func TestStubSubclassIsNotACapability(t *testing.T) {
 
 const kernelNativesSrc = `
 .class KN
-.method static cap ()Ljk/kernel/Capability; stack 2 locals 0
+.method static cap ()Ljk/kernel/Capability;
   sconst "kn"
   invokestatic jk/kernel/Repository.lookup:(Ljk/lang/String;)Ljk/kernel/Capability;
   retv
 .end
-.method static isRevoked ()I stack 2 locals 0
+.method static isRevoked ()I
   invokestatic KN.cap:()Ljk/kernel/Capability;
   invokevirtual jk/kernel/Capability.isRevoked:()I
   retv
 .end
-.method static revoke ()V stack 2 locals 0
+.method static revoke ()V
   invokestatic KN.cap:()Ljk/kernel/Capability;
   invokevirtual jk/kernel/Capability.revoke:()V
   ret
 .end
-.method static priority ()I stack 4 locals 0
+.method static priority ()I
   invokestatic jk/lang/Thread.currentThread:()Ljk/lang/Thread;
   dup
   iconst 7
@@ -160,7 +160,7 @@ func TestKernelNativesFromBytecode(t *testing.T) {
 	owner, err := k.NewDomain(DomainConfig{Name: "owner", Classes: map[string][]byte{
 		"KN":     kn,
 		"KNSvc":  mustAsm(t, ".class KNSvc interface implements jk/kernel/Remote\n.method ping ()I\n.end\n"),
-		"KNImpl": mustAsm(t, ".class KNImpl implements KNSvc\n.method ping ()I stack 1 locals 0\n  iconst 1\n  retv\n.end\n"),
+		"KNImpl": mustAsm(t, ".class KNImpl implements KNSvc\n.method ping ()I\n  iconst 1\n  retv\n.end\n"),
 	}})
 	if err != nil {
 		t.Fatal(err)

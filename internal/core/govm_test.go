@@ -26,18 +26,18 @@ const goVMImpl = `
 .class PageImpl implements Page
 .field static doc [B
 .field static last [B
-.method static configure ([B)V stack 2 locals 0
+.method static configure ([B)V
   load 0
   putstatic PageImpl.doc:[B
   ret
 .end
-.method service (Ljk/lang/String;Ljk/lang/String;[B)[B stack 2 locals 0
+.method service (Ljk/lang/String;Ljk/lang/String;[B)[B
   load 3
   putstatic PageImpl.last:[B
   getstatic PageImpl.doc:[B
   retv
 .end
-.method stored ()[B stack 2 locals 0
+.method stored ()[B
   getstatic PageImpl.last:[B
   retv
 .end

@@ -27,12 +27,12 @@ const hostileIface = `
 
 const hostileImpl = `
 .class HostileImpl implements Hostile
-.method giant ()[B stack 2 locals 0
+.method giant ()[B
   iconst 4611686018427387904
   newarr "[B"
   retv
 .end
-.method ints (I)I stack 2 locals 0
+.method ints (I)I
   load 1
   newarr "[I"
   arraylength
@@ -40,7 +40,7 @@ const hostileImpl = `
 .end
 .method native boom ()I
 .end
-.method ok ()I stack 2 locals 0
+.method ok ()I
   iconst 7
   retv
 .end
@@ -48,24 +48,24 @@ const hostileImpl = `
 
 const hostileClient = `
 .class Client
-.method static hostile ()LHostile; stack 2 locals 0
+.method static hostile ()LHostile;
   sconst "hostile"
   invokestatic jk/kernel/Repository.lookup:(Ljk/lang/String;)Ljk/kernel/Capability;
   cast Hostile
   retv
 .end
-.method static giant ()I stack 2 locals 0
+.method static giant ()I
   invokestatic Client.hostile:()LHostile;
   invokeinterface Hostile.giant:()[B
   arraylength
   retv
 .end
-.method static boom ()I stack 2 locals 0
+.method static boom ()I
   invokestatic Client.hostile:()LHostile;
   invokeinterface Hostile.boom:()I
   retv
 .end
-.method static caught ()I stack 2 locals 0
+.method static caught ()I
 try:
   invokestatic Client.boom:()I
   retv
@@ -76,7 +76,7 @@ handler:
   retv
   .catch jk/lang/Error from try to end using handler
 .end
-.method static ok ()I stack 2 locals 0
+.method static ok ()I
   invokestatic Client.hostile:()LHostile;
   invokeinterface Hostile.ok:()I
   retv
@@ -173,5 +173,30 @@ func TestHostileCalleeEndsInAnException(t *testing.T) {
 	task.Close()
 	if got := k.TableSizes(); got != baseline {
 		t.Errorf("tables %+v after the faults, baseline %+v", got, baseline)
+	}
+}
+
+// A domain cannot shadow a bootstrap class. Its own jk/lang/String, which
+// lacks the bytes field the VM's strings are built on, is never consulted:
+// a class with a string literal links against the bootstrap String.
+func TestDomainCannotShadowBootstrapClass(t *testing.T) {
+	k := MustNew(Options{})
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("a domain's own %s panicked the host: %v", vmkit.ClassString, r)
+		}
+	}()
+	d, err := k.NewDomain(DomainConfig{Name: "shadow", Classes: map[string][]byte{
+		vmkit.ClassString: mustAsm(t, ".class jk/lang/String\n.field n I\n"),
+		"Lit":             mustAsm(t, ".class Lit\n.method static f ()Ljk/lang/String;\n  sconst \"hi\"\n  retv\n.end\n"),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.NS.Resolve("Lit"); err != nil {
+		t.Fatal(err)
+	}
+	if got, boot := d.NS.Lookup(vmkit.ClassString), k.VM.SystemClass(vmkit.ClassString); got != boot {
+		t.Errorf("the domain binds its own %s, not the bootstrap's", vmkit.ClassString)
 	}
 }

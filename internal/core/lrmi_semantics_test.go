@@ -35,7 +35,7 @@ const semItem = ".class Item implements jk/io/FastCopy\n.field n I\n"
 const semImpl = `
 .class SemImpl implements Sem
 .field static saved Ljk/lang/Thread;
-.method grab ()I stack 2 locals 0
+.method grab ()I
   ; stash the handle on this call's segment, then return: the handle is
   ; stale from here on
   invokestatic jk/lang/Thread.currentThread:()Ljk/lang/Thread;
@@ -43,7 +43,7 @@ const semImpl = `
   iconst 1
   retv
 .end
-.method poke ()I stack 4 locals 1
+.method poke ()I
   ; running on the recycled segment: every operation through the stale
   ; handle must throw IllegalState and leave this call alone
   iconst 0
@@ -90,7 +90,7 @@ done:
   .catch jk/lang/IllegalStateException from t1 to e1 using h1
   .catch jk/lang/IllegalStateException from t2 to e2 using h2
 .end
-.method stopAndReturn ()I stack 2 locals 0
+.method stopAndReturn ()I
   ; stop this segment and leave before any safepoint sees it: the Seg
   ; goes back to the free list with the stop still recorded
   invokestatic jk/lang/Thread.currentThread:()Ljk/lang/Thread;
@@ -98,22 +98,22 @@ done:
   iconst 1
   retv
 .end
-.method ping ()I stack 2 locals 0
+.method ping ()I
   iconst 1
   retv
 .end
-.method spin ()I stack 2 locals 0
+.method spin ()I
 loop:
   jmp loop
 .end
-.method relay (LSem;)I stack 4 locals 0
+.method relay (LSem;)I
   load 1
   invokeinterface Sem.ping:()I
   iconst 100
   iadd
   retv
 .end
-.method take (LItem;)I stack 2 locals 0
+.method take (LItem;)I
   load 1
   getfield Item.n:I
   retv
@@ -122,13 +122,13 @@ loop:
 
 const semClient = `
 .class SemClient
-.method static svc ()LSem; stack 2 locals 0
+.method static svc ()LSem;
   sconst "sem"
   invokestatic jk/kernel/Repository.lookup:(Ljk/lang/String;)Ljk/kernel/Capability;
   cast Sem
   retv
 .end
-.method static stale ()I stack 4 locals 0
+.method static stale ()I
   invokestatic SemClient.svc:()LSem;
   invokeinterface Sem.grab:()I
   invokestatic SemClient.svc:()LSem;
@@ -136,7 +136,7 @@ const semClient = `
   iadd
   retv
 .end
-.method static afterStopped ()I stack 4 locals 0
+.method static afterStopped ()I
   invokestatic SemClient.svc:()LSem;
   invokeinterface Sem.stopAndReturn:()I
   invokestatic SemClient.svc:()LSem;
@@ -144,7 +144,7 @@ const semClient = `
   iadd
   retv
 .end
-.method static spinCaught ()I stack 4 locals 1
+.method static spinCaught ()I
 try:
   invokestatic SemClient.svc:()LSem;
   invokeinterface Sem.spin:()I
@@ -169,7 +169,7 @@ done:
   retv
   .catch jk/kernel/DomainTerminatedException from try to end using dead
 .end
-.method static nested ()I stack 4 locals 0
+.method static nested ()I
   invokestatic SemClient.svc:()LSem;
   sconst "sem2"
   invokestatic jk/kernel/Repository.lookup:(Ljk/lang/String;)Ljk/kernel/Capability;
@@ -351,12 +351,12 @@ const directEntry = "invokestatic jk/kernel/Enter$L$I.call:(Ljk/kernel/Capabilit
 
 const semDirect = `
 .class Direct
-.method static cap ()Ljk/kernel/Capability; stack 2 locals 0
+.method static cap ()Ljk/kernel/Capability;
   sconst "sem"
   invokestatic jk/kernel/Repository.lookup:(Ljk/lang/String;)Ljk/kernel/Capability;
   retv
 .end
-.method static right ()I stack 6 locals 0
+.method static right ()I
   invokestatic Direct.cap:()Ljk/kernel/Capability;
   iconst 6
   new Item
@@ -366,14 +366,14 @@ const semDirect = `
   ` + directEntry + `
   retv
 .end
-.method static wrongClass ()I stack 6 locals 0
+.method static wrongClass ()I
   invokestatic Direct.cap:()Ljk/kernel/Capability;
   iconst 6
   sconst "not an Item"
   ` + directEntry + `
   retv
 .end
-.method static wrongShape ()I stack 6 locals 0
+.method static wrongShape ()I
   ; index 1 is ping()I: not the shape this entry carries
   invokestatic Direct.cap:()Ljk/kernel/Capability;
   iconst 1
@@ -385,7 +385,7 @@ const semDirect = `
 
 const semDirectShort = `
 .class Short
-.method static wrongArity ()I stack 6 locals 0
+.method static wrongArity ()I
   sconst "sem"
   invokestatic jk/kernel/Repository.lookup:(Ljk/lang/String;)Ljk/kernel/Capability;
   iconst 6
@@ -428,7 +428,7 @@ func TestTypedEntryCalledByHand(t *testing.T) {
 const semFakeEntry = `
 .class jk/kernel/Enter$L$I
 .field static stolen Ljk/lang/Object;
-.method static call (Ljk/kernel/Capability;ILjk/lang/Object;)I stack 2 locals 0
+.method static call (Ljk/kernel/Capability;ILjk/lang/Object;)I
   load 2
   putstatic jk/kernel/Enter$L$I.stolen:Ljk/lang/Object;
   iconst 99
@@ -438,7 +438,7 @@ const semFakeEntry = `
 
 const semTakeClient = `
 .class TakeClient
-.method static run ()I stack 4 locals 0
+.method static run ()I
   sconst "sem"
   invokestatic jk/kernel/Repository.lookup:(Ljk/lang/String;)Ljk/kernel/Capability;
   cast Sem
@@ -530,7 +530,7 @@ const semKeepIface = `
 
 const semKeepImpl = `
 .class KeeperImpl implements Keeper
-.method keep (LItem;)I stack 2 locals 0
+.method keep (LItem;)I
   iconst 2
   retv
 .end

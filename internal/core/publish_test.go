@@ -25,21 +25,21 @@ const (
 `
 	pubImpl = `
 .class PubImpl implements Pub
-.method nop ()V stack 1 locals 0
+.method nop ()V
   ret
 .end
 `
 	pubClient = `
 .class PubClient
 .field static svc LPub;
-.method static setup ()V stack 2 locals 0
+.method static setup ()V
   sconst "pub"
   invokestatic jk/kernel/Repository.lookup:(Ljk/lang/String;)Ljk/kernel/Capability;
   cast Pub
   putstatic PubClient.svc:LPub;
   ret
 .end
-.method static calls (I)V stack 2 locals 0
+.method static calls (I)V
 loop:
   load 0
   ifz done
@@ -55,7 +55,7 @@ done:
 .end
 .method static native kill ()V
 .end
-.method static callsThenKill (I)V stack 1 locals 0
+.method static callsThenKill (I)V
   load 0
   invokestatic PubClient.calls:(I)V
   invokestatic PubClient.kill:()V

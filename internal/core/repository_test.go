@@ -94,17 +94,17 @@ func TestInvokeVMConversions(t *testing.T) {
 `)
 	impl := mustAsm(t, `
 .class ConvImpl implements Conv
-.method twice (Ljk/lang/String;)Ljk/lang/String; stack 4 locals 0
+.method twice (Ljk/lang/String;)Ljk/lang/String;
   load 1
   load 1
   invokevirtual jk/lang/String.concat:(Ljk/lang/String;)Ljk/lang/String;
   retv
 .end
-.method xor ([B)[B stack 2 locals 0
+.method xor ([B)[B
   load 1
   retv
 .end
-.method half (D)D stack 4 locals 0
+.method half (D)D
   load 1
   dconst 2.0
   ddiv
@@ -161,7 +161,7 @@ func TestDetachedTaskUsableAcrossGoroutines(t *testing.T) {
 	d, err := k.NewDomain(DomainConfig{
 		Name: "d",
 		Classes: map[string][]byte{
-			"W": mustAsm(t, ".class W\n.method static f ()I stack 2 locals 0\n iconst 7\n retv\n.end\n"),
+			"W": mustAsm(t, ".class W\n.method static f ()I\n iconst 7\n retv\n.end\n"),
 		},
 	})
 	if err != nil {

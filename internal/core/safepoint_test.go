@@ -34,7 +34,7 @@ const spWorkIface = `
 // the kernel's handle registry.
 const spWorkImpl = `
 .class WorkImpl implements Work
-.method count (I)I stack 4 locals 1
+.method count (I)I
   load 1
   store 2
 loop:
@@ -49,7 +49,7 @@ done:
   load 1
   retv
 .end
-.method mintSpin (I)I stack 4 locals 0
+.method mintSpin (I)I
   invokestatic jk/lang/Thread.currentThread:()Ljk/lang/Thread;
   pop
   load 0
@@ -57,7 +57,7 @@ done:
   invokeinterface Work.count:(I)I
   retv
 .end
-.method relay (LWork;I)I stack 4 locals 0
+.method relay (LWork;I)I
   invokestatic jk/lang/Thread.currentThread:()Ljk/lang/Thread;
   pop
   load 1
@@ -75,18 +75,18 @@ const spClient = `
 .field static iters I
 .field static atCatch I
 .field static attempts I
-.method static work (Ljk/lang/String;)LWork; stack 2 locals 0
+.method static work (Ljk/lang/String;)LWork;
   load 0
   invokestatic jk/kernel/Repository.lookup:(Ljk/lang/String;)Ljk/kernel/Capability;
   cast Work
   retv
 .end
-.method static forever ()I stack 2 locals 0
+.method static forever ()I
 loop:
   jmp loop
 .end
 ; 2^n calls and not one backward branch
-.method static walk (I)I stack 4 locals 0
+.method static walk (I)I
   load 0
   ifz leaf
   load 0
@@ -106,7 +106,7 @@ leaf:
 ; for(;;) { iters++ } with a handler for everything that covers the loop
 ; and itself. Returns how many iterations completed after the first catch
 ; once 1000 throwables have been swallowed; -1 if the loop was let run on.
-.method static hostile ()I stack 4 locals 0
+.method static hostile ()I
 top:
   getstatic SP.iters:I
   iconst 1
@@ -141,13 +141,13 @@ letrun:
   retv
   .catch jk/lang/Throwable from top to out using caught
 .end
-.method static attempts ()I stack 2 locals 0
+.method static attempts ()I
   getstatic SP.attempts:I
   retv
 .end
 ; mint a Thread for the base segment, run the callee to completion, keep
 ; its answer, then spin: a stop aimed at this segment lands in the spin
-.method static callThenSpin ()I stack 4 locals 0
+.method static callThenSpin ()I
   invokestatic jk/lang/Thread.currentThread:()Ljk/lang/Thread;
   pop
   sconst "work"
@@ -158,11 +158,11 @@ letrun:
 spin:
   jmp spin
 .end
-.method static result ()I stack 2 locals 0
+.method static result ()I
   getstatic SP.result:I
   retv
 .end
-.method static nested (I)I stack 4 locals 0
+.method static nested (I)I
   sconst "work"
   invokestatic SP.work:(Ljk/lang/String;)LWork;
   sconst "work2"

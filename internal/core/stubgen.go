@@ -57,10 +57,9 @@ func genStubMethod(idx int, p *vmMethodPlan) vmkit.MethodDef {
 	}
 
 	return vmkit.MethodDef{
-		Name:     p.m.Name,
-		Desc:     p.m.Desc,
-		MaxStack: int32(2 + len(p.params)),
-		Code:     code,
+		Name: p.m.Name,
+		Desc: p.m.Desc,
+		Code: code,
 	}
 }
 

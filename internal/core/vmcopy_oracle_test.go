@@ -26,7 +26,7 @@ const oracleCap = `
 
 const oracleCapImpl = `
 .class CapImpl implements Cap
-.method ping ()I stack 2 locals 0
+.method ping ()I
   iconst 1
   retv
 .end

@@ -121,14 +121,14 @@ func TestSerializedRefArrayCrosses(t *testing.T) {
 func TestCopyDoubleArrayKeepsFloatBits(t *testing.T) {
 	const darr = `
 .class DArr
-.method static put ([DID)V stack 6 locals 0
+.method static put ([DID)V
   load 0
   load 1
   load 2
   astore
   ret
 .end
-.method static get ([DI)D stack 4 locals 0
+.method static get ([DI)D
   load 0
   load 1
   aload
@@ -312,15 +312,15 @@ const (
 `
 	copySvcImpl = `
 .class CopySvcImpl implements CopySvc
-.method sink (LMsgS;)I stack 2 locals 0
+.method sink (LMsgS;)I
   iconst 1
   retv
 .end
-.method sinkF (LMsgF;)I stack 2 locals 0
+.method sinkF (LMsgF;)I
   iconst 1
   retv
 .end
-.method str (Ljk/lang/String;)I stack 2 locals 0
+.method str (Ljk/lang/String;)I
   iconst 1
   retv
 .end

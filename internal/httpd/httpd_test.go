@@ -92,7 +92,7 @@ func TestVMServletGiantArrayIs500(t *testing.T) {
 	_, b := newBridge(t)
 	data, err := vmkit.AssembleBytes(`
 .class Giant implements jk/servlet/Servlet
-.method service (Ljk/lang/String;Ljk/lang/String;[B)[B stack 2 locals 0
+.method service (Ljk/lang/String;Ljk/lang/String;[B)[B
   iconst 4611686018427387904
   newarr "[B"
   retv
@@ -147,7 +147,7 @@ func TestUploadTerminateReplaceCycle(t *testing.T) {
 	mk := func(msg string) []byte {
 		src := fmt.Sprintf(`
 .class UserServlet implements jk/servlet/Servlet
-.method service (Ljk/lang/String;Ljk/lang/String;[B)[B stack 4 locals 0
+.method service (Ljk/lang/String;Ljk/lang/String;[B)[B
   sconst %q
   invokevirtual jk/lang/String.getBytes:()[B
   retv
@@ -202,7 +202,7 @@ func TestUploadRejectsBadBytecode(t *testing.T) {
 	// Type-confused servlet: returns an int where [B is declared.
 	src := `
 .class EvilServlet implements jk/servlet/Servlet
-.method service (Ljk/lang/String;Ljk/lang/String;[B)[B stack 4 locals 0
+.method service (Ljk/lang/String;Ljk/lang/String;[B)[B
   iconst 1234
   retv
 .end

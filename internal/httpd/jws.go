@@ -34,12 +34,12 @@ func StaticHandler(doc []byte) http.Handler {
 const httpEngineSrc = `
 .class jk/www/HttpEngine
 .field static doc [B
-.method static setDoc ([B)V stack 2 locals 0
+.method static setDoc ([B)V
   load 0
   putstatic jk/www/HttpEngine.doc:[B
   ret
 .end
-.method static handle ([B)[B stack 10 locals 10
+.method static handle ([B)[B
   ; locals: 0=req 1=i/j 2=pathStart 3=pathLen 4=hdr 5=digits 6=ndigits 7=out 8=k 9=tmp
   iconst 0
   store 1

@@ -18,12 +18,12 @@ func DocServletSource(className string) string {
 	return fmt.Sprintf(`
 .class %[1]s implements jk/servlet/Servlet
 .field static body [B
-.method static configure ([B)V stack 2 locals 0
+.method static configure ([B)V
   load 0
   putstatic %[1]s.body:[B
   ret
 .end
-.method service (Ljk/lang/String;Ljk/lang/String;[B)[B stack 2 locals 0
+.method service (Ljk/lang/String;Ljk/lang/String;[B)[B
   getstatic %[1]s.body:[B
   retv
 .end

@@ -33,10 +33,10 @@ const (
 
 const svcImpl = `
 .class SvcImpl implements Svc
-.method nop ()V stack 2 locals 0
+.method nop ()V
   ret
 .end
-.method add3 (III)I stack 6 locals 0
+.method add3 (III)I
   load 1
   load 2
   iadd
@@ -44,11 +44,11 @@ const svcImpl = `
   iadd
   retv
 .end
-.method sink (LMsgS;)I stack 2 locals 0
+.method sink (LMsgS;)I
   iconst 1
   retv
 .end
-.method sinkF (LMsgF;)I stack 2 locals 0
+.method sinkF (LMsgF;)I
   iconst 1
   retv
 .end
@@ -58,10 +58,10 @@ const localIface = ".class LocalIface interface\n.method inop ()V\n.end\n"
 
 const localTarget = `
 .class LocalTarget implements LocalIface
-.method nop ()V stack 2 locals 0
+.method nop ()V
   ret
 .end
-.method inop ()V stack 2 locals 0
+.method inop ()V
   ret
 .end
 `
@@ -72,7 +72,7 @@ const benchLoops = `
 .class Bench
 .field static cap LSvc;
 .field static target LLocalTarget;
-.method static setup ()V stack 4 locals 0
+.method static setup ()V
   sconst "svc"
   invokestatic jk/kernel/Repository.lookup:(Ljk/lang/String;)Ljk/kernel/Capability;
   cast Svc
@@ -81,7 +81,7 @@ const benchLoops = `
   putstatic Bench.target:LLocalTarget;
   ret
 .end
-.method static runRegular (I)V stack 8 locals 1
+.method static runRegular (I)V
 loop:
   load 0
   ifz done
@@ -95,7 +95,7 @@ loop:
 done:
   ret
 .end
-.method static runIface (I)V stack 8 locals 1
+.method static runIface (I)V
 loop:
   load 0
   ifz done
@@ -109,7 +109,7 @@ loop:
 done:
   ret
 .end
-.method static runLock (I)V stack 8 locals 1
+.method static runLock (I)V
 loop:
   load 0
   ifz done
@@ -125,7 +125,7 @@ loop:
 done:
   ret
 .end
-.method static runLRMI (I)V stack 8 locals 1
+.method static runLRMI (I)V
 loop:
   load 0
   ifz done
@@ -139,7 +139,7 @@ loop:
 done:
   ret
 .end
-.method static runLRMI3 (I)V stack 10 locals 1
+.method static runLRMI3 (I)V
 loop:
   load 0
   ifz done
@@ -157,7 +157,7 @@ loop:
 done:
   ret
 .end
-.method static baseline (I)V stack 8 locals 1
+.method static baseline (I)V
 loop:
   load 0
   ifz done

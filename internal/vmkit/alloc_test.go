@@ -129,13 +129,13 @@ func TestColocatedObjectsAreCollected(t *testing.T) {
 func TestColocatedString(t *testing.T) {
 	vm, ns := newTestNS(t, `
 .class Str
-.method static cat (Ljk/lang/String;Ljk/lang/String;)Ljk/lang/String; stack 4 locals 0
+.method static cat (Ljk/lang/String;Ljk/lang/String;)Ljk/lang/String;
   load 0
   load 1
   invokevirtual jk/lang/String.concat:(Ljk/lang/String;)Ljk/lang/String;
   retv
 .end
-.method static sub (Ljk/lang/String;II)Ljk/lang/String; stack 4 locals 0
+.method static sub (Ljk/lang/String;II)Ljk/lang/String;
   load 0
   load 1
   load 2
@@ -208,7 +208,7 @@ func TestColocatedString(t *testing.T) {
 func TestDoubleArrayKeepsFloatBits(t *testing.T) {
 	vm, ns := newTestNS(t, `
 .class DArr
-.method static roundtrip ([DID)D stack 6 locals 0
+.method static roundtrip ([DID)D
   load 0
   load 1
   load 2
@@ -365,20 +365,22 @@ func TestAllocsMonitorOwner(t *testing.T) {
 	}
 }
 
-// Verification allocates for the class it is given and for the states it
-// keeps where control joins, not for every instruction times every local:
-// a straight-line method of N nops with 65 536 locals has one join point,
-// whatever N, and a chain of K jumps has K+1. A state is 16 B a local.
+// Verification allocates for the class it is given: a method's frame is
+// what its code names, so what defining a class costs follows the class's
+// bytes, whatever locals and stack its source declares (the assembler
+// drops them), however many join points its code has. A short method that
+// names local 65 535 is rejected before any state is made.
 func TestAllocsVerifyFollowsTheClass(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector's allocations are not the verifier's")
 	}
-	const locals = 1 << 16
-	const c = 3
+	const c, k = 128, 16 << 10
+	const declared = " stack 65536 locals 65536"
 	vm := MustNew(ProfileA)
-	// define returns the size of the class src assembles to and the least
-	// that defining it in a fresh namespace allocated in three tries.
-	define := func(src string) (size int, bytes uint64) {
+	// define returns the size of the class src assembles to, the least
+	// that defining it in a fresh namespace allocated in three tries, and
+	// the error defining it met.
+	define := func(src string) (size int, bytes uint64, err error) {
 		b, err := AssembleBytes(src)
 		if err != nil {
 			t.Fatal(err)
@@ -388,45 +390,47 @@ func TestAllocsVerifyFollowsTheClass(t *testing.T) {
 			ns := vm.NewNamespace("verify", vm.BootResolver())
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			_, err := ns.DefineClass(b)
+			_, err = ns.DefineClass(b)
 			runtime.ReadMemStats(&after)
-			if err != nil {
-				t.Fatal(err)
-			}
 			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 		}
-		return len(b), bytes
+		return len(b), bytes, err
 	}
-	check := func(what string, size, joins int, bytes uint64) {
-		bound := c * uint64(size+joins*locals*16)
-		t.Logf("%s: %d-byte class, %d join points, %d B to define (bound %d)", what, size, joins, bytes, bound)
+	check := func(what string, size int, bytes uint64) {
+		bound := uint64(c*size + k)
+		t.Logf("%s: %d-byte class, %d B to define (bound %d)", what, size, bytes, bound)
 		if bytes > bound {
-			t.Errorf("%s: a %d-byte class with %d join points costs %d B to define; bound %d",
-				what, size, joins, bytes, bound)
+			t.Errorf("%s: a %d-byte class costs %d B to define; bound %d", what, size, bytes, bound)
 		}
 	}
-
-	var first uint64
-	for _, n := range []int{16, 64, 256} {
-		size, bytes := define(".class Nops\n.method static f ()V stack 0 locals 65536\n" +
-			strings.Repeat("  nop\n", n) + "  ret\n.end\n")
-		check(fmt.Sprintf("%d nops", n), size, 1, bytes)
-		if n == 16 {
-			first = bytes
-		} else if bytes > first+uint64(n)*1024 {
-			// An instruction's own share (its decoded form, its link
-			// entry, its join mark) is tens of bytes; a state is 1 MiB.
-			t.Errorf("%d nops cost %d B, 16 cost %d: verification grows with the code", n, bytes, first)
-		}
-	}
-	for _, k := range []int{4, 16} {
+	jumps := func(n int, first string) string {
 		var src strings.Builder
-		src.WriteString(".class Jumps\n.method static f ()V stack 0 locals 65536\n")
-		for i := range k {
+		src.WriteString(".class Jumps\n.method static f ()V" + declared + "\n" + first)
+		for i := range n {
 			fmt.Fprintf(&src, "  jmp l%d\nl%d:\n", i, i)
 		}
 		src.WriteString("  ret\n.end\n")
-		size, bytes := define(src.String())
-		check(fmt.Sprintf("%d jumps", k), size, k+1, bytes)
+		return src.String()
 	}
+
+	for _, n := range []int{16, 64, 256} {
+		size, bytes, err := define(".class Nops\n.method static f ()V" + declared + "\n" +
+			strings.Repeat("  nop\n", n) + "  ret\n.end\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("%d nops", n), size, bytes)
+	}
+	for _, n := range []int{4, 16, 256} {
+		size, bytes, err := define(jumps(n, ""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("%d jumps", n), size, bytes)
+	}
+	size, bytes, err := define(jumps(256, "  iconst 0\n  store 65535\n"))
+	if err == nil || !strings.Contains(err.Error(), "local 65535 is outside") {
+		t.Fatalf("256 jumps naming local 65535: got %v, want the bound's rejection", err)
+	}
+	check("256 jumps naming local 65535", size, bytes)
 }

@@ -1,6 +1,7 @@
 package vmkit
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -26,13 +27,13 @@ func assertArenaIdle(t *testing.T, th *Thread) {
 
 const callsSrc = `
 .class Tgt implements Ifc
-.method nop ()V stack 1 locals 0
+.method nop ()V
   ret
 .end
-.method inop ()V stack 1 locals 0
+.method inop ()V
   ret
 .end
-.method static regular (LTgt;I)V stack 2 locals 0
+.method static regular (LTgt;I)V
 loop:
   load 1
   ifz done
@@ -46,7 +47,7 @@ loop:
 done:
   ret
 .end
-.method static iface (LIfc;I)V stack 2 locals 0
+.method static iface (LIfc;I)V
 loop:
   load 1
   ifz done
@@ -109,7 +110,7 @@ func TestAllocsBytecodeCalls(t *testing.T) {
 
 const lockLoopSrc = `
 .class Locker
-.method static pairs (Ljk/lang/Object;I)V stack 2 locals 0
+.method static pairs (Ljk/lang/Object;I)V
 loop:
   load 1
   ifz done
@@ -174,14 +175,14 @@ func TestCrossingOnTheProductVMTakesNoVMLock(t *testing.T) {
 func TestArenaOverflowThenReuse(t *testing.T) {
 	vm, ns := newTestNS(t, `
 .class Deep
-.method static down (I)I stack 2 locals 0
+.method static down (I)I
   load 0
   iconst 1
   iadd
   invokestatic Deep.down:(I)I
   retv
 .end
-.method static ok (I)I stack 2 locals 0
+.method static ok (I)I
   load 0
   iconst 1
   iadd
@@ -206,38 +207,62 @@ func TestArenaOverflowThenReuse(t *testing.T) {
 	assertArenaIdle(t, th)
 }
 
-// TestArenaCeiling: a recursion whose frames declare 16 384 locals runs
-// into the stack's byte ceiling long before maxCallDepth. It ends in the
-// same overflow error, having allocated less than twice the ceiling, and
-// the thread then runs another method.
+// storesNaming returns code that copies local src into each of the n
+// locals from first on, so that a method's frame holds them.
+func storesNaming(src, first, n int) string {
+	var b strings.Builder
+	for i := first; i < first+n; i++ {
+		fmt.Fprintf(&b, "  load %d\n  store %d\n", src, i)
+	}
+	return b.String()
+}
+
+// TestArenaCeiling: a recursion whose frames name 16 384 locals runs into
+// the stack's byte ceiling long before maxCallDepth. It ends in the same
+// overflow error, having allocated less than twice the ceiling, and the
+// thread then runs another method.
 func TestArenaCeiling(t *testing.T) {
+	const locals = 1 << 14
 	vm, ns := newTestNS(t, `
 .class Wide
-.method static down (I)I stack 2 locals 16384
+.field static deepest I
+.method static down (I)I
+`+storesNaming(0, 1, locals-1)+`
+  load 0
+  putstatic Wide.deepest:I
   load 0
   iconst 1
   iadd
   invokestatic Wide.down:(I)I
   retv
 .end
-.method static ok (I)I stack 2 locals 0
+.method static ok (I)I
   load 0
   iconst 1
   iadd
   retv
 .end
 `)
-	if _, err := ns.Resolve("Wide"); err != nil { // loading and verifying are not the call's
+	cls, err := ns.Resolve("Wide") // loading and verifying are not the call's
+	if err != nil {
 		t.Fatal(err)
+	}
+	if f := cls.MethodBySig("down", "(I)I").frame; f < locals {
+		t.Fatalf("down's frame is %d slots, want the %d locals it names", f, locals)
 	}
 	th := vm.NewThread("wide")
 	defer vm.Detach(th)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := vm.CallStatic(th, ns, "Wide.down:(I)I", IntVal(0))
+	_, err = vm.CallStatic(th, ns, "Wide.down:(I)I", IntVal(0))
 	runtime.ReadMemStats(&after)
 	if err == nil || !strings.Contains(err.Error(), "call stack overflow") {
 		t.Fatalf("wide recursion: got %v, want the overflow error", err)
+	}
+	deepest := cls.Statics[cls.FieldByName("deepest").Slot].I
+	t.Logf("wide recursion ended at depth %d", deepest)
+	if deepest+1 >= maxCallDepth || int(deepest+2)*locals*valueBytes <= maxArenaBytes {
+		t.Errorf("wide recursion ended at depth %d: not at the %d-byte ceiling", deepest, maxArenaBytes)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; !raceflag.Enabled && got > 2*maxArenaBytes {
 		t.Errorf("wide recursion allocated %d bytes, over twice the %d-byte stack", got, maxArenaBytes)
@@ -253,13 +278,13 @@ func TestArenaCeiling(t *testing.T) {
 func TestArenaUnwindThreeFrames(t *testing.T) {
 	vm, ns := newTestNS(t, `
 .class Unw
-.method static c (Ljk/lang/Object;I)I stack 4 locals 2
+.method static c (Ljk/lang/Object;I)I
   load 0
   store 2
   new jk/lang/RuntimeException
   throw
 .end
-.method static b (Ljk/lang/Object;I)I stack 6 locals 1
+.method static b (Ljk/lang/Object;I)I
   load 0
   store 2
   iconst 7
@@ -269,7 +294,7 @@ func TestArenaUnwindThreeFrames(t *testing.T) {
   iadd
   retv
 .end
-.method static a (Ljk/lang/Object;I)I stack 6 locals 0
+.method static a (Ljk/lang/Object;I)I
   iconst 9
   load 0
   load 1
@@ -277,7 +302,7 @@ func TestArenaUnwindThreeFrames(t *testing.T) {
   iadd
   retv
 .end
-.method static caught (Ljk/lang/Object;I)I stack 6 locals 1
+.method static caught (Ljk/lang/Object;I)I
   iconst 5
   store 2
 try:
@@ -325,7 +350,8 @@ func TestArenaNativeReentry(t *testing.T) {
 .class Re
 .method static native hop (Ljk/lang/Object;I)I
 .end
-.method static down (Ljk/lang/Object;I)I stack 4 locals 300
+.method static down (Ljk/lang/Object;I)I
+` + storesNaming(1, 2, 300) + `
   load 1
   ifz bottom
   load 0
@@ -391,15 +417,15 @@ bottom:
 func TestArenaSynchronizedCallee(t *testing.T) {
 	vm, ns := newTestNS(t, `
 .class Sync
-.method synchronized held ()I stack 2 locals 0
+.method synchronized held ()I
   iconst 3
   retv
 .end
-.method synchronized boom ()I stack 2 locals 0
+.method synchronized boom ()I
   new jk/lang/RuntimeException
   throw
 .end
-.method static run (LSync;)I stack 4 locals 0
+.method static run (LSync;)I
 try:
   load 0
   invokevirtual Sync.boom:()I

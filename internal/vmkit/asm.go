@@ -13,14 +13,16 @@ import (
 //
 //	.class Name [super Super] [implements I1 I2 ...] [interface] [abstract]
 //	.field [static] name Desc
-//	.method [static] [native] [abstract] [synchronized] name (params)ret [stack N] [locals N]
+//	.method [static] [native] [abstract] [synchronized] name (params)ret
 //	  label:
 //	  <mnemonic> [operand]
 //	  .catch Type from L1 to L2 using L3
 //	.end
 //
 // Branch operands are labels. SCONST operands are Go-quoted strings.
-// Field/method reference operands are "Class.name:Desc" symbols.
+// Field/method reference operands are "Class.name:Desc" symbols. A method
+// declares no frame: the verifier works out its locals and stack depth
+// from the code. A trailing "stack N" or "locals N" is read and dropped.
 func Assemble(src string) (*ClassDef, error) {
 	a := &asm{def: &ClassDef{Super: ClassObject}}
 	lines := strings.Split(src, "\n")
@@ -223,7 +225,7 @@ func (a *asm) methodDirective(line string) error {
 		return fmt.Errorf("nested .method")
 	}
 	toks := strings.Fields(line)[1:]
-	m := MethodDef{MaxStack: 16}
+	var m MethodDef
 	for len(toks) > 0 {
 		switch toks[0] {
 		case "static":
@@ -255,17 +257,11 @@ name:
 	}
 	toks = toks[2:]
 	for len(toks) >= 2 {
-		n, err := strconv.Atoi(toks[1])
-		if err != nil {
-			return fmt.Errorf("bad %s count %q", toks[0], toks[1])
-		}
-		switch toks[0] {
-		case "stack":
-			m.MaxStack = int32(n)
-		case "locals":
-			m.NumLoc = int32(n)
-		default:
+		if toks[0] != "stack" && toks[0] != "locals" {
 			return fmt.Errorf("unknown .method token %q", toks[0])
+		}
+		if _, err := strconv.Atoi(toks[1]); err != nil {
+			return fmt.Errorf("bad %s count %q", toks[0], toks[1])
 		}
 		toks = toks[2:]
 	}
@@ -417,7 +413,7 @@ func Disassemble(def *ClassDef) string {
 		if m.Flags&MSynchronized != 0 {
 			b.WriteString("synchronized ")
 		}
-		fmt.Fprintf(&b, "%s %s stack %d locals %d\n", m.Name, m.Desc, m.MaxStack, m.NumLoc)
+		fmt.Fprintf(&b, "%s %s\n", m.Name, m.Desc)
 		// Labels for every branch target and handler boundary.
 		targets := map[int32]string{}
 		want := func(pc int32) string {

@@ -12,7 +12,7 @@ import "fmt"
 var bootstrapSources = []string{
 	// ---- the root ----
 	`.class jk/lang/Object
-.method equals (Ljk/lang/Object;)I stack 4 locals 0
+.method equals (Ljk/lang/Object;)I
   load 0
   load 1
   if_acmpeq yes
@@ -58,13 +58,13 @@ yes:
 	// ---- throwables ----
 	`.class jk/lang/Throwable
 .field message Ljk/lang/String;
-.method init (Ljk/lang/String;)V stack 4 locals 0
+.method init (Ljk/lang/String;)V
   load 0
   load 1
   putfield jk/lang/Throwable.message:Ljk/lang/String;
   ret
 .end
-.method getMessage ()Ljk/lang/String; stack 2 locals 0
+.method getMessage ()Ljk/lang/String;
   load 0
   getfield jk/lang/Throwable.message:Ljk/lang/String;
   retv
@@ -93,7 +93,7 @@ yes:
 	`.class jk/lang/StringBuilder
 .field private buf [B
 .field private len I
-.method init ()V stack 4 locals 0
+.method init ()V
   load 0
   iconst 16
   newarr "[B"

@@ -92,13 +92,11 @@ type ExcEntry struct {
 
 // MethodDef describes one declared method, including its bytecode.
 type MethodDef struct {
-	Name     string
-	Desc     string // "(params)ret" descriptor
-	Flags    MethodFlags
-	MaxStack int32 // operand stack budget; verifier enforces
-	NumLoc   int32 // local slots beyond parameters
-	Code     []Instr
-	Excs     []ExcEntry
+	Name  string
+	Desc  string // "(params)ret" descriptor
+	Flags MethodFlags
+	Code  []Instr
+	Excs  []ExcEntry
 }
 
 // ClassDef is the loadable unit: what a class file encodes and what loaders
@@ -129,9 +127,12 @@ type Method struct {
 	nargs int
 	// ret is the return descriptor ("" for V).
 	ret string
-	// frame is the method's arena window in slots: arguments, extra locals
-	// and operand stack (just the arguments for native methods).
-	frame int
+	// nlocals is the number of local slots, arguments included: the
+	// arguments and every local a load or store names. frame is the
+	// method's arena window in slots, the locals and the deepest operand
+	// stack (just the arguments for native and abstract methods). The
+	// verifier sets both for a bytecode method.
+	nlocals, frame int
 	// slot is the method's index in its owner's vslots, and so in the
 	// vslots of every class below the owner (an override takes its
 	// parent's slot). An interface's own methods index its itable entries.
@@ -201,6 +202,9 @@ type Class struct {
 	// object is a capability exactly when its own class carries one: a
 	// subclass, of Capability or of a stub, does not.
 	Gate any
+
+	// linking is the class's link group until the group is published.
+	linking *linkGroup
 }
 
 // IsArray reports whether c is an array class.

@@ -6,15 +6,15 @@ import (
 	"math"
 )
 
-// Binary class-file format ("JKC1"): the []byte that resolvers hand to a
+// Binary class-file format ("JKC2"): the []byte that resolvers hand to a
 // namespace, that the verifier checks, and that interposition may rewrite.
+// A method carries no frame shape; the verifier derives it from the code.
 //
-//	magic "JKC1"
+//	magic "JKC2"
 //	class:   str name, str super, u16 flags, vec<str> interfaces,
 //	         vec<field>, vec<method>
 //	field:   str name, str desc, u8 static
-//	method:  str name, str desc, u16 flags, u32 maxstack, u32 numloc,
-//	         vec<instr>, vec<exc>
+//	method:  str name, str desc, u16 flags, vec<instr>, vec<exc>
 //	instr:   u8 op, then per opTable: varint I | f64 F | str S
 //	exc:     u32 from, u32 to, u32 handler, str type
 //
@@ -22,7 +22,7 @@ import (
 // endian) and the u8/u16/u32 noted above, which are also varint-encoded but
 // range-checked on decode.
 
-const classMagic = "JKC1"
+const classMagic = "JKC2"
 
 // maxCounts bound decoded vector lengths so a hostile class file cannot
 // force huge allocations before verification.
@@ -65,8 +65,6 @@ func EncodeClass(def *ClassDef) []byte {
 		w.str(m.Name)
 		w.str(m.Desc)
 		w.uvarint(uint64(m.Flags))
-		w.uvarint(uint64(m.MaxStack))
-		w.uvarint(uint64(m.NumLoc))
 		w.uvarint(uint64(len(m.Code)))
 		for _, in := range m.Code {
 			w.byte(byte(in.Op))
@@ -104,11 +102,11 @@ func DecodeClass(data []byte) (*ClassDef, error) {
 	def.Name = r.str()
 	def.Super = r.str()
 	def.Flags = ClassFlags(r.bounded(math.MaxUint16))
-	nif := r.bounded(maxIfaces)
+	nif := r.count(maxIfaces)
 	for i := uint64(0); i < nif; i++ {
 		def.Interfaces = append(def.Interfaces, r.str())
 	}
-	nf := r.bounded(maxFields)
+	nf := r.count(maxFields)
 	for i := uint64(0); i < nf; i++ {
 		var f FieldDef
 		f.Name = r.str()
@@ -118,16 +116,14 @@ func DecodeClass(data []byte) (*ClassDef, error) {
 		f.Private = flags&2 != 0
 		def.Fields = append(def.Fields, f)
 	}
-	nm := r.bounded(maxMethods)
+	nm := r.count(maxMethods)
 	for i := uint64(0); i < nm; i++ {
 		var m MethodDef
 		m.Name = r.str()
 		m.Desc = r.str()
 		m.Flags = MethodFlags(r.bounded(math.MaxUint16))
-		m.MaxStack = int32(r.bounded(math.MaxInt32))
-		m.NumLoc = int32(r.bounded(math.MaxInt32))
-		ni := r.bounded(maxCode)
-		m.Code = make([]Instr, 0, min(ni, 4096))
+		ni := r.count(maxCode)
+		m.Code = make([]Instr, 0, ni)
 		for j := uint64(0); j < ni; j++ {
 			op := Opcode(r.byte())
 			if op >= opMax || opTable[op].name == "" {
@@ -145,7 +141,7 @@ func DecodeClass(data []byte) (*ClassDef, error) {
 			}
 			m.Code = append(m.Code, in)
 		}
-		ne := r.bounded(maxExcs)
+		ne := r.count(maxExcs)
 		for j := uint64(0); j < ne; j++ {
 			var e ExcEntry
 			e.From = int32(r.bounded(math.MaxInt32))
@@ -253,12 +249,19 @@ func (r *cfReader) bounded(limit uint64) uint64 {
 	return v
 }
 
+// count reads a vector or string length: at most limit, and at most the
+// bytes left, since every element takes at least one. A length the input
+// cannot hold fails before anything is sized by it.
+func (r *cfReader) count(limit uint64) uint64 {
+	return r.bounded(min(limit, uint64(len(r.buf)-r.pos)))
+}
+
 func (r *cfReader) f64() float64 {
 	b := r.raw(8)
 	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
 
 func (r *cfReader) str() string {
-	n := r.bounded(maxStrLen)
+	n := r.count(maxStrLen)
 	return string(r.raw(int(n)))
 }

@@ -56,7 +56,7 @@ func genHierarchy(rng *rand.Rand) []string {
 			case abstract && rng.Intn(4) == 0:
 				fmt.Fprintf(&b, ".method abstract %s ()I\n.end\n", name)
 			case rng.Intn(2) == 0:
-				fmt.Fprintf(&b, ".method %s ()I stack 2 locals 0\n  iconst %d\n  retv\n.end\n", name, 1000+100*i+j)
+				fmt.Fprintf(&b, ".method %s ()I\n  iconst %d\n  retv\n.end\n", name, 1000+100*i+j)
 			}
 		}
 		srcs = append(srcs, b.String())
@@ -157,7 +157,7 @@ func TestDispatchAgreesWithVtable(t *testing.T) {
 					continue
 				}
 				s := dispatchSite{op: op, ref: ref, name: name, decl: decl, method: fmt.Sprintf("s%d", len(sites))}
-				fmt.Fprintf(&b, ".method static %s (L%s;)I stack 2 locals 0\n  load 0\n  %s %s.%s:()I\n  retv\n.end\n",
+				fmt.Fprintf(&b, ".method static %s (L%s;)I\n  load 0\n  %s %s.%s:()I\n  retv\n.end\n",
 					s.method, ref.Name, op, ref.Name, name)
 				sites = append(sites, s)
 			}
@@ -263,17 +263,17 @@ func TestDispatchOnArrayReceiver(t *testing.T) {
 .end
 `, `
 .class ArrSites
-.method static virt (Ljk/lang/Object;)I stack 2 locals 0
+.method static virt (Ljk/lang/Object;)I
   load 0
   invokevirtual jk/lang/Object.hashCode:()I
   retv
 .end
-.method static iface (LHashable;)I stack 2 locals 0
+.method static iface (LHashable;)I
   load 0
   invokeinterface Hashable.hashCode:()I
   retv
 .end
-.method static same (Ljk/lang/Object;)I stack 3 locals 0
+.method static same (Ljk/lang/Object;)I
   load 0
   load 0
   invokevirtual jk/lang/Object.equals:(Ljk/lang/Object;)I
@@ -312,11 +312,11 @@ func TestProfileAInterfaceDispatchBuildsKey(t *testing.T) {
 	for _, src := range []string{
 		".class Speaker interface\n.method speak ()I\n.end\n",
 		`.class Dog implements Speaker
-.method speak ()I stack 2 locals 0
+.method speak ()I
   iconst 42
   retv
 .end
-.method static test (LSpeaker;)I stack 2 locals 0
+.method static test (LSpeaker;)I
   load 0
   invokeinterface Speaker.speak:()I
   retv

@@ -16,8 +16,8 @@ const maxCallDepth = 512
 const stepsFlushEvery = 4096
 
 // The frame arena. Each Thread owns one growable []Value, and every live
-// frame is a window into it: arguments, then the method's extra locals,
-// then its operand stack (Method.frame slots, fixed at link time). A
+// frame is a window into it: arguments, then the method's other locals,
+// then its operand stack (Method.frame slots, sized by the verifier). A
 // bytecode invoke does not copy arguments: the callee's window starts at
 // the slots the caller pushed them into, so the callee's locals *are* the
 // caller's pushed arguments and the rest of its frame overlays the caller's
@@ -219,7 +219,7 @@ func (vm *VM) run(t *Thread, m *Method, base int) (Value, *Object) {
 	// indexes the operand stack above them, so an empty stack is
 	// sp == nlocals.
 	frame := t.arena[base : base+m.frame]
-	nlocals := m.nargs + int(m.NumLoc)
+	nlocals := m.nlocals
 	sp := nlocals
 	pc := 0
 	code := m.Code
@@ -635,7 +635,7 @@ func (vm *VM) run(t *Thread, m *Method, base int) (Value, *Object) {
 func (c *Class) elemClass() *Class {
 	if c.elem == "" || c.elem[0] != 'L' {
 		if c.elem != "" && c.elem[0] == '[' {
-			k, _ := c.NS.arrayClass(c.elem)
+			k, _ := c.NS.arrayClass(c.elem, nil)
 			return k
 		}
 		return nil

@@ -22,19 +22,19 @@ func thrownBy(t *testing.T, err error) (class, msg string) {
 func TestNewArrCeiling(t *testing.T) {
 	vm, ns := newTestNS(t, `
 .class Big
-.method static bytes (I)I stack 2 locals 0
+.method static bytes (I)I
   load 0
   newarr "[B"
   arraylength
   retv
 .end
-.method static ints (I)I stack 2 locals 0
+.method static ints (I)I
   load 0
   newarr "[I"
   arraylength
   retv
 .end
-.method static refs (I)I stack 2 locals 0
+.method static refs (I)I
   load 0
   newarr "[Ljk/lang/Object;"
   arraylength
@@ -77,7 +77,7 @@ func TestPanicBeneathEntryIsThrown(t *testing.T) {
 .end
 .method static native hop (I)I
 .end
-.method static deep (I)I stack 4 locals 40
+.method static deep (I)I
   load 0
   ifz bottom
   load 0
@@ -90,7 +90,7 @@ bottom:
   invokestatic Boom.crash:(I)I
   retv
 .end
-.method static caught (I)I stack 4 locals 0
+.method static caught (I)I
 try:
   load 0
   invokestatic Boom.hop:(I)I
@@ -138,4 +138,46 @@ handler:
 		t.Errorf("caught = %v, %v; want -1", v, err)
 	}
 	assertArenaIdle(t, th)
+}
+
+// A and C refer to each other, so C verifies against A's shell while A is
+// still linking. A is then rejected, and C must go with it: a call into C
+// ends in a link error that names A's verify error, never in A's code.
+func TestRejectedClassTakesItsCycleWithIt(t *testing.T) {
+	vm, ns := newTestNS(t, `
+.class P
+.field private static secret I
+`, `
+.class A
+.method static broken ()I
+  getstatic P.secret:I
+  retv
+.end
+.method static viaC ()I
+  invokestatic C.go:()I
+  retv
+.end
+`, `
+.class C
+.method static go ()I
+  invokestatic A.broken:()I
+  retv
+.end
+`)
+	p, err := ns.Resolve("P")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Statics[p.FieldByName("secret").Slot] = IntVal(42)
+	const verifyErr = "private field P.secret not accessible from A"
+	if _, err := ns.Resolve("A"); err == nil || !strings.Contains(err.Error(), verifyErr) {
+		t.Fatalf("Resolve(A) = %v, want the verify error %q", err, verifyErr)
+	}
+	if c := ns.Lookup("C"); c != nil {
+		t.Errorf("C stayed published after A, which it verified against, was rejected")
+	}
+	err = callStaticErr(t, vm, ns, "C.go:()I")
+	if err == nil || !strings.Contains(err.Error(), "verify A") || !strings.Contains(err.Error(), verifyErr) {
+		t.Fatalf("C.go = %v, want a link error naming A's verify error", err)
+	}
 }

@@ -34,7 +34,7 @@ func resolveCode(c *Class) error {
 		}
 		excs := make([]*Class, len(m.Excs))
 		for i, e := range m.Excs {
-			ec, err := c.NS.Resolve(e.Type)
+			ec, err := c.resolve(e.Type)
 			if err != nil {
 				return fmt.Errorf("%s.%s catch[%d]: %w", c.Name, m.Name, i, err)
 			}
@@ -59,17 +59,16 @@ func isThrowable(c *Class) bool {
 }
 
 func resolveInstr(c *Class, in Instr) (linkedRef, error) {
-	ns := c.NS
 	switch in.Op {
 	case OpSConst:
-		s, err := ns.InternString(in.S)
+		s, err := c.NS.InternString(in.S)
 		if err != nil {
 			return linkedRef{}, err
 		}
 		return linkedRef{str: s, class: s.Class}, nil
 
 	case OpNew:
-		k, err := ns.Resolve(in.S)
+		k, err := c.resolve(in.S)
 		if err != nil {
 			return linkedRef{}, err
 		}
@@ -79,7 +78,7 @@ func resolveInstr(c *Class, in Instr) (linkedRef, error) {
 		return linkedRef{class: k}, nil
 
 	case OpCast, OpInstOf:
-		k, err := ns.Resolve(in.S)
+		k, err := c.resolve(in.S)
 		if err != nil {
 			return linkedRef{}, err
 		}
@@ -89,7 +88,7 @@ func resolveInstr(c *Class, in Instr) (linkedRef, error) {
 		if !isArrayDesc(in.S) {
 			return linkedRef{}, fmt.Errorf("newarr wants an array descriptor, got %q", in.S)
 		}
-		k, err := ns.arrayClass(in.S)
+		k, err := c.resolve(in.S)
 		if err != nil {
 			return linkedRef{}, err
 		}
@@ -100,7 +99,7 @@ func resolveInstr(c *Class, in Instr) (linkedRef, error) {
 		if err != nil {
 			return linkedRef{}, err
 		}
-		k, err := ns.Resolve(fr.Class)
+		k, err := c.resolve(fr.Class)
 		if err != nil {
 			return linkedRef{}, err
 		}
@@ -122,7 +121,7 @@ func resolveInstr(c *Class, in Instr) (linkedRef, error) {
 		if err != nil {
 			return linkedRef{}, err
 		}
-		k, err := ns.Resolve(mr.Class)
+		k, err := c.resolve(mr.Class)
 		if err != nil {
 			return linkedRef{}, err
 		}

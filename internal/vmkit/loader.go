@@ -51,6 +51,14 @@ type classEntry struct {
 	class *Class
 }
 
+// linkGroup is the classes one outermost load links, all in one namespace.
+// Their code may resolve one another's shells, so none is published
+// (stateReady) until every one has verified, and when one fails all are
+// withdrawn.
+type linkGroup struct {
+	members []*classEntry
+}
+
 // Namespace maps class names to classes for one protection domain. Each
 // domain has its own namespace, so the same name can denote different
 // classes in different domains; sharing a class means binding the same
@@ -162,7 +170,7 @@ func (ns *Namespace) defineDecoded(def *ClassDef, gate any) (*Class, error) {
 			Err: fmt.Errorf("class already defined in namespace %s", ns.Name)}
 	}
 	ns.mu.Unlock()
-	c, err := ns.load(def.Name, def, gate)
+	c, err := ns.load(def.Name, def, gate, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -172,17 +180,24 @@ func (ns *Namespace) defineDecoded(def *ClassDef, gate any) (*Class, error) {
 // Resolve returns the class bound to name, loading it through the resolver
 // if necessary.
 func (ns *Namespace) Resolve(name string) (*Class, error) {
-	return ns.load(name, nil, nil)
+	return ns.load(name, nil, nil, nil)
+}
+
+// resolve is Resolve for c's code: while c links, a class it loads joins
+// c's link group.
+func (c *Class) resolve(name string) (*Class, error) {
+	return c.NS.load(name, nil, nil, c.linking)
 }
 
 // load drives the two-phase pipeline. If def is non-nil it is used directly
 // instead of querying the resolver (DefineClass path), and the new class
 // carries gate. Cyclic references between classes are permitted once a
 // shell (hierarchy, fields, vtable) exists; cyclic superclass chains are
-// not.
-func (ns *Namespace) load(name string, def *ClassDef, gate any) (*Class, error) {
+// not. A class it links joins g, and a load given no group starts one and
+// publishes or withdraws it.
+func (ns *Namespace) load(name string, def *ClassDef, gate any, g *linkGroup) (*Class, error) {
 	if isArrayDesc(name) {
-		return ns.arrayClass(name)
+		return ns.arrayClass(name, g)
 	}
 	ns.mu.Lock()
 	if e, ok := ns.classes[name]; ok {
@@ -262,10 +277,21 @@ func (ns *Namespace) load(name string, def *ClassDef, gate any) (*Class, error) 
 	entry := &classEntry{state: stateLoading}
 	ns.classes[name] = entry
 	ns.mu.Unlock()
+	outer := g == nil
+	if outer {
+		g = new(linkGroup)
+	}
 
 	fail := func(op string, err error) (*Class, error) {
 		ns.mu.Lock()
 		delete(ns.classes, name)
+		if outer {
+			for _, e := range g.members {
+				if ns.classes[e.class.Name] == e {
+					delete(ns.classes, e.class.Name)
+				}
+			}
+		}
 		ns.mu.Unlock()
 		if le, ok := err.(*LinkError); ok {
 			return nil, le
@@ -273,13 +299,13 @@ func (ns *Namespace) load(name string, def *ClassDef, gate any) (*Class, error) 
 		return nil, &LinkError{Class: name, Op: op, Err: err}
 	}
 
-	c := &Class{Def: def, Name: name, NS: ns, Gate: gate}
+	c := &Class{Def: def, Name: name, NS: ns, Gate: gate, linking: g}
 	if def.Super == "" {
 		if name != ClassObject {
 			return fail("hierarchy", fmt.Errorf("only %s may omit a superclass", ClassObject))
 		}
 	} else {
-		super, err := ns.Resolve(def.Super)
+		super, err := c.resolve(def.Super)
 		if err != nil {
 			return fail("hierarchy", err)
 		}
@@ -289,7 +315,7 @@ func (ns *Namespace) load(name string, def *ClassDef, gate any) (*Class, error) 
 		c.Super = super
 	}
 	for _, in := range def.Interfaces {
-		ic, err := ns.Resolve(in)
+		ic, err := c.resolve(in)
 		if err != nil {
 			return fail("hierarchy", err)
 		}
@@ -306,6 +332,7 @@ func (ns *Namespace) load(name string, def *ClassDef, gate any) (*Class, error) 
 	entry.class = c
 	entry.state = stateLinking
 	ns.mu.Unlock()
+	g.members = append(g.members, entry)
 
 	// Phase 2: resolve code references (may recursively load), then verify.
 	if err := resolveCode(c); err != nil {
@@ -315,11 +342,20 @@ func (ns *Namespace) load(name string, def *ClassDef, gate any) (*Class, error) 
 		return fail("verify", err)
 	}
 
+	if !outer {
+		return c, nil
+	}
 	ns.mu.Lock()
-	entry.state = stateReady
+	for _, e := range g.members {
+		e.state = stateReady
+		e.class.linking = nil
+	}
 	ns.mu.Unlock()
 	if a := ns.Account; a != nil {
-		a.Class(int64(len(def.Methods))*64 + int64(len(def.Fields))*16 + 256)
+		for _, e := range g.members {
+			d := e.class.Def
+			a.Class(int64(len(d.Methods))*64 + int64(len(d.Fields))*16 + 256)
+		}
 	}
 	return c, nil
 }
@@ -395,10 +431,6 @@ func linkFieldsAndMethods(c *Class) error {
 		if md.Flags&MStatic == 0 {
 			m.nargs++
 		}
-		m.frame = m.nargs
-		if md.Flags&(MNative|MAbstract) == 0 {
-			m.frame += int(md.NumLoc) + int(md.MaxStack)
-		}
 		if md.Flags&MNative != 0 {
 			key := c.Name + "." + md.Name + ":" + md.Desc
 			fn := c.NS.VM.nativeFor(key)
@@ -410,7 +442,9 @@ func linkFieldsAndMethods(c *Class) error {
 		if c.IsInterface() && md.Flags&(MNative|MStatic) == 0 {
 			m.Flags |= MAbstract
 		}
-		if m.Flags&(MAbstract|MNative) == 0 && len(md.Code) == 0 {
+		if m.Flags&(MAbstract|MNative) != 0 {
+			m.frame = m.nargs // a bytecode method's, the verifier sets
+		} else if len(md.Code) == 0 {
 			return fmt.Errorf("method %s has no code", md.Name)
 		}
 		sig := m.Sig()
@@ -459,8 +493,9 @@ func (c *Class) addItable(it *Class) {
 func isArrayDesc(name string) bool { return len(name) > 0 && name[0] == '[' }
 
 // arrayClass returns (creating on demand) the array class for desc in this
-// namespace. Reference element classes resolve through the namespace.
-func (ns *Namespace) arrayClass(desc string) (*Class, error) {
+// namespace. Reference element classes resolve through the namespace, and
+// join g.
+func (ns *Namespace) arrayClass(desc string, g *linkGroup) (*Class, error) {
 	ns.mu.Lock()
 	if e, ok := ns.classes[desc]; ok {
 		ns.mu.Unlock()
@@ -474,15 +509,15 @@ func (ns *Namespace) arrayClass(desc string) (*Class, error) {
 	}
 	switch elem[0] {
 	case 'L':
-		if _, err := ns.Resolve(RefName(elem)); err != nil {
+		if _, err := ns.load(RefName(elem), nil, nil, g); err != nil {
 			return nil, err
 		}
 	case '[':
-		if _, err := ns.arrayClass(elem); err != nil {
+		if _, err := ns.arrayClass(elem, g); err != nil {
 			return nil, err
 		}
 	}
-	super, err := ns.Resolve(ClassObject)
+	super, err := ns.load(ClassObject, nil, nil, g)
 	if err != nil {
 		return nil, err
 	}
@@ -559,7 +594,7 @@ func newStringOfClass[T string | []byte](sc *Class, text T, owner int64) *Object
 }
 
 func mustArrayClass(ns *Namespace, desc string) *Class {
-	c, err := ns.arrayClass(desc)
+	c, err := ns.arrayClass(desc, nil)
 	if err != nil {
 		panic(fmt.Sprintf("vmkit: array class %s: %v", desc, err))
 	}
@@ -609,7 +644,7 @@ func (ns *Namespace) NewArray(desc string, length int) (*Object, error) {
 	if length < 0 {
 		return nil, fmt.Errorf("vmkit: negative array size %d", length)
 	}
-	c, err := ns.arrayClass(desc)
+	c, err := ns.arrayClass(desc, nil)
 	if err != nil {
 		return nil, err
 	}

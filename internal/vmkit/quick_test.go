@@ -41,11 +41,9 @@ func randomClassDef(rng *rand.Rand) *ClassDef {
 	}
 	for i := 0; i < rng.Intn(3); i++ {
 		m := MethodDef{
-			Name:     fmt.Sprintf("m%d", i),
-			Desc:     "(I)I",
-			MaxStack: int32(rng.Intn(32) + 2),
-			NumLoc:   int32(rng.Intn(4)),
-			Flags:    MStatic,
+			Name:  fmt.Sprintf("m%d", i),
+			Desc:  "(I)I",
+			Flags: MStatic,
 		}
 		n := rng.Intn(20) + 2
 		for j := 0; j < n; j++ {
@@ -102,7 +100,7 @@ func TestQuickRandomProgramsVerifyAndRun(t *testing.T) {
 // and the oracle value.
 func randomIntProgram(rng *rand.Rand) (string, int64) {
 	var b strings.Builder
-	b.WriteString(".class Q\n.method static f ()I stack 64 locals 4\n")
+	b.WriteString(".class Q\n.method static f ()I\n")
 	// Maintain a model of the stack.
 	var stack []int64
 	push := func(v int64) {
@@ -138,7 +136,7 @@ func randomIntProgram(rng *rand.Rand) (string, int64) {
 			b.WriteString("  swap\n")
 			stack[len(stack)-1], stack[len(stack)-2] = stack[len(stack)-2], stack[len(stack)-1]
 		}
-		// Bound the stack model to MaxStack.
+		// Keep the stack shallow.
 		if len(stack) > 48 {
 			b.WriteString("  pop\n")
 			stack = stack[:len(stack)-1]
@@ -161,7 +159,7 @@ func TestQuickBitFlippedClassFilesNeverPanic(t *testing.T) {
 	base, err := AssembleBytes(`
 .class Flip
 .field x I
-.method static f (I)I stack 8 locals 1
+.method static f (I)I
   load 0
   iconst 2
   imul

@@ -1,6 +1,10 @@
 package vmkit
 
 import (
+	"os"
+	"os/exec"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -58,7 +62,7 @@ func TestSafepointHookRunsOnlyWhenRaised(t *testing.T) {
 func TestSafepointEndsBackEdgeFreeRecursion(t *testing.T) {
 	vm, ns := newTestNS(t, `
 .class Tree
-.method static walk (I)I stack 4 locals 0
+.method static walk (I)I
   load 0
   ifz leaf
   load 0
@@ -114,7 +118,7 @@ func TestVMDefinesNoKernelClass(t *testing.T) {
 	}
 	b, err := AssembleBytes(`
 .class Stopper
-.method static stopSelf ()V stack 2 locals 0
+.method static stopSelf ()V
   invokestatic jk/lang/Thread.currentThread:()Ljk/lang/Thread;
   invokevirtual jk/lang/Thread.stop:()V
   ret
@@ -126,5 +130,37 @@ func TestVMDefinesNoKernelClass(t *testing.T) {
 	ns := vm.NewNamespace("bare", MapResolver(map[string][]byte{"Stopper": b}, vm.BootResolver()))
 	if _, err := ns.Resolve("Stopper"); err == nil || !strings.Contains(err.Error(), "resolve jk/lang/Thread") {
 		t.Fatalf("linking a class that calls jk/lang/Thread.stop on a bare VM: %v, want jk/lang/Thread unresolved", err)
+	}
+}
+
+// TestSafepointStaysInlined: the interpreter polls at method entry and on
+// backward branches, and a poll that is a call costs every iteration of
+// every loop. The compiler must inline (*Thread).safepoint at each of
+// interp.go's polls, counted from the source.
+func TestSafepointStaysInlined(t *testing.T) {
+	gotool := filepath.Join(runtime.GOROOT(), "bin", "go")
+	if _, err := os.Stat(gotool); err != nil {
+		t.Skipf("no go tool: %v", err)
+	}
+	src, err := os.ReadFile("interp.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	polls := strings.Count(string(src), ".safepoint()")
+	out, err := exec.Command(gotool, "build", "-gcflags=-m", ".").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go build -gcflags=-m: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "can inline (*Thread).safepoint") {
+		t.Error("(*Thread).safepoint is over the inlining budget")
+	}
+	inlined := 0
+	for _, line := range strings.Split(string(out), "\n") {
+		if strings.Contains(line, "interp.go:") && strings.Contains(line, "inlining call to (*Thread).safepoint") {
+			inlined++
+		}
+	}
+	if polls == 0 || inlined != polls {
+		t.Errorf("interp.go polls %d times; the compiler inlines (*Thread).safepoint at %d", polls, inlined)
 	}
 }

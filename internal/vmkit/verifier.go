@@ -133,14 +133,12 @@ func mergeType(a, b vtype) vtype {
 // commonAncestor returns the nearest common superclass (interfaces and
 // arrays generalize to Object, as in the JVM's verifier).
 func commonAncestor(a, b *Class) *Class {
-	seen := map[*Class]bool{}
-	for k := a; k != nil; k = k.Super {
-		seen[k] = true
+	d := 0
+	for d < len(a.supers) && d < len(b.supers) && a.supers[d] == b.supers[d] {
+		d++
 	}
-	for k := b; k != nil; k = k.Super {
-		if seen[k] {
-			return k
-		}
+	if d > 0 {
+		return a.supers[d-1]
 	}
 	// Distinct roots can only happen across namespaces; generalize to the
 	// defining namespace's Object.
@@ -164,6 +162,12 @@ func verifyClass(c *Class) error {
 	return nil
 }
 
+// The states a method's join points keep, the entry state included, may
+// hold slotsPerInstr slots (locals and stack together) an instruction, plus
+// slotsBase, so what verifying a method keeps follows the size of its code.
+// No method in the tree keeps more than 2 slots an instruction.
+const slotsPerInstr, slotsBase = 16, 64
+
 // verifier checks one method. A join point is pc 0, a branch target or a
 // handler entry; only join points keep a state, and the straight-line code
 // between them runs in place through cur.
@@ -176,42 +180,23 @@ type verifier struct {
 	work   []int     // join points whose state changed since their last run
 	cur    vstate    // the working state
 	exc    vstate    // a handler's entry state, on its way into flowTo
+	slots  int       // the slots the kept states hold, at most bound
+	bound  int
+	depth  int // the deepest stack a transfer leaves
 }
 
+// verifyMethod verifies m and sets its frame: the arguments and every local
+// a load or store names, then the deepest stack a transfer leaves.
 func verifyMethod(c *Class, m *Method) error {
 	if len(m.Code) == 0 {
 		return fmt.Errorf("empty code")
-	}
-	if m.MaxStack < 0 || m.MaxStack > 1<<16 {
-		return fmt.Errorf("bad max stack %d", m.MaxStack)
-	}
-	if m.NumLoc < 0 || m.NumLoc > 1<<16 {
-		return fmt.Errorf("bad local count %d", m.NumLoc)
 	}
 	params, ret, err := ParseMethodDesc(m.Desc)
 	if err != nil {
 		return err
 	}
-	nlocals := m.nargs + int(m.NumLoc)
-	init := &vstate{locals: make([]vtype, nlocals)}
-	idx := 0
-	if !m.IsStatic() {
-		init.locals[0] = vtype{k: vtRef, c: c}
-		idx = 1
-	}
-	for _, p := range params {
-		t, err := descToVtype(c.NS, p)
-		if err != nil {
-			return err
-		}
-		init.locals[idx] = t
-		idx++
-	}
-	for ; idx < nlocals; idx++ {
-		init.locals[idx] = vtype{k: vtTop}
-	}
-
-	v := &verifier{c: c, m: m, ret: ret, join: make([]bool, len(m.Code)), states: make([]*vstate, len(m.Code))}
+	v := &verifier{c: c, m: m, ret: ret, join: make([]bool, len(m.Code)), states: make([]*vstate, len(m.Code)),
+		bound: slotsPerInstr*len(m.Code) + slotsBase}
 	// Validate exception table ranges up front.
 	for _, e := range m.Excs {
 		if e.From < 0 || e.To < e.From || int(e.To) > len(m.Code) ||
@@ -221,15 +206,38 @@ func verifyMethod(c *Class, m *Method) error {
 		v.join[e.Handler] = true
 	}
 	v.join[0] = true
-	for _, in := range m.Code {
-		// A target out of range is left to flowTo, which rejects it if
-		// control reaches the branch.
-		if in.Op.IsBranch() && in.I >= 0 && in.I < int64(len(m.Code)) {
+	nlocals := m.nargs
+	for pc, in := range m.Code {
+		switch {
+		case in.Op == OpLoad || in.Op == OpStore:
+			if in.I < 0 || in.I >= int64(v.bound) {
+				return fmt.Errorf("pc=%d (%s): local %d is outside the method's bound of %d slots", pc, in, in.I, v.bound)
+			}
+			nlocals = max(nlocals, int(in.I)+1)
+		case in.Op.IsBranch() && in.I >= 0 && in.I < int64(len(m.Code)):
+			// A target out of range is left to flowTo, which rejects it if
+			// control reaches the branch.
 			v.join[in.I] = true
 		}
 	}
-	v.states[0] = init
-	v.work = append(v.work, 0)
+	s := &v.cur
+	s.locals = make([]vtype, nlocals) // top past the arguments
+	idx := 0
+	if !m.IsStatic() {
+		s.locals[0] = vtype{k: vtRef, c: c}
+		idx = 1
+	}
+	for _, p := range params {
+		t, err := descToVtype(c, p)
+		if err != nil {
+			return err
+		}
+		s.locals[idx] = t
+		idx++
+	}
+	if err := v.flowTo(0, s); err != nil {
+		return err
+	}
 	for len(v.work) > 0 {
 		pc := v.work[len(v.work)-1]
 		v.work = v.work[:len(v.work)-1]
@@ -237,6 +245,7 @@ func verifyMethod(c *Class, m *Method) error {
 			return err
 		}
 	}
+	m.nlocals, m.frame = nlocals, nlocals+v.depth
 	return nil
 }
 
@@ -269,13 +278,14 @@ func (v *verifier) flowTo(pc int, s *vstate) error {
 	if pc < 0 || pc >= len(v.m.Code) {
 		return fmt.Errorf("control flows to invalid pc %d", pc)
 	}
-	if len(s.stack) > int(v.m.MaxStack) {
-		return fmt.Errorf("operand stack exceeds max %d", v.m.MaxStack)
-	}
+	v.depth = max(v.depth, len(s.stack))
 	if !v.join[pc] {
 		return nil
 	}
 	if v.states[pc] == nil {
+		if v.slots += len(s.locals) + len(s.stack); v.slots > v.bound {
+			return fmt.Errorf("join states take %d slots, past the bound of %d", v.slots, v.bound)
+		}
 		v.states[pc] = new(vstate)
 		v.states[pc].copyFrom(s)
 		v.work = append(v.work, pc)
@@ -311,7 +321,6 @@ func (v *verifier) flowExc(pc int, s *vstate) error {
 func (v *verifier) step(pc int, s *vstate) (bool, error) {
 	in := v.m.Code[pc]
 	linked := v.m.linked[pc]
-	ns := v.c.NS
 
 	// Any instruction that can throw propagates its *entry* locals to
 	// covering handlers.
@@ -321,18 +330,12 @@ func (v *verifier) step(pc int, s *vstate) (bool, error) {
 
 	switch in.Op {
 	case OpLoad:
-		if in.I < 0 || int(in.I) >= len(s.locals) {
-			return false, fmt.Errorf("load of local %d (have %d)", in.I, len(s.locals))
-		}
 		t := s.locals[in.I]
 		if t.k == vtTop {
 			return false, fmt.Errorf("load of uninitialized local %d", in.I)
 		}
 		s.push(t)
 	case OpStore:
-		if in.I < 0 || int(in.I) >= len(s.locals) {
-			return false, fmt.Errorf("store to local %d (have %d)", in.I, len(s.locals))
-		}
 		t, err := s.pop()
 		if err != nil {
 			return false, err
@@ -376,7 +379,7 @@ func (v *verifier) step(pc int, s *vstate) (bool, error) {
 		if err := v.checkRefAssignable(t, linked.field.Owner); err != nil {
 			return false, err
 		}
-		ft, err := descToVtype(ns, linked.field.Desc)
+		ft, err := descToVtype(v.c, linked.field.Desc)
 		if err != nil {
 			return false, err
 		}
@@ -403,7 +406,7 @@ func (v *verifier) step(pc int, s *vstate) (bool, error) {
 		if err := v.checkFieldAccess(linked.field); err != nil {
 			return false, err
 		}
-		ft, err := descToVtype(ns, linked.field.Desc)
+		ft, err := descToVtype(v.c, linked.field.Desc)
 		if err != nil {
 			return false, err
 		}
@@ -448,7 +451,7 @@ func (v *verifier) step(pc int, s *vstate) (bool, error) {
 			}
 		}
 		if linked.method.ret != "" {
-			rt, err := descToVtype(ns, linked.method.ret)
+			rt, err := descToVtype(v.c, linked.method.ret)
 			if err != nil {
 				return false, err
 			}
@@ -463,7 +466,7 @@ func (v *verifier) step(pc int, s *vstate) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		et, err := arrayElemVtype(ns, arr)
+		et, err := arrayElemVtype(v.c, arr)
 		if err != nil {
 			return false, err
 		}
@@ -480,7 +483,7 @@ func (v *verifier) step(pc int, s *vstate) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		et, err := arrayElemVtype(ns, arr)
+		et, err := arrayElemVtype(v.c, arr)
 		if err != nil {
 			return false, err
 		}
@@ -510,7 +513,7 @@ func (v *verifier) step(pc int, s *vstate) (bool, error) {
 			return false, err
 		}
 		if t.k == vtRef {
-			thr, err := ns.Resolve(ClassThrowable)
+			thr, err := v.c.resolve(ClassThrowable)
 			if err != nil {
 				return false, err
 			}
@@ -625,13 +628,7 @@ func (v *verifier) checkAssignableDesc(t vtype, desc string) error {
 		if t.k != vtRef {
 			return fmt.Errorf("expected ref (%s), got %v", desc, t)
 		}
-		var target *Class
-		var err error
-		if desc[0] == '[' {
-			target, err = v.c.NS.arrayClass(desc)
-		} else {
-			target, err = v.c.NS.Resolve(RefName(desc))
-		}
+		target, err := v.c.resolve(RefName(desc))
 		if err != nil {
 			return err
 		}
@@ -644,21 +641,16 @@ func (v *verifier) checkAssignableDesc(t vtype, desc string) error {
 	}
 }
 
-// descToVtype converts a descriptor to its verification type.
-func descToVtype(ns *Namespace, desc string) (vtype, error) {
+// descToVtype converts a descriptor to its verification type, resolving
+// a class for by's code.
+func descToVtype(by *Class, desc string) (vtype, error) {
 	switch DescKind(desc) {
 	case KInt:
 		return vtype{k: vtInt}, nil
 	case KFloat:
 		return vtype{k: vtFloat}, nil
 	case KRef:
-		var c *Class
-		var err error
-		if desc[0] == '[' {
-			c, err = ns.arrayClass(desc)
-		} else {
-			c, err = ns.Resolve(RefName(desc))
-		}
+		c, err := by.resolve(RefName(desc))
 		if err != nil {
 			return vtype{}, err
 		}
@@ -670,12 +662,12 @@ func descToVtype(ns *Namespace, desc string) (vtype, error) {
 
 // arrayElemVtype returns the element type of an array vtype. Null yields
 // Top (the access will NPE at run time; the result must go unused).
-func arrayElemVtype(ns *Namespace, arr vtype) (vtype, error) {
+func arrayElemVtype(by *Class, arr vtype) (vtype, error) {
 	if arr.k == vtNull {
 		return vtype{k: vtTop}, nil
 	}
 	if arr.k != vtRef || !arr.c.IsArray() {
 		return vtype{}, fmt.Errorf("array op on non-array %v", arr)
 	}
-	return descToVtype(ns, arr.c.Elem())
+	return descToVtype(by, arr.c.Elem())
 }

@@ -48,7 +48,7 @@ func callStaticErr(t *testing.T, vm *VM, ns *Namespace, ref string, args ...Valu
 func TestArithmeticAndControlFlow(t *testing.T) {
 	vm, ns := newTestNS(t, `
 .class Calc
-.method static fib (I)I stack 8 locals 3
+.method static fib (I)I
   ; iterative fibonacci: a=0 b=1, n times: a,b = b,a+b
   iconst 0
   store 1
@@ -72,7 +72,7 @@ done:
   load 1
   retv
 .end
-.method static mix (II)I stack 8 locals 0
+.method static mix (II)I
   load 0
   load 1
   iand
@@ -99,14 +99,14 @@ func TestObjectsFieldsAndVirtualDispatch(t *testing.T) {
 	vm, ns := newTestNS(t, `
 .class Shape
 .field name Ljk/lang/String;
-.method area ()I stack 2 locals 0
+.method area ()I
   iconst 0
   retv
 .end
 `, `
 .class Square super Shape
 .field side I
-.method area ()I stack 4 locals 0
+.method area ()I
   load 0
   getfield Square.side:I
   load 0
@@ -114,14 +114,14 @@ func TestObjectsFieldsAndVirtualDispatch(t *testing.T) {
   imul
   retv
 .end
-.method static make (I)LSquare; stack 4 locals 0
+.method static make (I)LSquare;
   new Square
   dup
   load 0
   putfield Square.side:I
   retv
 .end
-.method static areaOf (LShape;)I stack 2 locals 0
+.method static areaOf (LShape;)I
   load 0
   invokevirtual Shape.area:()I
   retv
@@ -146,16 +146,16 @@ func TestInterfaceDispatchBothProfiles(t *testing.T) {
 `
 	src2 := `
 .class Dog implements Speaker
-.method speak ()I stack 2 locals 0
+.method speak ()I
   iconst 42
   retv
 .end
-.method static test (LSpeaker;)I stack 2 locals 0
+.method static test (LSpeaker;)I
   load 0
   invokeinterface Speaker.speak:()I
   retv
 .end
-.method static makeAndTest ()I stack 2 locals 0
+.method static makeAndTest ()I
   new Dog
   invokestatic Dog.test:(LSpeaker;)I
   retv
@@ -188,11 +188,11 @@ func TestInterfaceDispatchBothProfiles(t *testing.T) {
 func TestExceptionsThrowCatchUnwind(t *testing.T) {
 	vm, ns := newTestNS(t, `
 .class Thrower
-.method static boom ()I stack 4 locals 0
+.method static boom ()I
   new jk/lang/RuntimeException
   throw
 .end
-.method static catchIt ()I stack 4 locals 0
+.method static catchIt ()I
 try:
   invokestatic Thrower.boom:()I
   retv
@@ -203,7 +203,7 @@ handler:
   retv
   .catch jk/lang/RuntimeException from try to end using handler
 .end
-.method static missIt ()I stack 4 locals 0
+.method static missIt ()I
 try:
   invokestatic Thrower.boom:()I
   retv
@@ -214,7 +214,7 @@ handler:
   retv
   .catch jk/lang/Error from try to end using handler
 .end
-.method static divZero (I)I stack 4 locals 0
+.method static divZero (I)I
 try:
   iconst 100
   load 0
@@ -251,13 +251,13 @@ handler:
 func TestNullPointerAndCastChecks(t *testing.T) {
 	vm, ns := newTestNS(t, `
 .class Deref
-.method static poke (LDeref;)I stack 4 locals 0
+.method static poke (LDeref;)I
   load 0
   getfield Deref.x:I
   retv
 .end
 .field x I
-.method static badCast (Ljk/lang/Object;)Ljk/lang/String; stack 2 locals 0
+.method static badCast (Ljk/lang/Object;)Ljk/lang/String;
   load 0
   cast jk/lang/String
   retv
@@ -287,7 +287,7 @@ func TestNullPointerAndCastChecks(t *testing.T) {
 func TestArraysAndBounds(t *testing.T) {
 	vm, ns := newTestNS(t, `
 .class Arr
-.method static sum ([I)I stack 8 locals 3
+.method static sum ([I)I
   iconst 0
   store 1
   iconst 0
@@ -312,13 +312,13 @@ done:
   load 1
   retv
 .end
-.method static oob ([B)I stack 4 locals 0
+.method static oob ([B)I
   load 0
   iconst 100
   aload
   retv
 .end
-.method static makeBytes (I)[B stack 4 locals 0
+.method static makeBytes (I)[B
   load 0
   newarr "[B"
   retv
@@ -353,18 +353,18 @@ done:
 func TestStringsAndNatives(t *testing.T) {
 	vm, ns := newTestNS(t, `
 .class Str
-.method static greet (Ljk/lang/String;)Ljk/lang/String; stack 4 locals 0
+.method static greet (Ljk/lang/String;)Ljk/lang/String;
   sconst "hello, "
   load 0
   invokevirtual jk/lang/String.concat:(Ljk/lang/String;)Ljk/lang/String;
   retv
 .end
-.method static literalLen ()I stack 2 locals 0
+.method static literalLen ()I
   sconst "abcde"
   invokevirtual jk/lang/String.length:()I
   retv
 .end
-.method static internSame ()I stack 4 locals 0
+.method static internSame ()I
   sconst "x1"
   sconst "x1"
   if_acmpeq same
@@ -397,14 +397,14 @@ func TestVerifierRejections(t *testing.T) {
 	}{
 		{"stack underflow", `
 .class Bad
-.method static f ()I stack 4 locals 0
+.method static f ()I
   iadd
   retv
 .end
 `, "underflow"},
 		{"type confusion int as ref", `
 .class Bad
-.method static f ()I stack 4 locals 0
+.method static f ()I
   iconst 5
   getfield Bad.x:I
   retv
@@ -413,7 +413,7 @@ func TestVerifierRejections(t *testing.T) {
 `, "expected ref"},
 		{"forged pointer via load", `
 .class Bad
-.method static f ()Ljk/lang/Object; stack 4 locals 1
+.method static f ()Ljk/lang/Object;
   iconst 1234
   store 0
   load 0
@@ -422,14 +422,14 @@ func TestVerifierRejections(t *testing.T) {
 `, "expected ref"},
 		{"uninitialized local", `
 .class Bad
-.method static f ()I stack 4 locals 1
+.method static f ()I
   load 0
   retv
 .end
 `, "uninitialized"},
 		{"bad branch target", `
 .class Bad
-.method static f ()I stack 4 locals 0
+.method static f ()I
   iconst 0
   ifz missing
   iconst 1
@@ -438,39 +438,49 @@ func TestVerifierRejections(t *testing.T) {
 `, "undefined label"},
 		{"fall off end", `
 .class Bad
-.method static f ()I stack 4 locals 0
+.method static f ()I
   iconst 1
 .end
 `, "invalid pc"},
 		{"void mismatch", `
 .class Bad
-.method static f ()V stack 4 locals 0
+.method static f ()V
   iconst 1
   retv
 .end
 `, "retv in void"},
 		{"private field foreign access", `
 .class Bad
-.method static f (Ljk/lang/String;)[B stack 4 locals 0
+.method static f (Ljk/lang/String;)[B
   load 0
   getfield jk/lang/String.bytes:[B
   retv
 .end
 `, "private field"},
-		{"stack overflow beyond max", `
+		{"join states past the slot bound", `
 .class Bad
-.method static f ()I stack 2 locals 0
+.method static f ()V
+  iconst 0
+  store 60
+  jmp a
+a:
+  jmp b
+b:
+  ret
+.end
+`, "join states take 183 slots, past the bound of 144"},
+		{"negative local index", `
+.class Bad
+.method static f ()I
   iconst 1
-  iconst 2
-  iconst 3
-  pop
-  pop
+  store -1
+  iconst 0
   retv
 .end
-`, "exceeds max"},
+`, "local -1 is outside"},
 		{"merge height mismatch", `
 .class Bad
-.method static f (I)I stack 8 locals 0
+.method static f (I)I
   load 0
   ifz b
   iconst 1
@@ -484,7 +494,7 @@ join:
 `, "height mismatch"},
 		{"local changes kind across a loop back edge", `
 .class Bad
-.method static f ()I stack 4 locals 1
+.method static f ()I
   iconst 0
   store 0
 loop:
@@ -500,7 +510,7 @@ done:
 `, "uninitialized"},
 		{"handler sees a local a covered instruction overwrites", `
 .class Bad
-.method static f ()I stack 4 locals 1
+.method static f ()I
   iconst 1
   store 0
 try:
@@ -518,7 +528,7 @@ handler:
 `, "uninitialized"},
 		{"fall-through into a handler with an empty stack", `
 .class Bad
-.method static f ()I stack 4 locals 0
+.method static f ()I
 try:
   iconst 1
   pop
@@ -532,7 +542,7 @@ handler:
 `, "height mismatch"},
 		{"fall-through into a handler with an int on the stack", `
 .class Bad
-.method static f ()I stack 4 locals 0
+.method static f ()I
 try:
   iconst 1
 end:
@@ -545,7 +555,7 @@ handler:
 `, "irreconcilable stack types"},
 		{"reachable branch past the code", `
 .class Bad
-.method static f (I)I stack 4 locals 0
+.method static f (I)I
   load 0
   ifz out
   iconst 1
@@ -576,7 +586,7 @@ func TestVerifierAcceptances(t *testing.T) {
 	cases := []struct{ name, src string }{
 		{"counted loop", `
 .class Good
-.method static f (I)I stack 4 locals 1
+.method static f (I)I
   iconst 0
   store 1
 loop:
@@ -598,7 +608,7 @@ done:
 `},
 		{"loop widens a local to a common superclass", `
 .class Good
-.method static f (I)Ljk/lang/Object; stack 4 locals 1
+.method static f (I)Ljk/lang/Object;
   aconst_null
   store 1
 loop:
@@ -620,7 +630,7 @@ done:
 `},
 		{"handler reads a local its try block keeps", `
 .class Good
-.method static f (Ljk/lang/Object;)I stack 4 locals 1
+.method static f (Ljk/lang/Object;)I
   iconst 7
   store 1
 try:
@@ -642,7 +652,7 @@ handler:
 `},
 		{"handler loops back into its try block", `
 .class Good
-.method static f (I)I stack 4 locals 0
+.method static f (I)I
 try:
   load 0
   ifz done
@@ -667,7 +677,7 @@ handler:
 `},
 		{"unreachable branch past the code", `
 .class Good
-.method static f ()I stack 4 locals 0
+.method static f ()I
   iconst 1
   retv
   jmp out
@@ -695,11 +705,11 @@ func TestClassFileRoundTrip(t *testing.T) {
 .field a I
 .field private b D
 .field static private c Ljk/lang/String;
-.method static f (ID[B)Ljk/lang/String; stack 12 locals 2
+.method static f (ID[B)Ljk/lang/String;
   sconst "x"
   retv
 .end
-.method synchronized g ()V stack 4 locals 0
+.method synchronized g ()V
 try:
   ret
 end:
@@ -730,12 +740,20 @@ h:
 	if string(EncodeClass(re)) != string(enc) {
 		t.Error("disassemble/assemble round trip changed the class")
 	}
+	// A frame the source declares is read and dropped.
+	declared, err := Assemble(strings.Replace(src, "(ID[B)Ljk/lang/String;", "(ID[B)Ljk/lang/String; stack 4 locals 2", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(EncodeClass(declared)) != string(enc) {
+		t.Error("a declared stack and locals changed the class")
+	}
 }
 
 func TestDecodeRejectsCorruptData(t *testing.T) {
 	src := `
 .class C
-.method static f ()I stack 2 locals 0
+.method static f ()I
   iconst 7
   retv
 .end
@@ -755,6 +773,11 @@ func TestDecodeRejectsCorruptData(t *testing.T) {
 	if _, err := DecodeClass(bad); err == nil {
 		t.Error("bad magic accepted")
 	}
+	// The format that declared a frame is not misread as this one.
+	copy(bad, "JKC1")
+	if _, err := DecodeClass(bad); err == nil || !strings.Contains(err.Error(), "bad class magic") {
+		t.Errorf("JKC1 class: got %v, want a bad magic", err)
+	}
 }
 
 func TestNamespaceIsolationSameClassName(t *testing.T) {
@@ -764,7 +787,7 @@ func TestNamespaceIsolationSameClassName(t *testing.T) {
 	src := `
 .class Secret
 .field x I
-.method static make ()LSecret; stack 2 locals 0
+.method static make ()LSecret;
   new Secret
   retv
 .end
@@ -795,7 +818,7 @@ func TestNamespaceIsolationSameClassName(t *testing.T) {
 func TestMonitorsRecursiveAndOwnerChecked(t *testing.T) {
 	vm, ns := newTestNS(t, `
 .class Mon
-.method static locked (Ljk/lang/Object;)I stack 4 locals 0
+.method static locked (Ljk/lang/Object;)I
   load 0
   monitorenter
   load 0
@@ -807,7 +830,7 @@ func TestMonitorsRecursiveAndOwnerChecked(t *testing.T) {
   iconst 1
   retv
 .end
-.method static badExit (Ljk/lang/Object;)I stack 4 locals 0
+.method static badExit (Ljk/lang/Object;)I
   load 0
   monitorexit
   iconst 1
@@ -835,7 +858,7 @@ func TestMonitorsRecursiveAndOwnerChecked(t *testing.T) {
 func TestThreadStopInjectsAtSafepoint(t *testing.T) {
 	vm, ns := newTestNS(t, `
 .class Spin
-.method static forever ()I stack 4 locals 0
+.method static forever ()I
 loop:
   jmp loop
 .end
@@ -868,7 +891,7 @@ func TestSystemOutputPerNamespace(t *testing.T) {
 	ns.Output = &buf
 	user := `
 .class Hello
-.method static main ()V stack 2 locals 0
+.method static main ()V
   sconst "hi there"
   invokestatic jk/lang/System.println:(Ljk/lang/String;)V
   ret

@@ -84,7 +84,7 @@ func TestPublicAPIVMFlow(t *testing.T) {
 	impl := MustAssemble(`
 .class CounterImpl implements Counter
 .field total I
-.method bump (I)I stack 6 locals 0
+.method bump (I)I
   load 0
   load 0
   getfield CounterImpl.total:I
@@ -142,7 +142,7 @@ func TestPublicAPIRejectsBadBytecode(t *testing.T) {
 	// Forged pointer: returns an int as an object reference.
 	bad, err := Assemble(`
 .class Forge
-.method static f ()Ljk/lang/Object; stack 4 locals 1
+.method static f ()Ljk/lang/Object;
   iconst 1234
   retv
 .end
