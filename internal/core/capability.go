@@ -43,7 +43,7 @@ type Gate struct {
 	futHead *Future
 
 	// VM dispatch table: one plan per remote method, in stable (signature)
-	// order — the index a stub passes to its gate entry.
+	// order; each of the stub class's natives is bound to one (Native).
 	plans  []vmMethodPlan
 	ifaces []*vmkit.Class
 }
@@ -295,7 +295,7 @@ func (k *Kernel) CreateVMCapability(d *Domain, target *vmkit.Object) (*Capabilit
 	g := &Gate{k: k, id: k.nextGate.Add(1), owner: d, plans: make([]vmMethodPlan, len(methods)), ifaces: ifaces}
 	for i, m := range methods {
 		var err error
-		if g.plans[i], err = k.planVMMethod(m); err != nil {
+		if g.plans[i], err = planVMMethod(m); err != nil {
 			return nil, fmt.Errorf("jkernel: gate method %s: %w", m.Sig(), err)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -118,6 +119,73 @@ func TestStubSubclassIsNotACapability(t *testing.T) {
 	// The stub itself still passes by reference.
 	if got, th := ctx.copyValue(vmkit.RefVal(cap.Stub)); th != nil || got.R != cap.Stub {
 		t.Errorf("the stub did not pass by reference: %v", th)
+	}
+}
+
+// subStubSrc extends a stub class, whose name fills its %s, and calls, on
+// an object of its own, the readByte it inherits from the stub.
+const subStubSrc = `
+.class SubStub super %s
+.method static call ()I
+  new SubStub
+  iconst 3
+  invokeinterface ReadFile.readByte:(I)I
+  retv
+.end
+`
+
+// TestStubSubclassCannotCallTheGate: the method SubStub inherits is the
+// gate's native, and it refuses a receiver whose own class is not the
+// stub class. The client's call throws before any crossing: no cross call
+// is booked and the callee runs no step.
+func TestStubSubclassCannotCallTheGate(t *testing.T) {
+	k, server, client, cap := newTwoDomains(t)
+	if _, err := server.DefineClass(mustAsm(t, fmt.Sprintf(subStubSrc, cap.Stub.Class.Name))); err != nil {
+		t.Fatal(err)
+	}
+	task := k.NewTask(client, "client")
+	defer task.Close()
+	calls, steps := client.Stats().CrossCalls, server.Stats().Steps
+	_, err := k.VM.CallStatic(task.Thread, server.NS, "SubStub.call:()I")
+	if thrownClass(err) != vmkit.ClassIllegalStateEx || !strings.Contains(err.Error(), "not a capability") {
+		t.Fatalf("readByte on a SubStub: %v, want IllegalStateException \"not a capability\"", err)
+	}
+	if got := client.Stats().CrossCalls; got != calls {
+		t.Errorf("CrossCalls %d → %d: the subclass reached the gate", calls, got)
+	}
+	if got := server.Stats().Steps; got != steps {
+		t.Errorf("the callee ran %d steps", got-steps)
+	}
+}
+
+// TestStubNativesArePerClass: a stub's natives belong to its class, so
+// creating and revoking capabilities leaves the VM's native table as it
+// was. A revoked stub still throws the revocation fault, and a stub of a
+// terminated domain the termination fault.
+func TestStubNativesArePerClass(t *testing.T) {
+	k, server, client, cap := newTwoDomains(t)
+	natives := k.VM.NativeCount()
+	target := cap.g.vmTarget.Load()
+	for i := 0; i < 1000; i++ {
+		c, err := k.CreateVMCapability(server, target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Revoke()
+	}
+	if got := k.VM.NativeCount(); got != natives {
+		t.Errorf("the VM's native table holds %d entries after 1 000 capabilities, %d before", got, natives)
+	}
+
+	cap.Revoke()
+	if v, err := clientCall(t, k, client, "callCaught"); err != nil || v.I != -1 {
+		t.Errorf("call through a revoked stub = %v, %v; want RevokedException (-1)", v.I, err)
+	}
+
+	k, server, client, _ = newTwoDomains(t)
+	server.Terminate("test")
+	if v, err := clientCall(t, k, client, "callCaught"); err != nil || v.I != -2 {
+		t.Errorf("call through a terminated domain's stub = %v, %v; want DomainTerminatedException (-2)", v.I, err)
 	}
 }
 

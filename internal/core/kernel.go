@@ -77,10 +77,6 @@ type Kernel struct {
 	graphCop  *fastcopy.Copier
 	exports   sync.Map // string -> *Capability: names served to remote kernels
 
-	// entries are the typed gate entries generated so far, by shape.
-	entryMu sync.Mutex
-	entries map[string]*gateEntry
-
 	// The marker interfaces that choose a VM argument's copy path.
 	serializable, fastCopy, fastGraph *vmkit.Class
 }

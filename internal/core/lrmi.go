@@ -9,8 +9,8 @@ import (
 	"jkernel/internal/vmkit"
 )
 
-// This file implements the VM-path LRMI: the code run by the typed gate
-// entries on behalf of generated stubs (and by InvokeVM for Go callers).
+// This file implements the VM-path LRMI: the code a generated stub's
+// methods run (Gate.Native), and InvokeVM's for Go callers.
 // The sequence matches the paper's stub description: check revocation,
 // find the caller's task (the thread carries it), switch to the creating
 // domain's thread segment (two lock acquire/release pairs: segment push
@@ -72,58 +72,53 @@ type vmParam struct {
 type vmMethodPlan struct {
 	m      *vmkit.Method
 	params []vmParam
-	// entry is the typed entry this method's stub goes through; a call
-	// arriving through any other entry has the wrong shape.
-	entry *gateEntry
+	// ret is the class a reference result must be assignable to, resolved
+	// in the callee's namespace (nil for a primitive or void result).
+	ret *vmkit.Class
 }
 
 // planVMMethod builds the plan for gate method m.
-func (k *Kernel) planVMMethod(m *vmkit.Method) (vmMethodPlan, error) {
+func planVMMethod(m *vmkit.Method) (vmMethodPlan, error) {
 	params, ret, err := vmkit.ParseMethodDesc(m.Desc)
 	if err != nil {
 		return vmMethodPlan{}, err
 	}
+	// The verifier resolved every parameter and return type when it
+	// admitted m's class: an error here means the namespace has since lost
+	// one.
+	resolve := func(desc string) (*vmkit.Class, error) {
+		if vmkit.DescKind(desc) != vmkit.KRef {
+			return nil, nil
+		}
+		return m.Owner.NS.Resolve(vmkit.RefName(desc))
+	}
 	p := vmMethodPlan{m: m, params: make([]vmParam, len(params))}
 	for i, desc := range params {
 		p.params[i].kind = vmkit.DescKind(desc)
-		if p.params[i].kind != vmkit.KRef {
-			continue
-		}
-		// The verifier resolved every parameter type when it admitted m's
-		// class: an error here means the namespace has since lost one.
-		if p.params[i].class, err = m.Owner.NS.Resolve(vmkit.RefName(desc)); err != nil {
+		if p.params[i].class, err = resolve(desc); err != nil {
 			return vmMethodPlan{}, err
 		}
 	}
-	if p.entry, err = k.entryFor(params, ret); err != nil {
+	if p.ret, err = resolve(ret); err != nil {
 		return vmMethodPlan{}, err
 	}
 	return p, nil
 }
 
-// callVM performs one cross-domain call on a VM-target gate: method idx
-// with the caller's raw argument values. via is the typed entry the call
-// came through (InvokeVM, which converts to the plan directly, names the
-// plan's own); an entry's shape makes len(args) the method's arity. args
-// is only read — it may be a window into the thread's frame arena.
-func (g *Gate) callVM(t *vmkit.Thread, via *gateEntry, idx int64, args []vmkit.Value) (vmkit.Value, *vmkit.Object) {
+// callVM performs one cross-domain call on a VM-target gate: the planned
+// method on the caller's raw argument values, one a parameter, as the
+// stub's native received them. args is only read — it is a window into
+// the thread's frame arena.
+func (g *Gate) callVM(t *vmkit.Thread, plan *vmMethodPlan, args []vmkit.Value) (vmkit.Value, *vmkit.Object) {
 	k := g.k
 	vm := k.VM
+	m := plan.m
 
 	// Revocation and termination checks. Termination revokes all gates, so
 	// the revocation check alone propagates server death to clients.
 	target := g.vmTarget.Load()
 	if target == nil {
 		return vmkit.Value{}, g.revokedThrowable()
-	}
-	if idx < 0 || int(idx) >= len(g.plans) {
-		return vmkit.Value{}, vm.Throwf(vmkit.ClassIllegalStateEx, "bad method index %d", idx)
-	}
-	plan := &g.plans[idx]
-	m := plan.m
-	if via != plan.entry {
-		return vmkit.Value{}, vm.Throwf(vmkit.ClassIllegalStateEx,
-			"method %s does not have the shape of entry %s", m.Sig(), via.class)
 	}
 
 	task := k.taskForThread(t)
@@ -138,12 +133,11 @@ func (g *Gate) callVM(t *vmkit.Thread, via *gateEntry, idx int64, args []vmkit.V
 		return vmkit.Value{}, vm.Throwf(classTerminatedEx, "calling domain %s terminated", callerDomain.Name)
 	}
 
-	// Copy and check arguments under the calling convention. The entries
-	// are reachable from user bytecode, so the gate cannot trust the stub
-	// discipline: the entry's shape fixed arity and kinds, and a reference
-	// must still be of the parameter's class as the callee sees it. The
-	// copy goes first and keeps the class: an object of a class the callee
-	// does not share fails there (RemoteException), not here as a cast.
+	// Copy and check arguments under the calling convention. The gate does
+	// not lean on the caller's verifier: a reference must be of the
+	// parameter's class as the callee sees it. The copy goes first and
+	// keeps the class: an object of a class the callee does not share fails
+	// there (RemoteException), not here as a cast.
 	ctx := vmCopyCtx{k: k, dest: g.owner}
 	var buf [9]vmkit.Value
 	callArgs := append(buf[:0], vmkit.RefVal(target))
@@ -169,6 +163,9 @@ func (g *Gate) callVM(t *vmkit.Thread, via *gateEntry, idx int64, args []vmkit.V
 		retCtx := vmCopyCtx{k: k, dest: callerDomain}
 		ret, thrown = retCtx.copyValue(ret)
 		ctx.bytes += retCtx.bytes
+		if thrown == nil && ret.R != nil && !ret.R.Class.AssignableTo(plan.ret) {
+			thrown = vm.Throwf(vmkit.ClassCastEx, "%s is not the result of %s", ret.R.Class.Name, m.Sig())
+		}
 	}
 	g.account(task, callerDomain, m, tmStart, ctx.bytes, thrown != nil)
 	if thrown != nil {

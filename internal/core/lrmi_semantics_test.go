@@ -10,7 +10,7 @@ import (
 
 // Semantics the allocation-free LRMI must not bend: recycled segments and
 // stale Thread handles, termination mid-call, nested crossings on one
-// carrier's arena, and the typed gate entries called by hand.
+// carrier's arena, and a gate whose only way in is its stub.
 
 const semIface = `
 .class Sem interface implements jk/kernel/Remote
@@ -345,86 +345,53 @@ func TestNestedLRMIOnOneCarrier(t *testing.T) {
 	}
 }
 
-// The typed entry for take(LItem;)I is jk/kernel/Enter$L$I. Method
-// indices follow signature order: take is index 6 of Sem's seven.
-const directEntry = "invokestatic jk/kernel/Enter$L$I.call:(Ljk/kernel/Capability;ILjk/lang/Object;)I"
+// semEntryName is where a static entry into the gate for take(LItem;)I
+// would live. The kernel defines no class there: a stub's methods are the
+// gate's natives, and nothing else leads into the gate.
+const semEntryName = "jk/kernel/Enter$L$I"
 
+// semDirect calls such an entry with the stub, take's method index (6, in
+// signature order) and the raw argument.
 const semDirect = `
 .class Direct
-.method static cap ()Ljk/kernel/Capability;
+.method static right ()I
   sconst "sem"
   invokestatic jk/kernel/Repository.lookup:(Ljk/lang/String;)Ljk/kernel/Capability;
-  retv
-.end
-.method static right ()I
-  invokestatic Direct.cap:()Ljk/kernel/Capability;
   iconst 6
   new Item
   dup
   iconst 42
   putfield Item.n:I
-  ` + directEntry + `
-  retv
-.end
-.method static wrongClass ()I
-  invokestatic Direct.cap:()Ljk/kernel/Capability;
-  iconst 6
-  sconst "not an Item"
-  ` + directEntry + `
-  retv
-.end
-.method static wrongShape ()I
-  ; index 1 is ping()I: not the shape this entry carries
-  invokestatic Direct.cap:()Ljk/kernel/Capability;
-  iconst 1
-  aconst_null
-  ` + directEntry + `
+  invokestatic jk/kernel/Enter$L$I.call:(Ljk/kernel/Capability;ILjk/lang/Object;)I
   retv
 .end
 `
 
-const semDirectShort = `
-.class Short
-.method static wrongArity ()I
-  sconst "sem"
-  invokestatic jk/kernel/Repository.lookup:(Ljk/lang/String;)Ljk/kernel/Capability;
-  iconst 6
-  ` + directEntry + `
-  retv
-.end
-`
-
-func TestTypedEntryCalledByHand(t *testing.T) {
-	f := newSemFixture(t, map[string]string{"Direct": semDirect})
-	if got := f.cap.g.plans[6].m.Name; got != "take" {
-		t.Fatalf("method 6 is %s: fix the index in the hand-written bytecode", got)
+// TestNoGateEntryBesideTheStub: bytecode that names a static entry into
+// the gate does not link, and a Go caller's argument of the wrong class is
+// still a ClassCastException that the callee never sees.
+func TestNoGateEntryBesideTheStub(t *testing.T) {
+	f := newSemFixture(t, nil)
+	_, err := f.client.DefineClass(mustAsm(t, semDirect))
+	if err == nil || !strings.Contains(err.Error(), semEntryName) {
+		t.Errorf("a class calling %s linked: %v, want a link error naming it", semEntryName, err)
 	}
+
 	task := f.k.NewTask(f.client, "client")
 	defer task.Close()
-
-	v, err := task.CallStatic("Direct.right:()I")
-	if err != nil || v.I != 42 {
-		t.Fatalf("direct entry call = %v, %v; want 42", v, err)
+	steps := f.server.Stats().Steps
+	_, err = f.cap.InvokeVM(task, "take", "not an Item")
+	if te, ok := err.(*ThrownVMError); !ok || te.Throwable.Class.Name != vmkit.ClassCastEx {
+		t.Errorf("take(String) through InvokeVM: got %v, want ClassCastException", err)
 	}
-	_, err = task.CallStatic("Direct.wrongClass:()I")
-	if te, ok := err.(*vmkit.ThrownError); !ok || te.Throwable.Class.Name != vmkit.ClassCastEx {
-		t.Errorf("wrong-class reference through the entry: got %v, want ClassCastException", err)
-	}
-	_, err = task.CallStatic("Direct.wrongShape:()I")
-	if te, ok := err.(*vmkit.ThrownError); !ok || te.Throwable.Class.Name != vmkit.ClassIllegalStateEx {
-		t.Errorf("method of another shape through the entry: got %v, want IllegalStateException", err)
-	}
-
-	// One argument short: the verifier rejects the class outright.
-	_, err = f.client.DefineClass(mustAsm(t, semDirectShort))
-	if err == nil || !strings.Contains(err.Error(), "verify") {
-		t.Errorf("short call to the entry: got %v, want a verify error", err)
+	if got := f.server.Stats().Steps; got != steps {
+		t.Errorf("the callee ran %d steps for a wrong-class argument", got-steps)
 	}
 }
 
-// A class a domain supplies under a gate entry's name: bytecode where the
-// kernel's native belongs, so a stub linked against it would run the
-// server's code on the caller's segment with the caller's uncopied object.
+// A class a domain supplies under semEntryName. Were it an entry a stub
+// called, it would run the server's code on the caller's segment with
+// the caller's uncopied object.
 const semFakeEntry = `
 .class jk/kernel/Enter$L$I
 .field static stolen Ljk/lang/Object;
@@ -451,40 +418,25 @@ const semTakeClient = `
 .end
 `
 
-// The entry a stub names is always the kernel's. The server tries every
-// way a domain has of getting a class into its namespace, before any
-// capability exists (so before the kernel has generated the real entry);
-// none defines the fake, and the stub it then creates goes through the
-// gate.
-func TestDomainCannotShadowGateEntry(t *testing.T) {
+// TestDomainClassUnderAnEntryNameIsItsOwn: a name under jk/kernel/Enter$
+// is an ordinary name. The server ships a class there, and gets it as a
+// class of its own; the stub it then creates does not call it, and take
+// reaches the real callee through the gate.
+func TestDomainClassUnderAnEntryNameIsItsOwn(t *testing.T) {
 	k := MustNew(Options{})
-	fake := mustAsm(t, semFakeEntry)
-	const entry = vmkit.GateEntryPrefix + "L$I"
 	server, err := k.NewDomain(DomainConfig{
 		Name: "server",
 		Classes: map[string][]byte{
 			"Sem": mustAsm(t, semIface), "Item": mustAsm(t, semItem), "SemImpl": mustAsm(t, semImpl),
-			entry: fake,
-		},
-		Resolver: func(name string) (*vmkit.Resolution, error) {
-			if name == entry {
-				return &vmkit.Resolution{Bytes: fake}, nil
-			}
-			return nil, nil
+			semEntryName: mustAsm(t, semFakeEntry),
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := server.NS.Resolve(entry); err == nil {
-		t.Error("the server resolved a gate entry out of its own classes")
-	}
-	for name, define := range map[string]func([]byte) (*vmkit.Class, error){
-		"Domain.DefineClass": server.DefineClass, "Namespace.DefineClass": server.NS.DefineClass,
-	} {
-		if _, err := define(fake); err == nil || !strings.Contains(err.Error(), "reserved") {
-			t.Errorf("%s of a gate entry name: got %v, want a reserved-name error", name, err)
-		}
+	fake, err := server.NS.Resolve(semEntryName)
+	if err != nil || fake.NS != server.NS {
+		t.Fatalf("the server's own %s = %v, %v; want its class", semEntryName, fake, err)
 	}
 
 	sc, err := k.ShareClasses(server, "Sem", "Item")
@@ -507,9 +459,6 @@ func TestDomainCannotShadowGateEntry(t *testing.T) {
 	if err := k.Repository().Bind("sem", cap); err != nil {
 		t.Fatal(err)
 	}
-	if c := server.NS.Lookup(entry); c == nil || c.NS != k.VM.Bootstrap() {
-		t.Fatalf("the server's stub linked against %v, not the bootstrap entry", c)
-	}
 
 	task := k.NewTask(client, "client")
 	defer task.Close()
@@ -519,6 +468,9 @@ func TestDomainCannotShadowGateEntry(t *testing.T) {
 	}
 	if got := client.Stats().CrossCalls; got != 1 {
 		t.Errorf("CrossCalls = %d, want 1: the call did not go through the gate", got)
+	}
+	if stolen := fake.Statics[fake.FieldByName("stolen").Slot]; stolen.R != nil {
+		t.Error("the server's class received the caller's argument")
 	}
 }
 

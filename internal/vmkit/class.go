@@ -29,15 +29,6 @@ const (
 	IfaceSerializable  = "jk/io/Serializable"
 	IfaceFastCopy      = "jk/io/FastCopy"
 	IfaceFastCopyGraph = "jk/io/FastCopyGraph" // fast copy with cycle table
-
-	// GateEntryPrefix starts the names of the typed gate entries, system
-	// classes the kernel generates into the bootstrap namespace at run
-	// time. Generated stubs reach the gate through them by name, so the
-	// names are reserved: every other namespace binds the bootstrap's class
-	// for a name under the prefix and accepts no definition of one (see
-	// Namespace.load), so a domain cannot put a class of its own where a
-	// stub expects the gate.
-	GateEntryPrefix = "jk/kernel/Enter$"
 )
 
 // ClassFlags carries class-level modifiers.
@@ -143,9 +134,6 @@ type Method struct {
 	excClasses []*Class
 }
 
-// RetDesc returns the return type descriptor, or "" for void.
-func (m *Method) RetDesc() string { return m.ret }
-
 // Sig returns the "name:desc" key used for dispatch tables.
 func (m *Method) Sig() string { return m.Name + ":" + m.Desc }
 
@@ -196,12 +184,12 @@ type Class struct {
 	// elem is the element descriptor for array classes ("" otherwise).
 	elem string
 
-	// Gate is the kernel's gate for a capability stub class, opaque to the
-	// VM and nil for every other class. It is set at definition
-	// (DefineGateClass), before any object of the class can exist, and an
+	// Gate is the kernel's gate for a capability stub class, nil for every
+	// other class. It is set at definition (DefineGateClass), before any
+	// object of the class can exist, and binds the class's natives. An
 	// object is a capability exactly when its own class carries one: a
 	// subclass, of Capability or of a stub, does not.
-	Gate any
+	Gate StubGate
 
 	// linking is the class's link group until the group is published.
 	linking *linkGroup

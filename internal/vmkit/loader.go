@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"strings"
 	"sync"
 
 	"jkernel/internal/account"
@@ -146,8 +145,9 @@ func (ns *Namespace) DefineClass(data []byte) (*Class, error) {
 
 // DefineGateClass is DefineClass for a capability stub class: the class
 // carries gate (Class.Gate) from the moment it is published in the
-// namespace, so no object of it ever exists without its gate.
-func (ns *Namespace) DefineGateClass(data []byte, gate any) (*Class, error) {
+// namespace, so no object of it ever exists without its gate, and the gate
+// binds its native methods.
+func (ns *Namespace) DefineGateClass(data []byte, gate StubGate) (*Class, error) {
 	def, err := DecodeClass(data)
 	if err != nil {
 		return nil, &LinkError{Class: "?", Op: "decode", Err: err}
@@ -162,7 +162,7 @@ func (ns *Namespace) DefineDef(def *ClassDef) (*Class, error) {
 	return ns.defineDecoded(def, nil)
 }
 
-func (ns *Namespace) defineDecoded(def *ClassDef, gate any) (*Class, error) {
+func (ns *Namespace) defineDecoded(def *ClassDef, gate StubGate) (*Class, error) {
 	ns.mu.Lock()
 	if _, exists := ns.classes[def.Name]; exists {
 		ns.mu.Unlock()
@@ -195,7 +195,7 @@ func (c *Class) resolve(name string) (*Class, error) {
 // shell (hierarchy, fields, vtable) exists; cyclic superclass chains are
 // not. A class it links joins g, and a load given no group starts one and
 // publishes or withdraws it.
-func (ns *Namespace) load(name string, def *ClassDef, gate any, g *linkGroup) (*Class, error) {
+func (ns *Namespace) load(name string, def *ClassDef, gate StubGate, g *linkGroup) (*Class, error) {
 	if isArrayDesc(name) {
 		return ns.arrayClass(name, g)
 	}
@@ -213,25 +213,6 @@ func (ns *Namespace) load(name string, def *ClassDef, gate any, g *linkGroup) (*
 	}
 	resolver := ns.resolver
 	ns.mu.Unlock()
-
-	// A gate entry name (see GateEntryPrefix) is the bootstrap namespace's
-	// alone: here it binds the class the kernel generated, or nothing — no
-	// definition is accepted and no resolver is asked.
-	if ns != ns.VM.boot && strings.HasPrefix(name, GateEntryPrefix) {
-		c := ns.VM.boot.Lookup(name)
-		if def != nil {
-			return nil, &LinkError{Class: name, Op: "resolve",
-				Err: fmt.Errorf("name is reserved for the kernel's gate entries")}
-		}
-		if c == nil {
-			return nil, &LinkError{Class: name, Op: "resolve",
-				Err: fmt.Errorf("the kernel has generated no such gate entry")}
-		}
-		if err := ns.Bind(c); err != nil {
-			return nil, &LinkError{Class: name, Op: "resolve", Err: err}
-		}
-		return c, nil
-	}
 
 	if def == nil {
 		if resolver == nil {
@@ -361,7 +342,8 @@ func (ns *Namespace) load(name string, def *ClassDef, gate any, g *linkGroup) (*
 }
 
 // linkFieldsAndMethods assigns field slots, flattens the vtable, binds
-// native methods, and validates basic structure.
+// native methods (a stub class's from its gate, any other's from the VM's
+// table), and validates basic structure.
 func linkFieldsAndMethods(c *Class) error {
 	def := c.Def
 	c.fields = make(map[string]*Field, len(def.Fields))
@@ -433,11 +415,14 @@ func linkFieldsAndMethods(c *Class) error {
 		}
 		if md.Flags&MNative != 0 {
 			key := c.Name + "." + md.Name + ":" + md.Desc
-			fn := c.NS.VM.nativeFor(key)
-			if fn == nil {
+			if c.Gate != nil {
+				m.Native = c.Gate.Native(&m.MethodDef)
+			} else {
+				m.Native = c.NS.VM.nativeFor(key)
+			}
+			if m.Native == nil {
 				return fmt.Errorf("unbound native method %s", key)
 			}
-			m.Native = fn
 		}
 		if c.IsInterface() && md.Flags&(MNative|MStatic) == 0 {
 			m.Flags |= MAbstract

@@ -158,10 +158,25 @@ func (vm *VM) RegisterNative(key string, fn NativeFunc) {
 	vm.natives[key] = fn
 }
 
+// NativeCount reports how many natives the VM's table binds.
+func (vm *VM) NativeCount() int {
+	vm.nativesMu.RLock()
+	defer vm.nativesMu.RUnlock()
+	return len(vm.natives)
+}
+
 func (vm *VM) nativeFor(key string) NativeFunc {
 	vm.nativesMu.RLock()
 	defer vm.nativesMu.RUnlock()
 	return vm.natives[key]
+}
+
+// StubGate is what the kernel hands DefineGateClass: the gate of a
+// capability stub class, which supplies the function of each native method
+// the class declares (nil if it has none for m). Nothing goes into the VM's
+// native table, so a stub class's natives live as long as the class.
+type StubGate interface {
+	Native(m *MethodDef) NativeFunc
 }
 
 // NativeFunc implements a native method. recv is nil for static methods.
