@@ -181,8 +181,10 @@ type Class struct {
 	// different classes.
 	NS *Namespace
 
-	// elem is the element descriptor for array classes ("" otherwise).
-	elem string
+	// elem is the element descriptor for array classes ("" otherwise), and
+	// elemCls the element class of a reference array (nil otherwise).
+	elem    string
+	elemCls *Class
 
 	// Gate is the kernel's gate for a capability stub class, nil for every
 	// other class. It is set at definition (DefineGateClass), before any
@@ -305,9 +307,7 @@ func (c *Class) AssignableTo(t *Class) bool {
 		}
 		// Covariant reference arrays only.
 		if strings.HasPrefix(ce, "L") && strings.HasPrefix(te, "L") {
-			cc := c.NS.Lookup(RefName(ce))
-			tc := t.NS.Lookup(RefName(te))
-			return cc != nil && tc != nil && cc.AssignableTo(tc)
+			return c.elemCls.AssignableTo(t.elemCls)
 		}
 		return false
 	}

@@ -572,7 +572,7 @@ func (vm *VM) run(t *Thread, m *Method, base int) (Value, *Object) {
 				arr.Words[idx] = v.I
 			default:
 				if v.R != nil {
-					ec := arr.Class.elemClass()
+					ec := arr.Class.elemCls
 					if ec != nil && !v.R.Class.AssignableTo(ec) {
 						thrown = throwName(ClassCastEx, "array store of %s into %s", v.R.Class.Name, arr.Class.Name)
 						continue
@@ -628,19 +628,6 @@ func (vm *VM) run(t *Thread, m *Method, base int) (Value, *Object) {
 		}
 		pc++
 	}
-}
-
-// elemClass returns the linked element class of a reference array class,
-// nil for primitive arrays.
-func (c *Class) elemClass() *Class {
-	if c.elem == "" || c.elem[0] != 'L' {
-		if c.elem != "" && c.elem[0] == '[' {
-			k, _ := c.NS.arrayClass(c.elem, nil)
-			return k
-		}
-		return nil
-	}
-	return c.NS.Lookup(RefName(c.elem))
 }
 
 // MaxArrayBytes is the largest array payload newarr and NewArray build:

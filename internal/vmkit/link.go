@@ -61,7 +61,7 @@ func isThrowable(c *Class) bool {
 func resolveInstr(c *Class, in Instr) (linkedRef, error) {
 	switch in.Op {
 	case OpSConst:
-		s, err := c.NS.InternString(in.S)
+		s, err := c.NS.internString(in.S, c.linking)
 		if err != nil {
 			return linkedRef{}, err
 		}

@@ -45,15 +45,18 @@ const (
 	stateReady
 )
 
+// classEntry is a name's binding. An entry short of stateReady belongs to
+// the link group linking it, and only that group sees it.
 type classEntry struct {
 	state classState
 	class *Class
+	group *linkGroup
 }
 
-// linkGroup is the classes one outermost load links, all in one namespace.
-// Their code may resolve one another's shells, so none is published
-// (stateReady) until every one has verified, and when one fails all are
-// withdrawn.
+// linkGroup is the classes one outermost load links, all in one namespace,
+// with the array classes of them it makes. Their code may resolve one
+// another's shells, so none is published (stateReady) until every one has
+// verified, and when one fails all are withdrawn.
 type linkGroup struct {
 	members []*classEntry
 }
@@ -66,8 +69,14 @@ type Namespace struct {
 	VM   *VM
 	Name string
 
-	mu       sync.Mutex
-	classes  map[string]*classEntry
+	mu      sync.Mutex
+	classes map[string]*classEntry
+	// link is held by an outermost load while its group links, up to the
+	// group's publication or withdrawal: one group links in a namespace at
+	// a time, and a caller that meets a class in progress waits on link
+	// for it. A resolver may load into another namespace, but not into one
+	// whose resolver loads into this one.
+	link     sync.Mutex
 	resolver ResolverFunc
 	interns  map[string]*Object
 
@@ -97,14 +106,55 @@ func (vm *VM) NewNamespace(name string, r ResolverFunc) *Namespace {
 	}
 }
 
-// Lookup returns the class bound to name if it is fully defined, else nil.
+// Lookup returns the class bound to name if it is published, else nil. A
+// class that a link group is linking is waited for: Lookup returns it once
+// the group publishes, nil if the group withdraws it. Code that runs while
+// a group links, a resolver say, must not look up one of that group's
+// classes.
 func (ns *Namespace) Lookup(name string) *Class {
+	if c, linking := ns.published(name); !linking {
+		return c
+	}
+	ns.link.Lock()
+	defer ns.link.Unlock()
+	c, _ := ns.published(name)
+	return c
+}
+
+// published returns the class bound to name if it is published, and
+// whether a link group is linking name instead.
+func (ns *Namespace) published(name string) (c *Class, linking bool) {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	if e, ok := ns.classes[name]; ok && e.state >= stateLinking {
-		return e.class
+	e := ns.classes[name]
+	switch {
+	case e == nil:
+		return nil, false
+	case e.state != stateReady:
+		return nil, true
 	}
-	return nil
+	return e.class, false
+}
+
+// bound settles a load of name in group g from name's entry, if that
+// entry is visible to g: a published class, or one of g's own. done is
+// false when name has no entry, or another group is linking it. A def
+// (DefineClass) settles on any published class as a duplicate.
+func (ns *Namespace) bound(name string, def *ClassDef, g *linkGroup) (c *Class, err error, done bool) {
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
+	e := ns.classes[name]
+	switch {
+	case e == nil || e.state != stateReady && e.group != g:
+		return nil, nil, false
+	case def != nil:
+		return nil, &LinkError{Class: name, Op: "resolve",
+			Err: fmt.Errorf("class already defined in namespace %s", ns.Name)}, true
+	case e.state == stateLoading:
+		return nil, &LinkError{Class: name, Op: "hierarchy",
+			Err: fmt.Errorf("circular superclass/interface chain")}, true
+	}
+	return e.class, nil, true
 }
 
 // Classes returns a snapshot of all fully defined classes.
@@ -163,18 +213,7 @@ func (ns *Namespace) DefineDef(def *ClassDef) (*Class, error) {
 }
 
 func (ns *Namespace) defineDecoded(def *ClassDef, gate StubGate) (*Class, error) {
-	ns.mu.Lock()
-	if _, exists := ns.classes[def.Name]; exists {
-		ns.mu.Unlock()
-		return nil, &LinkError{Class: def.Name, Op: "resolve",
-			Err: fmt.Errorf("class already defined in namespace %s", ns.Name)}
-	}
-	ns.mu.Unlock()
-	c, err := ns.load(def.Name, def, gate, nil)
-	if err != nil {
-		return nil, err
-	}
-	return c, nil
+	return ns.load(def.Name, def, gate, nil)
 }
 
 // Resolve returns the class bound to name, loading it through the resolver
@@ -194,25 +233,25 @@ func (c *Class) resolve(name string) (*Class, error) {
 // carries gate. Cyclic references between classes are permitted once a
 // shell (hierarchy, fields, vtable) exists; cyclic superclass chains are
 // not. A class it links joins g, and a load given no group starts one and
-// publishes or withdraws it.
+// publishes or withdraws it, holding ns.link throughout.
 func (ns *Namespace) load(name string, def *ClassDef, gate StubGate, g *linkGroup) (*Class, error) {
 	if isArrayDesc(name) {
 		return ns.arrayClass(name, g)
 	}
-	ns.mu.Lock()
-	if e, ok := ns.classes[name]; ok {
-		switch e.state {
-		case stateReady, stateLinking:
-			ns.mu.Unlock()
-			return e.class, nil
-		case stateLoading:
-			ns.mu.Unlock()
-			return nil, &LinkError{Class: name, Op: "hierarchy",
-				Err: fmt.Errorf("circular superclass/interface chain")}
+	if c, err, done := ns.bound(name, def, g); done {
+		return c, err
+	}
+	outer := g == nil
+	if outer {
+		// Wait out the group linking name, if any, and look again.
+		ns.link.Lock()
+		defer ns.link.Unlock()
+		if c, err, done := ns.bound(name, def, g); done {
+			return c, err
 		}
+		g = new(linkGroup)
 	}
 	resolver := ns.resolver
-	ns.mu.Unlock()
 
 	if def == nil {
 		if resolver == nil {
@@ -247,21 +286,17 @@ func (ns *Namespace) load(name string, def *ClassDef, gate StubGate, g *linkGrou
 	// Phase 1: shell (hierarchy, field slots, vtable).
 	ns.mu.Lock()
 	if e, ok := ns.classes[name]; ok {
-		// Raced with another loader; settle on whoever won.
+		// The resolver bound name (Bind); settle on that.
 		ns.mu.Unlock()
-		if e.state == stateLoading {
+		if e.state != stateReady {
 			return nil, &LinkError{Class: name, Op: "hierarchy",
-				Err: fmt.Errorf("concurrent circular load")}
+				Err: fmt.Errorf("circular superclass/interface chain")}
 		}
 		return e.class, nil
 	}
-	entry := &classEntry{state: stateLoading}
+	entry := &classEntry{state: stateLoading, group: g}
 	ns.classes[name] = entry
 	ns.mu.Unlock()
-	outer := g == nil
-	if outer {
-		g = new(linkGroup)
-	}
 
 	fail := func(op string, err error) (*Class, error) {
 		ns.mu.Lock()
@@ -328,7 +363,7 @@ func (ns *Namespace) load(name string, def *ClassDef, gate StubGate, g *linkGrou
 	}
 	ns.mu.Lock()
 	for _, e := range g.members {
-		e.state = stateReady
+		e.state, e.group = stateReady, nil
 		e.class.linking = nil
 	}
 	ns.mu.Unlock()
@@ -479,28 +514,26 @@ func isArrayDesc(name string) bool { return len(name) > 0 && name[0] == '[' }
 
 // arrayClass returns (creating on demand) the array class for desc in this
 // namespace. Reference element classes resolve through the namespace, and
-// join g.
+// join g; an array of a class g is linking joins g too, so it is published
+// and withdrawn with its element class.
 func (ns *Namespace) arrayClass(desc string, g *linkGroup) (*Class, error) {
-	ns.mu.Lock()
-	if e, ok := ns.classes[desc]; ok {
-		ns.mu.Unlock()
-		return e.class, nil
+	if c, _, done := ns.bound(desc, nil, g); done {
+		return c, nil
 	}
-	ns.mu.Unlock()
 
 	elem, n, err := parseOneDesc(desc[1:])
 	if err != nil || n != len(desc)-1 {
 		return nil, &LinkError{Class: desc, Op: "resolve", Err: fmt.Errorf("bad array descriptor")}
 	}
+	var ec *Class
 	switch elem[0] {
 	case 'L':
-		if _, err := ns.load(RefName(elem), nil, nil, g); err != nil {
-			return nil, err
-		}
+		ec, err = ns.load(RefName(elem), nil, nil, g)
 	case '[':
-		if _, err := ns.arrayClass(elem, g); err != nil {
-			return nil, err
-		}
+		ec, err = ns.arrayClass(elem, g)
+	}
+	if err != nil {
+		return nil, err
 	}
 	super, err := ns.load(ClassObject, nil, nil, g)
 	if err != nil {
@@ -511,34 +544,50 @@ func (ns *Namespace) arrayClass(desc string, g *linkGroup) (*Class, error) {
 		Super:   super,
 		NS:      ns,
 		elem:    elem,
+		elemCls: ec,
 		vtable:  super.vtable,
 		vslots:  super.vslots,
 		methods: super.methods,
 		fields:  map[string]*Field{},
 	}
 	c.supers = append(slices.Clip(super.supers), c)
+	e := &classEntry{state: stateReady, class: c}
+	if ec != nil && ec.linking != nil {
+		c.linking = g
+		e.state, e.group = stateLinking, g
+	}
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	if e, ok := ns.classes[desc]; ok {
-		return e.class, nil
+	if prev, ok := ns.classes[desc]; ok {
+		return prev.class, nil
 	}
-	ns.classes[desc] = &classEntry{state: stateReady, class: c}
+	ns.classes[desc] = e
+	if e.group != nil {
+		g.members = append(g.members, e)
+	}
 	return c, nil
 }
 
 // InternString returns the namespace-interned String object for text.
 // Literal strings (SCONST) are interned; runtime strings are not.
 func (ns *Namespace) InternString(text string) (*Object, error) {
+	return ns.internString(text, nil)
+}
+
+// internString is InternString for a class of link group g, which
+// resolves jk/lang/String as one of g's classes would.
+func (ns *Namespace) internString(text string, g *linkGroup) (*Object, error) {
 	ns.mu.Lock()
 	if o, ok := ns.interns[text]; ok {
 		ns.mu.Unlock()
 		return o, nil
 	}
 	ns.mu.Unlock()
-	o, err := ns.NewString(text)
+	sc, err := ns.load(ClassString, nil, nil, g)
 	if err != nil {
 		return nil, err
 	}
+	o := newStringOfClass(sc, text, ns.OwnerID)
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	if prev, ok := ns.interns[text]; ok {
