@@ -227,9 +227,10 @@ func (c *Capability) nativeCallee(task *Task, name string) (caller *Domain, m *n
 // in — the caller's stack buffer: the receiver and up to four arguments,
 // nearly every method, never reach the heap (reflect's Call reads the slice
 // and keeps nothing of it). With copyIn each argument is copied by the
-// calling convention and copied reports the bytes; otherwise args are
-// already the callee's own (ServeWire). Either way nativeArgs only reads
-// args, so a local caller's variadic vector stays on its stack.
+// calling convention, straight into the reflect value Call takes, and
+// copied reports the bytes; otherwise args are already the callee's own
+// (ServeWire). Either way nativeArgs only reads args, so a local caller's
+// variadic vector stays on its stack.
 func (k *Kernel) nativeArgs(m *nativeMethod, args []any, copyIn bool, in []reflect.Value) (_ []reflect.Value, copied int64, err error) {
 	ft := m.typ
 	if ft.NumIn() != len(args) && !ft.IsVariadic() {
@@ -237,12 +238,15 @@ func (k *Kernel) nativeArgs(m *nativeMethod, args []any, copyIn bool, in []refle
 	}
 	in = append(in, m.recv)
 	for i, a := range args {
+		var rv reflect.Value
 		if copyIn {
 			var n int64
-			if a, n, err = k.copyNative(a); err != nil {
+			if rv, n, err = k.copyNativeValue(a); err != nil {
 				return nil, 0, &CopyError{What: fmt.Sprintf("argument %d of %s", i, m.name), Err: err}
 			}
 			copied += n
+		} else {
+			rv = reflect.ValueOf(a)
 		}
 		var want reflect.Type
 		if ft.IsVariadic() && i >= ft.NumIn()-1 {
@@ -250,8 +254,7 @@ func (k *Kernel) nativeArgs(m *nativeMethod, args []any, copyIn bool, in []refle
 		} else {
 			want = ft.In(i)
 		}
-		rv, err := conform(a, want)
-		if err != nil {
+		if rv, err = conform(rv, want); err != nil {
 			return nil, 0, fmt.Errorf("jkernel: %s argument %d: %w", m.name, i, err)
 		}
 		in = append(in, rv)
@@ -330,35 +333,45 @@ func copyErrorOut(err error) error {
 // as it goes, and a serialized value is charged its intermediate byte
 // array, as on the VM path.
 func (k *Kernel) copyNative(v any) (any, int64, error) {
+	out, n, err := k.copyNativeValue(v)
+	if err != nil || !out.IsValid() {
+		return nil, n, err
+	}
+	return out.Interface(), n, nil
+}
+
+// copyNativeValue is copyNative with the copy as a reflect.Value, the
+// zero Value for nil: a copied struct is the slot the copy filled, which
+// an argument hands to reflect's Call without boxing it.
+func (k *Kernel) copyNativeValue(v any) (reflect.Value, int64, error) {
 	if v == nil {
-		return nil, 0, nil
+		return reflect.Value{}, 0, nil
 	}
 	if c, ok := v.(*Capability); ok {
-		return c, 8, nil
+		return reflect.ValueOf(c), 8, nil
 	}
 	switch k.copyModeFor(v) {
 	case copyModeSeri:
-		out, n, err := seri.CopySize(k.seriReg, v)
+		out, n, err := seri.CopyValue(k.seriReg, v)
 		return out, int64(n), err
 	case copyModeFastGraph:
-		return k.graphCop.CopySize(v)
+		return k.graphCop.CopyValue(v)
 	default:
-		return k.copier.CopySize(v)
+		return k.copier.CopyValue(v)
 	}
 }
 
-// conform adapts a copied value to the parameter type, converting numeric
-// widths that the copy normalized. An integer is not a string: reflect
-// would convert it to the rune it encodes.
-func conform(v any, want reflect.Type) (reflect.Value, error) {
-	if v == nil {
+// conform adapts a copied value, the zero Value for nil, to the parameter
+// type, converting numeric widths that the copy normalized. An integer is
+// not a string: reflect would convert it to the rune it encodes.
+func conform(rv reflect.Value, want reflect.Type) (reflect.Value, error) {
+	if !rv.IsValid() {
 		switch want.Kind() {
 		case reflect.Ptr, reflect.Interface, reflect.Slice, reflect.Map, reflect.Func, reflect.Chan:
 			return reflect.Zero(want), nil
 		}
 		return reflect.Value{}, fmt.Errorf("nil for non-nilable %v", want)
 	}
-	rv := reflect.ValueOf(v)
 	if rv.Type().AssignableTo(want) {
 		return rv, nil
 	}
@@ -421,7 +434,7 @@ func (c *Capability) Bind(stubStruct any) error {
 			out := make([]reflect.Value, ft.NumOut())
 			for j := 0; j < ft.NumOut()-1; j++ {
 				if j < len(results) && results[j] != nil {
-					rv, cerr := conform(results[j], ft.Out(j))
+					rv, cerr := conform(reflect.ValueOf(results[j]), ft.Out(j))
 					if cerr != nil && err == nil {
 						err = cerr
 					}

@@ -198,9 +198,6 @@ func (ctx *vmCopyCtx) copyArray(o *vmkit.Object) (*vmkit.Object, *vmkit.Object) 
 	case o.Bytes != nil:
 		copy(dup.Bytes, o.Bytes)
 		ctx.bytes += int64(len(o.Bytes))
-	case o.Words != nil:
-		copy(dup.Words, o.Words)
-		ctx.bytes += int64(8 * len(o.Words))
 	default:
 		for i, e := range o.Fields {
 			if e.R == nil {
@@ -391,22 +388,24 @@ func (e *vmEncoder) object(buf []byte, o *vmkit.Object) ([]byte, *vmkit.Object) 
 		buf = binary.AppendUvarint(append(buf, vtagString), uint64(len(text)))
 		buf = append(buf, text...)
 	case cls.IsArray():
-		switch {
-		case o.Bytes != nil:
+		switch cls.Elem() {
+		case "B":
 			// Element-wise with a per-element tag, like Java
 			// serialization's generic typed-stream writes — this is where
 			// the byte-array intermediate gets expensive (Table 4).
 			buf = binary.AppendUvarint(append(buf, vtagArrB), uint64(len(o.Bytes)))
 			buf = appendByteElements(buf, o.Bytes)
-		case o.Words != nil && cls.Elem() == "I":
-			buf = binary.AppendUvarint(append(buf, vtagArrI), uint64(len(o.Words)))
-			for _, x := range o.Words {
-				buf = binary.AppendVarint(buf, x)
+		case "I":
+			n := o.Len()
+			buf = binary.AppendUvarint(append(buf, vtagArrI), uint64(n))
+			for i := range n {
+				buf = binary.AppendVarint(buf, o.Word(i))
 			}
-		case o.Words != nil:
-			buf = binary.AppendUvarint(append(buf, vtagArrD), uint64(len(o.Words)))
-			for _, x := range o.Words {
-				buf = binary.AppendUvarint(buf, uint64(x))
+		case "D":
+			n := o.Len()
+			buf = binary.AppendUvarint(append(buf, vtagArrD), uint64(n))
+			for i := range n {
+				buf = binary.AppendUvarint(buf, uint64(o.Word(i)))
 			}
 		default:
 			buf = e.classRef(append(buf, vtagArrRef), cls)
@@ -791,22 +790,22 @@ func (d *vmDecoder) elements(t byte, arr *vmkit.Object) *vmkit.Object {
 			return d.fail("%s", fault)
 		}
 	case vtagArrI:
-		for j := range arr.Words {
+		for j := range arr.Len() {
 			ux, n := binary.Uvarint(buf[pos:])
 			if n <= 0 {
 				return d.fail("bad varint")
 			}
 			pos += n
-			arr.Words[j] = unzigzag(ux)
+			arr.SetWord(j, unzigzag(ux))
 		}
 	default:
-		for j := range arr.Words {
+		for j := range arr.Len() {
 			ux, n := binary.Uvarint(buf[pos:])
 			if n <= 0 {
 				return d.fail("bad uvarint")
 			}
 			pos += n
-			arr.Words[j] = int64(ux)
+			arr.SetWord(j, int64(ux))
 		}
 	}
 	d.pos = pos

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -151,5 +152,77 @@ func FuzzVMSerialStream(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte, n uint16) {
 		sameByteElements(t, "body", body, 0, int(n))
+	})
+}
+
+// refAppendWords is the [I and [D element encoder as it was written while
+// an array's elements were an []int64: a zigzag varint an int, a uvarint
+// a double's IEEE 754 bits, after the tag and the length.
+func refAppendWords(buf []byte, tag byte, words []int64) []byte {
+	buf = binary.AppendUvarint(append(buf, tag), uint64(len(words)))
+	for _, x := range words {
+		if tag == vtagArrI {
+			buf = binary.AppendVarint(buf, x)
+		} else {
+			buf = binary.AppendUvarint(buf, uint64(x))
+		}
+	}
+	return buf
+}
+
+// FuzzVMSerialWords builds a [I and a [D array from the fuzz bytes, 8
+// little-endian bytes an element: each encodes to the stream the reference
+// loop writes for the same []int64, and comes back bit for bit through the
+// serialized copy (the stream decoded in b) and the fast copy. The seeds
+// hold NaNs with their payloads, -0.0, the infinities and ±2⁶³.
+func FuzzVMSerialWords(f *testing.F) {
+	fx := newOracleFixture(f)
+	le := func(xs ...uint64) []byte {
+		var b []byte
+		for _, x := range xs {
+			b = binary.LittleEndian.AppendUint64(b, x)
+		}
+		return b
+	}
+	f.Add([]byte{})
+	f.Add([]byte{1, 2, 3})
+	f.Add(le(math.Float64bits(math.NaN()), 0x7ff8_0000_dead_beef, 0xfff0_0000_0000_0001, math.Float64bits(math.Copysign(0, -1))))
+	f.Add(le(math.Float64bits(math.Inf(1)), math.Float64bits(math.Inf(-1)), 1<<63, 1<<63-1, 0, 1, 1<<64-1, math.Float64bits(-1<<63)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		words := make([]int64, min(len(data)/8, 4096))
+		for i := range words {
+			words[i] = int64(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		for _, c := range []struct {
+			desc string
+			tag  byte
+		}{{"[I", vtagArrI}, {"[D", vtagArrD}} {
+			arr := fx.array(t, c.desc, len(words))
+			for i, x := range words {
+				arr.SetWord(i, x)
+			}
+			e := fx.encode(t, arr)
+			if want := refAppendWords(nil, c.tag, words); !bytes.Equal(e.buf, want) {
+				t.Fatalf("%s %x: encoded %x, want %x", c.desc, words, e.buf, want)
+			}
+			ser, err := fx.decode(e, e.buf)
+			if err != nil {
+				t.Fatalf("%s %x: decode: %v", c.desc, words, err)
+			}
+			fast, _, err := fx.k.CopyValueBetween(fx.b, vmkit.RefVal(arr))
+			if err != nil {
+				t.Fatalf("%s %x: fast copy: %v", c.desc, words, err)
+			}
+			for path, dup := range map[string]*vmkit.Object{"serialized": ser, "fast": fast.R} {
+				if dup == arr || dup.Class.Name != c.desc || dup.Class.NS != fx.b.NS || dup.Len() != len(words) {
+					t.Fatalf("%s %x: %s copy is %v of %d in %s", c.desc, words, path, dup.Class.Name, dup.Len(), dup.Class.NS.Name)
+				}
+				for i, x := range words {
+					if got := dup.Word(i); got != x {
+						t.Fatalf("%s %x: %s copy [%d] = %#x, want %#x", c.desc, words, path, i, got, x)
+					}
+				}
+			}
+		}
 	})
 }

@@ -76,7 +76,7 @@ func TestSerializedRefArrayCrosses(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ints.Words[1] = 7
+			ints.SetWord(1, 7)
 			setField(h, "ints", vmkit.RefVal(arr("[[I", ints)))
 
 			out, _, err := k.CopyValueBetween(b, vmkit.RefVal(h))
@@ -102,7 +102,7 @@ func TestSerializedRefArrayCrosses(t *testing.T) {
 			if vmkit.StringText(names.Fields[0].R) != "shared" || names.Fields[0].R == name {
 				t.Fatal("the names were not copied")
 			}
-			if ci := get(c, "ints"); ci.Fields[0].R.Words[1] != 7 || ci.Fields[0].R == ints {
+			if ci := get(c, "ints"); ci.Fields[0].R.Word(1) != 7 || ci.Fields[0].R == ints {
 				t.Fatal("the [[I was not copied")
 			}
 			// Serialization keeps the graph's sharing; fast-copy duplicates.
@@ -415,11 +415,12 @@ func (f *copyFixture) bytesPerCall(t *testing.T, method string, arg *vmkit.Objec
 }
 
 // nodeBytes is what one Table 4 node and its payload of the given size
-// allocate, by Go's size classes: the node is a 96-byte header with its
-// two 24-byte slots (144); a payload of at most 128 bytes shares a block
-// with its header (96 + 16 in the smallest), a larger one is a header and
-// the bytes' own allocation.
-var nodeBytes = map[int]float64{10: 144 + 112, 100: 144 + 224, 1000: 144 + 96 + 1024}
+// allocate, by Go's size classes (vmkit's TestObjectLayout): the node is a
+// 72-byte header with its two 24-byte slots (128); a payload of at most
+// 128 bytes shares a block with its header (72 + 16 in the smallest, 96),
+// a larger one is a header (80) and the bytes' own allocation. They were
+// 144 + 112, 144 + 224 and 144 + 96 + 1024 with a 96-byte header.
+var nodeBytes = map[int]float64{10: 128 + 96, 100: 128 + 208, 1000: 128 + 80 + 1024}
 
 // allocsVMCopy checks that a serialized argument of count nodes of size
 // bytes allocates what its fast-copy does: the objects the callee gets,
@@ -452,8 +453,9 @@ func TestAllocsVMCopy1x1000(t *testing.T) { allocsVMCopy(t, 1, 1000) }
 
 // A VM string argument allocates the one Go allocation a short VM string
 // (at most 32 bytes) is: the string with its field, and its byte array
-// with the bytes, in one block. It measured 2 when the string and its
-// array were a block each.
+// with the bytes, in one block of 208 bytes — two 72-byte headers, a slot
+// and 32 bytes. It measured 2 when the string and its array were a block
+// each, and the block was 256 bytes with a 96-byte header.
 func TestAllocsVMStringArgument(t *testing.T) {
 	f := newCopyFixture(t)
 	s, err := f.client.NS.NewString("a string argument of some length")
@@ -462,6 +464,12 @@ func TestAllocsVMStringArgument(t *testing.T) {
 	}
 	if got := f.perCall(t, "str", s); got != 1 {
 		t.Errorf("VM string argument: %.1f allocs/call, want 1", got)
+	}
+	if raceflag.Enabled {
+		return
+	}
+	if got := f.bytesPerCall(t, "str", s); got != 208 {
+		t.Errorf("VM string argument: %.1f B/call, want 208", got)
 	}
 }
 
@@ -516,10 +524,12 @@ func (f *oracleFixture) mixedGraph(t testing.TB) *vmkit.Object {
 	bs := f.array(t, "[B", 5)
 	copy(bs.Bytes, []byte{0, 1, 63, 64, 255})
 	ns := f.array(t, "[I", 4)
-	copy(ns.Words, []int64{0, -1, 1 << 40, math.MinInt64})
+	for i, x := range []int64{0, -1, 1 << 40, math.MinInt64} {
+		ns.SetWord(i, x)
+	}
 	ds := f.array(t, "[D", 3)
 	for i, x := range []float64{math.Copysign(0, -1), math.Inf(1), 1.5} {
-		ds.Words[i] = int64(math.Float64bits(x))
+		ds.SetWord(i, int64(math.Float64bits(x)))
 	}
 	s := f.str(t, "héllo")
 	arr := f.array(t, "[LS;", 3)

@@ -86,54 +86,59 @@ type cell struct {
 // Copy returns a deep copy of v. The result shares no mutable memory with
 // v except for values the capability predicate claims.
 func (c *Copier) Copy(v any) (any, error) {
-	out, _, err := c.CopySize(v)
-	return out, err
+	out, _, err := c.CopyValue(v)
+	if err != nil || !out.IsValid() {
+		return nil, err
+	}
+	return out.Interface(), nil
 }
 
-// CopySize is Copy that also reports the transfer size in bytes, for
-// accounting charges at LRMI boundaries: scalars by width, strings and
-// byte slices by length, 8 per reference followed. Both come from the one
-// pass over v.
-func (c *Copier) CopySize(v any) (out any, size int64, err error) {
+// CopyValue is Copy with the copy as a reflect.Value, the zero Value for a
+// nil v, and the transfer size in bytes, for accounting charges at LRMI
+// boundaries: scalars by width, strings and byte slices by length, 8 per
+// reference followed. Both come from the one pass over v. A copied struct
+// is the slot the copy filled: a caller that hands it on through reflect
+// (reflect.Value.Call) boxes it nowhere.
+func (c *Copier) CopyValue(v any) (out reflect.Value, size int64, err error) {
 	switch b := v.(type) {
 	case nil:
-		return nil, 0, nil
+		return reflect.Value{}, 0, nil
 	case []byte:
 		// The commonest argument needs no plan: one make, one copy.
 		if b == nil {
-			return v, 0, nil
+			return reflect.ValueOf(v), 0, nil
 		}
 		dup := make([]byte, len(b))
 		copy(dup, b)
-		return dup, int64(len(b)), nil
+		return reflect.ValueOf(dup), int64(len(b)), nil
 	}
 	src := reflect.ValueOf(v)
 	p := c.plan(src.Type())
 	if p.plain() {
 		// Nothing in v can be written through: the boxed value itself is
 		// the copy.
-		return v, p.plainSize(src), nil
+		return src, p.plainSize(src), nil
 	}
 	st := state{c: c}
 	if p.kind == reflect.Pointer {
 		// A pointer needs no slot of its own: its copy is the new pointee.
 		if src.IsNil() {
-			return v, 0, nil
+			return src, 0, nil
 		}
 		if c.isCap != nil && c.isCap(v) {
-			return v, 8, nil
+			return src, 8, nil
 		}
 		dup, err := p.newPointee(&st, src)
 		if err != nil {
-			return nil, 0, err
+			return reflect.Value{}, 0, err
 		}
-		return dup.Interface(), st.size, nil
+		return dup, st.size, nil
 	}
 	slot := reflect.New(p.t).Elem()
 	if err := p.copy(&st, slot, src); err != nil {
-		return nil, 0, err
+		return reflect.Value{}, 0, err
 	}
-	return slot.Interface(), st.size, nil
+	return slot, st.size, nil
 }
 
 // lookup finds a cell's copy. Tree mode has no table and consults none:

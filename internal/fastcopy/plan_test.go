@@ -81,19 +81,19 @@ func TestAllocsTableOnlyWhenAliasable(t *testing.T) {
 // Sizeof is the transfer size alone, for TestSizeofEstimates: the copy and
 // its size come from one pass, so there is no separate sizing walk to call.
 func Sizeof(v any) int64 {
-	_, n, _ := New().CopySize(v)
+	_, n, _ := New().CopyValue(v)
 	return n
 }
 
 func TestCopySizeOfRequest(t *testing.T) {
 	v := &request{Method: "GET", Path: "/p", Headers: map[string]string{"K": "vv"}, Body: make([]byte, 10)}
-	_, n, err := New().CopySize(v)
+	_, n, err := New().CopyValue(v)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// pointer 8 + strings 3+2 + map entry 1+2 + body 10
 	if want := int64(8 + 3 + 2 + 1 + 2 + 10); n != want {
-		t.Errorf("CopySize = %d, want %d", n, want)
+		t.Errorf("CopyValue size = %d, want %d", n, want)
 	}
 }
 

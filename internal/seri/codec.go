@@ -134,7 +134,7 @@ func (cp *compiler) compile(c *codec) {
 			if err != nil {
 				return err
 			}
-			return d.place(x, v)
+			return d.place(x.Interface(), v)
 		}
 	default:
 		// Arrays, channels, funcs, complex numbers: a registered type may

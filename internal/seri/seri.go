@@ -421,22 +421,36 @@ func UnmarshalVector(r *Registry, data []byte, ext External) ([]any, error) {
 
 // Copy deep-copies v through the serialized form — the LRMI default path.
 func Copy(r *Registry, v any) (any, error) {
-	out, _, err := CopySize(r, v)
-	return out, err
+	out, _, err := CopyValue(r, v)
+	if err != nil || !out.IsValid() {
+		return nil, err
+	}
+	return out.Interface(), nil
 }
 
-// CopySize is Copy that also reports the length of the intermediate
-// stream, the copy's transfer size. The stream lives in pooled scratch for
-// the copy's duration only: the decode copies out of it everything the
-// result holds.
-func CopySize(r *Registry, v any) (any, int, error) {
+// CopyValue is Copy with the copy as a reflect.Value, the zero Value for a
+// nil v, and the length of the intermediate stream, the copy's transfer
+// size. The stream lives in pooled scratch for the copy's duration only:
+// the decode copies out of it everything the result holds. A decoded
+// struct is the slot the decoder filled: a caller that hands it on through
+// reflect (reflect.Value.Call) boxes it nowhere.
+func CopyValue(r *Registry, v any) (reflect.Value, int, error) {
 	sp, data, err := encode(r, v, nil)
 	if err != nil {
-		return nil, 0, err
+		return reflect.Value{}, 0, err
 	}
-	out, err := Unmarshal(r, data)
+	d := getDecoder(r, data, nil)
+	var out reflect.Value
+	tag, err := d.byte()
+	if err == nil {
+		out, err = d.value(tag)
+	}
+	err = d.finish(err)
 	putScratch(sp, data)
-	return out, len(data), err
+	if err != nil {
+		return reflect.Value{}, len(data), err
+	}
+	return out, len(data), nil
 }
 
 // heapCell identifies heap cells for alias/cycle detection without unsafe:
@@ -645,26 +659,36 @@ func (d *decoder) strBytes() ([]byte, error) {
 
 // dynamic reads a dynamically typed value whose tag is already consumed.
 func (d *decoder) dynamic(tag byte) (any, error) {
+	v, err := d.value(tag)
+	if err != nil || !v.IsValid() {
+		return nil, err
+	}
+	return v.Interface(), nil
+}
+
+// value is dynamic with the value as a reflect.Value, the zero Value for
+// nil.
+func (d *decoder) value(tag byte) (reflect.Value, error) {
 	switch tag {
 	case tagNil:
-		return nil, nil
+		return reflect.Value{}, nil
 	case tagIface:
 		return d.named()
 	case tagCap:
 		h, err := d.uvarint()
 		if err != nil {
-			return nil, err
+			return reflect.Value{}, err
 		}
 		if d.ext == nil {
-			return nil, d.fail("capability reference %d with no external decoder", h)
+			return reflect.Value{}, d.fail("capability reference %d with no external decoder", h)
 		}
 		v, err := d.ext.DecodeExternal(h)
 		if err != nil {
-			return nil, fmt.Errorf("seri: capability reference %d: %w", h, err)
+			return reflect.Value{}, fmt.Errorf("seri: capability reference %d: %w", h, err)
 		}
-		return v, nil
+		return reflect.ValueOf(v), nil
 	}
-	return nil, d.fail("expected iface tag, got %d", tag)
+	return reflect.Value{}, d.fail("expected iface tag, got %d", tag)
 }
 
 // vector reads the stream of a []any into a fresh vector: the type's
@@ -701,33 +725,33 @@ func (d *decoder) vector() ([]any, error) {
 	return d.vec, nil
 }
 
-// named reads a type name and a value of that type.
-func (d *decoder) named() (any, error) {
+// named reads a type name and a value of that type, into a fresh slot.
+func (d *decoder) named() (reflect.Value, error) {
 	name, err := d.strBytes()
 	if err != nil {
-		return nil, err
+		return reflect.Value{}, err
 	}
 	if len(name) > maxTypeName {
-		return nil, d.fail("type name of %d bytes", len(name))
+		return reflect.Value{}, d.fail("type name of %d bytes", len(name))
 	}
 	c := d.st.named[string(name)]
 	if c == nil {
 		t, err := d.st.typeFor(string(name))
 		if err != nil {
-			return nil, err
+			return reflect.Value{}, err
 		}
 		if d.local == nil {
 			d.local = make(map[reflect.Type]*codec)
 		} else if len(d.local) >= maxCodecs {
-			return nil, d.fail("more than %d structural types unknown here", maxCodecs)
+			return reflect.Value{}, d.fail("more than %d structural types unknown here", maxCodecs)
 		}
 		c = d.st.compile(d.local, t, true)
 	}
 	v := reflect.New(c.t).Elem()
 	if err := d.into(c, v); err != nil {
-		return nil, err
+		return reflect.Value{}, err
 	}
-	return v.Interface(), nil
+	return v, nil
 }
 
 // into fills the slot v (addressable, of c's type) from the stream: the one

@@ -1,18 +1,20 @@
 package vmkit
 
 // An object and what it owns are one Go allocation where they fit a block:
-// an instance with at most four slots, a byte array of at most
-// maxBlockBytes bytes (in buckets of 16, 32, 64 and 128), and a string of
-// at most maxStringBlockBytes bytes — its instance, that instance's one
-// slot, its [B and room for maxStringBlockBytes bytes. A block is the
-// Object followed by its payload; callers see only the Object. The
-// payload slice has cap == len, so an append copies it out of the block
-// rather than writing into the bucket's spare bytes. A pointer into the
-// payload keeps the whole block alive, header included: a Go caller that
-// holds o.Bytes holds o.
+// an instance with at most four slots, a primitive array of at most
+// maxBlockBytes bytes of payload (in buckets of 16, 32, 64 and 128; a [I
+// or [D element is 8 bytes, so up to 16 of them), and a string of at most
+// maxStringBlockBytes bytes — its instance, that instance's one slot, its
+// [B and room for maxStringBlockBytes bytes. A block is the 72-byte Object
+// followed by its payload; callers see only the Object. The payload slice
+// has cap == len, so an append copies it out of the block rather than
+// writing into the bucket's spare bytes. A pointer into the payload keeps
+// the whole block alive, header included: a Go caller that holds o.Bytes
+// holds o.
 //
 // Larger payloads get their own allocation, as before. What an account is
-// charged does not depend on either layout.
+// charged does not depend on either layout. TestObjectLayout measures
+// each shape's allocation.
 
 const maxBlockBytes = 128
 
@@ -53,7 +55,8 @@ func newInstanceObject(n int) *Object {
 	return &Object{Fields: make([]Value, n)}
 }
 
-// newByteArrayObject returns an Object whose Bytes are n zero bytes.
+// newByteArrayObject returns an Object whose Bytes are n zero bytes: a
+// [B of n elements, or a [I or [D of n/8.
 func newByteArrayObject(n int) *Object {
 	switch {
 	case n == 0:

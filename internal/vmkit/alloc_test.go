@@ -13,15 +13,85 @@ import (
 	"jkernel/internal/raceflag"
 )
 
-// The header every VM object carries, and the slot every field, local and
-// operand takes.
+// The header every VM object carries, the slot every field, local and
+// operand takes, and the Go allocation of each shape alloc.go builds, as
+// runtime.MemStats.TotalAlloc counts it: what one object of that shape
+// costs whoever allocates it, a copy into a callee included.
 func TestObjectLayout(t *testing.T) {
-	if got := unsafe.Sizeof(Object{}); got != 96 {
-		t.Errorf("Object is %d bytes, want 96", got)
+	if got := unsafe.Sizeof(Object{}); got != 72 {
+		t.Errorf("Object is %d bytes, want 72", got)
 	}
 	if got := unsafe.Sizeof(Value{}); got != 24 {
 		t.Errorf("Value is %d bytes, want 24", got)
 	}
+	if raceflag.Enabled {
+		t.Skip("allocation sizes are measured without -race")
+	}
+	_, ns := newTestNS(t)
+	ints, err := ns.arrayClass("[I", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doubles, err := ns.arrayClass("[D", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := func(n int) func() *Object { return func() *Object { return newInstanceObject(n) } }
+	bytes := func(n int) func() *Object { return func() *Object { return newByteArrayObject(n) } }
+	array := func(c *Class, n int) func() *Object { return func() *Object { return ns.NewArrayOfClass(c, n) } }
+	for _, c := range []struct {
+		shape string
+		alloc func() *Object
+		bytes uint64
+	}{
+		{"header alone", func() *Object { return new(Object) }, 80},
+		{"instance, 0 slots", inst(0), 80},
+		{"instance, 1 slot", inst(1), 96},
+		{"instance, 2 slots", inst(2), 128},
+		{"instance, 3 slots", inst(3), 144},
+		{"instance, 4 slots", inst(4), 176},
+		{"instance, 5 slots, apart", inst(5), 80 + 128},
+		{"[B of 1-16", bytes(16), 96},
+		{"[B of 17-32", bytes(32), 112},
+		{"[B of 33-64", bytes(64), 144},
+		{"[B of 65-128", bytes(maxBlockBytes), 208},
+		{"[B of 129, apart", bytes(maxBlockBytes + 1), 80 + 144},
+		{"[B of 1000, apart", bytes(1000), 80 + 1024},
+		{"string of <= 32 bytes", func() *Object { s, _ := newStringObjects(1, maxStringBlockBytes); return s }, 208},
+		{"[I of 2", array(ints, 2), 96},
+		{"[I of 16", array(ints, 16), 208},
+		{"[I of 17, apart", array(ints, 17), 80 + 144},
+		{"[D of 4", array(doubles, 4), 112},
+		{"[D of 16", array(doubles, 16), 208},
+		{"[D of 125, apart", array(doubles, 125), 80 + 1024},
+	} {
+		got := allocBytes(c.alloc)
+		t.Logf("%-24s %5d B", c.shape, got)
+		if got != c.bytes {
+			t.Errorf("%s: %d B allocated, want %d", c.shape, got, c.bytes)
+		}
+	}
+}
+
+var layoutSink *Object
+
+// allocBytes is the heap bytes one call of alloc allocates: the least of
+// three measurements of 100 calls.
+func allocBytes(alloc func() *Object) uint64 {
+	const runs = 100
+	least := uint64(math.MaxUint64)
+	var m runtime.MemStats
+	for range 3 {
+		runtime.ReadMemStats(&m)
+		before := m.TotalAlloc
+		for range runs {
+			layoutSink = alloc()
+		}
+		runtime.ReadMemStats(&m)
+		least = min(least, (m.TotalAlloc-before)/runs)
+	}
+	layoutSink = nil
+	return least
 }
 
 // inBlock reports whether the payload starting at p directly follows o's
@@ -227,8 +297,8 @@ func TestDoubleArrayKeepsFloatBits(t *testing.T) {
 	for i, x := range specials {
 		got := callStatic(t, vm, ns, "DArr.roundtrip:([DID)D", RefVal(arr), IntVal(int64(i)), FloatVal(x))
 		bits := math.Float64bits(x)
-		if got.K != KFloat || uint64(got.I) != bits || uint64(arr.Words[i]) != bits {
-			t.Errorf("%v: aload gave %v (%#x), the array holds %#x, want %#x", x, got, got.I, arr.Words[i], bits)
+		if got.K != KFloat || uint64(got.I) != bits || uint64(arr.Word(i)) != bits {
+			t.Errorf("%v: aload gave %v (%#x), the array holds %#x, want %#x", x, got, got.I, arr.Word(i), bits)
 		}
 	}
 }

@@ -546,12 +546,12 @@ func (vm *VM) run(t *Thread, m *Method, base int) (Value, *Object) {
 				continue
 			}
 			switch {
-			case arr.Bytes != nil:
-				push(IntVal(int64(arr.Bytes[idx])))
-			case arr.Words != nil:
-				push(Value{K: DescKind(arr.Class.elem), I: arr.Words[idx]})
-			default:
+			case arr.Bytes == nil:
 				push(arr.Fields[idx])
+			case arr.Class.elem == "B":
+				push(IntVal(int64(arr.Bytes[idx])))
+			default:
+				push(Value{K: DescKind(arr.Class.elem), I: arr.Word(int(idx))})
 			}
 		case OpAStore:
 			v := pop()
@@ -566,11 +566,7 @@ func (vm *VM) run(t *Thread, m *Method, base int) (Value, *Object) {
 				continue
 			}
 			switch {
-			case arr.Bytes != nil:
-				arr.Bytes[idx] = byte(v.I)
-			case arr.Words != nil:
-				arr.Words[idx] = v.I
-			default:
+			case arr.Bytes == nil:
 				if v.R != nil {
 					ec := arr.Class.elemCls
 					if ec != nil && !v.R.Class.AssignableTo(ec) {
@@ -579,6 +575,10 @@ func (vm *VM) run(t *Thread, m *Method, base int) (Value, *Object) {
 					}
 				}
 				arr.Fields[idx] = RefVal(v.R)
+			case arr.Class.elem == "B":
+				arr.Bytes[idx] = byte(v.I)
+			default:
+				arr.SetWord(int(idx), v.I)
 			}
 		case OpALen:
 			arr := pop().R
@@ -663,7 +663,7 @@ func (ns *Namespace) NewArrayOfClass(c *Class, length int) *Object {
 		o = newByteArrayObject(length)
 		bytes = int64(length)
 	case "I", "D":
-		o = &Object{Words: make([]int64, length)}
+		o = newByteArrayObject(8 * length)
 		bytes = int64(length) * 8
 	default:
 		refs := make([]Value, length)

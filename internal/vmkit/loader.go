@@ -140,21 +140,21 @@ func (ns *Namespace) published(name string) (c *Class, linking bool) {
 // entry is visible to g: a published class, or one of g's own. done is
 // false when name has no entry, or another group is linking it. A def
 // (DefineClass) settles on any published class as a duplicate.
-func (ns *Namespace) bound(name string, def *ClassDef, g *linkGroup) (c *Class, err error, done bool) {
+func (ns *Namespace) bound(name string, def *ClassDef, g *linkGroup) (c *Class, done bool, err error) {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	e := ns.classes[name]
 	switch {
 	case e == nil || e.state != stateReady && e.group != g:
-		return nil, nil, false
+		return nil, false, nil
 	case def != nil:
-		return nil, &LinkError{Class: name, Op: "resolve",
-			Err: fmt.Errorf("class already defined in namespace %s", ns.Name)}, true
+		return nil, true, &LinkError{Class: name, Op: "resolve",
+			Err: fmt.Errorf("class already defined in namespace %s", ns.Name)}
 	case e.state == stateLoading:
-		return nil, &LinkError{Class: name, Op: "hierarchy",
-			Err: fmt.Errorf("circular superclass/interface chain")}, true
+		return nil, true, &LinkError{Class: name, Op: "hierarchy",
+			Err: fmt.Errorf("circular superclass/interface chain")}
 	}
-	return e.class, nil, true
+	return e.class, true, nil
 }
 
 // Classes returns a snapshot of all fully defined classes.
@@ -238,7 +238,7 @@ func (ns *Namespace) load(name string, def *ClassDef, gate StubGate, g *linkGrou
 	if isArrayDesc(name) {
 		return ns.arrayClass(name, g)
 	}
-	if c, err, done := ns.bound(name, def, g); done {
+	if c, done, err := ns.bound(name, def, g); done {
 		return c, err
 	}
 	outer := g == nil
@@ -246,7 +246,7 @@ func (ns *Namespace) load(name string, def *ClassDef, gate StubGate, g *linkGrou
 		// Wait out the group linking name, if any, and look again.
 		ns.link.Lock()
 		defer ns.link.Unlock()
-		if c, err, done := ns.bound(name, def, g); done {
+		if c, done, err := ns.bound(name, def, g); done {
 			return c, err
 		}
 		g = new(linkGroup)
@@ -517,7 +517,7 @@ func isArrayDesc(name string) bool { return len(name) > 0 && name[0] == '[' }
 // join g; an array of a class g is linking joins g too, so it is published
 // and withdrawn with its element class.
 func (ns *Namespace) arrayClass(desc string, g *linkGroup) (*Class, error) {
-	if c, _, done := ns.bound(desc, nil, g); done {
+	if c, done, _ := ns.bound(desc, nil, g); done {
 		return c, nil
 	}
 

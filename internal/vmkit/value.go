@@ -13,6 +13,7 @@
 package vmkit
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -80,23 +81,22 @@ func (v Value) String() string {
 //
 //   - instances: Class points at a non-array class and Fields holds one slot
 //     per instance field (indexed by Field.Slot);
-//   - arrays: Class is an array class and its elements are in Bytes ("[B"),
-//     Words ("[I" and "[D") or Fields ("[L...;" and "[[...", one KRef Value
-//     an element, as an instance keeps a reference field). Words holds a
-//     "[D" element's IEEE 754 bits, as Value.I does; the class says which
-//     kind an element is.
+//   - arrays: Class is an array class and its elements are in Bytes, a
+//     byte an element for "[B" and 8 little-endian bytes for "[I" and "[D"
+//     (a double's IEEE 754 bits, as Value.I holds them; see Word), or in
+//     Fields ("[L...;" and "[[...", one KRef Value an element, as an
+//     instance keeps a reference field). The class's element descriptor
+//     says which.
 //
-// A small instance's Fields and a small byte array's Bytes live in the
-// object's own allocation (see alloc.go). The monitor and the identity
+// A small instance's Fields and a small primitive array's Bytes live in
+// the object's own allocation (see alloc.go). The monitor and the identity
 // hash live in a side struct (mon) that the first monitorenter or the
 // first hashCode installs, so an object never locked or hashed carries
-// one pointer for both; see monitor.go. The header is 96 bytes.
+// one pointer for both; see monitor.go. The header is 72 bytes.
 type Object struct {
 	Class  *Class
 	Fields []Value
-
-	Bytes []byte
-	Words []int64
+	Bytes  []byte
 
 	// Owner is the id of the domain whose account was charged for this
 	// allocation. Zero means "system" (allocated outside any domain).
@@ -108,15 +108,23 @@ type Object struct {
 // Len returns the array length, or -1 if o is not an array.
 func (o *Object) Len() int {
 	switch {
-	case o.Bytes != nil:
+	case o.Bytes == nil:
+		if o.Class != nil && o.Class.IsArray() {
+			return len(o.Fields)
+		}
+		return -1
+	case o.Class.elem == "B":
 		return len(o.Bytes)
-	case o.Words != nil:
-		return len(o.Words)
-	case o.Class != nil && o.Class.IsArray():
-		return len(o.Fields)
 	}
-	return -1
+	return len(o.Bytes) / 8
 }
+
+// Word returns element i of a "[I" or "[D" array: the int, or the
+// double's IEEE 754 bits.
+func (o *Object) Word(i int) int64 { return int64(binary.LittleEndian.Uint64(o.Bytes[8*i:])) }
+
+// SetWord sets element i of a "[I" or "[D" array to x.
+func (o *Object) SetWord(i int, x int64) { binary.LittleEndian.PutUint64(o.Bytes[8*i:], uint64(x)) }
 
 // String renders the object for diagnostics (class name and identity-free).
 func (o *Object) String() string {

@@ -328,8 +328,8 @@ done:
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range arr.Words {
-		arr.Words[i] = int64(i + 1)
+	for i := range arr.Len() {
+		arr.SetWord(i, int64(i+1))
 	}
 	if got := callStatic(t, vm, ns, "Arr.sum:([I)I", RefVal(arr)); got.I != 15 {
 		t.Errorf("sum = %d, want 15", got.I)
