@@ -31,11 +31,13 @@ type Stats struct {
 // atomically, so charging takes no lock and carriers charging different
 // domains share nothing. What carriers publish (Pending) — steps, calls
 // and copied bytes — is striped, so carriers publishing into one domain at
-// once write different cache lines. The zero Account is ready to use.
+// once write different cache lines. The zero Account is ready to use, and
+// belongs to domain 0.
 type Account struct {
 	published             [stripes]stripe
 	alloc, class, revoked atomic.Int64
 	frozen                atomic.Bool
+	domain                int64
 }
 
 // stripes is the number of stripes of an account, a power of two.
@@ -56,6 +58,9 @@ func (a *Account) charge(c *atomic.Int64, n int64) {
 
 // Alloc charges bytes of heap allocation.
 func (a *Account) Alloc(bytes int64) { a.charge(&a.alloc, bytes) }
+
+// Domain returns the id of the domain the Meter created a for.
+func (a *Account) Domain() int64 { return a.domain }
 
 // Steps charges interpreter work.
 func (a *Account) Steps(n int64) { a.charge(&a.published[0].steps, n) }
@@ -124,7 +129,7 @@ func (m *Meter) Account(domain int64) *Account {
 	for id, a := range old {
 		next[id] = a
 	}
-	a := &Account{}
+	a := &Account{domain: domain}
 	next[domain] = a
 	m.accounts.Store(&next)
 	return a

@@ -309,7 +309,7 @@ func (k *Kernel) CreateVMCapability(d *Domain, target *vmkit.Object) (*Capabilit
 	if err != nil {
 		return nil, fmt.Errorf("jkernel: stub generation for %s: %w", target.Class.Name, err)
 	}
-	stub, ierr := vmkit.NewInstance(stubClass)
+	stub, ierr := d.NS.NewInstance(stubClass)
 	if ierr != nil {
 		return nil, ierr
 	}

@@ -181,7 +181,7 @@ func newTwoDomains(t *testing.T) (*Kernel, *Domain, *Domain, *Capability) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target, err := vmkit.NewInstance(implClass)
+	target, err := d1.NS.NewInstance(implClass)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestCreateRequiresRemoteInterface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj, _ := vmkit.NewInstance(pc)
+	obj, _ := d.NS.NewInstance(pc)
 	if _, err := k.CreateVMCapability(d, obj); err != ErrNotRemote {
 		t.Errorf("got %v, want ErrNotRemote", err)
 	}
@@ -412,7 +412,7 @@ func TestSerializablePathCopiesGraphs(t *testing.T) {
 	}
 	setup := k.NewTask(d1, "setup")
 	implClass, _ := d1.NS.Resolve("SinkImpl")
-	target, _ := vmkit.NewInstance(implClass)
+	target, _ := d1.NS.NewInstance(implClass)
 	cap, err := k.CreateVMCapability(d1, target)
 	if err != nil {
 		t.Fatal(err)
@@ -793,7 +793,7 @@ func TestCalleeSelfStopDoesNotKillCaller(t *testing.T) {
 	}
 	setup := k.NewTask(d1, "setup")
 	implClass, _ := d1.NS.Resolve("StopperImpl")
-	target, _ := vmkit.NewInstance(implClass)
+	target, _ := d1.NS.NewInstance(implClass)
 	cap, err := k.CreateVMCapability(d1, target)
 	if err != nil {
 		t.Fatal(err)

@@ -135,7 +135,6 @@ func (k *Kernel) newDomain(cfg DomainConfig) (*Domain, error) {
 	}
 
 	ns := k.VM.NewNamespace(cfg.Name, resolver)
-	ns.OwnerID = d.ID
 	ns.Account = d.acct
 	ns.Output = cfg.Output
 	d.NS = ns
@@ -265,8 +264,8 @@ func (d *Domain) DefineClass(data []byte) (*vmkit.Class, error) {
 	return d.NS.DefineClass(data)
 }
 
-// NewInstance allocates a zeroed instance of a domain class, resolving the
-// class through the domain's namespace if necessary.
+// NewInstance allocates a zeroed instance of a domain class, which the
+// domain owns and pays for, resolving the class through its namespace.
 func (d *Domain) NewInstance(className string) (*vmkit.Object, error) {
 	if d.Terminated() {
 		return nil, ErrDomainTerminated
@@ -275,7 +274,7 @@ func (d *Domain) NewInstance(className string) (*vmkit.Object, error) {
 	if err != nil {
 		return nil, err
 	}
-	return vmkit.NewInstance(cls)
+	return d.NS.NewInstance(cls)
 }
 
 // SetIntField stores an integer into a named instance field (a Go-side
@@ -360,7 +359,7 @@ func (k *Kernel) segmentOf(env *vmkit.Env, threadObj *vmkit.Object) (threads.Han
 		return threads.Handle{}, segmentGone(env, id)
 	}
 	h := v.(threads.Handle)
-	if h.Domain != env.NS.OwnerID {
+	if h.Domain != env.NS.Account.Domain() {
 		// Unreachable if the copy rules hold; defense in depth.
 		return threads.Handle{}, env.VM.Throwf(vmkit.ClassIllegalStateEx, "segment belongs to another domain")
 	}
@@ -400,7 +399,7 @@ func (k *Kernel) registerThreadNatives() {
 			if err != nil {
 				return vmkit.Value{}, vm.Throwf(vmkit.ClassError, "%v", err)
 			}
-			o, ierr := vmkit.NewInstance(tc)
+			o, ierr := env.NS.NewInstance(tc)
 			if ierr != nil {
 				return vmkit.Value{}, vm.Throwf(vmkit.ClassError, "%v", ierr)
 			}

@@ -102,7 +102,7 @@ func TestStubSubclassIsNotACapability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj, err := vmkit.NewInstance(sub)
+	obj, err := server.NS.NewInstance(sub)
 	if err != nil {
 		t.Fatal(err)
 	}

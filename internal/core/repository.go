@@ -208,11 +208,7 @@ func (k *Kernel) defineKernelClasses() error {
 			if d == nil {
 				return vmkit.Value{}, vm.Throwf(vmkit.ClassIllegalStateEx, "no current domain")
 			}
-			s, err := env.NS.NewString(d.Name)
-			if err != nil {
-				return vmkit.Value{}, vm.Throwf(vmkit.ClassError, "%v", err)
-			}
-			return vmkit.RefVal(s), nil
+			return env.NewString(d.Name)
 		})
 
 	for _, src := range kernelClassSources {

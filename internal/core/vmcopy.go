@@ -168,11 +168,10 @@ func (ctx *vmCopyCtx) copyObject(o *vmkit.Object) (*vmkit.Object, *vmkit.Object)
 // copied under the calling convention. When track is set the new object is
 // entered into the cycle table before fields copy, so cycles terminate.
 func (ctx *vmCopyCtx) copyFields(o *vmkit.Object, track bool) (*vmkit.Object, *vmkit.Object) {
-	dup, err := vmkit.NewInstance(o.Class)
+	dup, err := ctx.dest.NS.NewInstance(o.Class)
 	if err != nil {
 		return nil, ctx.throwf(vmkit.ClassError, "%v", err)
 	}
-	dup.Owner = ctx.dest.ID
 	if track {
 		ctx.table[o] = dup
 	}
@@ -756,11 +755,10 @@ func (d *vmDecoder) decodeObject() (*vmkit.Object, *vmkit.Object) {
 		if th != nil {
 			return nil, th
 		}
-		o, err := vmkit.NewInstance(cls)
+		o, err := d.dest.NS.NewInstance(cls)
 		if err != nil {
 			return nil, d.fail("%v", err)
 		}
-		o.Owner = d.dest.ID
 		if int(n) != len(o.Fields) {
 			return nil, d.fail("field count mismatch for %s", cls.Name)
 		}

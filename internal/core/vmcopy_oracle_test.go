@@ -14,9 +14,9 @@ import (
 // FastCopyGraph (G) classes, copied from domain a to domain b with
 // CopyValueBetween and checked against their source — same shape and
 // content, no object shared but capabilities, sharing kept where the
-// class's copy mode keeps it — and against the transfer size and the
-// destination's allocation bytes the kernel reported for the same graph
-// before its copy paths were reworked.
+// class's copy mode keeps it — against the transfer size the kernel
+// reported for the same graph before its copy paths were reworked, and
+// against the destination's allocation bytes, the layout of what it got.
 
 const oracleCap = `
 .class Cap interface implements jk/kernel/Remote
@@ -377,24 +377,25 @@ func (f *oracleFixture) copyFigure(t testing.TB, v vmkit.Value) (vmkit.Value, or
 	return out, oracleFigure{n, f.k.Meter.Snapshot(f.b.ID).AllocBytes - before}, err
 }
 
-// oracleFigures holds, by seed, the figures the copy paths reported
-// before they were reworked: the stream and the accounting did not move.
-// A seed without a figure is a graph with an S reference array, which
-// could not cross then ("binds differently").
+// oracleFigures holds, by seed, the transfer size the copy paths reported
+// before they were reworked, which the stream keeps, and b's allocation
+// bytes since b pays for its copy's objects (layoutBytes). A seed
+// without a figure is a graph with an S reference array, which could not
+// cross then ("binds differently").
 var oracleFigures = map[int]oracleFigure{
-	0: {199, 160}, 1: {1655, 1185}, 2: {418, 322}, 3: {535, 448},
-	4: {191, 63}, 5: {344, 200}, 6: {604, 649}, 7: {487, 257},
-	8: {2580, 1564}, 10: {1883, 1116}, 11: {458, 191}, 12: {309, 239},
-	13: {459, 236}, 14: {1551, 995}, 16: {454, 347}, 17: {202, 64},
-	19: {1087, 742}, 20: {1536, 784}, 22: {336, 192}, 23: {972, 658},
-	25: {878, 542}, 26: {325, 184}, 28: {532, 248}, 29: {198, 85},
-	30: {742, 665}, 31: {1477, 985}, 32: {1002, 547}, 33: {297, 187},
-	34: {1174, 686}, 35: {2255, 1515}, 36: {395, 261}, 37: {544, 318},
-	38: {312, 194}, 39: {584, 584}, 40: {475, 186}, 41: {2252, 1397},
-	43: {358, 258}, 44: {160, 0}, 45: {550, 374}, 46: {2561, 1953},
-	47: {1228, 865}, 48: {770, 809}, 49: {1428, 1021}, 50: {819, 411},
-	51: {168, 85}, 52: {1999, 1088}, 53: {1101, 571}, 54: {384, 271},
-	55: {1073, 852}, 56: {2087, 1168}, 58: {2376, 1310}, 59: {344, 48},
+	0: {199, 848}, 1: {1655, 4384}, 2: {418, 816}, 3: {535, 1760},
+	4: {191, 504}, 5: {344, 768}, 6: {604, 1680}, 7: {487, 1416},
+	8: {2580, 7400}, 10: {1883, 4800}, 11: {458, 1536}, 12: {309, 1312},
+	13: {459, 1592}, 14: {1551, 3752}, 16: {454, 1072}, 17: {202, 688},
+	19: {1087, 2312}, 20: {1536, 4456}, 22: {336, 816}, 23: {972, 2352},
+	25: {878, 2136}, 26: {325, 808}, 28: {532, 1528}, 29: {198, 808},
+	30: {742, 2016}, 31: {1477, 3144}, 32: {1002, 2888}, 33: {297, 1624},
+	34: {1174, 3272}, 35: {2255, 6048}, 36: {395, 1424}, 37: {544, 1592},
+	38: {312, 832}, 39: {584, 1960}, 40: {475, 1232}, 41: {2252, 6760},
+	43: {358, 968}, 44: {160, 312}, 45: {550, 1760}, 46: {2561, 6216},
+	47: {1228, 3864}, 48: {770, 4008}, 49: {1428, 3584}, 50: {819, 2080},
+	51: {168, 536}, 52: {1999, 5664}, 53: {1101, 3408}, 54: {384, 760},
+	55: {1073, 3192}, 56: {2087, 5696}, 58: {2376, 6992}, 59: {344, 1200},
 }
 
 const oracleSeeds = 60
@@ -412,6 +413,9 @@ func TestCopyOracle(t *testing.T) {
 			}
 			if err := f.checkCopy(g.kind, g.root, out.R); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if want := layoutBytes(out.R, f.cap); fig.alloc != want {
+				t.Errorf("seed %d (%s): b allocated %d B, its copy's layout %d B", seed, g.kind, fig.alloc, want)
 			}
 			if round == 0 {
 				first = fig

@@ -59,7 +59,7 @@ func (h *ServletHost) InstantiateVM(name, mainClass string, bundle map[string][]
 		d.Terminate("bad servlet class")
 		return nil, nil, fmt.Errorf("httpd: servlet class: %w", err)
 	}
-	obj, ierr := vmkit.NewInstance(cls)
+	obj, ierr := d.NS.NewInstance(cls)
 	if ierr != nil {
 		d.Terminate("servlet instantiation failed")
 		return nil, nil, ierr

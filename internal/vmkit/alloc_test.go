@@ -10,13 +10,16 @@ import (
 	"unsafe"
 	"weak"
 
+	"jkernel/internal/account"
 	"jkernel/internal/raceflag"
 )
 
 // The header every VM object carries, the slot every field, local and
 // operand takes, and the Go allocation of each shape alloc.go builds, as
 // runtime.MemStats.TotalAlloc counts it: what one object of that shape
-// costs whoever allocates it, a copy into a callee included.
+// costs whoever allocates it, a copy into a callee included. Each shape
+// is charged what its builder made, which the heap rounds up to its size
+// class: charged ≤ allocated ≤ charged × 9/8 + 16.
 func TestObjectLayout(t *testing.T) {
 	if got := unsafe.Sizeof(Object{}); got != 72 {
 		t.Errorf("Object is %d bytes, want 72", got)
@@ -27,7 +30,13 @@ func TestObjectLayout(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation sizes are measured without -race")
 	}
-	_, ns := newTestNS(t)
+	_, ns := newTestNS(t, ".class Four\n.field a I\n.field b I\n.field c I\n.field d I\n")
+	acct := new(account.Account)
+	ns.Account = acct
+	four, err := ns.Resolve("Four")
+	if err != nil {
+		t.Fatal(err)
+	}
 	ints, err := ns.arrayClass("[I", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -36,49 +45,75 @@ func TestObjectLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst := func(n int) func() *Object { return func() *Object { return newInstanceObject(n) } }
-	bytes := func(n int) func() *Object { return func() *Object { return newByteArrayObject(n) } }
+	inst := func(n int) func() *Object {
+		return func() *Object { o, bytes := newInstanceObject(n); return own(o, nil, acct, bytes) }
+	}
+	bytes := func(n int) func() *Object {
+		return func() *Object { o, bytes := newByteArrayObject(n); return own(o, nil, acct, bytes) }
+	}
 	array := func(c *Class, n int) func() *Object { return func() *Object { return ns.NewArrayOfClass(c, n) } }
+	host := func(alloc func() (*Object, error)) func() *Object {
+		return func() *Object {
+			o, err := alloc()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return o
+		}
+	}
 	for _, c := range []struct {
-		shape string
-		alloc func() *Object
-		bytes uint64
+		shape          string
+		alloc          func() *Object
+		bytes, charged uint64
 	}{
-		{"header alone", func() *Object { return new(Object) }, 80},
-		{"instance, 0 slots", inst(0), 80},
-		{"instance, 1 slot", inst(1), 96},
-		{"instance, 2 slots", inst(2), 128},
-		{"instance, 3 slots", inst(3), 144},
-		{"instance, 4 slots", inst(4), 176},
-		{"instance, 5 slots, apart", inst(5), 80 + 128},
-		{"[B of 1-16", bytes(16), 96},
-		{"[B of 17-32", bytes(32), 112},
-		{"[B of 33-64", bytes(64), 144},
-		{"[B of 65-128", bytes(maxBlockBytes), 208},
-		{"[B of 129, apart", bytes(maxBlockBytes + 1), 80 + 144},
-		{"[B of 1000, apart", bytes(1000), 80 + 1024},
-		{"string of <= 32 bytes", func() *Object { s, _ := newStringObjects(1, maxStringBlockBytes); return s }, 208},
-		{"[I of 2", array(ints, 2), 96},
-		{"[I of 16", array(ints, 16), 208},
-		{"[I of 17, apart", array(ints, 17), 80 + 144},
-		{"[D of 4", array(doubles, 4), 112},
-		{"[D of 16", array(doubles, 16), 208},
-		{"[D of 125, apart", array(doubles, 125), 80 + 1024},
+		{"header alone", func() *Object { return own(new(Object), nil, acct, headerBytes) }, 80, 72},
+		{"instance, 0 slots", inst(0), 80, 72},
+		{"instance, 1 slot", inst(1), 96, 96},
+		{"instance, 2 slots", inst(2), 128, 120},
+		{"instance, 3 slots", inst(3), 144, 144},
+		{"instance, 4 slots", inst(4), 176, 168},
+		{"instance, 5 slots, apart", inst(5), 80 + 128, 72 + 120},
+		{"[B of 1-16", bytes(16), 96, 88},
+		{"[B of 17-32", bytes(32), 112, 104},
+		{"[B of 33-64", bytes(64), 144, 136},
+		{"[B of 65-128", bytes(maxBlockBytes), 208, 200},
+		{"[B of 129, apart", bytes(maxBlockBytes + 1), 80 + 144, 72 + 129},
+		{"[B of 1000, apart", bytes(1000), 80 + 1024, 72 + 1000},
+		{"string of <= 32 bytes", host(func() (*Object, error) { return ns.NewString("0123456789abcdef0123456789abcdef") }), 208, 200},
+		{"[I of 2", array(ints, 2), 96, 88},
+		{"[I of 16", array(ints, 16), 208, 200},
+		{"[I of 17, apart", array(ints, 17), 80 + 144, 72 + 136},
+		{"[D of 4", array(doubles, 4), 112, 104},
+		{"[D of 16", array(doubles, 16), 208, 200},
+		{"[D of 125, apart", array(doubles, 125), 80 + 1024, 72 + 1000},
+		// The meter's shapes, through the namespace's own allocators.
+		{"new of 4 int fields", host(func() (*Object, error) { return ns.NewInstance(four) }), 176, 168},
+		{"[Ljk/lang/Object; of 1000", host(func() (*Object, error) { return ns.NewArray("[Ljk/lang/Object;", 1000) }), 80 + 24576, 72 + 24000},
+		{"[B of 1000", host(func() (*Object, error) { return ns.NewArray("[B", 1000) }), 80 + 1024, 72 + 1000},
+		{"string of 10 bytes", host(func() (*Object, error) { return ns.NewString("0123456789") }), 208, 200},
 	} {
+		before := acct.Snapshot().AllocBytes
 		got := allocBytes(c.alloc)
-		t.Logf("%-24s %5d B", c.shape, got)
-		if got != c.bytes {
-			t.Errorf("%s: %d B allocated, want %d", c.shape, got, c.bytes)
+		charged := uint64(acct.Snapshot().AllocBytes-before) / allocRuns
+		t.Logf("%-26s %5d B allocated, %5d B charged", c.shape, got, charged)
+		if got != c.bytes || charged != c.charged {
+			t.Errorf("%s: %d B allocated, %d B charged; want %d, %d", c.shape, got, charged, c.bytes, c.charged)
+		}
+		if hi := charged*9/8 + 16; got < charged || got > hi {
+			t.Errorf("%s: %d B allocated, outside the %d–%d B its charge allows", c.shape, got, charged, hi)
 		}
 	}
 }
 
 var layoutSink *Object
 
+// allocRuns is how many times allocBytes calls alloc.
+const allocRuns = 3 * 100
+
 // allocBytes is the heap bytes one call of alloc allocates: the least of
 // three measurements of 100 calls.
 func allocBytes(alloc func() *Object) uint64 {
-	const runs = 100
+	const runs = allocRuns / 3
 	least := uint64(math.MaxUint64)
 	var m runtime.MemStats
 	for range 3 {
@@ -105,7 +140,7 @@ func inBlock(o *Object, p unsafe.Pointer) bool {
 // nothing another slice can see.
 func TestColocatedPayloadsHaveNoSpareCapacity(t *testing.T) {
 	for n := range 7 {
-		o := newInstanceObject(n)
+		o, _ := newInstanceObject(n)
 		if len(o.Fields) != n || cap(o.Fields) != n {
 			t.Errorf("%d slots: len %d cap %d", n, len(o.Fields), cap(o.Fields))
 		}
@@ -164,7 +199,7 @@ func TestColocatedObjectsAreCollected(t *testing.T) {
 		t.Fatal(err)
 	}
 	drop := func() (inst, arr, held weak.Pointer[Object], bytes []byte) {
-		o, err := NewInstance(sc)
+		o, err := ns.NewInstance(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,7 +349,7 @@ func TestMonitorFirstEnterRace(t *testing.T) {
 	}
 	const threads = 16
 	for range 50 {
-		o, err := NewInstance(c)
+		o, err := ns.NewInstance(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,7 +399,7 @@ func TestHashFirstEnterRace(t *testing.T) {
 	}
 	const pairs = 8
 	for range 50 {
-		o, err := NewInstance(c)
+		o, err := ns.NewInstance(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -417,8 +452,8 @@ func TestAllocsMonitorOwner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, _ := NewInstance(c)
-	locked, _ := NewInstance(c)
+	fresh, _ := ns.NewInstance(c)
+	locked, _ := ns.NewInstance(c)
 	th := vm.NewThread("owner")
 	defer vm.Detach(th)
 	locked.monEnter(th)

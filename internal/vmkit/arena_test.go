@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"jkernel/internal/account"
 	"jkernel/internal/raceflag"
 )
 
@@ -87,7 +88,7 @@ func TestAllocsBytecodeCalls(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		obj, _ := NewInstance(cls)
+		obj, _ := ns.NewInstance(cls)
 		th := vm.NewThread("t")
 		const n = 200
 		args := []Value{RefVal(obj), IntVal(n)}
@@ -142,7 +143,7 @@ func TestCrossingOnTheProductVMTakesNoVMLock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj, _ := NewInstance(tgt)
+	obj, _ := ns.NewInstance(tgt)
 	th := vm.NewThread("t")
 	defer vm.Detach(th)
 	iface := tgt.MethodBySig("iface", "(LIfc;I)V")
@@ -219,8 +220,9 @@ func storesNaming(src, first, n int) string {
 
 // TestArenaCeiling: a recursion whose frames name 16 384 locals runs into
 // the stack's byte ceiling long before maxCallDepth. It ends in the same
-// overflow error, having allocated less than twice the ceiling, and the
-// thread then runs another method.
+// overflow error, having allocated less than twice the ceiling, all of it
+// charged to the thread's account, and the thread then runs another
+// method, which grows a first arena again.
 func TestArenaCeiling(t *testing.T) {
 	const locals = 1 << 14
 	vm, ns := newTestNS(t, `
@@ -252,25 +254,37 @@ func TestArenaCeiling(t *testing.T) {
 	}
 	th := vm.NewThread("wide")
 	defer vm.Detach(th)
+	th.Account = new(account.Account)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, err = vm.CallStatic(th, ns, "Wide.down:(I)I", IntVal(0))
 	runtime.ReadMemStats(&after)
+	charged := uint64(th.Account.Snapshot().AllocBytes)
 	if err == nil || !strings.Contains(err.Error(), "call stack overflow") {
 		t.Fatalf("wide recursion: got %v, want the overflow error", err)
 	}
 	deepest := cls.Statics[cls.FieldByName("deepest").Slot].I
-	t.Logf("wide recursion ended at depth %d", deepest)
+	t.Logf("wide recursion ended at depth %d, charged %d bytes", deepest, charged)
 	if deepest+1 >= maxCallDepth || int(deepest+2)*locals*valueBytes <= maxArenaBytes {
 		t.Errorf("wide recursion ended at depth %d: not at the %d-byte ceiling", deepest, maxArenaBytes)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; !raceflag.Enabled && got > 2*maxArenaBytes {
 		t.Errorf("wide recursion allocated %d bytes, over twice the %d-byte stack", got, maxArenaBytes)
 	}
+	// The arenas it grew through end in one at the ceiling.
+	if last := uint64(maxArenaBytes / valueBytes * valueBytes); charged < last || charged > 2*maxArenaBytes {
+		t.Errorf("wide recursion charged %d bytes, want from %d to twice the %d-byte stack", charged, last, maxArenaBytes)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; !raceflag.Enabled && got < charged {
+		t.Errorf("wide recursion charged %d bytes, more than the %d it allocated", charged, got)
+	}
 	assertArenaIdle(t, th)
 	v, err := vm.CallStatic(th, ns, "Wide.ok:(I)I", IntVal(41))
 	if err != nil || v.I != 42 {
 		t.Fatalf("call after overflow = %v, %v; want 42", v, err)
+	}
+	if got, want := uint64(th.Account.Snapshot().AllocBytes)-charged, uint64(minArenaBytes/valueBytes*valueBytes); got != want {
+		t.Errorf("the call after the released arena charged %d bytes, want a first arena's %d", got, want)
 	}
 	assertArenaIdle(t, th)
 }
@@ -325,7 +339,7 @@ handler:
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj, _ := NewInstance(cls)
+	obj, _ := ns.NewInstance(cls)
 	th := vm.NewThread("unw")
 	defer vm.Detach(th)
 
@@ -401,7 +415,7 @@ bottom:
 		t.Fatal(err)
 	}
 	down = cls.MethodBySig("down", "(Ljk/lang/Object;I)I")
-	obj, _ := NewInstance(cls)
+	obj, _ := ns.NewInstance(cls)
 	th := vm.NewThread("re")
 	defer vm.Detach(th)
 	v, err := vm.CallStatic(th, ns, "Re.down:(Ljk/lang/Object;I)I", RefVal(obj), IntVal(6))
@@ -443,7 +457,7 @@ handler:
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj, _ := NewInstance(cls)
+	obj, _ := ns.NewInstance(cls)
 	th := vm.NewThread("sync")
 	defer vm.Detach(th)
 	v, err := vm.CallStatic(th, ns, "Sync.run:(LSync;)I", RefVal(obj))

@@ -331,7 +331,7 @@ func TestProfileAInterfaceDispatchBuildsKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recv, err := NewInstance(dog)
+	recv, err := ns.NewInstance(dog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,11 +121,13 @@ func (vm *VM) enter(t *Thread, m *Method, args []Value) (v Value, thrown *Object
 }
 
 // reserve grows the arena to at least n slots, reporting false, and
-// leaving the arena as it is, when that would pass maxArenaBytes.
+// leaving the arena as it is, when that would pass maxArenaBytes. The
+// thread's account pays for a grown arena. It inlines; grow does not.
 func (t *Thread) reserve(n int) bool {
-	if n <= len(t.arena) {
-		return true
-	}
+	return n <= len(t.arena) || t.grow(n)
+}
+
+func (t *Thread) grow(n int) bool {
 	if n > maxArenaBytes/valueBytes {
 		return false
 	}
@@ -134,6 +136,7 @@ func (t *Thread) reserve(n int) bool {
 		size *= 2
 	}
 	grown := make([]Value, size/valueBytes)
+	charge(t.Account, uintptr(len(grown)*valueBytes))
 	copy(grown, t.arena)
 	t.arena = grown
 	return true
@@ -432,12 +435,7 @@ func (vm *VM) run(t *Thread, m *Method, base int) (Value, *Object) {
 			}
 
 		case OpNew:
-			o, err := NewInstance(linked[pc].class)
-			if err != nil {
-				thrown = throwName(ClassError, "%v", err)
-				continue
-			}
-			push(RefVal(o))
+			push(RefVal(newInstance(linked[pc].class, t.Account)))
 
 		case OpGetF:
 			r := pop().R
@@ -532,7 +530,7 @@ func (vm *VM) run(t *Thread, m *Method, base int) (Value, *Object) {
 				thrown = throwName(ClassError, "%s", arrayTooLarge(c, n))
 				continue
 			}
-			push(RefVal(m.Owner.NS.NewArrayOfClass(c, int(n))))
+			push(RefVal(newArray(c, int(n), t.Account)))
 
 		case OpALoad:
 			idx := pop().I
@@ -652,30 +650,9 @@ func arrayTooLarge(c *Class, n int64) string {
 }
 
 // NewArrayOfClass allocates an array of class c, which must be an array
-// class, with 0 <= length <= maxArrayLen(c) elements, owned by ns and
-// charged to its account. It is NewArray for a caller that holds the
+// class, with 0 <= length <= maxArrayLen(c) elements, owned by ns's domain
+// and paid for by its account. It is NewArray for a caller that holds the
 // class and has checked the length already.
 func (ns *Namespace) NewArrayOfClass(c *Class, length int) *Object {
-	var o *Object
-	var bytes int64
-	switch c.elem {
-	case "B":
-		o = newByteArrayObject(length)
-		bytes = int64(length)
-	case "I", "D":
-		o = newByteArrayObject(8 * length)
-		bytes = int64(length) * 8
-	default:
-		refs := make([]Value, length)
-		for i := range refs {
-			refs[i].K = KRef
-		}
-		o = &Object{Fields: refs}
-		bytes = int64(length) * 8
-	}
-	o.Class, o.Owner = c, ns.OwnerID
-	if a := ns.Account; a != nil {
-		a.Alloc(16 + bytes)
-	}
-	return o
+	return newArray(c, length, ns.Account)
 }

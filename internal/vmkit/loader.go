@@ -80,11 +80,10 @@ type Namespace struct {
 	resolver ResolverFunc
 	interns  map[string]*Object
 
-	// OwnerID is the id of the domain that owns the namespace (0 =
-	// system); objects its classes allocate record it (Object.Owner).
-	OwnerID int64
-	// Account, when set, is charged for those objects and for the
-	// namespace's classes.
+	// Account, when set, is the account of the domain the namespace
+	// belongs to: it pays for the namespace's classes, for its interned
+	// strings, and for what the host allocates through it (NewInstance,
+	// NewArray, NewString).
 	Account *account.Account
 
 	// Output receives jk/lang/System output for this namespace; when nil,
@@ -587,7 +586,7 @@ func (ns *Namespace) internString(text string, g *linkGroup) (*Object, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := newStringOfClass(sc, text, ns.OwnerID)
+	o := newString(sc, text, ns.Account)
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	if prev, ok := ns.interns[text]; ok {
@@ -598,13 +597,13 @@ func (ns *Namespace) internString(text string, g *linkGroup) (*Object, error) {
 }
 
 // NewString allocates a fresh (non-interned) String object in this
-// namespace.
+// namespace, paid for by its account.
 func (ns *Namespace) NewString(text string) (*Object, error) {
 	sc, err := ns.Resolve(ClassString)
 	if err != nil {
 		return nil, err
 	}
-	return newStringOfClass(sc, text, ns.OwnerID), nil
+	return newString(sc, text, ns.Account), nil
 }
 
 // NewStringBytes is NewString for text held in a byte slice, which it
@@ -614,17 +613,7 @@ func (ns *Namespace) NewStringBytes(b []byte) (*Object, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newStringOfClass(sc, b, ns.OwnerID), nil
-}
-
-// newStringOfClass builds a string of class sc holding a copy of text.
-func newStringOfClass[T string | []byte](sc *Class, text T, owner int64) *Object {
-	o, arr := newStringObjects(sc.numSlots, len(text))
-	copy(arr.Bytes, text)
-	arr.Class, arr.Owner = mustArrayClass(sc.NS, "[B"), owner
-	o.Class, o.Owner = sc, owner
-	o.Fields[sc.FieldByName("bytes").Slot] = RefVal(arr)
-	return o
+	return newString(sc, b, ns.Account), nil
 }
 
 func mustArrayClass(ns *Namespace, desc string) *Class {
@@ -656,25 +645,26 @@ func StringBytes(o *Object) []byte {
 	return arr.Bytes
 }
 
-// NewInstance allocates a zeroed instance of c.
-func NewInstance(c *Class) (*Object, error) {
+// NewInstance allocates a zeroed instance of c for ns's domain, which
+// owns it and pays for it. c need not be ns's own class.
+func (ns *Namespace) NewInstance(c *Class) (*Object, error) {
 	if c.IsInterface() || c.Def != nil && c.Def.Flags&FlagAbstract != 0 {
 		return nil, fmt.Errorf("vmkit: cannot instantiate %s", c.Name)
 	}
 	if c.IsArray() {
 		return nil, fmt.Errorf("vmkit: use NewArray for %s", c.Name)
 	}
-	o := newInstanceObject(c.numSlots)
-	o.Class, o.Owner = c, c.NS.OwnerID
-	copy(o.Fields, c.zeroFields)
-	if a := c.NS.Account; a != nil {
-		a.Alloc(int64(16 + 16*len(o.Fields)))
-	}
-	return o, nil
+	return newInstance(c, ns.Account), nil
 }
 
-// NewArray allocates an array of the given descriptor and length in ns.
+// NewArray allocates an array of the given descriptor and length in ns,
+// paid for by its account.
 func (ns *Namespace) NewArray(desc string, length int) (*Object, error) {
+	return ns.newArray(desc, length, ns.Account)
+}
+
+// newArray is NewArray paid for by payer.
+func (ns *Namespace) newArray(desc string, length int, payer *account.Account) (*Object, error) {
 	if length < 0 {
 		return nil, fmt.Errorf("vmkit: negative array size %d", length)
 	}
@@ -685,5 +675,5 @@ func (ns *Namespace) NewArray(desc string, length int) (*Object, error) {
 	if int64(length) > maxArrayLen(c) {
 		return nil, fmt.Errorf("vmkit: %s", arrayTooLarge(c, int64(length)))
 	}
-	return ns.NewArrayOfClass(c, length), nil
+	return newArray(c, length, payer), nil
 }

@@ -25,32 +25,6 @@ func (vm *VM) npe(format string, args ...any) *Object {
 	return vm.Throwf(ClassNullPointerEx, format, args...)
 }
 
-// stringBytes returns the byte array backing a String (nil-safe).
-func stringBytes(s *Object) []byte {
-	if s == nil || s.Class == nil {
-		return nil
-	}
-	f := s.Class.FieldByName("bytes")
-	if f == nil {
-		return nil
-	}
-	arr := s.Fields[f.Slot].R
-	if arr == nil {
-		return nil
-	}
-	return arr.Bytes
-}
-
-// newStringIn allocates a String in env's namespace, converting any
-// allocation failure to a throwable.
-func newStringIn(env *Env, text string) (Value, *Object) {
-	s, err := env.NS.NewString(text)
-	if err != nil {
-		return Value{}, env.VM.Throwf(ClassError, "string alloc: %v", err)
-	}
-	return RefVal(s), nil
-}
-
 func registerBuiltinNatives(vm *VM) {
 	reg := vm.RegisterNative
 
@@ -59,15 +33,15 @@ func registerBuiltinNatives(vm *VM) {
 		return IntVal(identityHash(recv)), nil
 	})
 	reg("jk/lang/Object.toString:()Ljk/lang/String;", func(env *Env, recv *Object, args []Value) (Value, *Object) {
-		return newStringIn(env, fmt.Sprintf("%s@%d", recv.Class.Name, identityHash(recv)))
+		return env.NewString(fmt.Sprintf("%s@%d", recv.Class.Name, identityHash(recv)))
 	})
 
 	// ---- jk/lang/String ----
 	reg("jk/lang/String.length:()I", func(env *Env, recv *Object, args []Value) (Value, *Object) {
-		return IntVal(int64(len(stringBytes(recv)))), nil
+		return IntVal(int64(len(StringBytes(recv)))), nil
 	})
 	reg("jk/lang/String.charAt:(I)I", func(env *Env, recv *Object, args []Value) (Value, *Object) {
-		b := stringBytes(recv)
+		b := StringBytes(recv)
 		i := args[0].I
 		if i < 0 || int(i) >= len(b) {
 			return Value{}, env.VM.Throwf(ClassIndexEx, "charAt(%d) of %d", i, len(b))
@@ -79,14 +53,14 @@ func registerBuiltinNatives(vm *VM) {
 		if other == nil || other.Class == nil || other.Class.Name != ClassString {
 			return IntVal(0), nil
 		}
-		if string(stringBytes(recv)) == string(stringBytes(other)) {
+		if string(StringBytes(recv)) == string(StringBytes(other)) {
 			return IntVal(1), nil
 		}
 		return IntVal(0), nil
 	})
 	reg("jk/lang/String.hashCode:()I", func(env *Env, recv *Object, args []Value) (Value, *Object) {
 		var h int64
-		for _, b := range stringBytes(recv) {
+		for _, b := range StringBytes(recv) {
 			h = h*31 + int64(b)
 		}
 		return IntVal(h), nil
@@ -95,21 +69,21 @@ func registerBuiltinNatives(vm *VM) {
 		if args[0].R == nil {
 			return Value{}, env.VM.npe("concat(null)")
 		}
-		return newStringIn(env, string(stringBytes(recv))+string(stringBytes(args[0].R)))
+		return env.NewString(string(StringBytes(recv)) + string(StringBytes(args[0].R)))
 	})
 	reg("jk/lang/String.substring:(II)Ljk/lang/String;", func(env *Env, recv *Object, args []Value) (Value, *Object) {
-		b := stringBytes(recv)
+		b := StringBytes(recv)
 		from, to := args[0].I, args[1].I
 		if from < 0 || to < from || int(to) > len(b) {
 			return Value{}, env.VM.Throwf(ClassIndexEx, "substring(%d,%d) of %d", from, to, len(b))
 		}
-		return newStringIn(env, string(b[from:to]))
+		return env.NewString(string(b[from:to]))
 	})
 	reg("jk/lang/String.getBytes:()[B", func(env *Env, recv *Object, args []Value) (Value, *Object) {
 		// Returns a copy: String is immutable; handing out the internal
 		// array would be the exact hazard the paper warns about.
-		src := stringBytes(recv)
-		arr, err := env.NS.NewArray("[B", len(src))
+		src := StringBytes(recv)
+		arr, err := env.NS.newArray("[B", len(src), env.Thread.Account)
 		if err != nil {
 			return Value{}, env.VM.Throwf(ClassError, "%v", err)
 		}
@@ -117,7 +91,7 @@ func registerBuiltinNatives(vm *VM) {
 		return RefVal(arr), nil
 	})
 	reg("jk/lang/String.indexOf:(I)I", func(env *Env, recv *Object, args []Value) (Value, *Object) {
-		b := stringBytes(recv)
+		b := StringBytes(recv)
 		c := byte(args[0].I)
 		for i := range b {
 			if b[i] == c {
@@ -133,10 +107,10 @@ func registerBuiltinNatives(vm *VM) {
 		if args[0].R == nil {
 			return Value{}, env.VM.npe("fromBytes(null)")
 		}
-		return newStringIn(env, string(args[0].R.Bytes))
+		return env.NewString(string(args[0].R.Bytes))
 	})
 	reg("jk/lang/String.valueOfInt:(I)Ljk/lang/String;", func(env *Env, recv *Object, args []Value) (Value, *Object) {
-		return newStringIn(env, fmt.Sprintf("%d", args[0].I))
+		return env.NewString(fmt.Sprintf("%d", args[0].I))
 	})
 
 	// ---- jk/lang/System (per-namespace output) ----
@@ -169,7 +143,7 @@ func registerBuiltinNatives(vm *VM) {
 		buf := recv.Fields[bufF.Slot].R
 		n := recv.Fields[lenF.Slot].I
 		if buf == nil {
-			arr, err := env.NS.NewArray("[B", 16+len(data))
+			arr, err := env.NS.newArray("[B", 16+len(data), env.Thread.Account)
 			if err != nil {
 				return env.VM.Throwf(ClassError, "%v", err)
 			}
@@ -177,7 +151,7 @@ func registerBuiltinNatives(vm *VM) {
 			recv.Fields[bufF.Slot] = RefVal(buf)
 		}
 		if int(n)+len(data) > len(buf.Bytes) {
-			arr, err := env.NS.NewArray("[B", 2*(int(n)+len(data)))
+			arr, err := env.NS.newArray("[B", 2*(int(n)+len(data)), env.Thread.Account)
 			if err != nil {
 				return env.VM.Throwf(ClassError, "%v", err)
 			}
@@ -190,7 +164,7 @@ func registerBuiltinNatives(vm *VM) {
 		return nil
 	}
 	reg("jk/lang/StringBuilder.appendStr:(Ljk/lang/String;)Ljk/lang/StringBuilder;", func(env *Env, recv *Object, args []Value) (Value, *Object) {
-		if th := sbAppend(env, recv, stringBytes(args[0].R)); th != nil {
+		if th := sbAppend(env, recv, StringBytes(args[0].R)); th != nil {
 			return Value{}, th
 		}
 		return RefVal(recv), nil
@@ -206,8 +180,8 @@ func registerBuiltinNatives(vm *VM) {
 		buf := recv.Fields[bufF.Slot].R
 		n := recv.Fields[lenF.Slot].I
 		if buf == nil {
-			return newStringIn(env, "")
+			return env.NewString("")
 		}
-		return newStringIn(env, string(buf.Bytes[:n]))
+		return env.NewString(string(buf.Bytes[:n]))
 	})
 }

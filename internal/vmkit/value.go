@@ -98,8 +98,10 @@ type Object struct {
 	Fields []Value
 	Bytes  []byte
 
-	// Owner is the id of the domain whose account was charged for this
-	// allocation. Zero means "system" (allocated outside any domain).
+	// Owner is the id of the domain the object was made for, whose
+	// account paid its bytes (own in alloc.go): the running thread's
+	// domain, a copy's destination, or the namespace a host allocated
+	// through. Zero means no domain paid (the VM's own throwables).
 	Owner int64
 
 	mon atomic.Pointer[monitor]

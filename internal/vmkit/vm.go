@@ -190,6 +190,17 @@ type Env struct {
 	Thread *Thread
 }
 
+// NewString allocates a String holding text for the domain the thread
+// runs in, which owns it and pays for it (Thread.Account). A failure is a
+// thrown jk/lang/Error.
+func (env *Env) NewString(text string) (Value, *Object) {
+	sc, err := env.NS.Resolve(ClassString)
+	if err != nil {
+		return Value{}, env.VM.Throwf(ClassError, "string alloc: %v", err)
+	}
+	return RefVal(newString(sc, text, env.Thread.Account)), nil
+}
+
 // Throwf builds a VM throwable of the given class with a formatted message.
 // The class is resolved in the bootstrap namespace; every namespace shares
 // the bootstrap throwable hierarchy.
@@ -202,18 +213,11 @@ func (vm *VM) Throwf(class, format string, args ...any) *Object {
 			panic("vmkit: bootstrap throwables missing")
 		}
 	}
-	o := newInstanceObject(c.numSlots)
-	o.Class = c
-	msg := fmt.Sprintf(format, args...)
+	// No domain pays for a throwable the VM raises, nor owns it.
+	o := newInstance(c, nil)
 	if f := c.FieldByName("message"); f != nil {
-		s, err := vm.boot.NewString(msg)
-		if err == nil {
-			o.Fields[f.Slot] = RefVal(s)
-		}
-	}
-	for i := range o.Fields {
-		if o.Fields[i].K == KInvalid {
-			o.Fields[i] = Null()
+		if sc, err := vm.boot.Resolve(ClassString); err == nil {
+			o.Fields[f.Slot] = RefVal(newString(sc, fmt.Sprintf(format, args...), nil))
 		}
 	}
 	return o

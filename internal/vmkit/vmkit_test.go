@@ -268,7 +268,7 @@ func TestNullPointerAndCastChecks(t *testing.T) {
 	if !ok || te.Throwable.Class.Name != ClassNullPointerEx {
 		t.Errorf("poke(null): got %v, want NullPointerException", err)
 	}
-	obj, err2 := NewInstance(ns.Lookup("Deref"))
+	obj, err2 := ns.NewInstance(ns.Lookup("Deref"))
 	if err2 != nil {
 		t.Fatal(err2)
 	}
@@ -809,7 +809,7 @@ func TestNamespaceIsolationSameClassName(t *testing.T) {
 	if c1 == c2 {
 		t.Fatal("same *Class bound in both namespaces; expected distinct classes")
 	}
-	o1, _ := NewInstance(c1)
+	o1, _ := ns1.NewInstance(c1)
 	if o1.Class.AssignableTo(c2) {
 		t.Error("instance of d1.Secret assignable to d2.Secret")
 	}
@@ -841,7 +841,7 @@ func TestMonitorsRecursiveAndOwnerChecked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj, _ := NewInstance(monClass)
+	obj, _ := ns.NewInstance(monClass)
 	if got := callStatic(t, vm, ns, "Mon.locked:(Ljk/lang/Object;)I", RefVal(obj)); got.I != 1 {
 		t.Errorf("locked = %d", got.I)
 	}
