@@ -8,9 +8,10 @@ import (
 	"time"
 )
 
-// Conformance table for future semantics, run against BOTH gate flavors —
-// a local native gate and a remote proxy gate over a real wire — so the
-// two invoke paths are proven equivalent:
+// Conformance table for future semantics, run against every gate flavor —
+// a local native gate, the same gate called through the ambient
+// InvokeAsync from a goroutine NewTask bound, and a remote proxy gate over
+// a real wire — so the invoke paths are proven equivalent:
 //
 //   - resolve: a future resolves with the call's results, idempotently;
 //   - resolve-once: concurrent completion and cancellation settle on
@@ -38,43 +39,55 @@ func (s *conformSvc) Hang() error                   { <-s.block; return nil }
 
 // futureGate is one flavor of capability under test.
 type futureGate struct {
-	cap    *Capability // caller-side handle: local capability or remote proxy
-	task   *Task       // caller task
-	revoke func()      // owner-side revocation of the origin capability
-	sever  func()      // lifeline cut: owner termination / connection loss
+	cap    *Capability                            // caller-side handle: local capability or remote proxy
+	async  func(name string, args ...any) *Future // starts a call on cap from the caller's task
+	revoke func()                                 // owner-side revocation of the origin capability
+	sever  func()                                 // lifeline cut: owner termination / connection loss
 }
 
-// futureGateFlavors builds the same service behind a local gate and a
-// remote proxy gate.
+// localFutureGate serves svc from a local native gate to a client domain
+// whose task is detached and named on each call (InvokeAsyncFrom), or,
+// ambient, bound to the calling goroutine (InvokeAsync).
+func localFutureGate(t *testing.T, svc *conformSvc, ambient bool) *futureGate {
+	t.Helper()
+	k := New(Options{})
+	server, err := k.NewDomain(DomainConfig{Name: "server"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := k.NewDomain(DomainConfig{Name: "client"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cap, err := k.CreateNativeCapability(server, svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &futureGate{cap: cap, revoke: cap.Revoke, sever: func() { server.Terminate("conformance sever") }}
+	if ambient {
+		task := k.NewTask(client, "conformance")
+		t.Cleanup(task.Close)
+		g.async = cap.InvokeAsync
+	} else {
+		task := k.NewDetachedTask(client, "conformance")
+		g.async = func(name string, args ...any) *Future { return cap.InvokeAsyncFrom(task, name, args...) }
+	}
+	return g
+}
+
+// futureGateFlavors builds the same service behind a local gate, called
+// with an explicit task and with the goroutine's, and a remote proxy gate.
 var futureGateFlavors = []struct {
 	name  string
 	setup func(t *testing.T, svc *conformSvc) *futureGate
 }{
 	{
-		name: "local",
-		setup: func(t *testing.T, svc *conformSvc) *futureGate {
-			t.Helper()
-			k := New(Options{})
-			server, err := k.NewDomain(DomainConfig{Name: "server"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			client, err := k.NewDomain(DomainConfig{Name: "client"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cap, err := k.CreateNativeCapability(server, svc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			task := k.NewDetachedTask(client, "conformance")
-			return &futureGate{
-				cap:    cap,
-				task:   task,
-				revoke: cap.Revoke,
-				sever:  func() { server.Terminate("conformance sever") },
-			}
-		},
+		name:  "local",
+		setup: func(t *testing.T, svc *conformSvc) *futureGate { return localFutureGate(t, svc, false) },
+	},
+	{
+		name:  "ambient",
+		setup: func(t *testing.T, svc *conformSvc) *futureGate { return localFutureGate(t, svc, true) },
 	},
 	{
 		name: "remote",
@@ -117,8 +130,10 @@ var futureGateFlavors = []struct {
 			}
 			task := client.NewDetachedTask(app, "conformance")
 			return &futureGate{
-				cap:    proxy,
-				task:   task,
+				cap: proxy,
+				async: func(name string, args ...any) *Future {
+					return proxy.InvokeAsyncFrom(task, name, args...)
+				},
 				revoke: origin.Revoke,
 				sever:  func() { conn.Close() },
 			}
@@ -139,7 +154,7 @@ func forEachGateFlavor(t *testing.T, run func(t *testing.T, g *futureGate, svc *
 
 func TestFutureResolve(t *testing.T) {
 	forEachGateFlavor(t, func(t *testing.T, g *futureGate, svc *conformSvc) {
-		fut := g.cap.InvokeAsyncFrom(g.task, "Echo", "ping")
+		fut := g.async("Echo", "ping")
 		res, err := fut.Wait()
 		if err != nil {
 			t.Fatal(err)
@@ -163,13 +178,13 @@ func TestFutureFaultPropagation(t *testing.T) {
 	forEachGateFlavor(t, func(t *testing.T, g *futureGate, svc *conformSvc) {
 		// A callee failure crosses as a copied RemoteError, exactly as from
 		// a synchronous Invoke.
-		_, err := g.cap.InvokeAsyncFrom(g.task, "Fail", "boom").Wait()
+		_, err := g.async("Fail", "boom").Wait()
 		var re *RemoteError
 		if !errors.As(err, &re) || re.Msg != "boom" {
 			t.Fatalf("callee failure: %v", err)
 		}
 		// An unknown method maps onto the same sentinel on both paths.
-		_, err = g.cap.InvokeAsyncFrom(g.task, "Nope").Wait()
+		_, err = g.async("Nope").Wait()
 		if !errors.Is(err, ErrNoSuchMethod) {
 			t.Fatalf("unknown method: %v", err)
 		}
@@ -182,7 +197,7 @@ func TestFutureResolveOnce(t *testing.T) {
 		// exactly once, on either the result or ErrCancelled, and stay
 		// settled.
 		for i := 0; i < 20; i++ {
-			fut := g.cap.InvokeAsyncFrom(g.task, "Echo", "race")
+			fut := g.async("Echo", "race")
 			var wg sync.WaitGroup
 			for c := 0; c < 4; c++ {
 				wg.Add(1)
@@ -214,7 +229,7 @@ func TestFutureResolveOnce(t *testing.T) {
 func TestFutureCancelAfterRevoke(t *testing.T) {
 	forEachGateFlavor(t, func(t *testing.T, g *futureGate, svc *conformSvc) {
 		g.revoke()
-		fut := g.cap.InvokeAsyncFrom(g.task, "Echo", "late")
+		fut := g.async("Echo", "late")
 		if _, err := fut.Wait(); !errors.Is(err, ErrRevoked) {
 			t.Fatalf("invoke after revoke: %v", err)
 		}
@@ -230,7 +245,7 @@ func TestFutureJoinAfterConnectionLoss(t *testing.T) {
 	forEachGateFlavor(t, func(t *testing.T, g *futureGate, svc *conformSvc) {
 		// Start a call that will never return on its own, then cut the
 		// capability's lifeline under it.
-		fut := g.cap.InvokeAsyncFrom(g.task, "Hang")
+		fut := g.async("Hang")
 		select {
 		case <-fut.Done():
 			_, err := fut.Wait()
@@ -248,4 +263,25 @@ func TestFutureJoinAfterConnectionLoss(t *testing.T) {
 			t.Fatalf("sever fault: %v", err)
 		}
 	})
+}
+
+// TestFutureAmbientWithoutTask: InvokeAsync on a goroutine no task is
+// bound to has no calling domain, and resolves at once with ErrNotEntered.
+func TestFutureAmbientWithoutTask(t *testing.T) {
+	svc := newConformSvc()
+	t.Cleanup(svc.release)
+	g := localFutureGate(t, svc, false)
+	errc := make(chan error, 1)
+	go func() {
+		fut := g.cap.InvokeAsync("Echo", "ping")
+		if !fut.Resolved() {
+			errc <- errors.New("future not resolved on return")
+			return
+		}
+		_, err := fut.Wait()
+		errc <- err
+	}()
+	if err := <-errc; !errors.Is(err, ErrNotEntered) {
+		t.Fatalf("InvokeAsync without a task: %v, want ErrNotEntered", err)
+	}
 }

@@ -110,7 +110,7 @@ func (g *Gate) callVMFromGo(task *Task, plan *vmMethodPlan, args []any) (any, er
 		err = thrownError(thrown)
 	} else {
 		retCtx := vmCopyCtx{k: k, dest: callerDomain}
-		out, err = retCtx.toGo(ret)
+		out, err = retCtx.toGo(ret, plan.retKind)
 		ctx.bytes += retCtx.bytes
 	}
 	g.account(task, callerDomain, m, tmStart, ctx.bytes, err != nil)
@@ -178,10 +178,11 @@ func (ctx *vmCopyCtx) fromGo(a any, kind vmkit.Kind) (vmkit.Value, error) {
 	return vmkit.Value{}, fmt.Errorf("unsupported Go type %v for this parameter at the VM boundary", reflect.TypeOf(a))
 }
 
-// toGo converts the callee's return value to a Go value. What stays a VM
-// object is copied into ctx.dest — the caller's domain.
-func (ctx *vmCopyCtx) toGo(v vmkit.Value) (any, error) {
-	switch v.K {
+// toGo converts the callee's return value, of the given kind, to a Go
+// value. What stays a VM object is copied into ctx.dest — the caller's
+// domain.
+func (ctx *vmCopyCtx) toGo(v vmkit.Value, kind vmkit.Kind) (any, error) {
+	switch kind {
 	case vmkit.KInvalid:
 		return nil, nil // a void return copies nothing
 	case vmkit.KInt:

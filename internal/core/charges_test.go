@@ -3,19 +3,20 @@ package core
 import (
 	"sync"
 	"testing"
+	"unsafe"
 
 	"jkernel/internal/account"
 	"jkernel/internal/vmkit"
 )
 
 // What vmkit charges for an allocation is what its layout takes (vmkit's
-// TestObjectLayout): a 72 B header, 24 B a slot, a primitive payload of up
-// to 128 B in the header's block (a bucket of 16, 32, 64 or 128 B), and a
-// string of up to 32 B one block with its [B. A thread's first arena is
-// 8 KiB of Values.
+// TestObjectLayout): a 72 B header, a Value's 16 B a slot, a primitive
+// payload of up to 128 B in the header's block (a bucket of 16, 32, 64 or
+// 128 B), and a string of up to 32 B one block with its [B. A thread's
+// first arena is 8 KiB of Values.
 const (
 	header     = 72
-	slot       = 24
+	slot       = int64(unsafe.Sizeof(vmkit.Value{}))
 	firstArena = 8 << 10 / slot * slot
 )
 

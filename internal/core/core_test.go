@@ -214,6 +214,81 @@ func TestCrossDomainCallThroughGeneratedStub(t *testing.T) {
 	}
 }
 
+const hostKindsSrc = `
+.class Kinds
+.method static i (I)I
+  load 0
+  retv
+.end
+.method static d (D)D
+  load 0
+  retv
+.end
+.method static o (Ljk/lang/Object;)I
+  load 0
+  ifnull isnull
+  iconst 1
+  retv
+isnull:
+  iconst 0
+  retv
+.end
+`
+
+// TestHostArgumentKinds: a slot carries no kind tag, so the boundaries
+// that take arguments from Go check each on the half of its slot the
+// parameter's kind leaves empty. Task.CallStatic refuses a reference for
+// an I or D parameter and an integer for a reference one, and runs every
+// right-kind argument, null included; an integer 0 for a reference is
+// null, which no verified caller can tell apart. A stub's native, which
+// VM.Invoke reaches without that check, throws ClassCastException for a
+// reference in an I slot.
+func TestHostArgumentKinds(t *testing.T) {
+	k, _, client, cap := newTwoDomains(t)
+	if _, err := client.DefineClass(mustAsm(t, hostKindsSrc)); err != nil {
+		t.Fatal(err)
+	}
+	task := k.NewTask(client, "kinds")
+	defer task.Close()
+	s, err := client.NS.NewString("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const o = "Kinds.o:(Ljk/lang/Object;)I"
+	for _, c := range []struct {
+		ref     string
+		arg     vmkit.Value
+		refused bool
+		want    int64
+	}{
+		{"Kinds.i:(I)I", vmkit.RefVal(s), true, 0},
+		{"Kinds.d:(D)D", vmkit.RefVal(s), true, 0},
+		{o, vmkit.IntVal(5), true, 0},
+		{"Kinds.i:(I)I", vmkit.IntVal(5), false, 5},
+		{"Kinds.d:(D)D", vmkit.FloatVal(2.5), false, vmkit.FloatVal(2.5).I},
+		{o, vmkit.RefVal(s), false, 1},
+		{o, vmkit.Null(), false, 0},
+		{o, vmkit.IntVal(0), false, 0},
+	} {
+		v, err := task.CallStatic(c.ref, c.arg)
+		switch {
+		case c.refused && (err == nil || !strings.Contains(err.Error(), "wrong kind")):
+			t.Errorf("%s(%+v) = %+v, %v; want the wrong-kind error", c.ref, c.arg, v, err)
+		case !c.refused && (err != nil || v != vmkit.IntVal(c.want)):
+			t.Errorf("%s(%+v) = %+v, %v; want %d", c.ref, c.arg, v, err, c.want)
+		}
+	}
+
+	m := cap.Stub.Class.MethodBySig("readByte", "(I)I")
+	recv := vmkit.RefVal(cap.Stub)
+	if _, thrown := k.VM.Invoke(task.Thread, m, []vmkit.Value{recv, vmkit.RefVal(s)}); thrown == nil || thrown.Class.Name != vmkit.ClassCastEx {
+		t.Errorf("readByte(a reference) through the stub threw %v, want %s", thrown, vmkit.ClassCastEx)
+	}
+	if v, thrown := k.VM.Invoke(task.Thread, m, []vmkit.Value{recv, vmkit.IntVal(3)}); thrown != nil || v.I != 103 {
+		t.Errorf("readByte(3) through the stub = %d, %v; want 103", v.I, thrown)
+	}
+}
+
 func TestArgumentsAreCopiedNotShared(t *testing.T) {
 	k, _, d2, _ := newTwoDomains(t)
 	v, err := clientCall(t, k, d2, "copySemantics")

@@ -26,7 +26,9 @@ type DomainConfig struct {
 	Shared []*SharedClass
 	// Resolver, when set, is consulted after the system classes, Classes
 	// and Shared — the user-defined tail of the paper's "class name
-	// resolvers".
+	// resolvers". Like every vmkit.ResolverFunc, it may load into another
+	// domain's namespace, but not into one whose resolver loads back into
+	// this domain's: the two loads would wait on each other.
 	Resolver vmkit.ResolverFunc
 	// Output receives the domain's System.println output.
 	Output io.Writer

@@ -73,8 +73,10 @@ type vmMethodPlan struct {
 	m      *vmkit.Method
 	params []vmParam
 	// ret is the class a reference result must be assignable to, resolved
-	// in the callee's namespace (nil for a primitive or void result).
-	ret *vmkit.Class
+	// in the callee's namespace (nil for a primitive or void result), and
+	// retKind the result's kind (KInvalid for void).
+	ret     *vmkit.Class
+	retKind vmkit.Kind
 }
 
 // planVMMethod builds the plan for gate method m.
@@ -92,7 +94,7 @@ func planVMMethod(m *vmkit.Method) (vmMethodPlan, error) {
 		}
 		return m.Owner.NS.Resolve(vmkit.RefName(desc))
 	}
-	p := vmMethodPlan{m: m, params: make([]vmParam, len(params))}
+	p := vmMethodPlan{m: m, params: make([]vmParam, len(params)), retKind: vmkit.DescKind(ret)}
 	for i, desc := range params {
 		p.params[i].kind = vmkit.DescKind(desc)
 		if p.params[i].class, err = resolve(desc); err != nil {
@@ -137,13 +139,15 @@ func (g *Gate) callVM(t *vmkit.Thread, plan *vmMethodPlan, args []vmkit.Value) (
 	// not lean on the caller's verifier: a reference must be of the
 	// parameter's class as the callee sees it. The copy goes first and
 	// keeps the class: an object of a class the callee does not share fails
-	// there (RemoteException), not here as a cast.
+	// there (RemoteException), not here as a cast. A slot has no kind tag:
+	// an argument of the wrong kind has something in the half of its slot
+	// the parameter's kind leaves empty.
 	ctx := vmCopyCtx{k: k, dest: g.owner}
 	var buf [9]vmkit.Value
 	callArgs := append(buf[:0], vmkit.RefVal(target))
 	for i, p := range plan.params {
 		v := args[i]
-		if v.K != p.kind {
+		if p.kind == vmkit.KRef && v.I != 0 || p.kind != vmkit.KRef && v.R != nil {
 			return vmkit.Value{}, vm.Throwf(vmkit.ClassCastEx, "argument %d of %s has the wrong kind", i, m.Sig())
 		}
 		cv, thr := ctx.copyValue(v)
@@ -159,7 +163,7 @@ func (g *Gate) callVM(t *vmkit.Thread, plan *vmMethodPlan, args []vmkit.Value) (
 	tmStart := k.tm.callStart(task)
 
 	ret, thrown := g.cross(task, t, callerDomain, m, callArgs)
-	if thrown == nil && ret.K == vmkit.KRef {
+	if thrown == nil && plan.retKind == vmkit.KRef {
 		retCtx := vmCopyCtx{k: k, dest: callerDomain}
 		ret, thrown = retCtx.copyValue(ret)
 		ctx.bytes += retCtx.bytes

@@ -81,25 +81,18 @@ func (ctx *vmCopyCtx) throwf(class, format string, args ...any) *vmkit.Object {
 	return ctx.k.VM.Throwf(class, format, args...)
 }
 
-// copyValue transfers one value into ctx.dest.
+// copyValue transfers one value into ctx.dest: a primitive or null by
+// value, an object by copyObject.
 func (ctx *vmCopyCtx) copyValue(v vmkit.Value) (vmkit.Value, *vmkit.Object) {
-	switch v.K {
-	case vmkit.KInt, vmkit.KFloat:
+	if v.R == nil {
 		ctx.bytes += 8
 		return v, nil
-	case vmkit.KRef:
-		if v.R == nil {
-			ctx.bytes += 8
-			return v, nil
-		}
-		o, th := ctx.copyObject(v.R)
-		if th != nil {
-			return vmkit.Value{}, th
-		}
-		return vmkit.RefVal(o), nil
-	default:
-		return vmkit.Value{}, ctx.throwf(vmkit.ClassError, "invalid value crossing domains")
 	}
+	o, th := ctx.copyObject(v.R)
+	if th != nil {
+		return vmkit.Value{}, th
+	}
+	return vmkit.RefVal(o), nil
 }
 
 // copyObject transfers one object into ctx.dest according to its class.
@@ -341,21 +334,19 @@ func (e *vmEncoder) classRef(buf []byte, c *vmkit.Class) []byte {
 	return buf
 }
 
-// value appends one field value. A float travels as its IEEE 754 bits.
-func (e *vmEncoder) value(buf []byte, v vmkit.Value) ([]byte, *vmkit.Object) {
-	switch v.K {
+// value appends the value v of a field of descriptor desc. A float
+// travels as its IEEE 754 bits.
+func (e *vmEncoder) value(buf []byte, v vmkit.Value, desc string) ([]byte, *vmkit.Object) {
+	switch vmkit.DescKind(desc) {
 	case vmkit.KInt:
 		return binary.AppendVarint(append(buf, vtagInt), v.I), nil
 	case vmkit.KFloat:
 		return binary.AppendUvarint(append(buf, vtagFloat), uint64(v.I)), nil
-	case vmkit.KRef:
-		if v.R == nil {
-			return append(buf, vtagNull), nil
-		}
-		return e.object(buf, v.R)
-	default:
-		return buf, e.k.VM.Throwf(vmkit.ClassError, "invalid value in serialization")
 	}
+	if v.R == nil {
+		return append(buf, vtagNull), nil
+	}
+	return e.object(buf, v.R)
 }
 
 // encodeObject appends o's graph to e.buf.
@@ -426,9 +417,10 @@ func (e *vmEncoder) object(buf []byte, o *vmkit.Object) ([]byte, *vmkit.Object) 
 		}
 		buf = e.classRef(append(buf, vtagObject), cls)
 		buf = binary.AppendUvarint(buf, uint64(len(o.Fields)))
-		for _, fv := range o.Fields {
+		fields := cls.InstanceFields()
+		for i, fv := range o.Fields {
 			var th *vmkit.Object
-			if buf, th = e.value(buf, fv); th != nil {
+			if buf, th = e.value(buf, fv, fields[i].Desc); th != nil {
 				return buf, th
 			}
 		}

@@ -126,7 +126,7 @@ func byteArrays(o *vmkit.Object, seen map[*vmkit.Object]bool) [][]byte {
 		out = append(out, o.Bytes)
 	}
 	for _, v := range o.Fields {
-		if v.K == vmkit.KRef {
+		if v.R != nil {
 			out = append(out, byteArrays(v.R, seen)...)
 		}
 	}

@@ -180,8 +180,8 @@ func TestCopyDoubleArrayKeepsFloatBits(t *testing.T) {
 				t.Fatalf("copy: %v", err)
 			}
 			c := out.R
-			if f := c.Fields[c.Class.FieldByName("f").Slot]; f.K != vmkit.KFloat || uint64(f.I) != math.Float64bits(specials[1]) {
-				t.Errorf("D field copied as %v (%#x)", f, f.I)
+			if f := c.Fields[c.Class.FieldByName("f").Slot]; f.R != nil || uint64(f.I) != math.Float64bits(specials[1]) {
+				t.Errorf("D field copied as %v (%#x)", f.Float(), f.I)
 			}
 			carr := c.Fields[c.Class.FieldByName("d").Slot].R
 			if carr == arr || carr.Class.NS != b.NS {
@@ -192,8 +192,8 @@ func TestCopyDoubleArrayKeepsFloatBits(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got.K != vmkit.KFloat || uint64(got.I) != math.Float64bits(x) {
-					t.Errorf("[%d] %v copied as %v (%#x), want %#x", i, x, got, got.I, math.Float64bits(x))
+				if got.R != nil || uint64(got.I) != math.Float64bits(x) {
+					t.Errorf("[%d] %v copied as %v (%#x), want %#x", i, x, got.Float(), got.I, math.Float64bits(x))
 				}
 			}
 		})
@@ -416,11 +416,13 @@ func (f *copyFixture) bytesPerCall(t *testing.T, method string, arg *vmkit.Objec
 
 // nodeBytes is what one Table 4 node and its payload of the given size
 // allocate, by Go's size classes (vmkit's TestObjectLayout): the node is a
-// 72-byte header with its two 24-byte slots (128); a payload of at most
-// 128 bytes shares a block with its header (72 + 16 in the smallest, 96),
-// a larger one is a header (80) and the bytes' own allocation. They were
-// 144 + 112, 144 + 224 and 144 + 96 + 1024 with a 96-byte header.
-var nodeBytes = map[int]float64{10: 128 + 96, 100: 128 + 208, 1000: 128 + 80 + 1024}
+// 72-byte header with its two 16-byte slots (104, in a block of 112); a
+// payload of at most 128 bytes shares a block with its header (72 + 16 in
+// the smallest, 96), a larger one is a header (80) and the bytes' own
+// allocation. They were 128 + 96, 128 + 208 and 128 + 80 + 1024 with
+// 24-byte slots, and 144 + 112, 144 + 224 and 144 + 96 + 1024 with a
+// 96-byte header.
+var nodeBytes = map[int]float64{10: 112 + 96, 100: 112 + 208, 1000: 112 + 80 + 1024}
 
 // allocsVMCopy checks that a serialized argument of count nodes of size
 // bytes allocates what its fast-copy does: the objects the callee gets,
@@ -453,9 +455,10 @@ func TestAllocsVMCopy1x1000(t *testing.T) { allocsVMCopy(t, 1, 1000) }
 
 // A VM string argument allocates the one Go allocation a short VM string
 // (at most 32 bytes) is: the string with its field, and its byte array
-// with the bytes, in one block of 208 bytes — two 72-byte headers, a slot
-// and 32 bytes. It measured 2 when the string and its array were a block
-// each, and the block was 256 bytes with a 96-byte header.
+// with the bytes, in one block of 192 bytes — two 72-byte headers, a
+// 16-byte slot and 32 bytes. The block was 208 bytes with a 24-byte slot
+// and 256 with a 96-byte header, and it measured 2 allocations when the
+// string and its array were a block each.
 func TestAllocsVMStringArgument(t *testing.T) {
 	f := newCopyFixture(t)
 	s, err := f.client.NS.NewString("a string argument of some length")
@@ -468,8 +471,8 @@ func TestAllocsVMStringArgument(t *testing.T) {
 	if raceflag.Enabled {
 		return
 	}
-	if got := f.bytesPerCall(t, "str", s); got != 208 {
-		t.Errorf("VM string argument: %.1f B/call, want 208", got)
+	if got := f.bytesPerCall(t, "str", s); got != 192 {
+		t.Errorf("VM string argument: %.1f B/call, want 192", got)
 	}
 }
 

@@ -50,13 +50,12 @@ func own(o *Object, c *Class, payer *account.Account, bytes uintptr) *Object {
 // newInstance returns a zeroed instance of c, paid for by payer.
 func newInstance(c *Class, payer *account.Account) *Object {
 	o, bytes := newInstanceObject(c.numSlots)
-	copy(o.Fields, c.zeroFields)
 	return own(o, c, payer, bytes)
 }
 
 // newArray returns an array of class c of n zero elements, paid for by
 // payer: a [B's in Bytes, a [I's or [D's as 8 bytes each in Bytes, and a
-// reference array's as KRef Values in Fields.
+// reference array's as Values in Fields.
 func newArray(c *Class, n int, payer *account.Account) *Object {
 	var o *Object
 	var bytes uintptr
@@ -66,11 +65,7 @@ func newArray(c *Class, n int, payer *account.Account) *Object {
 	case "I", "D":
 		o, bytes = newByteArrayObject(8 * n)
 	default:
-		refs := make([]Value, n)
-		for i := range refs {
-			refs[i].K = KRef
-		}
-		o, bytes = &Object{Fields: refs}, headerBytes+uintptr(n*valueBytes)
+		o, bytes = &Object{Fields: make([]Value, n)}, headerBytes+uintptr(n*valueBytes)
 	}
 	return own(o, c, payer, bytes)
 }

@@ -24,8 +24,8 @@ func TestObjectLayout(t *testing.T) {
 	if got := unsafe.Sizeof(Object{}); got != 72 {
 		t.Errorf("Object is %d bytes, want 72", got)
 	}
-	if got := unsafe.Sizeof(Value{}); got != 24 {
-		t.Errorf("Value is %d bytes, want 24", got)
+	if got := unsafe.Sizeof(Value{}); got != 16 {
+		t.Errorf("Value is %d bytes, want 16", got)
 	}
 	if raceflag.Enabled {
 		t.Skip("allocation sizes are measured without -race")
@@ -68,18 +68,18 @@ func TestObjectLayout(t *testing.T) {
 	}{
 		{"header alone", func() *Object { return own(new(Object), nil, acct, headerBytes) }, 80, 72},
 		{"instance, 0 slots", inst(0), 80, 72},
-		{"instance, 1 slot", inst(1), 96, 96},
-		{"instance, 2 slots", inst(2), 128, 120},
-		{"instance, 3 slots", inst(3), 144, 144},
-		{"instance, 4 slots", inst(4), 176, 168},
-		{"instance, 5 slots, apart", inst(5), 80 + 128, 72 + 120},
+		{"instance, 1 slot", inst(1), 96, 72 + 16},
+		{"instance, 2 slots", inst(2), 112, 72 + 32},
+		{"instance, 3 slots", inst(3), 128, 72 + 48},
+		{"instance, 4 slots", inst(4), 144, 72 + 64},
+		{"instance, 5 slots, apart", inst(5), 80 + 80, 72 + 80},
 		{"[B of 1-16", bytes(16), 96, 88},
 		{"[B of 17-32", bytes(32), 112, 104},
 		{"[B of 33-64", bytes(64), 144, 136},
 		{"[B of 65-128", bytes(maxBlockBytes), 208, 200},
 		{"[B of 129, apart", bytes(maxBlockBytes + 1), 80 + 144, 72 + 129},
 		{"[B of 1000, apart", bytes(1000), 80 + 1024, 72 + 1000},
-		{"string of <= 32 bytes", host(func() (*Object, error) { return ns.NewString("0123456789abcdef0123456789abcdef") }), 208, 200},
+		{"string of <= 32 bytes", host(func() (*Object, error) { return ns.NewString("0123456789abcdef0123456789abcdef") }), 192, 72 + 16 + 72 + 32},
 		{"[I of 2", array(ints, 2), 96, 88},
 		{"[I of 16", array(ints, 16), 208, 200},
 		{"[I of 17, apart", array(ints, 17), 80 + 144, 72 + 136},
@@ -87,10 +87,10 @@ func TestObjectLayout(t *testing.T) {
 		{"[D of 16", array(doubles, 16), 208, 200},
 		{"[D of 125, apart", array(doubles, 125), 80 + 1024, 72 + 1000},
 		// The meter's shapes, through the namespace's own allocators.
-		{"new of 4 int fields", host(func() (*Object, error) { return ns.NewInstance(four) }), 176, 168},
-		{"[Ljk/lang/Object; of 1000", host(func() (*Object, error) { return ns.NewArray("[Ljk/lang/Object;", 1000) }), 80 + 24576, 72 + 24000},
+		{"new of 4 int fields", host(func() (*Object, error) { return ns.NewInstance(four) }), 144, 72 + 64},
+		{"[Ljk/lang/Object; of 1000", host(func() (*Object, error) { return ns.NewArray("[Ljk/lang/Object;", 1000) }), 80 + 16384, 72 + 16000},
 		{"[B of 1000", host(func() (*Object, error) { return ns.NewArray("[B", 1000) }), 80 + 1024, 72 + 1000},
-		{"string of 10 bytes", host(func() (*Object, error) { return ns.NewString("0123456789") }), 208, 200},
+		{"string of 10 bytes", host(func() (*Object, error) { return ns.NewString("0123456789") }), 192, 72 + 16 + 72 + 32},
 	} {
 		before := acct.Snapshot().AllocBytes
 		got := allocBytes(c.alloc)
@@ -332,8 +332,8 @@ func TestDoubleArrayKeepsFloatBits(t *testing.T) {
 	for i, x := range specials {
 		got := callStatic(t, vm, ns, "DArr.roundtrip:([DID)D", RefVal(arr), IntVal(int64(i)), FloatVal(x))
 		bits := math.Float64bits(x)
-		if got.K != KFloat || uint64(got.I) != bits || uint64(arr.Word(i)) != bits {
-			t.Errorf("%v: aload gave %v (%#x), the array holds %#x, want %#x", x, got, got.I, arr.Word(i), bits)
+		if got.R != nil || uint64(got.I) != bits || uint64(arr.Word(i)) != bits {
+			t.Errorf("%v: aload gave %v (%#x), the array holds %#x, want %#x", x, got.Float(), got.I, arr.Word(i), bits)
 		}
 	}
 }

@@ -249,8 +249,9 @@ func TestArenaCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f := cls.MethodBySig("down", "(I)I").frame; f < locals {
-		t.Fatalf("down's frame is %d slots, want the %d locals it names", f, locals)
+	frame := cls.MethodBySig("down", "(I)I").frame
+	if frame < locals {
+		t.Fatalf("down's frame is %d slots, want the %d locals it names", frame, locals)
 	}
 	th := vm.NewThread("wide")
 	defer vm.Detach(th)
@@ -265,7 +266,7 @@ func TestArenaCeiling(t *testing.T) {
 	}
 	deepest := cls.Statics[cls.FieldByName("deepest").Slot].I
 	t.Logf("wide recursion ended at depth %d, charged %d bytes", deepest, charged)
-	if deepest+1 >= maxCallDepth || int(deepest+2)*locals*valueBytes <= maxArenaBytes {
+	if deepest+1 >= maxCallDepth || int(deepest+2)*frame*valueBytes <= maxArenaBytes {
 		t.Errorf("wide recursion ended at depth %d: not at the %d-byte ceiling", deepest, maxArenaBytes)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; !raceflag.Enabled && got > 2*maxArenaBytes {

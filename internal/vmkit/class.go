@@ -114,8 +114,9 @@ type Method struct {
 	MethodDef
 	Owner  *Class
 	Native NativeFunc // set when MNative
-	// nargs is the number of parameter slots including the receiver.
-	nargs int
+	// argKinds is the kind of each parameter slot, the receiver's
+	// included: its length is the method's argument count.
+	argKinds []Kind
 	// ret is the return descriptor ("" for V).
 	ret string
 	// nlocals is the number of local slots, arguments included: the
@@ -168,8 +169,6 @@ type Class struct {
 	// instanceFields holds the instance fields, inherited ones included,
 	// by slot.
 	instanceFields []*Field
-	// zeroFields is the precomputed zero template for instances.
-	zeroFields []Value
 	// Statics holds static field storage. Like the JVM, slot access is not
 	// synchronized; racy programs see races. Shared classes are forbidden
 	// statics entirely (the J-Kernel rule), so cross-domain races cannot

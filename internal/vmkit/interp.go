@@ -52,10 +52,17 @@ const valueBytes = int(unsafe.Sizeof(Value{}))
 
 // Call executes method m on thread t with the given arguments and returns
 // the result. A thrown VM exception surfaces as *ThrownError; VM-level
-// faults (wrong arity, abstract target) are plain errors.
+// faults (wrong arity or argument kind, abstract target) are plain errors.
+// An argument's kind is checked on the half of its slot that must be
+// empty: a reference's I, a primitive's R.
 func (vm *VM) Call(t *Thread, m *Method, args []Value) (Value, error) {
-	if len(args) != m.nargs {
-		return Value{}, fmt.Errorf("vmkit: %s.%s wants %d args, got %d", m.Owner.Name, m.Name, m.nargs, len(args))
+	if len(args) != len(m.argKinds) {
+		return Value{}, fmt.Errorf("vmkit: %s.%s wants %d args, got %d", m.Owner.Name, m.Name, len(m.argKinds), len(args))
+	}
+	for i, k := range m.argKinds {
+		if k == KRef && args[i].I != 0 || k != KRef && args[i].R != nil {
+			return Value{}, fmt.Errorf("vmkit: argument %d of %s.%s has the wrong kind", i, m.Owner.Name, m.Name)
+		}
 	}
 	v, thrown := vm.enter(t, m, args)
 	t.Publish()
@@ -86,8 +93,8 @@ func (vm *VM) CallStatic(t *Thread, ns *Namespace, ref string, args ...Value) (V
 // throwable. It is the re-entry point for native methods (LRMI gates) that
 // need to execute bytecode. args is copied into the arena, not retained.
 func (vm *VM) Invoke(t *Thread, m *Method, args []Value) (Value, *Object) {
-	if len(args) != m.nargs {
-		return Value{}, vm.Throwf(ClassError, "%s.%s wants %d args, got %d", m.Owner.Name, m.Name, m.nargs, len(args))
+	if len(args) != len(m.argKinds) {
+		return Value{}, vm.Throwf(ClassError, "%s.%s wants %d args, got %d", m.Owner.Name, m.Name, len(m.argKinds), len(args))
 	}
 	return vm.enter(t, m, args)
 }
@@ -142,12 +149,12 @@ func (t *Thread) grow(n int) bool {
 	return true
 }
 
-// invoke runs m on the window whose first m.nargs slots, from base, hold
-// the arguments. It owns the window: on every path out (return, throw,
-// overflow) the window is cleared and t.top restored.
+// invoke runs m on the window from base whose first slots hold its
+// arguments, one a slot of m.argKinds. It owns the window: on every path
+// out (return, throw, overflow) the window is cleared and t.top restored.
 func (vm *VM) invoke(t *Thread, m *Method, base int) (v Value, thrown *Object) {
 	top := t.top
-	end := base + m.nargs
+	end := base + len(m.argKinds)
 	t.callDepth++
 	switch {
 	case t.callDepth > maxCallDepth:
@@ -189,7 +196,8 @@ func (vm *VM) invoke(t *Thread, m *Method, base int) (v Value, thrown *Object) {
 // for the duration (restored after, so a native that re-entered the VM
 // still sees its own namespace).
 func (vm *VM) callNative(t *Thread, m *Method, base int) (Value, *Object) {
-	args := t.arena[base : base+m.nargs : base+m.nargs]
+	end := base + len(m.argKinds)
+	args := t.arena[base:end:end]
 	var recv *Object
 	if !m.IsStatic() {
 		if recv = args[0].R; recv == nil {
@@ -461,7 +469,7 @@ func (vm *VM) run(t *Thread, m *Method, base int) (Value, *Object) {
 
 		case OpInvokeV, OpInvokeI:
 			decl := linked[pc].method
-			sp -= decl.nargs
+			sp -= len(decl.argKinds)
 			recv := frame[sp].R
 			if recv == nil {
 				thrown = throwName(ClassNullPointerEx, "invoke on null (%s)", decl.Sig())
@@ -494,7 +502,7 @@ func (vm *VM) run(t *Thread, m *Method, base int) (Value, *Object) {
 
 		case OpInvokeS:
 			ref := linked[pc]
-			sp -= ref.method.nargs
+			sp -= len(ref.method.argKinds)
 			v, th := vm.invoke(t, ref.method, base+sp)
 			frame = t.arena[base : base+m.frame]
 			if th != nil {
@@ -549,7 +557,7 @@ func (vm *VM) run(t *Thread, m *Method, base int) (Value, *Object) {
 			case arr.Class.elem == "B":
 				push(IntVal(int64(arr.Bytes[idx])))
 			default:
-				push(Value{K: DescKind(arr.Class.elem), I: arr.Word(int(idx))})
+				push(Value{I: arr.Word(int(idx))})
 			}
 		case OpAStore:
 			v := pop()
@@ -629,7 +637,7 @@ func (vm *VM) run(t *Thread, m *Method, base int) (Value, *Object) {
 }
 
 // MaxArrayBytes is the largest array payload newarr and NewArray build:
-// element size × length, a reference element counted at its 24-byte Value.
+// element size × length, a reference element counted at its 16-byte Value.
 // Past it, newarr throws jk/lang/Error rather than leave the Go runtime a
 // length it panics on, or an allocation that ends the process.
 const MaxArrayBytes = 1 << 28
@@ -642,7 +650,7 @@ func maxArrayLen(c *Class) int64 {
 	case "I", "D":
 		return MaxArrayBytes / 8
 	}
-	return MaxArrayBytes / 24
+	return int64(MaxArrayBytes / valueBytes)
 }
 
 func arrayTooLarge(c *Class, n int64) string {

@@ -49,7 +49,7 @@ func TestNewArrCeiling(t *testing.T) {
 	}{
 		{"bytes", "[B", MaxArrayBytes},
 		{"ints", "[I", MaxArrayBytes / 8},
-		{"refs", "[Ljk/lang/Object;", MaxArrayBytes / 24},
+		{"refs", "[Ljk/lang/Object;", MaxArrayBytes / int64(valueBytes)},
 	} {
 		for _, n := range []int64{c.max + 1, 1 << 33, 1 << 62} {
 			_, err := vm.CallStatic(th, ns, "Big."+c.method+":(I)I", IntVal(n))

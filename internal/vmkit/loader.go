@@ -22,6 +22,11 @@ type Resolution struct {
 
 // ResolverFunc is queried whenever a namespace encounters an unknown class
 // name. Returning (nil, nil) means "unknown name".
+//
+// A resolver runs while its namespace's link group links, holding the
+// namespace's link lock. It may load into another namespace, but not into
+// one whose resolver loads back into its own: each load would wait on the
+// other's lock.
 type ResolverFunc func(name string) (*Resolution, error)
 
 // LinkError reports a class loading, verification, or linking failure.
@@ -410,17 +415,10 @@ func linkFieldsAndMethods(c *Class) error {
 	}
 	c.numSlots = nextSlot
 	c.Statics = make([]Value, nextStatic)
-	for _, f := range c.fields {
-		if f.Static {
-			c.Statics[f.Slot] = zeroValue(f.Desc)
-		}
-	}
-	c.zeroFields = make([]Value, nextSlot)
 	c.instanceFields = make([]*Field, nextSlot)
 	for k := c; k != nil; k = k.Super {
 		for _, f := range k.fields {
 			if !f.Static {
-				c.zeroFields[f.Slot] = zeroValue(f.Desc)
 				c.instanceFields[f.Slot] = f
 			}
 		}
@@ -443,9 +441,11 @@ func linkFieldsAndMethods(c *Class) error {
 			return fmt.Errorf("method %s: %v", md.Name, err)
 		}
 		m := &Method{MethodDef: md, Owner: c, ret: ret}
-		m.nargs = len(params)
 		if md.Flags&MStatic == 0 {
-			m.nargs++
+			m.argKinds = append(m.argKinds, KRef)
+		}
+		for _, p := range params {
+			m.argKinds = append(m.argKinds, DescKind(p))
 		}
 		if md.Flags&MNative != 0 {
 			key := c.Name + "." + md.Name + ":" + md.Desc
@@ -462,7 +462,7 @@ func linkFieldsAndMethods(c *Class) error {
 			m.Flags |= MAbstract
 		}
 		if m.Flags&(MAbstract|MNative) != 0 {
-			m.frame = m.nargs // a bytecode method's, the verifier sets
+			m.frame = len(m.argKinds) // a bytecode method's, the verifier sets
 		} else if len(md.Code) == 0 {
 			return fmt.Errorf("method %s has no code", md.Name)
 		}

@@ -19,62 +19,44 @@ import (
 	"sync/atomic"
 )
 
-// Kind discriminates the runtime value union.
+// Kind is what a descriptor says a slot holds. The VM has two primitive
+// kinds (64-bit integers and 64-bit floats) plus references. Booleans,
+// bytes and chars are represented as integers, as in the JVM.
 type Kind uint8
 
-// Value kinds. The VM has two primitive kinds (64-bit integers and 64-bit
-// floats) plus references. Booleans, bytes and chars are represented as
-// integers, as in the JVM.
+// Descriptor kinds (KInvalid for the void return).
 const (
 	KInvalid Kind = iota
 	KInt
 	KFloat
-	KRef // object, array, or string reference; R==nil means null
+	KRef // object, array, or string reference
 )
 
-// Value is a single operand-stack or local-variable slot.
-// The zero Value is an invalid slot; Null() is the null reference.
-// A float keeps its IEEE 754 bits in I (see Float), so a slot is 24 bytes.
+// Value is a single operand-stack or local-variable slot. It carries no
+// kind: verified code never reads a slot as another kind than it wrote,
+// so the descriptor the verifier checked is the only record of it. A
+// primitive's R is nil and a reference's I is 0, so the zero Value is 0,
+// 0.0 and null alike. A float keeps its IEEE 754 bits in I (see Float),
+// so a slot is 16 bytes.
 type Value struct {
-	K Kind
 	I int64
 	R *Object
 }
 
 // IntVal returns an integer value.
-func IntVal(i int64) Value { return Value{K: KInt, I: i} }
+func IntVal(i int64) Value { return Value{I: i} }
 
 // FloatVal returns a float value.
-func FloatVal(f float64) Value { return Value{K: KFloat, I: int64(math.Float64bits(f))} }
+func FloatVal(f float64) Value { return Value{I: int64(math.Float64bits(f))} }
 
-// Float returns the float a KFloat value holds.
+// Float returns the float a float slot holds.
 func (v Value) Float() float64 { return math.Float64frombits(uint64(v.I)) }
 
 // RefVal returns a reference value (obj may be nil for null).
-func RefVal(obj *Object) Value { return Value{K: KRef, R: obj} }
+func RefVal(obj *Object) Value { return Value{R: obj} }
 
 // Null returns the null reference value.
-func Null() Value { return Value{K: KRef} }
-
-// IsNull reports whether v is the null reference.
-func (v Value) IsNull() bool { return v.K == KRef && v.R == nil }
-
-// String renders a value for diagnostics.
-func (v Value) String() string {
-	switch v.K {
-	case KInt:
-		return fmt.Sprintf("%d", v.I)
-	case KFloat:
-		return fmt.Sprintf("%g", v.Float())
-	case KRef:
-		if v.R == nil {
-			return "null"
-		}
-		return v.R.String()
-	default:
-		return "<invalid>"
-	}
-}
+func Null() Value { return Value{} }
 
 // Object is a heap cell: a class instance or an array. Exactly one of the
 // payload fields is used, selected by the object's class:
@@ -84,8 +66,8 @@ func (v Value) String() string {
 //   - arrays: Class is an array class and its elements are in Bytes, a
 //     byte an element for "[B" and 8 little-endian bytes for "[I" and "[D"
 //     (a double's IEEE 754 bits, as Value.I holds them; see Word), or in
-//     Fields ("[L...;" and "[[...", one KRef Value an element, as an
-//     instance keeps a reference field). The class's element descriptor
+//     Fields ("[L...;" and "[[...", one Value an element, as an instance
+//     keeps a reference field). The class's element descriptor
 //     says which.
 //
 // A small instance's Fields and a small primitive array's Bytes live in
@@ -157,17 +139,5 @@ func DescKind(desc string) Kind {
 		return KRef
 	default:
 		return KInvalid
-	}
-}
-
-// zeroValue returns the zero value for a field of the given descriptor.
-func zeroValue(desc string) Value {
-	switch DescKind(desc) {
-	case KInt:
-		return IntVal(0)
-	case KFloat:
-		return FloatVal(0)
-	default:
-		return Null()
 	}
 }

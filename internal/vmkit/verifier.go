@@ -206,7 +206,7 @@ func verifyMethod(c *Class, m *Method) error {
 		v.join[e.Handler] = true
 	}
 	v.join[0] = true
-	nlocals := m.nargs
+	nlocals := len(m.argKinds)
 	for pc, in := range m.Code {
 		switch {
 		case in.Op == OpLoad || in.Op == OpStore:

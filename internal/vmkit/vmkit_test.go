@@ -279,7 +279,7 @@ func TestNullPointerAndCastChecks(t *testing.T) {
 	}
 	// null casts succeed
 	v := callStatic(t, vm, ns, "Deref.badCast:(Ljk/lang/Object;)Ljk/lang/String;", Null())
-	if !v.IsNull() {
+	if v != Null() {
 		t.Errorf("badCast(null) = %v, want null", v)
 	}
 }
